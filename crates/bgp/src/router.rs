@@ -81,15 +81,72 @@ pub struct BgpRouter {
     cfg: RouterConfig,
     peers: HashMap<PeerId, PeerState>,
     loc_rib: LocRib,
-    fib: CompressedTrie<FibEntry>,
+    fib: Fib,
     bmp_queue: Vec<BmpMessage>,
     /// Locally originated prefixes (the content provider's own nets),
     /// exported to every real peer with the local ASN prepended.
     local_origins: Vec<Prefix>,
+}
+
+/// Most FIB changes the journal retains. A reader that polls once per
+/// controller cycle sees a few hundred; a delta longer than this (session
+/// flap, table reload) is cheaper to handle as "everything changed" anyway.
+const FIB_JOURNAL_CAP: usize = 8192;
+
+/// The forwarding table with its change journal. A separate struct so the
+/// update paths can mutate it while holding borrows into `BgpRouter::peers`.
+struct Fib {
+    trie: CompressedTrie<FibEntry>,
     /// Monotonic counter bumped on every FIB mutation (install, replace,
     /// remove). Embedders can snapshot it to revalidate cached lookup
     /// results without walking the trie.
-    fib_version: u64,
+    version: u64,
+    /// The prefixes mutated by the last `journal.len()` version bumps,
+    /// oldest first: `journal[i]` took the FIB from version
+    /// `version - journal.len() + i` to the next. Bounded by
+    /// [`FIB_JOURNAL_CAP`]; the oldest half is dropped when it fills.
+    journal: Vec<Prefix>,
+}
+
+impl Fib {
+    fn new() -> Self {
+        Fib {
+            trie: CompressedTrie::new(),
+            version: 0,
+            journal: Vec::new(),
+        }
+    }
+
+    /// Installs or removes `prefix`'s entry. A write that leaves the table
+    /// as it was (the same peer stays best on the same egress with new
+    /// attributes) is not a change: no version bump, no journal entry.
+    fn apply_best_change(&mut self, prefix: Prefix, change: BestChange) {
+        let changed = match change {
+            BestChange::Unchanged => false,
+            BestChange::NewBest(route) => {
+                let entry = FibEntry {
+                    egress: route.egress,
+                    peer: route.source.peer,
+                    is_override: route.is_override(),
+                };
+                self.trie.insert(prefix, entry) != Some(entry)
+            }
+            BestChange::Unreachable => self.trie.remove(&prefix).is_some(),
+        };
+        if changed {
+            if self.journal.len() == FIB_JOURNAL_CAP {
+                self.journal.drain(..FIB_JOURNAL_CAP / 2);
+            }
+            self.journal.push(prefix);
+            self.version += 1;
+        }
+    }
+
+    fn changes_since(&self, version: u64) -> Option<&[Prefix]> {
+        let oldest = self.version - self.journal.len() as u64;
+        let skip = usize::try_from(version.checked_sub(oldest)?).ok()?;
+        self.journal.get(skip..)
+    }
 }
 
 impl BgpRouter {
@@ -103,10 +160,9 @@ impl BgpRouter {
             cfg,
             peers: HashMap::new(),
             loc_rib: LocRib::new(),
-            fib: CompressedTrie::new(),
+            fib: Fib::new(),
             bmp_queue,
             local_origins: Vec::new(),
-            fib_version: 0,
         }
     }
 
@@ -361,7 +417,7 @@ impl BgpRouter {
     ) {
         let changes = self.loc_rib.withdraw_peer(peer);
         for (prefix, change) in changes {
-            Self::apply_best_change(&mut self.fib, &mut self.fib_version, prefix, change);
+            self.fib.apply_best_change(prefix, change);
         }
         self.bmp_queue.push(BmpMessage::PeerDown {
             peer: BmpPeerHeader {
@@ -416,7 +472,7 @@ impl BgpRouter {
                     state.adj_in.install_ref(*prefix, &attrs, source, egress);
                     let change = self.loc_rib.install_ref(*prefix, &attrs, source, egress);
                     accepted.push((*prefix, attrs));
-                    Self::apply_best_change(&mut self.fib, &mut self.fib_version, *prefix, change);
+                    self.fib.apply_best_change(*prefix, change);
                 }
                 PolicyVerdict::Reject => {
                     // A re-announcement that now fails policy removes any
@@ -424,12 +480,7 @@ impl BgpRouter {
                     if state.adj_in.withdraw(prefix).is_some() {
                         effective_withdrawals.push(*prefix);
                         let change = self.loc_rib.withdraw(prefix, peer);
-                        Self::apply_best_change(
-                            &mut self.fib,
-                            &mut self.fib_version,
-                            *prefix,
-                            change,
-                        );
+                        self.fib.apply_best_change(*prefix, change);
                     }
                 }
             }
@@ -440,7 +491,7 @@ impl BgpRouter {
                 state.adj_in.withdraw(prefix);
             }
             let change = self.loc_rib.withdraw(prefix, peer);
-            Self::apply_best_change(&mut self.fib, &mut self.fib_version, *prefix, change);
+            self.fib.apply_best_change(*prefix, change);
         }
 
         // Max-prefix protection: a peer exceeding its limit is cut off.
@@ -489,53 +540,37 @@ impl BgpRouter {
         }
     }
 
-    // Static over `&mut self` because callers hold disjoint borrows into
-    // `self.peers` while mutating the FIB.
-    fn apply_best_change(
-        fib: &mut CompressedTrie<FibEntry>,
-        version: &mut u64,
-        prefix: Prefix,
-        change: BestChange,
-    ) {
-        match change {
-            BestChange::Unchanged => return,
-            BestChange::NewBest(route) => {
-                fib.insert(
-                    prefix,
-                    FibEntry {
-                        egress: route.egress,
-                        peer: route.source.peer,
-                        is_override: route.is_override(),
-                    },
-                );
-            }
-            BestChange::Unreachable => {
-                fib.remove(&prefix);
-            }
-        }
-        *version += 1;
-    }
-
     /// Monotonic FIB version: changes iff the FIB changed since the last
     /// observation, so `fib_version() == cached_version` proves every cached
     /// [`fib_lookup`](Self::fib_lookup) result is still current.
     pub fn fib_version(&self) -> u64 {
-        self.fib_version
+        self.fib.version
+    }
+
+    /// The prefixes whose FIB entry was installed, replaced or removed
+    /// since the FIB was at `version`, oldest first (a prefix repeats if it
+    /// changed more than once); empty at the current version. Longest-match
+    /// results can differ from those at `version` only for keys one of
+    /// these prefixes contains. `None` when the bounded journal no longer
+    /// reaches back to `version`, or the router never issued it: the caller
+    /// must assume everything changed.
+    pub fn fib_changes_since(&self, version: u64) -> Option<&[Prefix]> {
+        self.fib.changes_since(version)
     }
 
     /// Longest-prefix-match forwarding lookup.
     pub fn fib_lookup(&self, key: Prefix) -> Option<(Prefix, &FibEntry)> {
-        self.fib.longest_match(key)
+        self.fib.trie.longest_match(key)
     }
 
     /// The exact FIB entry for a prefix, if installed.
     pub fn fib_entry(&self, prefix: &Prefix) -> Option<&FibEntry> {
-        self.fib.get(prefix)
+        self.fib.trie.get(prefix)
     }
 
     /// Number of prefixes in the FIB.
     pub fn fib_len(&self) -> usize {
-        self.fib.len()
+        self.fib.trie.len()
     }
 
     /// The router's full view of candidates for a prefix (all peers).
@@ -1231,11 +1266,68 @@ mod tests {
         transit.announce(&mut r, p("203.0.113.0/24"), attrs(&[65010]), 2);
         assert_eq!(r.fib_version(), v2, "unchanged best leaves the version");
 
+        // The winner re-announces with new attributes and stays best: the
+        // RIB reports a new best, the FIB entry written equals the old one.
+        peer.announce(&mut r, p("203.0.113.0/24"), attrs(&[65001, 65001]), 2);
+        assert_eq!(r.best(&p("203.0.113.0/24")).unwrap().source.peer, PeerId(2));
+        assert_eq!(r.fib_version(), v2, "a no-op FIB write is not a change");
+        assert_eq!(r.fib_changes_since(v2), Some(&[][..]));
+
         peer.shutdown(&mut r, 3);
         assert!(
             r.fib_version() > v2,
             "flushing a peer's winning route bumps the version"
         );
+    }
+
+    #[test]
+    fn fib_journal_lists_mutated_prefixes_in_order() {
+        let mut r = router();
+        let mut transit = wire_peer(&mut r, 1, 65010, PeerKind::Transit, 10);
+        let mut peer = wire_peer(&mut r, 2, 65001, PeerKind::PrivatePeer, 20);
+        let v0 = r.fib_version();
+        assert_eq!(r.fib_changes_since(v0), Some(&[][..]), "empty at current");
+
+        let (a, b) = (p("203.0.113.0/24"), p("198.51.100.0/24"));
+        transit.announce(&mut r, a, attrs(&[65010]), 1); // install a
+        transit.announce(&mut r, b, attrs(&[65010]), 1); // install b
+        let v1 = r.fib_version();
+        peer.announce(&mut r, a, attrs(&[65001]), 2); // replace a
+        peer.announce(&mut r, b, attrs(&[65001, 65001]), 2); // replace b
+        transit.announce(&mut r, a, attrs(&[65010, 65010]), 3); // loser: no change
+        transit.withdraw(&mut r, [b], 3); // loser withdrawn: no change
+        peer.withdraw(&mut r, [b], 4); // remove b
+
+        assert_eq!(r.fib_changes_since(v0), Some(&[a, b, a, b, b][..]));
+        assert_eq!(r.fib_changes_since(v1), Some(&[a, b, b][..]));
+        assert_eq!(r.fib_version(), v0 + 5, "one version per journal entry");
+        assert_eq!(r.fib_changes_since(r.fib_version()), Some(&[][..]));
+        assert_eq!(
+            r.fib_changes_since(r.fib_version() + 1),
+            None,
+            "never issued"
+        );
+    }
+
+    #[test]
+    fn fib_journal_is_bounded_and_reports_overflow() {
+        let mut r = router();
+        let mut peer = wire_peer(&mut r, 1, 65001, PeerKind::PrivatePeer, 11);
+        let v0 = r.fib_version();
+        // Nobody reads the journal while one prefix flaps past its capacity.
+        let flapping = p("203.0.113.0/24");
+        for round in 0..FIB_JOURNAL_CAP as u64 {
+            peer.announce(&mut r, flapping, attrs(&[65001]), round);
+            peer.withdraw(&mut r, [flapping], round);
+            assert!(r.fib.journal.len() <= FIB_JOURNAL_CAP);
+        }
+        assert_eq!(r.fib_version(), v0 + 2 * FIB_JOURNAL_CAP as u64);
+        assert!(r.fib.journal.capacity() <= 2 * FIB_JOURNAL_CAP);
+        assert_eq!(r.fib_changes_since(v0), None, "wrapped past v0");
+
+        // Whatever the journal still reaches is reported exactly.
+        let recent = r.fib_version() - 3;
+        assert_eq!(r.fib_changes_since(recent), Some(&[flapping; 3][..]));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! [`rtt::PathPerfModel`](crate::rtt::PathPerfModel) — sampled at the *alternate path's*
 //! current utilization, digested by a P² median estimator.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,6 +94,9 @@ pub struct AltPathMeasurer {
     cfg: MeasurerConfig,
     pop: u16,
     digests: HashMap<PathKey, PathDigest>,
+    /// Prefixes with at least one digest, so "was this prefix ever
+    /// measured" is one probe instead of a scan over path keys.
+    measured: HashSet<u32>,
     rng: StdRng,
 }
 
@@ -105,6 +108,7 @@ impl AltPathMeasurer {
             cfg,
             pop,
             digests: HashMap::new(),
+            measured: HashSet::new(),
         }
     }
 
@@ -129,6 +133,9 @@ impl AltPathMeasurer {
             let sliced = demand_mbps * self.cfg.slice_fraction;
             let n = ((sliced * self.cfg.samples_per_mbps).ceil() as usize)
                 .clamp(1, self.cfg.max_samples_per_path);
+            if !paths.is_empty() {
+                self.measured.insert(*prefix_idx);
+            }
             for path in paths {
                 let key = PathKey {
                     prefix_idx: *prefix_idx,
@@ -154,6 +161,11 @@ impl AltPathMeasurer {
         self.digests.get(key)
     }
 
+    /// True if any path of this prefix has a digest.
+    pub fn is_measured(&self, prefix_idx: u32) -> bool {
+        self.measured.contains(&prefix_idx)
+    }
+
     /// All digests for one prefix.
     pub fn digests_for(&self, prefix_idx: u32) -> Vec<&PathDigest> {
         let mut v: Vec<&PathDigest> = self
@@ -175,6 +187,7 @@ impl AltPathMeasurer {
     /// Drops all state (e.g. at a day boundary).
     pub fn reset(&mut self) {
         self.digests.clear();
+        self.measured.clear();
     }
 }
 
@@ -212,6 +225,10 @@ mod tests {
                 egress: EgressId(1)
             })
             .is_some());
+        assert!(m.is_measured(7));
+        // A prefix offered with no candidate path leaves no digest.
+        m.collect_epoch(&model(), &[(8u32, 1000.0, Vec::new())], &HashMap::new());
+        assert!(!m.is_measured(8));
     }
 
     #[test]
@@ -293,5 +310,6 @@ mod tests {
         assert_eq!(keys, vec![(3, 1), (3, 2), (9, 1), (9, 2)]);
         m.reset();
         assert!(m.report().is_empty());
+        assert!(!m.is_measured(9));
     }
 }

@@ -23,6 +23,7 @@
 
 pub mod chaos;
 pub mod engine;
+pub mod fibcache;
 pub mod metrics;
 pub mod report;
 pub mod runtime;

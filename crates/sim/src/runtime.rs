@@ -44,6 +44,7 @@ use ef_traffic::sampler::{SamplerConfig, SflowSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::fibcache::FibCache;
 use crate::metrics::{MetricsStore, PopEpochRecord};
 use crate::scenario::SimConfig;
 
@@ -56,20 +57,6 @@ const MEASURE_TOP_K: usize = 150;
 /// traffic-input age starts growing. Below it, the collector still gets
 /// (under-counted) fresh estimates.
 const SEVERE_SFLOW_DROP: f64 = 0.9;
-
-/// One slot of the per-prefix-unit FIB lookup cache. `Unknown` means the
-/// unit has not been looked up since the cache was last invalidated.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum FibCacheEntry {
-    Unknown,
-    /// The trie has no route for this unit.
-    NoRoute,
-    /// Longest-match result for the unit: egress and override flag.
-    Route {
-        egress: EgressId,
-        is_override: bool,
-    },
-}
 
 /// Per-tick signals derived from the active fault windows.
 #[derive(Debug, Default)]
@@ -132,22 +119,15 @@ pub struct PopRuntime {
     /// When the controller may split prefixes, demand must be forwarded at
     /// half-prefix granularity so /25 (or /49) overrides take effect.
     split_lookup: bool,
-    /// Run the forwarding loop through the version-checked FIB cache
+    /// Run the forwarding loop through the journal-invalidated FIB cache
     /// (`SimConfig::incremental`). Off recomputes every lookup from the
     /// trie — same results, for cross-checking and benchmarking.
     incremental: bool,
-    /// Per-universe-prefix lookup units, precomputed once: the unit to
-    /// look up, plus the second half when split forwarding is on and the
-    /// prefix is splittable.
-    lookup_units: Vec<(Prefix, Option<Prefix>)>,
-    /// FIB lookup cache, two slots per universe prefix (whole prefix in
-    /// slot 0; halves in slots 0 and 1 under split forwarding). Valid only
-    /// while the router's FIB version equals `fib_cache_version`.
-    fib_cache: Vec<[FibCacheEntry; 2]>,
-    /// Router FIB version the cache entries were resolved against.
-    fib_cache_version: u64,
+    /// Per-unit FIB lookup cache behind the `incremental` forwarding arm.
+    fib_cache: FibCache,
     /// Interface → dense slot in `load_scratch` (position in
-    /// `pop.interfaces`, which never reorders).
+    /// `pop.interfaces`, which never reorders). Read by the from-scratch
+    /// arm; the cached arm stores slots in its entries.
     slot_of: HashMap<EgressId, usize>,
     /// Per-interface load accumulator, zeroed each tick; loads on egresses
     /// that are not PoP interfaces are not tracked (nothing reads them).
@@ -362,22 +342,6 @@ impl PopRuntime {
             .map(|p| p.prefix)
             .collect();
         let split_lookup = cfg.controller.split_depth > 0;
-        // Lookup units are a pure function of the universe and the split
-        // setting: precompute them once instead of re-deriving the halves
-        // on every forwarding tick.
-        let lookup_units: Vec<(Prefix, Option<Prefix>)> = prefix_of
-            .iter()
-            .map(|prefix| {
-                if split_lookup {
-                    match prefix.halves() {
-                        Some((lo, hi)) => (lo, Some(hi)),
-                        None => (*prefix, None),
-                    }
-                } else {
-                    (*prefix, None)
-                }
-            })
-            .collect();
         let slot_of: HashMap<EgressId, usize> = pop
             .interfaces
             .iter()
@@ -385,8 +349,12 @@ impl PopRuntime {
             .map(|(slot, iface)| (iface.id, slot))
             .collect();
         let load_scratch = vec![0.0; pop.interfaces.len()];
-        let fib_cache = vec![[FibCacheEntry::Unknown; 2]; prefix_of.len()];
-        let fib_cache_version = router.fib_version();
+        let fib_cache = FibCache::new(
+            &prefix_of,
+            split_lookup,
+            pop.interfaces.iter().map(|iface| iface.id),
+            &router,
+        );
 
         PopRuntime {
             pop,
@@ -402,9 +370,7 @@ impl PopRuntime {
             util_limit: cfg.controller.util_limit,
             split_lookup,
             incremental: cfg.incremental,
-            lookup_units,
             fib_cache,
-            fib_cache_version,
             slot_of,
             load_scratch,
             perf_steer: cfg.perf.map(|p| p.steer).unwrap_or(false),
@@ -937,70 +903,40 @@ impl PopRuntime {
         let mut detoured = 0.0f64;
         self.load_scratch.iter_mut().for_each(|l| *l = 0.0);
         if self.incremental {
-            // Version-checked lookup cache: when the FIB is unchanged since
-            // the last tick (the steady state between routing events), every
-            // lookup is a vector index instead of a trie walk. Any install,
-            // withdraw, or peer flush — including the chaos faults — bumps
-            // the router's FIB version and empties the cache here.
-            let version = self.router.fib_version();
-            if version != self.fib_cache_version {
-                self.fib_cache
-                    .iter_mut()
-                    .for_each(|slots| *slots = [FibCacheEntry::Unknown; 2]);
-                self.fib_cache_version = version;
-            }
+            // When the FIB is unchanged since the last tick (the steady
+            // state between routing events), every lookup is a vector index
+            // instead of a trie walk; after an install, withdraw or peer
+            // flush — including the chaos faults — `sync` forgets only the
+            // units the router's change journal says could have moved.
+            self.fib_cache.sync(&self.router);
             let router = &self.router;
-            let fib_cache = &mut self.fib_cache;
-            let slot_of = &self.slot_of;
             let load = &mut self.load_scratch;
-            let mut forward = |idx: usize, half: usize, unit: Prefix, mbps: f64, det: &mut f64| {
-                let entry = match fib_cache[idx][half] {
-                    FibCacheEntry::Unknown => {
-                        let resolved = match router.fib_lookup(unit) {
-                            Some((_, e)) => FibCacheEntry::Route {
-                                egress: e.egress,
-                                is_override: e.is_override,
-                            },
-                            None => FibCacheEntry::NoRoute,
-                        };
-                        fib_cache[idx][half] = resolved;
-                        resolved
+            let mut forward = |cache: &mut FibCache, idx: usize, half: usize, mbps: f64| {
+                if let Some(hop) = cache.resolve(router, idx, half) {
+                    // `NOT_A_POP_INTERFACE` is past the end of `load`.
+                    if let Some(l) = load.get_mut(hop.slot as usize) {
+                        *l += mbps;
                     }
-                    cached => cached,
-                };
-                if let FibCacheEntry::Route {
-                    egress,
-                    is_override,
-                } = entry
-                {
-                    if let Some(&slot) = slot_of.get(&egress) {
-                        load[slot] += mbps;
-                    }
-                    if is_override {
-                        *det += mbps;
+                    if hop.is_override {
+                        detoured += mbps;
                     }
                 }
             };
+            let cache = &mut self.fib_cache;
             for point in demand {
                 offered += point.mbps;
                 let idx = point.prefix_idx as usize;
-                let (unit, second) = self.lookup_units[idx];
-                match second {
+                if cache.is_split(idx) {
                     // Split forwarding: traffic inside a prefix is uniform,
                     // so each half carries half the demand and is looked up
                     // independently (a /25 override captures exactly half).
-                    Some(hi) => {
-                        let half = point.mbps / 2.0;
-                        if half > 0.0 {
-                            forward(idx, 0, unit, half, &mut detoured);
-                            forward(idx, 1, hi, half, &mut detoured);
-                        }
+                    let half = point.mbps / 2.0;
+                    if half > 0.0 {
+                        forward(cache, idx, 0, half);
+                        forward(cache, idx, 1, half);
                     }
-                    None => {
-                        if point.mbps > 0.0 {
-                            forward(idx, 0, unit, point.mbps, &mut detoured);
-                        }
-                    }
+                } else if point.mbps > 0.0 {
+                    forward(cache, idx, 0, point.mbps);
                 }
             }
         } else {
@@ -1098,9 +1034,11 @@ impl PopRuntime {
                     // Compare alternates against the *organic* BGP choice
                     // (ignoring our own overrides), otherwise a steered
                     // prefix would look "already optimal" and flap out of
-                    // the override set every other epoch.
+                    // the override set every other epoch. `compare_paths`
+                    // reads `preferred` only for prefixes with a digest.
                     let preferred: HashMap<u32, EgressId> = demand
                         .iter()
+                        .filter(|point| measurer.is_measured(point.prefix_idx))
                         .filter_map(|point| {
                             let prefix = self.prefix_of[point.prefix_idx as usize];
                             ef_bgp::decision::best_rec_where(self.router.candidates(&prefix), |r| {

@@ -6,13 +6,20 @@
 
 use ef_sim::{scenario, ScenarioBuilder, SimConfig};
 
-/// Serialized fingerprint of everything a run records.
-fn fingerprint(cfg: SimConfig) -> String {
+fn run(cfg: SimConfig) -> ef_sim::MetricsStore {
     let mut engine = ScenarioBuilder::from_config(cfg).engine();
     engine.run();
-    let metrics = engine.take_metrics();
+    engine.take_metrics()
+}
+
+fn serialize(metrics: &ef_sim::MetricsStore) -> String {
     serde_json::to_string(&(&metrics.pop_epochs, &metrics.episodes, &metrics.billing))
         .expect("metrics serialize")
+}
+
+/// Serialized fingerprint of everything a run records.
+fn fingerprint(cfg: SimConfig) -> String {
+    serialize(&run(cfg))
 }
 
 /// The 15-minute small-world scenario every check here varies.
@@ -102,6 +109,52 @@ fn caches_off_matches_caches_on_under_chaos_and_splitting() {
     assert_eq!(
         cached, scratch,
         "caching changed the results under chaos with splitting"
+    );
+}
+
+#[test]
+fn caches_off_matches_caches_on_at_full_table_shape() {
+    // One PoP, a table large against the per-epoch override churn, split
+    // forwarding: each epoch's FIB delta is a small share of the 10 000
+    // lookup units, so the cached arm invalidates from the router's change
+    // journal (the small worlds above mostly take the forget-everything
+    // fallback). A day in 24 epochs crosses the diurnal peak.
+    const PREFIXES: usize = 5_000;
+    let cfg = scenario()
+        .topology(ef_topology::GenConfig {
+            seed: 7,
+            n_pops: 1,
+            n_ases: PREFIXES / 10,
+            n_prefixes: PREFIXES,
+            total_avg_gbps: 100.0,
+            ..ef_topology::GenConfig::default()
+        })
+        .duration_secs(86_400)
+        .epoch_secs(3_600)
+        .exact_rates()
+        .tune_controller(|c| c.split_depth = 1)
+        .build();
+
+    let cached = run(cfg.clone());
+    let churn: Vec<usize> = cached
+        .pop_epochs
+        .iter()
+        .map(|r| r.churn_announced + r.churn_withdrawn)
+        .collect();
+    assert!(
+        churn.iter().filter(|&&c| c > 0).count() >= 3,
+        "overrides move the FIB in several epochs: {churn:?}"
+    );
+    assert!(
+        churn.iter().all(|&c| c < PREFIXES / 4),
+        "every epoch's delta stays a small share of the table: {churn:?}"
+    );
+
+    let scratch = fingerprint(ScenarioBuilder::from_config(cfg).incremental(false).build());
+    assert_eq!(
+        serialize(&cached),
+        scratch,
+        "journal-driven invalidation changed the results"
     );
 }
 
