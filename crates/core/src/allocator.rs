@@ -31,7 +31,7 @@ use crate::collector::RouteCollector;
 use crate::config::ControllerConfig;
 use crate::overrides::{Override, OverrideReason, OverrideSet};
 use crate::projection::Projection;
-use crate::state::InterfaceMap;
+use crate::state::{InterfaceMap, TrafficView};
 
 /// Prefix-selection order when shedding load from a hot interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -88,11 +88,11 @@ impl AllocationOutcome {
 /// overrides are retained while their source interface still projects
 /// above `util_limit − hysteresis`, damping flaps when demand hovers at
 /// the limit.
-pub fn allocate(
+pub fn allocate<T: TrafficView + ?Sized>(
     cfg: &ControllerConfig,
     interfaces: &InterfaceMap,
     routes: &RouteCollector,
-    traffic: &HashMap<Prefix, f64>,
+    traffic: &T,
     projection: &Projection,
     perf_overrides: &OverrideSet,
     previous: &OverrideSet,
@@ -123,7 +123,7 @@ pub fn allocate(
 
     // Charge performance overrides to their targets first.
     for o in perf_overrides.iter_sorted() {
-        let demand = traffic.get(&o.prefix).copied().unwrap_or(0.0);
+        let demand = traffic.demand_of(&o.prefix).unwrap_or(0.0);
         let src = projection.assigned_egress(&o.prefix);
         if let Some(src) = src {
             if src != o.target {
@@ -157,7 +157,7 @@ pub fn allocate(
             if o.reason != OverrideReason::Capacity || overrides.contains(&o.prefix) {
                 continue;
             }
-            let demand = traffic.get(&o.prefix).copied().unwrap_or(0.0);
+            let demand = traffic.demand_of(&o.prefix).unwrap_or(0.0);
             if demand <= 0.0 {
                 continue;
             }

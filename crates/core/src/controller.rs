@@ -37,7 +37,7 @@ use crate::config::ControllerConfig;
 use crate::injector::{InjectionLedger, InjectionReport, Injector};
 use crate::overrides::OverrideSet;
 use crate::projection::{project, project_cached, Projection, ProjectionCache};
-use crate::state::{InterfaceMap, TrafficState};
+use crate::state::{InterfaceMap, TrafficView};
 
 /// What one controller epoch observed and did, for telemetry and the
 /// evaluation harness.
@@ -279,9 +279,9 @@ impl PopController {
     /// epoch is skipped (a no-op report, never a panic) — use
     /// [`run_epoch_guarded`](Self::run_epoch_guarded) to observe that
     /// condition as a typed error.
-    pub fn run_epoch(
+    pub fn run_epoch<T: TrafficView + ?Sized>(
         &mut self,
-        traffic: &TrafficState,
+        traffic: &T,
         router: &mut BgpRouter,
         now: Millis,
     ) -> EpochReport {
@@ -305,9 +305,9 @@ impl PopController {
     ///
     /// Returns [`EpochError::InjectorDown`] (epoch skipped) when the
     /// injector session is down and this is not a dry run.
-    pub fn run_epoch_guarded(
+    pub fn run_epoch_guarded<T: TrafficView + ?Sized>(
         &mut self,
-        traffic: &TrafficState,
+        traffic: &T,
         router: &mut BgpRouter,
         now: Millis,
         inputs: EpochInputs,
@@ -670,7 +670,7 @@ impl PopController {
     /// The report for an epoch that could not run (injector down): nothing
     /// was observed or changed; BGP semantics already withdrew every
     /// override.
-    fn skipped_report(&self, traffic: &TrafficState, now: Millis) -> EpochReport {
+    fn skipped_report<T: TrafficView + ?Sized>(&self, traffic: &T, now: Millis) -> EpochReport {
         EpochReport {
             now_ms: now,
             pop: self.pop,

@@ -9,8 +9,12 @@
 //!
 //! 1. **Collects routes** ([`collector`]) from a BMP feed exposing every
 //!    route each peering router accepted — not just the best ones.
-//! 2. **Collects traffic** — per-prefix egress demand estimates (supplied
-//!    by the embedding; see `ef-traffic` for the sampling pipeline).
+//! 2. **Collects traffic** — per-prefix egress demand estimates, supplied
+//!    by the embedding (see `ef-traffic` for the sampling pipeline) as a
+//!    [`state::TrafficView`]: in production a prefix-sorted
+//!    [`state::TrafficTable`] refilled in place each epoch; a
+//!    `HashMap<Prefix, f64>` is accepted through the same trait for small
+//!    callers such as the quickstart below.
 //! 3. **Projects** ([`projection`]) that demand onto the routes BGP would
 //!    pick *absent any override*, predicting each interface's load.
 //! 4. **Allocates detours** ([`allocator`]) for interfaces whose projected

@@ -14,7 +14,7 @@ use ef_bgp::route::EgressId;
 use ef_net_types::Prefix;
 
 use crate::collector::RouteCollector;
-use crate::state::TrafficState;
+use crate::state::TrafficView;
 
 /// The result of projecting demand onto BGP-preferred routes.
 #[derive(Debug, Clone, Default)]
@@ -37,8 +37,7 @@ pub struct Projection {
     total: f64,
     /// Every entry's demand (routed or not), summed in canonical prefix
     /// order — the same sequence `state::total_traffic_mbps` produces, so
-    /// budget math downstream needs no second sorted pass over the
-    /// traffic map.
+    /// budget math downstream needs no second pass over the traffic view.
     demand: f64,
 }
 
@@ -56,7 +55,7 @@ impl Projection {
 
     /// Total presented demand, Mbps — routed, unrouted and zero entries
     /// alike, summed in canonical prefix order. Bit-identical to
-    /// `state::total_traffic_mbps` over the same traffic map.
+    /// `state::total_traffic_mbps` over the same traffic view.
     pub fn demand_total_mbps(&self) -> f64 {
         self.demand
     }
@@ -76,13 +75,11 @@ impl Projection {
 /// Prefixes present in traffic but absent from the route table contribute
 /// to `unrouted_mbps`. Prefixes with routes but no demand simply do not
 /// appear in the assignment (they carry nothing).
-pub fn project(routes: &RouteCollector, traffic: &TrafficState) -> Projection {
+pub fn project<T: TrafficView + ?Sized>(routes: &RouteCollector, traffic: &T) -> Projection {
     let mut projection = Projection::default();
     // Canonical (prefix) order: the per-interface sums below are float
-    // accumulations, and map iteration order must not leak into them.
-    let mut entries: Vec<(&Prefix, &f64)> = traffic.iter().collect();
-    entries.sort_by_key(|(p, _)| **p);
-    for (prefix, mbps) in entries {
+    // accumulations, and storage order must not leak into them.
+    for (prefix, mbps) in traffic.sorted_entries(&mut Vec::new()) {
         projection.demand += *mbps;
         if *mbps <= 0.0 {
             continue;
@@ -109,13 +106,14 @@ pub fn project(routes: &RouteCollector, traffic: &TrafficState) -> Projection {
 /// accumulated in exactly the same canonical order either way, so even the
 /// float sums match bit for bit.
 ///
-/// The memo is a prefix-sorted vector walked in lockstep with the sorted
-/// traffic entries (the hot loop is a merge join, not a map probe), and
-/// per-egress loads accumulate into dense slots. On epochs where the
+/// The memo is a prefix-sorted vector walked in lockstep with the traffic
+/// view's sorted entries (the hot loop is a merge join, not a map probe),
+/// and per-egress loads accumulate into dense slots. On epochs where the
 /// collector's global generation has not moved — the steady state, since
 /// the controller's own override churn never bumps it — the per-prefix
-/// stamp lookups are skipped entirely, so a fully warm epoch performs no
-/// hashing at all. Every buffer is kept alive across epochs.
+/// stamp lookups are skipped entirely, so a fully warm epoch over a
+/// [`TrafficTable`](crate::state::TrafficTable) hashes nothing and sorts
+/// nothing. Every buffer is kept alive across epochs.
 #[derive(Debug, Default)]
 pub struct ProjectionCache {
     /// Prefix-sorted memo: `(prefix, generation stamp, slot + 1)`, where
@@ -140,7 +138,8 @@ pub struct ProjectionCache {
     synced: u64,
     /// False until the first projection (or after [`clear`](Self::clear)).
     valid: bool,
-    /// Reusable sorted `(prefix, mbps)` scratch.
+    /// Sort scratch lent to [`TrafficView::sorted_entries`]; only the map
+    /// adapter writes to it.
     entries: Vec<(Prefix, f64)>,
 }
 
@@ -177,18 +176,15 @@ impl ProjectionCache {
 
 /// [`project`], but re-running the BGP decision only for prefixes whose
 /// generation stamp moved since the memoized answer was recorded.
-pub fn project_cached(
+pub fn project_cached<T: TrafficView + ?Sized>(
     cache: &mut ProjectionCache,
     routes: &RouteCollector,
-    traffic: &TrafficState,
+    traffic: &T,
 ) -> Projection {
-    let mut entries = std::mem::take(&mut cache.entries);
-    entries.clear();
-    entries.extend(traffic.iter().map(|(p, m)| (*p, *m)));
     // Same canonical order as `project`: float accumulation order is part
-    // of the byte-identical contract. Unstable sort is fine — prefixes are
-    // unique map keys — and avoids the stable sort's scratch allocation.
-    entries.sort_unstable_by_key(|(p, _)| *p);
+    // of the byte-identical contract.
+    let mut scratch = std::mem::take(&mut cache.entries);
+    let entries = traffic.sorted_entries(&mut scratch);
 
     // Steady-state fast path: if the collector's global generation has not
     // moved since the memo was recorded, every stamp in it is still valid
@@ -208,7 +204,7 @@ pub fn project_cached(
         ..Default::default()
     };
     let mut mi = 0usize;
-    for &(prefix, mbps) in &entries {
+    for &(prefix, mbps) in entries {
         projection.demand += mbps;
         if mbps <= 0.0 {
             continue;
@@ -273,7 +269,7 @@ pub fn project_cached(
 
     cache.memo = memo_next;
     cache.memo_next = memo;
-    cache.entries = entries;
+    cache.entries = scratch;
     cache.synced = generation;
     cache.valid = true;
     projection
@@ -387,7 +383,7 @@ mod tests {
     fn assert_projections_match(
         c: &RouteCollector,
         cache: &mut ProjectionCache,
-        traffic: &TrafficState,
+        traffic: &HashMap<Prefix, f64>,
     ) {
         let fresh = project(c, traffic);
         let cached = project_cached(cache, c, traffic);

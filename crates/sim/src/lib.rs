@@ -28,6 +28,7 @@ pub mod metrics;
 pub mod report;
 pub mod runtime;
 pub mod scenario;
+mod traffic_order;
 
 pub use chaos::surface as chaos_surface;
 pub use engine::SimEngine;

@@ -19,12 +19,11 @@
 //! pays a cool-down before the session returns.
 
 use std::collections::{BTreeSet, HashMap};
-use std::sync::Arc;
 
 use edge_fabric::config::ControllerConfig;
 use edge_fabric::controller::{EpochError, EpochInputs, PopController};
 use edge_fabric::perf_aware::{adapt_comparisons, build_perf_overrides};
-use edge_fabric::state::{InterfaceInfo, InterfaceMap};
+use edge_fabric::state::{InterfaceInfo, InterfaceMap, TrafficTable};
 use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::backoff::ReconnectGovernor;
 use ef_bgp::bmp::BmpMessage;
@@ -47,6 +46,7 @@ use rand::{Rng, SeedableRng};
 use crate::fibcache::FibCache;
 use crate::metrics::{MetricsStore, PopEpochRecord};
 use crate::scenario::SimConfig;
+use crate::traffic_order::TrafficOrder;
 
 /// Cap on prefixes measured per epoch (heaviest first), bounding
 /// measurement work like production's heavy-hitter focus.
@@ -185,11 +185,14 @@ pub struct PopRuntime {
     stalled_bmp: Vec<BmpMessage>,
     /// Last simulated second the controller saw a live BMP feed.
     last_bmp_secs: u64,
-    /// Last fresh traffic estimate `(t_secs, estimate)`, replayed (with a
-    /// growing age) while a severe sFlow loss starves the estimator.
-    /// Shared via `Arc` so the replay path does not clone the whole map
-    /// every epoch of a long outage.
-    last_traffic: Option<(u64, Arc<HashMap<Prefix, f64>>)>,
+    /// The controller's traffic input: the last fresh estimate and the
+    /// simulated second it was taken. Refilled in place every fresh epoch;
+    /// left untouched, so replayed with a growing age, while a severe sFlow
+    /// loss starves the estimator (empty at `t = 0` until the first fresh
+    /// epoch).
+    last_traffic: (u64, TrafficTable),
+    /// Prefix order of the demand, worked out once (see [`TrafficOrder`]).
+    traffic_order: TrafficOrder,
     /// Telemetry pipeline shared with the controller (disabled by default).
     telemetry: ef_telemetry::TelemetryHandle,
     /// Collect end-of-epoch health signals (`SimConfig::health`). The
@@ -396,7 +399,8 @@ impl PopRuntime {
             ),
             stalled_bmp: Vec::new(),
             last_bmp_secs: 0,
-            last_traffic: None,
+            last_traffic: (0, TrafficTable::new()),
+            traffic_order: TrafficOrder::default(),
             telemetry: cfg.telemetry.clone(),
             health_enabled: cfg.health.is_some(),
             health_signals: None,
@@ -995,12 +999,22 @@ impl PopRuntime {
 
         // --- 3. Alternate-path measurement ----------------------------------
         if let Some(measurer) = self.measurer.as_mut() {
-            let mut top: Vec<&DemandPoint> = demand.iter().collect();
-            top.sort_by(|a, b| b.mbps.total_cmp(&a.mbps));
-            top.truncate(MEASURE_TOP_K);
+            // Heaviest first, earlier slice position first among equal
+            // rates — a total order, so selecting the head and sorting only
+            // it yields the same entries in the same order as a stable sort
+            // of the whole slice.
+            let heaviest_first =
+                |a: &usize, b: &usize| demand[*b].mbps.total_cmp(&demand[*a].mbps).then(a.cmp(b));
+            let mut top: Vec<usize> = (0..demand.len()).collect();
+            if top.len() > MEASURE_TOP_K {
+                top.select_nth_unstable_by(MEASURE_TOP_K, heaviest_first);
+                top.truncate(MEASURE_TOP_K);
+            }
+            top.sort_unstable_by(heaviest_first);
             let entries: Vec<(u32, f64, Vec<CandidatePath>)> = top
                 .iter()
-                .map(|point| {
+                .map(|&pos| {
+                    let point = &demand[pos];
                     let prefix = self.prefix_of[point.prefix_idx as usize];
                     let paths: Vec<CandidatePath> = self
                         .router
@@ -1080,51 +1094,39 @@ impl PopRuntime {
             };
 
             // Traffic estimate: a severe sFlow loss starves the estimator
-            // (the controller replays its last estimate, aging); a partial
+            // (the controller replays its last table, aging); a partial
             // loss under-counts fresh estimates.
-            let (traffic, traffic_age_ms) = if sflow_drop >= SEVERE_SFLOW_DROP {
-                match &self.last_traffic {
-                    // Replaying the stale estimate is an Arc bump, not a
-                    // full map clone per epoch of the outage.
-                    Some((t0, stale)) => (Arc::clone(stale), t_secs.saturating_sub(*t0) * 1000),
-                    None => (Arc::new(HashMap::new()), t_secs * 1000),
-                }
-            } else {
-                let mut fresh: HashMap<Prefix, f64> = match (&mut self.sampler, &mut self.estimator)
-                {
+            let (traffic_t_secs, traffic) = &mut self.last_traffic;
+            if sflow_drop < SEVERE_SFLOW_DROP {
+                let keep = 1.0 - sflow_drop;
+                match (&mut self.sampler, &mut self.estimator) {
                     (Some(sampler), Some(estimator)) => {
                         let samples = sampler.sample_all(
                             demand.iter().map(|d| (d.prefix_idx, d.mbps)),
                             self.epoch_secs as f64,
                         );
                         estimator.ingest(t_secs, &samples);
-                        estimator
-                            .all_rates_mbps(t_secs)
-                            .into_iter()
-                            .map(|(idx, mbps)| (self.prefix_of[idx as usize], mbps))
-                            .collect()
+                        self.traffic_order.fill_sampled(
+                            &self.prefix_of,
+                            estimator.all_rates_mbps(t_secs),
+                            keep,
+                            traffic,
+                        );
                     }
-                    _ => demand
-                        .iter()
-                        .map(|d| (self.prefix_of[d.prefix_idx as usize], d.mbps))
-                        .collect(),
-                };
-                if sflow_drop > 0.0 {
-                    for mbps in fresh.values_mut() {
-                        *mbps *= 1.0 - sflow_drop;
-                    }
+                    _ => self
+                        .traffic_order
+                        .fill_exact(&self.prefix_of, demand, keep, traffic),
                 }
-                let fresh = Arc::new(fresh);
-                self.last_traffic = Some((t_secs, Arc::clone(&fresh)));
-                (fresh, 0)
-            };
+                *traffic_t_secs = t_secs;
+            }
+            let traffic_age_ms = t_secs.saturating_sub(*traffic_t_secs) * 1000;
 
             let inputs = EpochInputs {
                 bmp_age_ms,
                 traffic_age_ms,
             };
             let epoch =
-                controller.run_epoch_guarded(&traffic, &mut self.router, t_secs * 1000, inputs);
+                controller.run_epoch_guarded(&*traffic, &mut self.router, t_secs * 1000, inputs);
             let (record, residual, sig_extra) = match epoch {
                 Ok(report) => (
                     PopEpochRecord {
@@ -1363,6 +1365,13 @@ impl PopRuntime {
     /// health sampling enabled).
     pub fn health_signals(&self) -> Option<&ef_health::EpochSignals> {
         self.health_signals.as_ref()
+    }
+
+    /// The controller's current traffic input and the simulated second it
+    /// was estimated at (older than the last epoch only while a severe
+    /// sFlow loss starves the estimator).
+    pub fn last_traffic(&self) -> (u64, &TrafficTable) {
+        (self.last_traffic.0, &self.last_traffic.1)
     }
 
     /// Whether any stub session dropped (sanity check for long runs).

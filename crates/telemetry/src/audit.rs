@@ -176,14 +176,12 @@ pub fn audit_overrides(
         if claimed.contains(prefix) {
             continue;
         }
-        let has_rib_leak = outcome
-            .leaked
-            .iter()
-            .any(|f| f.prefix == prefix.to_string());
+        let name = prefix.to_string();
+        let has_rib_leak = outcome.leaked.iter().any(|f| f.prefix == name);
         if let Some(f) = router.fib_entry(prefix) {
             if f.is_override && !has_rib_leak {
                 outcome.leaked.push(AuditFinding {
-                    prefix: prefix.to_string(),
+                    prefix: name,
                     expected_egress: None,
                     found_egress: Some(f.egress.0),
                     detail: "withdrawn override still in the FIB".to_string(),

@@ -29,9 +29,11 @@ pub struct DemandModel {
     curve: DiurnalCurve,
     /// Noise amplitude (0 disables noise).
     noise_amplitude: f64,
-    seed: u64,
     /// Per-prefix home region, precomputed from the deployment.
     prefix_region: Vec<Region>,
+    /// Per-prefix noise phases `(p1, p2)`, radians, derived from
+    /// `(seed, prefix index)` once instead of once per prefix per epoch.
+    noise_phase: Vec<(f64, f64)>,
 }
 
 impl DemandModel {
@@ -47,17 +49,26 @@ impl DemandModel {
         curve: DiurnalCurve,
         noise_amplitude: f64,
     ) -> Self {
-        let prefix_region = deployment
+        let prefix_region: Vec<Region> = deployment
             .universe
             .prefixes
             .iter()
             .map(|p| deployment.universe.origin_of(p).region)
             .collect();
+        let noise_phase = (0..prefix_region.len() as u64)
+            .map(|prefix_idx| {
+                let phase = splitmix(seed ^ prefix_idx);
+                (
+                    (phase & 0xFFFF) as f64 / 65536.0 * std::f64::consts::TAU,
+                    ((phase >> 16) & 0xFFFF) as f64 / 65536.0 * std::f64::consts::TAU,
+                )
+            })
+            .collect();
         DemandModel {
             curve,
             noise_amplitude,
-            seed,
             prefix_region,
+            noise_phase,
         }
     }
 
@@ -70,37 +81,56 @@ impl DemandModel {
     pub fn multiplier(&self, prefix_idx: u32, utc_secs: u64) -> f64 {
         let region = self.prefix_region[prefix_idx as usize];
         let diurnal = self.curve.multiplier_at_secs(utc_secs, region);
-        diurnal * self.noise(prefix_idx, utc_secs)
+        diurnal * self.noise(prefix_idx, noise_angles(utc_secs))
     }
 
     /// Offered demand for every prefix served by `pop` at `utc_secs`.
     pub fn offered(&self, deployment: &Deployment, pop: PopId, utc_secs: u64) -> Vec<DemandPoint> {
+        // The time angles and the diurnal factor do not depend on the
+        // prefix (the latter only on its region): compute them once per
+        // call. Each product below is the one `multiplier` forms, so the
+        // rates are bit-identical to calling it per prefix.
+        let angles = noise_angles(utc_secs);
+        let mut diurnal = [0.0f64; Region::ALL.len()];
+        for region in Region::ALL {
+            diurnal[region as usize] = self.curve.multiplier_at_secs(utc_secs, region);
+        }
         deployment
             .pop(pop)
             .served
             .iter()
-            .map(|s| DemandPoint {
-                prefix_idx: s.prefix_idx,
-                mbps: s.avg_mbps * self.multiplier(s.prefix_idx, utc_secs),
+            .map(|s| {
+                let region = self.prefix_region[s.prefix_idx as usize];
+                let multiplier = diurnal[region as usize] * self.noise(s.prefix_idx, angles);
+                DemandPoint {
+                    prefix_idx: s.prefix_idx,
+                    mbps: s.avg_mbps * multiplier,
+                }
             })
             .collect()
     }
 
     /// Smooth multiplicative noise in `[1-a, 1+a]`, deterministic in
-    /// `(seed, prefix)`, continuous in time.
-    fn noise(&self, prefix_idx: u32, utc_secs: u64) -> f64 {
+    /// `(seed, prefix)`, continuous in time (`angles` from
+    /// [`noise_angles`]).
+    fn noise(&self, prefix_idx: u32, (a1, a2): (f64, f64)) -> f64 {
         if self.noise_amplitude == 0.0 {
             return 1.0;
         }
-        let phase = splitmix(self.seed ^ u64::from(prefix_idx));
-        let p1 = (phase & 0xFFFF) as f64 / 65536.0 * std::f64::consts::TAU;
-        let p2 = ((phase >> 16) & 0xFFFF) as f64 / 65536.0 * std::f64::consts::TAU;
-        let t = utc_secs as f64;
-        // Periods of ~37 and ~101 minutes: slow against 30 s cycles.
-        let s = 0.6 * (t / 2220.0 * std::f64::consts::TAU + p1).sin()
-            + 0.4 * (t / 6060.0 * std::f64::consts::TAU + p2).sin();
+        let (p1, p2) = self.noise_phase[prefix_idx as usize];
+        let s = 0.6 * (a1 + p1).sin() + 0.4 * (a2 + p2).sin();
         1.0 + self.noise_amplitude * s
     }
+}
+
+/// The two noise sinusoids' time angles at `utc_secs`. Periods of ~37 and
+/// ~101 minutes: slow against 30 s cycles.
+fn noise_angles(utc_secs: u64) -> (f64, f64) {
+    let t = utc_secs as f64;
+    (
+        t / 2220.0 * std::f64::consts::TAU,
+        t / 6060.0 * std::f64::consts::TAU,
+    )
 }
 
 /// SplitMix64 — tiny, deterministic hash for phase derivation.
@@ -127,6 +157,56 @@ mod tests {
         let a = m.offered(&d, PopId(0), 3600);
         let b = m.offered(&d, PopId(0), 3600);
         assert_eq!(a, b);
+    }
+
+    /// The model as first written: every term re-derived per prefix per
+    /// call. `offered` must reproduce it to the bit.
+    fn reference_multiplier(
+        d: &Deployment,
+        curve: DiurnalCurve,
+        seed: u64,
+        amplitude: f64,
+        prefix_idx: u32,
+        utc_secs: u64,
+    ) -> f64 {
+        use std::f64::consts::TAU;
+        let region = d
+            .universe
+            .origin_of(&d.universe.prefixes[prefix_idx as usize])
+            .region;
+        let diurnal = curve.multiplier_at_secs(utc_secs, region);
+        if amplitude == 0.0 {
+            return diurnal * 1.0;
+        }
+        let phase = splitmix(seed ^ u64::from(prefix_idx));
+        let p1 = (phase & 0xFFFF) as f64 / 65536.0 * TAU;
+        let p2 = ((phase >> 16) & 0xFFFF) as f64 / 65536.0 * TAU;
+        let t = utc_secs as f64;
+        let s = 0.6 * (t / 2220.0 * TAU + p1).sin() + 0.4 * (t / 6060.0 * TAU + p2).sin();
+        diurnal * (1.0 + amplitude * s)
+    }
+
+    #[test]
+    fn offered_is_bit_identical_to_per_prefix_derivation() {
+        let d = dep();
+        let curve = DiurnalCurve::default();
+        for amplitude in [0.10, 0.0] {
+            let m = DemandModel::with_curve(&d, 42, curve, amplitude);
+            for t in [0u64, 30, 3_600, 47_910, 86_370, 200_000] {
+                for pop in &d.pops {
+                    let offered = m.offered(&d, pop.id, t);
+                    assert_eq!(offered.len(), pop.served.len());
+                    for (point, s) in offered.iter().zip(&pop.served) {
+                        assert_eq!(point.prefix_idx, s.prefix_idx);
+                        let via_multiplier = s.avg_mbps * m.multiplier(s.prefix_idx, t);
+                        let reference = s.avg_mbps
+                            * reference_multiplier(&d, curve, 42, amplitude, s.prefix_idx, t);
+                        assert_eq!(point.mbps.to_bits(), via_multiplier.to_bits());
+                        assert_eq!(point.mbps.to_bits(), reference.to_bits());
+                    }
+                }
+            }
+        }
     }
 
     #[test]
