@@ -7,24 +7,24 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::attrstore::{AttrStore, RouteRec};
-use ef_bgp::decision::{
-    best_rec, best_rec_where, best_route, best_route_where, rank_recs_into, rank_routes,
-};
+use ef_bgp::decision::{best_rec, best_rec_where, rank_recs_into};
 use ef_bgp::peer::{PeerId, PeerKind};
-use ef_bgp::route::{EgressId, Route, RouteSource};
+use ef_bgp::route::{EgressId, RouteSource};
 use ef_net_types::Asn;
 
-fn candidates(n: usize) -> Vec<Route> {
+/// Candidate sets as compact interned records — what the pooled Loc-RIB
+/// stores and the hot loops rank.
+fn rec_candidates(n: usize) -> Vec<RouteRec> {
+    let mut store = AttrStore::new();
     (0..n)
-        .map(|i| Route {
-            prefix: "203.0.113.0/24".parse().unwrap(),
-            attrs: PathAttributes {
+        .map(|i| {
+            let attrs = PathAttributes {
                 local_pref: Some(200 + ((i * 200) % 800) as u32),
                 as_path: AsPath::sequence((0..(i % 4 + 1)).map(|k| Asn(65000 + k as u32))),
                 med: Some((i * 7 % 100) as u32),
                 ..Default::default()
-            },
-            source: RouteSource {
+            };
+            let source = RouteSource {
                 peer: PeerId(i as u64),
                 peer_asn: Asn(65000 + i as u32),
                 kind: if i % 3 == 0 {
@@ -32,43 +32,21 @@ fn candidates(n: usize) -> Vec<Route> {
                 } else {
                     PeerKind::PrivatePeer
                 },
-            },
-            egress: EgressId(i as u32),
+            };
+            store.make_rec(&attrs, source, EgressId(i as u32))
         })
-        .collect()
-}
-
-/// The same candidate sets as compact interned records — what the pooled
-/// Loc-RIB actually stores and the hot loops actually rank.
-fn rec_candidates(n: usize) -> Vec<RouteRec> {
-    let mut store = AttrStore::new();
-    candidates(n)
-        .into_iter()
-        .map(|r| store.make_rec(&r.attrs, r.source, r.egress))
         .collect()
 }
 
 fn bench_decision(c: &mut Criterion) {
     let mut group = c.benchmark_group("decision");
     for n in [2usize, 4, 8, 16] {
-        let routes = candidates(n);
         let recs = rec_candidates(n);
-        group.bench_with_input(BenchmarkId::new("best_route", n), &routes, |b, routes| {
-            b.iter(|| best_route(black_box(routes)))
-        });
         group.bench_with_input(BenchmarkId::new("rec/best", n), &recs, |b, recs| {
             b.iter(|| best_rec(black_box(recs)))
         });
-        group.bench_with_input(
-            BenchmarkId::new("best_route_where", n),
-            &routes,
-            |b, routes| b.iter(|| best_route_where(black_box(routes), |r| !r.is_override())),
-        );
         group.bench_with_input(BenchmarkId::new("rec/best_where", n), &recs, |b, recs| {
             b.iter(|| best_rec_where(black_box(recs), |r| !r.is_override()))
-        });
-        group.bench_with_input(BenchmarkId::new("rank_routes", n), &routes, |b, routes| {
-            b.iter(|| rank_routes(black_box(routes)))
         });
         group.bench_with_input(BenchmarkId::new("rec/rank_into", n), &recs, |b, recs| {
             let mut out = Vec::with_capacity(recs.len());

@@ -35,7 +35,8 @@ pub struct AttrId(pub u32);
 /// `local_pref` and `med` hold the *effective* values (defaults applied), and
 /// `path_len` is the SET-counts-once decision length, so
 /// [`compare_recs`](crate::decision::compare_recs) is field-for-field
-/// equivalent to [`compare`](crate::decision::compare) on the fat routes.
+/// equivalent to the reference [`compare`](crate::decision::compare),
+/// which recomputes them from the attributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecisionKey {
     /// Effective LOCAL_PREF (explicit value or 100).

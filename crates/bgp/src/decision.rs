@@ -7,6 +7,12 @@
 //! Because the reproduction runs the genuine ladder, experiments exercising
 //! overrides validate the real mechanism, including subtle cases like MED
 //! comparability.
+//!
+//! The router, the controller and the simulator run the `*_rec*` functions
+//! over compact interned records. [`compare`], [`best_route`] and
+//! [`rank_routes`] read the attributes of fat [`Route`]s directly; they
+//! remain as the reference model of `tests/rib_churn_equivalence.rs`,
+//! nothing else.
 
 use std::cmp::Ordering;
 
@@ -92,30 +98,6 @@ pub fn compare(a: &Route, b: &Route) -> (Ordering, DecisionStep) {
 pub fn best_route<'a>(candidates: &'a [Route]) -> Option<&'a Route> {
     let mut best: Option<&'a Route> = None;
     for r in candidates {
-        match best {
-            None => best = Some(r),
-            Some(b) => {
-                if compare(r, b).0 == Ordering::Greater {
-                    best = Some(r);
-                }
-            }
-        }
-    }
-    best
-}
-
-/// Selects the best route among candidates satisfying `pred`, without
-/// allocating. The Edge Fabric projection uses this to ask "what would BGP
-/// pick absent controller overrides?" on every prefix, every epoch.
-pub fn best_route_where<'a>(
-    candidates: &'a [Route],
-    mut pred: impl FnMut(&Route) -> bool,
-) -> Option<&'a Route> {
-    let mut best: Option<&'a Route> = None;
-    for r in candidates {
-        if !pred(r) {
-            continue;
-        }
         match best {
             None => best = Some(r),
             Some(b) => {

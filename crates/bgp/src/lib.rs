@@ -43,30 +43,31 @@
 //!
 //! ```
 //! use ef_bgp::attrs::{AsPath, Origin, PathAttributes};
-//! use ef_bgp::decision::best_route;
+//! use ef_bgp::attrstore::AttrStore;
+//! use ef_bgp::decision::best_rec;
 //! use ef_bgp::peer::{PeerId, PeerKind};
-//! use ef_bgp::route::{Route, RouteSource};
+//! use ef_bgp::route::{EgressId, RouteSource};
 //! use ef_net_types::Asn;
 //!
 //! let peer = RouteSource { peer: PeerId(1), peer_asn: Asn(65001), kind: PeerKind::PrivatePeer };
 //! let transit = RouteSource { peer: PeerId(2), peer_asn: Asn(65010), kind: PeerKind::Transit };
 //!
-//! let prefix = "203.0.113.0/24".parse().unwrap();
-//! let mk = |src: RouteSource, lp: u32, path: &[u32]| Route {
-//!     prefix,
-//!     attrs: PathAttributes {
+//! // Candidates for one prefix, as the RIB stores them: attributes interned
+//! // once, the decision key precomputed.
+//! let mut store = AttrStore::new();
+//! let mut mk = |src: RouteSource, lp: u32, path: &[u32]| {
+//!     let attrs = PathAttributes {
 //!         local_pref: Some(lp),
 //!         as_path: AsPath::sequence(path.iter().map(|a| Asn(*a))),
 //!         origin: Origin::Igp,
 //!         ..Default::default()
-//!     },
-//!     source: src,
-//!     egress: ef_bgp::route::EgressId(src.peer.0 as u32),
+//!     };
+//!     store.make_rec(&attrs, src, EgressId(src.peer.0 as u32))
 //! };
 //!
 //! // Peer route with higher local-pref wins over shorter transit path.
 //! let routes = vec![mk(transit, 100, &[65010]), mk(peer, 300, &[65001, 64999])];
-//! let best = best_route(&routes).unwrap();
+//! let best = best_rec(&routes).unwrap();
 //! assert_eq!(best.source.peer, PeerId(1));
 //! ```
 

@@ -54,12 +54,6 @@ pub struct ControllerConfig {
     /// may be *newly* shifted (prefixes not already overridden) in a single
     /// epoch. 1.0 disables the guard.
     pub max_shift_fraction_per_epoch: f64,
-    /// Use the incremental projection cache (per-prefix memoization fenced
-    /// by collector generation stamps). Purely an implementation strategy:
-    /// epoch output is byte-identical either way. Off is only useful for
-    /// cross-checking and benchmarking the from-scratch path.
-    #[serde(default = "default_incremental")]
-    pub incremental: bool,
     /// Cost-aware detours: when several feasible alternates sit in the
     /// same BGP preference band, pick the one with the lowest marginal
     /// cost instead of the first in rank order. Never degrades the BGP
@@ -67,10 +61,6 @@ pub struct ControllerConfig {
     /// tiebreak. Off (default) reproduces cost-blind Edge Fabric.
     #[serde(default)]
     pub cost_aware: bool,
-}
-
-fn default_incremental() -> bool {
-    true
 }
 
 impl Default for ControllerConfig {
@@ -88,7 +78,6 @@ impl Default for ControllerConfig {
             stale_input_secs: 120,
             fail_open_secs: 600,
             max_shift_fraction_per_epoch: 1.0,
-            incremental: true,
             cost_aware: false,
         }
     }
@@ -181,15 +170,14 @@ mod tests {
     }
 
     #[test]
-    fn incremental_defaults_on_for_old_configs() {
-        // Configs serialized before the flag existed must load with it on.
+    fn retired_incremental_key_is_ignored() {
+        // Configs written while the from-scratch engine was selectable
+        // still carry the key; it must load and mean nothing.
         let json = serde_json::to_string(&ControllerConfig::default()).unwrap();
-        let mut value = serde_json::parse_value(&json).unwrap();
-        if let serde::Value::Object(fields) = &mut value {
-            fields.retain(|(key, _)| key != "incremental");
-        }
-        let back = <ControllerConfig as serde::Deserialize>::from_value(&value).unwrap();
-        assert!(back.incremental);
+        let old = json.replacen('{', r#"{"incremental":false,"#, 1);
+        let back: ControllerConfig = serde_json::from_str(&old).unwrap();
+        back.validate().unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::collector::RouteCollector;
 use crate::config::ControllerConfig;
 use crate::injector::{InjectionLedger, InjectionReport, Injector};
 use crate::overrides::OverrideSet;
-use crate::projection::{project, project_cached, Projection, ProjectionCache};
+use crate::projection::{project_cached, Projection, ProjectionCache};
 use crate::state::{InterfaceMap, TrafficView};
 
 /// What one controller epoch observed and did, for telemetry and the
@@ -150,8 +150,8 @@ pub struct PopController {
     cfg: ControllerConfig,
     interfaces: InterfaceMap,
     collector: RouteCollector,
-    /// Memoized projection decisions (used when `cfg.incremental`); holds
-    /// no semantic state — a fresh cache converges on the first epoch.
+    /// Memoized projection decisions; holds no semantic state — a fresh
+    /// cache converges on the first epoch.
     projection_cache: ProjectionCache,
     injector: Injector,
     /// Governs reattach pacing after injector session losses: exponential
@@ -328,11 +328,7 @@ impl PopController {
         let degraded = !fail_open && age_ms >= self.cfg.stale_input_secs.saturating_mul(1000);
 
         let projection_timer = self.telemetry.timer();
-        let projection = if self.cfg.incremental {
-            project_cached(&mut self.projection_cache, &self.collector, traffic)
-        } else {
-            project(&self.collector, traffic)
-        };
+        let projection = project_cached(&mut self.projection_cache, &self.collector, traffic);
         let projection_us = projection_timer.elapsed_us();
 
         let allocation_timer = self.telemetry.timer();

@@ -68,9 +68,29 @@ impl Projection {
             .ok()
             .map(|i| self.routed[i].2)
     }
+
+    /// Every recorded number equal bit for bit (not merely `==`: a `-0.0`
+    /// or NaN difference would still change serialized results).
+    fn bitwise_eq(&self, other: &Projection) -> bool {
+        let bits = f64::to_bits;
+        self.load_mbps.len() == other.load_mbps.len()
+            && self.load_mbps.iter().all(|(egress, load)| {
+                other.load_mbps.get(egress).map(|l| bits(*l)) == Some(bits(*load))
+            })
+            && (self.routed.iter().map(|r| (r.0, bits(r.1), r.2)))
+                .eq(other.routed.iter().map(|r| (r.0, bits(r.1), r.2)))
+            && bits(self.unrouted_mbps) == bits(other.unrouted_mbps)
+            && bits(self.total) == bits(other.total)
+            && bits(self.demand) == bits(other.demand)
+    }
 }
 
 /// Projects `traffic` onto the best non-override route per prefix.
+///
+/// This is the paper's stateless per-cycle recompute (§4.4) and the
+/// specification of projection: the controller runs [`project_cached`],
+/// which must return exactly this function's result and asserts so on
+/// every call in debug builds.
 ///
 /// Prefixes present in traffic but absent from the route table contribute
 /// to `unrouted_mbps`. Prefixes with routes but no demand simply do not
@@ -101,7 +121,7 @@ pub fn project<T: TrafficView + ?Sized>(routes: &RouteCollector, traffic: &T) ->
 ///
 /// Purely an implementation detail of the stateless-recompute contract:
 /// [`project_cached`] produces output byte-identical to [`project`] — the
-/// per-prefix `best_route_where` call is skipped when the prefix's
+/// per-prefix `best_rec_where` call is skipped when the prefix's
 /// non-override candidate set provably has not changed, but demand is
 /// accumulated in exactly the same canonical order either way, so even the
 /// float sums match bit for bit.
@@ -175,7 +195,9 @@ impl ProjectionCache {
 }
 
 /// [`project`], but re-running the BGP decision only for prefixes whose
-/// generation stamp moved since the memoized answer was recorded.
+/// generation stamp moved since the memoized answer was recorded. Debug
+/// builds re-run [`project`] on the same inputs and assert the two results
+/// equal bit for bit; release builds compile the check out.
 pub fn project_cached<T: TrafficView + ?Sized>(
     cache: &mut ProjectionCache,
     routes: &RouteCollector,
@@ -272,6 +294,10 @@ pub fn project_cached<T: TrafficView + ?Sized>(
     cache.entries = scratch;
     cache.synced = generation;
     cache.valid = true;
+    debug_assert!(
+        projection.bitwise_eq(&project(routes, traffic)),
+        "memoized projection diverged from the stateless recompute"
+    );
     projection
 }
 
@@ -445,6 +471,22 @@ mod tests {
             reason: 1,
         }]);
         assert_projections_match(&c, &mut cache, &traffic);
+    }
+
+    /// The in-situ invariant is live: a memoized answer the generation
+    /// stamps cannot see through must stop a debug build.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "diverged from the stateless recompute")]
+    fn poisoned_memo_entry_trips_the_invariant() {
+        let mut c = collector();
+        announce(&mut c, 1, 65001, PeerKind::PrivatePeer, "1.0.0.0/24");
+        let traffic = HashMap::from([(p("1.0.0.0/24"), 60.0)]);
+        let mut cache = ProjectionCache::new();
+        project_cached(&mut cache, &c, &traffic);
+        // Slot 0 encodes "no non-override route"; the stamp stays valid.
+        cache.memo[0].2 = 0;
+        project_cached(&mut cache, &c, &traffic);
     }
 
     #[test]

@@ -313,45 +313,6 @@ impl GlobalConfig {
     }
 }
 
-/// Tunables of the retired `ef_sim::GlobalShifter` prototype, kept so old
-/// configs and call sites migrate mechanically:
-/// `GlobalConfig::from(old_cfg)` yields an equivalent DNS backend with a
-/// one-epoch TTL (the prototype applied its shift immediately).
-#[deprecated(note = "use ef_global::GlobalConfig instead")]
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GlobalShifterConfig {
-    /// Shift increment per overloaded epoch.
-    pub step: f64,
-    /// Ceiling on the shifted-away fraction.
-    pub max_shift: f64,
-    /// Decay per quiet epoch.
-    pub decay: f64,
-}
-
-#[allow(deprecated)]
-impl Default for GlobalShifterConfig {
-    fn default() -> Self {
-        GlobalShifterConfig {
-            step: default_step(),
-            max_shift: default_max_shift(),
-            decay: default_decay(),
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl From<GlobalShifterConfig> for GlobalConfig {
-    fn from(old: GlobalShifterConfig) -> Self {
-        GlobalConfig {
-            backend: Some(BackendKind::Dns { ttl_epochs: 1 }),
-            step: old.step,
-            max_shift: old.max_shift,
-            decay: old.decay,
-            ..GlobalConfig::default()
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,20 +439,5 @@ mod tests {
         assert_eq!(minimal.hold_down_epochs, 3);
         assert_eq!(minimal.budget_plausibility, 1.0);
         assert_eq!(minimal.validate(), Ok(()));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn shifter_config_migrates_to_dns_ttl_1() {
-        let old = GlobalShifterConfig {
-            step: 0.1,
-            max_shift: 0.6,
-            decay: 0.02,
-        };
-        let cfg: GlobalConfig = old.into();
-        assert_eq!(cfg.backend, Some(BackendKind::Dns { ttl_epochs: 1 }));
-        assert_eq!(cfg.step, 0.1);
-        assert_eq!(cfg.max_shift, 0.6);
-        assert_eq!(cfg.decay, 0.02);
     }
 }

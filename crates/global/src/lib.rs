@@ -35,8 +35,6 @@ pub mod controller;
 pub mod population;
 
 pub use backend::{AnycastBackend, CellObservation, DnsBackend, ShiftTuning, SteeringBackend};
-#[allow(deprecated)]
-pub use config::GlobalShifterConfig;
 pub use config::{BackendKind, ConfigError, FlashCrowdSpec, GlobalConfig};
 pub use controller::{GlobalController, GuardSnapshot, PlacementSummary, PopReport};
 pub use population::{Population, PopulationGrouping, PopulationMap};

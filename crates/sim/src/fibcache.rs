@@ -165,25 +165,65 @@ impl FibCache {
 
     /// The forwarding answer for half `half` (0 or 1) of prefix `idx`:
     /// `None` when the FIB has no route. A miss walks `router`'s trie and
-    /// is remembered until [`sync`](Self::sync) invalidates it.
+    /// is remembered until [`sync`](Self::sync) invalidates it. Debug
+    /// builds check every hit against a fresh walk; release builds compile
+    /// the check out.
     #[inline]
     pub fn resolve(&mut self, router: &BgpRouter, idx: usize, half: usize) -> Option<Hop> {
-        match self.entries[idx][half] {
+        let cached = match self.entries[idx][half] {
             Entry::Route(hop) => Some(hop),
             Entry::NoRoute => None,
             Entry::Unknown => {
-                let unit = unit_at(&self.units, (idx * 2 + half) as u32);
-                let hop = router.fib_lookup(unit).map(|(_, entry)| Hop {
-                    slot: self
-                        .slot_of
-                        .get(&entry.egress)
-                        .copied()
-                        .unwrap_or(NOT_A_POP_INTERFACE),
-                    is_override: entry.is_override,
-                });
+                let hop = self.lookup(router, idx, half);
                 self.entries[idx][half] = hop.map_or(Entry::NoRoute, Entry::Route);
-                hop
+                return hop;
             }
-        }
+        };
+        debug_assert_eq!(
+            cached,
+            self.lookup(router, idx, half),
+            "cached hop for prefix {idx} half {half} is stale"
+        );
+        cached
+    }
+
+    /// The stateless answer: one longest-match walk of `router`'s trie.
+    fn lookup(&self, router: &BgpRouter, idx: usize, half: usize) -> Option<Hop> {
+        let unit = unit_at(&self.units, (idx * 2 + half) as u32);
+        router.fib_lookup(unit).map(|(_, entry)| Hop {
+            slot: self
+                .slot_of
+                .get(&entry.egress)
+                .copied()
+                .unwrap_or(NOT_A_POP_INTERFACE),
+            is_override: entry.is_override,
+        })
+    }
+}
+
+#[cfg(all(test, debug_assertions))]
+mod tests {
+    use super::*;
+    use ef_bgp::router::RouterConfig;
+    use ef_net_types::Asn;
+
+    /// The in-situ invariant is live: a cached hop the journal could never
+    /// explain must stop a debug build at the first hit.
+    #[test]
+    #[should_panic(expected = "is stale")]
+    fn poisoned_cached_hop_trips_the_invariant() {
+        let router = BgpRouter::new(RouterConfig {
+            name: "pop0-pr0".into(),
+            asn: Asn(32934),
+            router_id: std::net::Ipv4Addr::new(10, 100, 0, 1),
+        });
+        let prefix: Prefix = "20.0.0.0/24".parse().unwrap();
+        let mut cache = FibCache::new(&[prefix], false, [EgressId(10)], &router);
+        assert_eq!(cache.resolve(&router, 0, 0), None, "the FIB is empty");
+        cache.entries[0][0] = Entry::Route(Hop {
+            slot: 0,
+            is_override: false,
+        });
+        cache.resolve(&router, 0, 0);
     }
 }

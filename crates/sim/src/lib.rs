@@ -32,11 +32,6 @@ mod traffic_order;
 
 pub use chaos::surface as chaos_surface;
 pub use engine::SimEngine;
-// The global-shifter prototype moved up into its own crate (`ef-global`);
-// the deprecated config shim is re-exported so old call sites keep
-// compiling while they migrate to `ef_global::GlobalConfig`.
-#[allow(deprecated)]
-pub use ef_global::GlobalShifterConfig;
 pub use metrics::{DetourEpisode, InterfaceStats, MetricsStore, PopEpochRecord};
 pub use report::{PopReport, RunReport};
 pub use scenario::{scenario, PerfSimConfig, ScenarioBuilder, SimConfig};

@@ -21,7 +21,7 @@
 use std::collections::{BTreeSet, HashMap};
 
 use edge_fabric::config::ControllerConfig;
-use edge_fabric::controller::{EpochError, EpochInputs, PopController};
+use edge_fabric::controller::{EpochError, EpochInputs, EpochReport, PopController};
 use edge_fabric::perf_aware::{adapt_comparisons, build_perf_overrides};
 use edge_fabric::state::{InterfaceInfo, InterfaceMap, TrafficTable};
 use ef_bgp::attrs::{AsPath, PathAttributes};
@@ -116,19 +116,10 @@ pub struct PopRuntime {
     prefix_of: Vec<Prefix>,
     epoch_secs: u64,
     util_limit: f64,
-    /// When the controller may split prefixes, demand must be forwarded at
-    /// half-prefix granularity so /25 (or /49) overrides take effect.
-    split_lookup: bool,
-    /// Run the forwarding loop through the journal-invalidated FIB cache
-    /// (`SimConfig::incremental`). Off recomputes every lookup from the
-    /// trie — same results, for cross-checking and benchmarking.
-    incremental: bool,
-    /// Per-unit FIB lookup cache behind the `incremental` forwarding arm.
+    /// Per-unit FIB lookup cache the forwarding loop reads. When the
+    /// controller may split prefixes its units are half-prefixes, so /25
+    /// (or /49) overrides take effect.
     fib_cache: FibCache,
-    /// Interface → dense slot in `load_scratch` (position in
-    /// `pop.interfaces`, which never reorders). Read by the from-scratch
-    /// arm; the cached arm stores slots in its entries.
-    slot_of: HashMap<EgressId, usize>,
     /// Per-interface load accumulator, zeroed each tick; loads on egresses
     /// that are not PoP interfaces are not tracked (nothing reads them).
     load_scratch: Vec<f64>,
@@ -268,7 +259,6 @@ impl PopRuntime {
         // Controller, fed by the router's BMP feed.
         let mut controller_cfg = cfg.controller;
         controller_cfg.epoch_secs = cfg.epoch_secs;
-        controller_cfg.incremental = cfg.incremental;
         let controller = cfg.controller_enabled.then(|| {
             let interfaces: InterfaceMap = pop
                 .interfaces
@@ -344,17 +334,10 @@ impl PopRuntime {
             .iter()
             .map(|p| p.prefix)
             .collect();
-        let split_lookup = cfg.controller.split_depth > 0;
-        let slot_of: HashMap<EgressId, usize> = pop
-            .interfaces
-            .iter()
-            .enumerate()
-            .map(|(slot, iface)| (iface.id, slot))
-            .collect();
         let load_scratch = vec![0.0; pop.interfaces.len()];
         let fib_cache = FibCache::new(
             &prefix_of,
-            split_lookup,
+            cfg.controller.split_depth > 0,
             pop.interfaces.iter().map(|iface| iface.id),
             &router,
         );
@@ -371,10 +354,7 @@ impl PopRuntime {
             prefix_of,
             epoch_secs: cfg.epoch_secs,
             util_limit: cfg.controller.util_limit,
-            split_lookup,
-            incremental: cfg.incremental,
             fib_cache,
-            slot_of,
             load_scratch,
             perf_steer: cfg.perf.map(|p| p.steer).unwrap_or(false),
             perf_aware_cfg: cfg.perf.map(|p| p.aware).unwrap_or_default(),
@@ -906,71 +886,40 @@ impl PopRuntime {
         let mut offered = 0.0f64;
         let mut detoured = 0.0f64;
         self.load_scratch.iter_mut().for_each(|l| *l = 0.0);
-        if self.incremental {
-            // When the FIB is unchanged since the last tick (the steady
-            // state between routing events), every lookup is a vector index
-            // instead of a trie walk; after an install, withdraw or peer
-            // flush — including the chaos faults — `sync` forgets only the
-            // units the router's change journal says could have moved.
-            self.fib_cache.sync(&self.router);
-            let router = &self.router;
-            let load = &mut self.load_scratch;
-            let mut forward = |cache: &mut FibCache, idx: usize, half: usize, mbps: f64| {
-                if let Some(hop) = cache.resolve(router, idx, half) {
-                    // `NOT_A_POP_INTERFACE` is past the end of `load`.
-                    if let Some(l) = load.get_mut(hop.slot as usize) {
-                        *l += mbps;
-                    }
-                    if hop.is_override {
-                        detoured += mbps;
-                    }
+        // When the FIB is unchanged since the last tick (the steady state
+        // between routing events), every lookup is a vector index instead
+        // of a trie walk; after an install, withdraw or peer flush —
+        // including the chaos faults — `sync` forgets only the units the
+        // router's change journal says could have moved.
+        self.fib_cache.sync(&self.router);
+        let router = &self.router;
+        let load = &mut self.load_scratch;
+        let mut forward = |cache: &mut FibCache, idx: usize, half: usize, mbps: f64| {
+            if let Some(hop) = cache.resolve(router, idx, half) {
+                // `NOT_A_POP_INTERFACE` is past the end of `load`.
+                if let Some(l) = load.get_mut(hop.slot as usize) {
+                    *l += mbps;
                 }
-            };
-            let cache = &mut self.fib_cache;
-            for point in demand {
-                offered += point.mbps;
-                let idx = point.prefix_idx as usize;
-                if cache.is_split(idx) {
-                    // Split forwarding: traffic inside a prefix is uniform,
-                    // so each half carries half the demand and is looked up
-                    // independently (a /25 override captures exactly half).
-                    let half = point.mbps / 2.0;
-                    if half > 0.0 {
-                        forward(cache, idx, 0, half);
-                        forward(cache, idx, 1, half);
-                    }
-                } else if point.mbps > 0.0 {
-                    forward(cache, idx, 0, point.mbps);
+                if hop.is_override {
+                    detoured += mbps;
                 }
             }
-        } else {
-            // From-scratch arm: a fresh trie walk per unit, as before the
-            // cache existed. Kept for determinism cross-checks and as the
-            // benchmark's uncached reference.
-            for point in demand {
-                offered += point.mbps;
-                let prefix = self.prefix_of[point.prefix_idx as usize];
-                let units: [(Prefix, f64); 2] = if self.split_lookup {
-                    match prefix.halves() {
-                        Some((lo, hi)) => [(lo, point.mbps / 2.0), (hi, point.mbps / 2.0)],
-                        None => [(prefix, point.mbps), (prefix, 0.0)],
-                    }
-                } else {
-                    [(prefix, point.mbps), (prefix, 0.0)]
-                };
-                for (unit, mbps) in units {
-                    if mbps <= 0.0 {
-                        continue;
-                    }
-                    if let Some((_, entry)) = self.router.fib_lookup(unit) {
-                        if let Some(&slot) = self.slot_of.get(&entry.egress) {
-                            self.load_scratch[slot] += mbps;
-                        }
-                        if entry.is_override {
-                            detoured += mbps;
-                        }
-                    }
+        };
+        let cache = &mut self.fib_cache;
+        for point in demand {
+            offered += point.mbps;
+            let idx = point.prefix_idx as usize;
+            if cache.is_split(idx) {
+                // Split forwarding: traffic inside a prefix is uniform, so
+                // each half carries half the demand and is looked up
+                // independently (a /25 override captures exactly half).
+                let half = point.mbps / 2.0;
+                if half > 0.0 {
+                    forward(cache, idx, 0, half);
+                    forward(cache, idx, 1, half);
                 }
+            } else if point.mbps > 0.0 {
+                forward(cache, idx, 0, point.mbps);
             }
         }
 
@@ -1040,6 +989,12 @@ impl PopRuntime {
         }
 
         // --- 4. Controller epoch --------------------------------------------
+        // `report` stays `None` on the baseline arm, after a controller
+        // crash and when the epoch is skipped.
+        let mut report: Option<EpochReport> = None;
+        let mut input_age_ms = 0;
+        let mut epoch_skipped = false;
+        let mut active: Vec<Prefix> = Vec::new();
         if let Some(controller) = self.controller.as_mut() {
             // Performance steering (§6.2): refresh perf overrides from the
             // measurement digests before the capacity pass.
@@ -1125,158 +1080,72 @@ impl PopRuntime {
                 bmp_age_ms,
                 traffic_age_ms,
             };
-            let epoch =
-                controller.run_epoch_guarded(&*traffic, &mut self.router, t_secs * 1000, inputs);
-            let (record, residual, sig_extra) = match epoch {
-                Ok(report) => (
-                    PopEpochRecord {
-                        t_secs,
-                        pop: self.pop.id.0,
-                        offered_mbps: offered,
-                        detoured_mbps: detoured,
-                        detoured_by_kind: report.detoured_by_kind.clone(),
-                        overrides_active: report.overrides_active,
-                        churn_announced: report.churn_announced,
-                        churn_withdrawn: report.churn_withdrawn,
-                        overloaded_before: report.overloaded_before.len(),
-                        residual_overloaded: report.residual_overloaded.len(),
-                        dropped_mbps: dropped,
-                        active_faults: fault_labels,
-                        degraded: report.degraded,
-                        fail_open: report.fail_open,
-                    },
-                    !report.residual_overloaded.is_empty(),
-                    (
-                        report.input_age_ms,
-                        (report.audit_not_installed + report.audit_leaked) as u64,
-                        false,
-                    ),
-                ),
+            match controller.run_epoch_guarded(&*traffic, &mut self.router, t_secs * 1000, inputs) {
+                Ok(epoch) => {
+                    input_age_ms = epoch.input_age_ms;
+                    report = Some(epoch);
+                }
                 // The injector session is down: the epoch is skipped
                 // entirely and BGP has already reverted every override.
-                Err(EpochError::InjectorDown) => (
-                    PopEpochRecord {
-                        t_secs,
-                        pop: self.pop.id.0,
-                        offered_mbps: offered,
-                        detoured_mbps: detoured,
-                        detoured_by_kind: Default::default(),
-                        overrides_active: 0,
-                        churn_announced: 0,
-                        churn_withdrawn: 0,
-                        overloaded_before: 0,
-                        residual_overloaded: 0,
-                        dropped_mbps: dropped,
-                        active_faults: fault_labels,
-                        degraded: false,
-                        fail_open: true,
-                    },
-                    dropped > 0.0,
-                    (bmp_age_ms.max(traffic_age_ms), 0, true),
-                ),
-            };
-            // Copy what the signals need out of the record now; the
-            // collection itself waits until the controller borrow ends.
-            let health_args = if self.health_enabled {
-                let (input_age_ms, audit_failures, epoch_skipped) = sig_extra;
-                Some((
-                    record.overrides_active as u64,
-                    (record.churn_announced + record.churn_withdrawn) as u64,
-                    record.residual_overloaded as u64,
-                    record.degraded,
-                    record.fail_open,
-                    epoch_skipped,
-                    input_age_ms,
-                    audit_failures,
-                ))
-            } else {
-                None
-            };
-            self.metrics.record_pop_epoch(record);
-            let active: Vec<Prefix> = controller
+                Err(EpochError::InjectorDown) => {
+                    input_age_ms = bmp_age_ms.max(traffic_age_ms);
+                    epoch_skipped = true;
+                }
+            }
+            active = controller
                 .active_overrides()
                 .iter_sorted()
                 .iter()
                 .map(|o| o.prefix)
                 .collect();
-            self.metrics.update_episodes(self.pop.id, t_secs, active);
-            if let Some((
-                overrides_active,
-                churn,
-                residual_overloaded,
-                degraded,
-                fail_open,
-                epoch_skipped,
-                input_age_ms,
-                audit_failures,
-            )) = health_args
-            {
-                self.health_signals = Some(self.collect_health_signals(
-                    t_secs,
-                    offered,
-                    dropped,
-                    detoured,
-                    overrides_active,
-                    churn,
-                    residual_overloaded,
-                    degraded,
-                    fail_open,
-                    epoch_skipped,
-                    input_age_ms,
-                    audit_failures,
-                ));
-            }
-            StepOutcome {
-                residual_overloaded: residual,
-                dropped_mbps: dropped,
-                offered_mbps: offered,
-                headroom_mbps: headroom,
-            }
         } else {
-            // Baseline arm (or a crashed controller): record the epoch
-            // without controller fields and discard the unconsumed BMP feed.
+            // Baseline arm (or a crashed controller): discard the
+            // unconsumed BMP feed.
             self.router.drain_bmp();
             self.stalled_bmp.clear();
-            if self.health_enabled {
-                self.health_signals = Some(self.collect_health_signals(
-                    t_secs,
-                    offered,
-                    dropped,
-                    detoured,
-                    0,
-                    0,
-                    0,
-                    false,
-                    self.controller_enabled,
-                    false,
-                    0,
-                    0,
-                ));
-            }
-            self.metrics.record_pop_epoch(PopEpochRecord {
-                t_secs,
-                pop: self.pop.id.0,
-                offered_mbps: offered,
-                detoured_mbps: detoured,
-                detoured_by_kind: Default::default(),
-                overrides_active: 0,
-                churn_announced: 0,
-                churn_withdrawn: 0,
-                overloaded_before: 0,
-                residual_overloaded: 0,
-                dropped_mbps: dropped,
-                active_faults: fault_labels,
-                degraded: false,
-                fail_open: self.controller_enabled,
-            });
-            self.metrics
-                .update_episodes(self.pop.id, t_secs, Vec::new());
-            StepOutcome {
-                residual_overloaded: dropped > 0.0,
-                dropped_mbps: dropped,
-                offered_mbps: offered,
-                headroom_mbps: headroom,
-            }
+        }
+
+        // --- 5. Record the epoch --------------------------------------------
+        // Without a report the controller fields are zero, and a PoP that
+        // is meant to have a controller is failing open.
+        let report = report.as_ref();
+        let record = PopEpochRecord {
+            t_secs,
+            pop: self.pop.id.0,
+            offered_mbps: offered,
+            detoured_mbps: detoured,
+            detoured_by_kind: report
+                .map(|r| r.detoured_by_kind.clone())
+                .unwrap_or_default(),
+            overrides_active: report.map_or(0, |r| r.overrides_active),
+            churn_announced: report.map_or(0, |r| r.churn_announced),
+            churn_withdrawn: report.map_or(0, |r| r.churn_withdrawn),
+            overloaded_before: report.map_or(0, |r| r.overloaded_before.len()),
+            residual_overloaded: report.map_or(0, |r| r.residual_overloaded.len()),
+            dropped_mbps: dropped,
+            active_faults: fault_labels,
+            degraded: report.is_some_and(|r| r.degraded),
+            fail_open: report.map_or(self.controller_enabled, |r| r.fail_open),
+        };
+        if self.health_enabled {
+            let audit_failures =
+                report.map_or(0, |r| (r.audit_not_installed + r.audit_leaked) as u64);
+            self.health_signals = Some(self.collect_health_signals(
+                &record,
+                input_age_ms,
+                audit_failures,
+                epoch_skipped,
+            ));
+        }
+        let residual_overloaded =
+            report.map_or(dropped > 0.0, |r| !r.residual_overloaded.is_empty());
+        self.metrics.record_pop_epoch(record);
+        self.metrics.update_episodes(self.pop.id, t_secs, active);
+        StepOutcome {
+            residual_overloaded,
+            dropped_mbps: dropped,
+            offered_mbps: offered,
+            headroom_mbps: headroom,
         }
     }
 
@@ -1284,21 +1153,12 @@ impl PopRuntime {
     /// computed — pure reads of simulation state, so collecting them
     /// cannot perturb the run. The previous epoch's `iface_util` buffer
     /// is recycled, so the steady state allocates nothing per epoch.
-    #[allow(clippy::too_many_arguments)]
     fn collect_health_signals(
         &mut self,
-        t_secs: u64,
-        offered: f64,
-        dropped: f64,
-        detoured: f64,
-        overrides_active: u64,
-        churn: u64,
-        residual_overloaded: u64,
-        degraded: bool,
-        fail_open: bool,
-        epoch_skipped: bool,
+        record: &PopEpochRecord,
         input_age_ms: u64,
         audit_failures: u64,
+        epoch_skipped: bool,
     ) -> ef_health::EpochSignals {
         let sessions_down = self.stubs.values().filter(|s| !s.is_established()).count() as u64;
         let updates_downgraded_total = self.router.updates_downgraded_total();
@@ -1338,16 +1198,16 @@ impl PopRuntime {
             })
             .sum();
         ef_health::EpochSignals {
-            t_secs,
-            pop: self.pop.id.0,
-            offered_mbps: offered,
-            dropped_mbps: dropped,
-            detoured_mbps: detoured,
-            overrides_active,
-            churn,
-            residual_overloaded,
-            degraded,
-            fail_open,
+            t_secs: record.t_secs,
+            pop: record.pop,
+            offered_mbps: record.offered_mbps,
+            dropped_mbps: record.dropped_mbps,
+            detoured_mbps: record.detoured_mbps,
+            overrides_active: record.overrides_active as u64,
+            churn: (record.churn_announced + record.churn_withdrawn) as u64,
+            residual_overloaded: record.residual_overloaded as u64,
+            degraded: record.degraded,
+            fail_open: record.fail_open,
             epoch_skipped,
             controller_missing: self.controller_enabled && self.controller.is_none(),
             input_age_ms,

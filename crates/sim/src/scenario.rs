@@ -75,13 +75,6 @@ pub struct SimConfig {
     /// perf smoke flips it to bound the meter's overhead.
     #[serde(default = "default_billing")]
     pub billing: bool,
-    /// Run the epoch hot paths incrementally: the controller's projection
-    /// memo and the runtime's version-checked FIB lookup cache (this flag
-    /// is copied over `controller.incremental` at build time). Results are
-    /// byte-identical either way — the determinism suite and the perf
-    /// benches flip it to compare against the from-scratch paths.
-    #[serde(default = "default_incremental")]
-    pub incremental: bool,
     /// Telemetry pipeline every PoP controller (and the engine's fault
     /// bookkeeping) reports into. Disabled by default; never serialized —
     /// a sink is an I/O handle, not part of the scenario, and keeping it
@@ -106,14 +99,9 @@ impl Default for SimConfig {
             chaos: None,
             health: None,
             billing: true,
-            incremental: true,
             telemetry: ef_telemetry::TelemetryHandle::disabled(),
         }
     }
-}
-
-fn default_incremental() -> bool {
-    true
 }
 
 fn default_billing() -> bool {
@@ -121,18 +109,6 @@ fn default_billing() -> bool {
 }
 
 impl SimConfig {
-    /// A fast scenario for unit tests: tiny deployment, two hours.
-    ///
-    /// Thin shim over the fluent API — equivalent to
-    /// `scenario().small_topology(seed).duration_secs(2 * 3600).epoch_secs(60).build()`.
-    pub fn test_small(seed: u64) -> Self {
-        scenario()
-            .small_topology(seed)
-            .duration_secs(2 * 3600)
-            .epoch_secs(60)
-            .build()
-    }
-
     /// The same scenario with the controller switched off (baseline arm).
     pub fn baseline(mut self) -> Self {
         self.controller_enabled = false;
@@ -271,24 +247,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Enables global (cross-PoP) demand shifting — retired prototype
-    /// shim: the tunables map onto a DNS backend with a one-epoch TTL.
-    #[deprecated(note = "use `global(GlobalConfig)` instead")]
-    #[allow(deprecated)]
-    pub fn global_shift(self, shift: ef_global::GlobalShifterConfig) -> Self {
-        self.global(shift.into())
-    }
-
     /// Installs a fault schedule for the run.
     pub fn chaos(mut self, schedule: FaultSchedule) -> Self {
         self.cfg.chaos = Some(schedule);
-        self
-    }
-
-    /// Installs a fault schedule when one is given — keeps call sites that
-    /// derive faulted/sunny arm pairs from an `Option` fluent.
-    pub fn maybe_chaos(mut self, schedule: Option<FaultSchedule>) -> Self {
-        self.cfg.chaos = schedule;
         self
     }
 
@@ -357,14 +318,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Flips the incremental hot paths (projection memo, FIB cache).
-    /// Results are byte-identical either way; the determinism suite and
-    /// perf benches compare both.
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.cfg.incremental = on;
-        self
-    }
-
     /// Attaches a telemetry pipeline (disabled handle by default).
     pub fn telemetry(mut self, handle: ef_telemetry::TelemetryHandle) -> Self {
         self.cfg.telemetry = handle;
@@ -405,7 +358,7 @@ mod tests {
 
     #[test]
     fn baseline_flips_only_the_controller() {
-        let cfg = SimConfig::test_small(1);
+        let cfg = scenario().small_topology(1).build();
         let base = cfg.clone().baseline();
         assert!(cfg.controller_enabled);
         assert!(!base.controller_enabled);
@@ -462,7 +415,7 @@ mod tests {
     fn billing_defaults_on_for_old_configs() {
         // Configs serialized before the field existed must load with the
         // meter on.
-        let json = serde_json::to_string(&SimConfig::test_small(1)).unwrap();
+        let json = serde_json::to_string(&scenario().small_topology(1).build()).unwrap();
         let mut value = serde_json::parse_value(&json).unwrap();
         if let serde::Value::Object(fields) = &mut value {
             fields.retain(|(key, _)| key != "billing");
@@ -472,9 +425,21 @@ mod tests {
     }
 
     #[test]
+    fn retired_incremental_key_is_ignored() {
+        // Configs written while the from-scratch engine was selectable
+        // carry the key here and in `controller` (the replace puts it in
+        // every object); they must load and mean nothing.
+        let json = serde_json::to_string(&scenario().small_topology(1).build()).unwrap();
+        let old = json.replace('{', r#"{"incremental":false,"#);
+        let back: SimConfig = serde_json::from_str(&old).unwrap();
+        back.controller.validate().unwrap();
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    #[test]
     fn chaos_schedule_survives_serde() {
         use ef_chaos::{FaultEvent, FaultKind, FaultTarget};
-        let mut cfg = SimConfig::test_small(1);
+        let mut cfg = scenario().small_topology(1).build();
         cfg.chaos = Some(
             FaultSchedule::new(vec![FaultEvent {
                 t_start_secs: 600,
@@ -488,9 +453,10 @@ mod tests {
         let back: SimConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back.chaos, cfg.chaos);
         // Absent field defaults to no chaos.
-        let plain: SimConfig =
-            serde_json::from_str(&serde_json::to_string(&SimConfig::test_small(2)).unwrap())
-                .unwrap();
+        let plain: SimConfig = serde_json::from_str(
+            &serde_json::to_string(&scenario().small_topology(2).build()).unwrap(),
+        )
+        .unwrap();
         assert!(plain.chaos.is_none());
     }
 }

@@ -309,7 +309,7 @@ fn severe_sflow_loss_replays_the_pre_fault_table_then_refills_it() {
             kind: FaultKind::SflowLoss { drop_fraction: 1.0 },
         }],
     );
-    let mut engine = ScenarioBuilder::from_config(cfg.clone()).engine();
+    let mut engine = ScenarioBuilder::from_config(cfg).engine();
     while engine.now_secs() < 300 {
         engine.step();
     }
@@ -330,15 +330,6 @@ fn severe_sflow_loss_replays_the_pre_fault_table_then_refills_it() {
     assert_eq!(t, 600);
     assert_eq!(table.entries().len(), pre_fault.entries().len());
     assert_ne!(table, &pre_fault, "demand moved in six minutes");
-    engine.run();
-    // Recycling one table across the outage changes nothing observable:
-    // the from-scratch arm (fresh projection, uncached lookups) agrees.
-    let fingerprint = |m: &MetricsStore| {
-        serde_json::to_string(&(&m.pop_epochs, &m.episodes, &m.billing)).expect("serializes")
-    };
-    let recycled = fingerprint(&engine.take_metrics());
-    let scratch = run(ScenarioBuilder::from_config(cfg).incremental(false).build());
-    assert_eq!(recycled, fingerprint(&scratch));
 }
 
 #[test]
