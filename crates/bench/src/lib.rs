@@ -1,13 +1,13 @@
-//! Experiment harness shared by the per-figure binaries.
+//! Experiment harness: the paper's own evaluation and the small helpers
+//! every experiment binary shares.
 //!
-//! The heavyweight experiments (E3–E9, E11) share two simulation "arms" —
-//! baseline BGP and Edge Fabric — over the same one-day, 20-PoP scenario.
-//! [`campaign`] runs an arm once and caches its distilled metrics as JSON
-//! under `results/`, so each figure binary is cheap after the first run.
-//! [`output`] holds the small statistics/printing helpers.
+//! [`paper`] reproduces Table 1, Figs. 2–12 and Table 2 (E1–E13) as one
+//! table-driven run over one in-memory campaign — baseline BGP and Edge
+//! Fabric on the same one-day, 20-PoP scenario — and renders the verdict
+//! table of EXPERIMENTS.md (`exp_paper` is its binary). [`output`] holds
+//! the small statistics/printing helpers.
 
-pub mod campaign;
 pub mod output;
+pub mod paper;
 
-pub use campaign::{load_or_run, Arm, CampaignData};
 pub use output::{cdf_points, percentile, results_dir, telemetry_from_env, write_json};

@@ -13,7 +13,7 @@ pub fn results_dir() -> PathBuf {
 }
 
 /// Walks up from the crate's manifest to the workspace root.
-fn workspace_root() -> PathBuf {
+pub(crate) fn workspace_root() -> PathBuf {
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
     manifest
         .parent()
