@@ -5,7 +5,9 @@
 //! magnitude smaller: paths are shared by every prefix originated behind the
 //! same AS via the same neighbor. The [`AttrStore`] exploits that sharing by
 //! deduplicating [`PathAttributes`] behind a small integer [`AttrId`], so the
-//! RIB stores a 4-byte handle per route instead of a ~300-byte deep clone.
+//! RIB stores a 4-byte handle per route instead of a ~300-byte deep clone,
+//! and the store itself holds exactly one copy of each distinct set (its
+//! dedup index keeps hashes and slot numbers, never a second key).
 //!
 //! At intern time the store also precomputes the [`DecisionKey`] — the exact
 //! fields the best-path ladder consults — so the decision process never has
@@ -14,7 +16,9 @@
 //! ~48 bytes; every hot loop in the reproduction works over `&[RouteRec]`
 //! slices without allocating.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::mem;
 
 use crate::attrs::{Origin, PathAttributes};
@@ -96,11 +100,16 @@ impl RouteRec {
     }
 }
 
+/// End of a hash chain.
+const NIL: u32 = u32::MAX;
+
 #[derive(Debug, Clone)]
 struct Entry {
     attrs: PathAttributes,
     key: DecisionKey,
     refs: u32,
+    /// Next slot whose attributes share this entry's hash, or [`NIL`].
+    next: u32,
 }
 
 /// Reference-counted intern pool for [`PathAttributes`].
@@ -109,12 +118,41 @@ struct Entry {
 /// Entries are dropped (and their ids recycled) when the last reference is
 /// released, so long-lived stores track table churn instead of growing
 /// without bound.
+///
+/// The slab holds the only copy of each set. The dedup index maps an
+/// attribute hash to the first slot of a chain threaded through
+/// [`Entry::next`]; a probe walks the chain comparing full attributes.
 #[derive(Debug, Clone, Default)]
 pub struct AttrStore {
     entries: Vec<Option<Entry>>,
-    ids: HashMap<PathAttributes, AttrId>,
+    heads: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    /// Randomly keyed, like a `HashMap`'s own hasher: attribute sets come
+    /// from peers, and a fixed key would let one craft a long chain. Ids
+    /// never depend on hash values, so runs stay byte-identical.
+    hasher: RandomState,
     free: Vec<u32>,
     live: usize,
+}
+
+/// The dedup index is keyed by a finished hash already; hashing it again
+/// would only cost time.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
 }
 
 impl AttrStore {
@@ -123,18 +161,42 @@ impl AttrStore {
         Self::default()
     }
 
+    /// The chain key of an attribute set. Unit tests put every set in one
+    /// chain, so unlinking the head, middle and tail of a chain is
+    /// exercised by any store with three live entries.
+    fn hash(&self, attrs: &PathAttributes) -> u64 {
+        if cfg!(test) {
+            0
+        } else {
+            self.hasher.hash_one(attrs)
+        }
+    }
+
+    fn entry(&self, slot: u32) -> &Entry {
+        match self.entries[slot as usize].as_ref() {
+            Some(e) => e,
+            None => unreachable_released(AttrId(slot)),
+        }
+    }
+
     /// Interns `attrs`, returning its handle and taking one reference.
     pub fn intern(&mut self, attrs: &PathAttributes) -> AttrId {
-        if let Some(&id) = self.ids.get(attrs) {
-            if let Some(e) = self.entries[id.0 as usize].as_mut() {
-                e.refs += 1;
+        let hash = self.hash(attrs);
+        let head = self.heads.get(&hash).copied().unwrap_or(NIL);
+        let mut slot = head;
+        while slot != NIL {
+            let e = self.entry(slot);
+            if e.attrs == *attrs {
+                self.retain(AttrId(slot));
+                return AttrId(slot);
             }
-            return id;
+            slot = e.next;
         }
         let entry = Entry {
             attrs: attrs.clone(),
             key: DecisionKey::of(attrs),
             refs: 1,
+            next: head,
         };
         let id = match self.free.pop() {
             Some(slot) => {
@@ -146,9 +208,35 @@ impl AttrStore {
                 AttrId((self.entries.len() - 1) as u32)
             }
         };
-        self.ids.insert(attrs.clone(), id);
+        self.heads.insert(hash, id.0);
         self.live += 1;
         id
+    }
+
+    /// Unlinks `slot` from its hash chain.
+    fn unlink(&mut self, slot: u32, attrs: &PathAttributes, next: u32) {
+        let hash = self.hash(attrs);
+        let head = self.heads.get(&hash).copied().unwrap_or(NIL);
+        if head == slot {
+            if next == NIL {
+                self.heads.remove(&hash);
+            } else {
+                self.heads.insert(hash, next);
+            }
+            return;
+        }
+        let mut prev = head;
+        while prev != NIL {
+            let after = self.entry(prev).next;
+            if after == slot {
+                if let Some(e) = self.entries[prev as usize].as_mut() {
+                    e.next = next;
+                }
+                return;
+            }
+            prev = after;
+        }
+        unreachable_released(AttrId(slot))
     }
 
     /// Takes an additional reference on an already-interned id.
@@ -166,9 +254,8 @@ impl AttrStore {
         };
         e.refs -= 1;
         if e.refs == 0 {
-            let entry = self.entries[slot].take();
-            if let Some(entry) = entry {
-                self.ids.remove(&entry.attrs);
+            if let Some(entry) = self.entries[slot].take() {
+                self.unlink(id.0, &entry.attrs, entry.next);
             }
             self.free.push(id.0);
             self.live -= 1;
@@ -180,18 +267,12 @@ impl AttrStore {
     /// Returns a reference to the canonical copy; use
     /// [`DecisionKey`]s on [`RouteRec`] for hot-path comparisons instead.
     pub fn attrs(&self, id: AttrId) -> &PathAttributes {
-        match self.entries[id.0 as usize].as_ref() {
-            Some(e) => &e.attrs,
-            None => unreachable_released(id),
-        }
+        &self.entry(id.0).attrs
     }
 
     /// The precomputed decision key for a handle.
     pub fn key(&self, id: AttrId) -> DecisionKey {
-        match self.entries[id.0 as usize].as_ref() {
-            Some(e) => e.key,
-            None => unreachable_released(id),
-        }
+        self.entry(id.0).key
     }
 
     /// Builds a [`RouteRec`] by interning `attrs` (takes one reference).
@@ -231,9 +312,9 @@ impl AttrStore {
     }
 
     /// Approximate heap footprint of the interned attribute sets in bytes,
-    /// counting slab slots and deep attribute payloads (AS-path segments,
-    /// communities, unknown attribute blobs). Used by the bytes/route
-    /// accounting gate in CI.
+    /// counting slab slots, deep attribute payloads (AS-path segments,
+    /// communities, unknown attribute blobs) and the hash → chain-head
+    /// index. Used by the bytes/route accounting gate in CI.
     pub fn approx_bytes(&self) -> usize {
         let slab = self.entries.capacity() * mem::size_of::<Option<Entry>>();
         let deep: usize = self
@@ -242,10 +323,9 @@ impl AttrStore {
             .flatten()
             .map(|e| attrs_heap_bytes(&e.attrs))
             .sum();
-        // The dedup map stores a second copy of each key plus table overhead.
-        let map = self.ids.capacity()
-            * (mem::size_of::<PathAttributes>() + mem::size_of::<AttrId>() + mem::size_of::<u64>());
-        slab + 2 * deep + map
+        // One (hash, head) pair plus a control byte per index bucket.
+        let index = self.heads.capacity() * (mem::size_of::<(u64, u32)>() + 1);
+        slab + deep + index
     }
 }
 
@@ -279,6 +359,7 @@ mod tests {
     use super::*;
     use crate::attrs::AsPath;
     use crate::peer::PeerId;
+    use proptest::prelude::*;
 
     fn attrs(lp: u32, path: &[u32]) -> PathAttributes {
         PathAttributes {
@@ -346,6 +427,73 @@ mod tests {
         assert_eq!(route.attrs, a);
         assert_eq!(route.prefix, prefix);
         assert_eq!(route.egress, EgressId(7));
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Intern(usize),
+        Release(usize),
+    }
+
+    proptest! {
+        /// The store against a `HashMap<PathAttributes, refs>` model plus
+        /// the slab's allocation rule (pop the free list, else append).
+        /// Every set hashes alike under `cfg(test)`, so releases unlink the
+        /// head, middle and tail of one long chain.
+        #[test]
+        fn intern_release_matches_model(
+            ops in proptest::collection::vec(
+                prop_oneof![
+                    (0..10usize).prop_map(Op::Intern),
+                    (0..10usize).prop_map(Op::Release),
+                ],
+                1..160,
+            )
+        ) {
+            let pool: Vec<PathAttributes> =
+                (0..10u32).map(|i| attrs(100 + i % 3, &[i / 3 + 1])).collect();
+            let mut store = AttrStore::new();
+            let mut model: HashMap<PathAttributes, (AttrId, u32)> = HashMap::new();
+            let mut free: Vec<u32> = Vec::new();
+            let mut slots = 0u32;
+            for op in ops {
+                match op {
+                    Op::Intern(i) => {
+                        let id = store.intern(&pool[i]);
+                        match model.get_mut(&pool[i]) {
+                            Some((want, refs)) => {
+                                prop_assert_eq!(id, *want);
+                                *refs += 1;
+                            }
+                            None => {
+                                let want = free.pop().unwrap_or_else(|| {
+                                    slots += 1;
+                                    slots - 1
+                                });
+                                prop_assert_eq!(id, AttrId(want), "slot recycling order");
+                                model.insert(pool[i].clone(), (id, 1));
+                            }
+                        }
+                    }
+                    Op::Release(i) => {
+                        let Some((id, refs)) = model.get_mut(&pool[i]) else {
+                            continue;
+                        };
+                        store.release(*id);
+                        *refs -= 1;
+                        if *refs == 0 {
+                            free.push(id.0);
+                            model.remove(&pool[i]);
+                        }
+                    }
+                }
+                prop_assert_eq!(store.distinct(), model.len());
+                for (a, (id, _)) in &model {
+                    prop_assert_eq!(store.attrs(*id), a);
+                    prop_assert_eq!(store.key(*id), DecisionKey::of(a));
+                }
+            }
+        }
     }
 
     #[test]

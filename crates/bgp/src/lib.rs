@@ -29,7 +29,8 @@
 //! * [`policy`] — import/export policy engine (match → actions), with the
 //!   paper's default tiering policy as a constructor.
 //! * [`decision`] — the best-path selection ladder.
-//! * [`rib`] — Adj-RIB-In and Loc-RIB.
+//! * [`rib`] — the Loc-RIB, which also holds every peer's Adj-RIB-In routes
+//!   (the router keeps only each peer's prefix set).
 //! * [`session`] — a simplified BGP FSM driven by simulated time, with
 //!   RFC 7606 graded error handling on the receive path.
 //! * [`backoff`] — seeded-deterministic reconnect governance (exponential

@@ -1,11 +1,16 @@
-//! Routing Information Bases: per-peer Adj-RIB-In and the router-wide
-//! Loc-RIB, laid out for full-table scale.
+//! The router-wide Loc-RIB, laid out for full-table scale.
 //!
 //! Edge Fabric needs more than a FIB view: the controller must see *every*
 //! route available for a prefix (paper §4.1, "the controller needs to know
 //! all routes, not just the best") in order to pick detour targets. The
 //! [`LocRib`] therefore keeps the full candidate set per prefix and exposes
 //! both the winner and the ranked alternatives.
+//!
+//! It is also every peer's Adj-RIB-In: the post-policy route a peer
+//! announced for a prefix *is* that peer's candidate here (at most one per
+//! peer), so the router keeps only the set of prefixes each peer announced
+//! and reads attributes, source and egress from this table. The same type
+//! is the controller's BMP-fed view in `edge-fabric::collector`.
 //!
 //! At ~900k prefixes × 2–6 paths the old `HashMap<Prefix, Vec<Route>>` paid
 //! one heap vector plus a deep [`PathAttributes`] clone per route. The
@@ -34,96 +39,6 @@ use crate::attrstore::{AttrStore, RouteRec};
 use crate::decision::{best_rec, rank_recs_into};
 use crate::peer::PeerId;
 use crate::route::{EgressId, Route, RouteSource};
-
-/// The routes received from one peer, post-import-policy, attribute-interned.
-#[derive(Debug, Clone, Default)]
-pub struct AdjRibIn {
-    routes: HashMap<Prefix, RouteRec>,
-    store: AttrStore,
-}
-
-impl AdjRibIn {
-    /// Creates an empty Adj-RIB-In.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Installs or replaces the peer's route for a prefix, returning the
-    /// record it replaced if one existed. The returned record's attribute
-    /// handle may already be recycled — treat it as provenance only.
-    pub fn install(&mut self, route: Route) -> Option<RouteRec> {
-        self.install_ref(route.prefix, &route.attrs, route.source, route.egress)
-    }
-
-    /// Like [`install`](Self::install) without requiring an owned [`Route`]
-    /// (no attribute clone when the set is already interned).
-    pub fn install_ref(
-        &mut self,
-        prefix: Prefix,
-        attrs: &PathAttributes,
-        source: RouteSource,
-        egress: EgressId,
-    ) -> Option<RouteRec> {
-        let rec = self.store.make_rec(attrs, source, egress);
-        let prev = self.routes.insert(prefix, rec);
-        if let Some(prev) = prev {
-            self.store.release(prev.attr);
-        }
-        prev
-    }
-
-    /// Removes the peer's route for a prefix.
-    pub fn withdraw(&mut self, prefix: &Prefix) -> Option<RouteRec> {
-        let prev = self.routes.remove(prefix);
-        if let Some(prev) = prev {
-            self.store.release(prev.attr);
-        }
-        prev
-    }
-
-    /// The peer's record for a prefix, if any.
-    pub fn get(&self, prefix: &Prefix) -> Option<&RouteRec> {
-        self.routes.get(prefix)
-    }
-
-    /// Materializes the full route for a prefix (cold path: BMP snapshots,
-    /// diagnostics).
-    pub fn get_route(&self, prefix: &Prefix) -> Option<Route> {
-        self.routes
-            .get(prefix)
-            .map(|rec| self.store.materialize(*prefix, rec))
-    }
-
-    /// Number of prefixes this peer currently announces.
-    pub fn len(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// True if the peer announces nothing.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
-    }
-
-    /// Iterates all records (arbitrary order).
-    pub fn iter(&self) -> impl Iterator<Item = (&Prefix, &RouteRec)> {
-        self.routes.iter()
-    }
-
-    /// The attribute store backing this RIB (for materializing records).
-    pub fn store(&self) -> &AttrStore {
-        &self.store
-    }
-
-    /// Drains every route, as on session teardown. Returns how many prefixes
-    /// were announced.
-    pub fn clear(&mut self) -> usize {
-        let n = self.routes.len();
-        for (_, rec) in self.routes.drain() {
-            self.store.release(rec.attr);
-        }
-        n
-    }
-}
 
 /// How the best route for a prefix changed after a RIB operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -523,32 +438,6 @@ mod tests {
             },
             egress: EgressId(peer as u32),
         }
-    }
-
-    #[test]
-    fn adj_rib_in_install_and_withdraw() {
-        let mut rib = AdjRibIn::new();
-        assert!(rib.is_empty());
-        assert!(rib.install(route("1.0.0.0/8", 1, 100)).is_none());
-        assert!(rib.install(route("1.0.0.0/8", 1, 200)).is_some());
-        assert_eq!(rib.len(), 1);
-        assert_eq!(
-            rib.get_route(&p("1.0.0.0/8")).unwrap().attrs.local_pref,
-            Some(200)
-        );
-        assert!(rib.withdraw(&p("1.0.0.0/8")).is_some());
-        assert!(rib.withdraw(&p("1.0.0.0/8")).is_none());
-        assert!(rib.store().is_empty(), "all attrs released");
-    }
-
-    #[test]
-    fn adj_rib_in_clear_drains_everything() {
-        let mut rib = AdjRibIn::new();
-        rib.install(route("1.0.0.0/8", 1, 100));
-        rib.install(route("2.0.0.0/8", 1, 100));
-        assert_eq!(rib.clear(), 2);
-        assert!(rib.is_empty());
-        assert!(rib.store().is_empty());
     }
 
     #[test]

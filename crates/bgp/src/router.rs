@@ -19,7 +19,7 @@ use crate::bmp::{BmpMessage, BmpPeerHeader};
 use crate::message::{RefreshSubtype, RouteRefreshMessage, UpdateMessage};
 use crate::peer::{PeerId, PeerKind};
 use crate::policy::{Policy, PolicyVerdict};
-use crate::rib::{AdjRibIn, BestChange, LocRib};
+use crate::rib::{BestChange, LocRib};
 use crate::route::{EgressId, Route, RouteSource};
 use crate::session::{Millis, Session, SessionConfig, SessionEvent, SessionStats};
 
@@ -68,7 +68,10 @@ pub struct FibEntry {
 struct PeerState {
     attach: PeerAttachment,
     session: Session,
-    adj_in: AdjRibIn,
+    /// The peer's Adj-RIB-In: the prefixes it announced that passed import
+    /// policy. Each one's post-policy route is the peer's Loc-RIB candidate
+    /// for that prefix, so the attributes are held once, there.
+    adj_in: BTreeSet<Prefix>,
     up: bool,
     /// Adj-RIB-In prefixes snapshotted when the peer's BoRR arrived; each
     /// re-announcement during the replay removes its prefix, and whatever
@@ -236,7 +239,7 @@ impl BgpRouter {
             PeerState {
                 attach,
                 session,
-                adj_in: AdjRibIn::new(),
+                adj_in: BTreeSet::new(),
                 up: false,
                 stale_sweep: None,
             },
@@ -365,7 +368,7 @@ impl BgpRouter {
             }
             RefreshSubtype::BoRR => {
                 if let Some(state) = self.peers.get_mut(&peer) {
-                    state.stale_sweep = Some(state.adj_in.iter().map(|(p, _)| *p).collect());
+                    state.stale_sweep = Some(state.adj_in.clone());
                 }
             }
             RefreshSubtype::EoRR => {
@@ -467,9 +470,10 @@ impl BgpRouter {
                     } else {
                         attach.egress
                     };
-                    // Attribute sets are interned: both RIBs take a handle,
-                    // paying one deep clone per *distinct* set, not per route.
-                    state.adj_in.install_ref(*prefix, &attrs, source, egress);
+                    // The Loc-RIB interns the attributes, paying one deep
+                    // clone per *distinct* set; the Adj-RIB-In keeps the
+                    // prefix and reads the route back from there.
+                    state.adj_in.insert(*prefix);
                     let change = self.loc_rib.install_ref(*prefix, &attrs, source, egress);
                     accepted.push((*prefix, attrs));
                     self.fib.apply_best_change(*prefix, change);
@@ -477,7 +481,7 @@ impl BgpRouter {
                 PolicyVerdict::Reject => {
                     // A re-announcement that now fails policy removes any
                     // previously accepted route (treat as withdraw).
-                    if state.adj_in.withdraw(prefix).is_some() {
+                    if state.adj_in.remove(prefix) {
                         effective_withdrawals.push(*prefix);
                         let change = self.loc_rib.withdraw(prefix, peer);
                         self.fib.apply_best_change(*prefix, change);
@@ -488,7 +492,7 @@ impl BgpRouter {
 
         for prefix in &update.withdrawn {
             if let Some(state) = self.peers.get_mut(&peer) {
-                state.adj_in.withdraw(prefix);
+                state.adj_in.remove(prefix);
             }
             let change = self.loc_rib.withdraw(prefix, peer);
             self.fib.apply_best_change(*prefix, change);
@@ -503,6 +507,17 @@ impl BgpRouter {
                 let attach = state.attach.clone();
                 self.flush_peer_routes(peer, &attach, now, 3);
                 return;
+            }
+        }
+        // Debug builds check the Adj-RIB-In invariant (inside
+        // `adj_in_route`) on every prefix this UPDATE touched.
+        if cfg!(debug_assertions) {
+            if let Some(state) = self.peers.get(&peer) {
+                for prefix in update.announced.iter().chain(&update.withdrawn) {
+                    if state.adj_in.contains(prefix) {
+                        self.adj_in_route(peer, prefix);
+                    }
+                }
             }
         }
 
@@ -641,11 +656,23 @@ impl BgpRouter {
         std::mem::take(&mut self.bmp_queue)
     }
 
+    /// `peer`'s Adj-RIB-In route for `prefix`: its Loc-RIB candidate, of
+    /// which there is exactly one for every prefix in the peer's set.
+    fn adj_in_route(&self, peer: PeerId, prefix: &Prefix) -> Option<&RouteRec> {
+        let candidates = self.loc_rib.candidates(prefix);
+        debug_assert_eq!(
+            candidates.iter().filter(|r| r.source.peer == peer).count(),
+            1,
+            "{prefix} is in {peer:?}'s Adj-RIB-In without exactly one Loc-RIB candidate from it"
+        );
+        candidates.iter().find(|r| r.source.peer == peer)
+    }
+
     /// Produces the initial-state dump a freshly connected BMP station
     /// receives (RFC 7854 §3.3): Initiation, a PeerUp per established
     /// peer, and RouteMonitoring for every route currently in each
-    /// Adj-RIB-In. A restarted Edge Fabric controller resynchronizes its
-    /// collector from exactly this snapshot.
+    /// Adj-RIB-In, in prefix order. A restarted Edge Fabric controller
+    /// resynchronizes its collector from exactly this snapshot.
     pub fn bmp_snapshot(&self, now: Millis) -> Vec<BmpMessage> {
         let mut out = vec![BmpMessage::Initiation {
             sys_name: self.cfg.name.clone(),
@@ -663,16 +690,16 @@ impl BgpRouter {
                 timestamp_ms: now,
             };
             out.push(BmpMessage::PeerUp(header));
-            let mut entries: Vec<(Prefix, RouteRec)> =
-                state.adj_in.iter().map(|(p, r)| (*p, *r)).collect();
-            entries.sort_by_key(|(p, _)| *p);
-            for (prefix, rec) in entries {
+            for prefix in &state.adj_in {
+                let Some(rec) = self.adj_in_route(state.attach.peer, prefix) else {
+                    continue;
+                };
                 out.push(BmpMessage::RouteMonitoring {
                     peer: header,
                     update: UpdateMessage {
                         withdrawn: Vec::new(),
-                        attrs: state.adj_in.store().attrs(rec.attr).clone(),
-                        announced: vec![prefix],
+                        attrs: self.loc_rib.store().attrs(rec.attr).clone(),
+                        announced: vec![*prefix],
                     },
                 });
             }
@@ -698,8 +725,8 @@ pub struct PeerStub {
     /// advertises with the attributes last sent. A ROUTE-REFRESH request
     /// from the router is answered by replaying this map, which is what
     /// heals treat-as-withdraw damage without a session bounce. Attribute
-    /// sets are interned in `adv_store` — at full-table scale this map is
-    /// one of four per-route attribute copies the compact layout collapses.
+    /// sets are interned in `adv_store`, one copy per distinct set, so a
+    /// full-table replay list costs a handle per prefix.
     advertised: BTreeMap<Prefix, AttrId>,
     adv_store: AttrStore,
 }
@@ -1405,6 +1432,50 @@ mod tests {
         s.pump(&mut r, 3);
         assert!(r.fib_entry(&p("203.0.113.0/24")).is_none());
         assert!(r.peer_up(PeerId(1)));
+    }
+
+    /// The routes `bmp_snapshot` reports per peer: `(peer, prefix, attrs)`.
+    fn snapshot_routes(r: &BgpRouter) -> Vec<(PeerId, Prefix, PathAttributes)> {
+        r.bmp_snapshot(0)
+            .into_iter()
+            .filter_map(|m| match m {
+                BmpMessage::RouteMonitoring { peer, update } => {
+                    Some((peer.peer, update.announced[0], update.attrs))
+                }
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn adj_rib_in_install_and_withdraw() {
+        let mut r = router();
+        let mut s = wire_peer(&mut r, 1, 65001, PeerKind::PrivatePeer, 11);
+        s.announce(&mut r, p("1.0.0.0/8"), attrs(&[65001]), 1);
+        s.announce(&mut r, p("1.0.0.0/8"), attrs(&[65001, 65001]), 1);
+        let routes = snapshot_routes(&r);
+        assert_eq!(routes.len(), 1, "a re-announcement replaces");
+        assert_eq!(routes[0].2.as_path.decision_len(), 2);
+        assert_eq!(
+            routes[0].2.local_pref,
+            Some(PeerKind::PrivatePeer.default_local_pref()),
+            "post-policy attributes"
+        );
+        s.withdraw(&mut r, [p("1.0.0.0/8")], 2);
+        assert!(snapshot_routes(&r).is_empty());
+        assert!(r.rib_store().is_empty(), "all attrs released");
+    }
+
+    #[test]
+    fn adj_rib_in_clear_drains_everything() {
+        let mut r = router();
+        let mut s = wire_peer(&mut r, 1, 65001, PeerKind::PrivatePeer, 11);
+        s.announce(&mut r, p("1.0.0.0/8"), attrs(&[65001]), 1);
+        s.announce(&mut r, p("2.0.0.0/8"), attrs(&[65001]), 1);
+        assert_eq!(snapshot_routes(&r).len(), 2);
+        s.shutdown(&mut r, 2);
+        assert!(snapshot_routes(&r).is_empty());
+        assert!(r.rib_store().is_empty());
     }
 
     #[test]

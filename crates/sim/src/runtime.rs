@@ -52,6 +52,11 @@ use crate::traffic_order::TrafficOrder;
 /// measurement work like production's heavy-hitter focus.
 const MEASURE_TOP_K: usize = 150;
 
+/// Routes announced between two hand-offs of the router's BMP backlog to
+/// the collector during the initial table load (small in unit tests, so
+/// their few-hundred-prefix worlds stream in many batches).
+const BMP_BATCH: usize = if cfg!(test) { 64 } else { 4096 };
+
 /// An sFlow loss spike at or above this drop fraction starves the
 /// estimator outright: the controller keeps its last estimate and its
 /// traffic-input age starts growing. Below it, the collector still gets
@@ -143,9 +148,10 @@ pub struct PopRuntime {
     /// [`ann_store`](Self::ann_store)), replayed when a failed peer's
     /// session is re-established.
     announcements: HashMap<PeerId, Vec<(Prefix, ef_bgp::attrstore::AttrId)>>,
-    /// Interned attribute pool for the replay table: route sets share a
-    /// handful of distinct attribute patterns, so the full-table replay
-    /// state stays a few pointers per prefix instead of a deep clone.
+    /// Interned attribute pool for the replay table, one copy per distinct
+    /// pre-policy set (about one per three routes in the generated worlds:
+    /// 114 978 sets for 381 342 routes on the `fulltable` benchmark), so
+    /// the replay state per route is a prefix and a handle.
     ann_store: ef_bgp::attrstore::AttrStore,
     /// Controller construction facts, for rebuilding after a crash.
     controller_enabled: bool,
@@ -230,36 +236,12 @@ impl PopRuntime {
             router.originate(*prefix);
         }
 
-        // Announce the deployment's route set over the real sessions,
-        // remembering each peer's announcements so a failed session can be
-        // replayed on recovery.
-        let mut announcements: HashMap<PeerId, Vec<(Prefix, ef_bgp::attrstore::AttrId)>> =
-            HashMap::new();
-        let mut ann_store = ef_bgp::attrstore::AttrStore::new();
-        for spec in deployment.routes_at(pop_id) {
-            let prefix = deployment.universe.prefixes[spec.prefix_idx as usize].prefix;
-            let attrs = PathAttributes {
-                as_path: AsPath::sequence(spec.as_path.iter().copied()),
-                med: spec.med,
-                ..Default::default()
-            };
-            if let Some(stub) = stubs.get_mut(&spec.via) {
-                stub.announce(&mut router, prefix, attrs.clone(), 0);
-                announcements
-                    .entry(spec.via)
-                    .or_default()
-                    .push((prefix, ann_store.intern(&attrs)));
-            }
-        }
-        // The bulk load above appended route chunks in arrival order;
-        // re-lay the pool out prefix-sorted once so the epoch loop scans
-        // the Loc-RIB with locality.
-        router.compact_rib();
-
-        // Controller, fed by the router's BMP feed.
+        // Controller, fed by the router's BMP feed. It is attached once the
+        // sessions are up (its collector learns each peer's egress from
+        // them) and before the table load, so the load below can stream.
         let mut controller_cfg = cfg.controller;
         controller_cfg.epoch_secs = cfg.epoch_secs;
-        let controller = cfg.controller_enabled.then(|| {
+        let mut controller = cfg.controller_enabled.then(|| {
             let interfaces: InterfaceMap = pop
                 .interfaces
                 .iter()
@@ -275,11 +257,50 @@ impl PopRuntime {
                 .collect();
             let mut ctl = PopController::new(pop_id.0, controller_cfg, interfaces, &mut router);
             ctl.set_telemetry(cfg.telemetry.clone());
-            ctl.ingest_bmp(router.drain_bmp());
             ctl
         });
-        // Baseline runs drop the BMP backlog (nothing consumes it).
-        router.drain_bmp();
+        // Hands the router's BMP backlog to the controller, in order; the
+        // baseline arm drops it (nothing consumes it).
+        let mut feed = |router: &mut BgpRouter| {
+            let backlog = router.drain_bmp();
+            if let Some(ctl) = controller.as_mut() {
+                ctl.ingest_bmp(backlog);
+            }
+        };
+
+        // Announce the deployment's route set over the real sessions,
+        // remembering each peer's announcements so a failed session can be
+        // replayed on recovery. Every announcement queues one BMP message
+        // carrying its attributes; streaming them to the collector every
+        // `BMP_BATCH` routes keeps that queue bounded instead of a second
+        // copy of the whole table.
+        let mut announcements: HashMap<PeerId, Vec<(Prefix, ef_bgp::attrstore::AttrId)>> =
+            HashMap::new();
+        let mut ann_store = ef_bgp::attrstore::AttrStore::new();
+        for (i, spec) in deployment.routes_at(pop_id).iter().enumerate() {
+            let prefix = deployment.universe.prefixes[spec.prefix_idx as usize].prefix;
+            let attrs = PathAttributes {
+                as_path: AsPath::sequence(spec.as_path.iter().copied()),
+                med: spec.med,
+                ..Default::default()
+            };
+            if let Some(stub) = stubs.get_mut(&spec.via) {
+                let id = ann_store.intern(&attrs);
+                stub.announce(&mut router, prefix, attrs, 0);
+                announcements
+                    .entry(spec.via)
+                    .or_default()
+                    .push((prefix, id));
+            }
+            if i % BMP_BATCH == BMP_BATCH - 1 {
+                feed(&mut router);
+            }
+        }
+        feed(&mut router);
+        // The bulk load above appended route chunks in arrival order;
+        // re-lay the pool out prefix-sorted once so the epoch loop scans
+        // the Loc-RIB with locality.
+        router.compact_rib();
 
         let (sampler, estimator) = if cfg.sampled_rates {
             (
@@ -656,14 +677,14 @@ impl PopRuntime {
             std::net::Ipv4Addr::new(10, 210, (conn.peer.0 >> 8) as u8, conn.peer.0 as u8),
         );
         stub.pump(&mut self.router, now_ms);
-        for (prefix, id) in self
-            .announcements
-            .get(&conn.peer)
-            .cloned()
-            .unwrap_or_default()
-        {
-            let attrs = self.ann_store.attrs(id).clone();
-            stub.announce(&mut self.router, prefix, attrs, now_ms);
+        let Self {
+            announcements,
+            ann_store,
+            router,
+            ..
+        } = self;
+        for (prefix, id) in announcements.get(&conn.peer).into_iter().flatten() {
+            stub.announce(router, *prefix, ann_store.attrs(*id).clone(), now_ms);
         }
         self.stubs.insert(conn.peer, stub);
     }
@@ -1264,5 +1285,58 @@ impl PopRuntime {
                 });
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ef_bgp::route::Route;
+
+    fn built(controller_enabled: bool) -> PopRuntime {
+        let cfg = crate::scenario()
+            .small_topology(7)
+            .controller_enabled(controller_enabled)
+            .build();
+        let deployment = ef_topology::generate(&cfg.gen);
+        PopRuntime::build(&deployment, deployment.pops[0].id, &cfg)
+    }
+
+    #[test]
+    fn streamed_table_load_leaves_collector_equal_to_loc_rib() {
+        let mut pop = built(true);
+        assert!(pop.router.rib_route_count() > 4 * BMP_BATCH, "many batches");
+        let ctl = pop.controller.as_ref().expect("controller enabled");
+        let collector = ctl.collector();
+        for (prefix, recs) in pop.router.iter_candidates() {
+            let want: Vec<Route> = recs
+                .iter()
+                .filter(|r| !r.is_override())
+                .map(|r| pop.router.rib_route(*prefix, r))
+                .collect();
+            let got: Vec<Route> = collector
+                .candidates(prefix)
+                .iter()
+                .filter(|r| !r.is_override())
+                .map(|r| collector.route(*prefix, r))
+                .collect();
+            assert_eq!(got, want, "{prefix}");
+        }
+        assert_eq!(
+            collector.prefix_count(),
+            pop.router.iter_candidates().count()
+        );
+        assert!(
+            pop.router.drain_bmp().is_empty(),
+            "the whole feed was handed over"
+        );
+    }
+
+    #[test]
+    fn baseline_build_leaves_no_bmp_backlog() {
+        let mut pop = built(false);
+        assert!(pop.controller.is_none());
+        assert!(pop.router.rib_route_count() > 0);
+        assert!(pop.router.drain_bmp().is_empty());
     }
 }
