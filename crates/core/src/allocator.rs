@@ -50,10 +50,11 @@ pub struct AllocationOutcome {
     /// capacity detours computed this epoch).
     pub overrides: OverrideSet,
     /// Interfaces that were projected over the limit, with their projected
-    /// utilization, sorted worst-first.
+    /// utilization, sorted worst-first (ties by egress id).
     pub overloaded_before: Vec<(EgressId, f64)>,
     /// Interfaces still over the limit after allocation (shed everything
-    /// movable and it wasn't enough), with residual utilization.
+    /// movable and it wasn't enough), with residual utilization, sorted
+    /// worst-first (ties by egress id) like `overloaded_before`.
     pub residual_overloaded: Vec<(EgressId, f64)>,
     /// Post-allocation predicted load per interface, Mbps.
     pub post_load: HashMap<EgressId, f64>,
@@ -201,15 +202,20 @@ pub fn allocate<T: TrafficView + ?Sized>(
         }
     }
 
-    // Overloaded interfaces, worst first.
-    let mut overloaded: Vec<(EgressId, f64)> = interfaces
-        .keys()
-        .filter_map(|e| {
-            let u = util_of(*e, &load);
-            (u > cfg.util_limit).then_some((*e, u))
-        })
-        .collect();
-    overloaded.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+    // Interfaces over the limit with their utilization, worst first (ties
+    // by egress id), so the order never depends on the map's hash seed.
+    let overloaded_worst_first = |load: &HashMap<EgressId, f64>| {
+        let mut over: Vec<(EgressId, f64)> = interfaces
+            .keys()
+            .filter_map(|e| {
+                let u = util_of(*e, load);
+                (u > cfg.util_limit).then_some((*e, u))
+            })
+            .collect();
+        over.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        over
+    };
+    let overloaded = overloaded_worst_first(&load);
     let overloaded_before = overloaded.clone();
 
     // Safety budgets. The projection already summed all presented demand
@@ -222,45 +228,37 @@ pub fn allocate<T: TrafficView + ?Sized>(
     };
     let mut capacity_detoured = 0.0f64;
 
-    // Victim candidates grouped by projected egress, built once: scanning
-    // the full assignment again for every overloaded interface is quadratic
-    // at scale. The override-ownership filter stays per-interface below
-    // (the set grows as earlier hot interfaces shed), so only the
-    // loop-invariant demand filter is applied here. Ordering is irrelevant:
-    // every strategy sort below uses a total key.
-    let mut victims_by_egress: HashMap<EgressId, Vec<(Prefix, f64)>> = HashMap::new();
+    // Victim candidates of the overloaded interfaces only, slot `i` for
+    // `overloaded[i]`, built in one scan of the assignment: scanning it
+    // again per hot interface is quadratic at scale, and grouping every
+    // routed prefix costs a push per prefix when a few hundred get tried.
+    // The override-ownership filter stays per-interface below (the set
+    // grows as earlier hot interfaces shed). Ordering is irrelevant: every
+    // strategy sort below uses a total key.
+    let mut victims_by_hot: Vec<Vec<(Prefix, f64)>> = vec![Vec::new(); overloaded.len()];
     if !overloaded.is_empty() {
         // `routed` already carries each prefix's demand (all positive), so
         // this is one linear scan with no per-prefix traffic lookups.
         for &(prefix, demand, egress) in &projection.routed {
-            victims_by_egress
-                .entry(egress)
-                .or_default()
-                .push((prefix, demand));
+            if let Some(slot) = overloaded.iter().position(|(hot, _)| *hot == egress) {
+                victims_by_hot[slot].push((prefix, demand));
+            }
         }
     }
 
-    // Ranked-candidate scratch reused across every prefix below: ranking
-    // writes pooled records into this buffer instead of allocating a fresh
-    // `Vec` per call (the old `Vec<&Route>` shape).
+    // Ranked-candidate scratch reused across every unit the worklist tries:
+    // ranking writes pooled records into this buffer instead of allocating
+    // a fresh `Vec` per call.
     let mut ranked_scratch: Vec<RouteRec> = Vec::new();
 
-    for (hot, _) in &overloaded {
+    for ((hot, _), candidates) in overloaded.iter().zip(victims_by_hot) {
         // Prefixes currently assigned to the hot interface, with demand.
-        let mut victims: Vec<(Prefix, f64)> = victims_by_egress
-            .get(hot)
-            .map(|candidates| {
-                candidates
-                    .iter()
-                    .filter(|(prefix, _)| !overrides.contains(prefix)) // perf- or hysteresis-owned
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default();
+        let mut victims: Vec<(Prefix, f64)> = candidates
+            .into_iter()
+            .filter(|(prefix, _)| !overrides.contains(prefix)) // perf- or hysteresis-owned
+            .collect();
 
-        // Order by strategy. The alternate-rank distance is the position of
-        // the first alternate route (off the hot interface) in the BGP
-        // preference ranking — 1 means "the very next choice".
+        // Order by strategy.
         match cfg.strategy {
             DetourStrategy::LargestFirst => {
                 victims.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -270,21 +268,32 @@ pub fn allocate<T: TrafficView + ?Sized>(
                 // the first off-interface alternate sits below the current
                 // best route. Prefixes whose alternate is close in
                 // preference lose the least by being detoured.
+                //
+                // Two scans of the candidates give it without ranking: the
+                // decision ladder's first key is LOCAL_PREF and its later
+                // keys only reorder routes of equal LOCAL_PREF, so the first
+                // organic route in ranked order (on or off the hot
+                // interface) has the highest LOCAL_PREF of its set.
+                let max_lp = |candidates: &[RouteRec], off: Option<EgressId>| {
+                    candidates
+                        .iter()
+                        .filter(|r| !r.is_override() && Some(r.egress) != off)
+                        .map(|r| r.effective_local_pref())
+                        .max()
+                };
                 let mut keyed: Vec<(i64, Prefix, f64)> = victims
                     .into_iter()
                     .map(|(prefix, mbps)| {
-                        routes.ranked_into(&prefix, &mut ranked_scratch);
-                        let best = ranked_scratch.iter().find(|r| !r.is_override());
-                        let alt = ranked_scratch
-                            .iter()
-                            .find(|r| !r.is_override() && r.egress != *hot);
-                        let gap = match (best, alt) {
-                            (Some(best), Some(alt)) => {
-                                i64::from(best.effective_local_pref())
-                                    - i64::from(alt.effective_local_pref())
-                            }
+                        let candidates = routes.candidates(&prefix);
+                        let gap = match (max_lp(candidates, None), max_lp(candidates, Some(*hot))) {
+                            (Some(best), Some(alt)) => i64::from(best) - i64::from(alt),
                             _ => i64::MAX,
                         };
+                        debug_assert_eq!(
+                            gap,
+                            ranked_gap(routes, &prefix, *hot, &mut ranked_scratch),
+                            "scanned preference gap of {prefix} disagrees with the ranked one"
+                        );
                         (gap, prefix, mbps)
                     })
                     .collect();
@@ -440,13 +449,7 @@ pub fn allocate<T: TrafficView + ?Sized>(
         }
     }
 
-    let residual_overloaded: Vec<(EgressId, f64)> = interfaces
-        .keys()
-        .filter_map(|e| {
-            let u = util_of(*e, &load);
-            (u > cfg.util_limit).then_some((*e, u))
-        })
-        .collect();
+    let residual_overloaded = overloaded_worst_first(&load);
 
     AllocationOutcome {
         overrides,
@@ -455,6 +458,25 @@ pub fn allocate<T: TrafficView + ?Sized>(
         post_load: load,
         capacity_detoured_mbps: capacity_detoured,
         explains,
+    }
+}
+
+/// `prefix`'s preference gap read from the ranked candidates: the debug
+/// build's reference for the two-scan gap in [`allocate`].
+fn ranked_gap(
+    routes: &RouteCollector,
+    prefix: &Prefix,
+    hot: EgressId,
+    scratch: &mut Vec<RouteRec>,
+) -> i64 {
+    routes.ranked_into(prefix, scratch);
+    let best = scratch.iter().find(|r| !r.is_override());
+    let alt = scratch.iter().find(|r| !r.is_override() && r.egress != hot);
+    match (best, alt) {
+        (Some(best), Some(alt)) => {
+            i64::from(best.effective_local_pref()) - i64::from(alt.effective_local_pref())
+        }
+        _ => i64::MAX,
     }
 }
 

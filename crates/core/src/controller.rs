@@ -54,9 +54,10 @@ pub struct EpochReport {
     /// Demand with no route at all, Mbps.
     pub unrouted_mbps: f64,
     /// Interfaces projected over the limit before mitigation
-    /// `(egress, projected utilization)`, worst first.
+    /// `(egress, projected utilization)`, worst first (ties by egress).
     pub overloaded_before: Vec<(u32, f64)>,
-    /// Interfaces still over the limit after mitigation.
+    /// Interfaces still over the limit after mitigation
+    /// `(egress, residual utilization)`, worst first (ties by egress).
     pub residual_overloaded: Vec<(u32, f64)>,
     /// Overrides active after this epoch.
     pub overrides_active: usize,

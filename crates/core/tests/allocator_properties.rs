@@ -17,7 +17,7 @@ use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::bmp::{BmpMessage, BmpPeerHeader};
 use ef_bgp::egress::{EgressPolicy, PeeringClass};
 use ef_bgp::message::UpdateMessage;
-use ef_bgp::peer::PeerId;
+use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::route::EgressId;
 use ef_net_types::{Asn, Prefix};
 use ef_telemetry::RejectReason;
@@ -25,40 +25,63 @@ use ef_telemetry::RejectReason;
 /// A randomly generated single-PoP world.
 #[derive(Debug, Clone)]
 struct World {
-    /// Per interface: (peering class, capacity).
-    interfaces: Vec<(PeeringClass, f64)>,
-    /// Per prefix: demand and the subset of interfaces announcing it.
-    prefixes: Vec<(f64, Vec<usize>)>,
+    /// Per interface: (peering class, capacity, whether its peer is the
+    /// neighbour AS every such interface shares).
+    interfaces: Vec<(PeeringClass, f64, bool)>,
+    prefixes: Vec<PrefixSpec>,
 }
 
+/// One prefix of a world: its demand, the interfaces announcing it with
+/// each route's MED, and the target of a standing override echoed back
+/// from the router, if any.
+type PrefixSpec = (f64, Vec<(usize, u32)>, Option<usize>);
+
+/// The neighbour AS shared by every interface generated with the flag set.
+/// Two such interfaces of one class carry routes of equal LOCAL_PREF whose
+/// MEDs compare, while either one's MED is ignored against a third
+/// interface of the class: the decision ladder is then not a total order.
+const SHARED_NEIGHBOUR_AS: u32 = 64999;
+
 fn world_strategy() -> impl Strategy<Value = World> {
-    // 2..6 interfaces with mixed classes, capacities, and (for transit)
-    // prices — the price spread is what the cost tiebreak acts on.
-    let iface = (0usize..4, 20.0f64..500.0, 0.1f64..4.0).prop_map(|(k, cap, price)| {
-        let class = match k {
-            0 => PeeringClass::Pni { port_cost: 2500.0 },
-            1 => PeeringClass::SettlementFree,
-            2 => PeeringClass::IxpRouteServer {
-                shared_fabric_mbps: 0.0,
+    // 2..8 interfaces with mixed classes, capacities, (for transit) prices
+    // — the price spread is what the cost tiebreak acts on — and neighbour
+    // ASes that may be shared. Each world draws its classes from 1..=4 of
+    // the four (a random rotation picks which), so several interfaces of
+    // one class, the case a shared neighbour AS matters for, are common.
+    let interfaces = (1usize..=4, 0usize..4).prop_flat_map(|(classes, rotation)| {
+        let iface = (0..classes, 20.0f64..500.0, 0.1f64..4.0, any::<bool>()).prop_map(
+            move |(k, cap, price, shared_as)| {
+                let class = match (k + rotation) % 4 {
+                    0 => PeeringClass::Pni { port_cost: 2500.0 },
+                    1 => PeeringClass::SettlementFree,
+                    2 => PeeringClass::IxpRouteServer {
+                        shared_fabric_mbps: 0.0,
+                    },
+                    _ => PeeringClass::Transit {
+                        usd_per_mbps: price,
+                    },
+                };
+                (class, cap, shared_as)
             },
-            _ => PeeringClass::Transit {
-                usd_per_mbps: price,
-            },
-        };
-        (class, cap)
+        );
+        proptest::collection::vec(iface, 2..8)
     });
-    proptest::collection::vec(iface, 2..6).prop_flat_map(|interfaces| {
+    interfaces.prop_flat_map(|interfaces| {
         let n = interfaces.len();
-        let prefix = (1.0f64..80.0, proptest::collection::vec(0..n, 1..=n));
+        let prefix = (
+            1.0f64..80.0,
+            proptest::collection::vec((0..n, 0u32..3), 1..=n),
+            proptest::option::of(0..n),
+        );
         (Just(interfaces), proptest::collection::vec(prefix, 1..25)).prop_map(
             |(interfaces, prefixes)| World {
                 interfaces,
                 prefixes: prefixes
                     .into_iter()
-                    .map(|(d, mut vias)| {
-                        vias.sort_unstable();
-                        vias.dedup();
-                        (d, vias)
+                    .map(|(d, mut vias, standing)| {
+                        vias.sort_unstable_by_key(|(via, _)| *via);
+                        vias.dedup_by_key(|(via, _)| *via);
+                        (d, vias, standing)
                     })
                     .collect(),
             },
@@ -73,28 +96,50 @@ fn materialize(world: &World) -> (RouteCollector, InterfaceMap, HashMap<Prefix, 
         .collect();
     let mut collector = RouteCollector::new(peer_egress);
     let mut traffic = HashMap::new();
-    for (pi, (demand, vias)) in world.prefixes.iter().enumerate() {
+    let route = |peer: PeerId, asn: Asn, prefix: Prefix, attrs: PathAttributes| {
+        BmpMessage::RouteMonitoring {
+            peer: BmpPeerHeader {
+                peer,
+                peer_asn: asn,
+                peer_bgp_id: "10.0.0.1".parse().unwrap(),
+                timestamp_ms: 0,
+            },
+            update: UpdateMessage::announce(prefix, attrs),
+        }
+    };
+    for (pi, (demand, vias, standing)) in world.prefixes.iter().enumerate() {
         let prefix = Prefix::V4 {
             addr: 0x1400_0000 + (pi as u32) * 256,
             len: 24,
         };
-        for via in vias {
-            let kind = world.interfaces[*via].0.kind();
+        for &(via, med) in vias {
+            let (class, _, shared_as) = world.interfaces[via];
+            let kind = class.kind();
+            let asn = Asn(if shared_as {
+                SHARED_NEIGHBOUR_AS
+            } else {
+                65000 + via as u32
+            });
             let mut attrs = PathAttributes {
                 local_pref: Some(kind.default_local_pref()),
-                as_path: AsPath::sequence([Asn(65000 + *via as u32)]),
+                as_path: AsPath::sequence([asn]),
+                med: Some(med),
                 ..Default::default()
             };
             attrs.add_community(kind.tag_community());
-            collector.ingest([BmpMessage::RouteMonitoring {
-                peer: BmpPeerHeader {
-                    peer: PeerId(*via as u64),
-                    peer_asn: Asn(65000 + *via as u32),
-                    peer_bgp_id: "10.0.0.1".parse().unwrap(),
-                    timestamp_ms: 0,
-                },
-                update: UpdateMessage::announce(prefix, attrs),
-            }]);
+            collector.ingest([route(PeerId(via as u64), asn, prefix, attrs)]);
+        }
+        // A standing override, as the controller sees its own route echoed
+        // back: the allocator must look past it to the organic routes.
+        if let Some(target) = standing {
+            let kind = PeerKind::Controller;
+            let mut attrs = PathAttributes {
+                local_pref: Some(kind.default_local_pref()),
+                next_hop: Some(EgressId(*target as u32).to_next_hop().unwrap()),
+                ..Default::default()
+            };
+            attrs.add_community(kind.tag_community());
+            collector.ingest([route(PeerId(1000), Asn::LOCAL, prefix, attrs)]);
         }
         traffic.insert(prefix, *demand);
     }
@@ -102,7 +147,7 @@ fn materialize(world: &World) -> (RouteCollector, InterfaceMap, HashMap<Prefix, 
         .interfaces
         .iter()
         .enumerate()
-        .map(|(i, (class, cap))| {
+        .map(|(i, (class, cap, _))| {
             (
                 EgressId(i as u32),
                 InterfaceInfo {
@@ -164,7 +209,7 @@ proptest! {
         for o in out.overrides.iter_sorted() {
             let candidates = collector.candidates(&o.prefix);
             prop_assert!(
-                candidates.iter().any(|r| r.egress == o.target),
+                candidates.iter().any(|r| !r.is_override() && r.egress == o.target),
                 "override to nonexistent route"
             );
             let preferred = projection.assigned_egress(&o.prefix);
@@ -248,7 +293,7 @@ proptest! {
     #[test]
     fn cost_aware_is_noop_under_uniform_prices(world in world_strategy()) {
         let mut world = world;
-        for (class, _) in &mut world.interfaces {
+        for (class, ..) in &mut world.interfaces {
             if let PeeringClass::Transit { usd_per_mbps } = class {
                 *usd_per_mbps = 1.0;
             }
@@ -263,15 +308,21 @@ proptest! {
         prop_assert_eq!(blind.capacity_detoured_mbps, aware.capacity_detoured_mbps);
     }
 
-    /// Determinism: identical inputs produce identical outcomes.
+    /// Determinism: identical inputs produce identical outcomes, even when
+    /// they arrive in maps built separately (fresh maps draw fresh hash
+    /// seeds, so nothing may come out in hash order).
     #[test]
     fn allocation_is_deterministic(world in world_strategy()) {
-        let (collector, interfaces, traffic) = materialize(&world);
         let cfg = ControllerConfig::default();
-        let projection = project(&collector, &traffic);
-        let a = allocate(&cfg, &interfaces, &collector, &traffic, &projection, &OverrideSet::new(), &OverrideSet::new());
-        let b = allocate(&cfg, &interfaces, &collector, &traffic, &projection, &OverrideSet::new(), &OverrideSet::new());
+        let run = || {
+            let (collector, interfaces, traffic) = materialize(&world);
+            let projection = project(&collector, &traffic);
+            allocate(&cfg, &interfaces, &collector, &traffic, &projection, &OverrideSet::new(), &OverrideSet::new())
+        };
+        let (a, b) = (run(), run());
         prop_assert_eq!(a.overrides, b.overrides);
         prop_assert_eq!(a.capacity_detoured_mbps, b.capacity_detoured_mbps);
+        prop_assert_eq!(a.overloaded_before, b.overloaded_before);
+        prop_assert_eq!(a.residual_overloaded, b.residual_overloaded);
     }
 }

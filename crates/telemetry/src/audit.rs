@@ -23,7 +23,9 @@
 
 use std::collections::HashSet;
 
+use ef_bgp::attrstore::RouteRec;
 use ef_bgp::decision;
+use ef_bgp::peer::PeerKind;
 use ef_bgp::route::EgressId;
 use ef_bgp::router::BgpRouter;
 use ef_net_types::Prefix;
@@ -112,8 +114,8 @@ impl AuditOutcome {
 /// Audits the router's override state against what the controller believes
 /// it has announced (`expected`, at most one entry per prefix) and what it
 /// withdrew this epoch (`withdrawn`, re-checked explicitly even though the
-/// full leak scan subsumes it — a withdrawal that left a FIB entry behind
-/// is the likeliest bug).
+/// leak scan subsumes it — a withdrawal that left a FIB entry behind is the
+/// likeliest bug).
 pub fn audit_overrides(
     router: &BgpRouter,
     expected: &[(Prefix, EgressId)],
@@ -156,20 +158,31 @@ pub fn audit_overrides(
         }
     }
 
-    // Leak scan: any controller-sourced route for an unclaimed prefix.
+    // Leak scan: any controller-sourced route for an unclaimed prefix. A
+    // controller route is a controller peer's Loc-RIB candidate, and a
+    // peer's Adj-RIB-In is exactly its set of candidates, so those sets
+    // name every prefix to look at: the scan costs O(overrides), not
+    // O(RIB).
     let claimed: HashSet<Prefix> = expected.iter().map(|(p, _)| *p).collect();
-    for (prefix, candidates) in router.iter_candidates() {
-        if claimed.contains(prefix) {
-            continue;
-        }
-        if let Some(route) = candidates.iter().find(|r| r.is_override()) {
-            outcome.leaked.push(AuditFinding {
-                prefix: prefix.to_string(),
-                expected_egress: None,
-                found_egress: Some(route.egress.0),
-                detail: "controller route present for unclaimed prefix".to_string(),
-            });
-        }
+    let mut leaks: Vec<(Prefix, EgressId)> = router
+        .adj_rib_in_of_kind(PeerKind::Controller)
+        .filter(|prefix| !claimed.contains(prefix))
+        .filter_map(|prefix| Some((*prefix, first_override(router.candidates(prefix))?)))
+        .collect();
+    leaks.sort_unstable();
+    leaks.dedup();
+    debug_assert_eq!(
+        leaks,
+        leaks_by_full_walk(router, &claimed),
+        "the controller peers' Adj-RIB-In diverged from the Loc-RIB's controller routes"
+    );
+    for (prefix, egress) in leaks {
+        outcome.leaked.push(AuditFinding {
+            prefix: prefix.to_string(),
+            expected_egress: None,
+            found_egress: Some(egress.0),
+            detail: "controller route present for unclaimed prefix".to_string(),
+        });
     }
     // Withdrawn-this-epoch FIB check (catches a FIB that kept a dead route).
     for prefix in withdrawn {
@@ -196,6 +209,26 @@ pub fn audit_overrides(
         .sort_by(|a, b| a.prefix.cmp(&b.prefix));
     outcome.leaked.sort_by(|a, b| a.prefix.cmp(&b.prefix));
     outcome
+}
+
+/// The egress of the first controller route among a prefix's candidates.
+fn first_override(candidates: &[RouteRec]) -> Option<EgressId> {
+    candidates
+        .iter()
+        .find(|r| r.is_override())
+        .map(|r| r.egress)
+}
+
+/// The leak scan as a walk over every Loc-RIB candidate: the reference the
+/// indexed scan is checked against in debug builds.
+fn leaks_by_full_walk(router: &BgpRouter, claimed: &HashSet<Prefix>) -> Vec<(Prefix, EgressId)> {
+    let mut leaks: Vec<(Prefix, EgressId)> = router
+        .iter_candidates()
+        .filter(|(prefix, _)| !claimed.contains(prefix))
+        .filter_map(|(prefix, candidates)| Some((*prefix, first_override(candidates)?)))
+        .collect();
+    leaks.sort_unstable();
+    leaks
 }
 
 #[cfg(test)]
