@@ -70,7 +70,9 @@ pub fn cdf_points(values: &[f64], n: usize) -> Vec<(f64, f64)> {
     out
 }
 
-/// The `p`-th percentile (0–100) of `values` (nearest-rank).
+/// The `p`-th percentile (0–100) of `values`: the sorted element at index
+/// `round(p / 100 · (n − 1))`, without interpolation. This is not
+/// nearest-rank: P50 of `1..=100` is 51 here, 50 under nearest-rank.
 pub fn percentile(values: &[f64], p: f64) -> f64 {
     assert!(!values.is_empty(), "percentile of empty slice");
     let mut v = values.to_vec();

@@ -1,12 +1,13 @@
-//! The paper's own evaluation — Table 1, Figs. 2–12, Table 2 (E1–E13) —
-//! as one table-driven run.
+//! Every experiment — the paper's own evaluation (Table 1, Figs. 2–12,
+//! Table 2: E1–E13) and the extensions E14–E21 — as one table-driven run.
 //!
 //! [`run`] simulates the shared one-day campaign once, in process (a coarse
 //! probe to pick the interfaces worth a full time series, then the baseline
 //! BGP arm and the Edge Fabric arm on the same deployment), and evaluates
-//! the table in `items` over it. Every item yields one [`Verdict`] whose
+//! the table in `items` over it; items that need a world of their own build
+//! it with `Campaign::sub_world`. Every item yields one [`Verdict`] whose
 //! `bound` lists the thresholds the reproduction asserts;
-//! [`render_markdown`] turns the verdicts into the E1–E13 table of
+//! [`render_markdown`] turns the verdicts into the verdict table of
 //! EXPERIMENTS.md, so the document is generated from the same numbers the
 //! bounds were checked on.
 
@@ -18,12 +19,13 @@ use ef_topology::{generate, Deployment, GenConfig};
 
 use crate::output::workspace_root;
 
+mod extensions;
 mod items;
 
 /// One row of the paper-vs-measured table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Verdict {
-    /// Experiment id, `E1`…`E13`.
+    /// Experiment id, `E1`…`E21`.
     pub id: String,
     /// The table, figure or section of the paper the row reproduces.
     pub paper_item: String,
@@ -37,7 +39,8 @@ pub struct Verdict {
     pub pass: bool,
 }
 
-/// The per-figure row dumps (CDF points, per-PoP rows), keyed by item id.
+/// The per-figure row dumps (CDF points, per-PoP rows, per-arm results),
+/// keyed by item id.
 pub struct Series(Vec<(&'static str, Value)>);
 
 impl Serialize for Series {
@@ -119,19 +122,17 @@ impl Campaign {
         }
     }
 
-    /// A smaller world for the items that run their own scenario: the given
-    /// shape, clamped so it never exceeds the campaign's world or day. At
-    /// paper scale the clamp is the identity.
-    fn sub_world(
-        &self,
-        n_pops: usize,
-        n_ases: usize,
-        n_prefixes: usize,
-        total_avg_gbps: f64,
-        hours: u64,
-    ) -> ScenarioBuilder {
+    /// The world of an item that runs its own scenario: `size`,
+    /// `duration_secs` long, in epochs of `epoch_secs` (the campaign's when
+    /// `None`), with the campaign's telemetry attached. The shape is
+    /// clamped so it never exceeds the campaign's world nor runs more
+    /// epochs than the campaign; at paper scale the clamp is the identity.
+    fn sub_world(&self, size: Size, duration_secs: u64, epoch_secs: Option<u64>) -> SubWorld {
         let gen = &self.cfg.gen;
-        scenario()
+        let (n_pops, n_ases, n_prefixes, total_avg_gbps) = size;
+        let epoch_secs = epoch_secs.unwrap_or(self.cfg.epoch_secs);
+        let epochs = (duration_secs / epoch_secs).min(self.cfg.epochs());
+        let cfg = scenario()
             .topology(GenConfig {
                 n_pops: n_pops.min(gen.n_pops),
                 n_ases: n_ases.min(gen.n_ases),
@@ -139,8 +140,38 @@ impl Campaign {
                 total_avg_gbps: total_avg_gbps.min(gen.total_avg_gbps),
                 ..gen.clone()
             })
-            .duration_secs((hours * 3600).min(self.cfg.duration_secs))
-            .epoch_secs(self.cfg.epoch_secs)
+            .duration_secs(epochs * epoch_secs)
+            .epoch_secs(epoch_secs)
+            .telemetry(self.cfg.telemetry.clone())
+            .build();
+        SubWorld {
+            cfg,
+            requested_secs: duration_secs,
+        }
+    }
+}
+
+/// A world's size: (PoPs, eyeball ASes, prefixes, average demand in Gbps).
+type Size = (usize, usize, usize, f64);
+
+/// An item's own world (see [`Campaign::sub_world`]).
+struct SubWorld {
+    /// The clamped scenario.
+    cfg: SimConfig,
+    /// The duration the item asked for, before the clamp.
+    requested_secs: u64,
+}
+
+impl SubWorld {
+    /// A builder to derive the item's arms from.
+    fn builder(&self) -> ScenarioBuilder {
+        ScenarioBuilder::from_config(self.cfg.clone())
+    }
+
+    /// A time written against the requested duration, scaled to the
+    /// clamped one (unchanged when nothing was clamped).
+    fn at(&self, secs: u64) -> u64 {
+        secs * self.cfg.duration_secs / self.requested_secs
     }
 }
 
@@ -167,7 +198,7 @@ pub fn run(cfg: SimConfig) -> (Vec<Verdict>, Series) {
     evaluate(&Campaign::run(cfg))
 }
 
-/// Evaluates the thirteen items over `campaign`, in table order.
+/// Evaluates every item over `campaign`, in table order.
 pub fn evaluate(campaign: &Campaign) -> (Vec<Verdict>, Series) {
     let mut series = Vec::new();
     let verdicts = items::ITEMS
@@ -203,7 +234,7 @@ const BEGIN_MARK: &str =
     "<!-- BEGIN exp_paper verdicts: generated from results/paper_verdicts.json, do not edit -->\n";
 const END_MARK: &str = "<!-- END exp_paper verdicts -->";
 
-/// The E1–E13 table of EXPERIMENTS.md: everything between the two marker
+/// The verdict table of EXPERIMENTS.md: everything between the two marker
 /// comments, blank lines included.
 pub fn render_markdown(verdicts: &[Verdict]) -> String {
     let mut out = String::from(

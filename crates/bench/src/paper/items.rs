@@ -1,5 +1,6 @@
-//! The thirteen items of the paper's evaluation: what each measures over
-//! the [`Campaign`] (or its own smaller world) and the bounds it asserts.
+//! The verdict table — the paper's thirteen items and the eight extensions
+//! — and the paper's items: what each measures over the [`Campaign`] (or
+//! its own smaller world) and the bounds it asserts.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -18,11 +19,11 @@ use ef_topology::stats::{pop_summaries, route_diversity};
 use ef_topology::{generate, Deployment, PopId};
 use ef_traffic::demand::DemandPoint;
 
-use super::{Campaign, Item, ItemResult};
+use super::{extensions, Campaign, Item, ItemResult};
 use crate::output::{cdf_points, percentile};
 
-/// The thirteen items, in table order.
-pub(super) const ITEMS: [Item; 13] = [
+/// Every item, in table order.
+pub(super) const ITEMS: [Item; 21] = [
     Item {
         id: "E1",
         paper_item: "Table 1 — PoP interconnectivity",
@@ -100,6 +101,54 @@ pub(super) const ITEMS: [Item; 13] = [
         paper_item: "§6.2 — performance-aware steering",
         target: "the ≥20 ms tail moves to its faster alternate, no new congestion",
         eval: e13_perf_aware,
+    },
+    Item {
+        id: "E14",
+        paper_item: "§7 future work — global user→PoP shifting",
+        target: "a PoP whose total egress is below its peak demand cannot be saved by per-PoP EF; shifting users to sibling PoPs must engage and at least halve its drops",
+        eval: extensions::e14_global_shift,
+    },
+    Item {
+        id: "E15",
+        paper_item: "§4.4 — fail-static under injected faults",
+        target: "sudden capacity loss mitigated within 2 epochs; a stalled BMP feed never grows the override set and fail-open empties it; controller crash and injector loss revert to plain BGP; overrides return to the fault-free state; same-seed reruns byte-identical",
+        eval: extensions::e15_fault_matrix,
+    },
+    Item {
+        id: "E16",
+        paper_item: "§4.4 / RFC 7606 — bounded recovery",
+        target: "after a fault clears, the faulted PoP is back on the fault-free reference (override count, detoured and dropped volume, interface loads) within 2 epochs for input faults and 3 for crash and session faults; every session re-established; reruns byte-identical",
+        eval: extensions::e16_recovery,
+    },
+    Item {
+        id: "E17",
+        paper_item: "RFC 2918 / RFC 7313 — refresh instead of reset",
+        target: "a treat-as-withdraw burst heals in place over a governed ROUTE-REFRESH within 1 epoch of the window clearing, partial injection loss within 2, both with zero session resets; reruns byte-identical",
+        eval: extensions::e17_refresh,
+    },
+    Item {
+        id: "E18",
+        paper_item: "§7 future work — DNS vs. anycast steering",
+        target: "under a regional blackout plus flash crowd both mechanisms cut total drops ≥10× vs. per-PoP EF alone; anycast's whole-population cutover drains the victim faster than TTL-paced DNS",
+        eval: extensions::e18_global_steering,
+    },
+    Item {
+        id: "E19",
+        paper_item: "§4.4 — external health detection",
+        target: "every injectable fault kind raises an expected alert at the faulted PoP within 2 epochs of onset; a calm run raises none; results identical with the health tier on or off",
+        eval: extensions::e19_health_detection,
+    },
+    Item {
+        id: "E20",
+        paper_item: "§5 fail-safe at the global layer — split-brain-safe steering",
+        target: "when the tier's own inputs break it degrades, never amplifies: each global fault's guard engages within 1 epoch, placements drain within ceil(1/decay) + TTL + hold-down + 2 epochs of the incident's end, and no guarded arm drops more than EF alone",
+        eval: extensions::e20_global_faults,
+    },
+    Item {
+        id: "E21",
+        paper_item: "interconnection economics (cf. Paid Peering, Settlement-Free Peering, or Both?) — 95/5 billing",
+        target: "over a compressed billing month with the incumbent transit priced highest, cost-aware EF saves ≥15 % of transit spend at no higher drop rate; de-peering costs both arms a premium, the cost-aware arm less; an IXP fabric squeeze stays survivable; the top 5 % of 5-minute samples bill free",
+        eval: extensions::e21_cost_billing,
     },
 ];
 
@@ -491,7 +540,8 @@ fn e9_override_churn(c: &Campaign) -> Option<ItemResult> {
         .into_iter()
         .map(|hysteresis| {
             let mut engine = c
-                .sub_world(8, 200, 1200, 3000.0, 6)
+                .sub_world((8, 200, 1200, 3000.0), 6 * 3600, None)
+                .builder()
                 .tune_controller(|cc| cc.withdraw_hysteresis = hysteresis)
                 .engine();
             engine.run();
@@ -533,7 +583,8 @@ fn e9_override_churn(c: &Campaign) -> Option<ItemResult> {
 fn e10_altpath_rtt(c: &Campaign) -> Option<ItemResult> {
     // 4 h measurement-only scenario over 10 PoPs.
     let mut engine = c
-        .sub_world(10, 250, 1500, 4000.0, 4)
+        .sub_world((10, 250, 1500, 4000.0), 4 * 3600, None)
+        .builder()
         .perf(PerfSimConfig {
             slice_fraction: 0.005,
             steer: false,
@@ -836,10 +887,10 @@ fn steering_arm(world: ScenarioBuilder, steer: bool, deployment: &Deployment) ->
 
 fn e13_perf_aware(c: &Campaign) -> Option<ItemResult> {
     // 2 h over 6 PoPs, both arms on the same deployment.
-    let world = c.sub_world(6, 150, 900, 2000.0, 2);
-    let deployment = generate(&world.clone().build().gen);
-    let measure_only = steering_arm(world.clone(), false, &deployment);
-    let steering = steering_arm(world, true, &deployment);
+    let world = c.sub_world((6, 150, 900, 2000.0), 2 * 3600, None);
+    let deployment = generate(&world.cfg.gen);
+    let measure_only = steering_arm(world.builder(), false, &deployment);
+    let steering = steering_arm(world.builder(), true, &deployment);
     Some(ItemResult {
         measured: format!(
             "{}/{} measured tail prefixes egress via their fastest path under steering ({}/{} \

@@ -13,8 +13,8 @@
 //! [`generator`] that samples schedules deterministically.
 //!
 //! The schedule is pure data — `ef-sim` interprets it (applying active
-//! faults to routers, feeds, and controllers each tick), and the
-//! `exp_fault_matrix` experiment sweeps it EF-on vs EF-off.
+//! faults to routers, feeds, and controllers each tick), and `exp_paper`'s
+//! items E15–E21 drive it (E15 sweeps it EF-on vs EF-off).
 
 pub mod generator;
 pub mod schedule;
