@@ -1,6 +1,7 @@
 //! Microbenchmark regression gates for the perf-smoke CI job: FIB
 //! longest-prefix match, the BGP decision ladder, the warm projection, the
-//! override audit and the allocator on one hot interface.
+//! override audit, the allocator on one hot interface and the batched
+//! full-table load.
 //!
 //! The criterion benches (`benches/lpm.rs`, `benches/decision.rs`) produce
 //! the detailed curves; this binary distills the hot-path numbers into
@@ -29,7 +30,7 @@ use edge_fabric::state::{InterfaceInfo, InterfaceMap, TrafficTable};
 use edge_fabric::{Override, OverrideReason, OverrideSet};
 use ef_bench::{results_dir, write_json};
 use ef_bgp::attrs::{AsPath, PathAttributes};
-use ef_bgp::attrstore::{AttrStore, RouteRec};
+use ef_bgp::attrstore::{AttrId, AttrStore, RouteRec};
 use ef_bgp::bmp::{BmpMessage, BmpPeerHeader};
 use ef_bgp::decision::{best_rec, rank_recs_into};
 use ef_bgp::egress::EgressSpec;
@@ -84,6 +85,10 @@ struct MicroReport {
     /// dominate it, so ranking every victim and grouping every routed
     /// prefix again read only about 1.3x.
     allocate_hot_us: f64,
+    /// `PeerStub::announce_table` of 60 000 prefixes from each of 6 peers
+    /// into a fresh router, three routes per attribute set, ns per route.
+    /// Announcing route by route over the session reads about 3x.
+    table_load_ns_per_route: f64,
 }
 
 fn table_prefix(i: u32) -> Prefix {
@@ -361,6 +366,78 @@ fn allocate_hot_secs() -> f64 {
     median_call_secs(run)
 }
 
+/// Peer `i` of the table-load row: `(id, ASN, kind)`, the kinds
+/// alternating private and transit.
+fn table_load_peer(i: u32) -> (PeerId, Asn, PeerKind) {
+    let kind = [PeerKind::PrivatePeer, PeerKind::Transit][i as usize % 2];
+    (PeerId(u64::from(i)), Asn(65000 + i), kind)
+}
+
+/// A fresh router with the table-load row's `AUDIT_PEERS` sessions up,
+/// and their stubs.
+fn table_load_router() -> (BgpRouter, Vec<PeerStub>) {
+    let mut router = BgpRouter::new(RouterConfig {
+        name: "micro-pr".into(),
+        asn: Asn::LOCAL,
+        router_id: Ipv4Addr::new(10, 0, 0, 1),
+    });
+    let stubs = (1..=AUDIT_PEERS)
+        .map(|i| {
+            let (peer, asn, kind) = table_load_peer(i);
+            router.add_peer(PeerAttachment {
+                peer,
+                peer_asn: asn,
+                kind,
+                egress: EgressId(i),
+                policy: Policy::default_import(Asn::LOCAL, kind),
+                max_prefixes: 0,
+            });
+            let mut stub = PeerStub::new(peer, asn, Ipv4Addr::new(10, 9, 0, i as u8));
+            stub.pump(&mut router, 0);
+            stub
+        })
+        .collect();
+    (router, stubs)
+}
+
+/// Min-of-reps wall time of loading every peer's full table into a fresh
+/// router (set-up excluded), seconds. A peer announces every `TABLE_N`
+/// prefix, each sharing one attribute set with its two neighbours (about
+/// the generated worlds' sharing).
+fn table_load_secs() -> f64 {
+    let mut table = AttrStore::new();
+    let feeds: Vec<Vec<(Prefix, AttrId)>> = (1..=AUDIT_PEERS)
+        .map(|i| {
+            let (_, asn, _) = table_load_peer(i);
+            (0..TABLE_N)
+                .map(|p| {
+                    let attrs = PathAttributes {
+                        as_path: AsPath::sequence([asn, Asn(40_000 + p / 3)]),
+                        ..Default::default()
+                    };
+                    (table_prefix(p), table.intern(&attrs))
+                })
+                .collect()
+        })
+        .collect();
+    let mut best = f64::INFINITY;
+    for _ in 0..BUILD_REPS {
+        let (mut router, mut stubs) = table_load_router();
+        let start = Instant::now();
+        for (stub, feed) in stubs.iter_mut().zip(&feeds) {
+            stub.announce_table(&mut router, &table, feed.iter().copied(), 0);
+            std::hint::black_box(router.drain_bmp());
+        }
+        best = best.min(start.elapsed().as_secs_f64());
+        assert_eq!(
+            router.rib_route_count(),
+            (TABLE_N * AUDIT_PEERS) as usize,
+            "every route loads"
+        );
+    }
+    best
+}
+
 /// Min-of-reps wall time of `f`, seconds.
 fn timed(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut best = f64::INFINITY;
@@ -410,6 +487,7 @@ fn measure() -> MicroReport {
     let project = warm_projection_secs();
     let audit = audit_secs();
     let allocate_hot = allocate_hot_secs();
+    let table_load = table_load_secs();
 
     let report = MicroReport {
         trie_n: TRIE_N,
@@ -420,10 +498,12 @@ fn measure() -> MicroReport {
         project_warm_ns_per_prefix: project * 1e9 / f64::from(TABLE_N),
         audit_us: audit * 1e6,
         allocate_hot_us: allocate_hot * 1e6,
+        table_load_ns_per_route: table_load * 1e9 / f64::from(TABLE_N * AUDIT_PEERS),
     };
     println!(
         "micro: lpm {:.1} ns, build({}) {:.1} ms, best_rec {:.1} ns, rank {:.1} ns, \
-         warm project({}) {:.1} ns/prefix, audit {:.1} us, allocate (one hot) {:.1} us",
+         warm project({}) {:.1} ns/prefix, audit {:.1} us, allocate (one hot) {:.1} us, \
+         table load {:.0} ns/route",
         report.lpm_ns,
         report.trie_n,
         report.trie_build_ms,
@@ -432,7 +512,8 @@ fn measure() -> MicroReport {
         TABLE_N,
         report.project_warm_ns_per_prefix,
         report.audit_us,
-        report.allocate_hot_us
+        report.allocate_hot_us,
+        report.table_load_ns_per_route
     );
     report
 }
@@ -479,6 +560,11 @@ fn main() {
             "allocate_hot_us",
             report.allocate_hot_us,
             committed.allocate_hot_us,
+        ),
+        (
+            "table_load_ns_per_route",
+            report.table_load_ns_per_route,
+            committed.table_load_ns_per_route,
         ),
     ];
     let mut failed = false;

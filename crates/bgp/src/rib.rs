@@ -35,7 +35,7 @@ use std::collections::HashMap;
 use ef_net_types::Prefix;
 
 use crate::attrs::PathAttributes;
-use crate::attrstore::{AttrStore, RouteRec};
+use crate::attrstore::{AttrId, AttrStore, RouteRec};
 use crate::decision::{best_rec, rank_recs_into};
 use crate::peer::PeerId;
 use crate::route::{EgressId, Route, RouteSource};
@@ -161,6 +161,44 @@ impl LocRib {
         egress: EgressId,
     ) -> BestChange {
         let rec = self.store.make_rec(attrs, source, egress);
+        self.install_rec(prefix, rec)
+    }
+
+    /// Interns `attrs` and holds one reference on the set until
+    /// [`release`](Self::release): an UPDATE announcing it for many
+    /// prefixes interns once, then installs each with
+    /// [`install_held`](Self::install_held).
+    pub fn hold(&mut self, attrs: &PathAttributes) -> AttrId {
+        self.store.intern(attrs)
+    }
+
+    /// Drops the reference [`hold`](Self::hold) took.
+    pub fn release(&mut self, id: AttrId) {
+        self.store.release(id)
+    }
+
+    /// [`install_ref`](Self::install_ref) for a set this RIB already holds
+    /// (`id` from [`hold`](Self::hold)): a refcount bump, no hashing.
+    pub fn install_held(
+        &mut self,
+        prefix: Prefix,
+        id: AttrId,
+        source: RouteSource,
+        egress: EgressId,
+    ) -> BestChange {
+        self.store.retain(id);
+        let rec = RouteRec {
+            attr: id,
+            egress,
+            source,
+            key: self.store.key(id),
+        };
+        self.install_rec(prefix, rec)
+    }
+
+    /// Installs `rec`, which owns one reference on its attribute set.
+    fn install_rec(&mut self, prefix: Prefix, rec: RouteRec) -> BestChange {
+        let source = rec.source;
         let slot_id = match self.index.get(&prefix) {
             Some(&id) => id,
             None => {

@@ -16,7 +16,7 @@ use ef_net_types::{Asn, CompressedTrie, Prefix};
 
 use crate::attrstore::{AttrId, AttrStore, RouteRec};
 use crate::bmp::{BmpMessage, BmpPeerHeader};
-use crate::message::{RefreshSubtype, RouteRefreshMessage, UpdateMessage};
+use crate::message::{BgpMessage, RefreshSubtype, RouteRefreshMessage, UpdateMessage};
 use crate::peer::{PeerId, PeerKind};
 use crate::policy::{Policy, PolicyVerdict};
 use crate::rib::{BestChange, LocRib};
@@ -433,31 +433,68 @@ impl BgpRouter {
         });
     }
 
+    /// Applies UPDATEs `peer` sent, decoded, as if each had just arrived on
+    /// its established session: the entry [`PeerStub::announce_table`]
+    /// loads a full feed through, skipping only the codec round trip of
+    /// frames the stub built itself. Each goes through
+    /// [`apply_update`](Self::apply_update), the one import path. Stops if
+    /// the session is (or goes) down, as frames after a max-prefix
+    /// teardown would not be accepted either.
+    fn receive_batch(
+        &mut self,
+        peer: PeerId,
+        updates: impl IntoIterator<Item = UpdateMessage>,
+        now: Millis,
+    ) {
+        for update in updates {
+            match self.peers.get_mut(&peer) {
+                Some(state) if state.up => state.session.refresh_hold(now),
+                _ => return,
+            }
+            self.apply_update(peer, update, now);
+        }
+    }
+
     /// Applies an UPDATE from `peer`: import policy, RIBs, FIB, BMP.
     fn apply_update(&mut self, peer: PeerId, update: UpdateMessage, now: Millis) {
-        let Some(state) = self.peers.get_mut(&peer) else {
+        let BgpRouter {
+            cfg,
+            peers,
+            loc_rib,
+            fib,
+            ..
+        } = self;
+        let Some(state) = peers.get_mut(&peer) else {
             return;
         };
-        let attach = state.attach.clone();
+        let attach = &state.attach;
         let source = RouteSource {
             peer,
             peer_asn: attach.peer_asn,
             kind: attach.kind,
         };
+        let UpdateMessage {
+            withdrawn,
+            attrs: sent,
+            announced,
+        } = update;
 
         // During an enhanced-refresh replay, anything the peer re-announces
         // (or explicitly withdraws) is no longer a sweep candidate.
         if let Some(sweep) = state.stale_sweep.as_mut() {
-            for prefix in update.announced.iter().chain(update.withdrawn.iter()) {
+            for prefix in announced.iter().chain(&withdrawn) {
                 sweep.remove(prefix);
             }
         }
 
-        let mut accepted: Vec<(Prefix, crate::attrs::PathAttributes)> = Vec::new();
-        let mut effective_withdrawals: Vec<Prefix> = update.withdrawn.clone();
-
-        for prefix in &update.announced {
-            let mut attrs = update.attrs.clone();
+        // Accepted announcements grouped by post-policy attribute set (they
+        // may diverge from the shared wire set), for the BMP mirror. Each
+        // group holds one Loc-RIB reference on its set for the whole
+        // UPDATE, so the set is interned once however many prefixes carry it.
+        let mut accepted: Vec<(crate::attrs::PathAttributes, AttrId, Vec<Prefix>)> = Vec::new();
+        let mut rejected: Vec<Prefix> = Vec::new();
+        for prefix in &announced {
+            let mut attrs = sent.clone();
             match attach.policy.apply(prefix, &mut attrs, &source) {
                 PolicyVerdict::Accept => {
                     // Controller routes name their egress via the synthetic
@@ -470,50 +507,63 @@ impl BgpRouter {
                     } else {
                         attach.egress
                     };
-                    // The Loc-RIB interns the attributes, paying one deep
-                    // clone per *distinct* set; the Adj-RIB-In keeps the
-                    // prefix and reads the route back from there.
+                    let group = match accepted.iter().position(|(a, _, _)| *a == attrs) {
+                        Some(group) => group,
+                        None => {
+                            let id = loc_rib.hold(&attrs);
+                            accepted.push((attrs, id, Vec::new()));
+                            accepted.len() - 1
+                        }
+                    };
+                    let (_, id, prefixes) = &mut accepted[group];
+                    // The Adj-RIB-In keeps the prefix and reads the route
+                    // back from the Loc-RIB.
                     state.adj_in.insert(*prefix);
-                    let change = self.loc_rib.install_ref(*prefix, &attrs, source, egress);
-                    accepted.push((*prefix, attrs));
-                    self.fib.apply_best_change(*prefix, change);
+                    let change = loc_rib.install_held(*prefix, *id, source, egress);
+                    prefixes.push(*prefix);
+                    fib.apply_best_change(*prefix, change);
                 }
                 PolicyVerdict::Reject => {
                     // A re-announcement that now fails policy removes any
                     // previously accepted route (treat as withdraw).
                     if state.adj_in.remove(prefix) {
-                        effective_withdrawals.push(*prefix);
-                        let change = self.loc_rib.withdraw(prefix, peer);
-                        self.fib.apply_best_change(*prefix, change);
+                        rejected.push(*prefix);
+                        let change = loc_rib.withdraw(prefix, peer);
+                        fib.apply_best_change(*prefix, change);
                     }
                 }
             }
         }
+        for (_, id, _) in &accepted {
+            loc_rib.release(*id);
+        }
 
-        for prefix in &update.withdrawn {
-            if let Some(state) = self.peers.get_mut(&peer) {
-                state.adj_in.remove(prefix);
-            }
-            let change = self.loc_rib.withdraw(prefix, peer);
-            self.fib.apply_best_change(*prefix, change);
+        for prefix in &withdrawn {
+            state.adj_in.remove(prefix);
+            let change = loc_rib.withdraw(prefix, peer);
+            fib.apply_best_change(*prefix, change);
         }
 
         // Max-prefix protection: a peer exceeding its limit is cut off.
-        if let Some(state) = self.peers.get_mut(&peer) {
-            if attach.max_prefixes > 0 && state.adj_in.len() > attach.max_prefixes {
-                let _ = state.session.stop();
-                state.up = false;
-                state.adj_in.clear();
-                let attach = state.attach.clone();
-                self.flush_peer_routes(peer, &attach, now, 3);
-                return;
-            }
+        if attach.max_prefixes > 0 && state.adj_in.len() > attach.max_prefixes {
+            let _ = state.session.stop();
+            state.up = false;
+            state.adj_in.clear();
+            let attach = state.attach.clone();
+            self.flush_peer_routes(peer, &attach, now, 3);
+            return;
         }
+        let header = BmpPeerHeader {
+            peer,
+            peer_asn: attach.peer_asn,
+            peer_bgp_id: cfg.router_id,
+            timestamp_ms: now,
+        };
         // Debug builds check the Adj-RIB-In invariant (inside
         // `adj_in_route`) on every prefix this UPDATE touched.
         if cfg!(debug_assertions) {
             if let Some(state) = self.peers.get(&peer) {
-                for prefix in update.announced.iter().chain(&update.withdrawn) {
+                for prefix in announced.iter().chain(&withdrawn) {
                     if state.adj_in.contains(prefix) {
                         self.adj_in_route(peer, prefix);
                     }
@@ -521,29 +571,17 @@ impl BgpRouter {
             }
         }
 
-        // Mirror the post-policy view onto the BMP feed. Announcements that
-        // shared attributes on the wire may have diverged post-policy, so
-        // group by rewritten attribute set.
-        let header = BmpPeerHeader {
-            peer,
-            peer_asn: attach.peer_asn,
-            peer_bgp_id: self.cfg.router_id,
-            timestamp_ms: now,
-        };
-        if !effective_withdrawals.is_empty() {
+        // Mirror the post-policy view onto the BMP feed: the explicit
+        // withdrawals, then policy's, then one message per accepted set.
+        let mut withdrawals = withdrawn;
+        withdrawals.extend(rejected);
+        if !withdrawals.is_empty() {
             self.bmp_queue.push(BmpMessage::RouteMonitoring {
                 peer: header,
-                update: UpdateMessage::withdraw(effective_withdrawals),
+                update: UpdateMessage::withdraw(withdrawals),
             });
         }
-        let mut grouped: Vec<(crate::attrs::PathAttributes, Vec<Prefix>)> = Vec::new();
-        for (prefix, attrs) in accepted {
-            match grouped.iter_mut().find(|(a, _)| *a == attrs) {
-                Some((_, list)) => list.push(prefix),
-                None => grouped.push((attrs, vec![prefix])),
-            }
-        }
-        for (attrs, announced) in grouped {
+        for (attrs, _, announced) in accepted {
             self.bmp_queue.push(BmpMessage::RouteMonitoring {
                 peer: header,
                 update: UpdateMessage {
@@ -721,6 +759,25 @@ impl BgpRouter {
     }
 }
 
+/// The next hop [`PeerStub`] fills into IPv4 announcements that carry
+/// none. Any next hop satisfies the wire requirement; organic peers'
+/// egress is fixed by the attachment anyway.
+const STUB_NEXT_HOP: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
+
+/// Panics unless the codec carries `update`'s attribute set unchanged: a
+/// one-prefix frame of it encodes, and decodes back equal. This is what
+/// makes handing the router a packed UPDATE without the wire round trip
+/// the same as sending it.
+fn assert_codec_delivers(update: &UpdateMessage) {
+    let Some(&prefix) = update.announced.first() else {
+        return;
+    };
+    let sent = BgpMessage::Update(UpdateMessage::announce(prefix, update.attrs.clone()));
+    let mut frame = crate::wire::encode_message(&sent).expect("a stub's UPDATE encodes");
+    let got = crate::wire::decode_message(&mut frame).expect("and decodes");
+    assert_eq!(got, sent, "the codec would alter this UPDATE");
+}
+
 /// A minimal remote BGP speaker: holds one session toward a router and
 /// announces a configured route set. The topology uses one stub per peer
 /// interconnect; the Edge Fabric injector uses the same machinery for the
@@ -849,9 +906,7 @@ impl PeerStub {
     ) {
         let mut attrs = attrs;
         if attrs.next_hop.is_none() && prefix.is_v4() {
-            // Any next hop satisfies the wire requirement; organic peers'
-            // egress is fixed by the attachment anyway.
-            attrs.next_hop = Some(Ipv4Addr::new(192, 0, 2, 1));
+            attrs.next_hop = Some(STUB_NEXT_HOP);
         }
         if self
             .try_send_update(router, UpdateMessage::announce(prefix, attrs), now)
@@ -859,6 +914,97 @@ impl PeerStub {
         {
             self.send_errors += 1;
         }
+    }
+
+    /// Announces a full feed, the table a peer sends right after
+    /// session-up, as one batch. The result is what
+    /// [`announce`](Self::announce)ing the routes one by one, in order,
+    /// leaves: the same Adj-RIB-Out here (so a ROUTE-REFRESH replays it),
+    /// and per prefix the same candidates, best route, FIB entry and
+    /// `bmp_snapshot` on the router. What differs is the path: the routes
+    /// are packed into one UPDATE per (attribute set, address family),
+    /// and the router takes them decoded, without the codec round trip or
+    /// session pumping (debug builds check that the codec would have
+    /// delivered each one unchanged). Each still goes through the router's
+    /// one import path: policy, Adj-RIB-In, Loc-RIB, FIB, BMP. Only
+    /// distinct prefixes are packed together, since their order does not
+    /// matter; a prefix announced again first sends what is packed.
+    ///
+    /// `routes` name their attribute sets by handle into `table`, so the
+    /// stub packs by handle and copies each set into its Adj-RIB-Out once
+    /// per UPDATE rather than once per route.
+    pub fn announce_table(
+        &mut self,
+        router: &mut BgpRouter,
+        table: &AttrStore,
+        routes: impl IntoIterator<Item = (Prefix, AttrId)>,
+        now: Millis,
+    ) {
+        if !self.session.is_established() {
+            self.send_errors += routes.into_iter().count() as u64;
+            return;
+        }
+        // (Adj-RIB-Out handle, prefixes), in first-announced order, and
+        // each pack's position by (`table` handle, is v4).
+        let mut packed: Vec<(AttrId, Vec<Prefix>)> = Vec::new();
+        let mut pack_of: HashMap<(AttrId, bool), usize> = HashMap::new();
+        for (prefix, set) in routes {
+            let key = (set, prefix.is_v4());
+            let mut pack = pack_of.get(&key).copied();
+            let id = match pack {
+                Some(pack) => {
+                    let id = packed[pack].0;
+                    self.adv_store.retain(id);
+                    id
+                }
+                None => {
+                    let attrs = table.attrs(set);
+                    if key.1 && attrs.next_hop.is_none() {
+                        let mut filled = attrs.clone();
+                        filled.next_hop = Some(STUB_NEXT_HOP);
+                        self.adv_store.intern(&filled)
+                    } else {
+                        self.adv_store.intern(attrs)
+                    }
+                }
+            };
+            if let Some(old) = self.advertised.insert(prefix, id) {
+                self.send_packed(router, &mut packed, now);
+                pack_of.clear();
+                pack = None;
+                self.adv_store.release(old);
+            }
+            let pack = pack.unwrap_or_else(|| {
+                packed.push((id, Vec::new()));
+                pack_of.insert(key, packed.len() - 1);
+                packed.len() - 1
+            });
+            packed[pack].1.push(prefix);
+        }
+        self.send_packed(router, &mut packed, now);
+        // Whatever the router queued for us (exports, refresh requests).
+        self.pump(router, now);
+    }
+
+    /// Hands the packed UPDATEs to `router` and empties `packed`.
+    fn send_packed(
+        &self,
+        router: &mut BgpRouter,
+        packed: &mut Vec<(AttrId, Vec<Prefix>)>,
+        now: Millis,
+    ) {
+        let updates = packed.drain(..).map(|(id, announced)| {
+            let update = UpdateMessage {
+                withdrawn: Vec::new(),
+                attrs: self.adv_store.attrs(id).clone(),
+                announced,
+            };
+            if cfg!(debug_assertions) {
+                assert_codec_delivers(&update);
+            }
+            update
+        });
+        router.receive_batch(self.peer, updates, now);
     }
 
     /// Withdraws prefixes and pumps. Failures are counted, never panicked.

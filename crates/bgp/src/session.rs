@@ -7,7 +7,9 @@
 //! in-memory links, or a test harness) moves the bytes this FSM queues in
 //! its outbox and feeds received bytes back in. All messages cross the
 //! boundary wire-encoded, so the codec is exercised on every exchange —
-//! including every Edge Fabric override injection.
+//! including every Edge Fabric override injection. (A simulated peer's
+//! initial full feed is the one exception: `PeerStub::announce_table`
+//! hands the router its packed UPDATEs decoded.)
 
 use std::collections::VecDeque;
 
@@ -367,26 +369,26 @@ impl Session {
     /// (the session survives); only framing-level damage and malformed
     /// non-UPDATE messages reset the session.
     pub fn receive_bytes(&mut self, data: &[u8], now: Millis) -> Vec<SessionEvent> {
+        // Frame out of one frozen window over the unread bytes: each decode
+        // consumes its frame from the window's front without copying, and
+        // only an incomplete tail goes back into `inbuf` to wait for more.
         self.inbuf.extend_from_slice(data);
+        let mut window = std::mem::take(&mut self.inbuf).freeze();
         let mut events = Vec::new();
         loop {
-            let mut probe = self.inbuf.clone().freeze();
-            match decode_message_graded(&mut probe) {
+            match decode_message_graded(&mut window) {
                 Ok(None) => break, // incomplete frame; wait for more bytes
                 Ok(Some(decoded)) => {
-                    let consumed = self.inbuf.len() - probe.len();
-                    let _ = self.inbuf.split_to(consumed);
                     self.attrs_discarded += decoded.discarded_attrs as u64;
                     if let Some(ev) = self.handle_message(decoded.msg, now) {
                         events.push(ev);
                         if matches!(events.last(), Some(SessionEvent::Down(_))) {
-                            break;
+                            // The reset dropped whatever else was buffered.
+                            return events;
                         }
                     }
                 }
                 Err(e) => {
-                    let consumed = self.inbuf.len() - probe.len();
-                    let _ = self.inbuf.split_to(consumed);
                     if e.disposition == Disposition::TreatAsWithdraw
                         && self.state == SessionState::Established
                     {
@@ -403,10 +405,11 @@ impl Session {
                     events.push(SessionEvent::Down(DownReason::ProtocolError(
                         e.error.to_string(),
                     )));
-                    break;
+                    return events;
                 }
             }
         }
+        self.inbuf.extend_from_slice(&window);
         events
     }
 
@@ -511,7 +514,8 @@ impl Session {
         }
     }
 
-    fn refresh_hold(&mut self, now: Millis) {
+    /// Restarts the hold timer, as any message from the peer does.
+    pub(crate) fn refresh_hold(&mut self, now: Millis) {
         if self.hold_ms > 0 {
             self.hold_deadline = Some(now + self.hold_ms);
         }

@@ -128,16 +128,18 @@ impl RouteCollector {
                         peer_asn: peer.peer_asn,
                         kind,
                     };
+                    // One intern per message, however many prefixes it
+                    // announces; each install is a refcount bump.
+                    let id = self.rib.hold(&update.attrs);
                     for prefix in &update.announced {
-                        // One deep clone per distinct attribute set: the
-                        // interned store dedups across the prefix fan-out.
-                        self.rib.install_ref(*prefix, &update.attrs, source, egress);
+                        self.rib.install_held(*prefix, id, source, egress);
                         // Controller self-echoes are overrides: projection
                         // never reads them, so they must not dirty the memo.
                         if kind != PeerKind::Controller {
                             self.touch(*prefix);
                         }
                     }
+                    self.rib.release(id);
                 }
                 BmpMessage::PeerDown { peer, .. } => {
                     // `withdraw_peer` reports overall-best changes, which is

@@ -268,31 +268,48 @@ impl PopRuntime {
             }
         };
 
-        // Announce the deployment's route set over the real sessions,
-        // remembering each peer's announcements so a failed session can be
-        // replayed on recovery. Every announcement queues one BMP message
-        // carrying its attributes; streaming them to the collector every
-        // `BMP_BATCH` routes keeps that queue bounded instead of a second
-        // copy of the whole table.
+        // Load the deployment's route set, each peer's run of routes as one
+        // batch over its established session (`PeerStub::announce_table`:
+        // the same import path as a wire UPDATE, without encoding frames
+        // the stub built only for the router to decode). Runs load in
+        // route-set order, so every prefix's candidates arrive in the same
+        // peer order as announcing route by route would give, and the
+        // decision ladder, which is not a total order, picks the same
+        // winners. Each peer's announcements are remembered so a failed
+        // session can be replayed on recovery. The load queues BMP
+        // messages; a batch never spans a multiple of `BMP_BATCH` routes,
+        // and handing the queue to the collector at each one keeps it
+        // bounded instead of a second copy of the whole table.
         let mut announcements: HashMap<PeerId, Vec<(Prefix, ef_bgp::attrstore::AttrId)>> =
             HashMap::new();
         let mut ann_store = ef_bgp::attrstore::AttrStore::new();
-        for (i, spec) in deployment.routes_at(pop_id).iter().enumerate() {
-            let prefix = deployment.universe.prefixes[spec.prefix_idx as usize].prefix;
-            let attrs = PathAttributes {
-                as_path: AsPath::sequence(spec.as_path.iter().copied()),
-                med: spec.med,
-                ..Default::default()
-            };
-            if let Some(stub) = stubs.get_mut(&spec.via) {
-                let id = ann_store.intern(&attrs);
-                stub.announce(&mut router, prefix, attrs, 0);
-                announcements
-                    .entry(spec.via)
-                    .or_default()
-                    .push((prefix, id));
+        let mut routes = deployment.routes_at(pop_id);
+        let mut loaded = 0;
+        while let Some(first) = routes.first() {
+            let via = first.via;
+            let run_len = routes
+                .iter()
+                .take(BMP_BATCH - loaded % BMP_BATCH)
+                .take_while(|s| s.via == via)
+                .count();
+            let (run, rest) = routes.split_at(run_len);
+            routes = rest;
+            loaded += run.len();
+            if let Some(stub) = stubs.get_mut(&via) {
+                let list = announcements.entry(via).or_default();
+                let start = list.len();
+                for spec in run {
+                    let id = ann_store.intern(&PathAttributes {
+                        as_path: AsPath::sequence(spec.as_path.iter().copied()),
+                        med: spec.med,
+                        ..Default::default()
+                    });
+                    let prefix = deployment.universe.prefixes[spec.prefix_idx as usize].prefix;
+                    list.push((prefix, id));
+                }
+                stub.announce_table(&mut router, &ann_store, list[start..].iter().copied(), 0);
             }
-            if i % BMP_BATCH == BMP_BATCH - 1 {
+            if loaded % BMP_BATCH == 0 {
                 feed(&mut router);
             }
         }
@@ -677,14 +694,14 @@ impl PopRuntime {
             std::net::Ipv4Addr::new(10, 210, (conn.peer.0 >> 8) as u8, conn.peer.0 as u8),
         );
         stub.pump(&mut self.router, now_ms);
-        let Self {
-            announcements,
-            ann_store,
-            router,
-            ..
-        } = self;
-        for (prefix, id) in announcements.get(&conn.peer).into_iter().flatten() {
-            stub.announce(router, *prefix, ann_store.attrs(*id).clone(), now_ms);
+        // The fresh session's full feed: one batch, as at build.
+        if let Some(list) = self.announcements.get(&conn.peer) {
+            stub.announce_table(
+                &mut self.router,
+                &self.ann_store,
+                list.iter().copied(),
+                now_ms,
+            );
         }
         self.stubs.insert(conn.peer, stub);
     }

@@ -146,6 +146,7 @@ pub fn generate(cfg: &GenConfig) -> Deployment {
     let (mut pops, classes) = gen_pops(cfg, &mut rng);
     assign_serving(cfg, &universe, &mut pops);
 
+    let by_origin = prefixes_by_origin(&universe);
     let mut next_peer = 0u64;
     let mut next_iface = 0u32;
     let mut routes = Vec::with_capacity(pops.len());
@@ -153,6 +154,7 @@ pub fn generate(cfg: &GenConfig) -> Deployment {
         let specs = populate_pop(
             cfg,
             &universe,
+            &by_origin,
             pop,
             *class,
             &mut next_peer,
@@ -368,12 +370,24 @@ fn assign_serving(cfg: &GenConfig, universe: &Universe, pops: &mut [Pop]) {
     }
 }
 
+/// Universe prefix indices grouped by origin AS (outer index = AS index),
+/// each group in universe order: a peer announces its own prefixes by
+/// reading one group instead of scanning the whole universe.
+fn prefixes_by_origin(universe: &Universe) -> Vec<Vec<u32>> {
+    let mut by_origin = vec![Vec::new(); universe.ases.len()];
+    for (pi, info) in universe.prefixes.iter().enumerate() {
+        by_origin[info.origin_idx as usize].push(pi as u32);
+    }
+    by_origin
+}
+
 /// Decides peering, allocates interfaces with capacities, and emits the
-/// PoP's route set.
+/// PoP's route set. `by_origin` is [`prefixes_by_origin`] of `universe`.
 #[allow(clippy::too_many_arguments)]
 fn populate_pop(
     cfg: &GenConfig,
     universe: &Universe,
+    by_origin: &[Vec<u32>],
     pop: &mut Pop,
     class: PopSizeClass,
     next_peer: &mut u64,
@@ -493,12 +507,9 @@ fn populate_pop(
                 router,
                 egress,
             });
-            for (pi, info) in universe.prefixes.iter().enumerate() {
-                if info.origin_idx as usize != ai {
-                    continue;
-                }
+            for &pi in &by_origin[ai] {
                 specs.push(RouteSpec {
-                    prefix_idx: pi as u32,
+                    prefix_idx: pi,
                     via: peer,
                     as_path: vec![asrec.asn],
                     med: rng.gen_bool(0.2).then(|| rng.gen_range(0..100)),
