@@ -39,7 +39,7 @@ use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::policy::Policy;
 use ef_bgp::route::{EgressId, RouteSource};
 use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
-use ef_net_types::{Asn, Community, CompressedTrie, Prefix};
+use ef_net_types::{Asn, CompressedTrie, Prefix};
 use ef_telemetry::audit_overrides;
 use serde::{Deserialize, Serialize};
 
@@ -266,7 +266,7 @@ fn audit_world() -> (BgpRouter, Vec<(Prefix, EgressId)>) {
         }
         router.drain_bmp();
     }
-    let mut injector = Injector::attach(&mut router, PeerId(1000), Community::new(32934, 999), 0);
+    let mut injector = Injector::attach(&mut router, PeerId(1000), 0);
     let mut overrides = OverrideSet::new();
     for i in (0..TABLE_N).step_by((TABLE_N / AUDIT_OVERRIDES) as usize) {
         overrides.insert(Override {

@@ -585,11 +585,7 @@ fn e10_altpath_rtt(c: &Campaign) -> Option<ItemResult> {
     let mut engine = c
         .sub_world((10, 250, 1500, 4000.0), 4 * 3600, None)
         .builder()
-        .perf(PerfSimConfig {
-            slice_fraction: 0.005,
-            steer: false,
-            ..Default::default()
-        })
+        .perf(PerfSimConfig { steer: false })
         .engine();
     engine.run();
 
@@ -820,11 +816,7 @@ struct SteeringArm {
 
 fn steering_arm(world: ScenarioBuilder, steer: bool, deployment: &Deployment) -> SteeringArm {
     let mut engine = world
-        .perf(PerfSimConfig {
-            slice_fraction: 0.005,
-            steer,
-            ..Default::default()
-        })
+        .perf(PerfSimConfig { steer })
         .engine_with(deployment.clone());
     engine.run();
 

@@ -16,6 +16,11 @@ use crate::attrs::PathAttributes;
 use crate::peer::PeerKind;
 use crate::route::RouteSource;
 
+/// The community every controller override carries: the router's
+/// [`Policy::controller_import`] accepts nothing from the controller
+/// pseudo-peer without it, and operators audit injected routes by it.
+pub const OVERRIDE_MARKER: Community = Community::new(32934, 999);
+
 /// A predicate over `(prefix, attributes, source)`.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Matcher {
@@ -227,13 +232,13 @@ impl Policy {
     }
 
     /// The import policy for the controller pseudo-peer: trust it fully but
-    /// verify the override marker community is present, and stamp the
+    /// verify the [`OVERRIDE_MARKER`] community is present, and stamp the
     /// controller tier preference so overrides win the decision process.
-    pub fn controller_import(override_marker: Community) -> Policy {
+    pub fn controller_import() -> Policy {
         Policy {
             rules: vec![Rule::new(
                 "require-override-marker",
-                vec![Matcher::HasCommunity(override_marker)],
+                vec![Matcher::HasCommunity(OVERRIDE_MARKER)],
                 vec![
                     Action::SetLocalPref(PeerKind::Controller.default_local_pref()),
                     Action::AddCommunity(PeerKind::Controller.tag_community()),
@@ -338,8 +343,7 @@ mod tests {
 
     #[test]
     fn controller_import_requires_marker() {
-        let marker = Community::new(32934, 999);
-        let policy = Policy::controller_import(marker);
+        let policy = Policy::controller_import();
         let mut unmarked = attrs(&[]);
         assert_eq!(
             policy.apply(
@@ -350,7 +354,7 @@ mod tests {
             PolicyVerdict::Reject
         );
         let mut marked = attrs(&[]);
-        marked.add_community(marker);
+        marked.add_community(OVERRIDE_MARKER);
         assert_eq!(
             policy.apply(
                 &p("203.0.113.0/24"),

@@ -1220,13 +1220,12 @@ mod tests {
         );
 
         // Controller pseudo-peer with a marker-checking policy.
-        let marker = ef_net_types::Community::new(32934, 999);
         r.add_peer(PeerAttachment {
             peer: PeerId(100),
             peer_asn: LOCAL_AS,
             kind: PeerKind::Controller,
             egress: EgressId(0),
-            policy: Policy::controller_import(marker),
+            policy: Policy::controller_import(),
             max_prefixes: 0,
         });
         let mut ctrl = stub(100, LOCAL_AS.0);
@@ -1238,7 +1237,7 @@ mod tests {
             next_hop: Some(EgressId(12).to_next_hop().unwrap()),
             ..Default::default()
         };
-        oattrs.add_community(marker);
+        oattrs.add_community(crate::policy::OVERRIDE_MARKER);
         ctrl.announce(&mut r, p("203.0.113.0/24"), oattrs, 3);
 
         let fib = r.fib_entry(&p("203.0.113.0/24")).unwrap();
@@ -1255,13 +1254,12 @@ mod tests {
     #[test]
     fn unmarked_controller_route_is_rejected() {
         let mut r = router();
-        let marker = ef_net_types::Community::new(32934, 999);
         r.add_peer(PeerAttachment {
             peer: PeerId(100),
             peer_asn: LOCAL_AS,
             kind: PeerKind::Controller,
             egress: EgressId(0),
-            policy: Policy::controller_import(marker),
+            policy: Policy::controller_import(),
             max_prefixes: 0,
         });
         let mut ctrl = stub(100, LOCAL_AS.0);
@@ -1368,7 +1366,7 @@ mod tests {
             peer_asn: LOCAL_AS,
             kind: PeerKind::Controller,
             egress: EgressId(0),
-            policy: Policy::controller_import(ef_net_types::Community::new(32934, 999)),
+            policy: Policy::controller_import(),
             max_prefixes: 0,
         });
         let mut ctrl = stub(100, LOCAL_AS.0);

@@ -393,6 +393,15 @@ fn parse_num<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, ParseEr
         .map_err(|_| ParseError(format!("{flag}: cannot parse {value:?}")))
 }
 
+/// `--epoch SECS`: a zero-second epoch is a usage error, like `--hours 0`
+/// (a run is counted in epochs, so it would have no length).
+fn parse_epoch(value: &str) -> Result<u64, ParseError> {
+    match parse_num("--epoch", value)? {
+        0 => Err(ParseError("--epoch must be positive".into())),
+        secs => Ok(secs),
+    }
+}
+
 fn parse_common(args: &[String]) -> Result<CommonArgs, ParseError> {
     let mut out = CommonArgs::default();
     let mut iter = args.iter();
@@ -424,7 +433,7 @@ fn parse_run(args: &[String]) -> Result<RunArgs, ParseError> {
             "--split" => out.split = true,
             "--global" => out.global = true,
             "--hysteresis" => out.hysteresis = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--epoch" => out.epoch_secs = parse_num(flag, take_value(flag, &mut iter)?)?,
+            "--epoch" => out.epoch_secs = parse_epoch(take_value(flag, &mut iter)?)?,
             other => return Err(ParseError(format!("unknown flag {other:?}"))),
         }
     }
@@ -446,7 +455,7 @@ fn parse_chaos(args: &[String]) -> Result<ChaosArgs, ParseError> {
             "--quiet" => out.common.quiet = true,
             "--hours" => out.hours = parse_num(flag, take_value(flag, &mut iter)?)?,
             "--baseline" => out.baseline = true,
-            "--epoch" => out.epoch_secs = parse_num(flag, take_value(flag, &mut iter)?)?,
+            "--epoch" => out.epoch_secs = parse_epoch(take_value(flag, &mut iter)?)?,
             "--schedule" => out.schedule = Some(take_value(flag, &mut iter)?.to_string()),
             "--chaos-seed" => out.chaos_seed = parse_num(flag, take_value(flag, &mut iter)?)?,
             "--events" => out.events = parse_num(flag, take_value(flag, &mut iter)?)?,
@@ -488,7 +497,7 @@ fn parse_trace(args: &[String]) -> Result<TraceArgs, ParseError> {
             "--out" => out.common.out = Some(take_value(flag, &mut iter)?.to_string()),
             "--quiet" => out.common.quiet = true,
             "--hours" => out.hours = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--epoch" => out.epoch_secs = parse_num(flag, take_value(flag, &mut iter)?)?,
+            "--epoch" => out.epoch_secs = parse_epoch(take_value(flag, &mut iter)?)?,
             "--limit" => out.limit = parse_num(flag, take_value(flag, &mut iter)?)?,
             "--pop" => out.pop = Some(parse_num(flag, take_value(flag, &mut iter)?)?),
             "--at-epoch" => out.epoch = Some(parse_num(flag, take_value(flag, &mut iter)?)?),
@@ -571,7 +580,7 @@ fn parse_global(args: &[String]) -> Result<GlobalArgs, ParseError> {
             "--out" => out.common.out = Some(take_value(flag, &mut iter)?.to_string()),
             "--quiet" => out.common.quiet = true,
             "--hours" => out.hours = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--epoch" => out.epoch_secs = parse_num(flag, take_value(flag, &mut iter)?)?,
+            "--epoch" => out.epoch_secs = parse_epoch(take_value(flag, &mut iter)?)?,
             "--backend" => out.backend = take_value(flag, &mut iter)?.to_string(),
             "--cripple" => out.cripple = Some(parse_num(flag, take_value(flag, &mut iter)?)?),
             other => return Err(ParseError(format!("unknown flag {other:?}"))),
@@ -606,7 +615,7 @@ fn parse_explain(args: &[String]) -> Result<ExplainArgs, ParseError> {
             "--prefixes" => out.common.prefixes = parse_num(arg, take_value(arg, &mut iter)?)?,
             "--quiet" => out.common.quiet = true,
             "--hours" => out.hours = parse_num(arg, take_value(arg, &mut iter)?)?,
-            "--epoch" => out.epoch_secs = parse_num(arg, take_value(arg, &mut iter)?)?,
+            "--epoch" => out.epoch_secs = parse_epoch(take_value(arg, &mut iter)?)?,
             "--global" => out.global = true,
             flag if flag.starts_with("--") => {
                 return Err(ParseError(format!("unknown flag {flag:?}")))
@@ -1700,6 +1709,16 @@ mod tests {
         assert!(parse_args(&argv("gen --seed")).is_err());
         assert!(parse_args(&argv("gen --frob 1")).is_err());
         assert!(parse_args(&argv("trace --hours 0")).is_err());
+        for cmd in [
+            "run --epoch 0",
+            "run --epoch 0 --baseline",
+            "chaos --epoch 0",
+            "trace --epoch 0",
+            "explain 1.0.0.0/24 --epoch 0",
+            "global --epoch 0",
+        ] {
+            assert!(parse_args(&argv(cmd)).is_err(), "{cmd}");
+        }
     }
 
     #[test]

@@ -9,9 +9,7 @@
 //! * a detour must not push its target over the limit (checked against the
 //!   running post-detour load, so a cascade of detours cannot overload a
 //!   target);
-//! * prefixes already owned by a performance override are not touched; and
-//! * the safety valves in [`ControllerConfig`]
-//!   (max detour fraction, max override count) are respected.
+//! * prefixes already owned by a performance override are not touched.
 //!
 //! Two prefix-selection strategies are provided for the ablation the paper
 //! invites: *best-alternative-first* (the paper's preference: detour
@@ -218,14 +216,6 @@ pub fn allocate<T: TrafficView + ?Sized>(
     let overloaded = overloaded_worst_first(&load);
     let overloaded_before = overloaded.clone();
 
-    // Safety budgets. The projection already summed all presented demand
-    // in canonical prefix order — no second sorted pass over the map.
-    let total_demand: f64 = projection.demand_total_mbps();
-    let detour_budget = if cfg.max_detour_fraction > 0.0 {
-        total_demand * cfg.max_detour_fraction
-    } else {
-        f64::INFINITY
-    };
     let mut capacity_detoured = 0.0f64;
 
     // Victim candidates of the overloaded interfaces only, slot `i` for
@@ -327,31 +317,6 @@ pub fn allocate<T: TrafficView + ?Sized>(
                 rejected,
                 verdict,
             };
-            if capacity_detoured + mbps > detour_budget {
-                // This prefix would bust the safety budget.
-                explains.push(explain(
-                    vec![RejectedAlternative {
-                        egress: None,
-                        kind: None,
-                        reason: RejectReason::DetourBudget,
-                    }],
-                    None,
-                    ExplainVerdict::DroppedDetourBudget,
-                ));
-                continue;
-            }
-            if cfg.max_overrides > 0 && overrides.len() >= cfg.max_overrides {
-                explains.push(explain(
-                    vec![RejectedAlternative {
-                        egress: None,
-                        kind: None,
-                        reason: RejectReason::OverrideCountCap,
-                    }],
-                    None,
-                    ExplainVerdict::DroppedOverrideCap,
-                ));
-                break;
-            }
             // Find the most-preferred feasible alternate, keeping the
             // rejection trail for provenance. With cost-aware steering on,
             // the scan continues through the winning preference band and
@@ -648,11 +613,7 @@ mod tests {
             (p("2.0.0.0/24"), 80.0),
             (p("3.0.0.0/24"), 70.0),
         ]);
-        let cfg = ControllerConfig {
-            max_detour_fraction: 1.0,
-            ..Default::default()
-        };
-        let out = run(&cfg, &c, &ifaces, &traffic);
+        let out = run(&ControllerConfig::default(), &c, &ifaces, &traffic);
         // Whatever happened, no *target* may exceed the limit; the hot
         // interface itself may stay overloaded (reported as residual).
         for (e, info) in &ifaces {
@@ -692,34 +653,6 @@ mod tests {
         // 130 total on 100-cap: moving the 70 clears it in one override.
         assert_eq!(largest.overrides.len(), 1);
         assert_eq!(largest.overrides.iter_sorted()[0].prefix, p("1.0.0.0/24"));
-    }
-
-    #[test]
-    fn max_overrides_cap_is_respected() {
-        let prefixes = ["1.0.0.0/24", "2.0.0.0/24", "3.0.0.0/24", "4.0.0.0/24"];
-        let (c, ifaces) = standard_world(&prefixes);
-        let traffic: HashMap<Prefix, f64> = prefixes.iter().map(|s| (p(s), 50.0)).collect();
-        let cfg = ControllerConfig {
-            max_overrides: 1,
-            strategy: DetourStrategy::LargestFirst,
-            ..Default::default()
-        };
-        let out = run(&cfg, &c, &ifaces, &traffic);
-        assert_eq!(out.overrides.len(), 1);
-        assert!(!out.residual_overloaded.is_empty());
-    }
-
-    #[test]
-    fn detour_budget_limits_moved_volume() {
-        let (c, ifaces) = standard_world(&["1.0.0.0/24", "2.0.0.0/24"]);
-        let traffic = HashMap::from([(p("1.0.0.0/24"), 90.0), (p("2.0.0.0/24"), 90.0)]);
-        let cfg = ControllerConfig {
-            max_detour_fraction: 0.1, // 18 Mbps budget; nothing fits
-            ..Default::default()
-        };
-        let out = run(&cfg, &c, &ifaces, &traffic);
-        assert!(out.overrides.is_empty());
-        assert!(!out.residual_overloaded.is_empty());
     }
 
     #[test]
@@ -944,21 +877,22 @@ mod tests {
 
     #[test]
     fn explains_record_budget_and_infeasible_verdicts() {
-        let (c, ifaces) = standard_world(&["1.0.0.0/24", "2.0.0.0/24"]);
+        let (c, mut ifaces) = standard_world(&["1.0.0.0/24", "2.0.0.0/24"]);
+        // Neither alternate can take a 90 Mbps prefix.
+        ifaces.get_mut(&EgressId(2)).unwrap().capacity_mbps = 50.0;
+        ifaces.get_mut(&EgressId(3)).unwrap().capacity_mbps = 50.0;
         let traffic = HashMap::from([(p("1.0.0.0/24"), 90.0), (p("2.0.0.0/24"), 90.0)]);
-        let cfg = ControllerConfig {
-            max_detour_fraction: 0.1, // 18 Mbps budget; nothing fits
-            ..Default::default()
-        };
-        let out = run(&cfg, &c, &ifaces, &traffic);
+        let out = run(&ControllerConfig::default(), &c, &ifaces, &traffic);
         assert!(out.overrides.is_empty());
-        assert!(
-            out.explains
-                .iter()
-                .all(|e| e.verdict == ExplainVerdict::DroppedDetourBudget),
-            "{:?}",
-            out.explains
-        );
+        for e in &out.explains {
+            assert_eq!(e.verdict, ExplainVerdict::NoFeasibleAlternate, "{e:?}");
+            assert!(
+                e.rejected
+                    .iter()
+                    .all(|r| matches!(r.reason, RejectReason::NoSpareCapacity { .. })),
+                "{e:?}"
+            );
+        }
         assert_eq!(out.explains.len(), 2, "one record per considered victim");
     }
 

@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use ef_net_types::Community;
-
 use crate::allocator::DetourStrategy;
 
 /// Tunables for one PoP's controller.
@@ -14,22 +12,8 @@ pub struct ControllerConfig {
     /// runs ≈0.95, holding headroom for projection error and sub-cycle
     /// bursts.
     pub util_limit: f64,
-    /// Controller cycle length, seconds (paper: ~30 s).
-    pub epoch_secs: u64,
     /// How the allocator picks which prefixes to detour.
     pub strategy: DetourStrategy,
-    /// Community stamped on every injected override so routers can verify
-    /// provenance and operators can audit.
-    pub override_marker: Community,
-    /// Safety valve: at most this fraction of the PoP's total demand may be
-    /// detoured in one epoch. 1.0 (the default) disables the guard;
-    /// production deployments would set something like 0.25.
-    pub max_detour_fraction: f64,
-    /// Safety valve: hard cap on concurrently active overrides
-    /// (0 = unlimited).
-    pub max_overrides: usize,
-    /// Dry-run: compute and report overrides but never inject them.
-    pub dry_run: bool,
     /// Withdraw hysteresis: a standing capacity override is kept while its
     /// source interface still projects above `util_limit − hysteresis`,
     /// preventing flapping when demand hovers at the limit. 0 (default)
@@ -67,12 +51,7 @@ impl Default for ControllerConfig {
     fn default() -> Self {
         ControllerConfig {
             util_limit: 0.95,
-            epoch_secs: 30,
             strategy: DetourStrategy::BestAlternativeFirst,
-            override_marker: Community::new(32934, 999),
-            max_detour_fraction: 1.0,
-            max_overrides: 0,
-            dry_run: false,
             withdraw_hysteresis: 0.0,
             split_depth: 0,
             stale_input_secs: 120,
@@ -88,15 +67,6 @@ impl ControllerConfig {
     pub fn validate(&self) -> Result<(), String> {
         if !(0.0 < self.util_limit && self.util_limit <= 1.0) {
             return Err(format!("util_limit {} outside (0, 1]", self.util_limit));
-        }
-        if self.epoch_secs == 0 {
-            return Err("epoch_secs must be positive".into());
-        }
-        if !(0.0..=1.0).contains(&self.max_detour_fraction) {
-            return Err(format!(
-                "max_detour_fraction {} outside [0, 1]",
-                self.max_detour_fraction
-            ));
         }
         if !(0.0..self.util_limit).contains(&self.withdraw_hysteresis) {
             return Err(format!(
@@ -135,8 +105,6 @@ mod tests {
         let cfg = ControllerConfig::default();
         cfg.validate().unwrap();
         assert!((cfg.util_limit - 0.95).abs() < 1e-12);
-        assert_eq!(cfg.epoch_secs, 30);
-        assert!(!cfg.dry_run);
     }
 
     #[test]
@@ -148,8 +116,6 @@ mod tests {
         };
         assert!(bad(|c| c.util_limit = 0.0));
         assert!(bad(|c| c.util_limit = 1.2));
-        assert!(bad(|c| c.epoch_secs = 0));
-        assert!(bad(|c| c.max_detour_fraction = 1.5));
         assert!(bad(|c| c.withdraw_hysteresis = 0.95));
         assert!(bad(|c| c.split_depth = 2));
         assert!(bad(|c| c.stale_input_secs = 0));
@@ -162,8 +128,8 @@ mod tests {
     fn degradation_horizons_are_ordered_by_default() {
         let cfg = ControllerConfig::default();
         assert!(
-            cfg.stale_input_secs >= cfg.epoch_secs,
-            "fresh epochs never degrade"
+            cfg.stale_input_secs >= 30,
+            "fresh epochs of the paper's ~30 s cycle never degrade"
         );
         assert!(cfg.fail_open_secs >= cfg.stale_input_secs);
         assert_eq!(cfg.max_shift_fraction_per_epoch, 1.0, "cap off by default");
@@ -171,13 +137,23 @@ mod tests {
 
     #[test]
     fn retired_incremental_key_is_ignored() {
-        // Configs written while the from-scratch engine was selectable
-        // still carry the key; it must load and mean nothing.
+        // Configs written before a knob was retired still carry its key,
+        // with the default they were written with; each must load, validate
+        // and re-serialize without it.
         let json = serde_json::to_string(&ControllerConfig::default()).unwrap();
-        let old = json.replacen('{', r#"{"incremental":false,"#, 1);
-        let back: ControllerConfig = serde_json::from_str(&old).unwrap();
-        back.validate().unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        for (key, value) in [
+            ("incremental", "false"),
+            ("epoch_secs", "30"),
+            ("override_marker", "2158363623"),
+            ("max_detour_fraction", "1.0"),
+            ("max_overrides", "0"),
+            ("dry_run", "false"),
+        ] {
+            let old = json.replacen('{', &format!(r#"{{"{key}":{value},"#), 1);
+            let back: ControllerConfig = serde_json::from_str(&old).unwrap();
+            back.validate().unwrap();
+            assert_eq!(serde_json::to_string(&back).unwrap(), json, "{key}");
+        }
     }
 
     #[test]
@@ -199,6 +175,6 @@ mod tests {
         let json = serde_json::to_string(&cfg).unwrap();
         let back: ControllerConfig = serde_json::from_str(&json).unwrap();
         assert!((back.util_limit - cfg.util_limit).abs() < 1e-12);
-        assert_eq!(back.epoch_secs, cfg.epoch_secs);
+        assert_eq!(back.stale_input_secs, cfg.stale_input_secs);
     }
 }

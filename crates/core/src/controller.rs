@@ -34,7 +34,7 @@ use ef_telemetry::{audit_overrides, ExplainRecord, ExplainVerdict, TelemetryHand
 use crate::allocator::allocate;
 use crate::collector::RouteCollector;
 use crate::config::ControllerConfig;
-use crate::injector::{InjectionLedger, InjectionReport, Injector};
+use crate::injector::{InjectionLedger, Injector};
 use crate::overrides::OverrideSet;
 use crate::projection::{project_cached, Projection, ProjectionCache};
 use crate::state::{InterfaceMap, TrafficView};
@@ -196,13 +196,8 @@ impl PopController {
                 peer_egress.insert(peer, attach.egress);
             }
         }
-        let injector = Injector::try_attach(
-            router,
-            PeerId(1_000_000 + pop as u64),
-            cfg.override_marker,
-            0,
-        )
-        .map_err(|e| e.to_string())?;
+        let injector = Injector::try_attach(router, PeerId(1_000_000 + pop as u64), 0)
+            .map_err(|e| e.to_string())?;
         Ok(PopController {
             pop,
             cfg,
@@ -305,7 +300,7 @@ impl PopController {
     ///   `max_shift_fraction_per_epoch` of the PoP's total.
     ///
     /// Returns [`EpochError::InjectorDown`] (epoch skipped) when the
-    /// injector session is down and this is not a dry run.
+    /// injector session is down.
     pub fn run_epoch_guarded<T: TrafficView + ?Sized>(
         &mut self,
         traffic: &T,
@@ -314,7 +309,7 @@ impl PopController {
         inputs: EpochInputs,
     ) -> Result<EpochReport, EpochError> {
         let epoch_timer = self.telemetry.timer();
-        if !self.cfg.dry_run && !self.injector.session_up() {
+        if !self.injector.session_up() {
             self.telemetry.counter("epoch.skipped", 1);
             self.telemetry.emit(
                 self.pop,
@@ -386,11 +381,7 @@ impl PopController {
         self.note_mode_transitions(degraded, fail_open, age_ms, now);
 
         let injection_timer = self.telemetry.timer();
-        let report = if self.cfg.dry_run {
-            InjectionReport::default()
-        } else {
-            self.injector.apply(router, &desired, now)
-        };
+        let report = self.injector.apply(router, &desired, now);
         let injection_us = injection_timer.elapsed_us();
 
         // Pull the router's BMP echoes of our own changes immediately so
@@ -405,51 +396,47 @@ impl PopController {
         // without a sink, and divergence is *repaired*, not just reported:
         // believed-announced-but-missing overrides are re-announced, leaked
         // override routes are force-withdrawn.
-        let mut audit_not_installed = 0usize;
-        let mut audit_leaked = 0usize;
-        if !self.cfg.dry_run {
-            let expected: Vec<_> = self
-                .injector
-                .announced()
-                .iter_sorted()
-                .into_iter()
-                .map(|o| (o.prefix, o.target))
+        let expected: Vec<_> = self
+            .injector
+            .announced()
+            .iter_sorted()
+            .into_iter()
+            .map(|o| (o.prefix, o.target))
+            .collect();
+        let audit = audit_overrides(router, &expected, &report.sent.withdraw);
+        let audit_not_installed = audit.not_installed.len();
+        let audit_leaked = audit.leaked.len();
+        if !audit.clean() {
+            let not_installed: Vec<ef_net_types::Prefix> = audit
+                .not_installed
+                .iter()
+                .filter_map(|f| f.prefix.parse().ok())
                 .collect();
-            let audit = audit_overrides(router, &expected, &report.sent.withdraw);
-            audit_not_installed = audit.not_installed.len();
-            audit_leaked = audit.leaked.len();
-            if !audit.clean() {
-                let not_installed: Vec<ef_net_types::Prefix> = audit
-                    .not_installed
-                    .iter()
-                    .filter_map(|f| f.prefix.parse().ok())
-                    .collect();
-                let leaked: Vec<ef_net_types::Prefix> = audit
-                    .leaked
-                    .iter()
-                    .filter_map(|f| f.prefix.parse().ok())
-                    .collect();
-                let (reannounced, force_withdrawn) =
-                    self.injector
-                        .reconcile(router, &not_installed, &leaked, now);
-                // Keep the collector's view current after the repair.
-                self.collector.ingest(router.drain_bmp());
-                self.telemetry.counter("reconcile.reannounced", reannounced);
-                self.telemetry
-                    .counter("reconcile.force_withdrawn", force_withdrawn);
-                self.telemetry.emit(
-                    self.pop,
-                    now,
-                    "reconcile",
-                    &[
-                        ("findings", audit.failures().into()),
-                        ("reannounced", reannounced.into()),
-                        ("force_withdrawn", force_withdrawn.into()),
-                    ],
-                );
-            }
-            audit.emit(&self.telemetry, self.pop, now);
+            let leaked: Vec<ef_net_types::Prefix> = audit
+                .leaked
+                .iter()
+                .filter_map(|f| f.prefix.parse().ok())
+                .collect();
+            let (reannounced, force_withdrawn) =
+                self.injector
+                    .reconcile(router, &not_installed, &leaked, now);
+            // Keep the collector's view current after the repair.
+            self.collector.ingest(router.drain_bmp());
+            self.telemetry.counter("reconcile.reannounced", reannounced);
+            self.telemetry
+                .counter("reconcile.force_withdrawn", force_withdrawn);
+            self.telemetry.emit(
+                self.pop,
+                now,
+                "reconcile",
+                &[
+                    ("findings", audit.failures().into()),
+                    ("reannounced", reannounced.into()),
+                    ("force_withdrawn", force_withdrawn.into()),
+                ],
+            );
         }
+        audit.emit(&self.telemetry, self.pop, now);
 
         let active = self.injector.announced();
         if self.telemetry.enabled() {
@@ -723,12 +710,7 @@ impl PopController {
         if !self.injector_governor.can_reconnect(now) {
             return false;
         }
-        match Injector::try_attach(
-            router,
-            self.injector_peer_id(),
-            self.cfg.override_marker,
-            now,
-        ) {
+        match Injector::try_attach(router, self.injector_peer_id(), now) {
             Ok(inj) => {
                 self.injector = inj;
                 self.injector_governor.record_up(now);
@@ -746,12 +728,7 @@ impl PopController {
     /// governor). The announced set starts empty (stateless restart); the
     /// next epoch recomputes and re-announces whatever the inputs justify.
     pub fn reattach_injector(&mut self, router: &mut BgpRouter, now: Millis) {
-        self.injector = Injector::attach(
-            router,
-            self.injector_peer_id(),
-            self.cfg.override_marker,
-            now,
-        );
+        self.injector = Injector::attach(router, self.injector_peer_id(), now);
         self.injector_governor.record_up(now);
     }
 
@@ -959,50 +936,6 @@ mod tests {
             );
             assert_eq!(again.overrides_active, 1);
         }
-    }
-
-    #[test]
-    fn dry_run_reports_but_does_not_steer() {
-        let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
-        // Swap in a dry-run controller. The original controller already
-        // consumed the BMP backlog, so hand the dry one its collected view
-        // by replaying fresh announcements from the peers.
-        let cfg = ControllerConfig {
-            dry_run: true,
-            ..Default::default()
-        };
-        let interfaces = w.controller.interfaces().clone();
-        let mut dry = PopController::new(1, cfg, interfaces, &mut w.router);
-        w.router.drain_bmp();
-        for prefix in ["1.0.0.0/24", "2.0.0.0/24"] {
-            w.peer.announce(
-                &mut w.router,
-                p(prefix),
-                PathAttributes {
-                    as_path: AsPath::sequence([Asn(65001)]),
-                    ..Default::default()
-                },
-                1,
-            );
-            w.transit.announce(
-                &mut w.router,
-                p(prefix),
-                PathAttributes {
-                    as_path: AsPath::sequence([Asn(65010)]),
-                    ..Default::default()
-                },
-                1,
-            );
-        }
-        dry.ingest_bmp(w.router.drain_bmp());
-        let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
-        let report = dry.run_epoch(&peak, &mut w.router, 30_000);
-        assert_eq!(report.overloaded_before.len(), 1, "overload detected");
-        assert_eq!(report.overrides_active, 0, "but nothing injected");
-        assert_eq!(
-            w.router.fib_entry(&p("1.0.0.0/24")).unwrap().egress,
-            EgressId(1)
-        );
     }
 
     #[test]
@@ -1282,7 +1215,7 @@ mod tests {
             next_hop: Some(EgressId(2).to_next_hop().unwrap()),
             ..Default::default()
         };
-        attrs.add_community(w.controller.config().override_marker);
+        attrs.add_community(ef_bgp::policy::OVERRIDE_MARKER);
         let announce =
             encode_message(&BgpMessage::Update(UpdateMessage::announce(stray, attrs))).unwrap();
         w.router

@@ -21,9 +21,10 @@
 use ef_bgp::attrs::{Origin, PathAttributes};
 use ef_bgp::message::UpdateMessage;
 use ef_bgp::peer::PeerId;
+use ef_bgp::policy::{Policy, OVERRIDE_MARKER};
 use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub};
 use ef_bgp::session::Millis;
-use ef_net_types::{Community, Prefix};
+use ef_net_types::Prefix;
 
 use crate::overrides::{OverrideDiff, OverrideSet};
 
@@ -137,7 +138,6 @@ impl InjectionReport {
 /// The controller's BGP mouthpiece toward one router.
 pub struct Injector {
     stub: PeerStub,
-    marker: Community,
     announced: OverrideSet,
     /// Cleared by [`session_lost`](Self::session_lost) when the router-side
     /// session drops out from under us.
@@ -155,7 +155,6 @@ impl Injector {
     pub fn try_attach(
         router: &mut BgpRouter,
         peer_id: PeerId,
-        marker: Community,
         now: Millis,
     ) -> Result<Self, InjectorError> {
         router.add_peer(PeerAttachment {
@@ -163,7 +162,7 @@ impl Injector {
             peer_asn: router.asn(),
             kind: ef_bgp::peer::PeerKind::Controller,
             egress: ef_bgp::route::EgressId(0),
-            policy: ef_bgp::policy::Policy::controller_import(marker),
+            policy: Policy::controller_import(),
             max_prefixes: 0,
         });
         let mut stub = PeerStub::new(
@@ -177,7 +176,6 @@ impl Injector {
         }
         Ok(Injector {
             stub,
-            marker,
             announced: OverrideSet::new(),
             up: true,
             loss: None,
@@ -192,8 +190,8 @@ impl Injector {
     ///
     /// Panics if the session does not establish; production paths use
     /// [`try_attach`](Self::try_attach).
-    pub fn attach(router: &mut BgpRouter, peer_id: PeerId, marker: Community, now: Millis) -> Self {
-        match Self::try_attach(router, peer_id, marker, now) {
+    pub fn attach(router: &mut BgpRouter, peer_id: PeerId, now: Millis) -> Self {
+        match Self::try_attach(router, peer_id, now) {
             Ok(inj) => inj,
             Err(e) => panic!("{e}"),
         }
@@ -311,7 +309,7 @@ impl Injector {
                 next_hop: Some(next_hop),
                 ..Default::default()
             };
-            attrs.add_community(self.marker);
+            attrs.add_community(OVERRIDE_MARKER);
             match self
                 .stub
                 .try_send_update(router, UpdateMessage::announce(o.prefix, attrs), now)
@@ -358,7 +356,7 @@ impl Injector {
                 next_hop: Some(next_hop),
                 ..Default::default()
             };
-            attrs.add_community(self.marker);
+            attrs.add_community(OVERRIDE_MARKER);
             if self
                 .stub
                 .try_send_update(router, UpdateMessage::announce(o.prefix, attrs), now)
@@ -420,7 +418,6 @@ mod tests {
     use crate::overrides::{Override, OverrideReason};
     use ef_bgp::attrs::AsPath;
     use ef_bgp::peer::PeerKind;
-    use ef_bgp::policy::Policy;
     use ef_bgp::route::EgressId;
     use ef_bgp::router::RouterConfig;
     use ef_net_types::{Asn, Prefix};
@@ -474,8 +471,7 @@ mod tests {
     #[test]
     fn inject_and_withdraw_steers_fib() {
         let (mut router, _peer, _transit) = world();
-        let marker = Community::new(32934, 999);
-        let mut inj = Injector::attach(&mut router, PeerId(1000), marker, 0);
+        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
         assert!(inj.session_up());
         assert_eq!(
             router.fib_entry(&p("1.0.0.0/24")).unwrap().egress,
@@ -507,8 +503,7 @@ mod tests {
     #[test]
     fn retarget_is_single_announce() {
         let (mut router, _peer, _transit) = world();
-        let marker = Community::new(32934, 999);
-        let mut inj = Injector::attach(&mut router, PeerId(1000), marker, 0);
+        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
 
         let mut a = OverrideSet::new();
         a.insert(ov("1.0.0.0/24", 2));
@@ -531,8 +526,7 @@ mod tests {
     #[test]
     fn drain_removes_everything() {
         let (mut router, _peer, _transit) = world();
-        let marker = Community::new(32934, 999);
-        let mut inj = Injector::attach(&mut router, PeerId(1000), marker, 0);
+        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
         let mut desired = OverrideSet::new();
         desired.insert(ov("1.0.0.0/24", 2));
         inj.apply(&mut router, &desired, 10);
@@ -544,8 +538,7 @@ mod tests {
     #[test]
     fn session_loss_clears_announced_state() {
         let (mut router, _peer, _transit) = world();
-        let marker = Community::new(32934, 999);
-        let mut inj = Injector::attach(&mut router, PeerId(1000), marker, 0);
+        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
         let mut desired = OverrideSet::new();
         desired.insert(ov("1.0.0.0/24", 2));
         inj.apply(&mut router, &desired, 10);
@@ -562,7 +555,7 @@ mod tests {
         assert_eq!(fib.egress, EgressId(1));
 
         // Reattaching restores steering capability from a clean slate.
-        let mut inj = Injector::attach(&mut router, PeerId(1000), marker, 30);
+        let mut inj = Injector::attach(&mut router, PeerId(1000), 30);
         assert!(inj.session_up());
         inj.apply(&mut router, &desired, 40);
         assert!(router.fib_entry(&p("1.0.0.0/24")).unwrap().is_override);
@@ -574,15 +567,14 @@ mod tests {
         // same desired set announces each override exactly once (a full
         // replay, not a double-announce and not a stale no-op).
         let (mut router, _peer, _transit) = world();
-        let marker = Community::new(32934, 999);
-        let mut inj = Injector::attach(&mut router, PeerId(1000), marker, 0);
+        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
         let mut desired = OverrideSet::new();
         desired.insert(ov("1.0.0.0/24", 2));
         inj.apply(&mut router, &desired, 10);
 
         router.remove_peer(PeerId(1000), 20);
         inj.session_lost();
-        let mut inj = Injector::try_attach(&mut router, PeerId(1000), marker, 30)
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 30)
             .expect("reattach in a healthy world");
         assert!(
             inj.announced().is_empty(),
@@ -599,8 +591,7 @@ mod tests {
     #[test]
     fn partial_loss_is_reported_and_retried_by_next_diff() {
         let (mut router, _peer, _transit) = world();
-        let marker = Community::new(32934, 999);
-        let mut inj = Injector::attach(&mut router, PeerId(1000), marker, 0);
+        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
         inj.set_loss(1.0, 7); // drop everything
 
         let mut desired = OverrideSet::new();
@@ -628,8 +619,7 @@ mod tests {
     #[test]
     fn dropped_withdraw_keeps_override_pending_until_retried() {
         let (mut router, _peer, _transit) = world();
-        let marker = Community::new(32934, 999);
-        let mut inj = Injector::attach(&mut router, PeerId(1000), marker, 0);
+        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
         let mut desired = OverrideSet::new();
         desired.insert(ov("1.0.0.0/24", 2));
         inj.apply(&mut router, &desired, 10);
@@ -669,8 +659,7 @@ mod tests {
     #[test]
     fn reconcile_reannounces_and_force_withdraws() {
         let (mut router, _peer, _transit) = world();
-        let marker = Community::new(32934, 999);
-        let mut inj = Injector::attach(&mut router, PeerId(1000), marker, 0);
+        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
         let mut desired = OverrideSet::new();
         desired.insert(ov("1.0.0.0/24", 2));
         inj.apply(&mut router, &desired, 10);
@@ -691,8 +680,7 @@ mod tests {
     fn injected_routes_show_in_bmp_as_controller_kind() {
         let (mut router, _peer, _transit) = world();
         router.drain_bmp();
-        let marker = Community::new(32934, 999);
-        let mut inj = Injector::attach(&mut router, PeerId(1000), marker, 0);
+        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
         let mut desired = OverrideSet::new();
         desired.insert(ov("1.0.0.0/24", 2));
         inj.apply(&mut router, &desired, 10);

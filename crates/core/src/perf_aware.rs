@@ -9,58 +9,29 @@
 //! their targets and never re-steers those prefixes for capacity.
 //!
 //! Guardrails follow the paper's caution: only act on comparisons with
-//! enough samples, only when the improvement clears a threshold (default
-//! 20 ms — large enough to matter, far above measurement noise), and only
-//! onto alternates that actually exist in the current route table.
+//! enough samples, only when the improvement clears a threshold (20 ms —
+//! large enough to matter, far above measurement noise), and only onto
+//! alternates that actually exist in the current route table.
 
 use std::collections::HashMap;
-
-use serde::{Deserialize, Serialize};
 
 use ef_bgp::route::EgressId;
 use ef_net_types::Prefix;
 
 use crate::collector::RouteCollector;
 use crate::overrides::{Override, OverrideReason, OverrideSet};
-use crate::state::InterfaceMap;
 
-/// Tunables for the §6 extension.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct PerfAwareConfig {
-    /// Minimum median improvement (ms) before a prefix is steered.
-    pub improvement_threshold_ms: f64,
-    /// Minimum measurement samples on both paths.
-    pub min_samples: usize,
-    /// Cap on concurrent performance overrides (0 = unlimited).
-    pub max_overrides: usize,
-    /// Cost-vs-RTT tradeoff, ms per $/Mbps: when a performance detour
-    /// targets an egress with a *higher* marginal cost than the preferred
-    /// path, the measured improvement must additionally clear
-    /// `cost_vs_rtt × (alt − preferred)` $/Mbps of price delta. 0 (the
-    /// default) steers on latency alone — the pre-cost behavior. Moving to
-    /// a cheaper-or-equal alternate is never penalized.
-    #[serde(default)]
-    pub cost_vs_rtt: f64,
-}
+/// Minimum median improvement (ms) before a prefix is steered.
+const IMPROVEMENT_THRESHOLD_MS: f64 = 20.0;
 
-impl Default for PerfAwareConfig {
-    fn default() -> Self {
-        PerfAwareConfig {
-            improvement_threshold_ms: 20.0,
-            min_samples: 30,
-            max_overrides: 0,
-            cost_vs_rtt: 0.0,
-        }
-    }
-}
+/// Minimum measurement samples on both paths.
+pub const MIN_SAMPLES: usize = 30;
 
 /// One measured comparison, already mapped into controller vocabulary.
 #[derive(Debug, Clone, Copy)]
 pub struct MeasuredComparison {
     /// The prefix.
     pub prefix: Prefix,
-    /// BGP's preferred egress when measured.
-    pub preferred: EgressId,
     /// The fastest measured alternate.
     pub best_alt: EgressId,
     /// Median RTT improvement of the alternate, ms (positive = faster).
@@ -73,28 +44,14 @@ pub struct MeasuredComparison {
 ///
 /// Comparisons that fail the guardrails — too little improvement, too few
 /// samples, an alternate that no longer exists in `routes` — are skipped.
-/// When `cost_vs_rtt > 0`, a detour onto a costlier egress must clear a
-/// raised bar: `improvement_threshold_ms + cost_vs_rtt × price delta`.
-/// If `max_overrides` caps the set, the largest improvements win.
 pub fn build_perf_overrides(
-    cfg: &PerfAwareConfig,
-    interfaces: &InterfaceMap,
     routes: &RouteCollector,
     comparisons: impl IntoIterator<Item = MeasuredComparison>,
 ) -> OverrideSet {
-    let cost_of = |egress: EgressId| {
-        interfaces
-            .get(&egress)
-            .map(|i| i.marginal_usd_per_mbps())
-            .unwrap_or(0.0)
-    };
-    let mut eligible: Vec<(MeasuredComparison, ef_bgp::peer::PeerKind)> = comparisons
+    let mut set = OverrideSet::new();
+    let eligible = comparisons
         .into_iter()
-        .filter(|c| {
-            let premium = (cost_of(c.best_alt) - cost_of(c.preferred)).max(0.0);
-            c.improvement_ms >= cfg.improvement_threshold_ms + cfg.cost_vs_rtt * premium
-        })
-        .filter(|c| c.samples >= cfg.min_samples)
+        .filter(|c| c.improvement_ms >= IMPROVEMENT_THRESHOLD_MS && c.samples >= MIN_SAMPLES)
         .filter_map(|c| {
             // The alternate must still be a live, organic route.
             routes
@@ -102,18 +59,7 @@ pub fn build_perf_overrides(
                 .iter()
                 .find(|r| !r.is_override() && r.egress == c.best_alt)
                 .map(|r| (c, r.source.kind))
-        })
-        .collect();
-    eligible.sort_by(|a, b| {
-        b.0.improvement_ms
-            .total_cmp(&a.0.improvement_ms)
-            .then(a.0.prefix.cmp(&b.0.prefix))
-    });
-    if cfg.max_overrides > 0 {
-        eligible.truncate(cfg.max_overrides);
-    }
-
-    let mut set = OverrideSet::new();
+        });
     for (c, kind) in eligible {
         set.insert(Override {
             prefix: c.prefix,
@@ -138,7 +84,6 @@ pub fn adapt_comparisons<'a>(
             .get(&c.prefix_idx)
             .map(|prefix| MeasuredComparison {
                 prefix: *prefix,
-                preferred: EgressId(c.preferred_egress),
                 best_alt: EgressId(c.best_alt_egress),
                 improvement_ms: c.improvement_ms,
                 samples,
@@ -149,7 +94,6 @@ pub fn adapt_comparisons<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::InterfaceInfo;
     use ef_bgp::attrs::{AsPath, PathAttributes};
     use ef_bgp::bmp::{BmpMessage, BmpPeerHeader};
     use ef_bgp::message::UpdateMessage;
@@ -158,23 +102,6 @@ mod tests {
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
-    }
-
-    /// Egress 1 is a free PNI, egress 2 a $2/Mbps transit.
-    fn ifaces() -> InterfaceMap {
-        HashMap::from([
-            (
-                EgressId(1),
-                InterfaceInfo::new(100.0, PeerKind::PrivatePeer),
-            ),
-            (
-                EgressId(2),
-                InterfaceInfo::with_policy(
-                    100_000.0,
-                    ef_bgp::egress::PeeringClass::Transit { usd_per_mbps: 2.0 }.into(),
-                ),
-            ),
-        ])
     }
 
     fn collector_with(prefixes: &[&str]) -> RouteCollector {
@@ -210,7 +137,6 @@ mod tests {
     fn cmp(prefix: &str, improvement: f64, samples: usize) -> MeasuredComparison {
         MeasuredComparison {
             prefix: p(prefix),
-            preferred: EgressId(1),
             best_alt: EgressId(2),
             improvement_ms: improvement,
             samples,
@@ -220,12 +146,7 @@ mod tests {
     #[test]
     fn clears_threshold_and_builds_override() {
         let routes = collector_with(&["1.0.0.0/24"]);
-        let set = build_perf_overrides(
-            &PerfAwareConfig::default(),
-            &ifaces(),
-            &routes,
-            [cmp("1.0.0.0/24", 35.0, 100)],
-        );
+        let set = build_perf_overrides(&routes, [cmp("1.0.0.0/24", 35.0, 100)]);
         assert_eq!(set.len(), 1);
         let o = set.get(&p("1.0.0.0/24")).unwrap();
         assert_eq!(o.target, EgressId(2));
@@ -236,24 +157,14 @@ mod tests {
     #[test]
     fn below_threshold_is_ignored() {
         let routes = collector_with(&["1.0.0.0/24"]);
-        let set = build_perf_overrides(
-            &PerfAwareConfig::default(),
-            &ifaces(),
-            &routes,
-            [cmp("1.0.0.0/24", 19.9, 100)],
-        );
+        let set = build_perf_overrides(&routes, [cmp("1.0.0.0/24", 19.9, 100)]);
         assert!(set.is_empty());
     }
 
     #[test]
     fn too_few_samples_is_ignored() {
         let routes = collector_with(&["1.0.0.0/24"]);
-        let set = build_perf_overrides(
-            &PerfAwareConfig::default(),
-            &ifaces(),
-            &routes,
-            [cmp("1.0.0.0/24", 50.0, 5)],
-        );
+        let set = build_perf_overrides(&routes, [cmp("1.0.0.0/24", 50.0, 5)]);
         assert!(set.is_empty());
     }
 
@@ -263,60 +174,8 @@ mod tests {
         let routes = collector_with(&["1.0.0.0/24"]);
         let mut c = cmp("1.0.0.0/24", 50.0, 100);
         c.best_alt = EgressId(7);
-        let set = build_perf_overrides(&PerfAwareConfig::default(), &ifaces(), &routes, [c]);
+        let set = build_perf_overrides(&routes, [c]);
         assert!(set.is_empty());
-    }
-
-    #[test]
-    fn cap_keeps_largest_improvements() {
-        let routes = collector_with(&["1.0.0.0/24", "2.0.0.0/24", "3.0.0.0/24"]);
-        let cfg = PerfAwareConfig {
-            max_overrides: 2,
-            ..Default::default()
-        };
-        let set = build_perf_overrides(
-            &cfg,
-            &ifaces(),
-            &routes,
-            [
-                cmp("1.0.0.0/24", 25.0, 100),
-                cmp("2.0.0.0/24", 90.0, 100),
-                cmp("3.0.0.0/24", 40.0, 100),
-            ],
-        );
-        assert_eq!(set.len(), 2);
-        assert!(set.contains(&p("2.0.0.0/24")));
-        assert!(set.contains(&p("3.0.0.0/24")));
-        assert!(!set.contains(&p("1.0.0.0/24")));
-    }
-
-    #[test]
-    fn cost_vs_rtt_raises_the_bar_for_paid_detours() {
-        // Preferred = free PNI, alternate = $2/Mbps transit. At 10 ms per
-        // $/Mbps the bar becomes 20 + 10×2 = 40 ms.
-        let routes = collector_with(&["1.0.0.0/24", "2.0.0.0/24"]);
-        let cfg = PerfAwareConfig {
-            cost_vs_rtt: 10.0,
-            ..Default::default()
-        };
-        let set = build_perf_overrides(
-            &cfg,
-            &ifaces(),
-            &routes,
-            [cmp("1.0.0.0/24", 35.0, 100), cmp("2.0.0.0/24", 45.0, 100)],
-        );
-        assert!(
-            !set.contains(&p("1.0.0.0/24")),
-            "35 ms must not clear the 40 ms cost-adjusted bar"
-        );
-        assert!(set.contains(&p("2.0.0.0/24")));
-
-        // The knob never penalizes moving toward a cheaper-or-equal path.
-        let mut toward_free = cmp("1.0.0.0/24", 35.0, 100);
-        toward_free.preferred = EgressId(2);
-        toward_free.best_alt = EgressId(1);
-        let set = build_perf_overrides(&cfg, &ifaces(), &routes, [toward_free]);
-        assert!(set.contains(&p("1.0.0.0/24")));
     }
 
     #[test]

@@ -230,20 +230,6 @@ proptest! {
         prop_assert!((before - after).abs() < 1e-6, "{before} vs {after}");
     }
 
-    /// Monotonicity of the safety cap: allowing fewer overrides never
-    /// produces more.
-    #[test]
-    fn override_cap_is_respected(world in world_strategy(), cap in 1usize..5) {
-        let (collector, interfaces, traffic) = materialize(&world);
-        let cfg = ControllerConfig {
-            max_overrides: cap,
-            ..Default::default()
-        };
-        let projection = project(&collector, &traffic);
-        let out = allocate(&cfg, &interfaces, &collector, &traffic, &projection, &OverrideSet::new(), &OverrideSet::new());
-        prop_assert!(out.overrides.len() <= cap);
-    }
-
     /// Cost-aware allocation obeys the same capacity invariant as the
     /// cost-blind path (the tiebreak never relaxes the feasibility check),
     /// and every alternate rejected as "costlier" sits in the same

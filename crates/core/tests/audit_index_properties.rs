@@ -16,11 +16,11 @@ use edge_fabric::{Override, OverrideReason, OverrideSet};
 use ef_bgp::attrs::{AsPath, Origin, PathAttributes};
 use ef_bgp::message::{BgpMessage, UpdateMessage};
 use ef_bgp::peer::{PeerId, PeerKind};
-use ef_bgp::policy::Policy;
+use ef_bgp::policy::{Policy, OVERRIDE_MARKER};
 use ef_bgp::route::EgressId;
 use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
 use ef_bgp::wire::encode_message;
-use ef_net_types::{Asn, Community, Prefix};
+use ef_net_types::{Asn, Prefix};
 use ef_telemetry::{audit_overrides, AuditFinding};
 
 const PREFIXES: usize = 8;
@@ -32,10 +32,6 @@ const ORGANIC: [(u64, u32, PeerKind, u32); 3] = [
     (2, 65002, PeerKind::PublicPeer, 2),
     (3, 65010, PeerKind::Transit, 3),
 ];
-
-fn marker() -> Community {
-    Community::new(32934, 999)
-}
 
 fn prefix(i: usize) -> Prefix {
     Prefix::V4 {
@@ -98,7 +94,7 @@ fn stray(prefix: Prefix, egress: u32) -> UpdateMessage {
         next_hop: Some(EgressId(egress).to_next_hop().unwrap()),
         ..Default::default()
     };
-    attrs.add_community(marker());
+    attrs.add_community(OVERRIDE_MARKER);
     UpdateMessage::announce(prefix, attrs)
 }
 
@@ -146,8 +142,8 @@ proptest! {
         });
         let mut organic: Vec<PeerStub> =
             (0..ORGANIC.len()).map(|i| connect(&mut router, i, 0)).collect();
-        let mut injector = Injector::attach(&mut router, INJECTOR, marker(), 0);
-        let mut standby = Injector::attach(&mut router, STANDBY, marker(), 0);
+        let mut injector = Injector::attach(&mut router, INJECTOR, 0);
+        let mut standby = Injector::attach(&mut router, STANDBY, 0);
 
         for (step, (op, arg, k)) in steps.into_iter().enumerate() {
             let now = 1_000 * (step as u64 + 1);
@@ -169,7 +165,7 @@ proptest! {
                 }
                 5 => {
                     if !injector.session_up() {
-                        if let Ok(fresh) = Injector::try_attach(&mut router, INJECTOR, marker(), now) {
+                        if let Ok(fresh) = Injector::try_attach(&mut router, INJECTOR, now) {
                             injector = fresh;
                         }
                     }

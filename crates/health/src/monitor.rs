@@ -11,8 +11,8 @@
 //! state and only ever *writes* to its own state and the telemetry sink.
 //! Alerts never feed back into control decisions, so a run's `results/`
 //! output is byte-identical with health on or off. The one wall-clock
-//! input — the engine-measured epoch wall time behind the
-//! `epoch_deadline` rule — exists only when health is on and flows only
+//! input — the engine-measured epoch wall time, sampled as the
+//! `epoch_wall_us` series — exists only when health is on and flows only
 //! into the sink, same as telemetry phase timers.
 
 use std::collections::BTreeMap;
@@ -167,11 +167,6 @@ pub struct HealthConfig {
     /// `session_flap` fires above this many session resets per epoch.
     #[serde(default = "default_session_reset_storm")]
     pub session_reset_storm: f64,
-    /// `epoch_deadline` fires when the measured epoch wall time exceeds
-    /// this, ms. None disables the rule (the default: wall time is
-    /// nondeterministic, so deterministic experiments leave it off).
-    #[serde(default)]
-    pub epoch_deadline_ms: Option<f64>,
     /// `placement_thrash` fires above this many global away-fraction
     /// direction flips per epoch, sustained for `thrash_sustain` epochs.
     #[serde(default = "default_placement_thrash")]
@@ -182,12 +177,6 @@ pub struct HealthConfig {
     /// Recovered epochs required before any alert clears.
     #[serde(default = "default_clear_epochs")]
     pub clear_epochs: u32,
-    /// `billing_burn_rate` fires when a PoP's projected monthly egress
-    /// spend (at the epoch's carried rates) exceeds this budget, USD per
-    /// month, sustained for 3 epochs. `None` (the default) disables the
-    /// rule — most runs have no budget to enforce.
-    #[serde(default)]
-    pub billing_budget_usd_per_month: Option<f64>,
     /// Per-PoP epochs to sample but not judge at the start of a run. A
     /// cold-started controller has not placed its first overrides yet, so
     /// the first epoch legitimately shows drops/overload; paging on the
@@ -207,10 +196,8 @@ impl Default for HealthConfig {
             churn_sustain: default_churn_sustain(),
             stale_input_ms: default_stale_input_ms(),
             session_reset_storm: default_session_reset_storm(),
-            epoch_deadline_ms: None,
             placement_thrash: default_placement_thrash(),
             thrash_sustain: default_thrash_sustain(),
-            billing_budget_usd_per_month: None,
             clear_epochs: default_clear_epochs(),
             warmup_epochs: default_warmup_epochs(),
         }
@@ -232,7 +219,7 @@ impl HealthConfig {
                 clear_epochs: clear,
                 severity: sev,
             };
-        let mut rules = vec![
+        vec![
             // The paper's first-order SLO: egress drops despite EF.
             rule(
                 "drop_rate_ceiling",
@@ -340,29 +327,7 @@ impl HealthConfig {
                 self.thrash_sustain,
                 Severity::Warning,
             ),
-        ];
-        if let Some(deadline_ms) = self.epoch_deadline_ms {
-            rules.push(rule(
-                "epoch_deadline",
-                "epoch_wall_us",
-                deadline_ms * 1000.0,
-                1,
-                Severity::Warning,
-            ));
-        }
-        if let Some(budget) = self.billing_budget_usd_per_month {
-            // Cost burn: the PoP is on pace to blow its monthly egress
-            // budget. Sustained — a single 5-minute burst is free under
-            // 95/5 billing, so one hot epoch is not a page.
-            rules.push(rule(
-                "billing_burn_rate",
-                "billing_burn_usd",
-                budget,
-                3,
-                Severity::Warning,
-            ));
-        }
-        rules
+        ]
     }
 }
 
@@ -429,8 +394,7 @@ impl HealthMonitor {
     /// telemetry field order is stable). Static keys and one Vec: this
     /// runs per PoP per epoch and must not churn allocations.
     /// `epoch_wall_us` (engine-measured wall time) is included only when
-    /// measured, so the deadline rule is skipped rather than cleared when
-    /// timing is unavailable.
+    /// measured, so its series never records a zero for a missing reading.
     pub fn metric_map(
         &self,
         signals: &EpochSignals,
@@ -769,33 +733,6 @@ mod tests {
     }
 
     #[test]
-    fn billing_burn_rule_is_budget_gated_and_sustained() {
-        // No budget configured → the rule does not exist at all.
-        assert!(!HealthConfig::default()
-            .rules()
-            .iter()
-            .any(|r| r.name == "billing_burn_rate"));
-
-        let cfg = HealthConfig {
-            billing_budget_usd_per_month: Some(10_000.0),
-            ..no_warmup()
-        };
-        let mut mon = HealthMonitor::new(cfg, TelemetryHandle::disabled());
-        // Two hot epochs: under the 3-epoch sustain, nothing fires (one
-        // 5-minute burst is free under 95/5 billing).
-        for t in 1..=2u64 {
-            let mut s = calm(0, t * 30);
-            s.billing_burn_usd = 25_000.0;
-            assert!(mon.observe_epoch(&s, None).is_empty());
-        }
-        // The third consecutive hot epoch pages.
-        let mut s = calm(0, 90);
-        s.billing_burn_usd = 25_000.0;
-        let edges = mon.observe_epoch(&s, None);
-        assert!(edges.iter().any(|e| e.alert().rule == "billing_burn_rate"));
-    }
-
-    #[test]
     fn totals_become_deltas() {
         let mut mon = HealthMonitor::new(no_warmup(), TelemetryHandle::disabled());
         let mut s = calm(0, 30);
@@ -827,24 +764,6 @@ mod tests {
         assert!(rules.contains(&"injector_down"));
         assert!(rules.contains(&"override_audit"));
         assert!(rules.contains(&"stale_inputs"));
-    }
-
-    #[test]
-    fn deadline_rule_exists_only_when_configured() {
-        let cfg = HealthConfig::default();
-        assert!(!cfg.rules().iter().any(|r| r.name == "epoch_deadline"));
-        let cfg = HealthConfig {
-            epoch_deadline_ms: Some(50.0),
-            ..no_warmup()
-        };
-        assert!(cfg.rules().iter().any(|r| r.name == "epoch_deadline"));
-        let mut mon = HealthMonitor::new(cfg, TelemetryHandle::disabled());
-        // No measurement: rule skipped.
-        assert!(mon.observe_epoch(&calm(0, 30), None).is_empty());
-        // 80 ms epoch against a 50 ms deadline: fires.
-        let edges = mon.observe_epoch(&calm(0, 60), Some(80_000));
-        assert_eq!(edges.len(), 1);
-        assert_eq!(edges[0].alert().rule, "epoch_deadline");
     }
 
     #[test]

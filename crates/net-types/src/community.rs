@@ -23,7 +23,7 @@ impl Community {
     ///
     /// Only the low 16 bits of the ASN are representable in a classic
     /// community; generated topologies use 16-bit ASNs for tagging.
-    pub fn new(asn: u16, value: u16) -> Self {
+    pub const fn new(asn: u16, value: u16) -> Self {
         Community(((asn as u32) << 16) | value as u32)
     }
 

@@ -138,13 +138,13 @@ pub fn summarize(comparisons: &[PathComparison]) -> ComparisonSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measurement::{AltPathMeasurer, CandidatePath, MeasurerConfig};
+    use crate::measurement::{AltPathMeasurer, CandidatePath};
     use crate::rtt::{PathPerfModel, PerfConfig};
     use ef_bgp::peer::PeerKind;
 
     fn run_measurement(prefixes: u32) -> (AltPathMeasurer, HashMap<u32, EgressId>) {
         let model = PathPerfModel::new(PerfConfig::default());
-        let mut m = AltPathMeasurer::new(0, MeasurerConfig::default());
+        let mut m = AltPathMeasurer::new(0);
         let entries: Vec<(u32, f64, Vec<CandidatePath>)> = (0..prefixes)
             .map(|p| {
                 (

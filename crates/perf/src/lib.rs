@@ -21,6 +21,6 @@ pub mod quantile;
 pub mod rtt;
 
 pub use compare::{compare_paths, PathComparison};
-pub use measurement::{AltPathMeasurer, MeasurerConfig, PathDigest, PathKey};
+pub use measurement::{AltPathMeasurer, PathDigest, PathKey};
 pub use quantile::P2Quantile;
 pub use rtt::{PathPerfModel, PerfConfig};

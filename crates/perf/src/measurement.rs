@@ -29,32 +29,20 @@ pub struct PathKey {
     pub egress: EgressId,
 }
 
-/// Measurement configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct MeasurerConfig {
-    /// Fraction of a prefix's flows sliced onto *each* alternate path.
-    /// Paper uses ~0.5 %; the sliver must stay small enough not to shift
-    /// load noticeably.
-    pub slice_fraction: f64,
-    /// Measurement samples generated per sliced Mbps per epoch (flows are
-    /// the sampling unit in production; this scales sample volume).
-    pub samples_per_mbps: f64,
-    /// Cap on samples per path per epoch (collector budget).
-    pub max_samples_per_path: usize,
-    /// RNG seed for sample draws.
-    pub seed: u64,
-}
+/// Fraction of a prefix's flows sliced onto *each* alternate path. The
+/// paper uses ~0.5 %; the sliver must stay small enough not to shift load
+/// noticeably.
+const SLICE_FRACTION: f64 = 0.005;
 
-impl Default for MeasurerConfig {
-    fn default() -> Self {
-        MeasurerConfig {
-            slice_fraction: 0.005,
-            samples_per_mbps: 0.5,
-            max_samples_per_path: 64,
-            seed: 77,
-        }
-    }
-}
+/// Measurement samples generated per sliced Mbps per epoch (flows are the
+/// sampling unit in production; this scales sample volume).
+const SAMPLES_PER_MBPS: f64 = 0.5;
+
+/// Cap on samples per path per epoch (collector budget).
+const MAX_SAMPLES_PER_PATH: usize = 64;
+
+/// RNG seed for sample draws, mixed with the PoP id.
+const SEED: u64 = 77;
 
 /// Accumulated digest for one path.
 #[derive(Debug, Clone)]
@@ -91,7 +79,6 @@ pub struct CandidatePath {
 /// The per-PoP alternate-path measurement subsystem.
 #[derive(Debug)]
 pub struct AltPathMeasurer {
-    cfg: MeasurerConfig,
     pop: u16,
     digests: HashMap<PathKey, PathDigest>,
     /// Prefixes with at least one digest, so "was this prefix ever
@@ -102,10 +89,9 @@ pub struct AltPathMeasurer {
 
 impl AltPathMeasurer {
     /// Creates a measurer for one PoP.
-    pub fn new(pop: u16, cfg: MeasurerConfig) -> Self {
+    pub fn new(pop: u16) -> Self {
         AltPathMeasurer {
-            rng: StdRng::seed_from_u64(cfg.seed ^ ((pop as u64) << 32)),
-            cfg,
+            rng: StdRng::seed_from_u64(SEED ^ ((pop as u64) << 32)),
             pop,
             digests: HashMap::new(),
             measured: HashSet::new(),
@@ -130,9 +116,8 @@ impl AltPathMeasurer {
         utilization: &HashMap<EgressId, f64>,
     ) {
         for (prefix_idx, demand_mbps, paths) in entries {
-            let sliced = demand_mbps * self.cfg.slice_fraction;
-            let n = ((sliced * self.cfg.samples_per_mbps).ceil() as usize)
-                .clamp(1, self.cfg.max_samples_per_path);
+            let sliced = demand_mbps * SLICE_FRACTION;
+            let n = ((sliced * SAMPLES_PER_MBPS).ceil() as usize).clamp(1, MAX_SAMPLES_PER_PATH);
             if !paths.is_empty() {
                 self.measured.insert(*prefix_idx);
             }
@@ -215,7 +200,7 @@ mod tests {
 
     #[test]
     fn every_candidate_path_gets_measured() {
-        let mut m = AltPathMeasurer::new(0, MeasurerConfig::default());
+        let mut m = AltPathMeasurer::new(0);
         let entries = vec![(7u32, 1000.0, paths())];
         m.collect_epoch(&model(), &entries, &HashMap::new());
         assert_eq!(m.digests_for(7).len(), 2);
@@ -234,7 +219,7 @@ mod tests {
     #[test]
     fn medians_converge_to_latent_base() {
         let mdl = model();
-        let mut m = AltPathMeasurer::new(0, MeasurerConfig::default());
+        let mut m = AltPathMeasurer::new(0);
         let entries = vec![(7u32, 1000.0, paths())];
         for _ in 0..50 {
             m.collect_epoch(&mdl, &entries, &HashMap::new());
@@ -257,7 +242,7 @@ mod tests {
     #[test]
     fn congested_paths_measure_slower() {
         let mdl = model();
-        let mut m = AltPathMeasurer::new(0, MeasurerConfig::default());
+        let mut m = AltPathMeasurer::new(0);
         let entries = vec![(7u32, 1000.0, paths())];
         let mut util = HashMap::new();
         util.insert(EgressId(1), 1.2); // preferred path overloaded
@@ -282,24 +267,23 @@ mod tests {
     #[test]
     fn sample_budget_scales_with_demand_but_is_capped() {
         let mdl = model();
-        let cfg = MeasurerConfig::default();
-        let mut small = AltPathMeasurer::new(0, cfg);
+        let mut small = AltPathMeasurer::new(0);
         small.collect_epoch(&mdl, &[(1u32, 1.0, paths())], &HashMap::new());
         let small_n = small.digests_for(1)[0].samples();
 
-        let mut big = AltPathMeasurer::new(0, cfg);
+        let mut big = AltPathMeasurer::new(0);
         big.collect_epoch(&mdl, &[(1u32, 100_000.0, paths())], &HashMap::new());
         let big_n = big.digests_for(1)[0].samples();
 
         assert!(small_n >= 1);
         assert!(big_n > small_n);
-        assert!(big_n <= cfg.max_samples_per_path);
+        assert!(big_n <= MAX_SAMPLES_PER_PATH);
     }
 
     #[test]
     fn report_is_sorted_and_reset_clears() {
         let mdl = model();
-        let mut m = AltPathMeasurer::new(0, MeasurerConfig::default());
+        let mut m = AltPathMeasurer::new(0);
         let entries = vec![(9u32, 10.0, paths()), (3u32, 10.0, paths())];
         m.collect_epoch(&mdl, &entries, &HashMap::new());
         let keys: Vec<(u32, u32)> = m

@@ -22,7 +22,7 @@ use std::collections::{BTreeSet, HashMap};
 
 use edge_fabric::config::ControllerConfig;
 use edge_fabric::controller::{EpochError, EpochInputs, EpochReport, PopController};
-use edge_fabric::perf_aware::{adapt_comparisons, build_perf_overrides};
+use edge_fabric::perf_aware::{adapt_comparisons, build_perf_overrides, MIN_SAMPLES};
 use edge_fabric::state::{InterfaceInfo, InterfaceMap, TrafficTable};
 use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::backoff::ReconnectGovernor;
@@ -34,7 +34,7 @@ use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
 use ef_bgp::wire::encode_message;
 use ef_chaos::{FaultEvent, FaultKind, FaultTarget};
 use ef_net_types::{Asn, Prefix};
-use ef_perf::measurement::{AltPathMeasurer, CandidatePath, MeasurerConfig};
+use ef_perf::measurement::{AltPathMeasurer, CandidatePath};
 use ef_perf::rtt::PathPerfModel;
 use ef_topology::{BillingMeter, Deployment, Pop, PopId};
 use ef_traffic::demand::DemandPoint;
@@ -129,7 +129,6 @@ pub struct PopRuntime {
     /// that are not PoP interfaces are not tracked (nothing reads them).
     load_scratch: Vec<f64>,
     perf_steer: bool,
-    perf_aware_cfg: edge_fabric::perf_aware::PerfAwareConfig,
     /// The 95/5 billing meter, when `SimConfig::billing` is on. Strictly
     /// observational: fed carried (post-drop) load each tick, read only at
     /// [`finish`](Self::finish).
@@ -239,8 +238,6 @@ impl PopRuntime {
         // Controller, fed by the router's BMP feed. It is attached once the
         // sessions are up (its collector learns each peer's egress from
         // them) and before the table load, so the load below can stream.
-        let mut controller_cfg = cfg.controller;
-        controller_cfg.epoch_secs = cfg.epoch_secs;
         let mut controller = cfg.controller_enabled.then(|| {
             let interfaces: InterfaceMap = pop
                 .interfaces
@@ -255,7 +252,7 @@ impl PopRuntime {
                     )
                 })
                 .collect();
-            let mut ctl = PopController::new(pop_id.0, controller_cfg, interfaces, &mut router);
+            let mut ctl = PopController::new(pop_id.0, cfg.controller, interfaces, &mut router);
             ctl.set_telemetry(cfg.telemetry.clone());
             ctl
         });
@@ -332,15 +329,7 @@ impl PopRuntime {
             (None, None)
         };
 
-        let measurer = cfg.perf.map(|p| {
-            AltPathMeasurer::new(
-                pop_id.0,
-                MeasurerConfig {
-                    slice_fraction: p.slice_fraction,
-                    ..Default::default()
-                },
-            )
-        });
+        let measurer = cfg.perf.map(|_| AltPathMeasurer::new(pop_id.0));
 
         let mut metrics = MetricsStore::new();
         for iface in &pop.interfaces {
@@ -395,7 +384,6 @@ impl PopRuntime {
             fib_cache,
             load_scratch,
             perf_steer: cfg.perf.map(|p| p.steer).unwrap_or(false),
-            perf_aware_cfg: cfg.perf.map(|p| p.aware).unwrap_or_default(),
             billing: cfg.billing.then(|| cfg.gen.cost.meter()),
             billing_percentile: cfg.gen.cost.billing_percentile,
             chaos_events,
@@ -404,7 +392,7 @@ impl PopRuntime {
             announcements,
             ann_store,
             controller_enabled: cfg.controller_enabled,
-            controller_cfg,
+            controller_cfg: cfg.controller,
             local_asn: deployment.local_asn,
             peer_governors: HashMap::new(),
             peers_wanting_up: BTreeSet::new(),
@@ -1059,18 +1047,8 @@ impl PopRuntime {
                         .iter()
                         .map(|c| (c.prefix_idx, self.prefix_of[c.prefix_idx as usize]))
                         .collect();
-                    let adapted: Vec<_> = adapt_comparisons(
-                        &comparisons,
-                        &index_to_prefix,
-                        self.perf_aware_cfg.min_samples,
-                    )
-                    .collect();
-                    let set = build_perf_overrides(
-                        &self.perf_aware_cfg,
-                        controller.interfaces(),
-                        controller.collector(),
-                        adapted,
-                    );
+                    let adapted = adapt_comparisons(&comparisons, &index_to_prefix, MIN_SAMPLES);
+                    let set = build_perf_overrides(controller.collector(), adapted);
                     controller.set_perf_overrides(set);
                 }
             }

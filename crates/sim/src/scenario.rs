@@ -4,32 +4,17 @@
 use serde::{Deserialize, Serialize};
 
 use edge_fabric::config::ControllerConfig;
-use edge_fabric::perf_aware::PerfAwareConfig;
 use ef_chaos::FaultSchedule;
 use ef_topology::GenConfig;
 
 use ef_global::GlobalConfig;
 
 /// Performance-measurement arm of a scenario.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
 pub struct PerfSimConfig {
-    /// Slice fraction per alternate path (see `ef_perf::MeasurerConfig`).
-    pub slice_fraction: f64,
     /// Whether measured comparisons feed performance overrides (§6.2). If
     /// false, measurement runs but only reports (§6.1).
     pub steer: bool,
-    /// Guardrails for steering.
-    pub aware: PerfAwareConfig,
-}
-
-impl Default for PerfSimConfig {
-    fn default() -> Self {
-        PerfSimConfig {
-            slice_fraction: 0.005,
-            steer: false,
-            aware: PerfAwareConfig::default(),
-        }
-    }
 }
 
 /// A complete simulation scenario.
@@ -159,15 +144,6 @@ impl ScenarioBuilder {
         ScenarioBuilder { cfg }
     }
 
-    /// Seeds the whole world: topology generation and the demand model's
-    /// noise together. Use [`Self::demand_seed`] / [`Self::topology`] to
-    /// vary them independently.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.gen.seed = seed;
-        self.cfg.demand_seed = seed;
-        self
-    }
-
     /// Seeds only the demand model's noise.
     pub fn demand_seed(mut self, seed: u64) -> Self {
         self.cfg.demand_seed = seed;
@@ -198,8 +174,12 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Controller epoch / metric sampling period, seconds.
+    /// Controller epoch / metric sampling period, seconds. Rejects a zero
+    /// epoch eagerly: the run is counted in epochs, so it has no length.
     pub fn epoch_secs(mut self, secs: u64) -> Self {
+        if secs == 0 {
+            panic!("invalid epoch_secs 0: must be positive");
+        }
         self.cfg.epoch_secs = secs;
         self
     }
@@ -300,24 +280,6 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Cost-vs-RTT tradeoff for performance steering, ms per $/Mbps: a
-    /// paid detour must beat the free path by this much extra latency per
-    /// dollar of price delta. Requires the perf arm; enables a
-    /// non-steering default arm when none is configured yet. Rejects NaN
-    /// and negative values eagerly.
-    pub fn cost_vs_rtt(mut self, ms_per_usd_mbps: f64) -> Self {
-        let valid = ms_per_usd_mbps.is_finite() && ms_per_usd_mbps >= 0.0;
-        if !valid {
-            panic!("invalid cost_vs_rtt {ms_per_usd_mbps}: must be finite and >= 0");
-        }
-        self.cfg
-            .perf
-            .get_or_insert_with(Default::default)
-            .aware
-            .cost_vs_rtt = ms_per_usd_mbps;
-        self
-    }
-
     /// Attaches a telemetry pipeline (disabled handle by default).
     pub fn telemetry(mut self, handle: ef_telemetry::TelemetryHandle) -> Self {
         self.cfg.telemetry = handle;
@@ -377,12 +339,10 @@ mod tests {
             })
             .billing_window(600)
             .cost_aware(true)
-            .cost_vs_rtt(12.5)
             .build();
         assert_eq!(cfg.gen.cost.transit_usd_per_mbps, vec![0.5, 1.5]);
         assert_eq!(cfg.gen.cost.billing_window_secs, 600);
         assert!(cfg.controller.cost_aware);
-        assert_eq!(cfg.perf.unwrap().aware.cost_vs_rtt, 12.5);
         assert!(cfg.billing, "meter on by default");
         assert!(!scenario().billing(false).build().billing);
     }
@@ -406,9 +366,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid cost_vs_rtt")]
-    fn nan_cost_vs_rtt_is_rejected() {
-        let _ = scenario().cost_vs_rtt(f64::NAN);
+    #[should_panic(expected = "invalid epoch_secs")]
+    fn zero_epoch_is_rejected() {
+        let _ = scenario().epoch_secs(0);
     }
 
     #[test]
@@ -426,14 +386,37 @@ mod tests {
 
     #[test]
     fn retired_incremental_key_is_ignored() {
-        // Configs written while the from-scratch engine was selectable
-        // carry the key here and in `controller` (the replace puts it in
-        // every object); they must load and mean nothing.
-        let json = serde_json::to_string(&scenario().small_topology(1).build()).unwrap();
-        let old = json.replace('{', r#"{"incremental":false,"#);
-        let back: SimConfig = serde_json::from_str(&old).unwrap();
-        back.controller.validate().unwrap();
-        assert_eq!(serde_json::to_string(&back).unwrap(), json);
+        // Configs written before a knob was retired still carry its key, in
+        // the object that held it and with the default it was written
+        // with; each must load, validate and re-serialize without it.
+        let json = serde_json::to_string(
+            &scenario()
+                .small_topology(1)
+                .perf(PerfSimConfig::default())
+                .health(ef_health::HealthConfig::default())
+                .build(),
+        )
+        .unwrap();
+        let aware = r#"{"improvement_threshold_ms":20.0,"min_samples":30,"max_overrides":0,"cost_vs_rtt":0.0}"#;
+        for (object, key, value) in [
+            ("{", "incremental", "false"),
+            ("\"controller\":{", "incremental", "false"),
+            ("\"controller\":{", "epoch_secs", "30"),
+            ("\"controller\":{", "override_marker", "2158363623"),
+            ("\"controller\":{", "max_detour_fraction", "1.0"),
+            ("\"controller\":{", "max_overrides", "0"),
+            ("\"controller\":{", "dry_run", "false"),
+            ("\"perf\":{", "slice_fraction", "0.005"),
+            ("\"perf\":{", "aware", aware),
+            ("\"health\":{", "epoch_deadline_ms", "null"),
+            ("\"health\":{", "billing_budget_usd_per_month", "null"),
+        ] {
+            let old = json.replacen(object, &format!("{object}\"{key}\":{value},"), 1);
+            assert_ne!(old, json, "{object}");
+            let back: SimConfig = serde_json::from_str(&old).unwrap();
+            back.controller.validate().unwrap();
+            assert_eq!(serde_json::to_string(&back).unwrap(), json, "{key}");
+        }
     }
 
     #[test]

@@ -13,10 +13,10 @@ use proptest::prelude::*;
 
 use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::peer::{PeerId, PeerKind};
-use ef_bgp::policy::Policy;
+use ef_bgp::policy::{Policy, OVERRIDE_MARKER};
 use ef_bgp::route::EgressId;
 use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
-use ef_net_types::{Asn, Community, Prefix};
+use ef_net_types::{Asn, Prefix};
 use ef_sim::fibcache::{FibCache, Hop, NOT_A_POP_INTERFACE};
 
 const LOCAL_AS: Asn = Asn(32934);
@@ -29,10 +29,6 @@ const INTERFACES: [EgressId; N_PEERS] = [EgressId(10), EgressId(11), EgressId(12
 const OVERRIDE_EGRESSES: [EgressId; 4] = [EgressId(10), EgressId(11), EgressId(12), EgressId(77)];
 /// Steerable /24s; they tile 20.0.0.0/20 exactly.
 const N_SLASH24: usize = 16;
-
-fn marker() -> Community {
-    Community::new(LOCAL_AS.0 as u16, 999)
-}
 
 fn v4(a: u8, b: u8, c: u8, d: u8, len: u8) -> Prefix {
     Prefix::v4(Ipv4Addr::new(a, b, c, d), len)
@@ -114,7 +110,7 @@ fn override_attrs(egress: EgressId) -> PathAttributes {
         next_hop: Some(egress.to_next_hop().expect("small egress id")),
         ..Default::default()
     };
-    attrs.add_community(marker());
+    attrs.add_community(OVERRIDE_MARKER);
     attrs
 }
 
@@ -223,7 +219,7 @@ proptest! {
             peer_asn: LOCAL_AS,
             kind: PeerKind::Controller,
             egress: EgressId(0),
-            policy: Policy::controller_import(marker()),
+            policy: Policy::controller_import(),
             max_prefixes: 0,
         });
         let mut controller =

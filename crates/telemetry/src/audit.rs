@@ -236,9 +236,9 @@ mod tests {
     use super::*;
     use ef_bgp::attrs::{AsPath, PathAttributes};
     use ef_bgp::peer::{PeerId, PeerKind};
-    use ef_bgp::policy::Policy;
+    use ef_bgp::policy::{Policy, OVERRIDE_MARKER};
     use ef_bgp::router::{PeerAttachment, PeerStub, RouterConfig};
-    use ef_net_types::{Asn, Community};
+    use ef_net_types::Asn;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -247,8 +247,7 @@ mod tests {
     /// A router with one private peer (egress 1) and one transit
     /// (egress 2) announcing `prefixes`, plus an established controller
     /// pseudo-peer whose marker community lifts injected routes.
-    fn world(prefixes: &[&str]) -> (BgpRouter, PeerStub, Community) {
-        let marker = Community::new(32934, 999);
+    fn world(prefixes: &[&str]) -> (BgpRouter, PeerStub) {
         let mut router = BgpRouter::new(RouterConfig {
             name: "pr".into(),
             asn: Asn::LOCAL,
@@ -272,7 +271,7 @@ mod tests {
             peer_asn: Asn::LOCAL,
             kind: PeerKind::Controller,
             egress: EgressId(0),
-            policy: Policy::controller_import(marker),
+            policy: Policy::controller_import(),
             max_prefixes: 0,
         });
         let mut peer = PeerStub::new(PeerId(1), Asn(65001), "10.9.0.1".parse().unwrap());
@@ -301,16 +300,16 @@ mod tests {
                 0,
             );
         }
-        (router, ctl, marker)
+        (router, ctl)
     }
 
-    fn inject(router: &mut BgpRouter, ctl: &mut PeerStub, marker: Community, prefix: &str) {
+    fn inject(router: &mut BgpRouter, ctl: &mut PeerStub, prefix: &str) {
         let mut attrs = PathAttributes {
             origin: ef_bgp::attrs::Origin::Igp,
             next_hop: Some(EgressId(2).to_next_hop().unwrap()),
             ..Default::default()
         };
-        attrs.add_community(marker);
+        attrs.add_community(OVERRIDE_MARKER);
         ctl.send_update(
             router,
             ef_bgp::message::UpdateMessage::announce(p(prefix), attrs),
@@ -320,8 +319,8 @@ mod tests {
 
     #[test]
     fn clean_when_state_matches() {
-        let (mut router, mut ctl, marker) = world(&["1.0.0.0/24", "2.0.0.0/24"]);
-        inject(&mut router, &mut ctl, marker, "1.0.0.0/24");
+        let (mut router, mut ctl) = world(&["1.0.0.0/24", "2.0.0.0/24"]);
+        inject(&mut router, &mut ctl, "1.0.0.0/24");
         let outcome = audit_overrides(&router, &[(p("1.0.0.0/24"), EgressId(2))], &[]);
         assert!(outcome.clean(), "{outcome:?}");
         assert_eq!(outcome.checked, 1);
@@ -329,7 +328,7 @@ mod tests {
 
     #[test]
     fn missing_injection_is_not_installed() {
-        let (router, _ctl, _marker) = world(&["1.0.0.0/24"]);
+        let (router, _ctl) = world(&["1.0.0.0/24"]);
         // Claim an override that was never injected.
         let outcome = audit_overrides(&router, &[(p("1.0.0.0/24"), EgressId(2))], &[]);
         assert_eq!(outcome.not_installed.len(), 1);
@@ -339,8 +338,8 @@ mod tests {
 
     #[test]
     fn wrong_target_is_not_installed() {
-        let (mut router, mut ctl, marker) = world(&["1.0.0.0/24"]);
-        inject(&mut router, &mut ctl, marker, "1.0.0.0/24"); // toward egress 2
+        let (mut router, mut ctl) = world(&["1.0.0.0/24"]);
+        inject(&mut router, &mut ctl, "1.0.0.0/24"); // toward egress 2
         let outcome = audit_overrides(&router, &[(p("1.0.0.0/24"), EgressId(1))], &[]);
         assert_eq!(outcome.not_installed.len(), 1);
         assert!(outcome.not_installed[0].detail.contains("instead of"));
@@ -348,8 +347,8 @@ mod tests {
 
     #[test]
     fn unclaimed_injection_is_a_leak() {
-        let (mut router, mut ctl, marker) = world(&["1.0.0.0/24", "2.0.0.0/24"]);
-        inject(&mut router, &mut ctl, marker, "2.0.0.0/24");
+        let (mut router, mut ctl) = world(&["1.0.0.0/24", "2.0.0.0/24"]);
+        inject(&mut router, &mut ctl, "2.0.0.0/24");
         let outcome = audit_overrides(&router, &[], &[p("2.0.0.0/24")]);
         assert_eq!(outcome.leaked.len(), 1);
         assert_eq!(outcome.leaked[0].prefix, "2.0.0.0/24");
@@ -358,8 +357,8 @@ mod tests {
 
     #[test]
     fn proper_withdrawal_audits_clean() {
-        let (mut router, mut ctl, marker) = world(&["1.0.0.0/24"]);
-        inject(&mut router, &mut ctl, marker, "1.0.0.0/24");
+        let (mut router, mut ctl) = world(&["1.0.0.0/24"]);
+        inject(&mut router, &mut ctl, "1.0.0.0/24");
         ctl.send_update(
             &mut router,
             ef_bgp::message::UpdateMessage::withdraw([p("1.0.0.0/24")]),

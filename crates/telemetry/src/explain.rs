@@ -26,10 +26,6 @@ pub enum RejectReason {
         /// The alternate's allowed load, Mbps.
         limit_mbps: f64,
     },
-    /// Moving this prefix would exceed the PoP-wide detour-volume budget.
-    DetourBudget,
-    /// The override-count safety cap was reached.
-    OverrideCountCap,
     /// The per-epoch blast-radius cap refused the new shift.
     BlastRadiusCap,
     /// Inputs were stale: degraded mode refuses to grow the override set.
@@ -53,8 +49,6 @@ impl RejectReason {
         match self {
             RejectReason::NoRoute => "no route",
             RejectReason::NoSpareCapacity { .. } => "no spare capacity",
-            RejectReason::DetourBudget => "detour budget",
-            RejectReason::OverrideCountCap => "override count cap",
             RejectReason::BlastRadiusCap => "blast-radius cap",
             RejectReason::StaleInput => "stale input",
             RejectReason::FailOpen => "fail-open",
@@ -82,10 +76,6 @@ pub enum ExplainVerdict {
     /// Every alternative was rejected; the demand stayed put (possibly
     /// retried at half-prefix granularity, which gets its own records).
     NoFeasibleAlternate,
-    /// Dropped by the detour-volume budget before alternatives were tried.
-    DroppedDetourBudget,
-    /// Dropped because the override-count cap was already reached.
-    DroppedOverrideCap,
     /// Allocator chose an alternate, but the per-epoch blast-radius cap
     /// refused the new shift.
     DroppedBlastRadius,
@@ -103,8 +93,6 @@ impl ExplainVerdict {
         match self {
             ExplainVerdict::Emitted => "emitted",
             ExplainVerdict::NoFeasibleAlternate => "no feasible alternate",
-            ExplainVerdict::DroppedDetourBudget => "dropped: detour budget",
-            ExplainVerdict::DroppedOverrideCap => "dropped: override count cap",
             ExplainVerdict::DroppedBlastRadius => "dropped: blast-radius cap",
             ExplainVerdict::DroppedStaleInput => "dropped: stale input",
             ExplainVerdict::DroppedFailOpen => "dropped: fail-open",
@@ -326,8 +314,6 @@ mod tests {
         let verdicts = [
             ExplainVerdict::Emitted,
             ExplainVerdict::NoFeasibleAlternate,
-            ExplainVerdict::DroppedDetourBudget,
-            ExplainVerdict::DroppedOverrideCap,
             ExplainVerdict::DroppedBlastRadius,
             ExplainVerdict::DroppedStaleInput,
             ExplainVerdict::DroppedFailOpen,

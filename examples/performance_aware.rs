@@ -26,9 +26,7 @@ fn main() {
         .hours(2)
         .epoch_secs(30)
         .perf(PerfSimConfig {
-            slice_fraction: 0.005,
             steer: false, // measure first, steer later
-            ..Default::default()
         })
         .build();
 
@@ -78,11 +76,7 @@ fn main() {
 
     println!("== Phase 2: steering enabled (§6.2) ==");
     let mut engine = ScenarioBuilder::from_config(cfg)
-        .perf(PerfSimConfig {
-            slice_fraction: 0.005,
-            steer: true,
-            ..Default::default()
-        })
+        .perf(PerfSimConfig { steer: true })
         .engine();
     engine.run();
     let metrics = engine.take_metrics();
