@@ -508,7 +508,6 @@ impl PopController {
                     ("total_us", total_us.into()),
                 ],
             );
-            self.telemetry.snapshot_metrics(self.pop, now);
         }
         Ok(EpochReport {
             now_ms: now,
@@ -1269,7 +1268,7 @@ mod tests {
     fn telemetry_captures_epoch_events_explains_and_clean_audit() {
         let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
         let (handle, sink) = TelemetryHandle::memory();
-        w.controller.set_telemetry(handle);
+        w.controller.set_telemetry(handle.clone());
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
         let report = w.controller.run_epoch(&peak, &mut w.router, 30_000);
         assert_eq!(report.overrides_active, 1);
@@ -1318,13 +1317,16 @@ mod tests {
         // The audit ran and found the router state consistent.
         assert!(sink.events_named("audit.override_leaked").is_empty());
         assert!(sink.events_named("audit.override_not_installed").is_empty());
-        let snaps = sink.snapshots();
-        assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0].2.counters["audit.checked"], 1);
-        assert_eq!(snaps[0].2.counters.get("audit.failures"), Some(&0));
-        assert_eq!(snaps[0].2.counters["overrides.announced"], 1);
-        assert_eq!(snaps[0].2.gauges["pop0.overrides_active"], 1.0);
-        assert_eq!(snaps[0].2.histograms["epoch_duration_us"].count, 1);
+        // The controller writes the registry; snapshotting it into the
+        // stream is the engine's job, once per epoch.
+        assert!(sink.snapshots().is_empty());
+        let metrics = handle.metrics().expect("telemetry enabled");
+        assert_eq!(metrics.counters["audit.checked"], 1);
+        assert_eq!(metrics.counters.get("audit.failures"), Some(&0));
+        assert_eq!(metrics.counters["overrides.announced"], 1);
+        assert_eq!(metrics.gauges["pop0.overrides_active"], 1.0);
+        assert_eq!(metrics.gauges["pop0.audit_failures_last_epoch"], 0.0);
+        assert_eq!(metrics.histograms["epoch_duration_us"].count, 1);
     }
 
     #[test]

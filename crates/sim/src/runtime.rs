@@ -31,6 +31,7 @@ use ef_bgp::message::{BgpMessage, UpdateMessage};
 use ef_bgp::peer::PeerId;
 use ef_bgp::route::EgressId;
 use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
+use ef_bgp::session::SessionStats;
 use ef_bgp::wire::encode_message;
 use ef_chaos::{FaultEvent, FaultKind, FaultTarget};
 use ef_net_types::{Asn, Prefix};
@@ -191,6 +192,9 @@ pub struct PopRuntime {
     traffic_order: TrafficOrder,
     /// Telemetry pipeline shared with the controller (disabled by default).
     telemetry: ef_telemetry::TelemetryHandle,
+    /// Each peer's session stats as last written to the `session.peer.N.*`
+    /// gauges (empty while telemetry is off).
+    published_sessions: HashMap<PeerId, SessionStats>,
     /// Collect end-of-epoch health signals (`SimConfig::health`). The
     /// signals are pure reads of state this step already computed; when
     /// off, `step` skips even building them.
@@ -408,6 +412,7 @@ impl PopRuntime {
             last_traffic: (0, TrafficTable::new()),
             traffic_order: TrafficOrder::default(),
             telemetry: cfg.telemetry.clone(),
+            published_sessions: HashMap::new(),
             health_enabled: cfg.health.is_some(),
             health_signals: None,
         }
@@ -847,6 +852,32 @@ impl PopRuntime {
         }
     }
 
+    /// Surfaces each peer's RFC 7606 / refresh counters as gauges: the
+    /// current session's lifetime totals (they restart with the session).
+    /// A peer's four gauges are written only when its stats differ from the
+    /// ones last written, a restart back to zero included, so the registry
+    /// holds the same values as rewriting them every epoch would.
+    fn publish_session_stats(&mut self) {
+        for peer in self.router.peer_ids() {
+            let Some(stats) = self.router.session_stats(peer) else {
+                continue;
+            };
+            if self.published_sessions.insert(peer, stats) == Some(stats) {
+                continue;
+            }
+            let base = format!("session.peer.{}", peer.0);
+            for (field, value) in [
+                ("updates_downgraded", stats.updates_downgraded),
+                ("attrs_discarded", stats.attrs_discarded),
+                ("refreshes_sent", stats.refreshes_sent),
+                ("refreshes_answered", stats.refreshes_answered),
+            ] {
+                self.telemetry
+                    .gauge(&format!("{base}.{field}"), value as f64);
+            }
+        }
+    }
+
     /// Runs one epoch at simulated time `t_secs` with the given offered
     /// demand. Returns the outcome signals the global layer consumes.
     pub fn step(
@@ -858,30 +889,8 @@ impl PopRuntime {
         // --- 0. Fault windows ----------------------------------------------
         let tick = self.apply_fault_transitions(t_secs);
         self.run_fault_mechanics(&tick, t_secs * 1000);
-        // Per-peer RFC 7606 / refresh counters surface as gauges: the
-        // current session's lifetime totals (they restart with the session).
         if self.telemetry.enabled() {
-            for peer in self.router.peer_ids() {
-                if let Some(stats) = self.router.session_stats(peer) {
-                    let base = format!("session.peer.{}", peer.0);
-                    self.telemetry.gauge(
-                        &format!("{base}.updates_downgraded"),
-                        stats.updates_downgraded as f64,
-                    );
-                    self.telemetry.gauge(
-                        &format!("{base}.attrs_discarded"),
-                        stats.attrs_discarded as f64,
-                    );
-                    self.telemetry.gauge(
-                        &format!("{base}.refreshes_sent"),
-                        stats.refreshes_sent as f64,
-                    );
-                    self.telemetry.gauge(
-                        &format!("{base}.refreshes_answered"),
-                        stats.refreshes_answered as f64,
-                    );
-                }
-            }
+            self.publish_session_stats();
         }
         let TickFaults {
             labels: fault_labels,

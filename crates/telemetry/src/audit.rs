@@ -107,7 +107,12 @@ impl AuditOutcome {
         }
         telemetry.counter("audit.checked", self.checked as u64);
         telemetry.counter("audit.failures", self.failures() as u64);
-        telemetry.gauge("audit.failures_last_epoch", self.failures() as f64);
+        // Keyed per PoP: PoPs audit in parallel, so a shared gauge would
+        // hold whichever PoP wrote last.
+        telemetry.gauge(
+            &format!("pop{pop}.audit_failures_last_epoch"),
+            self.failures() as f64,
+        );
     }
 }
 

@@ -169,7 +169,8 @@ impl TelemetryHandle {
         self.inner.as_deref().map(|t| &t.registry)
     }
 
-    /// Snapshots the registry into the event stream.
+    /// Snapshots the registry into the event stream (the simulation engine
+    /// calls this once per epoch, after every writer has run).
     pub fn snapshot_metrics(&self, pop: u16, now_ms: u64) {
         let Some(t) = self.inner.as_deref() else {
             return;

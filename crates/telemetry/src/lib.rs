@@ -22,7 +22,7 @@
 //!   steering action, naming the backend, the drained PoP, each target
 //!   with its granted volume, and every rejected candidate;
 //! * [`registry`] — counters / gauges / histograms, snapshotted into the
-//!   event stream once per controller epoch;
+//!   event stream once per simulation epoch;
 //! * [`audit`] — the override auditor: re-runs the BGP decision process
 //!   after an epoch and reports overrides that failed to install or leaked
 //!   past their withdrawal.

@@ -6,8 +6,9 @@
 //! because instrumented code touches it a handful of times per epoch.
 //!
 //! [`MetricsRegistry::snapshot`] clones the current state into a
-//! serializable [`MetricsSnapshot`]; the controller emits one per epoch
-//! into the event stream.
+//! serializable [`MetricsSnapshot`]; the simulation engine emits one per
+//! epoch into the event stream, under the `GLOBAL_POP` sentinel, once every
+//! PoP and tier has written that epoch's values.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -138,16 +139,27 @@ impl MetricsRegistry {
         Self::default()
     }
 
+    // The writers probe with the borrowed name first: a key is allocated
+    // once, on first use, not on every call.
+
     /// Adds `by` to a counter (creating it at zero).
     pub fn inc(&self, name: &str, by: u64) {
         let mut inner = self.inner.lock().unwrap();
-        *inner.counters.entry(name.to_string()).or_insert(0) += by;
+        if let Some(count) = inner.counters.get_mut(name) {
+            *count += by;
+        } else {
+            inner.counters.insert(name.to_string(), by);
+        }
     }
 
     /// Sets a gauge.
     pub fn set_gauge(&self, name: &str, value: f64) {
         let mut inner = self.inner.lock().unwrap();
-        inner.gauges.insert(name.to_string(), value);
+        if let Some(gauge) = inner.gauges.get_mut(name) {
+            *gauge = value;
+        } else {
+            inner.gauges.insert(name.to_string(), value);
+        }
     }
 
     /// Records a histogram observation with [`DURATION_US_BOUNDS`].
@@ -159,11 +171,13 @@ impl MetricsRegistry {
     /// given bounds on first use (later calls keep the original bounds).
     pub fn observe_with(&self, name: &str, bounds: &[f64], value: f64) {
         let mut inner = self.inner.lock().unwrap();
-        inner
-            .histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(value);
+        if let Some(hist) = inner.histograms.get_mut(name) {
+            hist.observe(value);
+        } else {
+            let mut hist = Histogram::new(bounds);
+            hist.observe(value);
+            inner.histograms.insert(name.to_string(), hist);
+        }
     }
 
     /// Copies the current state.
@@ -208,6 +222,36 @@ mod tests {
         assert_eq!(reg.gauge_value("pop0.detoured_mbps"), Some(4.5));
         assert_eq!(reg.counter_value("missing"), 0);
         assert_eq!(reg.gauge_value("missing"), None);
+    }
+
+    #[test]
+    fn rewrites_of_existing_keys_keep_bounds_and_key_set() {
+        let reg = MetricsRegistry::new();
+        reg.inc("c", 1);
+        reg.set_gauge("g", 1.0);
+        reg.observe_with("h", &[1.0, 2.0], 0.5);
+        let keys = |snap: &MetricsSnapshot| {
+            (
+                snap.counters.keys().cloned().collect::<Vec<_>>(),
+                snap.gauges.keys().cloned().collect::<Vec<_>>(),
+                snap.histograms.keys().cloned().collect::<Vec<_>>(),
+            )
+        };
+        let before = keys(&reg.snapshot());
+        for i in 0..3 {
+            reg.inc("c", 2);
+            reg.set_gauge("g", i as f64);
+            // Other bounds on an existing histogram are ignored.
+            reg.observe_with("h", &[100.0], 1.5);
+        }
+        let snap = reg.snapshot();
+        assert_eq!(keys(&snap), before);
+        assert_eq!(snap.counters["c"], 7);
+        assert_eq!(snap.gauges["g"], 2.0);
+        let h = &snap.histograms["h"];
+        assert_eq!(h.bounds, vec![1.0, 2.0]);
+        assert_eq!(h.counts, vec![1, 3, 0]);
+        assert_eq!(h.count, 4);
     }
 
     #[test]

@@ -75,8 +75,8 @@ fn auditor_is_clean_and_epochs_carry_phase_timings() {
         }
     }
 
-    // Metric snapshots flow once per PoP per epoch; the registry is shared
-    // so the largest counter values cover the whole run.
+    // The engine snapshots the shared registry once per epoch; counters
+    // only grow, so the largest values cover the whole run.
     let snapshots = sink.snapshots();
     assert!(!snapshots.is_empty(), "per-epoch snapshots present");
     let announced_max = snapshots
@@ -220,6 +220,190 @@ fn refresh_recovery_surfaces_per_peer_counters() {
         sent > 0.0,
         "per-peer refresh counter surfaced through telemetry"
     );
+}
+
+fn fault(
+    t_start_secs: u64,
+    duration_secs: u64,
+    target: FaultTarget,
+    kind: FaultKind,
+) -> FaultEvent {
+    FaultEvent {
+        t_start_secs,
+        duration_secs,
+        target,
+        kind,
+    }
+}
+
+/// The metrics stream is one engine snapshot per epoch, under the global
+/// sentinel, and everything in it but wall time is a function of the
+/// scenario: two runs of a faulted 4-PoP world with both tiers agree on
+/// every counter, every gauge and every histogram's observation count.
+/// (Histogram sums and bucket counts hold wall-clock durations.)
+#[test]
+fn metrics_stream_is_one_deterministic_snapshot_per_epoch() {
+    let base = base_cfg(7);
+    let deployment = ef_topology::generate(&base.gen);
+    let peer = deployment.pops[0].peers[0].peer.0;
+    let schedule = FaultSchedule::new(vec![
+        fault(
+            240,
+            300,
+            FaultTarget::Peer { pop: 0, peer },
+            FaultKind::UpdateCorruption { rate: 0.9 },
+        ),
+        fault(300, 300, FaultTarget::Pop { pop: 1 }, FaultKind::BmpStall),
+        fault(
+            360,
+            240,
+            FaultTarget::Pop { pop: 2 },
+            FaultKind::InjectorPartialLoss { fraction: 0.7 },
+        ),
+        fault(
+            420,
+            300,
+            FaultTarget::Pop { pop: 3 },
+            FaultKind::FlashCrowd { multiplier: 2.0 },
+        ),
+        fault(
+            600,
+            240,
+            FaultTarget::Global { pop: Some(1) },
+            FaultKind::ReportStaleness { epochs: 2 },
+        ),
+    ])
+    .expect("valid schedule");
+    let cfg = ScenarioBuilder::from_config(base)
+        .global(ef_global::GlobalConfig::default())
+        .health(ef_health::HealthConfig::default())
+        .chaos(schedule)
+        .build();
+    let epochs = cfg.epochs();
+    let epoch_ms = cfg.epoch_secs * 1000;
+
+    let stream = |cfg: SimConfig| {
+        let snapshots = observed_run(cfg).snapshots();
+        assert_eq!(snapshots.len() as u64, epochs, "one snapshot per epoch");
+        for (i, (pop, now_ms, _)) in snapshots.iter().enumerate() {
+            assert_eq!(*pop, ef_health::GLOBAL_POP);
+            assert_eq!(*now_ms, i as u64 * epoch_ms);
+        }
+        snapshots
+            .into_iter()
+            .map(|(_, _, s)| {
+                let counts: Vec<(String, u64)> = s
+                    .histograms
+                    .into_iter()
+                    .map(|(k, h)| (k, h.count))
+                    .collect();
+                (s.counters, s.gauges, counts)
+            })
+            .collect::<Vec<_>>()
+    };
+    let a = stream(cfg.clone());
+    let b = stream(cfg);
+    let last = a.last().expect("snapshots");
+    assert!(last.0["chaos.corrupt_frames"] > 0, "the faults bit");
+    assert!(last.1.keys().any(|k| k.starts_with("global.")));
+    assert!(last.1.contains_key("pop3.alerts_firing"));
+    for (epoch, (x, y)) in a.iter().zip(&b).enumerate() {
+        assert_eq!(x, y, "snapshot of epoch {epoch} differs between runs");
+    }
+}
+
+/// Session gauges are written only when a peer's stats change, yet mid-run
+/// and after the run every `session.peer.N.*` gauge equals the router's
+/// live stats —
+/// through counters that grew (update corruption) and sessions that
+/// restarted at zero (a flap storm on the corrupted peer after its damage,
+/// and one on a clean peer).
+#[test]
+fn session_gauges_match_the_routers_stats_after_growth_and_reset() {
+    let base = base_cfg(7);
+    let deployment = ef_topology::generate(&base.gen);
+    let damaged = deployment.pops[0].peers[0].peer.0;
+    let flapped = deployment.pops[1].peers[0].peer.0;
+    let storm = FaultKind::SessionFlapStorm { period_s: 5 };
+    let schedule = FaultSchedule::new(vec![
+        fault(
+            240,
+            300,
+            FaultTarget::Peer {
+                pop: 0,
+                peer: damaged,
+            },
+            FaultKind::UpdateCorruption { rate: 0.9 },
+        ),
+        fault(
+            300,
+            240,
+            FaultTarget::Peer {
+                pop: 1,
+                peer: flapped,
+            },
+            storm,
+        ),
+        fault(
+            720,
+            180,
+            FaultTarget::Peer {
+                pop: 0,
+                peer: damaged,
+            },
+            storm,
+        ),
+    ])
+    .expect("valid schedule");
+    let (handle, _sink) = TelemetryHandle::memory();
+    let mut engine = ScenarioBuilder::from_config(base)
+        .chaos(schedule)
+        .telemetry(handle.clone())
+        .engine();
+    let damaged_stats = |engine: &ef_sim::SimEngine| {
+        engine.pops[0]
+            .router
+            .session_stats(ef_bgp::peer::PeerId(damaged))
+            .expect("peer attached")
+    };
+    let gauges_match_routers = |engine: &ef_sim::SimEngine| {
+        let metrics = handle.metrics().expect("telemetry enabled");
+        for pop in &engine.pops {
+            for peer in pop.router.peer_ids() {
+                let stats = pop.router.session_stats(peer).expect("listed peer");
+                for (field, value) in [
+                    ("updates_downgraded", stats.updates_downgraded),
+                    ("attrs_discarded", stats.attrs_discarded),
+                    ("refreshes_sent", stats.refreshes_sent),
+                    ("refreshes_answered", stats.refreshes_answered),
+                ] {
+                    let key = format!("session.peer.{}.{field}", peer.0);
+                    assert_eq!(
+                        metrics.gauges.get(&key).copied(),
+                        Some(value as f64),
+                        "{key} at {} after t={}s",
+                        pop.pop.name,
+                        engine.now_secs()
+                    );
+                }
+            }
+        }
+    };
+
+    // Inside the corruption window: the damaged peer's counters grew.
+    engine.run_epochs(8);
+    assert!(damaged_stats(&engine).updates_downgraded > 0, "fault bit");
+    gauges_match_routers(&engine);
+
+    // After the storms: the damaged peer's session restarted at zero.
+    engine.run();
+    assert!(engine.all_sessions_up(), "both storms recovered");
+    assert_eq!(
+        damaged_stats(&engine).updates_downgraded,
+        0,
+        "the storm restarted the session"
+    );
+    gauges_match_routers(&engine);
 }
 
 #[test]
