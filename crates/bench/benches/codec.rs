@@ -1,13 +1,11 @@
-//! Microbenchmark: BGP and BMP wire codecs.
+//! Microbenchmark: the BGP wire codec.
 //!
-//! Every override injection and every BMP feed message crosses these.
+//! Every override injection crosses it.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use ef_bgp::attrs::{AsPath, Origin, PathAttributes};
-use ef_bgp::bmp::{decode_bmp, encode_bmp, BmpMessage, BmpPeerHeader};
 use ef_bgp::message::{BgpMessage, UpdateMessage};
-use ef_bgp::peer::PeerId;
 use ef_bgp::wire::{decode_message, encode_message};
 use ef_net_types::{Asn, Community, Prefix};
 
@@ -47,26 +45,6 @@ fn bench_codec(c: &mut Criterion) {
             })
         });
     }
-
-    let bmp = BmpMessage::RouteMonitoring {
-        peer: BmpPeerHeader {
-            peer: PeerId(7),
-            peer_asn: Asn(65001),
-            peer_bgp_id: "10.0.0.1".parse().unwrap(),
-            timestamp_ms: 123_456,
-        },
-        update: update(16),
-    };
-    let bmp_bytes = encode_bmp(&bmp).unwrap();
-    group.bench_function("bmp_encode_route_monitoring", |b| {
-        b.iter(|| encode_bmp(black_box(&bmp)).unwrap())
-    });
-    group.bench_function("bmp_decode_route_monitoring", |b| {
-        b.iter(|| {
-            let mut buf = bmp_bytes.clone();
-            decode_bmp(black_box(&mut buf)).unwrap()
-        })
-    });
     group.finish();
 }
 

@@ -244,13 +244,6 @@ impl PathAttributes {
     pub fn has_community(&self, c: Community) -> bool {
         self.communities.binary_search(&c).is_ok()
     }
-
-    /// Removes a community if present.
-    pub fn remove_community(&mut self, c: Community) {
-        if let Ok(pos) = self.communities.binary_search(&c) {
-            self.communities.remove(pos);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -357,8 +350,6 @@ mod tests {
         attrs.add_community(a);
         assert_eq!(attrs.communities, vec![b, a]);
         assert!(attrs.has_community(a));
-        attrs.remove_community(a);
-        assert!(!attrs.has_community(a));
-        assert_eq!(attrs.communities, vec![b]);
+        assert!(!attrs.has_community(Community::new(100, 3)));
     }
 }

@@ -3,38 +3,24 @@
 //! Edge Fabric's controller does not peer with the routers to *learn*
 //! routes — it taps a BMP feed, which exports every route each peering
 //! router accepted (the post-policy Adj-RIB-In), not just the decision
-//! winners (paper §4.1). This module implements the message subset that
-//! feed needs: Initiation, Peer Up, Route Monitoring, Peer Down, and
-//! Termination, with a binary codec mirroring the RFC layout.
-//!
-//! Route Monitoring messages embed a wire-encoded BGP UPDATE, exactly as the
-//! RFC specifies, so the controller parses real BGP bytes end to end.
+//! winners (paper §4.1). This module types the message subset that feed
+//! needs: Initiation, Peer Up, Route Monitoring, Peer Down, and
+//! Termination. The router hands the controller these typed messages
+//! through an in-process queue, so nothing serialises them.
 
 use std::net::Ipv4Addr;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use ef_net_types::Asn;
 
-use crate::message::{BgpMessage, UpdateMessage};
+use crate::message::UpdateMessage;
 use crate::peer::PeerId;
-use crate::wire::{decode_message, encode_message, WireError};
 
-/// BMP protocol version implemented.
-pub const BMP_VERSION: u8 = 3;
-/// Common header length: version(1) + length(4) + type(1).
-pub const BMP_HEADER_LEN: usize = 6;
-/// Per-peer header length (RFC 7854 §4.2).
-pub const PER_PEER_LEN: usize = 42;
-
-/// Identifies the monitored peer a BMP message concerns.
-///
-/// The RFC's 16-byte peer-address field carries the peer's IPv4 address;
-/// this reproduction additionally packs the simulation-global [`PeerId`]
-/// into the peer-distinguisher field so consumers need no address↔peer map.
+/// Identifies the monitored peer a BMP message concerns (RFC 7854 §4.2's
+/// per-peer header, plus the simulation-global [`PeerId`] so consumers need
+/// no address↔peer map).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BmpPeerHeader {
-    /// Simulation-global peer identity (carried in Peer Distinguisher).
+    /// Simulation-global peer identity.
     pub peer: PeerId,
     /// Peer ASN.
     pub peer_asn: Asn,
@@ -82,274 +68,5 @@ impl BmpMessage {
             BmpMessage::Initiation { .. } => 4,
             BmpMessage::Termination => 5,
         }
-    }
-}
-
-/// Encodes one BMP message.
-pub fn encode_bmp(msg: &BmpMessage) -> Result<Bytes, WireError> {
-    let mut body = BytesMut::new();
-    match msg {
-        BmpMessage::Initiation { sys_name } => {
-            // TLV: type 1 (sysName), length, value.
-            body.put_u16(1);
-            body.put_u16(sys_name.len() as u16);
-            body.extend_from_slice(sys_name.as_bytes());
-        }
-        BmpMessage::PeerUp(peer) => {
-            put_per_peer(&mut body, peer);
-            // Local address (16B) + local port + remote port: zeroed; the
-            // in-memory transport has no addresses.
-            body.put_bytes(0, 20);
-        }
-        BmpMessage::RouteMonitoring { peer, update } => {
-            put_per_peer(&mut body, peer);
-            let bgp = encode_message(&BgpMessage::Update(update.clone()))?;
-            body.extend_from_slice(&bgp);
-        }
-        BmpMessage::PeerDown { peer, reason } => {
-            put_per_peer(&mut body, peer);
-            body.put_u8(*reason);
-        }
-        BmpMessage::Termination => {
-            // TLV: type 0 (string) zero-length — minimal valid termination.
-            body.put_u16(0);
-            body.put_u16(0);
-        }
-    }
-    let total = BMP_HEADER_LEN + body.len();
-    let mut out = BytesMut::with_capacity(total);
-    out.put_u8(BMP_VERSION);
-    out.put_u32(total as u32);
-    out.put_u8(msg.type_code());
-    out.extend_from_slice(&body);
-    Ok(out.freeze())
-}
-
-/// Decodes one BMP message from the front of `buf`, consuming it.
-///
-/// Returns `Err(WireError::Truncated)` without consuming when `buf` holds an
-/// incomplete message.
-pub fn decode_bmp(buf: &mut Bytes) -> Result<BmpMessage, WireError> {
-    if buf.len() < BMP_HEADER_LEN {
-        return Err(WireError::Truncated);
-    }
-    let version = buf[0];
-    if version != BMP_VERSION {
-        return Err(WireError::BadVersion(version));
-    }
-    let total = u32::from_be_bytes([buf[1], buf[2], buf[3], buf[4]]) as usize;
-    if total < BMP_HEADER_LEN {
-        return Err(WireError::BadLength(total as u16));
-    }
-    if buf.len() < total {
-        return Err(WireError::Truncated);
-    }
-    let type_code = buf[5];
-    let mut msg = buf.split_to(total);
-    msg.advance(BMP_HEADER_LEN);
-    let mut body = msg;
-    match type_code {
-        0 => {
-            let peer = get_per_peer(&mut body)?;
-            match decode_message(&mut body)? {
-                BgpMessage::Update(update) => Ok(BmpMessage::RouteMonitoring { peer, update }),
-                _ => Err(WireError::BadAttribute("route monitoring without UPDATE")),
-            }
-        }
-        2 => {
-            let peer = get_per_peer(&mut body)?;
-            if body.is_empty() {
-                return Err(WireError::Truncated);
-            }
-            let reason = body.get_u8();
-            Ok(BmpMessage::PeerDown { peer, reason })
-        }
-        3 => {
-            let peer = get_per_peer(&mut body)?;
-            Ok(BmpMessage::PeerUp(peer))
-        }
-        4 => {
-            if body.len() < 4 {
-                return Err(WireError::Truncated);
-            }
-            let _tlv_type = body.get_u16();
-            let len = body.get_u16() as usize;
-            if body.len() < len {
-                return Err(WireError::Truncated);
-            }
-            let name = body.split_to(len);
-            Ok(BmpMessage::Initiation {
-                sys_name: String::from_utf8_lossy(&name).into_owned(),
-            })
-        }
-        5 => Ok(BmpMessage::Termination),
-        t => Err(WireError::BadType(t)),
-    }
-}
-
-fn put_per_peer(out: &mut BytesMut, peer: &BmpPeerHeader) {
-    out.put_u8(0); // peer type: global instance
-    out.put_u8(0); // flags: IPv4, post-policy
-    out.put_u64(peer.peer.0); // peer distinguisher carries the PeerId
-    out.put_bytes(0, 12); // high bytes of the 16B address field
-    out.put_u32(u32::from(peer.peer_bgp_id)); // low 4 bytes: v4 address
-    out.put_u32(peer.peer_asn.0);
-    out.put_u32(u32::from(peer.peer_bgp_id));
-    out.put_u32((peer.timestamp_ms / 1000) as u32);
-    out.put_u32(((peer.timestamp_ms % 1000) * 1000) as u32);
-}
-
-fn get_per_peer(body: &mut Bytes) -> Result<BmpPeerHeader, WireError> {
-    if body.len() < PER_PEER_LEN {
-        return Err(WireError::Truncated);
-    }
-    let _type = body.get_u8();
-    let _flags = body.get_u8();
-    let peer = PeerId(body.get_u64());
-    body.advance(12);
-    let _addr = body.get_u32();
-    let peer_asn = Asn(body.get_u32());
-    let peer_bgp_id = Ipv4Addr::from(body.get_u32());
-    let secs = body.get_u32() as u64;
-    let usecs = body.get_u32() as u64;
-    Ok(BmpPeerHeader {
-        peer,
-        peer_asn,
-        peer_bgp_id,
-        timestamp_ms: secs * 1000 + usecs / 1000,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::attrs::PathAttributes;
-
-    fn header() -> BmpPeerHeader {
-        BmpPeerHeader {
-            peer: PeerId(42),
-            peer_asn: Asn(65001),
-            peer_bgp_id: Ipv4Addr::new(10, 1, 2, 3),
-            timestamp_ms: 123_456,
-        }
-    }
-
-    fn round_trip(msg: BmpMessage) -> BmpMessage {
-        let mut bytes = encode_bmp(&msg).unwrap();
-        let decoded = decode_bmp(&mut bytes).unwrap();
-        assert!(bytes.is_empty());
-        decoded
-    }
-
-    #[test]
-    fn initiation_round_trip() {
-        let msg = BmpMessage::Initiation {
-            sys_name: "pop1-pr2".to_string(),
-        };
-        assert_eq!(round_trip(msg.clone()), msg);
-    }
-
-    #[test]
-    fn peer_up_round_trip() {
-        let msg = BmpMessage::PeerUp(header());
-        assert_eq!(round_trip(msg.clone()), msg);
-    }
-
-    #[test]
-    fn peer_down_round_trip() {
-        let msg = BmpMessage::PeerDown {
-            peer: header(),
-            reason: 2,
-        };
-        assert_eq!(round_trip(msg.clone()), msg);
-    }
-
-    #[test]
-    fn termination_round_trip() {
-        assert_eq!(round_trip(BmpMessage::Termination), BmpMessage::Termination);
-    }
-
-    #[test]
-    fn route_monitoring_embeds_real_update() {
-        let update = UpdateMessage::announce(
-            "203.0.113.0/24".parse().unwrap(),
-            PathAttributes {
-                next_hop: Some(Ipv4Addr::new(192, 0, 2, 1)),
-                local_pref: Some(800),
-                ..Default::default()
-            },
-        );
-        let msg = BmpMessage::RouteMonitoring {
-            peer: header(),
-            update,
-        };
-        assert_eq!(round_trip(msg.clone()), msg);
-    }
-
-    #[test]
-    fn timestamp_survives_with_ms_precision() {
-        let mut h = header();
-        h.timestamp_ms = 98_765;
-        match round_trip(BmpMessage::PeerUp(h)) {
-            BmpMessage::PeerUp(got) => assert_eq!(got.timestamp_ms, 98_765),
-            other => panic!("wrong type {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncated_stream_is_reported() {
-        let full = encode_bmp(&BmpMessage::Termination).unwrap();
-        let mut partial = full.slice(..3);
-        assert_eq!(decode_bmp(&mut partial), Err(WireError::Truncated));
-        assert_eq!(partial.len(), 3, "nothing consumed");
-    }
-
-    #[test]
-    fn version_mismatch_rejected() {
-        let mut bytes = encode_bmp(&BmpMessage::Termination).unwrap().to_vec();
-        bytes[0] = 2;
-        let mut buf = Bytes::from(bytes);
-        assert_eq!(decode_bmp(&mut buf), Err(WireError::BadVersion(2)));
-    }
-
-    #[test]
-    fn decoder_never_panics_on_fuzzed_bodies() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for _ in 0..2000 {
-            let len = rng.gen_range(0..200usize);
-            let ty = rng.gen_range(0..7u8);
-            let mut msg = BytesMut::new();
-            msg.put_u8(BMP_VERSION);
-            msg.put_u32((BMP_HEADER_LEN + len) as u32);
-            msg.put_u8(ty);
-            for _ in 0..len {
-                msg.put_u8(rng.gen());
-            }
-            let mut buf = msg.freeze();
-            let _ = decode_bmp(&mut buf); // must not panic
-        }
-    }
-
-    #[test]
-    fn messages_frame_back_to_back() {
-        let a = encode_bmp(&BmpMessage::Initiation {
-            sys_name: "x".into(),
-        })
-        .unwrap();
-        let b = encode_bmp(&BmpMessage::PeerUp(header())).unwrap();
-        let mut stream = BytesMut::new();
-        stream.extend_from_slice(&a);
-        stream.extend_from_slice(&b);
-        let mut buf = stream.freeze();
-        assert!(matches!(
-            decode_bmp(&mut buf).unwrap(),
-            BmpMessage::Initiation { .. }
-        ));
-        assert!(matches!(
-            decode_bmp(&mut buf).unwrap(),
-            BmpMessage::PeerUp(_)
-        ));
-        assert!(buf.is_empty());
     }
 }

@@ -13,22 +13,21 @@
 //! | 1    | Multiprotocol (IPv6 unicast)       | 4760 |
 //! | 2    | Route refresh                      | 2918 |
 //! | 65   | 4-octet AS numbers (always sent)   | 6793 |
-//! | 69   | ADD-PATH (IPv4 unicast, send+recv) | 7911 |
 //! | 70   | Enhanced route refresh (BoRR/EoRR) | 7313 |
+//!
+//! Any other code a peer sends (ADD-PATH's 69 among them) is unrecognised
+//! and ignored, as RFC 5492 §3 requires.
 
 use serde::{Deserialize, Serialize};
 
 use ef_net_types::Asn;
 
-use crate::addpath::{addpath_capability, supports_addpath};
 use crate::message::OpenMessage;
 
 /// Capability code for multiprotocol extensions (RFC 4760).
 pub const CAP_MULTIPROTOCOL: u8 = 1;
 /// Capability code for route refresh (RFC 2918).
 pub const CAP_ROUTE_REFRESH: u8 = 2;
-/// Capability code for ADD-PATH (RFC 7911).
-pub const CAP_ADD_PATH: u8 = 69;
 /// Capability code for enhanced route refresh (RFC 7313).
 pub const CAP_ENHANCED_REFRESH: u8 = 70;
 
@@ -46,19 +45,16 @@ pub struct Capabilities {
     /// Enhanced route refresh (RFC 7313): replays are bracketed by
     /// BoRR/EoRR so the requester can sweep stale paths.
     pub enhanced_refresh: bool,
-    /// ADD-PATH for IPv4 unicast, send + receive (RFC 7911).
-    pub addpath: bool,
 }
 
 impl Default for Capabilities {
     /// What a production peering router advertises as a matter of course:
-    /// MP-BGP and both refresh capabilities on, ADD-PATH opt-in.
+    /// MP-BGP and both refresh capabilities on.
     fn default() -> Self {
         Capabilities {
             mp_ipv6: true,
             route_refresh: true,
             enhanced_refresh: true,
-            addpath: false,
         }
     }
 }
@@ -70,15 +66,6 @@ impl Capabilities {
             mp_ipv6: false,
             route_refresh: false,
             enhanced_refresh: false,
-            addpath: false,
-        }
-    }
-
-    /// The default set plus ADD-PATH.
-    pub fn with_addpath() -> Self {
-        Capabilities {
-            addpath: true,
-            ..Default::default()
         }
     }
 
@@ -93,9 +80,6 @@ impl Capabilities {
         }
         if self.route_refresh {
             tlvs.push((CAP_ROUTE_REFRESH, Vec::new()));
-        }
-        if self.addpath {
-            tlvs.push(addpath_capability());
         }
         if self.enhanced_refresh {
             tlvs.push((CAP_ENHANCED_REFRESH, Vec::new()));
@@ -114,7 +98,6 @@ impl Capabilities {
             }),
             route_refresh: tlvs.iter().any(|(code, _)| *code == CAP_ROUTE_REFRESH),
             enhanced_refresh: tlvs.iter().any(|(code, _)| *code == CAP_ENHANCED_REFRESH),
-            addpath: supports_addpath(tlvs),
         }
     }
 
@@ -130,7 +113,6 @@ impl Capabilities {
             mp_ipv6: self.mp_ipv6 && peer.mp_ipv6,
             route_refresh: (self.route_refresh && peer.route_refresh) || enhanced,
             enhanced_refresh: enhanced,
-            addpath: self.addpath && peer.addpath,
         }
     }
 }
@@ -152,18 +134,31 @@ mod tests {
             "4-octet AS always leads"
         );
         assert_eq!(Capabilities::from_tlvs(&tlvs), caps);
+
+        // ADD-PATH (69) and an unassigned code (200) are unrecognised: they
+        // are ignored and the known bits still negotiate.
+        let mut peer = caps.to_tlvs(Asn(65001));
+        peer.push((69, vec![0, 1, 1, 3]));
+        peer.push((200, vec![7]));
+        assert_eq!(Capabilities::from_tlvs(&peer), caps);
+        assert_eq!(caps.negotiate(&peer), caps);
+        let only_unknown = [(69, vec![0, 1, 1, 3]), (200, Vec::new())];
+        assert_eq!(caps.negotiate(&only_unknown), Capabilities::none());
     }
 
     #[test]
     fn tlvs_round_trip_every_corner() {
         for caps in [
             Capabilities::none(),
-            Capabilities::with_addpath(),
             Capabilities {
                 mp_ipv6: false,
                 route_refresh: true,
                 enhanced_refresh: false,
-                addpath: true,
+            },
+            Capabilities {
+                mp_ipv6: true,
+                route_refresh: false,
+                enhanced_refresh: true,
             },
         ] {
             assert_eq!(Capabilities::from_tlvs(&caps.to_tlvs(Asn(65001))), caps);
@@ -172,14 +167,26 @@ mod tests {
 
     #[test]
     fn negotiation_is_an_intersection() {
-        let ours = Capabilities::with_addpath();
+        let ours = Capabilities::default();
         let theirs = Capabilities {
-            addpath: false,
+            enhanced_refresh: false,
             ..Default::default()
         };
         let shared = ours.negotiate(&theirs.to_tlvs(Asn(65001)));
-        assert!(!shared.addpath, "they did not offer ADD-PATH");
-        assert!(shared.route_refresh && shared.enhanced_refresh && shared.mp_ipv6);
+        assert!(
+            !shared.enhanced_refresh,
+            "they did not offer enhanced refresh"
+        );
+        assert!(shared.route_refresh && shared.mp_ipv6);
+
+        let plain = Capabilities {
+            route_refresh: false,
+            enhanced_refresh: false,
+            ..Default::default()
+        };
+        let shared = plain.negotiate(&Capabilities::default().to_tlvs(Asn(65001)));
+        assert!(!shared.route_refresh, "we did not offer route refresh");
+        assert!(shared.mp_ipv6);
 
         let minimal = ours.negotiate(&Capabilities::none().to_tlvs(Asn(65001)));
         assert_eq!(minimal, Capabilities::none());

@@ -15,8 +15,8 @@
 //!   per-candidate record ([`RouteRec`]) the full-table RIB layout stores.
 //! * [`message`] — the BGP-4 message types, plus ROUTE-REFRESH (RFC 2918
 //!   with RFC 7313 BoRR/EoRR demarcation).
-//! * [`capabilities`] — typed OPEN-capability negotiation (MP-BGP, route
-//!   refresh, enhanced refresh, ADD-PATH) behind one entry point.
+//! * [`Capabilities`] — typed OPEN-capability negotiation (MP-BGP, route
+//!   refresh, enhanced refresh) behind one entry point.
 //! * [`wire`] — an RFC 4271 binary codec (4-octet ASNs assumed negotiated,
 //!   RFC 6793), plus MP_REACH/MP_UNREACH for IPv6 NLRI.
 //! * [`peer`] — peer identity and the four interconnect kinds the paper
@@ -26,8 +26,8 @@
 //!   settlement-free / PNI / transit / IXP route-server economics, from
 //!   which the routing kind (and its `LOCAL_PREF` band) is derived.
 //! * [`route`] — a received route bound to its source peer and egress.
-//! * [`policy`] — import/export policy engine (match → actions), with the
-//!   paper's default tiering policy as a constructor.
+//! * [`policy`] — the two import policies a router runs: the paper's
+//!   default tiering policy per peer, and the controller's.
 //! * [`decision`] — the best-path selection ladder.
 //! * [`rib`] — the Loc-RIB, which also holds every peer's Adj-RIB-In routes
 //!   (the router keeps only each peer's prefix set).
@@ -72,12 +72,11 @@
 //! assert_eq!(best.source.peer, PeerId(1));
 //! ```
 
-pub mod addpath;
 pub mod attrs;
 pub mod attrstore;
 pub mod backoff;
 pub mod bmp;
-pub mod capabilities;
+mod capabilities;
 pub mod decision;
 pub mod egress;
 pub mod message;

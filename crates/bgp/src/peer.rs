@@ -27,8 +27,8 @@ impl fmt::Display for PeerId {
 ///
 /// The ordering encodes Facebook's default egress policy tiering (§3.1):
 /// prefer routes from private interconnects, then public exchange peers,
-/// then route-server routes, then transit. The policy engine turns this
-/// ordering into `LOCAL_PREF` bands at import time.
+/// then route-server routes, then transit. The default import policy turns
+/// this ordering into `LOCAL_PREF` bands at import time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum PeerKind {
     /// Edge Fabric's own controller session. Routes from it carry the

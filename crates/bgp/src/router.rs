@@ -199,23 +199,6 @@ impl BgpRouter {
         }
     }
 
-    /// Withdraws a locally originated prefix from every peer.
-    pub fn withdraw_origin(&mut self, prefix: Prefix) {
-        if let Some(pos) = self.local_origins.iter().position(|p| *p == prefix) {
-            self.local_origins.remove(pos);
-            for state in self.peers.values_mut() {
-                if state.up && state.attach.kind != PeerKind::Controller {
-                    let _ = state.session.send_update(UpdateMessage::withdraw([prefix]));
-                }
-            }
-        }
-    }
-
-    /// The locally originated prefixes.
-    pub fn local_origins(&self) -> &[Prefix] {
-        &self.local_origins
-    }
-
     /// Router name.
     pub fn name(&self) -> &str {
         &self.cfg.name
@@ -495,7 +478,7 @@ impl BgpRouter {
         let mut rejected: Vec<Prefix> = Vec::new();
         for prefix in &announced {
             let mut attrs = sent.clone();
-            match attach.policy.apply(prefix, &mut attrs, &source) {
+            match attach.policy.apply(prefix, &mut attrs) {
                 PolicyVerdict::Accept => {
                     // Controller routes name their egress via the synthetic
                     // next hop; organic routes use the attachment's egress.
@@ -1343,19 +1326,6 @@ mod tests {
         r.originate(p("157.240.0.0/17"));
         early2.pump(&mut r, 2);
         assert_eq!(early2.received_updates().len(), 1);
-    }
-
-    #[test]
-    fn withdraw_origin_notifies_peers() {
-        let mut r = router();
-        let mut peer = wire_peer(&mut r, 1, 65001, PeerKind::PrivatePeer, 11);
-        r.originate(p("157.240.0.0/17"));
-        r.withdraw_origin(p("157.240.0.0/17"));
-        peer.pump(&mut r, 1);
-        let got = peer.received_updates();
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[1].withdrawn, vec![p("157.240.0.0/17")]);
-        assert!(r.local_origins().is_empty());
     }
 
     #[test]

@@ -60,12 +60,6 @@ impl SessionConfig {
         self.caps = caps;
         self
     }
-
-    /// Enables the ADD-PATH capability on this endpoint.
-    pub fn with_addpath(mut self) -> Self {
-        self.caps.addpath = true;
-        self
-    }
 }
 
 /// FSM states (RFC 4271 §8.2.2; `Active` folded into `Connect` because the
@@ -260,15 +254,6 @@ impl Session {
     /// True if UPDATEs may be sent.
     pub fn is_established(&self) -> bool {
         self.state == SessionState::Established
-    }
-
-    /// True once established if the peer advertised ADD-PATH (RFC 7911)
-    /// for IPv4 unicast — i.e. this session may carry path-id NLRI.
-    pub fn peer_supports_addpath(&self) -> bool {
-        self.peer_open
-            .as_ref()
-            .map(|open| crate::addpath::supports_addpath(&open.capabilities))
-            .unwrap_or(false)
     }
 
     /// Administrative start: `Idle` → `Connect`.
@@ -723,22 +708,27 @@ mod tests {
     }
 
     #[test]
-    fn addpath_capability_is_negotiated() {
-        let mut a =
-            Session::new(SessionConfig::new(Asn(32934), Ipv4Addr::new(10, 0, 0, 1)).with_addpath());
-        let mut b =
-            Session::new(SessionConfig::new(Asn(65001), Ipv4Addr::new(10, 0, 0, 2)).with_addpath());
+    fn enhanced_refresh_capability_is_negotiated() {
+        let (mut a, mut b) = pair();
         establish_pair(&mut a, &mut b, 0);
-        assert!(a.peer_supports_addpath());
-        assert!(b.peer_supports_addpath());
+        assert!(a.negotiated().enhanced_refresh);
+        assert!(b.negotiated().enhanced_refresh);
 
-        // A plain endpoint does not claim support for its peer.
-        let mut c = Session::new(SessionConfig::new(Asn(32934), Ipv4Addr::new(10, 0, 0, 3)));
-        let mut d =
-            Session::new(SessionConfig::new(Asn(65001), Ipv4Addr::new(10, 0, 0, 4)).with_addpath());
+        // One endpoint without it: neither side may use it, but plain
+        // refresh, which both offered, still negotiates.
+        let plain_refresh = Capabilities {
+            enhanced_refresh: false,
+            ..Default::default()
+        };
+        let mut c = Session::new(
+            SessionConfig::new(Asn(32934), Ipv4Addr::new(10, 0, 0, 3))
+                .with_capabilities(plain_refresh),
+        );
+        let mut d = Session::new(SessionConfig::new(Asn(65001), Ipv4Addr::new(10, 0, 0, 4)));
         establish_pair(&mut c, &mut d, 0);
-        assert!(c.peer_supports_addpath(), "peer d advertised it");
-        assert!(!d.peer_supports_addpath(), "peer c did not");
+        assert!(!c.negotiated().enhanced_refresh, "c did not offer it");
+        assert!(!d.negotiated().enhanced_refresh, "peer c did not offer it");
+        assert!(c.negotiated().route_refresh && d.negotiated().route_refresh);
     }
 
     #[test]

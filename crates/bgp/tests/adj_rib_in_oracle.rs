@@ -208,7 +208,7 @@ fn oracle_announce(
 ) -> bool {
     let mut attrs = attrs.clone();
     let source = peer.source();
-    match peer.attachment().policy.apply(&prefix, &mut attrs, &source) {
+    match peer.attachment().policy.apply(&prefix, &mut attrs) {
         PolicyVerdict::Accept => adj.install(prefix, &attrs, source),
         PolicyVerdict::Reject => adj.withdraw(&prefix),
     }

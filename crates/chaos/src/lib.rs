@@ -10,14 +10,14 @@
 //! exercise that claim: a serde-serializable [`FaultSchedule`] of
 //! `(t_start, duration, target, kind)` events covering the failure modes
 //! of every input and output the controller touches, plus a seeded
-//! [`generator`] that samples schedules deterministically.
+//! [`generate`] function that samples schedules deterministically.
 //!
 //! The schedule is pure data — `ef-sim` interprets it (applying active
 //! faults to routers, feeds, and controllers each tick), and `exp_paper`'s
 //! items E15–E21 drive it (E15 sweeps it EF-on vs EF-off).
 
-pub mod generator;
-pub mod schedule;
+mod generator;
+mod schedule;
 
 pub use generator::{generate, ChaosProfile, PopSurface, SimSurface};
 pub use schedule::{FaultEvent, FaultKind, FaultSchedule, FaultTarget};

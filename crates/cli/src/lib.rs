@@ -402,6 +402,20 @@ fn parse_epoch(value: &str) -> Result<u64, ParseError> {
     }
 }
 
+/// `--hours H`: the run length must be a finite positive number. `nan`
+/// and `inf` parse as floats, but converted to seconds they would give a
+/// zero-epoch run and one of `u64::MAX` seconds.
+fn parse_hours(value: &str) -> Result<f64, ParseError> {
+    let hours: f64 = parse_num("--hours", value)?;
+    if hours.is_finite() && hours > 0.0 {
+        Ok(hours)
+    } else {
+        Err(ParseError(format!(
+            "--hours must be a finite positive number, got {value:?}"
+        )))
+    }
+}
+
 fn parse_common(args: &[String]) -> Result<CommonArgs, ParseError> {
     let mut out = CommonArgs::default();
     let mut iter = args.iter();
@@ -428,7 +442,7 @@ fn parse_run(args: &[String]) -> Result<RunArgs, ParseError> {
             "--prefixes" => out.common.prefixes = parse_num(flag, take_value(flag, &mut iter)?)?,
             "--out" => out.common.out = Some(take_value(flag, &mut iter)?.to_string()),
             "--quiet" => out.common.quiet = true,
-            "--hours" => out.hours = parse_num(flag, take_value(flag, &mut iter)?)?,
+            "--hours" => out.hours = parse_hours(take_value(flag, &mut iter)?)?,
             "--baseline" => out.baseline = true,
             "--split" => out.split = true,
             "--global" => out.global = true,
@@ -436,9 +450,6 @@ fn parse_run(args: &[String]) -> Result<RunArgs, ParseError> {
             "--epoch" => out.epoch_secs = parse_epoch(take_value(flag, &mut iter)?)?,
             other => return Err(ParseError(format!("unknown flag {other:?}"))),
         }
-    }
-    if out.hours <= 0.0 {
-        return Err(ParseError("--hours must be positive".into()));
     }
     Ok(out)
 }
@@ -453,7 +464,7 @@ fn parse_chaos(args: &[String]) -> Result<ChaosArgs, ParseError> {
             "--prefixes" => out.common.prefixes = parse_num(flag, take_value(flag, &mut iter)?)?,
             "--out" => out.common.out = Some(take_value(flag, &mut iter)?.to_string()),
             "--quiet" => out.common.quiet = true,
-            "--hours" => out.hours = parse_num(flag, take_value(flag, &mut iter)?)?,
+            "--hours" => out.hours = parse_hours(take_value(flag, &mut iter)?)?,
             "--baseline" => out.baseline = true,
             "--epoch" => out.epoch_secs = parse_epoch(take_value(flag, &mut iter)?)?,
             "--schedule" => out.schedule = Some(take_value(flag, &mut iter)?.to_string()),
@@ -462,9 +473,6 @@ fn parse_chaos(args: &[String]) -> Result<ChaosArgs, ParseError> {
             "--profile" => out.profile = Some(take_value(flag, &mut iter)?.to_string()),
             other => return Err(ParseError(format!("unknown flag {other:?}"))),
         }
-    }
-    if out.hours <= 0.0 {
-        return Err(ParseError("--hours must be positive".into()));
     }
     if out.events == 0 && out.schedule.is_none() {
         return Err(ParseError(
@@ -496,7 +504,7 @@ fn parse_trace(args: &[String]) -> Result<TraceArgs, ParseError> {
             "--prefixes" => out.common.prefixes = parse_num(flag, take_value(flag, &mut iter)?)?,
             "--out" => out.common.out = Some(take_value(flag, &mut iter)?.to_string()),
             "--quiet" => out.common.quiet = true,
-            "--hours" => out.hours = parse_num(flag, take_value(flag, &mut iter)?)?,
+            "--hours" => out.hours = parse_hours(take_value(flag, &mut iter)?)?,
             "--epoch" => out.epoch_secs = parse_epoch(take_value(flag, &mut iter)?)?,
             "--limit" => out.limit = parse_num(flag, take_value(flag, &mut iter)?)?,
             "--pop" => out.pop = Some(parse_num(flag, take_value(flag, &mut iter)?)?),
@@ -504,9 +512,6 @@ fn parse_trace(args: &[String]) -> Result<TraceArgs, ParseError> {
             "--kind" => out.kind = Some(take_value(flag, &mut iter)?.to_string()),
             other => return Err(ParseError(format!("unknown flag {other:?}"))),
         }
-    }
-    if out.hours <= 0.0 {
-        return Err(ParseError("--hours must be positive".into()));
     }
     Ok(out)
 }
@@ -579,15 +584,12 @@ fn parse_global(args: &[String]) -> Result<GlobalArgs, ParseError> {
             "--prefixes" => out.common.prefixes = parse_num(flag, take_value(flag, &mut iter)?)?,
             "--out" => out.common.out = Some(take_value(flag, &mut iter)?.to_string()),
             "--quiet" => out.common.quiet = true,
-            "--hours" => out.hours = parse_num(flag, take_value(flag, &mut iter)?)?,
+            "--hours" => out.hours = parse_hours(take_value(flag, &mut iter)?)?,
             "--epoch" => out.epoch_secs = parse_epoch(take_value(flag, &mut iter)?)?,
             "--backend" => out.backend = take_value(flag, &mut iter)?.to_string(),
             "--cripple" => out.cripple = Some(parse_num(flag, take_value(flag, &mut iter)?)?),
             other => return Err(ParseError(format!("unknown flag {other:?}"))),
         }
-    }
-    if out.hours <= 0.0 {
-        return Err(ParseError("--hours must be positive".into()));
     }
     if out.backend != "dns" && out.backend != "anycast" {
         return Err(ParseError(format!(
@@ -614,7 +616,7 @@ fn parse_explain(args: &[String]) -> Result<ExplainArgs, ParseError> {
             "--pops" => out.common.pops = parse_num(arg, take_value(arg, &mut iter)?)?,
             "--prefixes" => out.common.prefixes = parse_num(arg, take_value(arg, &mut iter)?)?,
             "--quiet" => out.common.quiet = true,
-            "--hours" => out.hours = parse_num(arg, take_value(arg, &mut iter)?)?,
+            "--hours" => out.hours = parse_hours(take_value(arg, &mut iter)?)?,
             "--epoch" => out.epoch_secs = parse_epoch(take_value(arg, &mut iter)?)?,
             "--global" => out.global = true,
             flag if flag.starts_with("--") => {
@@ -641,9 +643,6 @@ fn parse_explain(args: &[String]) -> Result<ExplainArgs, ParseError> {
             "cannot parse prefix {:?} (expected a.b.c.d/len)",
             out.prefix
         )));
-    }
-    if out.hours <= 0.0 {
-        return Err(ParseError("--hours must be positive".into()));
     }
     Ok(out)
 }
@@ -1129,8 +1128,7 @@ fn execute_inner(cmd: Command) -> Result<Output, String> {
             if skipped > 0 {
                 writeln!(out.stderr, "[skipped {skipped} unparseable line(s)]").unwrap();
             }
-            let cfg = ef_health::HealthConfig::default();
-            let report = ef_health::analyze(&records, &cfg);
+            let report = ef_health::analyze(&records);
             out.stdout = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
             out.stdout.push('\n');
             out.stderr.push_str(&ef_health::render_report(&report));
@@ -1705,10 +1703,8 @@ mod tests {
     #[test]
     fn bad_values_error_cleanly() {
         assert!(parse_args(&argv("run --hours banana")).is_err());
-        assert!(parse_args(&argv("run --hours -1")).is_err());
         assert!(parse_args(&argv("gen --seed")).is_err());
         assert!(parse_args(&argv("gen --frob 1")).is_err());
-        assert!(parse_args(&argv("trace --hours 0")).is_err());
         for cmd in [
             "run --epoch 0",
             "run --epoch 0 --baseline",
@@ -1718,6 +1714,17 @@ mod tests {
             "global --epoch 0",
         ] {
             assert!(parse_args(&argv(cmd)).is_err(), "{cmd}");
+        }
+    }
+
+    #[test]
+    fn hours_must_be_finite_and_positive() {
+        for cmd in ["run", "chaos", "trace", "explain 1.0.0.0/24", "global"] {
+            for hours in ["nan", "inf", "-inf", "-1", "0"] {
+                let line = format!("{cmd} --hours {hours}");
+                assert!(parse_args(&argv(&line)).is_err(), "{line}");
+            }
+            assert!(parse_args(&argv(&format!("{cmd} --hours 0.25"))).is_ok());
         }
     }
 

@@ -2,8 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::population::PopulationGrouping;
-
 /// Which mechanism moves user populations between PoPs. The two variants
 /// bracket the design space the paper's successors explored: DNS maps
 /// (gradual, fractional, delayed by resolver caches) versus anycast
@@ -33,8 +31,8 @@ pub enum BackendKind {
 /// paper, scaled to a named region).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FlashCrowdSpec {
-    /// Population name (`"EU"`, `"AS64512"`, …). Unknown names are
-    /// ignored.
+    /// Population name (a region label: `"EU"`, `"NA"`, …). Unknown
+    /// names are ignored.
     pub population: String,
     /// Window start, simulated seconds.
     pub t_start_secs: u64,
@@ -51,9 +49,6 @@ pub struct FlashCrowdSpec {
 /// offered load) but no steering ever happens.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GlobalConfig {
-    /// How prefixes group into populations.
-    #[serde(default)]
-    pub grouping: PopulationGrouping,
     /// Steering mechanism; `None` disables steering (shape-only).
     #[serde(default)]
     pub backend: Option<BackendKind>,
@@ -208,7 +203,6 @@ impl std::error::Error for ConfigError {}
 impl Default for GlobalConfig {
     fn default() -> Self {
         GlobalConfig {
-            grouping: PopulationGrouping::default(),
             backend: Some(BackendKind::Dns { ttl_epochs: 1 }),
             step: default_step(),
             max_shift: default_max_shift(),

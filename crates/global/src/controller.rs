@@ -179,7 +179,7 @@ impl GlobalController {
         telemetry: TelemetryHandle,
     ) -> Result<Self, ConfigError> {
         cfg.validate()?;
-        let map = PopulationMap::build(deployment, cfg.grouping);
+        let map = PopulationMap::build(deployment);
         let n_pops = deployment.pops.len();
         let n_populations = map.len();
         let mut backend: Option<Box<dyn SteeringBackend>> = match cfg.backend {

@@ -7,14 +7,14 @@
 //! PoP serves which population before per-PoP egress control ever runs.
 //! This crate reproduces that layer:
 //!
-//! * [`population`] — named user populations (by region or by origin AS)
-//!   with per-PoP demand baselines derived from the serving footprint;
-//! * [`config`] — [`GlobalConfig`]: grouping, steering backend, shift
+//! * `population` — named user populations (one per region) with
+//!   per-PoP demand baselines derived from the serving footprint;
+//! * `config` — [`GlobalConfig`]: steering backend, shift
 //!   tunables, headroom safety margin, scheduled flash crowds;
-//! * [`backend`] — the [`SteeringBackend`] trait and its two
+//! * `backend` — the [`SteeringBackend`] trait and its two
 //!   implementations: [`DnsBackend`] (fractional, TTL-delayed) and
 //!   [`AnycastBackend`] (all-or-nothing, convergence-delayed);
-//! * [`controller`] — [`GlobalController`], which shapes demand (flash
+//! * `controller` — [`GlobalController`], which shapes demand (flash
 //!   crowds), places steered-away demand under per-PoP headroom budgets,
 //!   and feeds per-PoP [`PopReport`]s to the backend each epoch. The
 //!   controller degrades like the paper's §5 fail-safes: stale reports
@@ -29,12 +29,12 @@
 //! simulation results with the tier enabled are byte-identical across
 //! reruns and unaffected by telemetry being on or off.
 
-pub mod backend;
-pub mod config;
-pub mod controller;
-pub mod population;
+mod backend;
+mod config;
+mod controller;
+mod population;
 
 pub use backend::{AnycastBackend, CellObservation, DnsBackend, ShiftTuning, SteeringBackend};
 pub use config::{BackendKind, ConfigError, FlashCrowdSpec, GlobalConfig};
 pub use controller::{GlobalController, GuardSnapshot, PlacementSummary, PopReport};
-pub use population::{Population, PopulationGrouping, PopulationMap};
+pub use population::{Population, PopulationMap};

@@ -4,9 +4,11 @@
 //! *user populations* — named groups of users whose placement is decided
 //! together, because that is the granularity real steering mechanisms
 //! operate at (a DNS map entry, an anycast catchment). A
-//! [`PopulationMap`] partitions the prefix universe into populations and
-//! records each population's *baseline*: the average demand it places on
-//! every PoP under the generator's serving footprint. Baselines are what
+//! [`PopulationMap`] partitions the prefix universe into one population
+//! per world region — how flash crowds and regional blackouts actually
+//! correlate — and records each population's *baseline*: the average
+//! demand it places on every PoP under the generator's serving footprint.
+//! Baselines are what
 //! backends compare reported headroom against when deciding whether a
 //! drained PoP is healthy enough to take its users back.
 
@@ -14,23 +16,10 @@ use serde::{Deserialize, Serialize};
 
 use ef_topology::{Deployment, Region};
 
-/// How prefixes are grouped into populations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum PopulationGrouping {
-    /// One population per world region (8 total), named by region label
-    /// (`"NA"`, `"EU"`, …). The default: matches how flash crowds and
-    /// regional blackouts actually correlate.
-    #[default]
-    ByRegion,
-    /// One population per eyeball AS, named `"AS<asn>"`. Finer-grained;
-    /// useful for steering experiments targeting a single network.
-    ByOriginAs,
-}
-
 /// A named group of users steered as a unit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Population {
-    /// Display name (region label or `AS<asn>`).
+    /// Display name: the region label (`"NA"`, `"EU"`, …).
     pub name: String,
     /// Average demand this population places on each PoP (Mbps), indexed
     /// by PoP index. Zero means the PoP has no serving footprint for any
@@ -48,54 +37,37 @@ impl Population {
 /// The partition of the prefix universe into populations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PopulationMap {
-    /// All populations, in deterministic order (region order or AS order).
+    /// All populations, in [`Region::ALL`] order.
     pub populations: Vec<Population>,
     /// Population index of each prefix (indexed by `prefix_idx`).
     pub of_prefix: Vec<u32>,
 }
 
 impl PopulationMap {
-    /// Partitions `deployment`'s prefix universe and computes baselines
-    /// from the serving footprint.
-    pub fn build(deployment: &Deployment, grouping: PopulationGrouping) -> Self {
+    /// Partitions `deployment`'s prefix universe by region and computes
+    /// baselines from the serving footprint.
+    pub fn build(deployment: &Deployment) -> Self {
         let n_pops = deployment.pops.len();
         let universe = &deployment.universe;
-        let (mut populations, of_prefix) = match grouping {
-            PopulationGrouping::ByRegion => {
-                let populations: Vec<Population> = Region::ALL
-                    .iter()
-                    .map(|r| Population {
-                        name: r.label().to_string(),
-                        baseline_mbps: vec![0.0; n_pops],
-                    })
-                    .collect();
-                let index_of = |region: Region| -> u32 {
-                    Region::ALL
-                        .iter()
-                        .position(|r| *r == region)
-                        .map(|i| i as u32)
-                        .unwrap_or(0)
-                };
-                let of_prefix: Vec<u32> = universe
-                    .prefixes
-                    .iter()
-                    .map(|p| index_of(universe.origin_of(p).region))
-                    .collect();
-                (populations, of_prefix)
-            }
-            PopulationGrouping::ByOriginAs => {
-                let populations: Vec<Population> = universe
-                    .ases
-                    .iter()
-                    .map(|a| Population {
-                        name: format!("AS{}", a.asn.0),
-                        baseline_mbps: vec![0.0; n_pops],
-                    })
-                    .collect();
-                let of_prefix: Vec<u32> = universe.prefixes.iter().map(|p| p.origin_idx).collect();
-                (populations, of_prefix)
-            }
+        let mut populations: Vec<Population> = Region::ALL
+            .iter()
+            .map(|r| Population {
+                name: r.label().to_string(),
+                baseline_mbps: vec![0.0; n_pops],
+            })
+            .collect();
+        let index_of = |region: Region| -> u32 {
+            Region::ALL
+                .iter()
+                .position(|r| *r == region)
+                .map(|i| i as u32)
+                .unwrap_or(0)
         };
+        let of_prefix: Vec<u32> = universe
+            .prefixes
+            .iter()
+            .map(|p| index_of(universe.origin_of(p).region))
+            .collect();
         for (pop_idx, pop) in deployment.pops.iter().enumerate() {
             for served in &pop.served {
                 if let Some(pi) = of_prefix.get(served.prefix_idx as usize) {
@@ -135,7 +107,7 @@ mod tests {
     #[test]
     fn by_region_covers_every_prefix_and_baseline_matches_served() {
         let dep = generate(&GenConfig::small(4));
-        let map = PopulationMap::build(&dep, PopulationGrouping::ByRegion);
+        let map = PopulationMap::build(&dep);
         assert_eq!(map.len(), 8);
         assert_eq!(map.of_prefix.len(), dep.universe.prefixes.len());
         // Baselines sum to the total served demand, exactly partitioned.
@@ -154,20 +126,9 @@ mod tests {
     }
 
     #[test]
-    fn by_origin_as_has_one_population_per_as() {
-        let dep = generate(&GenConfig::small(3));
-        let map = PopulationMap::build(&dep, PopulationGrouping::ByOriginAs);
-        assert_eq!(map.len(), dep.universe.ases.len());
-        assert!(map.populations[0].name.starts_with("AS"));
-        for (idx, p) in dep.universe.prefixes.iter().enumerate() {
-            assert_eq!(map.of_prefix[idx], p.origin_idx);
-        }
-    }
-
-    #[test]
     fn serde_round_trip() {
         let dep = generate(&GenConfig::small(3));
-        let map = PopulationMap::build(&dep, PopulationGrouping::ByRegion);
+        let map = PopulationMap::build(&dep);
         let json = serde_json::to_string(&map).unwrap();
         let back: PopulationMap = serde_json::from_str(&json).unwrap();
         assert_eq!(map, back);

@@ -9,20 +9,20 @@
 //!
 //! Four pieces, one per module:
 //!
-//! * [`digest`] — a hand-rolled streaming quantile digest
+//! * `digest` — a hand-rolled streaming quantile digest
 //!   ([`QuantileDigest`]): bounded-memory percentiles over unbounded
 //!   value ranges, deterministic for identical input streams;
-//! * [`series`] — ring-buffer time series ([`RingSeries`], one
+//! * `series` — ring-buffer time series ([`RingSeries`], one
 //!   [`SeriesStore`] per PoP): recent samples for live views plus a
 //!   whole-run digest per metric;
-//! * [`rules`] — the declarative SLO/alert engine: [`SloRule`]s with
+//! * `rules` — the declarative SLO/alert engine: [`SloRule`]s with
 //!   sustain/clear hysteresis, typed [`Alert`]s with firing/cleared
 //!   edges, strict-inequality thresholds so boundary values never flap;
-//! * [`monitor`] — the live tier ([`HealthMonitor`]): consumes one
+//! * `monitor` — the live tier ([`HealthMonitor`]): consumes one
 //!   [`EpochSignals`] per PoP per epoch from the simulator, feeds series
 //!   and rules, and emits `health.sample` / `alert.fire` / `alert.clear`
 //!   events into the telemetry stream;
-//! * [`report`] — offline judgment ([`analyze`]) of a recorded telemetry
+//! * `report` — offline judgment ([`analyze`]) of a recorded telemetry
 //!   stream for `efctl report` / `efctl watch`, no simulation crates
 //!   required.
 //!
@@ -33,11 +33,11 @@
 //! a run's `results/` output is byte-identical with health on or off,
 //! including under chaos schedules.
 
-pub mod digest;
-pub mod monitor;
-pub mod report;
-pub mod rules;
-pub mod series;
+mod digest;
+mod monitor;
+mod report;
+mod rules;
+mod series;
 
 pub use digest::QuantileDigest;
 pub use monitor::{

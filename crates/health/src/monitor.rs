@@ -100,115 +100,27 @@ pub struct GlobalSignals {
     pub moved_mbps: f64,
 }
 
-fn default_ring_capacity() -> usize {
-    512
-}
-fn default_digest_bins() -> usize {
-    64
-}
-fn default_drop_rate_ceiling() -> f64 {
-    0.005
-}
-fn default_util_overload() -> f64 {
-    1.0
-}
-fn default_churn_storm() -> f64 {
-    50.0
-}
-fn default_churn_sustain() -> u32 {
-    3
-}
-fn default_stale_input_ms() -> f64 {
-    45_000.0
-}
-fn default_session_reset_storm() -> f64 {
-    2.5
-}
-fn default_clear_epochs() -> u32 {
-    2
-}
-fn default_warmup_epochs() -> u32 {
-    2
-}
-fn default_placement_thrash() -> f64 {
-    4.0
-}
-fn default_thrash_sustain() -> u32 {
-    2
-}
+/// Samples kept per ring series.
+const RING_CAPACITY: usize = 512;
+/// Centroids per quantile digest.
+pub(crate) const DIGEST_BINS: usize = 64;
+/// Recovered epochs required before any alert clears.
+const CLEAR_EPOCHS: u32 = 2;
+/// Per-PoP epochs to sample but not judge at the start of a run. A
+/// cold-started controller has not placed its first overrides yet, so the
+/// first epoch legitimately shows drops/overload; paging on the
+/// convergence transient would make every run "dirty".
+pub(crate) const WARMUP_EPOCHS: u64 = 2;
 
-/// Tunable thresholds for the built-in SLO rule set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct HealthConfig {
-    /// Samples kept per ring series.
-    #[serde(default = "default_ring_capacity")]
-    pub ring_capacity: usize,
-    /// Centroids per quantile digest.
-    #[serde(default = "default_digest_bins")]
-    pub digest_bins: usize,
-    /// `drop_rate_ceiling` fires above this dropped/offered fraction.
-    #[serde(default = "default_drop_rate_ceiling")]
-    pub drop_rate_ceiling: f64,
-    /// `interface_overload` fires above this load/capacity utilization.
-    #[serde(default = "default_util_overload")]
-    pub util_overload: f64,
-    /// `churn_storm` fires above this many override announce+withdraws
-    /// per epoch, sustained for `churn_sustain` epochs.
-    #[serde(default = "default_churn_storm")]
-    pub churn_storm: f64,
-    /// Sustain requirement for `churn_storm`.
-    #[serde(default = "default_churn_sustain")]
-    pub churn_sustain: u32,
-    /// `stale_inputs` fires above this input age, ms. The default sits
-    /// between one and two 30 s epochs, so a stalled feed fires on the
-    /// second stale epoch.
-    #[serde(default = "default_stale_input_ms")]
-    pub stale_input_ms: f64,
-    /// `session_flap` fires above this many session resets per epoch.
-    #[serde(default = "default_session_reset_storm")]
-    pub session_reset_storm: f64,
-    /// `placement_thrash` fires above this many global away-fraction
-    /// direction flips per epoch, sustained for `thrash_sustain` epochs.
-    #[serde(default = "default_placement_thrash")]
-    pub placement_thrash: f64,
-    /// Sustain requirement for `placement_thrash`.
-    #[serde(default = "default_thrash_sustain")]
-    pub thrash_sustain: u32,
-    /// Recovered epochs required before any alert clears.
-    #[serde(default = "default_clear_epochs")]
-    pub clear_epochs: u32,
-    /// Per-PoP epochs to sample but not judge at the start of a run. A
-    /// cold-started controller has not placed its first overrides yet, so
-    /// the first epoch legitimately shows drops/overload; paging on the
-    /// convergence transient would make every run "dirty".
-    #[serde(default = "default_warmup_epochs")]
-    pub warmup_epochs: u32,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            ring_capacity: default_ring_capacity(),
-            digest_bins: default_digest_bins(),
-            drop_rate_ceiling: default_drop_rate_ceiling(),
-            util_overload: default_util_overload(),
-            churn_storm: default_churn_storm(),
-            churn_sustain: default_churn_sustain(),
-            stale_input_ms: default_stale_input_ms(),
-            session_reset_storm: default_session_reset_storm(),
-            placement_thrash: default_placement_thrash(),
-            thrash_sustain: default_thrash_sustain(),
-            clear_epochs: default_clear_epochs(),
-            warmup_epochs: default_warmup_epochs(),
-        }
-    }
-}
+/// Selects the health tier for a scenario. The built-in rule set's
+/// thresholds are fixed (see [`HealthConfig::rules`]); a config written
+/// when they were settable still loads, its threshold keys ignored.
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+pub struct HealthConfig {}
 
 impl HealthConfig {
-    /// The built-in rule set under this config's thresholds, in a stable
-    /// declaration order.
+    /// The built-in rule set, in a stable declaration order.
     pub fn rules(&self) -> Vec<SloRule> {
-        let clear = self.clear_epochs;
         let rule =
             |name: &str, metric: &str, threshold: f64, sustain: u32, sev: Severity| SloRule {
                 name: name.to_string(),
@@ -216,15 +128,16 @@ impl HealthConfig {
                 threshold,
                 cmp: Comparison::Above,
                 sustain_epochs: sustain,
-                clear_epochs: clear,
+                clear_epochs: CLEAR_EPOCHS,
                 severity: sev,
             };
         vec![
-            // The paper's first-order SLO: egress drops despite EF.
+            // The paper's first-order SLO: egress drops despite EF, above
+            // 0.5 % of offered demand.
             rule(
                 "drop_rate_ceiling",
                 "drop_rate",
-                self.drop_rate_ceiling,
+                0.005,
                 1,
                 Severity::Critical,
             ),
@@ -232,23 +145,20 @@ impl HealthConfig {
             rule(
                 "interface_overload",
                 "iface_util_max",
-                self.util_overload,
+                1.0,
                 1,
                 Severity::Warning,
             ),
-            // Override churn storm: sustained announce/withdraw thrash.
-            rule(
-                "churn_storm",
-                "override_churn",
-                self.churn_storm,
-                self.churn_sustain,
-                Severity::Warning,
-            ),
-            // Watchdog: the controller is deciding on stale inputs.
+            // Override churn storm: over 50 announce+withdraws per epoch,
+            // sustained for 3 epochs.
+            rule("churn_storm", "override_churn", 50.0, 3, Severity::Warning),
+            // Watchdog: the controller is deciding on stale inputs. The
+            // threshold sits between one and two 30 s epochs, so a stalled
+            // feed fires on the second stale epoch.
             rule(
                 "stale_inputs",
                 "input_age_ms",
-                self.stale_input_ms,
+                45_000.0,
                 1,
                 Severity::Critical,
             ),
@@ -278,13 +188,8 @@ impl HealthConfig {
                 1,
                 Severity::Warning,
             ),
-            rule(
-                "session_flap",
-                "session_resets",
-                self.session_reset_storm,
-                1,
-                Severity::Warning,
-            ),
+            // Session flap storm: three or more resets in one epoch.
+            rule("session_flap", "session_resets", 2.5, 1, Severity::Warning),
             // Ingest corruption: UPDATEs downgraded to treat-as-withdraw.
             rule(
                 "ingest_corruption",
@@ -319,12 +224,13 @@ impl HealthConfig {
                 1,
                 Severity::Critical,
             ),
-            // Placements bouncing between PoPs on alternating reports.
+            // Placements bouncing between PoPs on alternating reports: over
+            // 4 away-fraction direction flips per epoch, sustained for 2.
             rule(
                 "placement_thrash",
                 "placement_flips",
-                self.placement_thrash,
-                self.thrash_sustain,
+                4.0,
+                2,
                 Severity::Warning,
             ),
         ]
@@ -361,7 +267,6 @@ struct PrevTotals {
 /// The live health tier: series store + rule engine + alert emission.
 #[derive(Debug)]
 pub struct HealthMonitor {
-    cfg: HealthConfig,
     engine: RuleEngine,
     series: BTreeMap<u16, SeriesStore>,
     prev: BTreeMap<u16, PrevTotals>,
@@ -375,18 +280,12 @@ impl HealthMonitor {
     pub fn new(cfg: HealthConfig, telemetry: TelemetryHandle) -> Self {
         let engine = RuleEngine::new(cfg.rules());
         HealthMonitor {
-            cfg,
             engine,
             series: BTreeMap::new(),
             prev: BTreeMap::new(),
             epochs_seen: BTreeMap::new(),
             telemetry,
         }
-    }
-
-    /// The config in force.
-    pub fn config(&self) -> &HealthConfig {
-        &self.cfg
     }
 
     /// Derives the flat metric vector the rules and series consume, in
@@ -482,7 +381,7 @@ impl HealthMonitor {
         let store = self
             .series
             .entry(signals.pop)
-            .or_insert_with(|| SeriesStore::new(self.cfg.ring_capacity, self.cfg.digest_bins));
+            .or_insert_with(|| SeriesStore::new(RING_CAPACITY, DIGEST_BINS));
         for (name, value) in &metrics {
             store.record(name, signals.t_secs, *value);
         }
@@ -500,7 +399,7 @@ impl HealthMonitor {
         let seen = self.epochs_seen.entry(signals.pop).or_insert(0);
         *seen += 1;
         // Cold-start warmup: sample and emit, but don't judge yet.
-        let edges = if *seen <= self.cfg.warmup_epochs as u64 {
+        let edges = if *seen <= WARMUP_EPOCHS {
             Vec::new()
         } else {
             self.engine.observe(signals.pop, signals.t_secs, &metrics)
@@ -535,13 +434,13 @@ impl HealthMonitor {
         let store = self
             .series
             .entry(GLOBAL_POP)
-            .or_insert_with(|| SeriesStore::new(self.cfg.ring_capacity, self.cfg.digest_bins));
+            .or_insert_with(|| SeriesStore::new(RING_CAPACITY, DIGEST_BINS));
         for (name, value) in &metrics {
             store.record(name, signals.t_secs, *value);
         }
         let seen = self.epochs_seen.entry(GLOBAL_POP).or_insert(0);
         *seen += 1;
-        let edges = if *seen <= self.cfg.warmup_epochs as u64 {
+        let edges = if *seen <= WARMUP_EPOCHS {
             Vec::new()
         } else {
             self.engine.observe(GLOBAL_POP, signals.t_secs, &metrics)
@@ -622,7 +521,7 @@ impl HealthMonitor {
         for &pop in pops {
             self.series
                 .entry(pop)
-                .or_insert_with(|| SeriesStore::new(self.cfg.ring_capacity, self.cfg.digest_bins));
+                .or_insert_with(|| SeriesStore::new(RING_CAPACITY, DIGEST_BINS));
         }
         let mut out = Vec::with_capacity(pops.len());
         let mut want = pops.iter();
@@ -677,12 +576,23 @@ mod tests {
         assert!(s.get("iface0.util").is_some());
     }
 
-    /// Default config with warmup off, for tests that fire on the first
-    /// observed epoch.
-    fn no_warmup() -> HealthConfig {
-        HealthConfig {
-            warmup_epochs: 0,
-            ..HealthConfig::default()
+    /// A monitor past its cold-start warmup at PoP 0 and at the global
+    /// key, so the next epoch observed at either is judged.
+    fn warmed(telemetry: TelemetryHandle) -> HealthMonitor {
+        let mut mon = HealthMonitor::new(HealthConfig::default(), telemetry);
+        for _ in 0..WARMUP_EPOCHS {
+            assert!(mon.observe_epoch(&calm(0, 0), None).is_empty());
+            assert!(mon.observe_global(&calm_global(0)).is_empty());
+        }
+        mon
+    }
+
+    fn calm_global(t_secs: u64) -> GlobalSignals {
+        GlobalSignals {
+            t_secs,
+            delivered_reports: 4,
+            expected_reports: 4,
+            ..GlobalSignals::default()
         }
     }
 
@@ -708,7 +618,7 @@ mod tests {
     #[test]
     fn drops_fire_and_clear_through_telemetry() {
         let (handle, sink) = TelemetryHandle::memory();
-        let mut mon = HealthMonitor::new(no_warmup(), handle);
+        let mut mon = warmed(handle);
         mon.observe_epoch(&calm(0, 30), None);
         let mut bad = calm(0, 60);
         bad.dropped_mbps = 100.0;
@@ -728,13 +638,16 @@ mod tests {
         assert_eq!(clears.len(), 1);
         assert_eq!(fires[0].str_field("rule"), Some("drop_rate_ceiling"));
         assert_eq!(fires[0].str_field("severity"), Some("critical"));
-        let samples = events.iter().filter(|e| e.name == "health.sample").count();
-        assert_eq!(samples, 4);
+        let samples = events
+            .iter()
+            .filter(|e| e.name == "health.sample" && e.pop == 0)
+            .count();
+        assert_eq!(samples, 4 + WARMUP_EPOCHS as usize);
     }
 
     #[test]
     fn totals_become_deltas() {
-        let mut mon = HealthMonitor::new(no_warmup(), TelemetryHandle::disabled());
+        let mut mon = warmed(TelemetryHandle::disabled());
         let mut s = calm(0, 30);
         s.session_resets_total = 2;
         mon.observe_epoch(&s, None);
@@ -752,7 +665,7 @@ mod tests {
 
     #[test]
     fn watchdog_rules_fire_on_their_signals() {
-        let mut mon = HealthMonitor::new(no_warmup(), TelemetryHandle::disabled());
+        let mut mon = warmed(TelemetryHandle::disabled());
         let mut s = calm(0, 30);
         s.controller_missing = true;
         s.epoch_skipped = true;
@@ -768,7 +681,7 @@ mod tests {
 
     #[test]
     fn global_rules_fire_only_at_the_global_key() {
-        let mut mon = HealthMonitor::new(no_warmup(), TelemetryHandle::disabled());
+        let mut mon = warmed(TelemetryHandle::disabled());
         // A real PoP's sample never trips a global rule.
         assert!(mon.observe_epoch(&calm(0, 30), None).is_empty());
         // Stale reports + fail-static fire at the sentinel key.
@@ -789,29 +702,16 @@ mod tests {
         }
         // A calm global epoch never trips a per-PoP rule (missing metrics
         // are skipped, not treated as zero breaches).
-        let edges = mon.observe_global(&GlobalSignals {
-            t_secs: 60,
-            delivered_reports: 4,
-            expected_reports: 4,
-            ..GlobalSignals::default()
-        });
+        let edges = mon.observe_global(&calm_global(60));
         assert!(edges.iter().all(|e| !e.is_fired()));
     }
 
     #[test]
     fn placement_thrash_needs_sustained_flips() {
-        let cfg = HealthConfig {
-            placement_thrash: 2.0,
-            thrash_sustain: 2,
-            ..no_warmup()
-        };
-        let mut mon = HealthMonitor::new(cfg, TelemetryHandle::disabled());
+        let mut mon = warmed(TelemetryHandle::disabled());
         let thrashy = |t: u64| GlobalSignals {
-            t_secs: t,
-            delivered_reports: 4,
-            expected_reports: 4,
             flips: 6,
-            ..GlobalSignals::default()
+            ..calm_global(t)
         };
         // One thrashy epoch: sustained-for-2 rule holds its fire.
         let edges = mon.observe_global(&thrashy(30));
@@ -822,14 +722,13 @@ mod tests {
 
     #[test]
     fn global_sample_reaches_telemetry() {
+        // Samples are emitted during warmup too: the first epoch reaches
+        // the sink.
         let (handle, sink) = TelemetryHandle::memory();
-        let mut mon = HealthMonitor::new(no_warmup(), handle);
+        let mut mon = HealthMonitor::new(HealthConfig::default(), handle);
         mon.observe_global(&GlobalSignals {
-            t_secs: 30,
-            delivered_reports: 4,
-            expected_reports: 4,
             moved_mbps: 123.0,
-            ..GlobalSignals::default()
+            ..calm_global(30)
         });
         let events = sink.events();
         let sample = events
@@ -847,9 +746,12 @@ mod tests {
     fn config_round_trips_and_defaults() {
         let cfg = HealthConfig::default();
         let json = serde_json::to_string(&cfg).unwrap();
+        assert_eq!(json, "{}");
         let back: HealthConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(back, cfg);
-        let sparse: HealthConfig = serde_json::from_str("{}").unwrap();
-        assert_eq!(sparse, cfg);
+        // A config from when the thresholds were settable still loads.
+        let old: HealthConfig =
+            serde_json::from_str(r#"{"warmup_epochs":0,"drop_rate_ceiling":0.01}"#).unwrap();
+        assert_eq!(old, cfg);
     }
 }

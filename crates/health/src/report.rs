@@ -16,7 +16,7 @@ use ef_telemetry::{Event, FieldValue, TelemetryRecord};
 use serde::{Deserialize, Serialize};
 
 use crate::digest::QuantileDigest;
-use crate::monitor::HealthConfig;
+use crate::monitor::{HealthConfig, DIGEST_BINS, WARMUP_EPOCHS};
 use crate::rules::{Alert, AlertEdge, RuleEngine, Severity};
 
 /// Per-epoch phase-timing fields copied out of `epoch` events into
@@ -169,17 +169,14 @@ fn alerts_from_events(records: &[TelemetryRecord]) -> Vec<Alert> {
 /// Recomputes the alert timeline by replaying the rule engine over the
 /// samples, sorted by (time, pop). Mirrors the live monitor, including
 /// its per-PoP cold-start warmup suppression.
-fn alerts_from_samples(
-    samples: &[(u64, u16, BTreeMap<String, f64>)],
-    cfg: &HealthConfig,
-) -> Vec<Alert> {
-    let mut engine = RuleEngine::new(cfg.rules());
+fn alerts_from_samples(samples: &[(u64, u16, BTreeMap<String, f64>)]) -> Vec<Alert> {
+    let mut engine = RuleEngine::new(HealthConfig::default().rules());
     let mut alerts = Vec::new();
     let mut seen: BTreeMap<u16, u64> = BTreeMap::new();
     for (now_ms, pop, metrics) in samples {
         let n = seen.entry(*pop).or_insert(0);
         *n += 1;
-        if *n <= cfg.warmup_epochs as u64 {
+        if *n <= WARMUP_EPOCHS {
             continue;
         }
         for edge in engine.observe(*pop, now_ms / 1000, metrics) {
@@ -201,8 +198,8 @@ fn alerts_from_samples(
 }
 
 /// Judges a telemetry stream: SLO table, percentile summary, and alert
-/// timeline under `cfg`'s rule set.
-pub fn analyze(records: &[TelemetryRecord], cfg: &HealthConfig) -> HealthReport {
+/// timeline under the built-in rule set.
+pub fn analyze(records: &[TelemetryRecord]) -> HealthReport {
     // Samples, sorted by (time, pop) so replay matches the live monitor.
     let mut samples: Vec<(u64, u16, BTreeMap<String, f64>)> = records
         .iter()
@@ -222,22 +219,22 @@ pub fn analyze(records: &[TelemetryRecord], cfg: &HealthConfig) -> HealthReport 
     // Digests per (pop, metric): the sampled map plus wall-clock phase
     // timings lifted from epoch events.
     let mut digests: BTreeMap<(u16, String), QuantileDigest> = BTreeMap::new();
-    let mut observe = |pop: u16, metric: &str, value: f64, bins: usize| {
+    let mut observe = |pop: u16, metric: &str, value: f64| {
         digests
             .entry((pop, metric.to_string()))
-            .or_insert_with(|| QuantileDigest::new(bins))
+            .or_insert_with(|| QuantileDigest::new(DIGEST_BINS))
             .observe(value);
     };
     for (_, pop, metrics) in &samples {
         for (k, v) in metrics {
-            observe(*pop, k, *v, cfg.digest_bins);
+            observe(*pop, k, *v);
         }
     }
     for event in records.iter().filter_map(|r| r.as_event()) {
         if event.name == "epoch" {
             for phase in PHASE_FIELDS {
                 if let Some(us) = num_field(event, phase) {
-                    observe(event.pop, &format!("epoch.{phase}"), us, cfg.digest_bins);
+                    observe(event.pop, &format!("epoch.{phase}"), us);
                 }
             }
         }
@@ -254,7 +251,7 @@ pub fn analyze(records: &[TelemetryRecord], cfg: &HealthConfig) -> HealthReport 
     let alerts = if alerts_recorded {
         recorded
     } else {
-        alerts_from_samples(&samples, cfg)
+        alerts_from_samples(&samples)
     };
 
     let mut pops: Vec<u16> = samples.iter().map(|(_, p, _)| *p).collect();
@@ -264,7 +261,7 @@ pub fn analyze(records: &[TelemetryRecord], cfg: &HealthConfig) -> HealthReport 
     epoch_times.sort_unstable();
     epoch_times.dedup();
 
-    let slo = cfg
+    let slo = HealthConfig::default()
         .rules()
         .iter()
         .map(|rule| {
@@ -448,8 +445,7 @@ mod tests {
     #[test]
     fn report_from_recorded_alerts() {
         let records = stream_with_incident();
-        let cfg = HealthConfig::default();
-        let report = analyze(&records, &cfg);
+        let report = analyze(&records);
         assert_eq!(report.pops, vec![0, 1]);
         assert_eq!(report.epochs, 10);
         assert_eq!(report.samples, 20);
@@ -483,8 +479,7 @@ mod tests {
     #[test]
     fn recomputed_timeline_matches_recorded() {
         let records = stream_with_incident();
-        let cfg = HealthConfig::default();
-        let recorded = analyze(&records, &cfg);
+        let recorded = analyze(&records);
         // Strip alert events; the analyzer must replay to the same result.
         let stripped: Vec<TelemetryRecord> = records
             .iter()
@@ -512,7 +507,7 @@ mod tests {
             })
             .collect();
         samples.sort_by_key(|(t, p, _)| (*t, *p));
-        let replayed = alerts_from_samples(&samples, &cfg);
+        let replayed = alerts_from_samples(&samples);
         assert_eq!(replayed, recorded.alerts);
     }
 
@@ -523,7 +518,7 @@ mod tests {
         for t in 1..=5u64 {
             mon.observe_epoch(&signals(0, t * 30, 0.0), None);
         }
-        let report = analyze(&sink.records(), &HealthConfig::default());
+        let report = analyze(&sink.records());
         assert!(report.clean());
         assert!(report.slo.iter().all(|r| r.pass));
         assert!(render_report(&report).contains("no alerts fired"));
@@ -544,7 +539,7 @@ mod tests {
 
     #[test]
     fn empty_stream_yields_empty_report() {
-        let report = analyze(&[], &HealthConfig::default());
+        let report = analyze(&[]);
         assert_eq!(report.samples, 0);
         assert_eq!(report.epochs, 0);
         assert!(report.clean());

@@ -8,7 +8,7 @@
 //!
 //! * [`rtt`] — a latent per-(PoP, prefix, egress) RTT/loss model with
 //!   congestion-coupled inflation, substituting for the real Internet;
-//! * [`quantile`] — the P² streaming quantile estimator used to digest
+//! * `quantile` — the P² streaming quantile estimator used to digest
 //!   samples without storing them;
 //! * [`measurement`] — the alternate-path measurement machinery: slice
 //!   assignment, sample collection, per-path digests; and
@@ -17,7 +17,7 @@
 
 pub mod compare;
 pub mod measurement;
-pub mod quantile;
+mod quantile;
 pub mod rtt;
 
 pub use compare::{compare_paths, PathComparison};

@@ -21,13 +21,13 @@
 //! baseline-BGP arm of every with/without comparison in the paper's
 //! evaluation; both arms share seeds, so differences are causal.
 
-pub mod chaos;
-pub mod engine;
+mod chaos;
+mod engine;
 pub mod fibcache;
 pub mod metrics;
-pub mod report;
+mod report;
 pub mod runtime;
-pub mod scenario;
+mod scenario;
 mod traffic_order;
 
 pub use chaos::surface as chaos_surface;

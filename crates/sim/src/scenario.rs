@@ -393,6 +393,7 @@ mod tests {
             &scenario()
                 .small_topology(1)
                 .perf(PerfSimConfig::default())
+                .global(ef_global::GlobalConfig::default())
                 .health(ef_health::HealthConfig::default())
                 .build(),
         )
@@ -408,10 +409,27 @@ mod tests {
             ("\"controller\":{", "dry_run", "false"),
             ("\"perf\":{", "slice_fraction", "0.005"),
             ("\"perf\":{", "aware", aware),
+            ("\"global\":{", "grouping", "\"ByRegion\""),
             ("\"health\":{", "epoch_deadline_ms", "null"),
             ("\"health\":{", "billing_budget_usd_per_month", "null"),
+            ("\"health\":{", "ring_capacity", "512"),
+            ("\"health\":{", "digest_bins", "64"),
+            ("\"health\":{", "drop_rate_ceiling", "0.005"),
+            ("\"health\":{", "util_overload", "1.0"),
+            ("\"health\":{", "churn_storm", "50.0"),
+            ("\"health\":{", "churn_sustain", "3"),
+            ("\"health\":{", "stale_input_ms", "45000.0"),
+            ("\"health\":{", "session_reset_storm", "2.5"),
+            ("\"health\":{", "placement_thrash", "4.0"),
+            ("\"health\":{", "thrash_sustain", "2"),
+            ("\"health\":{", "clear_epochs", "2"),
+            ("\"health\":{", "warmup_epochs", "2"),
         ] {
-            let old = json.replacen(object, &format!("{object}\"{key}\":{value},"), 1);
+            // The health object is empty, so the inserted key is its last:
+            // drop the comma that would otherwise trail it.
+            let old = json
+                .replacen(object, &format!("{object}\"{key}\":{value},"), 1)
+                .replace(",}", "}");
             assert_ne!(old, json, "{object}");
             let back: SimConfig = serde_json::from_str(&old).unwrap();
             back.controller.validate().unwrap();

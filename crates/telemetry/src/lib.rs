@@ -9,21 +9,20 @@
 //!
 //! Four pieces, one per module:
 //!
-//! * [`event`] — a structured [`Event`](event::Event) with flat typed
-//!   fields, plus the [`TelemetryRecord`](event::TelemetryRecord) envelope
-//!   a sink receives (events, decision provenance, metric snapshots) —
-//!   JSON-lines on disk, one record per line;
-//! * [`explain`] — decision provenance: one
-//!   [`ExplainRecord`](explain::ExplainRecord) per override decision,
-//!   naming the overloaded interface, the chosen alternate, and every
-//!   rejected alternative with its rejection reason;
-//! * [`placement`] — the global steering tier's provenance: one
-//!   [`PlacementRecord`](placement::PlacementRecord) per population-level
-//!   steering action, naming the backend, the drained PoP, each target
-//!   with its granted volume, and every rejected candidate;
-//! * [`registry`] — counters / gauges / histograms, snapshotted into the
+//! * `event` — a structured [`Event`] with flat typed fields, plus the
+//!   [`TelemetryRecord`] envelope a sink receives (events, decision
+//!   provenance, metric snapshots) — JSON-lines on disk, one record per
+//!   line;
+//! * `explain` — decision provenance: one [`ExplainRecord`] per override
+//!   decision, naming the overloaded interface, the chosen alternate, and
+//!   every rejected alternative with its rejection reason;
+//! * `placement` — the global steering tier's provenance: one
+//!   [`PlacementRecord`] per population-level steering action, naming the
+//!   backend, the drained PoP, each target with its granted volume, and
+//!   every rejected candidate;
+//! * `registry` — counters / gauges / histograms, snapshotted into the
 //!   event stream once per simulation epoch;
-//! * [`audit`] — the override auditor: re-runs the BGP decision process
+//! * `audit` — the override auditor: re-runs the BGP decision process
 //!   after an epoch and reports overrides that failed to install or leaked
 //!   past their withdrawal.
 //!
@@ -34,13 +33,13 @@
 //! control decisions or simulation results — `tests/determinism.rs` proves
 //! a run's `results/` output is byte-identical with the sink on or off.
 
-pub mod audit;
-pub mod event;
-pub mod explain;
-pub mod handle;
-pub mod placement;
-pub mod registry;
-pub mod sink;
+mod audit;
+mod event;
+mod explain;
+mod handle;
+mod placement;
+mod registry;
+mod sink;
 
 pub use audit::{audit_overrides, AuditFinding, AuditOutcome};
 pub use event::{Event, FieldValue, TelemetryRecord};

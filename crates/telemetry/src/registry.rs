@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// Default histogram bounds for microsecond durations: powers of ten from
 /// 10 µs to 10 s. Values land in the first bucket whose bound they do not
 /// exceed; beyond the last bound they land in the overflow bucket.
-pub const DURATION_US_BOUNDS: [f64; 7] = [
+const DURATION_US_BOUNDS: [f64; 7] = [
     10.0,
     100.0,
     1_000.0,
@@ -162,7 +162,8 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records a histogram observation with [`DURATION_US_BOUNDS`].
+    /// Records a histogram observation with the default microsecond
+    /// duration bounds (10 µs to 10 s, powers of ten).
     pub fn observe(&self, name: &str, value: f64) {
         self.observe_with(name, &DURATION_US_BOUNDS, value);
     }

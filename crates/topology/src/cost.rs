@@ -24,9 +24,6 @@ use serde::{Deserialize, Serialize};
 use ef_bgp::egress::PeeringClass;
 use ef_bgp::route::EgressId;
 
-/// Seconds in the 30-day billing month the simulations model.
-pub const SECS_PER_BILLING_MONTH: u64 = 30 * 86_400;
-
 /// A typed rejection from [`CostModel::validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum CostConfigError {

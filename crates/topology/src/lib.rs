@@ -10,16 +10,16 @@
 //! * per-PoP [`RouteSpec`]s — who announces what, with which AS path.
 //!
 //! Since the production data behind the paper is unavailable, the
-//! [`gen`] module synthesizes deployments from a seed, shaped to match the
+//! `gen` module synthesizes deployments from a seed, shaped to match the
 //! published observations: heavy-tailed peer counts, most traffic covered by
 //! ≥2 (usually ≥4) routes per prefix, private interconnects sized so that
 //! daily peaks overload a minority of them — the condition that makes
 //! Edge Fabric necessary.
 
-pub mod cost;
-pub mod gen;
-pub mod model;
-pub mod region;
+mod cost;
+mod gen;
+mod model;
+mod region;
 pub mod stats;
 
 pub use cost::{BillingMeter, CostConfigError, CostModel};

@@ -5,23 +5,18 @@
 //! 1. the *actual* egress demand placed on each PoP, which in production is
 //!    oceans of user traffic — here a [`DemandModel`] combining the
 //!    deployment's Zipf per-prefix averages with region-phased
-//!    [`diurnal`] curves and slow multiplicative noise; and
+//!    [`DiurnalCurve`]s and slow multiplicative noise; and
 //! 2. the controller's *estimate* of that demand, built from sampled flow
 //!    records — here an sFlow-style [`sampler`] feeding a windowed
 //!    [`RateEstimator`], so the controller sees realistic sampling error
 //!    rather than ground truth.
-//!
-//! [`heavy::SpaceSaving`] provides the top-k heavy-hitter structure used to
-//! bound controller work per cycle.
 
 pub mod demand;
-pub mod diurnal;
+mod diurnal;
 pub mod estimator;
-pub mod heavy;
 pub mod sampler;
 
 pub use demand::{DemandModel, DemandPoint};
 pub use diurnal::DiurnalCurve;
 pub use estimator::RateEstimator;
-pub use heavy::SpaceSaving;
 pub use sampler::{FlowSample, SamplerConfig, SflowSampler};
