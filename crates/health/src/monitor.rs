@@ -241,7 +241,7 @@ impl HealthConfig {
 /// only O(interfaces) work — into that PoP's store. Slot-addressed: the
 /// interface list is fixed by the topology, so after the first epoch
 /// each sample is a direct index, no string formatting or lookups. The
-/// engine calls this from inside the PoP's parallel step worker (the
+/// engine calls this from the parallel job that steps the PoP (the
 /// stores are per-PoP, so the mutations are disjoint); the serial
 /// [`HealthMonitor::observe_epoch_presampled`] pass then covers named
 /// metrics and rules without re-walking the interface list.
@@ -361,7 +361,7 @@ impl HealthMonitor {
 
     /// [`observe_epoch`](Self::observe_epoch) for a caller that already
     /// ran [`sample_iface_util`] on this PoP's store — the engine samples
-    /// interface series inside each PoP's parallel step worker, leaving
+    /// interface series inside the parallel job that steps each PoP, leaving
     /// only the named metrics and rule pass for this serial call.
     pub fn observe_epoch_presampled(
         &mut self,

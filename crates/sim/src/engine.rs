@@ -2,6 +2,7 @@
 //! steps them through controller epochs, in parallel across PoPs.
 
 use std::collections::{BTreeSet, VecDeque};
+use std::sync::Mutex;
 
 use ef_bgp::route::EgressId;
 use ef_net_types::Prefix;
@@ -42,11 +43,67 @@ pub struct SimEngine {
     /// Recent true reports per PoP (newest at the back, capped), the
     /// replay source for report-staleness faults.
     report_history: Vec<VecDeque<PopReport>>,
+    /// This epoch's per-prefix demand multipliers, shared by every PoP
+    /// (the buffer is reused across epochs).
+    demand_table: Vec<f64>,
+    /// Most threads an epoch's fan-out runs on: the cores available at
+    /// construction.
+    workers: usize,
     t_secs: u64,
 }
 
 /// Report-staleness replay depth kept per PoP.
 const REPORT_HISTORY_CAP: usize = 64;
+
+/// Runs `f` over every job on at most `workers` scoped threads, each
+/// pulling the next job from one shared queue, and returns the results in
+/// job order whichever thread ran which job. With one job or one worker
+/// the jobs run inline on the caller. A panicking job panics the caller
+/// (with its own payload) once the other workers have drained the queue.
+fn fan_out<J, R, F>(workers: usize, jobs: Vec<J>, f: F) -> Vec<R>
+where
+    J: Send,
+    R: Send,
+    F: Fn(J) -> R + Sync,
+{
+    let workers = workers.min(jobs.len());
+    if workers <= 1 {
+        return jobs.into_iter().map(f).collect();
+    }
+    let mut slots: Vec<Option<R>> = jobs.iter().map(|_| None).collect();
+    let queue = Mutex::new(jobs.into_iter().enumerate());
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // The guard drops at the `;`: no job runs under it.
+                        let next = queue.lock().expect("job queue poisoned").next();
+                        let Some((i, job)) = next else {
+                            return done;
+                        };
+                        done.push((i, f(job)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => {
+                    for (i, r) in done {
+                        slots[i] = Some(r);
+                    }
+                }
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|r| r.expect("every job ran once"))
+        .collect()
+}
 
 impl SimEngine {
     /// Builds the engine: generates the deployment, brings up every PoP's
@@ -61,23 +118,11 @@ impl SimEngine {
     pub fn with_deployment(cfg: SimConfig, deployment: Deployment) -> Self {
         let demand = DemandModel::new(&deployment, cfg.demand_seed);
         let pop_ids: Vec<PopId> = deployment.pops.iter().map(|p| p.id).collect();
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
         // PoP construction is independent; build in parallel.
-        let pops: Vec<PopRuntime> = crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = pop_ids
-                .iter()
-                .map(|pop_id| {
-                    let deployment = &deployment;
-                    let cfg = &cfg;
-                    let pop_id = *pop_id;
-                    s.spawn(move |_| PopRuntime::build(deployment, pop_id, cfg))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("PoP build worker panicked"))
-                .collect()
-        })
-        .expect("sim worker panicked");
+        let pops: Vec<PopRuntime> = fan_out(workers, pop_ids, |pop_id| {
+            PopRuntime::build(&deployment, pop_id, &cfg)
+        });
         let perf_model = PathPerfModel::new(PerfConfig {
             seed: cfg.demand_seed ^ 0xE0E0,
             ..Default::default()
@@ -121,6 +166,8 @@ impl SimEngine {
             global_events,
             active_global_faults: BTreeSet::new(),
             report_history,
+            demand_table: Vec::new(),
+            workers,
             t_secs: 0,
         }
     }
@@ -142,6 +189,10 @@ impl SimEngine {
     /// Advances one epoch across every PoP (parallel).
     pub fn step(&mut self) {
         let t = self.t_secs;
+        // Demand multipliers do not depend on the PoP: fill them once, and
+        // leave each PoP one multiply per served prefix.
+        self.demand.multipliers_into(t, &mut self.demand_table);
+        let table = &self.demand_table;
         let demand_model = &self.demand;
         let deployment = &self.deployment;
         let perf_model = &self.perf_model;
@@ -165,35 +216,21 @@ impl SimEngine {
             let mut demands: Vec<(PopId, Vec<ef_traffic::demand::DemandPoint>)> = self
                 .pops
                 .iter()
-                .map(|pop| (pop.pop.id, demand_model.offered(deployment, pop.pop.id, t)))
+                .map(|pop| {
+                    let demand = demand_model.offered_from(deployment, pop.pop.id, table);
+                    (pop.pop.id, demand)
+                })
                 .collect();
             global.shape_demand(t, &mut demands);
             global.place(t, &mut demands);
-            let outcomes: Vec<(PopId, crate::runtime::StepOutcome)> =
-                crossbeam::thread::scope(|s| {
-                    let handles: Vec<_> = self
-                        .pops
-                        .iter_mut()
-                        .zip(demands.iter())
-                        .zip(store_opts)
-                        .map(|((pop, (pop_id, demand)), store)| {
-                            let pop_id = *pop_id;
-                            s.spawn(move |_| {
-                                let outcome = pop.step(t, demand, perf_model);
-                                if let (Some(store), Some(signals)) = (store, pop.health_signals())
-                                {
-                                    ef_health::sample_iface_util(store, signals);
-                                }
-                                (pop_id, outcome)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|h| h.join().expect("PoP step worker panicked"))
-                        .collect()
-                })
-                .expect("sim worker panicked");
+            let jobs: Vec<_> = self.pops.iter_mut().zip(&demands).zip(store_opts).collect();
+            let outcomes = fan_out(self.workers, jobs, |((pop, (pop_id, demand)), store)| {
+                let outcome = pop.step(t, demand, perf_model);
+                if let (Some(store), Some(signals)) = (store, pop.health_signals()) {
+                    ef_health::sample_iface_util(store, signals);
+                }
+                (*pop_id, outcome)
+            });
             // True end-of-epoch reports, stamped with the epoch they
             // describe. Faults below corrupt the *delivery*, never these.
             let stamp = t / self.cfg.epoch_secs;
@@ -305,18 +342,14 @@ impl SimEngine {
                 global.observe(&delivered);
             }
         } else {
-            crossbeam::thread::scope(|s| {
-                for (pop, store) in self.pops.iter_mut().zip(store_opts) {
-                    s.spawn(move |_| {
-                        let demand = demand_model.offered(deployment, pop.pop.id, t);
-                        pop.step(t, &demand, perf_model);
-                        if let (Some(store), Some(signals)) = (store, pop.health_signals()) {
-                            ef_health::sample_iface_util(store, signals);
-                        }
-                    });
+            let jobs: Vec<_> = self.pops.iter_mut().zip(store_opts).collect();
+            fan_out(self.workers, jobs, |(pop, store)| {
+                let demand = demand_model.offered_from(deployment, pop.pop.id, table);
+                pop.step(t, &demand, perf_model);
+                if let (Some(store), Some(signals)) = (store, pop.health_signals()) {
+                    ef_health::sample_iface_util(store, signals);
                 }
-            })
-            .expect("sim worker panicked");
+            });
         }
         if let Some(monitor) = self.health.as_mut() {
             let wall_us = epoch_start.map(|s| s.elapsed().as_micros() as u64);
@@ -703,6 +736,152 @@ mod tests {
                 "a 0.7 loss gate over {} sends never dropped",
                 ledger.announces_sent
             );
+        }
+    }
+
+    #[test]
+    fn fan_out_returns_results_in_job_order() {
+        use std::sync::Barrier;
+        for workers in [1, 2, 7] {
+            for jobs in [0usize, 1, 20] {
+                // Jobs 0 and 1 meet at one barrier and jobs 2 and 3 at
+                // another, so each pair runs on two workers at once: no
+                // worker's results are a run of consecutive jobs.
+                let held = workers > 1 && jobs >= 4;
+                let meet = [Barrier::new(2), Barrier::new(2)];
+                let out = fan_out(workers, (0..jobs).collect(), |j| {
+                    if held && j < 4 {
+                        meet[j / 2].wait();
+                    }
+                    j * 10
+                });
+                let expect: Vec<usize> = (0..jobs).map(|j| j * 10).collect();
+                assert_eq!(out, expect, "{workers} workers, {jobs} jobs");
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_runs_every_job_exactly_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for workers in [1, 2, 7] {
+            for jobs in [0usize, 1, 20] {
+                let runs: Vec<AtomicUsize> = (0..jobs).map(|_| AtomicUsize::new(0)).collect();
+                fan_out(workers, runs.iter().collect(), |count| {
+                    count.fetch_add(1, Ordering::Relaxed);
+                });
+                for (j, count) in runs.iter().enumerate() {
+                    assert_eq!(count.load(Ordering::Relaxed), 1, "job {j} of {jobs}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fan_out_panicking_job_panics_the_caller() {
+        for workers in [1, 2, 7] {
+            let caught = std::panic::catch_unwind(|| {
+                fan_out(workers, (0..20).collect(), |j: usize| {
+                    if j == 13 {
+                        panic!("job 13 failed");
+                    }
+                    j
+                })
+            });
+            let payload = caught.expect_err("the caller panics, no result comes back");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"job 13 failed"));
+        }
+    }
+
+    #[test]
+    fn worker_count_never_changes_a_run() {
+        // Seven PoPs, both tiers, billing, and faults at PoPs and at the
+        // global tier: every piece of state the fan-out hands a worker.
+        let pop_fault = |pop, kind| ef_chaos::FaultEvent {
+            t_start_secs: 180,
+            duration_secs: 240,
+            target: ef_chaos::FaultTarget::Pop { pop },
+            kind,
+        };
+        let global_fault = |pop, t_start_secs, kind| ef_chaos::FaultEvent {
+            t_start_secs,
+            duration_secs: 180,
+            target: ef_chaos::FaultTarget::Global { pop },
+            kind,
+        };
+        let schedule = ef_chaos::FaultSchedule::new(vec![
+            pop_fault(1, ef_chaos::FaultKind::BmpStall),
+            pop_fault(3, ef_chaos::FaultKind::FlashCrowd { multiplier: 3.0 }),
+            pop_fault(5, ef_chaos::FaultKind::ControllerCrash),
+            pop_fault(6, ef_chaos::FaultKind::SflowLoss { drop_fraction: 0.5 }),
+            global_fault(
+                Some(0),
+                300,
+                ef_chaos::FaultKind::ReportStaleness { epochs: 2 },
+            ),
+            global_fault(
+                Some(2),
+                300,
+                ef_chaos::FaultKind::HeadroomLie { factor: 20.0 },
+            ),
+            global_fault(Some(4), 420, ef_chaos::FaultKind::ReportPartition),
+            global_fault(None, 660, ef_chaos::FaultKind::GlobalControllerCrash),
+        ])
+        .expect("valid schedule");
+        let global = ef_global::GlobalConfig {
+            backend: Some(ef_global::BackendKind::Dns { ttl_epochs: 2 }),
+            step: 0.1,
+            ..Default::default()
+        }
+        .with_flash_crowd(ef_global::FlashCrowdSpec {
+            population: "NA".into(),
+            t_start_secs: 240,
+            duration_secs: 480,
+            multiplier: 4.0,
+        });
+        let cfg = scenario()
+            .topology(ef_topology::GenConfig {
+                seed: 5,
+                n_pops: 7,
+                n_ases: 40,
+                n_prefixes: 300,
+                total_avg_gbps: 700.0,
+                ..ef_topology::GenConfig::default()
+            })
+            .duration_secs(15 * 60)
+            .epoch_secs(60)
+            .global(global)
+            .health(ef_health::HealthConfig::default())
+            .chaos(schedule)
+            .build();
+        let dep = generate(&cfg.gen);
+        let run = |workers: usize| {
+            let mut engine =
+                crate::scenario::ScenarioBuilder::from_config(cfg.clone()).engine_with(dep.clone());
+            engine.workers = workers;
+            let mut guards = Vec::new();
+            while engine.now_secs() < 15 * 60 {
+                engine.step();
+                guards.push(guard_snapshot(&engine));
+            }
+            let alerts = engine.health_monitor().expect("health on").all_alerts();
+            let metrics = engine.take_metrics();
+            let recorded =
+                serde_json::to_string(&(&metrics.pop_epochs, &metrics.episodes, &metrics.billing))
+                    .expect("metrics serialize");
+            (recorded, guards, alerts, metrics.pop_epochs.len())
+        };
+        let one = run(1);
+        assert_eq!(one.3, 7 * 15, "every PoP stepped every epoch");
+        assert!(
+            one.1.iter().any(|g| g.fail_static),
+            "the tier crash engaged"
+        );
+        for workers in [2, 7] {
+            let other = run(workers);
+            assert!(one.0 == other.0, "{workers} workers changed the records");
+            assert_eq!(one.1, other.1, "{workers} workers changed the guards");
+            assert_eq!(one.2, other.2, "{workers} workers changed the alerts");
         }
     }
 }

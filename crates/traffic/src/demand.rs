@@ -72,52 +72,61 @@ impl DemandModel {
         }
     }
 
-    /// The diurnal curve in use.
-    pub fn curve(&self) -> DiurnalCurve {
-        self.curve
-    }
-
-    /// Offered rate multiplier for `prefix_idx` at `utc_secs`.
-    pub fn multiplier(&self, prefix_idx: u32, utc_secs: u64) -> f64 {
-        let region = self.prefix_region[prefix_idx as usize];
-        let diurnal = self.curve.multiplier_at_secs(utc_secs, region);
-        diurnal * self.noise(prefix_idx, noise_angles(utc_secs))
-    }
-
-    /// Offered demand for every prefix served by `pop` at `utc_secs`.
-    pub fn offered(&self, deployment: &Deployment, pop: PopId, utc_secs: u64) -> Vec<DemandPoint> {
+    /// Fills `table` with every universe prefix's rate multiplier at
+    /// `utc_secs`, indexed by prefix index (the buffer is cleared first, so
+    /// one can be reused across epochs). A multiplier does not depend on
+    /// the PoP, so one table serves every PoP's [`Self::offered_from`].
+    pub fn multipliers_into(&self, utc_secs: u64, table: &mut Vec<f64>) {
         // The time angles and the diurnal factor do not depend on the
-        // prefix (the latter only on its region): compute them once per
-        // call. Each product below is the one `multiplier` forms, so the
-        // rates are bit-identical to calling it per prefix.
+        // prefix (the latter only on its region): compute them once.
         let angles = noise_angles(utc_secs);
         let mut diurnal = [0.0f64; Region::ALL.len()];
         for region in Region::ALL {
             diurnal[region as usize] = self.curve.multiplier_at_secs(utc_secs, region);
         }
+        table.clear();
+        table.extend(
+            self.prefix_region
+                .iter()
+                .enumerate()
+                .map(|(idx, region)| diurnal[*region as usize] * self.noise(idx, angles)),
+        );
+    }
+
+    /// Offered demand for every prefix served by `pop`, from a multiplier
+    /// table [`Self::multipliers_into`] filled: one multiply per prefix.
+    pub fn offered_from(
+        &self,
+        deployment: &Deployment,
+        pop: PopId,
+        table: &[f64],
+    ) -> Vec<DemandPoint> {
         deployment
             .pop(pop)
             .served
             .iter()
-            .map(|s| {
-                let region = self.prefix_region[s.prefix_idx as usize];
-                let multiplier = diurnal[region as usize] * self.noise(s.prefix_idx, angles);
-                DemandPoint {
-                    prefix_idx: s.prefix_idx,
-                    mbps: s.avg_mbps * multiplier,
-                }
+            .map(|s| DemandPoint {
+                prefix_idx: s.prefix_idx,
+                mbps: s.avg_mbps * table[s.prefix_idx as usize],
             })
             .collect()
+    }
+
+    /// Offered demand for every prefix served by `pop` at `utc_secs`.
+    pub fn offered(&self, deployment: &Deployment, pop: PopId, utc_secs: u64) -> Vec<DemandPoint> {
+        let mut table = Vec::new();
+        self.multipliers_into(utc_secs, &mut table);
+        self.offered_from(deployment, pop, &table)
     }
 
     /// Smooth multiplicative noise in `[1-a, 1+a]`, deterministic in
     /// `(seed, prefix)`, continuous in time (`angles` from
     /// [`noise_angles`]).
-    fn noise(&self, prefix_idx: u32, (a1, a2): (f64, f64)) -> f64 {
+    fn noise(&self, prefix_idx: usize, (a1, a2): (f64, f64)) -> f64 {
         if self.noise_amplitude == 0.0 {
             return 1.0;
         }
-        let (p1, p2) = self.noise_phase[prefix_idx as usize];
+        let (p1, p2) = self.noise_phase[prefix_idx];
         let s = 0.6 * (a1 + p1).sin() + 0.4 * (a2 + p2).sin();
         1.0 + self.noise_amplitude * s
     }
@@ -186,22 +195,35 @@ mod tests {
         diurnal * (1.0 + amplitude * s)
     }
 
+    /// One prefix's multiplier, read out of a freshly filled table.
+    fn multiplier(m: &DemandModel, prefix_idx: u32, utc_secs: u64) -> f64 {
+        let mut table = Vec::new();
+        m.multipliers_into(utc_secs, &mut table);
+        table[prefix_idx as usize]
+    }
+
     #[test]
     fn offered_is_bit_identical_to_per_prefix_derivation() {
         let d = dep();
         let curve = DiurnalCurve::default();
         for amplitude in [0.10, 0.0] {
             let m = DemandModel::with_curve(&d, 42, curve, amplitude);
+            // One buffer refilled at every `t`, as the engine reuses it.
+            let mut table = vec![f64::NAN; 3];
             for t in [0u64, 30, 3_600, 47_910, 86_370, 200_000] {
+                m.multipliers_into(t, &mut table);
+                assert_eq!(table.len(), d.universe.prefixes.len());
                 for pop in &d.pops {
+                    let from_table = m.offered_from(&d, pop.id, &table);
                     let offered = m.offered(&d, pop.id, t);
+                    assert_eq!(from_table.len(), pop.served.len());
                     assert_eq!(offered.len(), pop.served.len());
-                    for (point, s) in offered.iter().zip(&pop.served) {
+                    for ((point, direct), s) in from_table.iter().zip(&offered).zip(&pop.served) {
                         assert_eq!(point.prefix_idx, s.prefix_idx);
-                        let via_multiplier = s.avg_mbps * m.multiplier(s.prefix_idx, t);
+                        assert_eq!(direct.prefix_idx, s.prefix_idx);
                         let reference = s.avg_mbps
                             * reference_multiplier(&d, curve, 42, amplitude, s.prefix_idx, t);
-                        assert_eq!(point.mbps.to_bits(), via_multiplier.to_bits());
+                        assert_eq!(point.mbps.to_bits(), direct.mbps.to_bits());
                         assert_eq!(point.mbps.to_bits(), reference.to_bits());
                     }
                 }
@@ -240,8 +262,8 @@ mod tests {
                     == Region::Europe
             })
             .expect("an EU prefix is served");
-        let peak = m.multiplier(eu_prefix, 19 * 3600);
-        let trough = m.multiplier(eu_prefix, 7 * 3600);
+        let peak = multiplier(&m, eu_prefix, 19 * 3600);
+        let trough = multiplier(&m, eu_prefix, 7 * 3600);
         assert!(peak / trough > 5.0, "peak {peak} vs trough {trough}");
     }
 
@@ -251,7 +273,7 @@ mod tests {
         let m = DemandModel::new(&d, 9);
         let mut prev = None;
         for t in (0..7200).step_by(30) {
-            let v = m.multiplier(0, t);
+            let v = multiplier(&m, 0, t);
             if let Some(p) = prev {
                 let rel: f64 = (v - p) / p;
                 assert!(
@@ -267,8 +289,8 @@ mod tests {
     #[test]
     fn different_seeds_give_different_noise() {
         let d = dep();
-        let a = DemandModel::new(&d, 1).multiplier(5, 1234);
-        let b = DemandModel::new(&d, 2).multiplier(5, 1234);
+        let a = multiplier(&DemandModel::new(&d, 1), 5, 1234);
+        let b = multiplier(&DemandModel::new(&d, 2), 5, 1234);
         assert_ne!(a, b);
     }
 
@@ -278,6 +300,6 @@ mod tests {
         let m = DemandModel::with_curve(&d, 1, DiurnalCurve::default(), 0.0);
         let region = d.universe.origin_of(&d.universe.prefixes[0]).region;
         let expect = DiurnalCurve::default().multiplier_at_secs(555, region);
-        assert!((m.multiplier(0, 555) - expect).abs() < 1e-12);
+        assert!((multiplier(&m, 0, 555) - expect).abs() < 1e-12);
     }
 }
