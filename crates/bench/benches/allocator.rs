@@ -1,6 +1,7 @@
 //! Microbenchmark + ablation: the detour allocator.
 //!
-//! Benchmarks `project` + `allocate` at PoP scale and ablates the two
+//! Benchmarks a cold projection (`project_cached` over a fresh cache: one
+//! full stateless recompute) + `allocate` at PoP scale and ablates the two
 //! prefix-selection strategies and the utilization limit — the design
 //! choices DESIGN.md calls out.
 
@@ -10,15 +11,13 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use edge_fabric::allocator::{allocate, DetourStrategy};
 use edge_fabric::collector::RouteCollector;
-use edge_fabric::config::ControllerConfig;
 use edge_fabric::overrides::OverrideSet;
-use edge_fabric::projection::project;
-use edge_fabric::state::{InterfaceInfo, InterfaceMap};
+use edge_fabric::projection::{project_cached, ProjectionCache};
+use edge_fabric::{ControllerConfig, InterfaceInfo, InterfaceMap, Projection};
 use ef_bgp::attrs::{AsPath, PathAttributes};
-use ef_bgp::bmp::{BmpMessage, BmpPeerHeader};
-use ef_bgp::egress::EgressSpec;
 use ef_bgp::message::UpdateMessage;
 use ef_bgp::peer::PeerId;
+use ef_bgp::{BmpMessage, BmpPeerHeader, EgressSpec};
 use ef_net_types::Prefix;
 
 /// Builds a PoP-scale world: `n_prefixes` prefixes, each with a private
@@ -69,6 +68,11 @@ fn world(n_prefixes: u32) -> (RouteCollector, InterfaceMap, HashMap<Prefix, f64>
         .map(|(s, cap)| (s.egress, InterfaceInfo::with_policy(cap, s.policy())))
         .collect();
     (collector, interfaces, traffic)
+}
+
+/// One cold projection: a fresh cache recomputes every prefix.
+fn project(collector: &RouteCollector, traffic: &HashMap<Prefix, f64>) -> Projection {
+    project_cached(&mut ProjectionCache::new(), collector, traffic)
 }
 
 fn bench_allocator(c: &mut Criterion) {

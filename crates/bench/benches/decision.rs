@@ -7,9 +7,9 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 
 use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::attrstore::{AttrStore, RouteRec};
-use ef_bgp::decision::{best_rec, best_rec_where, rank_recs_into};
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::route::{EgressId, RouteSource};
+use ef_bgp::{best_rec, best_rec_where, rank_recs_into};
 use ef_net_types::Asn;
 
 /// Candidate sets as compact interned records — what the pooled Loc-RIB

@@ -1,14 +1,14 @@
 //! Microbenchmark: longest-prefix-match FIB lookups.
 //!
 //! The simulator forwards every prefix's demand through the trie every
-//! epoch; routers in production do this per packet. Both trie layouts are
-//! measured: the boxed-node binary [`PrefixTrie`] (one heap node per key
-//! bit) and the arena [`CompressedTrie`] (path-compressed, one `Vec`), plus
-//! the batched `from_sorted` build path against incremental insertion.
+//! epoch; routers in production do this per packet. The arena
+//! [`CompressedTrie`] (path-compressed, one `Vec`) is measured for lookup
+//! and insertion, plus the batched `from_sorted` build path against
+//! incremental insertion.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use ef_net_types::{CompressedTrie, Prefix, PrefixTrie};
+use ef_net_types::{CompressedTrie, Prefix};
 
 fn keyset(n: u32) -> Vec<(Prefix, u32)> {
     (0..n)
@@ -19,14 +19,6 @@ fn keyset(n: u32) -> Vec<(Prefix, u32)> {
             (Prefix::v4(std::net::Ipv4Addr::from(addr), len), i)
         })
         .collect()
-}
-
-fn build_trie(n: u32) -> PrefixTrie<u32> {
-    let mut trie = PrefixTrie::new();
-    for (prefix, i) in keyset(n) {
-        trie.insert(prefix, i);
-    }
-    trie
 }
 
 fn build_ctrie(n: u32) -> CompressedTrie<u32> {
@@ -40,18 +32,10 @@ fn build_ctrie(n: u32) -> CompressedTrie<u32> {
 fn bench_lpm(c: &mut Criterion) {
     let mut group = c.benchmark_group("lpm");
     for n in [1_000u32, 10_000, 100_000] {
-        let trie = build_trie(n);
         let ctrie = build_ctrie(n);
         let keys: Vec<Prefix> = (0..1024u32)
             .map(|i| Prefix::v4(std::net::Ipv4Addr::from(i.wrapping_mul(2_654_435_761)), 24))
             .collect();
-        group.bench_with_input(BenchmarkId::new("longest_match", n), &trie, |b, trie| {
-            let mut i = 0usize;
-            b.iter(|| {
-                i = (i + 1) % keys.len();
-                black_box(trie.longest_match(keys[i]))
-            })
-        });
         group.bench_with_input(
             BenchmarkId::new("compressed/longest_match", n),
             &ctrie,
@@ -63,9 +47,6 @@ fn bench_lpm(c: &mut Criterion) {
                 })
             },
         );
-        group.bench_with_input(BenchmarkId::new("insert", n), &n, |b, _| {
-            b.iter_with_large_drop(|| build_trie(1_000))
-        });
         group.bench_with_input(BenchmarkId::new("compressed/insert", n), &n, |b, _| {
             b.iter_with_large_drop(|| build_ctrie(1_000))
         });

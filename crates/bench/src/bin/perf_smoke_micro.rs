@@ -23,22 +23,20 @@ use std::time::Instant;
 
 use edge_fabric::allocator::allocate;
 use edge_fabric::collector::RouteCollector;
-use edge_fabric::config::ControllerConfig;
-use edge_fabric::injector::Injector;
-use edge_fabric::projection::{project, project_cached, ProjectionCache};
-use edge_fabric::state::{InterfaceInfo, InterfaceMap, TrafficTable};
-use edge_fabric::{Override, OverrideReason, OverrideSet};
+use edge_fabric::projection::{project_cached, ProjectionCache};
+use edge_fabric::{
+    ControllerConfig, Injector, InterfaceInfo, InterfaceMap, Override, OverrideReason, OverrideSet,
+    TrafficTable,
+};
 use ef_bench::{results_dir, write_json};
 use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::attrstore::{AttrId, AttrStore, RouteRec};
-use ef_bgp::bmp::{BmpMessage, BmpPeerHeader};
-use ef_bgp::decision::{best_rec, rank_recs_into};
-use ef_bgp::egress::EgressSpec;
 use ef_bgp::message::UpdateMessage;
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::policy::Policy;
 use ef_bgp::route::{EgressId, RouteSource};
 use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
+use ef_bgp::{best_rec, rank_recs_into, BmpMessage, BmpPeerHeader, EgressSpec};
 use ef_net_types::{Asn, CompressedTrie, Prefix};
 use ef_telemetry::audit_overrides;
 use serde::{Deserialize, Serialize};
@@ -342,7 +340,7 @@ fn hot_interface_world() -> (RouteCollector, InterfaceMap, TrafficTable) {
 /// seconds.
 fn allocate_hot_secs() -> f64 {
     let (collector, interfaces, traffic) = hot_interface_world();
-    let projection = project(&collector, &traffic);
+    let projection = project_cached(&mut ProjectionCache::new(), &collector, &traffic);
     let cfg = ControllerConfig::default();
     let none = OverrideSet::new();
     let run = || {

@@ -31,8 +31,8 @@ use ef_bench::{results_dir, write_json};
 use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::attrstore::{AttrStore, RouteRec};
 use ef_bgp::peer::{PeerId, PeerKind};
-use ef_bgp::rib::LocRib;
 use ef_bgp::route::{EgressId, Route, RouteSource};
+use ef_bgp::LocRib;
 use ef_net_types::{Asn, Prefix};
 use ef_sim::runtime::PopRuntime;
 use ef_topology::GenConfig;

@@ -11,7 +11,10 @@ use serde::Serialize;
 use ef_bgp::peer::PeerKind;
 use ef_bgp::route::EgressId;
 use ef_chaos::{FaultEvent, FaultKind, FaultSchedule, FaultTarget};
-use ef_global::{BackendKind, FlashCrowdSpec, GlobalConfig, GlobalController, GuardSnapshot};
+use ef_global::{
+    BackendKind, FlashCrowdSpec, GlobalConfig, GlobalController, GuardSnapshot,
+    BUDGET_PLAUSIBILITY, HOLD_DOWN_EPOCHS,
+};
 use ef_health::HealthConfig;
 use ef_sim::{MetricsStore, PopEpochRecord, ScenarioBuilder, SimConfig, SimEngine};
 use ef_topology::{generate, CostModel, Deployment, PopId, Region};
@@ -1233,8 +1236,7 @@ pub(super) fn e20_global_faults(c: &Campaign) -> Option<ItemResult> {
             if in_window(t, fault) {
                 let j = lied.0 as usize;
                 let budget = g.detour_budgets().get(j).copied().unwrap_or(0.0);
-                let cap = GlobalConfig::default().budget_plausibility
-                    * g.pop_baseline().get(j).copied().unwrap_or(0.0);
+                let cap = BUDGET_PLAUSIBILITY * g.pop_baseline().get(j).copied().unwrap_or(0.0);
                 lie_clamped &= budget <= cap * (1.0 + 1e-9);
             }
             if t >= incident_end && g.away_fraction(victim) > DRAINED {
@@ -1292,8 +1294,7 @@ pub(super) fn e20_global_faults(c: &Campaign) -> Option<ItemResult> {
 
     // Full decay from away = 1, plus the DNS TTL, plus the restore
     // hold-down, plus slack for the epoch grid.
-    let budget =
-        (1.0 / DECAY).ceil() as u64 + TTL_EPOCHS + GlobalConfig::default().hold_down_epochs + 2;
+    let budget = (1.0 / DECAY).ceil() as u64 + TTL_EPOCHS + HOLD_DOWN_EPOCHS + 2;
     let faulted = [&partition, &staleness, &crash, &lie];
     let fault_epochs = fault.1 / epoch;
     let per_arm = |f: fn(&GuardedArm) -> String| {

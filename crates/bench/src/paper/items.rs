@@ -15,8 +15,7 @@ use ef_sim::{
     scenario, InterfaceStats, MetricsStore, PerfSimConfig, PopEpochRecord, ScenarioBuilder,
     SimEngine,
 };
-use ef_topology::stats::{pop_summaries, route_diversity};
-use ef_topology::{generate, Deployment, PopId};
+use ef_topology::{generate, pop_summaries, route_diversity, Deployment, PopId};
 use ef_traffic::demand::DemandPoint;
 
 use super::{extensions, Campaign, Item, ItemResult};
@@ -242,7 +241,7 @@ fn fib_preferred(
 
 fn e1_pops(c: &Campaign) -> Option<ItemResult> {
     let rows = pop_summaries(&c.deployment);
-    let range = |f: fn(&ef_topology::stats::PopSummary) -> usize| {
+    let range = |f: fn(&ef_topology::PopSummary) -> usize| {
         let min = rows.iter().map(f).min().unwrap_or(0);
         (min, rows.iter().map(f).max().unwrap_or(0))
     };
@@ -835,10 +834,8 @@ fn steering_arm(world: ScenarioBuilder, steer: bool, deployment: &Deployment) ->
             .iter()
             .filter_map(|d| {
                 let prefix = engine.prefix_of(d.key.prefix_idx);
-                ef_bgp::decision::best_rec_where(pop.router.candidates(&prefix), |r| {
-                    !r.is_override()
-                })
-                .map(|r| (d.key.prefix_idx, r.egress))
+                ef_bgp::best_rec_where(pop.router.candidates(&prefix), |r| !r.is_override())
+                    .map(|r| (d.key.prefix_idx, r.egress))
             })
             .collect();
         for cmp in compare_paths(measurer, &organic_preferred) {

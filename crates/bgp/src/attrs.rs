@@ -124,30 +124,6 @@ impl AsPath {
             .and_then(|s| s.asns().first().copied())
     }
 
-    /// The origin AS: last ASN of the path (who announced the prefix).
-    pub fn origin_as(&self) -> Option<Asn> {
-        self.segments.last().and_then(|s| s.asns().last().copied())
-    }
-
-    /// Prepends `asn` `count` times, as an exporting router does
-    /// (including operator path-prepending for traffic engineering).
-    pub fn prepend(&mut self, asn: Asn, count: usize) {
-        if count == 0 {
-            return;
-        }
-        match self.segments.first_mut() {
-            Some(AsPathSegment::Sequence(v)) => {
-                for _ in 0..count {
-                    v.insert(0, asn);
-                }
-            }
-            _ => {
-                self.segments
-                    .insert(0, AsPathSegment::Sequence(vec![asn; count]));
-            }
-        }
-    }
-
     /// True if `asn` appears anywhere in the path (loop detection,
     /// RFC 4271 §9.1.2).
     pub fn contains(&self, asn: Asn) -> bool {
@@ -284,35 +260,7 @@ mod tests {
     fn neighbor_and_origin_as() {
         let path = AsPath::sequence(asns(&[65001, 65002, 65003]));
         assert_eq!(path.neighbor_as(), Some(Asn(65001)));
-        assert_eq!(path.origin_as(), Some(Asn(65003)));
         assert_eq!(AsPath::empty().neighbor_as(), None);
-    }
-
-    #[test]
-    fn prepend_extends_first_sequence() {
-        let mut path = AsPath::sequence(asns(&[65002]));
-        path.prepend(Asn(65001), 3);
-        assert_eq!(path.flat(), asns(&[65001, 65001, 65001, 65002]));
-        assert_eq!(path.decision_len(), 4);
-    }
-
-    #[test]
-    fn prepend_to_empty_creates_sequence() {
-        let mut path = AsPath::empty();
-        path.prepend(Asn(7), 2);
-        assert_eq!(path.flat(), asns(&[7, 7]));
-        path.prepend(Asn(7), 0);
-        assert_eq!(path.decision_len(), 2);
-    }
-
-    #[test]
-    fn prepend_before_set_makes_new_segment() {
-        let mut path = AsPath {
-            segments: vec![AsPathSegment::Set(asns(&[5, 6]))],
-        };
-        path.prepend(Asn(1), 1);
-        assert_eq!(path.segments.len(), 2);
-        assert_eq!(path.neighbor_as(), Some(Asn(1)));
     }
 
     #[test]

@@ -37,10 +37,9 @@ pub struct AttrId(pub u32);
 /// time so comparisons touch no heap data.
 ///
 /// `local_pref` and `med` hold the *effective* values (defaults applied), and
-/// `path_len` is the SET-counts-once decision length, so
-/// [`compare_recs`](crate::decision::compare_recs) is field-for-field
-/// equivalent to the reference [`compare`](crate::decision::compare),
-/// which recomputes them from the attributes.
+/// `path_len` is the SET-counts-once decision length, so the decision
+/// ladder reads the key field for field instead of recomputing those
+/// values from the attributes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DecisionKey {
     /// Effective LOCAL_PREF (explicit value or 100).
@@ -120,8 +119,8 @@ struct Entry {
 /// without bound.
 ///
 /// The slab holds the only copy of each set. The dedup index maps an
-/// attribute hash to the first slot of a chain threaded through
-/// [`Entry::next`]; a probe walks the chain comparing full attributes.
+/// attribute hash to the first slot of a chain threaded through each
+/// entry's `next` slot; a probe walks the chain comparing full attributes.
 #[derive(Debug, Clone, Default)]
 pub struct AttrStore {
     entries: Vec<Option<Entry>>,

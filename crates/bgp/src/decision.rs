@@ -8,19 +8,19 @@
 //! overrides validate the real mechanism, including subtle cases like MED
 //! comparability.
 //!
-//! The router, the controller and the simulator run the `*_rec*` functions
-//! over compact interned records. [`compare`], [`best_route`] and
-//! [`rank_routes`] read the attributes of fat [`Route`]s directly; they
-//! remain as the reference model of `tests/rib_churn_equivalence.rs`,
-//! nothing else.
+//! The router, the controller and the simulator all run it over compact
+//! interned records ([`RouteRec`]), whose precomputed
+//! [`DecisionKey`](crate::attrstore::DecisionKey) holds every field the
+//! ladder reads. A ladder over fat [`Route`](crate::route::Route)s that
+//! recomputes those fields from the attributes lives beside the test that
+//! checks the two agree, `tests/rib_churn_equivalence.rs`.
 
 use std::cmp::Ordering;
 
 use crate::attrstore::RouteRec;
-use crate::route::Route;
 
-/// Why one route beat another — returned by [`compare`] for observability
-/// and asserted on in tests.
+/// Why one route beat another — returned by [`compare_recs`] for
+/// observability and asserted on in tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionStep {
     /// Higher LOCAL_PREF wins.
@@ -38,84 +38,12 @@ pub enum DecisionStep {
     Tie,
 }
 
-/// Compares two candidate routes for the same prefix.
+/// Compares two compact route records for the same prefix.
 ///
 /// Returns `(ordering, step)` where `ordering` is `Greater` if `a` is
 /// preferred over `b`, and `step` names the first ladder rung that decided.
-pub fn compare(a: &Route, b: &Route) -> (Ordering, DecisionStep) {
-    // 1. Highest LOCAL_PREF.
-    let lp = a
-        .attrs
-        .effective_local_pref()
-        .cmp(&b.attrs.effective_local_pref());
-    if lp != Ordering::Equal {
-        return (lp, DecisionStep::LocalPref);
-    }
-
-    // 2. Shortest AS path (sets count once).
-    let len = b
-        .attrs
-        .as_path
-        .decision_len()
-        .cmp(&a.attrs.as_path.decision_len());
-    if len != Ordering::Equal {
-        return (len, DecisionStep::AsPathLength);
-    }
-
-    // 3. Lowest origin code.
-    let origin = b.attrs.origin.cmp(&a.attrs.origin);
-    if origin != Ordering::Equal {
-        return (origin, DecisionStep::Origin);
-    }
-
-    // 4. Lowest MED, only when the neighbor AS matches (RFC 4271 §9.1.2.2 c).
-    if a.attrs.as_path.neighbor_as().is_some()
-        && a.attrs.as_path.neighbor_as() == b.attrs.as_path.neighbor_as()
-    {
-        let med = b.attrs.effective_med().cmp(&a.attrs.effective_med());
-        if med != Ordering::Equal {
-            return (med, DecisionStep::Med);
-        }
-    }
-
-    // 5. (eBGP-over-iBGP and IGP-cost rungs collapse: every session in the
-    //    model is eBGP from the PoP's perspective and IGP cost to any local
-    //    egress is uniform.)
-
-    // 6. Deterministic final tie-break: lowest peer id.
-    let peer = b.source.peer.cmp(&a.source.peer);
-    if peer != Ordering::Equal {
-        return (peer, DecisionStep::PeerId);
-    }
-
-    (Ordering::Equal, DecisionStep::Tie)
-}
-
-/// Selects the best route among candidates for one prefix.
-///
-/// Returns `None` for an empty slice. The result is the unique maximum under
-/// [`compare`]; ties (identical peer) resolve to the first listed.
-pub fn best_route<'a>(candidates: &'a [Route]) -> Option<&'a Route> {
-    let mut best: Option<&'a Route> = None;
-    for r in candidates {
-        match best {
-            None => best = Some(r),
-            Some(b) => {
-                if compare(r, b).0 == Ordering::Greater {
-                    best = Some(r);
-                }
-            }
-        }
-    }
-    best
-}
-
-/// Compares two compact route records for the same prefix.
-///
-/// Field-for-field the same ladder as [`compare`], but reading the
-/// precomputed [`DecisionKey`](crate::attrstore::DecisionKey) — no heap
-/// access, no effective-value recomputation. The equivalence is enforced by
-/// the interned-RIB proptest suite.
+/// Reads only the precomputed [`DecisionKey`](crate::attrstore::DecisionKey)
+/// and the source — no heap access, no effective-value recomputation.
 pub fn compare_recs(a: &RouteRec, b: &RouteRec) -> (Ordering, DecisionStep) {
     // 1. Highest LOCAL_PREF.
     let lp = a.key.local_pref.cmp(&b.key.local_pref);
@@ -143,6 +71,10 @@ pub fn compare_recs(a: &RouteRec, b: &RouteRec) -> (Ordering, DecisionStep) {
         }
     }
 
+    // 5. (eBGP-over-iBGP and IGP-cost rungs collapse: every session in the
+    //    model is eBGP from the PoP's perspective and IGP cost to any local
+    //    egress is uniform.)
+
     // 6. Deterministic final tie-break: lowest peer id.
     let peer = b.source.peer.cmp(&a.source.peer);
     if peer != Ordering::Equal {
@@ -152,8 +84,8 @@ pub fn compare_recs(a: &RouteRec, b: &RouteRec) -> (Ordering, DecisionStep) {
     (Ordering::Equal, DecisionStep::Tie)
 }
 
-/// Selects the best record among candidates for one prefix; ties resolve to
-/// the first listed, matching [`best_route`].
+/// Selects the best record among candidates for one prefix: the unique
+/// maximum under `compare_recs`; ties resolve to the first listed.
 pub fn best_rec<'a>(candidates: &'a [RouteRec]) -> Option<&'a RouteRec> {
     let mut best: Option<&'a RouteRec> = None;
     for r in candidates {
@@ -195,12 +127,12 @@ pub fn best_rec_where<'a>(
 /// Ranks records best-first into a caller-provided buffer (cleared first),
 /// so hot loops reuse one scratch vector instead of allocating per prefix.
 ///
-/// Uses the same stable `sort_by` as [`rank_routes`]. That matters beyond
-/// taste: MED comparability makes the ladder a non-total order, so the
-/// ranked order of incomparable routes depends on arrival order *and* on
-/// the sort algorithm. Sharing the algorithm makes the compact and fat
-/// representations byte-identical by construction; candidate sets are tiny
-/// (one route per peer), which keeps std's stable sort on its
+/// The order the Edge Fabric allocator walks when looking for a detour
+/// target: the "next-preferred" route is element 1. The sort is std's
+/// stable `sort_by`, and that matters beyond taste: MED comparability makes
+/// the ladder a non-total order, so the ranked order of incomparable routes
+/// depends on arrival order *and* on the sort algorithm. Candidate sets are
+/// tiny (one route per peer), which keeps the stable sort on its
 /// allocation-free insertion-sort path.
 pub fn rank_recs_into(candidates: &[RouteRec], out: &mut Vec<RouteRec>) {
     out.clear();
@@ -212,35 +144,22 @@ pub fn rank_recs_into(candidates: &[RouteRec], out: &mut Vec<RouteRec>) {
     });
 }
 
-/// Ranks candidates best-first, the order the Edge Fabric allocator walks
-/// when looking for a detour target: the "next-preferred" route is element 1.
-pub fn rank_routes(candidates: &[Route]) -> Vec<&Route> {
-    let mut v: Vec<&Route> = candidates.iter().collect();
-    v.sort_by(|a, b| match compare(a, b).0 {
-        Ordering::Greater => Ordering::Less,
-        Ordering::Less => Ordering::Greater,
-        Ordering::Equal => Ordering::Equal,
-    });
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attrs::{AsPath, Origin, PathAttributes};
+    use crate::attrstore::{AttrId, DecisionKey};
     use crate::peer::{PeerId, PeerKind};
-    use crate::route::{EgressId, Route, RouteSource};
-    use ef_net_types::{Asn, Prefix};
+    use crate::route::{EgressId, RouteSource};
+    use ef_net_types::Asn;
 
-    fn prefix() -> Prefix {
-        "203.0.113.0/24".parse().unwrap()
+    struct Builder {
+        attrs: PathAttributes,
+        source: RouteSource,
     }
 
-    struct Builder(Route);
-
     fn route(peer: u64) -> Builder {
-        Builder(Route {
-            prefix: prefix(),
+        Builder {
             attrs: PathAttributes {
                 local_pref: Some(100),
                 as_path: AsPath::sequence([Asn(65000 + peer as u32)]),
@@ -252,37 +171,53 @@ mod tests {
                 peer_asn: Asn(65000 + peer as u32),
                 kind: PeerKind::Transit,
             },
-            egress: EgressId(peer as u32),
-        })
+        }
     }
 
     impl Builder {
         fn lp(mut self, v: u32) -> Self {
-            self.0.attrs.local_pref = Some(v);
+            self.attrs.local_pref = Some(v);
             self
         }
         fn path(mut self, asns: &[u32]) -> Self {
-            self.0.attrs.as_path = AsPath::sequence(asns.iter().map(|a| Asn(*a)));
+            self.attrs.as_path = AsPath::sequence(asns.iter().map(|a| Asn(*a)));
             self
         }
         fn origin(mut self, o: Origin) -> Self {
-            self.0.attrs.origin = o;
+            self.attrs.origin = o;
             self
         }
         fn med(mut self, m: u32) -> Self {
-            self.0.attrs.med = Some(m);
+            self.attrs.med = Some(m);
             self
         }
-        fn done(self) -> Route {
-            self.0
+        fn kind(mut self, kind: PeerKind) -> Self {
+            self.source.kind = kind;
+            self
         }
+        /// The record a RIB would hold for this route: the key is derived
+        /// from the attributes exactly as interning derives it.
+        fn done(self) -> RouteRec {
+            RouteRec {
+                attr: AttrId(self.source.peer.0 as u32),
+                egress: EgressId(self.source.peer.0 as u32),
+                source: self.source,
+                key: DecisionKey::of(&self.attrs),
+            }
+        }
+    }
+
+    fn ranked(candidates: &[RouteRec]) -> Vec<u64> {
+        let mut out = Vec::new();
+        rank_recs_into(candidates, &mut out);
+        out.iter().map(|r| r.source.peer.0).collect()
     }
 
     #[test]
     fn local_pref_dominates_everything() {
         let long_but_preferred = route(1).lp(800).path(&[1, 2, 3, 4, 5]).done();
         let short_transit = route(2).lp(200).path(&[9]).done();
-        let (ord, step) = compare(&long_but_preferred, &short_transit);
+        let (ord, step) = compare_recs(&long_but_preferred, &short_transit);
         assert_eq!(ord, Ordering::Greater);
         assert_eq!(step, DecisionStep::LocalPref);
     }
@@ -291,7 +226,7 @@ mod tests {
     fn as_path_breaks_equal_local_pref() {
         let short = route(1).path(&[10, 11]).done();
         let long = route(2).path(&[20, 21, 22]).done();
-        let (ord, step) = compare(&short, &long);
+        let (ord, step) = compare_recs(&short, &long);
         assert_eq!(ord, Ordering::Greater);
         assert_eq!(step, DecisionStep::AsPathLength);
     }
@@ -300,7 +235,7 @@ mod tests {
     fn origin_breaks_equal_path_length() {
         let igp = route(1).origin(Origin::Igp).done();
         let incomplete = route(2).origin(Origin::Incomplete).done();
-        let (ord, step) = compare(&igp, &incomplete);
+        let (ord, step) = compare_recs(&igp, &incomplete);
         assert_eq!(ord, Ordering::Greater);
         assert_eq!(step, DecisionStep::Origin);
     }
@@ -310,14 +245,14 @@ mod tests {
         // Same neighbor AS: MED decides.
         let low = route(1).path(&[500]).med(10).done();
         let high = route(2).path(&[500]).med(20).done();
-        let (ord, step) = compare(&low, &high);
+        let (ord, step) = compare_recs(&low, &high);
         assert_eq!(ord, Ordering::Greater);
         assert_eq!(step, DecisionStep::Med);
 
         // Different neighbor AS: MED skipped, falls through to peer id.
         let a = route(1).path(&[500]).med(99).done();
         let b = route(2).path(&[600]).med(1).done();
-        let (ord, step) = compare(&a, &b);
+        let (ord, step) = compare_recs(&a, &b);
         assert_eq!(ord, Ordering::Greater, "lower peer id wins");
         assert_eq!(step, DecisionStep::PeerId);
     }
@@ -326,7 +261,7 @@ mod tests {
     fn missing_med_treated_as_zero() {
         let missing = route(1).path(&[500]).done();
         let with_med = route(2).path(&[500]).med(5).done();
-        let (ord, step) = compare(&missing, &with_med);
+        let (ord, step) = compare_recs(&missing, &with_med);
         assert_eq!(ord, Ordering::Greater);
         assert_eq!(step, DecisionStep::Med);
     }
@@ -335,7 +270,7 @@ mod tests {
     fn peer_id_is_final_deterministic_tiebreak() {
         let a = route(1).done();
         let b = route(2).path(&[65001]).done(); // same length
-        let (ord, step) = compare(&a, &b);
+        let (ord, step) = compare_recs(&a, &b);
         assert_eq!(ord, Ordering::Greater);
         assert_eq!(step, DecisionStep::PeerId);
     }
@@ -343,16 +278,18 @@ mod tests {
     #[test]
     fn identical_routes_tie() {
         let a = route(1).done();
-        let (ord, step) = compare(&a, &a.clone());
+        let (ord, step) = compare_recs(&a, &a);
         assert_eq!(ord, Ordering::Equal);
         assert_eq!(step, DecisionStep::Tie);
     }
 
     #[test]
     fn best_route_empty_and_singleton() {
-        assert!(best_route(&[]).is_none());
+        assert!(best_rec(&[]).is_none());
+        assert!(best_rec_where(&[], |_| true).is_none());
         let only = route(1).done();
-        assert_eq!(best_route(std::slice::from_ref(&only)), Some(&only));
+        assert_eq!(best_rec(std::slice::from_ref(&only)), Some(&only));
+        assert!(best_rec_where(std::slice::from_ref(&only), |_| false).is_none());
     }
 
     #[test]
@@ -362,18 +299,23 @@ mod tests {
             route(2).lp(800).done(),
             route(3).lp(600).done(),
         ];
-        assert_eq!(best_route(&routes).unwrap().source.peer, PeerId(2));
+        assert_eq!(best_rec(&routes).unwrap().source.peer, PeerId(2));
+        let not_two = best_rec_where(&routes, |r| r.source.peer != PeerId(2));
+        assert_eq!(not_two.unwrap().source.peer, PeerId(3));
     }
 
     #[test]
     fn controller_override_always_wins() {
         let organic = route(1).lp(800).path(&[65001]).done();
-        let mut injected = route(9)
+        let injected = route(9)
             .lp(PeerKind::Controller.default_local_pref())
+            .kind(PeerKind::Controller)
             .done();
-        injected.source.kind = PeerKind::Controller;
-        let routes = vec![organic, injected.clone()];
-        assert_eq!(best_route(&routes).unwrap().source.peer, PeerId(9));
+        let routes = vec![organic, injected];
+        assert_eq!(best_rec(&routes).unwrap().source.peer, PeerId(9));
+        // The projection's view: the best route absent any override.
+        let organic_best = best_rec_where(&routes, |r| !r.is_override());
+        assert_eq!(organic_best.unwrap().source.peer, PeerId(1));
     }
 
     #[test]
@@ -383,9 +325,7 @@ mod tests {
             route(2).lp(800).done(),
             route(3).lp(600).done(),
         ];
-        let ranked = rank_routes(&routes);
-        let peers: Vec<u64> = ranked.iter().map(|r| r.source.peer.0).collect();
-        assert_eq!(peers, vec![2, 3, 1]);
+        assert_eq!(ranked(&routes), vec![2, 3, 1]);
     }
 
     #[test]
@@ -395,17 +335,19 @@ mod tests {
             route(3).lp(100).path(&[1]).done(),
             route(4).lp(100).path(&[1]).origin(Origin::Egp).done(),
         ];
-        let ranked = rank_routes(&routes);
-        assert_eq!(ranked[0], best_route(&routes).unwrap());
+        let order = ranked(&routes);
+        assert_eq!(order.len(), routes.len());
+        assert_eq!(order[0], best_rec(&routes).unwrap().source.peer.0);
         // best of the tail equals second in rank
-        let tail: Vec<Route> = routes
+        let tail: Vec<RouteRec> = routes
             .iter()
-            .filter(|r| r.source.peer != ranked[0].source.peer)
-            .cloned()
+            .filter(|r| r.source.peer.0 != order[0])
+            .copied()
             .collect();
-        assert_eq!(
-            best_route(&tail).unwrap().source.peer,
-            ranked[1].source.peer
-        );
+        assert_eq!(best_rec(&tail).unwrap().source.peer.0, order[1]);
+        // The scratch buffer is cleared, not appended to.
+        let mut out = routes.clone();
+        rank_recs_into(&routes, &mut out);
+        assert_eq!(out.len(), routes.len());
     }
 }

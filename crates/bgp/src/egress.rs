@@ -79,8 +79,8 @@ impl PeeringClass {
         }
     }
 
-    /// The default class for a routing kind (the reverse of [`kind`]
-    /// (Self::kind), with default prices). `None` for the controller
+    /// The default class for a routing kind (the reverse of
+    /// [`kind`](Self::kind), with default prices). `None` for the controller
     /// pseudo-peer, which has no interconnect economics.
     pub fn from_kind(kind: PeerKind) -> Option<PeeringClass> {
         match kind {
@@ -115,11 +115,6 @@ impl PeeringClass {
             PeeringClass::Pni { port_cost } => port_cost,
             _ => 0.0,
         }
-    }
-
-    /// True when this egress bills by metered rate.
-    pub fn is_metered(self) -> bool {
-        matches!(self, PeeringClass::Transit { .. })
     }
 
     /// The full monthly bill for a given 95/5 billable rate: the fixed
@@ -323,8 +318,6 @@ mod tests {
             PeeringClass::Transit { usd_per_mbps: 3.5 }.marginal_usd_per_mbps(),
             3.5
         );
-        assert!(PeeringClass::Transit { usd_per_mbps: 3.5 }.is_metered());
-        assert!(!PeeringClass::SettlementFree.is_metered());
     }
 
     #[test]

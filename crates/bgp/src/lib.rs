@@ -22,30 +22,33 @@
 //! * [`peer`] — peer identity and the four interconnect kinds the paper
 //!   distinguishes (transit / private peering / public peering / route
 //!   server), plus the controller pseudo-peer.
-//! * [`egress`] — typed per-egress peering policy ([`PeeringClass`]):
-//!   settlement-free / PNI / transit / IXP route-server economics, from
-//!   which the routing kind (and its `LOCAL_PREF` band) is derived.
+//! * [`PeeringClass`] — typed per-egress peering policy: settlement-free /
+//!   PNI / transit / IXP route-server economics, from which the routing
+//!   kind (and its `LOCAL_PREF` band) is derived.
 //! * [`route`] — a received route bound to its source peer and egress.
 //! * [`policy`] — the two import policies a router runs: the paper's
 //!   default tiering policy per peer, and the controller's.
-//! * [`decision`] — the best-path selection ladder.
-//! * [`rib`] — the Loc-RIB, which also holds every peer's Adj-RIB-In routes
-//!   (the router keeps only each peer's prefix set).
-//! * [`session`] — a simplified BGP FSM driven by simulated time, with
+//! * `decision` — the best-path selection ladder over compact records;
+//!   [`best_rec`], [`best_rec_where`] and [`rank_recs_into`] are its entry
+//!   points.
+//! * [`LocRib`] — the Loc-RIB, which also holds every peer's Adj-RIB-In
+//!   routes (the router keeps only each peer's prefix set).
+//! * [`Session`] — a simplified BGP FSM driven by simulated time, with
 //!   RFC 7606 graded error handling on the receive path.
-//! * [`backoff`] — seeded-deterministic reconnect governance (exponential
-//!   backoff, decorrelated jitter, flap damping).
+//! * [`ReconnectGovernor`] — seeded-deterministic reconnect governance
+//!   (exponential backoff, decorrelated jitter, flap damping).
 //! * [`router`] — a peering router: sessions in, policy, RIBs, decision,
 //!   FIB out; emits a BMP-style feed.
-//! * [`bmp`] — BGP Monitoring Protocol (RFC 7854 subset) messages, which is
-//!   how the controller learns *all* routes rather than only best ones.
+//! * [`BmpMessage`] — BGP Monitoring Protocol (RFC 7854 subset) messages,
+//!   which is how the controller learns *all* routes rather than only best
+//!   ones.
 //!
 //! # Quick taste
 //!
 //! ```
 //! use ef_bgp::attrs::{AsPath, Origin, PathAttributes};
 //! use ef_bgp::attrstore::AttrStore;
-//! use ef_bgp::decision::best_rec;
+//! use ef_bgp::best_rec;
 //! use ef_bgp::peer::{PeerId, PeerKind};
 //! use ef_bgp::route::{EgressId, RouteSource};
 //! use ef_net_types::Asn;
@@ -74,27 +77,36 @@
 
 pub mod attrs;
 pub mod attrstore;
-pub mod backoff;
-pub mod bmp;
+mod backoff;
+mod bmp;
 mod capabilities;
-pub mod decision;
-pub mod egress;
+mod decision;
+mod egress;
 pub mod message;
 pub mod peer;
 pub mod policy;
-pub mod rib;
+mod rib;
 pub mod route;
 pub mod router;
-pub mod session;
+mod session;
 pub mod wire;
 
 pub use attrs::{AsPath, Origin, PathAttributes};
 pub use attrstore::{AttrId, AttrStore, DecisionKey, RouteRec};
+pub use backoff::ReconnectGovernor;
+pub use bmp::{BmpMessage, BmpPeerHeader};
 pub use capabilities::Capabilities;
-pub use egress::{EgressPolicy, EgressSpec, PeeringClass};
+pub use decision::{best_rec, best_rec_where, rank_recs_into};
+pub use egress::{
+    EgressPolicy, EgressSpec, PeeringClass, DEFAULT_PNI_PORT_USD, DEFAULT_TRANSIT_USD_PER_MBPS,
+};
 pub use message::{
     BgpMessage, NotificationMessage, OpenMessage, RefreshSubtype, RouteRefreshMessage,
     UpdateMessage,
 };
 pub use peer::{PeerId, PeerKind};
+pub use rib::{BestChange, LocRib};
 pub use route::{EgressId, Route, RouteSource};
+pub use session::{
+    Millis, Session, SessionConfig, SessionError, SessionEvent, SessionState, SessionStats,
+};

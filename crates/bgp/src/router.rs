@@ -769,8 +769,6 @@ pub struct PeerStub {
     /// Identity this stub registers as on the router.
     pub peer: PeerId,
     session: Session,
-    /// UPDATEs the router sent this peer (its export view of us).
-    received: Vec<UpdateMessage>,
     /// Sends refused by the session (not established, or encode failure),
     /// recorded by the infallible convenience senders instead of panicking.
     send_errors: u64,
@@ -793,16 +791,10 @@ impl PeerStub {
         PeerStub {
             peer,
             session,
-            received: Vec::new(),
             send_errors: 0,
             advertised: BTreeMap::new(),
             adv_store: AttrStore::new(),
         }
-    }
-
-    /// Announcements/withdrawals the router has exported to this peer.
-    pub fn received_updates(&self) -> &[UpdateMessage] {
-        &self.received
     }
 
     /// Sends dropped by the infallible convenience senders because the
@@ -820,8 +812,19 @@ impl PeerStub {
     /// A ROUTE-REFRESH request from the router is answered in-line by
     /// replaying the advertised map (bracketed with BoRR/EoRR when the
     /// session negotiated enhanced refresh); the replay drains on the next
-    /// shuttle round.
+    /// shuttle round. UPDATEs the router exports to this peer are dropped.
     pub fn pump(&mut self, router: &mut BgpRouter, now: Millis) {
+        self.shuttle(router, now, &mut |_| {});
+    }
+
+    /// [`pump`](Self::pump), handing every UPDATE the router exports to
+    /// this peer to `on_export`.
+    fn shuttle(
+        &mut self,
+        router: &mut BgpRouter,
+        now: Millis,
+        on_export: &mut dyn FnMut(UpdateMessage),
+    ) {
         for _ in 0..8 {
             let to_router = self.session.take_outbox();
             let mut moved = !to_router.is_empty();
@@ -833,7 +836,7 @@ impl PeerStub {
             for bytes in to_stub {
                 for event in self.session.receive_bytes(&bytes, now) {
                     match event {
-                        SessionEvent::Update(update) => self.received.push(update),
+                        SessionEvent::Update(update) => on_export(update),
                         SessionEvent::Refresh(r) if r.subtype == RefreshSubtype::Request => {
                             let enhanced = self.session.negotiated().enhanced_refresh;
                             if enhanced {
@@ -857,17 +860,6 @@ impl PeerStub {
                 break;
             }
         }
-    }
-
-    /// Asks the router to replay its exports toward this peer and pumps.
-    pub fn request_refresh(
-        &mut self,
-        router: &mut BgpRouter,
-        now: Millis,
-    ) -> Result<(), crate::session::SessionError> {
-        self.session.request_refresh()?;
-        self.pump(router, now);
-        Ok(())
     }
 
     /// Snapshot of this stub's session counters.
@@ -1096,12 +1088,31 @@ mod tests {
     }
 
     fn wire_peer(r: &mut BgpRouter, peer: u64, asn: u32, kind: PeerKind, egress: u32) -> PeerStub {
+        wire_peer_exports(r, peer, asn, kind, egress).0
+    }
+
+    /// [`wire_peer`], also returning the UPDATEs the router exported to
+    /// the new peer at session-up.
+    fn wire_peer_exports(
+        r: &mut BgpRouter,
+        peer: u64,
+        asn: u32,
+        kind: PeerKind,
+        egress: u32,
+    ) -> (PeerStub, Vec<UpdateMessage>) {
         r.add_peer(attach(peer, asn, kind, egress));
         let mut s = stub(peer, asn);
-        s.pump(r, 0);
+        let got = exports(&mut s, r, 0);
         assert!(s.is_established(), "handshake completed");
         assert!(r.peer_up(PeerId(peer)));
-        s
+        (s, got)
+    }
+
+    /// Pumps `s`, returning the UPDATEs the router exported to it.
+    fn exports(s: &mut PeerStub, r: &mut BgpRouter, now: Millis) -> Vec<UpdateMessage> {
+        let mut got = Vec::new();
+        s.shuttle(r, now, &mut |update| got.push(update));
+        got
     }
 
     #[test]
@@ -1308,24 +1319,20 @@ mod tests {
         let mut early = wire_peer(&mut r, 1, 65001, PeerKind::PrivatePeer, 11);
         // Originate after the first peer is up: it gets it immediately.
         r.originate(p("157.240.0.0/17"));
-        early.pump(&mut r, 1);
-        let got = early.received_updates();
+        let got = exports(&mut early, &mut r, 1);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].announced, vec![p("157.240.0.0/17")]);
         assert_eq!(got[0].attrs.as_path.neighbor_as(), Some(LOCAL_AS));
         assert_eq!(got[0].attrs.origin, crate::attrs::Origin::Igp);
 
         // A peer that comes up later receives the export at session-up.
-        let late = wire_peer(&mut r, 2, 65002, PeerKind::PublicPeer, 12);
-        let got = late.received_updates();
+        let (_late, got) = wire_peer_exports(&mut r, 2, 65002, PeerKind::PublicPeer, 12);
         assert_eq!(got.len(), 1);
         assert_eq!(got[0].announced, vec![p("157.240.0.0/17")]);
 
         // Idempotent: re-originating the same prefix sends nothing new.
-        let mut early2 = early;
         r.originate(p("157.240.0.0/17"));
-        early2.pump(&mut r, 2);
-        assert_eq!(early2.received_updates().len(), 1);
+        assert!(exports(&mut early, &mut r, 2).is_empty());
     }
 
     #[test]
@@ -1340,10 +1347,9 @@ mod tests {
             max_prefixes: 0,
         });
         let mut ctrl = stub(100, LOCAL_AS.0);
-        ctrl.pump(&mut r, 0);
+        assert!(exports(&mut ctrl, &mut r, 0).is_empty());
         r.originate(p("157.240.0.0/17"));
-        ctrl.pump(&mut r, 1);
-        assert!(ctrl.received_updates().is_empty());
+        assert!(exports(&mut ctrl, &mut r, 1).is_empty());
     }
 
     #[test]
@@ -1538,12 +1544,12 @@ mod tests {
     fn stub_refresh_request_replays_router_exports() {
         let mut r = router();
         r.originate(p("157.240.0.0/17"));
-        let mut s = wire_peer(&mut r, 1, 65001, PeerKind::PrivatePeer, 11);
-        assert_eq!(s.received_updates().len(), 1, "export at session-up");
-        s.request_refresh(&mut r, 1).unwrap();
-        let got = s.received_updates();
-        assert_eq!(got.len(), 2, "refresh replayed the export");
-        assert_eq!(got[1].announced, vec![p("157.240.0.0/17")]);
+        let (mut s, got) = wire_peer_exports(&mut r, 1, 65001, PeerKind::PrivatePeer, 11);
+        assert_eq!(got.len(), 1, "export at session-up");
+        s.session.request_refresh().unwrap();
+        let got = exports(&mut s, &mut r, 1);
+        assert_eq!(got.len(), 1, "refresh replayed the export");
+        assert_eq!(got[0].announced, vec![p("157.240.0.0/17")]);
         assert_eq!(r.session_stats(PeerId(1)).unwrap().refreshes_answered, 1);
     }
 

@@ -537,34 +537,33 @@ impl Session {
     }
 }
 
-/// Drives two sessions to `Established` by shuttling their outboxes, a
-/// convenience for tests and for the topology's instant in-memory links.
-pub fn establish_pair(a: &mut Session, b: &mut Session, now: Millis) -> Vec<SessionEvent> {
-    a.start();
-    b.start();
-    a.transport_connected(now);
-    b.transport_connected(now);
-    let mut events = Vec::new();
-    // OPEN + KEEPALIVE exchange settles within a few rounds.
-    for _ in 0..4 {
-        for bytes in a.take_outbox() {
-            events.extend(b.receive_bytes(&bytes, now));
-        }
-        for bytes in b.take_outbox() {
-            events.extend(a.receive_bytes(&bytes, now));
-        }
-        if a.is_established() && b.is_established() {
-            break;
-        }
-    }
-    events
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::attrs::PathAttributes;
     use std::net::Ipv4Addr;
+
+    /// Drives two sessions to `Established` by shuttling their outboxes.
+    fn establish_pair(a: &mut Session, b: &mut Session, now: Millis) -> Vec<SessionEvent> {
+        a.start();
+        b.start();
+        a.transport_connected(now);
+        b.transport_connected(now);
+        let mut events = Vec::new();
+        // OPEN + KEEPALIVE exchange settles within a few rounds.
+        for _ in 0..4 {
+            for bytes in a.take_outbox() {
+                events.extend(b.receive_bytes(&bytes, now));
+            }
+            for bytes in b.take_outbox() {
+                events.extend(a.receive_bytes(&bytes, now));
+            }
+            if a.is_established() && b.is_established() {
+                break;
+            }
+        }
+        events
+    }
 
     fn pair() -> (Session, Session) {
         let a = Session::new(SessionConfig::new(Asn(32934), Ipv4Addr::new(10, 0, 0, 1)));

@@ -14,12 +14,12 @@ use proptest::prelude::*;
 
 use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::attrstore::{AttrStore, RouteRec};
-use ef_bgp::bmp::{BmpMessage, BmpPeerHeader};
 use ef_bgp::message::{BgpMessage, UpdateMessage};
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::policy::{Policy, PolicyVerdict};
 use ef_bgp::route::{EgressId, RouteSource};
 use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
+use ef_bgp::{BmpMessage, BmpPeerHeader};
 use ef_net_types::{Asn, Prefix};
 
 const LOCAL_AS: Asn = Asn(32934);

@@ -1,7 +1,9 @@
 //! Equivalence of the pooled, attribute-interned [`LocRib`] against the
 //! reference representation it replaced: `HashMap<Prefix, Vec<Route>>`
-//! with per-route deep attribute clones, ranked by the `Route`-based
-//! decision functions.
+//! with per-route deep attribute clones, ranked by a decision ladder that
+//! reads each fat [`Route`]'s attributes directly ([`compare`],
+//! [`best_route`], [`rank_routes`] below — the reference model, used
+//! nowhere else).
 //!
 //! Under arbitrary churn (install / replace-from-same-peer / withdraw /
 //! session teardown / compaction), the two must agree byte-for-byte on
@@ -9,16 +11,73 @@
 //! and route counts. This is the contract that lets every consumer of the
 //! RIB switch to `RouteRec` handles without re-auditing decisions.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use ef_bgp::attrs::{AsPath, Origin, PathAttributes};
-use ef_bgp::decision::{best_route, rank_routes};
 use ef_bgp::peer::{PeerId, PeerKind};
-use ef_bgp::rib::{BestChange, LocRib};
 use ef_bgp::route::{EgressId, Route, RouteSource};
+use ef_bgp::{BestChange, LocRib};
 use ef_net_types::{Asn, Community, Prefix};
+
+/// Reference ladder: RFC 4271 §9.1 over fat routes, recomputing every
+/// effective value from the attributes. `Greater` means `a` is preferred.
+fn compare(a: &Route, b: &Route) -> Ordering {
+    // 1. Highest LOCAL_PREF.
+    let lp = a
+        .attrs
+        .effective_local_pref()
+        .cmp(&b.attrs.effective_local_pref());
+    if lp != Ordering::Equal {
+        return lp;
+    }
+    // 2. Shortest AS path (sets count once).
+    let len = b
+        .attrs
+        .as_path
+        .decision_len()
+        .cmp(&a.attrs.as_path.decision_len());
+    if len != Ordering::Equal {
+        return len;
+    }
+    // 3. Lowest origin code.
+    let origin = b.attrs.origin.cmp(&a.attrs.origin);
+    if origin != Ordering::Equal {
+        return origin;
+    }
+    // 4. Lowest MED, only when the neighbor AS matches.
+    if a.attrs.as_path.neighbor_as().is_some()
+        && a.attrs.as_path.neighbor_as() == b.attrs.as_path.neighbor_as()
+    {
+        let med = b.attrs.effective_med().cmp(&a.attrs.effective_med());
+        if med != Ordering::Equal {
+            return med;
+        }
+    }
+    // 6. Deterministic final tie-break: lowest peer id.
+    b.source.peer.cmp(&a.source.peer)
+}
+
+/// The unique maximum under [`compare`]; ties resolve to the first listed.
+fn best_route(candidates: &[Route]) -> Option<&Route> {
+    let mut best: Option<&Route> = None;
+    for r in candidates {
+        match best {
+            Some(b) if compare(r, b) != Ordering::Greater => {}
+            _ => best = Some(r),
+        }
+    }
+    best
+}
+
+/// Candidates best-first, by the same stable sort the RIB uses.
+fn rank_routes(candidates: &[Route]) -> Vec<&Route> {
+    let mut v: Vec<&Route> = candidates.iter().collect();
+    v.sort_by(|a, b| compare(b, a));
+    v
+}
 
 /// Reference model: the pre-pooling Loc-RIB representation.
 #[derive(Default)]
@@ -159,9 +218,17 @@ const N_PREFIXES: usize = 6;
 const N_PEERS: usize = 4;
 const N_ATTRS: usize = 8;
 
+/// Half IPv4 /24s, half IPv6 /48s under `2001:db8::/32`, so both families
+/// run through the compact RIB and the reference ladder.
 fn prefixes() -> Vec<Prefix> {
-    (0..N_PREFIXES as u32)
-        .map(|i| Prefix::v4(std::net::Ipv4Addr::new(10, i as u8, 0, 0), 24))
+    (0..N_PREFIXES as u16)
+        .map(|i| {
+            if i % 2 == 0 {
+                Prefix::v4(std::net::Ipv4Addr::new(10, i as u8, 0, 0), 24)
+            } else {
+                Prefix::v6(std::net::Ipv6Addr::new(0x2001, 0xdb8, i, 0, 0, 0, 0, 0), 48)
+            }
+        })
         .collect()
 }
 

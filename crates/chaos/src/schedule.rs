@@ -348,17 +348,6 @@ impl FaultSchedule {
             .filter(move |(_, e)| e.active_at(t_secs))
     }
 
-    /// Active events at `t_secs` whose target lives at `pop`. Global-tier
-    /// faults never match — they have no PoP runtime to land on.
-    pub fn active_at_pop(
-        &self,
-        t_secs: u64,
-        pop: usize,
-    ) -> impl Iterator<Item = (usize, &FaultEvent)> {
-        self.active_at(t_secs)
-            .filter(move |(_, e)| e.target.pop() == Some(pop))
-    }
-
     /// The last instant at which any fault is still active, or 0.
     pub fn horizon_secs(&self) -> u64 {
         self.events
@@ -373,11 +362,6 @@ impl FaultSchedule {
         let parsed: FaultSchedule =
             serde_json::from_str(text).map_err(|e| format!("bad fault schedule JSON: {e}"))?;
         FaultSchedule::new(parsed.events)
-    }
-
-    /// Serializes the schedule as pretty JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("schedule serializes")
     }
 }
 
@@ -447,7 +431,10 @@ mod tests {
         .unwrap();
         assert_eq!(sched.events[0].t_start_secs, 100);
         assert_eq!(sched.horizon_secs(), 260);
-        let at_pop1: Vec<_> = sched.active_at_pop(110, 1).collect();
+        let at_pop1: Vec<_> = sched
+            .active_at(110)
+            .filter(|(_, e)| e.target.pop() == Some(1))
+            .collect();
         assert_eq!(at_pop1.len(), 1);
         assert!(matches!(at_pop1[0].1.kind, FaultKind::PeerFailure));
         assert_eq!(sched.active_at(110).count(), 2);
@@ -582,7 +569,11 @@ mod tests {
             ev(100, 60, FaultKind::BmpStall, FaultTarget::Pop { pop: 1 }),
         ])
         .unwrap();
-        assert_eq!(sched.active_at_pop(110, 1).count(), 1);
+        let at_pop1 = sched
+            .active_at(110)
+            .filter(|(_, e)| e.target.pop() == Some(1))
+            .count();
+        assert_eq!(at_pop1, 1);
         assert_eq!(sched.active_at(110).count(), 2);
     }
 
@@ -627,7 +618,7 @@ mod tests {
             ),
         ])
         .unwrap();
-        let json = sched.to_json();
+        let json = serde_json::to_string_pretty(&sched).unwrap();
         let back = FaultSchedule::from_json(&json).unwrap();
         assert_eq!(back, sched);
     }

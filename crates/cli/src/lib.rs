@@ -24,10 +24,10 @@
 
 use std::fmt::Write as _;
 
+use edge_fabric::ControllerConfig;
 use ef_net_types::Prefix;
 use ef_telemetry::{ExplainRecord, TelemetryHandle, TelemetryRecord};
-use ef_topology::stats::{pop_summaries, route_diversity};
-use ef_topology::{generate, GenConfig};
+use ef_topology::{generate, pop_summaries, route_diversity, GenConfig};
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -416,17 +416,62 @@ fn parse_hours(value: &str) -> Result<f64, ParseError> {
     }
 }
 
+/// The generator sizes the AS population at `prefixes / 8`, clamped to
+/// `[MIN_ASES, 400]`, and every AS originates at least one prefix.
+const MIN_ASES: usize = 8;
+
+/// Applies `flag` if it is one every deployment-shaped command shares
+/// (`--seed`, `--pops`, `--prefixes`, `--out`, `--quiet`), reading its
+/// value from `iter`; returns `false` for any other flag. A world the
+/// generator cannot build — no PoP, or fewer prefixes than ASes — is a
+/// usage error here rather than a panic once the run starts.
+fn common_flag(
+    common: &mut CommonArgs,
+    flag: &str,
+    iter: &mut std::slice::Iter<'_, String>,
+) -> Result<bool, ParseError> {
+    match flag {
+        "--seed" => common.seed = parse_num(flag, take_value(flag, iter)?)?,
+        "--pops" => {
+            common.pops = parse_num(flag, take_value(flag, iter)?)?;
+            if common.pops == 0 {
+                return Err(ParseError("--pops must be at least 1".into()));
+            }
+        }
+        "--prefixes" => {
+            common.prefixes = parse_num(flag, take_value(flag, iter)?)?;
+            if common.prefixes < MIN_ASES {
+                return Err(ParseError(format!(
+                    "--prefixes must be at least {MIN_ASES} (one per AS)"
+                )));
+            }
+        }
+        "--out" => common.out = Some(take_value(flag, iter)?.to_string()),
+        "--quiet" => common.quiet = true,
+        _ => return Ok(false),
+    }
+    Ok(true)
+}
+
+/// `--hysteresis X`: checked by the controller's own config validation,
+/// so the accepted range has one source.
+fn parse_hysteresis(value: &str) -> Result<f64, ParseError> {
+    let hysteresis = parse_num("--hysteresis", value)?;
+    let cfg = ControllerConfig {
+        withdraw_hysteresis: hysteresis,
+        ..ControllerConfig::default()
+    };
+    cfg.validate()
+        .map_err(|e| ParseError(format!("--hysteresis: {e}")))?;
+    Ok(hysteresis)
+}
+
 fn parse_common(args: &[String]) -> Result<CommonArgs, ParseError> {
     let mut out = CommonArgs::default();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
-        match flag.as_str() {
-            "--seed" => out.seed = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--pops" => out.pops = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--prefixes" => out.prefixes = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--out" => out.out = Some(take_value(flag, &mut iter)?.to_string()),
-            "--quiet" => out.quiet = true,
-            other => return Err(ParseError(format!("unknown flag {other:?}"))),
+        if !common_flag(&mut out, flag, &mut iter)? {
+            return Err(ParseError(format!("unknown flag {flag:?}")));
         }
     }
     Ok(out)
@@ -436,17 +481,15 @@ fn parse_run(args: &[String]) -> Result<RunArgs, ParseError> {
     let mut out = RunArgs::default();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
+        if common_flag(&mut out.common, flag, &mut iter)? {
+            continue;
+        }
         match flag.as_str() {
-            "--seed" => out.common.seed = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--pops" => out.common.pops = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--prefixes" => out.common.prefixes = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--out" => out.common.out = Some(take_value(flag, &mut iter)?.to_string()),
-            "--quiet" => out.common.quiet = true,
             "--hours" => out.hours = parse_hours(take_value(flag, &mut iter)?)?,
             "--baseline" => out.baseline = true,
             "--split" => out.split = true,
             "--global" => out.global = true,
-            "--hysteresis" => out.hysteresis = parse_num(flag, take_value(flag, &mut iter)?)?,
+            "--hysteresis" => out.hysteresis = parse_hysteresis(take_value(flag, &mut iter)?)?,
             "--epoch" => out.epoch_secs = parse_epoch(take_value(flag, &mut iter)?)?,
             other => return Err(ParseError(format!("unknown flag {other:?}"))),
         }
@@ -458,12 +501,10 @@ fn parse_chaos(args: &[String]) -> Result<ChaosArgs, ParseError> {
     let mut out = ChaosArgs::default();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
+        if common_flag(&mut out.common, flag, &mut iter)? {
+            continue;
+        }
         match flag.as_str() {
-            "--seed" => out.common.seed = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--pops" => out.common.pops = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--prefixes" => out.common.prefixes = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--out" => out.common.out = Some(take_value(flag, &mut iter)?.to_string()),
-            "--quiet" => out.common.quiet = true,
             "--hours" => out.hours = parse_hours(take_value(flag, &mut iter)?)?,
             "--baseline" => out.baseline = true,
             "--epoch" => out.epoch_secs = parse_epoch(take_value(flag, &mut iter)?)?,
@@ -498,12 +539,10 @@ fn parse_trace(args: &[String]) -> Result<TraceArgs, ParseError> {
     let mut out = TraceArgs::default();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
+        if common_flag(&mut out.common, flag, &mut iter)? {
+            continue;
+        }
         match flag.as_str() {
-            "--seed" => out.common.seed = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--pops" => out.common.pops = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--prefixes" => out.common.prefixes = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--out" => out.common.out = Some(take_value(flag, &mut iter)?.to_string()),
-            "--quiet" => out.common.quiet = true,
             "--hours" => out.hours = parse_hours(take_value(flag, &mut iter)?)?,
             "--epoch" => out.epoch_secs = parse_epoch(take_value(flag, &mut iter)?)?,
             "--limit" => out.limit = parse_num(flag, take_value(flag, &mut iter)?)?,
@@ -578,12 +617,10 @@ fn parse_global(args: &[String]) -> Result<GlobalArgs, ParseError> {
     let mut out = GlobalArgs::default();
     let mut iter = args.iter();
     while let Some(flag) = iter.next() {
+        if common_flag(&mut out.common, flag, &mut iter)? {
+            continue;
+        }
         match flag.as_str() {
-            "--seed" => out.common.seed = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--pops" => out.common.pops = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--prefixes" => out.common.prefixes = parse_num(flag, take_value(flag, &mut iter)?)?,
-            "--out" => out.common.out = Some(take_value(flag, &mut iter)?.to_string()),
-            "--quiet" => out.common.quiet = true,
             "--hours" => out.hours = parse_hours(take_value(flag, &mut iter)?)?,
             "--epoch" => out.epoch_secs = parse_epoch(take_value(flag, &mut iter)?)?,
             "--backend" => out.backend = take_value(flag, &mut iter)?.to_string(),
@@ -611,11 +648,11 @@ fn parse_explain(args: &[String]) -> Result<ExplainArgs, ParseError> {
     let mut out = ExplainArgs::default();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
+        // `explain` prints to stdout only; it has no `--out`.
+        if arg != "--out" && common_flag(&mut out.common, arg, &mut iter)? {
+            continue;
+        }
         match arg.as_str() {
-            "--seed" => out.common.seed = parse_num(arg, take_value(arg, &mut iter)?)?,
-            "--pops" => out.common.pops = parse_num(arg, take_value(arg, &mut iter)?)?,
-            "--prefixes" => out.common.prefixes = parse_num(arg, take_value(arg, &mut iter)?)?,
-            "--quiet" => out.common.quiet = true,
             "--hours" => out.hours = parse_hours(take_value(arg, &mut iter)?)?,
             "--epoch" => out.epoch_secs = parse_epoch(take_value(arg, &mut iter)?)?,
             "--global" => out.global = true,
@@ -653,7 +690,7 @@ fn gen_config(common: &CommonArgs) -> GenConfig {
         n_pops: common.pops,
         n_prefixes: common.prefixes,
         // Scale companion parameters with size so small worlds stay sane.
-        n_ases: (common.prefixes / 8).clamp(8, 400),
+        n_ases: (common.prefixes / 8).clamp(MIN_ASES, 400),
         total_avg_gbps: 400.0 * common.pops as f64,
         ..GenConfig::default()
     }
@@ -1729,6 +1766,36 @@ mod tests {
     }
 
     #[test]
+    fn world_and_controller_flags_are_checked_at_parse_time() {
+        let commands = [
+            "gen",
+            "table1",
+            "diversity",
+            "run",
+            "chaos",
+            "trace",
+            "explain 1.0.0.0/24",
+            "global",
+        ];
+        for cmd in commands {
+            for bad in ["--pops 0", "--prefixes 0", "--prefixes 7"] {
+                let line = format!("{cmd} {bad}");
+                let err = parse_args(&argv(&line)).unwrap_err();
+                assert!(err.0.contains("at least"), "{line}: {err}");
+            }
+            let line = format!("{cmd} --pops 1 --prefixes {MIN_ASES}");
+            assert!(parse_args(&argv(&line)).is_ok(), "{line}");
+        }
+        // The controller's own validation bounds the hysteresis.
+        for bad in ["0.99", "0.95", "-0.1", "nan", "inf"] {
+            let line = format!("run --hysteresis {bad}");
+            let err = parse_args(&argv(&line)).unwrap_err();
+            assert!(err.0.contains("withdraw_hysteresis"), "{line}: {err}");
+        }
+        assert!(parse_args(&argv("run --hysteresis 0.08")).is_ok());
+    }
+
+    #[test]
     fn table1_and_diversity_render() {
         let common = CommonArgs {
             seed: 3,
@@ -1951,7 +2018,7 @@ mod tests {
         let dir = std::env::temp_dir().join("efctl-chaos-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("faults.json");
-        std::fs::write(&path, schedule.to_json()).unwrap();
+        std::fs::write(&path, serde_json::to_string_pretty(&schedule).unwrap()).unwrap();
         let mut args = ChaosArgs::default();
         args.common.pops = 4;
         args.common.prefixes = 200;

@@ -64,17 +64,6 @@ pub struct AllocationOutcome {
     pub explains: Vec<ExplainRecord>,
 }
 
-impl AllocationOutcome {
-    /// Post-allocation utilization of an interface.
-    pub fn post_utilization(&self, egress: EgressId, interfaces: &InterfaceMap) -> f64 {
-        let cap = interfaces
-            .get(&egress)
-            .map(|i| i.capacity_mbps)
-            .unwrap_or(f64::INFINITY);
-        self.post_load.get(&egress).copied().unwrap_or(0.0) / cap
-    }
-}
-
 /// Runs the allocator.
 ///
 /// `perf_overrides` are pre-existing intents (paper §6) that the capacity
@@ -451,10 +440,9 @@ mod tests {
     use crate::projection::project;
     use crate::state::InterfaceInfo;
     use ef_bgp::attrs::{AsPath, PathAttributes};
-    use ef_bgp::bmp::{BmpMessage, BmpPeerHeader};
-    use ef_bgp::egress::EgressSpec;
     use ef_bgp::message::UpdateMessage;
     use ef_bgp::peer::{PeerId, PeerKind};
+    use ef_bgp::{BmpMessage, BmpPeerHeader, EgressSpec};
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -572,7 +560,7 @@ mod tests {
         assert!(out.residual_overloaded.is_empty());
         // Post-load respects the limit on every interface.
         for (e, info) in &ifaces {
-            let u = out.post_utilization(*e, &ifaces);
+            let u = out.post_load.get(e).copied().unwrap_or(0.0) / info.capacity_mbps;
             assert!(u <= 0.95 + 1e-9, "{e} at {u} (cap {})", info.capacity_mbps);
         }
     }

@@ -14,10 +14,9 @@
 use std::collections::HashMap;
 
 use ef_bgp::attrstore::{AttrStore, RouteRec};
-use ef_bgp::bmp::BmpMessage;
 use ef_bgp::peer::{PeerId, PeerKind};
-use ef_bgp::rib::LocRib;
 use ef_bgp::route::{EgressId, Route, RouteSource};
+use ef_bgp::{BmpMessage, LocRib};
 use ef_net_types::Prefix;
 
 /// Maintains the controller's merged route view from BMP.
@@ -218,8 +217,8 @@ impl RouteCollector {
 mod tests {
     use super::*;
     use ef_bgp::attrs::{AsPath, PathAttributes};
-    use ef_bgp::bmp::BmpPeerHeader;
     use ef_bgp::message::UpdateMessage;
+    use ef_bgp::BmpPeerHeader;
     use ef_net_types::Asn;
 
     fn header(peer: u64, asn: u32) -> BmpPeerHeader {

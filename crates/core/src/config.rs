@@ -34,10 +34,6 @@ pub struct ControllerConfig {
     /// withdrawn, returning the PoP to plain BGP (paper §4.4's fail-static
     /// argument, made explicit).
     pub fail_open_secs: u64,
-    /// Blast-radius cap: at most this fraction of the PoP's total demand
-    /// may be *newly* shifted (prefixes not already overridden) in a single
-    /// epoch. 1.0 disables the guard.
-    pub max_shift_fraction_per_epoch: f64,
     /// Cost-aware detours: when several feasible alternates sit in the
     /// same BGP preference band, pick the one with the lowest marginal
     /// cost instead of the first in rank order. Never degrades the BGP
@@ -56,7 +52,6 @@ impl Default for ControllerConfig {
             split_depth: 0,
             stale_input_secs: 120,
             fail_open_secs: 600,
-            max_shift_fraction_per_epoch: 1.0,
             cost_aware: false,
         }
     }
@@ -84,12 +79,6 @@ impl ControllerConfig {
             return Err(format!(
                 "fail_open_secs {} shorter than stale_input_secs {}",
                 self.fail_open_secs, self.stale_input_secs
-            ));
-        }
-        if !(0.0 < self.max_shift_fraction_per_epoch && self.max_shift_fraction_per_epoch <= 1.0) {
-            return Err(format!(
-                "max_shift_fraction_per_epoch {} outside (0, 1]",
-                self.max_shift_fraction_per_epoch
             ));
         }
         Ok(())
@@ -120,8 +109,6 @@ mod tests {
         assert!(bad(|c| c.split_depth = 2));
         assert!(bad(|c| c.stale_input_secs = 0));
         assert!(bad(|c| c.fail_open_secs = 10)); // < stale_input_secs
-        assert!(bad(|c| c.max_shift_fraction_per_epoch = 0.0));
-        assert!(bad(|c| c.max_shift_fraction_per_epoch = 1.5));
     }
 
     #[test]
@@ -132,7 +119,6 @@ mod tests {
             "fresh epochs of the paper's ~30 s cycle never degrade"
         );
         assert!(cfg.fail_open_secs >= cfg.stale_input_secs);
-        assert_eq!(cfg.max_shift_fraction_per_epoch, 1.0, "cap off by default");
     }
 
     #[test]
@@ -148,6 +134,7 @@ mod tests {
             ("max_detour_fraction", "1.0"),
             ("max_overrides", "0"),
             ("dry_run", "false"),
+            ("max_shift_fraction_per_epoch", "1.0"),
         ] {
             let old = json.replacen('{', &format!(r#"{{"{key}":{value},"#), 1);
             let back: ControllerConfig = serde_json::from_str(&old).unwrap();

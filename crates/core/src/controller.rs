@@ -15,20 +15,16 @@
 //! this to *degraded but alive* inputs: when the BMP feed or the traffic
 //! estimates are stale, the controller refuses to grow its override
 //! footprint (it may only hold or shrink it, re-validating every kept
-//! detour target), and past a fail-open horizon it withdraws everything. A
-//! blast-radius cap bounds how much traffic a single epoch may newly shift
-//! even with fresh inputs, so one bad projection cannot swing a PoP.
+//! detour target), and past a fail-open horizon it withdraws everything.
 
 use std::collections::HashMap;
 
 use serde::Serialize;
 
-use ef_bgp::backoff::ReconnectGovernor;
-use ef_bgp::bmp::BmpMessage;
-use ef_bgp::peer::{PeerId, PeerKind};
+use ef_bgp::peer::PeerId;
 use ef_bgp::route::EgressId;
 use ef_bgp::router::BgpRouter;
-use ef_bgp::session::Millis;
+use ef_bgp::{BmpMessage, Millis, ReconnectGovernor};
 use ef_telemetry::{audit_overrides, ExplainRecord, ExplainVerdict, TelemetryHandle};
 
 use crate::allocator::allocate;
@@ -81,8 +77,6 @@ pub struct EpochReport {
     /// The epoch failed open (inputs past the trust horizon: every
     /// override withdrawn).
     pub fail_open: bool,
-    /// Demand the blast-radius cap refused to newly shift this epoch, Mbps.
-    pub shift_capped_mbps: f64,
     /// Post-epoch audit: overrides believed announced but absent from the
     /// router's decision (before reconciliation repaired them).
     pub audit_not_installed: usize,
@@ -90,10 +84,10 @@ pub struct EpochReport {
     /// (before reconciliation repaired them).
     pub audit_leaked: usize,
     /// Decision provenance: one record per steering decision the allocator
-    /// considered, with verdicts amended by the guards (blast-radius,
-    /// hold-or-shrink, fail-open). Always populated — it is derived purely
-    /// from simulation state, so reports stay byte-identical whether or not
-    /// a telemetry sink is attached.
+    /// considered, with verdicts amended by the guards (hold-or-shrink,
+    /// fail-open). Always populated — it is derived purely from simulation
+    /// state, so reports stay byte-identical whether or not a telemetry
+    /// sink is attached.
     pub explains: Vec<ExplainRecord>,
 }
 
@@ -295,9 +289,7 @@ impl PopController {
     ///   override's detour target is re-validated (route still present,
     ///   projected target load still under the limit);
     /// - inputs older than `fail_open_secs`: **fail open** — every
-    ///   override is withdrawn and the PoP runs plain BGP;
-    /// - always: the **blast-radius cap** limits newly shifted demand to
-    ///   `max_shift_fraction_per_epoch` of the PoP's total.
+    ///   override is withdrawn and the PoP runs plain BGP.
     ///
     /// Returns [`EpochError::InjectorDown`] (epoch skipped) when the
     /// injector session is down.
@@ -341,7 +333,6 @@ impl PopController {
 
         let guard_timer = self.telemetry.timer();
         let mut explains = std::mem::take(&mut outcome.explains);
-        let mut shift_capped_mbps = 0.0;
         let desired = if fail_open {
             // Nothing the allocator computed is trustworthy at this age.
             for rec in explains.iter_mut().filter(|r| r.emitted()) {
@@ -362,19 +353,7 @@ impl PopController {
             }
             kept
         } else {
-            let mut desired = std::mem::take(&mut outcome.overrides);
-            let refused = self.cap_blast_radius(&mut desired, projection.demand_total_mbps());
-            for (prefix, mbps) in &refused {
-                shift_capped_mbps += mbps;
-                let name = prefix.to_string();
-                for rec in explains
-                    .iter_mut()
-                    .filter(|r| r.emitted() && r.prefix == name)
-                {
-                    rec.verdict = ExplainVerdict::DroppedBlastRadius;
-                }
-            }
-            desired
+            std::mem::take(&mut outcome.overrides)
         };
         let guards_us = guard_timer.elapsed_us();
 
@@ -543,7 +522,6 @@ impl PopController {
             input_age_ms: age_ms,
             degraded,
             fail_open,
-            shift_capped_mbps,
             audit_not_installed,
             audit_leaked,
             explains,
@@ -617,39 +595,6 @@ impl PopController {
         kept
     }
 
-    /// Enforces the per-epoch blast-radius cap: overrides for prefixes not
-    /// already announced are dropped (in deterministic prefix order) once
-    /// their cumulative demand exceeds the allowed fraction of the PoP's
-    /// total. Returns the refused `(prefix, demand)` pairs so provenance
-    /// records can carry the rejection.
-    fn cap_blast_radius(
-        &self,
-        desired: &mut OverrideSet,
-        total_demand_mbps: f64,
-    ) -> Vec<(ef_net_types::Prefix, f64)> {
-        if self.cfg.max_shift_fraction_per_epoch >= 1.0 {
-            return Vec::new();
-        }
-        let budget = self.cfg.max_shift_fraction_per_epoch * total_demand_mbps;
-        let announced = self.injector.announced();
-        let mut new_shift = 0.0f64;
-        let mut refused: Vec<(ef_net_types::Prefix, f64)> = Vec::new();
-        for o in desired.iter_sorted() {
-            if announced.contains(&o.prefix) {
-                continue; // already shifted in an earlier epoch
-            }
-            if new_shift + o.moved_mbps > budget {
-                refused.push((o.prefix, o.moved_mbps));
-            } else {
-                new_shift += o.moved_mbps;
-            }
-        }
-        for (prefix, _) in &refused {
-            desired.remove(prefix);
-        }
-        refused
-    }
-
     /// The report for an epoch that could not run (injector down): nothing
     /// was observed or changed; BGP semantics already withdrew every
     /// override.
@@ -672,7 +617,6 @@ impl PopController {
             input_age_ms: 0,
             degraded: false,
             fail_open: true,
-            shift_capped_mbps: 0.0,
             audit_not_installed: 0,
             audit_leaked: 0,
             explains: Vec::new(),
@@ -777,11 +721,6 @@ impl PopController {
             .map(|i| i.capacity_mbps * self.cfg.util_limit)
             .unwrap_or(f64::INFINITY)
     }
-
-    /// Classifies an interface (for reports).
-    pub fn interface_kind(&self, egress: EgressId) -> Option<PeerKind> {
-        self.interfaces.get(&egress).map(|i| i.kind())
-    }
 }
 
 #[cfg(test)]
@@ -789,6 +728,7 @@ mod tests {
     use super::*;
     use crate::state::InterfaceInfo;
     use ef_bgp::attrs::{AsPath, PathAttributes};
+    use ef_bgp::peer::PeerKind;
     use ef_bgp::policy::Policy;
     use ef_bgp::router::{PeerAttachment, PeerStub, RouterConfig};
     use ef_net_types::{Asn, Prefix};
@@ -950,11 +890,14 @@ mod tests {
         let w = world(&[]);
         assert!((w.controller.limit_mbps(EgressId(1)) - 95.0).abs() < 1e-9);
         assert_eq!(w.controller.limit_mbps(EgressId(77)), f64::INFINITY);
-        assert_eq!(
-            w.controller.interface_kind(EgressId(1)),
-            Some(PeerKind::PrivatePeer)
-        );
-        assert_eq!(w.controller.interface_kind(EgressId(77)), None);
+        let kind = |e| {
+            w.controller
+                .interfaces()
+                .get(&EgressId(e))
+                .map(|i| i.kind())
+        };
+        assert_eq!(kind(1), Some(PeerKind::PrivatePeer));
+        assert_eq!(kind(77), None);
     }
 
     #[test]
@@ -969,7 +912,6 @@ mod tests {
         assert!(!report.fail_open);
         assert_eq!(report.input_age_ms, 0);
         assert_eq!(report.overrides_active, 1);
-        assert_eq!(report.shift_capped_mbps, 0.0);
     }
 
     #[test]
@@ -1066,56 +1008,6 @@ mod tests {
         assert_eq!(report.churn_withdrawn, 1);
         assert!(!w.router.fib_entry(&p("1.0.0.0/24")).unwrap().is_override);
         assert!(!w.router.fib_entry(&p("2.0.0.0/24")).unwrap().is_override);
-    }
-
-    #[test]
-    fn blast_radius_cap_limits_new_shift_per_epoch() {
-        let prefixes = ["1.0.0.0/24", "2.0.0.0/24", "3.0.0.0/24", "4.0.0.0/24"];
-        let mut w = world(&prefixes);
-        let mut cfg = *w.controller.config();
-        cfg.max_shift_fraction_per_epoch = 0.15;
-        // Rebuild a capped controller over the same router state.
-        let interfaces = w.controller.interfaces().clone();
-        w.controller.drain(&mut w.router, 0);
-        let mut capped = PopController::new(2, cfg, interfaces, &mut w.router);
-        w.router.drain_bmp();
-        for prefix in prefixes {
-            for (stub, asn) in [(&mut w.peer, 65001u32), (&mut w.transit, 65010)] {
-                stub.announce(
-                    &mut w.router,
-                    p(prefix),
-                    PathAttributes {
-                        as_path: AsPath::sequence([Asn(asn)]),
-                        ..Default::default()
-                    },
-                    1,
-                );
-            }
-        }
-        capped.ingest_bmp(w.router.drain_bmp());
-        // 240 Mbps offered against a 100 Mbps PNI: the allocator wants to
-        // move ~150 Mbps at once; the cap allows 0.15 × 240 = 36 Mbps.
-        let heavy: HashMap<_, _> = prefixes.iter().map(|s| (p(s), 60.0)).collect();
-        let report = capped
-            .run_epoch_guarded(&heavy, &mut w.router, 30_000, EpochInputs::fresh())
-            .unwrap();
-        assert!(report.shift_capped_mbps > 0.0, "cap engaged");
-        assert!(
-            report.detoured_mbps <= 36.0 + 1e-9,
-            "newly shifted demand {} within the 36 Mbps budget",
-            report.detoured_mbps
-        );
-        // Across epochs the cap still lets the controller converge.
-        let mut last = report;
-        for i in 2..6 {
-            last = capped
-                .run_epoch_guarded(&heavy, &mut w.router, 30_000 * i, EpochInputs::fresh())
-                .unwrap();
-        }
-        assert!(
-            last.residual_overloaded.is_empty(),
-            "converged under the cap"
-        );
     }
 
     #[test]

@@ -23,7 +23,7 @@ use ef_bgp::message::UpdateMessage;
 use ef_bgp::peer::PeerId;
 use ef_bgp::policy::{Policy, OVERRIDE_MARKER};
 use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub};
-use ef_bgp::session::Millis;
+use ef_bgp::Millis;
 use ef_net_types::Prefix;
 
 use crate::overrides::{OverrideDiff, OverrideSet};
@@ -686,7 +686,7 @@ mod tests {
         inj.apply(&mut router, &desired, 10);
         let feed = router.drain_bmp();
         let monitored = feed.iter().any(|m| match m {
-            ef_bgp::bmp::BmpMessage::RouteMonitoring { update, .. } => update
+            ef_bgp::BmpMessage::RouteMonitoring { update, .. } => update
                 .attrs
                 .has_community(PeerKind::Controller.tag_community()),
             _ => false,

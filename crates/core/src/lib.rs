@@ -11,8 +11,8 @@
 //!    route each peering router accepted — not just the best ones.
 //! 2. **Collects traffic** — per-prefix egress demand estimates, supplied
 //!    by the embedding (see `ef-traffic` for the sampling pipeline) as a
-//!    [`state::TrafficView`]: in production a prefix-sorted
-//!    [`state::TrafficTable`] refilled in place each epoch; a
+//!    [`TrafficView`]: in production a prefix-sorted
+//!    [`TrafficTable`] refilled in place each epoch; a
 //!    `HashMap<Prefix, f64>` is accepted through the same trait for small
 //!    callers such as the quickstart below.
 //! 3. **Projects** ([`projection`]) that demand onto the routes BGP would
@@ -20,7 +20,7 @@
 //! 4. **Allocates detours** ([`allocator`]) for interfaces whose projected
 //!    utilization exceeds the limit, moving just enough prefixes to their
 //!    next-best routes — never overloading a detour target.
-//! 5. **Injects overrides** ([`injector`]) as real BGP announcements with a
+//! 5. **Injects overrides** ([`Injector`]) as real BGP announcements with a
 //!    controller-tier `LOCAL_PREF` over an ordinary session, so the
 //!    routers' own decision process installs them; dropping the
 //!    announcement reverts the detour.
@@ -29,7 +29,7 @@
 //! every epoch recomputes the full desired override set from fresh inputs,
 //! and the injector diffs it against what is currently announced.
 //!
-//! The [`perf_aware`] module implements the §6 extension: alternate-path
+//! [`build_perf_overrides`] implements the §6 extension: alternate-path
 //! measurements feed overrides that move the small tail of prefixes whose
 //! BGP-preferred path is ≥20 ms slower than an alternate.
 //!
@@ -37,7 +37,7 @@
 //!
 //! ```
 //! use edge_fabric::{ControllerConfig, PopController};
-//! use edge_fabric::state::InterfaceInfo;
+//! use edge_fabric::InterfaceInfo;
 //! use ef_bgp::peer::{PeerId, PeerKind};
 //! use ef_bgp::policy::Policy;
 //! use ef_bgp::route::EgressId;
@@ -90,17 +90,20 @@
 
 pub mod allocator;
 pub mod collector;
-pub mod config;
-pub mod controller;
-pub mod injector;
+mod config;
+mod controller;
+mod injector;
 pub mod overrides;
-pub mod perf_aware;
+mod perf_aware;
 pub mod projection;
-pub mod state;
+mod state;
 
 pub use allocator::{AllocationOutcome, DetourStrategy};
 pub use collector::RouteCollector;
 pub use config::ControllerConfig;
 pub use controller::{EpochError, EpochInputs, EpochReport, PopController};
+pub use injector::{InjectionLedger, InjectionReport, Injector, InjectorError};
 pub use overrides::{Override, OverrideReason, OverrideSet};
-pub use projection::{project, Projection};
+pub use perf_aware::{adapt_comparisons, build_perf_overrides, MeasuredComparison, MIN_SAMPLES};
+pub use projection::Projection;
+pub use state::{total_traffic_mbps, InterfaceInfo, InterfaceMap, TrafficTable, TrafficView};

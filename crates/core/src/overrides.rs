@@ -148,15 +148,6 @@ impl OverrideSet {
         diff
     }
 
-    /// Counts overrides per target interconnect kind.
-    pub fn by_target_kind(&self) -> HashMap<PeerKind, usize> {
-        let mut m = HashMap::new();
-        for o in self.map.values() {
-            *m.entry(o.target_kind).or_default() += 1;
-        }
-        m
-    }
-
     /// Demand moved per target interconnect kind, Mbps (accumulated in
     /// prefix order for run-to-run reproducibility).
     pub fn moved_by_target_kind(&self) -> HashMap<PeerKind, f64> {
@@ -234,9 +225,6 @@ mod tests {
         let mut peer_ov = ov("2.0.0.0/24", 6, 20.0);
         peer_ov.target_kind = PeerKind::PublicPeer;
         s.insert(peer_ov);
-        let counts = s.by_target_kind();
-        assert_eq!(counts[&PeerKind::Transit], 1);
-        assert_eq!(counts[&PeerKind::PublicPeer], 1);
         let moved = s.moved_by_target_kind();
         assert_eq!(moved[&PeerKind::Transit], 10.0);
         assert_eq!(moved[&PeerKind::PublicPeer], 20.0);

@@ -95,9 +95,9 @@ pub fn adapt_comparisons<'a>(
 mod tests {
     use super::*;
     use ef_bgp::attrs::{AsPath, PathAttributes};
-    use ef_bgp::bmp::{BmpMessage, BmpPeerHeader};
     use ef_bgp::message::UpdateMessage;
     use ef_bgp::peer::{PeerId, PeerKind};
+    use ef_bgp::{BmpMessage, BmpPeerHeader};
     use ef_net_types::Asn;
 
     fn p(s: &str) -> Prefix {

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use ef_bgp::decision::best_rec_where;
+use ef_bgp::best_rec_where;
 use ef_bgp::route::EgressId;
 use ef_net_types::Prefix;
 
@@ -95,7 +95,7 @@ impl Projection {
 /// Prefixes present in traffic but absent from the route table contribute
 /// to `unrouted_mbps`. Prefixes with routes but no demand simply do not
 /// appear in the assignment (they carry nothing).
-pub fn project<T: TrafficView + ?Sized>(routes: &RouteCollector, traffic: &T) -> Projection {
+pub(crate) fn project<T: TrafficView + ?Sized>(routes: &RouteCollector, traffic: &T) -> Projection {
     let mut projection = Projection::default();
     // Canonical (prefix) order: the per-interface sums below are float
     // accumulations, and storage order must not leak into them.
@@ -120,7 +120,7 @@ pub fn project<T: TrafficView + ?Sized>(routes: &RouteCollector, traffic: &T) ->
 /// collector's generation stamps.
 ///
 /// Purely an implementation detail of the stateless-recompute contract:
-/// [`project_cached`] produces output byte-identical to [`project`] — the
+/// [`project_cached`] produces output byte-identical to `project` — the
 /// per-prefix `best_rec_where` call is skipped when the prefix's
 /// non-override candidate set provably has not changed, but demand is
 /// accumulated in exactly the same canonical order either way, so even the
@@ -194,10 +194,12 @@ impl ProjectionCache {
     }
 }
 
-/// [`project`], but re-running the BGP decision only for prefixes whose
-/// generation stamp moved since the memoized answer was recorded. Debug
-/// builds re-run [`project`] on the same inputs and assert the two results
-/// equal bit for bit; release builds compile the check out.
+/// Projects `traffic` onto the best non-override route per prefix, re-running
+/// the BGP decision only for prefixes whose generation stamp moved since the
+/// memoized answer was recorded. The crate's stateless `project` is the
+/// specification: debug builds re-run it on the same inputs and assert the
+/// two results equal bit for bit; release builds compile the check out. A
+/// fresh cache recomputes every prefix.
 pub fn project_cached<T: TrafficView + ?Sized>(
     cache: &mut ProjectionCache,
     routes: &RouteCollector,
@@ -305,9 +307,9 @@ pub fn project_cached<T: TrafficView + ?Sized>(
 mod tests {
     use super::*;
     use ef_bgp::attrs::{AsPath, PathAttributes};
-    use ef_bgp::bmp::{BmpMessage, BmpPeerHeader};
     use ef_bgp::message::UpdateMessage;
     use ef_bgp::peer::{PeerId, PeerKind};
+    use ef_bgp::{BmpMessage, BmpPeerHeader};
     use ef_net_types::Asn;
 
     fn p(s: &str) -> Prefix {

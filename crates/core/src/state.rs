@@ -6,9 +6,9 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use ef_bgp::egress::{EgressPolicy, PeeringClass};
 use ef_bgp::peer::PeerKind;
 use ef_bgp::route::EgressId;
+use ef_bgp::{EgressPolicy, PeeringClass};
 use ef_net_types::Prefix;
 
 /// Static facts about one egress interface, as configured into the

@@ -9,16 +9,14 @@ use proptest::prelude::*;
 
 use edge_fabric::allocator::{allocate, DetourStrategy};
 use edge_fabric::collector::RouteCollector;
-use edge_fabric::config::ControllerConfig;
 use edge_fabric::overrides::OverrideSet;
-use edge_fabric::projection::project;
-use edge_fabric::state::{InterfaceInfo, InterfaceMap};
+use edge_fabric::projection::{project_cached, ProjectionCache};
+use edge_fabric::{ControllerConfig, InterfaceInfo, InterfaceMap, Projection, TrafficView};
 use ef_bgp::attrs::{AsPath, PathAttributes};
-use ef_bgp::bmp::{BmpMessage, BmpPeerHeader};
-use ef_bgp::egress::{EgressPolicy, PeeringClass};
 use ef_bgp::message::UpdateMessage;
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::route::EgressId;
+use ef_bgp::{BmpMessage, BmpPeerHeader, EgressPolicy, PeeringClass};
 use ef_net_types::{Asn, Prefix};
 use ef_telemetry::RejectReason;
 
@@ -158,6 +156,12 @@ fn materialize(world: &World) -> (RouteCollector, InterfaceMap, HashMap<Prefix, 
         })
         .collect();
     (collector, interfaces, traffic)
+}
+
+/// Projects through the controller's memoized path with a fresh cache,
+/// which the test build asserts bit-identical to the stateless recompute.
+fn project<T: TrafficView + ?Sized>(collector: &RouteCollector, traffic: &T) -> Projection {
+    project_cached(&mut ProjectionCache::new(), collector, traffic)
 }
 
 proptest! {

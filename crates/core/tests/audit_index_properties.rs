@@ -11,8 +11,7 @@ use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 
-use edge_fabric::injector::Injector;
-use edge_fabric::{Override, OverrideReason, OverrideSet};
+use edge_fabric::{Injector, Override, OverrideReason, OverrideSet};
 use ef_bgp::attrs::{AsPath, Origin, PathAttributes};
 use ef_bgp::message::{BgpMessage, UpdateMessage};
 use ef_bgp::peer::{PeerId, PeerKind};

@@ -1,22 +1,25 @@
 //! Property-based equivalence of the incremental projection path: after any
 //! interleaving of organic announce/withdraw churn, peer failures, override
 //! (controller-route) churn, and controller crash-resyncs, `project_cached`
-//! must produce exactly what a from-scratch `project` does — same loads,
-//! same assignment, same totals, bit for bit. The memo is fenced by the
-//! collector's per-prefix generation stamps, so this exercises precisely
-//! the dirtying rules those stamps encode.
+//! over a long-lived cache must produce exactly what it does over a fresh
+//! one — same loads, same assignment, same totals, bit for bit. A fresh
+//! cache recomputes every prefix, and the test build asserts each call
+//! bit-identical to the stateless recompute, so this pins the warm memo to
+//! it too. The memo is fenced by the collector's per-prefix generation
+//! stamps, so this exercises precisely the dirtying rules those stamps
+//! encode.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use edge_fabric::collector::RouteCollector;
-use edge_fabric::projection::{project, project_cached, Projection, ProjectionCache};
+use edge_fabric::projection::{project_cached, Projection, ProjectionCache};
 use ef_bgp::attrs::{AsPath, PathAttributes};
-use ef_bgp::bmp::{BmpMessage, BmpPeerHeader};
 use ef_bgp::message::UpdateMessage;
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::route::EgressId;
+use ef_bgp::{BmpMessage, BmpPeerHeader};
 use ef_net_types::{Asn, Prefix};
 
 const N_PEERS: usize = 3;
@@ -233,7 +236,7 @@ proptest! {
                     }
                 }
             }
-            let fresh = project(&collector, &traffic);
+            let fresh = project_cached(&mut ProjectionCache::new(), &collector, &traffic);
             let cached = project_cached(&mut cache, &collector, &traffic);
             assert_projections_match(&cached, &fresh);
         }

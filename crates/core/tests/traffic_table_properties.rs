@@ -13,17 +13,16 @@ use proptest::prelude::*;
 
 use edge_fabric::allocator::{allocate, AllocationOutcome};
 use edge_fabric::collector::RouteCollector;
-use edge_fabric::config::ControllerConfig;
 use edge_fabric::overrides::{Override, OverrideReason, OverrideSet};
 use edge_fabric::projection::{project_cached, Projection, ProjectionCache};
-use edge_fabric::state::{
-    total_traffic_mbps, InterfaceInfo, InterfaceMap, TrafficTable, TrafficView,
+use edge_fabric::{
+    total_traffic_mbps, ControllerConfig, InterfaceInfo, InterfaceMap, TrafficTable, TrafficView,
 };
 use ef_bgp::attrs::{AsPath, PathAttributes};
-use ef_bgp::bmp::{BmpMessage, BmpPeerHeader};
 use ef_bgp::message::UpdateMessage;
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::route::EgressId;
+use ef_bgp::{BmpMessage, BmpPeerHeader};
 use ef_net_types::{Asn, Prefix};
 
 const N_PEERS: usize = 3;

@@ -63,43 +63,9 @@ pub struct GlobalConfig {
     /// Decay per healthy epoch (fractional backends).
     #[serde(default = "default_decay")]
     pub decay: f64,
-    /// Fraction of a PoP's reported headroom the global tier may consume
-    /// as detour budget each epoch. Below 1.0 so global placement never
-    /// eats the margin the per-PoP controller needs for its own detours.
-    #[serde(default = "default_headroom_safety")]
-    pub headroom_safety: f64,
     /// Scheduled flash crowds.
     #[serde(default)]
     pub flash_crowds: Vec<FlashCrowdSpec>,
-    /// Report-freshness horizon, epochs (≥ 1). A PoP whose last report is
-    /// `age` epochs old keeps `1 - age/horizon` of its usable budget; at
-    /// the horizon the budget is zero — the tier stops steering users
-    /// toward headroom numbers it cannot verify.
-    #[serde(default = "default_staleness_horizon")]
-    pub staleness_horizon_epochs: u64,
-    /// Minimum fraction of PoP reports that must arrive in an epoch for
-    /// the backend to keep updating placements, in `(0, 1]`. Below it the
-    /// tier goes *fail-static*: every away-fraction freezes and no new
-    /// move is initiated until visibility returns.
-    #[serde(default = "default_fail_static_quorum")]
-    pub fail_static_quorum: f64,
-    /// Per-epoch global blast-radius cap: total placed demand may not
-    /// exceed this fraction of total offered demand, in `(0, 1]`. Bounds
-    /// how far a single bad epoch of inputs can move the world.
-    #[serde(default = "default_blast_radius_fraction")]
-    pub blast_radius_fraction: f64,
-    /// Move hysteresis: after a cell's away-fraction rises (a drain step),
-    /// restores at that cell are suppressed for this many epochs. Zero
-    /// disables the hold-down. The anti-thrash knob for populations that
-    /// would otherwise bounce between PoPs on alternating reports.
-    #[serde(default = "default_hold_down_epochs")]
-    pub hold_down_epochs: u64,
-    /// Plausibility clamp on negotiated budgets: a PoP's usable budget
-    /// never exceeds this multiple of its own baseline demand, however
-    /// much headroom it claims (`> 0`). Bounds the damage of an exporter
-    /// over-reporting headroom.
-    #[serde(default = "default_budget_plausibility")]
-    pub budget_plausibility: f64,
 }
 
 fn default_step() -> f64 {
@@ -111,32 +77,11 @@ fn default_max_shift() -> f64 {
 fn default_decay() -> f64 {
     0.01
 }
-fn default_headroom_safety() -> f64 {
-    0.8
-}
-fn default_staleness_horizon() -> u64 {
-    4
-}
-fn default_fail_static_quorum() -> f64 {
-    0.5
-}
-fn default_blast_radius_fraction() -> f64 {
-    0.5
-}
-fn default_hold_down_epochs() -> u64 {
-    3
-}
-fn default_budget_plausibility() -> f64 {
-    1.0
-}
 
 /// Why a [`GlobalConfig`] was rejected. The tier refuses to start on
-/// out-of-range knobs instead of silently computing nonsense budgets
-/// (a negative `headroom_safety` used to yield negative detour budgets).
+/// out-of-range knobs instead of silently computing nonsense shifts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
-    /// `headroom_safety` must be finite and in `[0, 1]`.
-    HeadroomSafety(f64),
     /// `step` must be finite and in `(0, 1]`.
     Step(f64),
     /// `max_shift` must be finite and in `(0, 1]`.
@@ -147,14 +92,6 @@ pub enum ConfigError {
     ZeroTtl,
     /// An anycast backend's `convergence_epochs` must be ≥ 1.
     ZeroConvergence,
-    /// `staleness_horizon_epochs` must be ≥ 1.
-    ZeroStalenessHorizon,
-    /// `fail_static_quorum` must be finite and in `(0, 1]`.
-    FailStaticQuorum(f64),
-    /// `blast_radius_fraction` must be finite and in `(0, 1]`.
-    BlastRadiusFraction(f64),
-    /// `budget_plausibility` must be finite and `> 0`.
-    BudgetPlausibility(f64),
     /// A flash crowd's multiplier must be finite and `> 0`.
     FlashCrowdMultiplier {
         /// The offending crowd's population name.
@@ -167,26 +104,11 @@ pub enum ConfigError {
 impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ConfigError::HeadroomSafety(v) => {
-                write!(f, "headroom_safety {v} must be finite and in [0, 1]")
-            }
             ConfigError::Step(v) => write!(f, "step {v} must be finite and in (0, 1]"),
             ConfigError::MaxShift(v) => write!(f, "max_shift {v} must be finite and in (0, 1]"),
             ConfigError::Decay(v) => write!(f, "decay {v} must be finite and in [0, 1]"),
             ConfigError::ZeroTtl => write!(f, "dns ttl_epochs must be >= 1"),
             ConfigError::ZeroConvergence => write!(f, "anycast convergence_epochs must be >= 1"),
-            ConfigError::ZeroStalenessHorizon => {
-                write!(f, "staleness_horizon_epochs must be >= 1")
-            }
-            ConfigError::FailStaticQuorum(v) => {
-                write!(f, "fail_static_quorum {v} must be finite and in (0, 1]")
-            }
-            ConfigError::BlastRadiusFraction(v) => {
-                write!(f, "blast_radius_fraction {v} must be finite and in (0, 1]")
-            }
-            ConfigError::BudgetPlausibility(v) => {
-                write!(f, "budget_plausibility {v} must be finite and > 0")
-            }
             ConfigError::FlashCrowdMultiplier {
                 population,
                 multiplier,
@@ -207,13 +129,7 @@ impl Default for GlobalConfig {
             step: default_step(),
             max_shift: default_max_shift(),
             decay: default_decay(),
-            headroom_safety: default_headroom_safety(),
             flash_crowds: Vec::new(),
-            staleness_horizon_epochs: default_staleness_horizon(),
-            fail_static_quorum: default_fail_static_quorum(),
-            blast_radius_fraction: default_blast_radius_fraction(),
-            hold_down_epochs: default_hold_down_epochs(),
-            budget_plausibility: default_budget_plausibility(),
         }
     }
 }
@@ -255,12 +171,8 @@ impl GlobalConfig {
 
     /// Rejects out-of-range knobs. Called by `GlobalController::new`, so a
     /// config that deserialized fine (serde checks shape, not ranges) still
-    /// cannot reach the control loop with a NaN safety margin or a
-    /// zero-epoch TTL.
+    /// cannot reach the control loop with a NaN step or a zero-epoch TTL.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        if !self.headroom_safety.is_finite() || !(0.0..=1.0).contains(&self.headroom_safety) {
-            return Err(ConfigError::HeadroomSafety(self.headroom_safety));
-        }
         if !self.step.is_finite() || self.step <= 0.0 || self.step > 1.0 {
             return Err(ConfigError::Step(self.step));
         }
@@ -276,24 +188,6 @@ impl GlobalConfig {
                 convergence_epochs: 0,
             }) => return Err(ConfigError::ZeroConvergence),
             _ => {}
-        }
-        if self.staleness_horizon_epochs == 0 {
-            return Err(ConfigError::ZeroStalenessHorizon);
-        }
-        if !self.fail_static_quorum.is_finite()
-            || self.fail_static_quorum <= 0.0
-            || self.fail_static_quorum > 1.0
-        {
-            return Err(ConfigError::FailStaticQuorum(self.fail_static_quorum));
-        }
-        if !self.blast_radius_fraction.is_finite()
-            || self.blast_radius_fraction <= 0.0
-            || self.blast_radius_fraction > 1.0
-        {
-            return Err(ConfigError::BlastRadiusFraction(self.blast_radius_fraction));
-        }
-        if !self.budget_plausibility.is_finite() || self.budget_plausibility <= 0.0 {
-            return Err(ConfigError::BudgetPlausibility(self.budget_plausibility));
         }
         for crowd in &self.flash_crowds {
             if !crowd.multiplier.is_finite() || crowd.multiplier <= 0.0 {
@@ -365,17 +259,9 @@ mod tests {
             cfg.validate()
         };
         assert!(matches!(
-            bad(|c| c.headroom_safety = f64::NAN),
-            Err(ConfigError::HeadroomSafety(v)) if v.is_nan()
+            bad(|c| c.step = f64::NAN),
+            Err(ConfigError::Step(v)) if v.is_nan()
         ));
-        assert_eq!(
-            bad(|c| c.headroom_safety = -0.1),
-            Err(ConfigError::HeadroomSafety(-0.1))
-        );
-        assert_eq!(
-            bad(|c| c.headroom_safety = 1.5),
-            Err(ConfigError::HeadroomSafety(1.5))
-        );
         assert_eq!(bad(|c| c.step = 0.0), Err(ConfigError::Step(0.0)));
         assert_eq!(
             bad(|c| c.max_shift = f64::INFINITY),
@@ -391,22 +277,6 @@ mod tests {
                 convergence_epochs: 0
             })),
             Err(ConfigError::ZeroConvergence)
-        );
-        assert_eq!(
-            bad(|c| c.staleness_horizon_epochs = 0),
-            Err(ConfigError::ZeroStalenessHorizon)
-        );
-        assert_eq!(
-            bad(|c| c.fail_static_quorum = 0.0),
-            Err(ConfigError::FailStaticQuorum(0.0))
-        );
-        assert_eq!(
-            bad(|c| c.blast_radius_fraction = 1.1),
-            Err(ConfigError::BlastRadiusFraction(1.1))
-        );
-        assert_eq!(
-            bad(|c| c.budget_plausibility = 0.0),
-            Err(ConfigError::BudgetPlausibility(0.0))
         );
         let crowd = bad(|c| {
             c.flash_crowds.push(FlashCrowdSpec {
@@ -425,13 +295,25 @@ mod tests {
     }
 
     #[test]
-    fn guard_knob_defaults_survive_serde() {
-        let minimal: GlobalConfig = serde_json::from_str("{}").unwrap();
-        assert_eq!(minimal.staleness_horizon_epochs, 4);
-        assert_eq!(minimal.fail_static_quorum, 0.5);
-        assert_eq!(minimal.blast_radius_fraction, 0.5);
-        assert_eq!(minimal.hold_down_epochs, 3);
-        assert_eq!(minimal.budget_plausibility, 1.0);
-        assert_eq!(minimal.validate(), Ok(()));
+    fn retired_guard_keys_are_ignored() {
+        // The guard tunables became constants; configs written while they
+        // were keys still carry them, with the defaults they were written
+        // with. Each must load, validate and re-serialize without them.
+        let json = serde_json::to_string(&GlobalConfig::default()).unwrap();
+        let mut old = json.clone();
+        for (key, value) in [
+            ("headroom_safety", "0.8"),
+            ("staleness_horizon_epochs", "4"),
+            ("fail_static_quorum", "0.5"),
+            ("blast_radius_fraction", "0.5"),
+            ("hold_down_epochs", "3"),
+            ("budget_plausibility", "1.0"),
+        ] {
+            old = old.replacen('{', &format!(r#"{{"{key}":{value},"#), 1);
+        }
+        let back: GlobalConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(back.validate(), Ok(()));
+        assert_eq!(back, GlobalConfig::default());
+        assert_eq!(serde_json::to_string(&back).unwrap(), json);
     }
 }

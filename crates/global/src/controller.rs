@@ -43,6 +43,39 @@ const EPS: f64 = 1e-12;
 /// itself) rather than out of budget.
 const SOURCE_SHIFTED_AWAY: f64 = 0.5;
 
+/// Fraction of a PoP's reported headroom the tier may consume as detour
+/// budget each epoch. Below 1.0 so global placement never eats the margin
+/// the per-PoP controller needs for its own detours.
+const HEADROOM_SAFETY: f64 = 0.8;
+
+/// Report-freshness horizon, epochs. A PoP whose last report is `age`
+/// epochs old keeps `1 - age/horizon` of its usable budget; at the horizon
+/// the budget is zero — the tier stops steering users toward headroom
+/// numbers it cannot verify.
+const STALENESS_HORIZON_EPOCHS: u64 = 4;
+
+/// Minimum fraction of PoP reports that must arrive in an epoch for the
+/// backend to keep updating placements. Below it the tier goes
+/// *fail-static*: every away-fraction freezes and no new move is
+/// initiated until visibility returns.
+const FAIL_STATIC_QUORUM: f64 = 0.5;
+
+/// Per-epoch blast-radius cap: total placed demand may not exceed this
+/// fraction of total offered demand. Bounds how far a single bad epoch of
+/// inputs can move the world.
+const BLAST_RADIUS_FRACTION: f64 = 0.5;
+
+/// Move hysteresis: after a cell's away-fraction rises (a drain step),
+/// restores at that cell are suppressed for this many epochs — the
+/// anti-thrash guard for populations that would otherwise bounce between
+/// PoPs on alternating reports.
+pub const HOLD_DOWN_EPOCHS: u64 = 3;
+
+/// Plausibility clamp on negotiated budgets: a PoP's usable budget never
+/// exceeds this multiple of its own baseline demand, however much headroom
+/// it claims. Bounds the damage of an exporter over-reporting headroom.
+pub const BUDGET_PLAUSIBILITY: f64 = 1.0;
+
 /// What one PoP reports up to the global tier after an epoch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct PopReport {
@@ -262,11 +295,6 @@ impl GlobalController {
         &self.cfg
     }
 
-    /// The population partition.
-    pub fn population_map(&self) -> &PopulationMap {
-        &self.map
-    }
-
     /// Epochs observed so far.
     pub fn epoch(&self) -> u64 {
         self.epoch
@@ -355,7 +383,7 @@ impl GlobalController {
             .iter()
             .map(|(_, pts)| pts.iter().map(|p| p.mbps.max(0.0)).sum::<f64>())
             .sum();
-        let blast_cap = self.cfg.blast_radius_fraction * total_offered;
+        let blast_cap = BLAST_RADIUS_FRACTION * total_offered;
         let mut blast_remaining = blast_cap;
         let mut blast_capped = false;
         // Attribution, indexed [population][src] and [population][src][dst].
@@ -551,7 +579,7 @@ impl GlobalController {
                 .unwrap_or(0.0);
             let stale_age = self
                 .report_age(dst)
-                .filter(|age| *age >= self.cfg.staleness_horizon_epochs.max(1));
+                .filter(|age| *age >= STALENESS_HORIZON_EPOCHS);
             let reason = if baseline <= EPS {
                 PlacementRejectReason::NoFootprint
             } else if away > SOURCE_SHIFTED_AWAY {
@@ -628,7 +656,7 @@ impl GlobalController {
     /// decay from 1 at age 0 to 0 at the staleness horizon. The tier
     /// steadily stops trusting headroom it cannot re-verify.
     fn freshness(&self, age: u64) -> f64 {
-        let h = self.cfg.staleness_horizon_epochs.max(1);
+        let h = STALENESS_HORIZON_EPOCHS;
         1.0 - (age.min(h) as f64) / (h as f64)
     }
 
@@ -699,8 +727,8 @@ impl GlobalController {
     ///
     /// * budgets derive from the freshest report each PoP ever sent,
     ///   decayed linearly with the report's age and clamped to
-    ///   `budget_plausibility ×` the PoP's own baseline demand;
-    /// * below `fail_static_quorum` delivered reports the epoch is
+    ///   [`BUDGET_PLAUSIBILITY`] × the PoP's own baseline demand;
+    /// * below `FAIL_STATIC_QUORUM` of the reports delivered the epoch is
     ///   *fail-static*: every away-fraction freezes, no move is initiated;
     /// * a cell whose report aged past the staleness horizon is skipped
     ///   (frozen) rather than steered on fiction;
@@ -733,9 +761,9 @@ impl GlobalController {
             let budget = match self.last_report.get(j).and_then(|r| r.as_ref()) {
                 Some(report) => {
                     let age = self.report_age(j).unwrap_or(0);
-                    let raw = (report.headroom_mbps * self.cfg.headroom_safety).max(0.0)
-                        * self.freshness(age);
-                    let cap = (self.cfg.budget_plausibility
+                    let raw =
+                        (report.headroom_mbps * HEADROOM_SAFETY).max(0.0) * self.freshness(age);
+                    let cap = (BUDGET_PLAUSIBILITY
                         * self.pop_baseline.get(j).copied().unwrap_or(0.0))
                     .max(0.0);
                     if raw > cap {
@@ -751,7 +779,7 @@ impl GlobalController {
         }
         self.guards.plausibility_clamped = clamped;
 
-        let fail_static = (delivered as f64) < self.cfg.fail_static_quorum * (self.n_pops as f64);
+        let fail_static = (delivered as f64) < FAIL_STATIC_QUORUM * (self.n_pops as f64);
         self.guards.delivered_reports = delivered;
         self.guards.fail_static = fail_static;
         self.guards.flips = 0;
@@ -767,8 +795,6 @@ impl GlobalController {
             max_shift: self.cfg.max_shift,
             decay: self.cfg.decay,
         };
-        let horizon = self.cfg.staleness_horizon_epochs.max(1);
-        let hold_down = self.cfg.hold_down_epochs;
         let mut flips = 0u64;
         let mut suppressed = 0u64;
         let Some(backend) = self.backend.as_mut() else {
@@ -787,7 +813,7 @@ impl GlobalController {
                     continue;
                 };
                 let age = self.epoch.saturating_sub(1).saturating_sub(report.epoch);
-                if age >= horizon {
+                if age >= STALENESS_HORIZON_EPOCHS {
                     continue; // content too old to act on — cell freezes
                 }
                 let obs = CellObservation {
@@ -822,7 +848,7 @@ impl GlobalController {
                 }
                 if dir == 1 {
                     if let Some(h) = self.hold.get_mut(pi).and_then(|row| row.get_mut(j)) {
-                        *h = hold_down;
+                        *h = HOLD_DOWN_EPOCHS;
                     }
                 }
                 if dir != 0 {
@@ -922,8 +948,7 @@ mod tests {
             .collect()
     }
 
-    /// A controller with a generous plausibility cap, so tests that drive
-    /// absurd headroom through the budgets still exercise the old paths.
+    /// A controller with telemetry off.
     fn controller(dep: &Deployment, cfg: GlobalConfig) -> GlobalController {
         GlobalController::new(dep, cfg, TelemetryHandle::disabled()).unwrap()
     }
@@ -1001,13 +1026,13 @@ mod tests {
         assert!(!ctl.is_active());
         assert_eq!(ctl.backend_name(), "shape_only");
         // The crowd multiplies exactly the NA population's demand.
-        let na = ctl.population_map().population_named("NA").unwrap();
+        let na = ctl.map.population_named("NA").unwrap();
         let mut demands = demands_for(&dep);
         let before = total(&demands);
         let na_before: f64 = demands
             .iter()
             .flat_map(|(_, pts)| pts.iter())
-            .filter(|p| ctl.population_map().of_prefix[p.prefix_idx as usize] as usize == na)
+            .filter(|p| ctl.map.of_prefix[p.prefix_idx as usize] as usize == na)
             .map(|p| p.mbps)
             .sum();
         ctl.shape_demand(150, &mut demands);
@@ -1081,7 +1106,7 @@ mod tests {
     fn invalid_config_is_rejected_at_construction() {
         let dep = deployment(2);
         let cfg = GlobalConfig {
-            headroom_safety: f64::NAN,
+            step: f64::NAN,
             ..GlobalConfig::default()
         };
         assert!(GlobalController::new(&dep, cfg, TelemetryHandle::disabled()).is_err());
@@ -1090,24 +1115,38 @@ mod tests {
     #[test]
     fn stale_reports_decay_budgets_to_zero() {
         let dep = deployment(3);
-        let mut cfg = GlobalConfig::dns(1);
-        cfg.staleness_horizon_epochs = 4;
-        cfg.budget_plausibility = 1e12; // isolate the freshness decay
-        let mut ctl = controller(&dep, cfg);
+        let mut ctl = controller(&dep, GlobalConfig::dns(1));
         let victim = PopId(0);
-        ctl.observe(&reports(&dep, victim, 1000.0, 0));
+        // Headroom the plausibility clamp leaves alone at every receiver,
+        // so what decays is exactly HEADROOM_SAFETY × headroom.
+        let headroom = ctl
+            .pop_baseline()
+            .iter()
+            .copied()
+            .filter(|b| *b > 0.0)
+            .fold(f64::INFINITY, f64::min);
+        assert!(headroom.is_finite());
+        ctl.observe(&reports(&dep, victim, headroom, 0));
         let fresh: Vec<f64> = ctl.detour_budgets().to_vec();
-        assert!(fresh.iter().any(|b| (*b - 800.0).abs() < 1e-9));
+        for (j, b) in fresh.iter().enumerate() {
+            let expect = if j == victim.0 as usize {
+                0.0
+            } else {
+                (HEADROOM_SAFETY * headroom).min(ctl.pop_baseline()[j])
+            };
+            assert!((b - expect).abs() < 1e-9, "pop {j}: {b} vs {expect}");
+        }
+        assert!(fresh.iter().any(|b| *b > 0.0));
         // Reports stop arriving: budgets shrink linearly, hitting zero at
         // the horizon.
         let dark: Vec<Option<PopReport>> = vec![None; dep.pops.len()];
         let mut prev = fresh.clone();
-        for step in 1..=4u64 {
+        for step in 1..=STALENESS_HORIZON_EPOCHS {
             ctl.observe(&dark);
             for (j, b) in ctl.detour_budgets().iter().enumerate() {
                 assert!(*b <= prev[j] + 1e-9, "budget grew while dark");
                 if fresh[j] > 0.0 {
-                    let expect = fresh[j] * (1.0 - step.min(4) as f64 / 4.0);
+                    let expect = fresh[j] * (1.0 - step as f64 / STALENESS_HORIZON_EPOCHS as f64);
                     assert!(
                         (b - expect).abs() < 1e-6,
                         "step {step} pop {j}: {b} vs {expect}"
@@ -1119,7 +1158,7 @@ mod tests {
         assert!(ctl.detour_budgets().iter().all(|b| *b == 0.0));
         let snap = ctl.guard_snapshot();
         assert_eq!(snap.stale_pops, dep.pops.len());
-        assert_eq!(snap.max_report_age, 4);
+        assert_eq!(snap.max_report_age, STALENESS_HORIZON_EPOCHS);
     }
 
     #[test]
@@ -1184,14 +1223,14 @@ mod tests {
         let mut ctl = controller(&dep, GlobalConfig::dns(1));
         let victim = PopId(0);
         // An exporter claiming absurd headroom gets a budget no larger
-        // than its own baseline demand (budget_plausibility = 1.0).
+        // than its own baseline demand (BUDGET_PLAUSIBILITY = 1.0).
         ctl.observe(&reports(&dep, victim, 1e18, 0));
         for (j, budget) in ctl.detour_budgets().iter().enumerate() {
             if j == victim.0 as usize {
                 continue;
             }
             let cap = ctl
-                .population_map()
+                .map
                 .populations
                 .iter()
                 .map(|p| p.baseline_mbps.get(j).copied().unwrap_or(0.0))
@@ -1201,26 +1240,53 @@ mod tests {
         }
     }
 
+    /// A controller that has drained every cell of `victim` completely,
+    /// and a demand vector with every other PoP at a trough: the move the
+    /// budgets would grant is then most of the offered total, so the
+    /// blast-radius cap is what binds.
+    fn drained_at_trough(
+        dep: &Deployment,
+        telemetry: TelemetryHandle,
+        victim: PopId,
+    ) -> (GlobalController, Vec<(PopId, Vec<DemandPoint>)>) {
+        let cfg = GlobalConfig {
+            max_shift: 1.0,
+            step: 1.0,
+            ..GlobalConfig::dns(1)
+        };
+        let mut ctl = GlobalController::new(dep, cfg, telemetry).unwrap();
+        for e in 0..4 {
+            ctl.observe(&reports(dep, victim, 1e9, e));
+        }
+        assert_eq!(ctl.away_fraction(victim), 1.0);
+        let mut demands = demands_for(dep);
+        for (pop, points) in &mut demands {
+            if *pop != victim {
+                for p in points.iter_mut() {
+                    p.mbps *= 0.01;
+                }
+            }
+        }
+        (ctl, demands)
+    }
+
     #[test]
     fn blast_radius_caps_per_epoch_movement() {
         let dep = deployment(4);
-        let mut cfg = GlobalConfig::dns(1);
-        cfg.blast_radius_fraction = 0.02;
-        let mut ctl = controller(&dep, cfg);
         let victim = PopId(0);
-        for e in 0..12 {
-            ctl.observe(&reports(&dep, victim, 1e9, e));
-        }
-        let mut demands = demands_for(&dep);
+        let (mut ctl, mut demands) = drained_at_trough(&dep, TelemetryHandle::disabled(), victim);
         let before_total = total(&demands);
+        // Uncapped, the budgets would take more than the cap allows.
+        let grantable: f64 = ctl.detour_budgets().iter().sum();
+        assert!(grantable > BLAST_RADIUS_FRACTION * before_total);
+        assert!(pop_total(&demands, victim) > BLAST_RADIUS_FRACTION * before_total);
         ctl.place(0, &mut demands);
         assert!((total(&demands) - before_total).abs() < 1e-6);
         let moved: f64 = ctl.placements().iter().map(|p| p.moved_mbps).sum();
-        assert!(moved > 0.0);
         assert!(
-            moved <= 0.02 * before_total + 1e-6,
-            "moved {moved} exceeds cap {}",
-            0.02 * before_total
+            (moved - BLAST_RADIUS_FRACTION * before_total).abs() < 1e-6,
+            "moved {moved}, cap {}",
+            BLAST_RADIUS_FRACTION * before_total
         );
         assert!(ctl.guard_snapshot().blast_capped);
     }
@@ -1229,7 +1295,6 @@ mod tests {
     fn hold_down_suppresses_restores_not_drains() {
         let dep = deployment(3);
         let mut cfg = GlobalConfig::dns(1);
-        cfg.hold_down_epochs = 3;
         cfg.decay = 0.05;
         let mut ctl = controller(&dep, cfg);
         let victim = PopId(0);
@@ -1239,9 +1304,10 @@ mod tests {
         let peak = ctl.away_fraction(victim);
         assert!(peak > 0.0);
         // Healthy reports now: the backend wants to restore, but the first
-        // three attempts per cell are held down.
+        // HOLD_DOWN_EPOCHS attempts per cell are held down.
         let healthy = |e: u64| reports(&dep, PopId(u16::MAX), 1e9, e);
-        for (i, e) in (6..9u64).enumerate() {
+        let release = 6 + HOLD_DOWN_EPOCHS;
+        for (i, e) in (6..release).enumerate() {
             ctl.observe(&healthy(e));
             assert_eq!(
                 ctl.away_fraction(victim),
@@ -1250,7 +1316,7 @@ mod tests {
             );
             assert!(ctl.guard_snapshot().suppressed_restores > 0);
         }
-        ctl.observe(&healthy(9));
+        ctl.observe(&healthy(release));
         assert!(
             ctl.away_fraction(victim) < peak,
             "hold-down never released the restore"
@@ -1261,15 +1327,11 @@ mod tests {
     fn guard_provenance_reaches_placement_records() {
         let dep = deployment(3);
         let (telemetry, sink) = TelemetryHandle::memory();
-        let mut cfg = GlobalConfig::dns(1);
-        cfg.blast_radius_fraction = 0.02;
-        let mut ctl = GlobalController::new(&dep, cfg, telemetry).unwrap();
-        let victim = PopId(0);
-        for e in 0..12 {
-            ctl.observe(&reports(&dep, victim, 1e9, e));
-        }
-        let mut demands = demands_for(&dep);
+        let (mut ctl, mut demands) = drained_at_trough(&dep, telemetry, PopId(0));
+        let before_total = total(&demands);
         ctl.place(0, &mut demands);
+        assert!((ctl.moved_last_mbps() - BLAST_RADIUS_FRACTION * before_total).abs() < 1e-6);
+        assert!(ctl.guard_snapshot().blast_capped);
         let placements = sink.placements();
         assert!(!placements.is_empty());
         assert!(placements.iter().any(|(_, _, r)| r

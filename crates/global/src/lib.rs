@@ -10,7 +10,7 @@
 //! * `population` — named user populations (one per region) with
 //!   per-PoP demand baselines derived from the serving footprint;
 //! * `config` — [`GlobalConfig`]: steering backend, shift
-//!   tunables, headroom safety margin, scheduled flash crowds;
+//!   tunables, scheduled flash crowds;
 //! * `backend` — the [`SteeringBackend`] trait and its two
 //!   implementations: [`DnsBackend`] (fractional, TTL-delayed) and
 //!   [`AnycastBackend`] (all-or-nothing, convergence-delayed);
@@ -22,7 +22,9 @@
 //!   (*fail-static*), per-epoch movement is blast-radius capped, and
 //!   restores are held down so placements cannot thrash — stale or
 //!   missing inputs shrink the tier's authority, never expand it
-//!   ([`GuardSnapshot`] records each epoch's verdicts).
+//!   ([`GuardSnapshot`] records each epoch's verdicts). The guard
+//!   thresholds are constants, not settings; [`BUDGET_PLAUSIBILITY`] and
+//!   [`HOLD_DOWN_EPOCHS`] are exported for experiments that bound on them.
 //!
 //! **Determinism contract**: the controller is pure state machine — no
 //! clocks, no randomness, Vec-indexed state, fixed iteration order — so
@@ -36,5 +38,8 @@ mod population;
 
 pub use backend::{AnycastBackend, CellObservation, DnsBackend, ShiftTuning, SteeringBackend};
 pub use config::{BackendKind, ConfigError, FlashCrowdSpec, GlobalConfig};
-pub use controller::{GlobalController, GuardSnapshot, PlacementSummary, PopReport};
+pub use controller::{
+    GlobalController, GuardSnapshot, PlacementSummary, PopReport, BUDGET_PLAUSIBILITY,
+    HOLD_DOWN_EPOCHS,
+};
 pub use population::{Population, PopulationMap};

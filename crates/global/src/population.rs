@@ -27,13 +27,6 @@ pub struct Population {
     pub baseline_mbps: Vec<f64>,
 }
 
-impl Population {
-    /// Total average demand of this population across all PoPs, Mbps.
-    pub fn total_baseline_mbps(&self) -> f64 {
-        self.baseline_mbps.iter().sum()
-    }
-}
-
 /// The partition of the prefix universe into populations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PopulationMap {
@@ -115,7 +108,7 @@ mod tests {
         let total_baseline: f64 = map
             .populations
             .iter()
-            .map(|p| p.total_baseline_mbps())
+            .map(|p| p.baseline_mbps.iter().sum::<f64>())
             .sum();
         assert!((total_served - total_baseline).abs() < 1e-6);
         // Names follow the fixed region order.

@@ -68,7 +68,7 @@ impl QuantileDigest {
     /// Records one observation. NaN is ignored — a poisoned sample must
     /// not poison every later quantile. The hot path is a buffer append;
     /// sorting, merging, and compression happen once per `max_bins`
-    /// observations in [`flush`](Self::flush).
+    /// observations, in a private flush.
     pub fn observe(&mut self, value: f64) {
         if value.is_nan() {
             return;

@@ -44,11 +44,6 @@ impl RingSeries {
         self.digest.observe(value);
     }
 
-    /// The most recent sample.
-    pub fn latest(&self) -> Option<(u64, f64)> {
-        self.points.back().copied()
-    }
-
     /// Recent samples, oldest first.
     pub fn points(&self) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.points.iter().copied()
@@ -165,7 +160,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         let pts: Vec<_> = s.points().collect();
         assert_eq!(pts, vec![(210, 7.0), (240, 8.0), (270, 9.0)]);
-        assert_eq!(s.latest(), Some((270, 9.0)));
         // The digest still covers all ten observations.
         assert_eq!(s.digest().count(), 10);
         assert_eq!(s.digest().min(), Some(0.0));

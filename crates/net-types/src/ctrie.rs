@@ -1,10 +1,10 @@
 //! A path-compressed (patricia) radix trie keyed by [`Prefix`], stored in a
 //! flat arena.
 //!
-//! The binary [`PrefixTrie`](crate::PrefixTrie) allocates one boxed node per
-//! key *bit*: a /24 route costs 24 pointer-chased heap nodes. At full-table
-//! scale (~1M prefixes) that is tens of millions of cache-missing nodes. The
-//! [`CompressedTrie`] collapses every non-branching chain into a single node
+//! A plain binary trie allocates one boxed node per key *bit*: a /24 route
+//! costs 24 pointer-chased heap nodes. At full-table scale (~1M prefixes)
+//! that is tens of millions of cache-missing nodes. The [`CompressedTrie`]
+//! collapses every non-branching chain into a single node
 //! carrying a *skip string* (the edge label), so the node count is bounded by
 //! `2·keys - 1` regardless of key length, and all nodes live contiguously in
 //! one `Vec` addressed by `u32` indices — no per-node allocation, no pointer
@@ -43,7 +43,7 @@ struct CNode<T> {
 /// A path-compressed prefix trie over a flat node arena. See the module docs.
 ///
 /// IPv4 and IPv6 occupy disjoint subtrees (two root slots) so a single trie
-/// holds both families, mirroring [`PrefixTrie`](crate::PrefixTrie).
+/// holds both families.
 #[derive(Debug, Clone)]
 pub struct CompressedTrie<T> {
     nodes: Vec<CNode<T>>,
@@ -587,6 +587,9 @@ fn trie_build_range<T>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::HashMap;
+    use std::net::Ipv4Addr;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -603,9 +606,39 @@ mod tests {
         assert_eq!(t.get(&p("10.0.0.0/8")), Some(&1));
         assert_eq!(t.get(&p("10.1.0.0/16")), Some(&3));
         assert_eq!(t.get(&p("10.2.0.0/16")), None);
+        // A covered but unstored prefix is not an exact hit.
+        assert_eq!(t.get(&p("10.0.0.0/9")), None);
         assert_eq!(t.remove(&p("10.0.0.0/8")), Some(1));
         assert_eq!(t.remove(&p("10.0.0.0/8")), None);
         assert_eq!(t.len(), 1);
+        assert_eq!(t.remove(&p("10.1.0.0/16")), Some(3));
+        assert!(t.is_empty());
+    }
+
+    #[test]
+    fn get_mut_updates_in_place() {
+        let mut t = CompressedTrie::new();
+        t.insert(p("10.0.0.0/8"), 10);
+        *t.get_mut(&p("10.0.0.0/8")).unwrap() += 5;
+        assert_eq!(t.get(&p("10.0.0.0/8")), Some(&15));
+        assert!(t.get_mut(&p("10.0.0.0/9")).is_none());
+    }
+
+    #[test]
+    fn longest_match_exact_hit() {
+        let mut t = CompressedTrie::new();
+        t.insert(p("10.1.0.0/16"), 7);
+        let (pre, v) = t.longest_match(p("10.1.0.0/16")).unwrap();
+        assert_eq!((pre, *v), (p("10.1.0.0/16"), 7));
+    }
+
+    #[test]
+    fn longest_match_misses_when_nothing_contains() {
+        let mut t = CompressedTrie::new();
+        t.insert(p("10.0.0.0/8"), 1);
+        assert!(t.longest_match(p("11.0.0.0/8")).is_none());
+        // A more-specific entry does not match a less-specific key.
+        assert!(t.longest_match(p("10.0.0.0/4")).is_none());
     }
 
     #[test]
@@ -628,23 +661,36 @@ mod tests {
     #[test]
     fn matches_lists_least_to_most_specific() {
         let mut t = CompressedTrie::new();
+        t.insert(p("0.0.0.0/0"), 0);
         t.insert(p("10.0.0.0/8"), 8);
         t.insert(p("10.1.0.0/16"), 16);
         t.insert(p("10.1.2.0/24"), 24);
-        let m: Vec<u8> = t
+        let m: Vec<(Prefix, u8)> = t
             .matches(p("10.1.2.3/32"))
             .into_iter()
-            .map(|(pfx, _)| pfx.len())
+            .map(|(pfx, v)| (pfx, *v))
             .collect();
-        assert_eq!(m, vec![8, 16, 24]);
+        assert_eq!(
+            m,
+            vec![
+                (p("0.0.0.0/0"), 0),
+                (p("10.0.0.0/8"), 8),
+                (p("10.1.0.0/16"), 16),
+                (p("10.1.2.0/24"), 24)
+            ]
+        );
+        assert!(t.matches(p("::/0")).is_empty());
     }
 
     #[test]
     fn families_do_not_interfere() {
         let mut t = CompressedTrie::new();
         t.insert(p("::/0"), "v6-default");
+        t.insert(p("0.0.0.0/0"), "v4-default");
         t.insert(p("10.0.0.0/8"), "v4");
-        assert!(t.longest_match(p("10.1.0.0/16")).is_some());
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.longest_match(p("10.1.0.0/16")).unwrap().1, &"v4");
+        assert_eq!(t.longest_match(p("1.2.3.0/24")).unwrap().1, &"v4-default");
         assert_eq!(
             t.longest_match(p("2001:db8::/32")).unwrap().1,
             &"v6-default"
@@ -656,16 +702,16 @@ mod tests {
     fn node_count_stays_canonical_under_churn() {
         let mut t = CompressedTrie::new();
         for i in 0u32..64 {
-            t.insert(Prefix::v4(std::net::Ipv4Addr::from(i << 8), 24), i);
+            t.insert(Prefix::v4(Ipv4Addr::from(i << 8), 24), i);
         }
         assert!(t.node_count() < 2 * t.len());
         for i in 0u32..32 {
-            t.remove(&Prefix::v4(std::net::Ipv4Addr::from(i << 8), 24));
+            t.remove(&Prefix::v4(Ipv4Addr::from(i << 8), 24));
         }
         // Merge-on-remove keeps the arena canonical, not just correct.
         assert!(t.node_count() < 2 * t.len());
         for i in 32u32..64 {
-            t.remove(&Prefix::v4(std::net::Ipv4Addr::from(i << 8), 24));
+            t.remove(&Prefix::v4(Ipv4Addr::from(i << 8), 24));
         }
         assert!(t.is_empty());
         assert_eq!(t.node_count(), 0);
@@ -740,5 +786,52 @@ mod tests {
         );
         assert_eq!(t.remove(&p("255.255.255.255/32")), Some("v4-host"));
         assert_eq!(t.len(), 1);
+    }
+
+    proptest! {
+        /// The trie must agree with a naive scan over a HashMap model.
+        #[test]
+        fn prop_matches_model(
+            entries in proptest::collection::hash_map(0u32..1u32<<16, any::<u32>(), 0..50),
+            key: u32,
+        ) {
+            // Map 16-bit numbers to /16 prefixes and a /24 key, so overlaps happen.
+            let mut trie = CompressedTrie::new();
+            let mut model: HashMap<Prefix, u32> = HashMap::new();
+            for (k, v) in &entries {
+                let pfx = Prefix::v4(Ipv4Addr::from(k << 16), 16);
+                trie.insert(pfx, *v);
+                model.insert(pfx, *v);
+            }
+            let keypfx = Prefix::v4(Ipv4Addr::from(key), 24);
+            let expected = model
+                .iter()
+                .filter(|(pfx, _)| pfx.contains(&keypfx))
+                .max_by_key(|(pfx, _)| pfx.len())
+                .map(|(pfx, v)| (*pfx, *v));
+            let got = trie.longest_match(keypfx).map(|(pfx, v)| (pfx, *v));
+            prop_assert_eq!(got, expected);
+        }
+
+        /// Insert-then-remove returns the trie to exact-match emptiness.
+        #[test]
+        fn prop_insert_remove_inverse(addrs in proptest::collection::vec(any::<u32>(), 1..40)) {
+            let mut trie = CompressedTrie::new();
+            let prefixes: Vec<Prefix> = addrs
+                .iter()
+                .map(|a| Prefix::v4(Ipv4Addr::from(*a), 24))
+                .collect();
+            for (i, pfx) in prefixes.iter().enumerate() {
+                trie.insert(*pfx, i);
+            }
+            for pfx in &prefixes {
+                trie.remove(pfx);
+            }
+            prop_assert!(trie.is_empty());
+            prop_assert_eq!(trie.node_count(), 0);
+            for pfx in &prefixes {
+                prop_assert!(trie.get(pfx).is_none());
+            }
+        }
     }
 }

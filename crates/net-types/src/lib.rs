@@ -1,16 +1,15 @@
 //! Core network types shared by every crate in the Edge Fabric reproduction.
 //!
 //! This crate is dependency-light on purpose: it defines the vocabulary —
-//! [`Prefix`], [`Asn`], [`Community`] — and the longest-prefix-match tries
-//! several subsystems need: the simple binary [`PrefixTrie`] and the
-//! path-compressed arena [`CompressedTrie`] used at full-table scale.
+//! [`Prefix`], [`Asn`], [`Community`] — and the longest-prefix-match trie
+//! several subsystems need, the path-compressed arena [`CompressedTrie`].
 //!
 //! # Examples
 //!
 //! ```
-//! use ef_net_types::{Prefix, PrefixTrie};
+//! use ef_net_types::{CompressedTrie, Prefix};
 //!
-//! let mut trie: PrefixTrie<&str> = PrefixTrie::new();
+//! let mut trie: CompressedTrie<&str> = CompressedTrie::new();
 //! trie.insert("10.0.0.0/8".parse().unwrap(), "coarse");
 //! trie.insert("10.1.0.0/16".parse().unwrap(), "fine");
 //!
@@ -22,10 +21,8 @@ mod asn;
 mod community;
 mod ctrie;
 mod prefix;
-mod trie;
 
 pub use asn::Asn;
 pub use community::Community;
 pub use ctrie::CompressedTrie;
 pub use prefix::{Prefix, PrefixParseError};
-pub use trie::PrefixTrie;

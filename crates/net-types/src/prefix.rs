@@ -102,11 +102,6 @@ impl Prefix {
         (self.bits_left_aligned() >> shift) == (other.bits_left_aligned() >> shift)
     }
 
-    /// True if this prefix contains the given IPv4 address.
-    pub fn contains_v4(&self, ip: Ipv4Addr) -> bool {
-        self.contains(&Prefix::v4(ip, 32))
-    }
-
     /// Splits this prefix into its two halves, one mask bit longer.
     /// Returns `None` if the prefix is already maximally specific.
     pub fn halves(&self) -> Option<(Prefix, Prefix)> {
@@ -153,15 +148,6 @@ impl Prefix {
                 })
             }
             _ => None,
-        }
-    }
-
-    /// An arbitrary representative host address inside the prefix (the
-    /// network address itself), handy for simulated probing.
-    pub fn representative_v4(&self) -> Option<Ipv4Addr> {
-        match *self {
-            Prefix::V4 { addr, .. } => Some(Ipv4Addr::from(addr)),
-            Prefix::V6 { .. } => None,
         }
     }
 }
@@ -307,8 +293,8 @@ mod tests {
 
     #[test]
     fn contains_address() {
-        assert!(p("192.168.0.0/16").contains_v4("192.168.3.4".parse().unwrap()));
-        assert!(!p("192.168.0.0/16").contains_v4("192.169.0.0".parse().unwrap()));
+        assert!(p("192.168.0.0/16").contains(&p("192.168.3.4/32")));
+        assert!(!p("192.168.0.0/16").contains(&p("192.169.0.0/32")));
     }
 
     #[test]

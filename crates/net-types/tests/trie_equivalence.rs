@@ -1,14 +1,186 @@
 //! Equivalence proptests: the path-compressed [`CompressedTrie`] (both the
 //! incremental and the batched `from_sorted` build) must be observationally
-//! identical to the simple binary [`PrefixTrie`] on arbitrary mixed v4/v6
-//! prefix sets — exact match, longest-prefix match, `matches`, removal, and
-//! iteration order.
+//! identical to a plain binary trie, [`PrefixTrie`], on arbitrary mixed
+//! v4/v6 prefix sets — exact match, longest-prefix match, `matches`,
+//! removal, and iteration order.
+//!
+//! [`PrefixTrie`] is the reference model: one boxed node per key bit, no
+//! path compression, no node merging — simple enough to be obviously
+//! right, and used nowhere but here.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 use proptest::prelude::*;
 
-use ef_net_types::{CompressedTrie, Prefix, PrefixTrie};
+use ef_net_types::{CompressedTrie, Prefix};
+
+/// A binary radix trie keyed by [`Prefix`]. IPv4 and IPv6 occupy disjoint
+/// subtrees, so one trie holds both families.
+struct PrefixTrie<T> {
+    v4: Node<T>,
+    v6: Node<T>,
+    len: usize,
+}
+
+struct Node<T> {
+    value: Option<T>,
+    children: [Option<Box<Node<T>>>; 2],
+}
+
+impl<T> Default for Node<T> {
+    fn default() -> Self {
+        Node {
+            value: None,
+            children: [None, None],
+        }
+    }
+}
+
+impl<T> PrefixTrie<T> {
+    fn new() -> Self {
+        PrefixTrie {
+            v4: Node::default(),
+            v6: Node::default(),
+            len: 0,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn root(&self, p: &Prefix) -> &Node<T> {
+        if p.is_v4() {
+            &self.v4
+        } else {
+            &self.v6
+        }
+    }
+
+    fn root_mut(&mut self, p: &Prefix) -> &mut Node<T> {
+        if p.is_v4() {
+            &mut self.v4
+        } else {
+            &mut self.v6
+        }
+    }
+
+    /// Inserts `value` at `prefix`, returning the previous value if any.
+    fn insert(&mut self, prefix: Prefix, value: T) -> Option<T> {
+        let mut node = self.root_mut(&prefix);
+        for i in 0..prefix.len() {
+            let b = prefix.bit(i) as usize;
+            node = node.children[b].get_or_insert_with(Box::default);
+        }
+        let old = node.value.replace(value);
+        if old.is_none() {
+            self.len += 1;
+        }
+        old
+    }
+
+    /// Removes and returns the value stored exactly at `prefix`. Interior
+    /// nodes left empty are not pruned.
+    fn remove(&mut self, prefix: &Prefix) -> Option<T> {
+        let mut node = self.root_mut(prefix);
+        for i in 0..prefix.len() {
+            let b = prefix.bit(i) as usize;
+            node = node.children[b].as_deref_mut()?;
+        }
+        let old = node.value.take();
+        if old.is_some() {
+            self.len -= 1;
+        }
+        old
+    }
+
+    /// The value stored exactly at `prefix`, if any.
+    fn get(&self, prefix: &Prefix) -> Option<&T> {
+        let mut node = self.root(prefix);
+        for i in 0..prefix.len() {
+            let b = prefix.bit(i) as usize;
+            node = node.children[b].as_deref()?;
+        }
+        node.value.as_ref()
+    }
+
+    /// Every stored prefix that contains `key`, least to most specific.
+    fn matches(&self, key: Prefix) -> Vec<(Prefix, &T)> {
+        let mut out = Vec::new();
+        let mut node = self.root(&key);
+        if let Some(v) = node.value.as_ref() {
+            out.push((truncate(key, 0), v));
+        }
+        for i in 0..key.len() {
+            let b = key.bit(i) as usize;
+            match node.children[b].as_deref() {
+                Some(child) => {
+                    node = child;
+                    if let Some(v) = node.value.as_ref() {
+                        out.push((truncate(key, i + 1), v));
+                    }
+                }
+                None => break,
+            }
+        }
+        out
+    }
+
+    /// The most specific stored prefix that contains `key`.
+    fn longest_match(&self, key: Prefix) -> Option<(Prefix, &T)> {
+        self.matches(key).pop()
+    }
+
+    /// Every `(prefix, value)` pair in bitwise, v4-then-v6 order.
+    fn iter(&self) -> impl Iterator<Item = (Prefix, &T)> {
+        let mut out = Vec::with_capacity(self.len);
+        collect(&self.v4, Prefix::V4 { addr: 0, len: 0 }, &mut out);
+        collect(&self.v6, Prefix::V6 { addr: 0, len: 0 }, &mut out);
+        out.into_iter()
+    }
+}
+
+/// `key` truncated to `len` bits (host bits zeroed).
+fn truncate(key: Prefix, len: u8) -> Prefix {
+    match key {
+        Prefix::V4 { addr, .. } => {
+            let mask = if len == 0 {
+                0
+            } else {
+                u32::MAX << (32 - len as u32)
+            };
+            Prefix::V4 {
+                addr: addr & mask,
+                len,
+            }
+        }
+        Prefix::V6 { addr, .. } => {
+            let mask = if len == 0 {
+                0
+            } else {
+                u128::MAX << (128 - len as u32)
+            };
+            Prefix::V6 {
+                addr: addr & mask,
+                len,
+            }
+        }
+    }
+}
+
+fn collect<'a, T>(node: &'a Node<T>, at: Prefix, out: &mut Vec<(Prefix, &'a T)>) {
+    if let Some(v) = node.value.as_ref() {
+        out.push((at, v));
+    }
+    if let Some((lo, hi)) = at.halves() {
+        if let Some(c) = node.children[0].as_deref() {
+            collect(c, lo, out);
+        }
+        if let Some(c) = node.children[1].as_deref() {
+            collect(c, hi, out);
+        }
+    }
+}
 
 /// An arbitrary prefix from either family, biased toward short masks so
 /// overlap (and therefore interesting LPM behaviour) is common.

@@ -10,17 +10,17 @@
 //!   congestion-coupled inflation, substituting for the real Internet;
 //! * `quantile` — the P² streaming quantile estimator used to digest
 //!   samples without storing them;
-//! * [`measurement`] — the alternate-path measurement machinery: slice
+//! * [`AltPathMeasurer`] — the alternate-path measurement machinery: slice
 //!   assignment, sample collection, per-path digests; and
 //! * [`compare`] — preferred-vs-alternate comparisons that back the §6
 //!   figures (how often is BGP's choice not the best-performing path?).
 
 pub mod compare;
-pub mod measurement;
+mod measurement;
 mod quantile;
 pub mod rtt;
 
 pub use compare::{compare_paths, PathComparison};
-pub use measurement::{AltPathMeasurer, PathDigest, PathKey};
+pub use measurement::{AltPathMeasurer, CandidatePath, PathDigest, PathKey};
 pub use quantile::P2Quantile;
 pub use rtt::{PathPerfModel, PerfConfig};

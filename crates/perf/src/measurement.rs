@@ -151,17 +151,6 @@ impl AltPathMeasurer {
         self.measured.contains(&prefix_idx)
     }
 
-    /// All digests for one prefix.
-    pub fn digests_for(&self, prefix_idx: u32) -> Vec<&PathDigest> {
-        let mut v: Vec<&PathDigest> = self
-            .digests
-            .values()
-            .filter(|d| d.key.prefix_idx == prefix_idx)
-            .collect();
-        v.sort_by_key(|d| d.key.egress);
-        v
-    }
-
     /// Every digest, sorted by `(prefix, egress)` for deterministic output.
     pub fn report(&self) -> Vec<&PathDigest> {
         let mut v: Vec<&PathDigest> = self.digests.values().collect();
@@ -203,7 +192,7 @@ mod tests {
         let mut m = AltPathMeasurer::new(0);
         let entries = vec![(7u32, 1000.0, paths())];
         m.collect_epoch(&model(), &entries, &HashMap::new());
-        assert_eq!(m.digests_for(7).len(), 2);
+        assert_eq!(m.report().len(), 2, "both paths of the one prefix");
         assert!(m
             .digest(&PathKey {
                 prefix_idx: 7,
@@ -269,11 +258,11 @@ mod tests {
         let mdl = model();
         let mut small = AltPathMeasurer::new(0);
         small.collect_epoch(&mdl, &[(1u32, 1.0, paths())], &HashMap::new());
-        let small_n = small.digests_for(1)[0].samples();
+        let small_n = small.report()[0].samples();
 
         let mut big = AltPathMeasurer::new(0);
         big.collect_epoch(&mdl, &[(1u32, 100_000.0, paths())], &HashMap::new());
-        let big_n = big.digests_for(1)[0].samples();
+        let big_n = big.report()[0].samples();
 
         assert!(small_n >= 1);
         assert!(big_n > small_n);

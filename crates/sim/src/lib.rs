@@ -23,8 +23,8 @@
 
 mod chaos;
 mod engine;
-pub mod fibcache;
-pub mod metrics;
+mod fibcache;
+mod metrics;
 mod report;
 pub mod runtime;
 mod scenario;
@@ -32,6 +32,7 @@ mod traffic_order;
 
 pub use chaos::surface as chaos_surface;
 pub use engine::SimEngine;
+pub use fibcache::{FibCache, Hop, NOT_A_POP_INTERFACE};
 pub use metrics::{DetourEpisode, InterfaceStats, MetricsStore, PopEpochRecord};
 pub use report::{PopReport, RunReport};
 pub use scenario::{scenario, PerfSimConfig, ScenarioBuilder, SimConfig};

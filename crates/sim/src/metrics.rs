@@ -77,17 +77,6 @@ impl InterfaceStats {
         }
     }
 
-    /// Fraction of observed epochs with utilization above `threshold`
-    /// (reconstructed from the histogram, so granularity is 2 %).
-    pub fn frac_above(&self, threshold: f64) -> f64 {
-        if self.epochs_total == 0 {
-            return 0.0;
-        }
-        let start = ((threshold * 50.0).ceil() as usize).min(UTIL_BUCKETS);
-        let over: u32 = self.util_histogram[start..].iter().sum();
-        over as f64 / self.epochs_total as f64
-    }
-
     /// Hours over capacity per simulated day, given the epoch length.
     pub fn overload_hours_per_day(&self, epoch_secs: u64) -> f64 {
         if self.epochs_total == 0 {
@@ -351,8 +340,9 @@ mod tests {
         assert_eq!(s.epochs_over_capacity, 1);
         assert!((s.peak_util - 1.2).abs() < 1e-9);
         assert!((s.dropped_mbps_epochs - 20.0).abs() < 1e-9);
-        assert!((s.frac_above(0.9) - 2.0 / 3.0).abs() < 1e-9);
-        assert!((s.frac_above(1.1) - 1.0 / 3.0).abs() < 1e-9);
+        // Buckets are 2 % wide: two epochs above 90 %, one above 110 %.
+        assert_eq!(s.util_histogram[45..].iter().sum::<u32>(), 2);
+        assert_eq!(s.util_histogram[55..].iter().sum::<u32>(), 1);
     }
 
     #[test]
@@ -434,10 +424,6 @@ mod tests {
         assert_eq!(s.util_histogram[UTIL_BUCKETS - 1], 4);
         assert_eq!(s.epochs_over_capacity, 4);
         assert!((s.peak_util - 50.0).abs() < 1e-9);
-        // frac_above saturates: every threshold inside the histogram range
-        // counts the clamped epochs, and one beyond the range counts none.
-        assert!((s.frac_above(1.9) - 1.0).abs() < 1e-9);
-        assert_eq!(s.frac_above(2.5), 0.0, "beyond the histogram range");
     }
 
     #[test]

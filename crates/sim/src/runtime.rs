@@ -1,9 +1,10 @@
 //! Per-PoP runtime: the live substrate for one point of presence.
 //!
 //! Besides the sunny-day loop (forward demand, measure, run a controller
-//! epoch), the runtime interprets the scenario's [`FaultSchedule`]: each
-//! tick it diffs the set of active fault windows and applies start/end
-//! transitions to the live substrate — tearing BGP sessions, degrading
+//! epoch), the runtime interprets the scenario's
+//! [`FaultSchedule`](ef_chaos::FaultSchedule): each tick it diffs the set
+//! of active fault windows and applies start/end transitions to the live
+//! substrate — tearing BGP sessions, degrading
 //! interface capacity, stalling the BMP feed, starving the sampler,
 //! crashing the controller, dropping the injector session, corrupting
 //! UPDATE frames on the wire, storming sessions with flaps, dropping a
@@ -20,23 +21,21 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use edge_fabric::config::ControllerConfig;
-use edge_fabric::controller::{EpochError, EpochInputs, EpochReport, PopController};
-use edge_fabric::perf_aware::{adapt_comparisons, build_perf_overrides, MIN_SAMPLES};
-use edge_fabric::state::{InterfaceInfo, InterfaceMap, TrafficTable};
+use edge_fabric::{
+    adapt_comparisons, build_perf_overrides, ControllerConfig, EpochError, EpochInputs,
+    EpochReport, InterfaceInfo, InterfaceMap, PopController, TrafficTable, MIN_SAMPLES,
+};
 use ef_bgp::attrs::{AsPath, PathAttributes};
-use ef_bgp::backoff::ReconnectGovernor;
-use ef_bgp::bmp::BmpMessage;
 use ef_bgp::message::{BgpMessage, UpdateMessage};
 use ef_bgp::peer::PeerId;
 use ef_bgp::route::EgressId;
 use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
-use ef_bgp::session::SessionStats;
 use ef_bgp::wire::encode_message;
+use ef_bgp::{BmpMessage, ReconnectGovernor, SessionStats};
 use ef_chaos::{FaultEvent, FaultKind, FaultTarget};
 use ef_net_types::{Asn, Prefix};
-use ef_perf::measurement::{AltPathMeasurer, CandidatePath};
 use ef_perf::rtt::PathPerfModel;
+use ef_perf::{AltPathMeasurer, CandidatePath};
 use ef_topology::{BillingMeter, Deployment, Pop, PopId};
 use ef_traffic::demand::DemandPoint;
 use ef_traffic::estimator::RateEstimator;
@@ -1045,7 +1044,7 @@ impl PopRuntime {
                         .filter(|point| measurer.is_measured(point.prefix_idx))
                         .filter_map(|point| {
                             let prefix = self.prefix_of[point.prefix_idx as usize];
-                            ef_bgp::decision::best_rec_where(self.router.candidates(&prefix), |r| {
+                            ef_bgp::best_rec_where(self.router.candidates(&prefix), |r| {
                                 !r.is_override()
                             })
                             .map(|r| (point.prefix_idx, r.egress))

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use edge_fabric::config::ControllerConfig;
+use edge_fabric::ControllerConfig;
 use ef_chaos::FaultSchedule;
 use ef_topology::GenConfig;
 
@@ -407,9 +407,16 @@ mod tests {
             ("\"controller\":{", "max_detour_fraction", "1.0"),
             ("\"controller\":{", "max_overrides", "0"),
             ("\"controller\":{", "dry_run", "false"),
+            ("\"controller\":{", "max_shift_fraction_per_epoch", "1.0"),
             ("\"perf\":{", "slice_fraction", "0.005"),
             ("\"perf\":{", "aware", aware),
             ("\"global\":{", "grouping", "\"ByRegion\""),
+            ("\"global\":{", "headroom_safety", "0.8"),
+            ("\"global\":{", "staleness_horizon_epochs", "4"),
+            ("\"global\":{", "fail_static_quorum", "0.5"),
+            ("\"global\":{", "blast_radius_fraction", "0.5"),
+            ("\"global\":{", "hold_down_epochs", "3"),
+            ("\"global\":{", "budget_plausibility", "1.0"),
             ("\"health\":{", "epoch_deadline_ms", "null"),
             ("\"health\":{", "billing_budget_usd_per_month", "null"),
             ("\"health\":{", "ring_capacity", "512"),

@@ -1,12 +1,12 @@
 //! Canonical ordering of a PoP's demand for the controller's traffic table.
 //!
 //! The controller reads demand in canonical [`Prefix`] order (float sums
-//! are accumulated in that order; see `edge_fabric::state::TrafficView`),
+//! are accumulated in that order; see `edge_fabric::TrafficView`),
 //! but demand arrives in `Pop::served` order and estimator rates in hash
 //! order. A PoP's served prefixes are a fixed list, so the order is worked
 //! out once and each epoch's [`TrafficTable`] is one linear gather.
 
-use edge_fabric::state::TrafficTable;
+use edge_fabric::TrafficTable;
 use ef_net_types::Prefix;
 use ef_traffic::demand::DemandPoint;
 

@@ -17,7 +17,7 @@ use ef_bgp::policy::{Policy, OVERRIDE_MARKER};
 use ef_bgp::route::EgressId;
 use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
 use ef_net_types::{Asn, Prefix};
-use ef_sim::fibcache::{FibCache, Hop, NOT_A_POP_INTERFACE};
+use ef_sim::{FibCache, Hop, NOT_A_POP_INTERFACE};
 
 const LOCAL_AS: Asn = Asn(32934);
 const N_PEERS: usize = 3;

@@ -24,7 +24,7 @@
 use std::collections::HashSet;
 
 use ef_bgp::attrstore::RouteRec;
-use ef_bgp::decision;
+use ef_bgp::best_rec;
 use ef_bgp::peer::PeerKind;
 use ef_bgp::route::EgressId;
 use ef_bgp::router::BgpRouter;
@@ -134,7 +134,7 @@ pub fn audit_overrides(
     // Installed check: each announced override must win the decision
     // process and own the FIB entry.
     for (prefix, target) in expected {
-        let best = decision::best_rec(router.candidates(prefix));
+        let best = best_rec(router.candidates(prefix));
         let fib = router.fib_entry(prefix);
         let detail = match (best, fib) {
             (None, _) => Some("no route at all for announced override".to_string()),

@@ -4,8 +4,8 @@
 //! considered: the overloaded interface and its projected utilization, the
 //! alternate it chose, and — crucially for debugging — every alternative
 //! it rejected with the reason ([`RejectReason`]). The controller then
-//! amends the verdict when a guard (blast-radius cap, stale-input
-//! hold-or-shrink, fail-open horizon) drops a decision the allocator made.
+//! amends the verdict when a guard (stale-input hold-or-shrink, fail-open
+//! horizon) drops a decision the allocator made.
 //!
 //! Records use plain serializable types (`String` prefixes, raw egress
 //! ids) so the whole provenance chain survives a JSON round trip and can
@@ -26,12 +26,6 @@ pub enum RejectReason {
         /// The alternate's allowed load, Mbps.
         limit_mbps: f64,
     },
-    /// The per-epoch blast-radius cap refused the new shift.
-    BlastRadiusCap,
-    /// Inputs were stale: degraded mode refuses to grow the override set.
-    StaleInput,
-    /// Inputs were past the fail-open horizon: everything is withdrawn.
-    FailOpen,
     /// The alternate was feasible and equally preferred by BGP, but a
     /// cheaper same-band alternate was chosen instead (cost-aware
     /// steering only; never crosses a preference band).
@@ -49,9 +43,6 @@ impl RejectReason {
         match self {
             RejectReason::NoRoute => "no route",
             RejectReason::NoSpareCapacity { .. } => "no spare capacity",
-            RejectReason::BlastRadiusCap => "blast-radius cap",
-            RejectReason::StaleInput => "stale input",
-            RejectReason::FailOpen => "fail-open",
             RejectReason::CostlierAlternate { .. } => "costlier alternate",
         }
     }
@@ -76,9 +67,6 @@ pub enum ExplainVerdict {
     /// Every alternative was rejected; the demand stayed put (possibly
     /// retried at half-prefix granularity, which gets its own records).
     NoFeasibleAlternate,
-    /// Allocator chose an alternate, but the per-epoch blast-radius cap
-    /// refused the new shift.
-    DroppedBlastRadius,
     /// Allocator chose an alternate, but stale inputs put the controller
     /// in hold-or-shrink mode and this override was not already announced.
     DroppedStaleInput,
@@ -93,7 +81,6 @@ impl ExplainVerdict {
         match self {
             ExplainVerdict::Emitted => "emitted",
             ExplainVerdict::NoFeasibleAlternate => "no feasible alternate",
-            ExplainVerdict::DroppedBlastRadius => "dropped: blast-radius cap",
             ExplainVerdict::DroppedStaleInput => "dropped: stale input",
             ExplainVerdict::DroppedFailOpen => "dropped: fail-open",
         }
@@ -314,7 +301,6 @@ mod tests {
         let verdicts = [
             ExplainVerdict::Emitted,
             ExplainVerdict::NoFeasibleAlternate,
-            ExplainVerdict::DroppedBlastRadius,
             ExplainVerdict::DroppedStaleInput,
             ExplainVerdict::DroppedFailOpen,
         ];

@@ -190,22 +190,6 @@ impl MetricsRegistry {
             histograms: inner.histograms.clone(),
         }
     }
-
-    /// Reads a single counter (0 when absent).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.inner
-            .lock()
-            .unwrap()
-            .counters
-            .get(name)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Reads a single gauge, when set.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.inner.lock().unwrap().gauges.get(name).copied()
-    }
 }
 
 #[cfg(test)]
@@ -219,10 +203,11 @@ mod tests {
         reg.inc("overrides.announced", 3);
         reg.set_gauge("pop0.detoured_mbps", 10.0);
         reg.set_gauge("pop0.detoured_mbps", 4.5);
-        assert_eq!(reg.counter_value("overrides.announced"), 5);
-        assert_eq!(reg.gauge_value("pop0.detoured_mbps"), Some(4.5));
-        assert_eq!(reg.counter_value("missing"), 0);
-        assert_eq!(reg.gauge_value("missing"), None);
+        let snap = reg.snapshot();
+        assert_eq!(snap.counters.get("overrides.announced"), Some(&5));
+        assert_eq!(snap.gauges.get("pop0.detoured_mbps"), Some(&4.5));
+        assert_eq!(snap.counters.get("missing"), None);
+        assert_eq!(snap.gauges.get("missing"), None);
     }
 
     #[test]
@@ -336,6 +321,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(reg.counter_value("ticks"), 400);
+        assert_eq!(reg.snapshot().counters.get("ticks"), Some(&400));
     }
 }

@@ -21,8 +21,8 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use ef_bgp::egress::PeeringClass;
 use ef_bgp::route::EgressId;
+use ef_bgp::PeeringClass;
 
 /// A typed rejection from [`CostModel::validate`].
 #[derive(Debug, Clone, PartialEq)]
@@ -85,8 +85,8 @@ pub struct CostModel {
 impl Default for CostModel {
     fn default() -> Self {
         CostModel {
-            transit_usd_per_mbps: vec![ef_bgp::egress::DEFAULT_TRANSIT_USD_PER_MBPS],
-            pni_port_usd_per_month: ef_bgp::egress::DEFAULT_PNI_PORT_USD,
+            transit_usd_per_mbps: vec![ef_bgp::DEFAULT_TRANSIT_USD_PER_MBPS],
+            pni_port_usd_per_month: ef_bgp::DEFAULT_PNI_PORT_USD,
             billing_percentile: 95.0,
             billing_window_secs: 300,
         }

@@ -12,9 +12,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use ef_bgp::egress::{EgressPolicy, PeeringClass};
 use ef_bgp::peer::PeerId;
 use ef_bgp::route::EgressId;
+use ef_bgp::{EgressPolicy, PeeringClass};
 use ef_net_types::{Asn, Prefix};
 
 use crate::cost::CostModel;
@@ -901,7 +901,12 @@ mod tests {
     fn transit_capacity_dominates_pop_demand() {
         let dep = small();
         for pop in &dep.pops {
-            let transit_cap = pop.capacity_by_kind(PeerKind::Transit);
+            let transit_cap: f64 = pop
+                .interfaces
+                .iter()
+                .filter(|i| i.kind() == PeerKind::Transit)
+                .map(|i| i.capacity_mbps)
+                .sum();
             assert!(
                 transit_cap >= pop.total_avg_demand_mbps() * 1.5,
                 "transit at {} can absorb detours",

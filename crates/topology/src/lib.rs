@@ -20,13 +20,14 @@ mod cost;
 mod gen;
 mod model;
 mod region;
-pub mod stats;
+mod stats;
 
 pub use cost::{BillingMeter, CostConfigError, CostModel};
-pub use ef_bgp::egress::{EgressPolicy, EgressSpec, PeeringClass};
+pub use ef_bgp::{EgressPolicy, EgressSpec, PeeringClass};
 pub use gen::{generate, GenConfig, PopSizeClass};
 pub use model::{
     Deployment, EyeballAs, Interface, PeerConn, Pop, PopId, PrefixInfo, RouteSpec, RouterId,
     ServedPrefix, Universe,
 };
 pub use region::Region;
+pub use stats::{pop_summaries, route_diversity, PopSummary, RouteDiversity};

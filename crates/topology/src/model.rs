@@ -3,9 +3,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use ef_bgp::egress::{EgressPolicy, PeeringClass};
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::route::EgressId;
+use ef_bgp::{EgressPolicy, PeeringClass};
 use ef_net_types::{Asn, Prefix};
 
 use crate::region::Region;
@@ -130,24 +130,6 @@ impl Pop {
     /// Total average demand served by this PoP, Mbps.
     pub fn total_avg_demand_mbps(&self) -> f64 {
         self.served.iter().map(|s| s.avg_mbps).sum()
-    }
-
-    /// Total egress capacity by interface kind, Mbps.
-    pub fn capacity_by_kind(&self, kind: PeerKind) -> f64 {
-        self.interfaces
-            .iter()
-            .filter(|i| i.kind() == kind)
-            .map(|i| i.capacity_mbps)
-            .sum()
-    }
-
-    /// Monthly fixed interconnect cost at this PoP: the sum of amortized
-    /// PNI port fees (usage-independent, billed per interface).
-    pub fn fixed_monthly_cost_usd(&self) -> f64 {
-        self.interfaces
-            .iter()
-            .map(|i| i.policy.class.fixed_usd_per_month())
-            .sum()
     }
 }
 
@@ -424,10 +406,6 @@ mod tests {
         assert_eq!(pop.peers_of_kind(PeerKind::Transit).count(), 1);
         assert_eq!(pop.peers[0].kind(), PeerKind::Transit);
         assert_eq!(pop.total_avg_demand_mbps(), 2000.0);
-        assert_eq!(pop.capacity_by_kind(PeerKind::Transit), 100_000.0);
-        assert_eq!(pop.capacity_by_kind(PeerKind::PublicPeer), 0.0);
-        // Only the PNI carries a fixed monthly fee.
-        assert_eq!(pop.fixed_monthly_cost_usd(), 2500.0);
     }
 
     #[test]

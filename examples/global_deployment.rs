@@ -7,7 +7,7 @@
 //! Run with: `cargo run --release --example global_deployment`
 
 use ef_sim::scenario;
-use ef_topology::stats::{pop_summaries, route_diversity};
+use ef_topology::{pop_summaries, route_diversity};
 
 fn main() {
     // Three hours around the first regional evening peaks.

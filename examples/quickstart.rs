@@ -9,8 +9,7 @@
 
 use std::collections::HashMap;
 
-use edge_fabric::state::InterfaceInfo;
-use edge_fabric::{ControllerConfig, PopController};
+use edge_fabric::{ControllerConfig, InterfaceInfo, PopController};
 use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::policy::Policy;

@@ -12,7 +12,7 @@ fn short(seed: u64) -> ScenarioBuilder {
         .epoch_secs(60)
 }
 
-fn run(cfg: SimConfig) -> ef_sim::metrics::MetricsStore {
+fn run(cfg: SimConfig) -> ef_sim::MetricsStore {
     let mut engine = ScenarioBuilder::from_config(cfg).engine();
     engine.run();
     engine.take_metrics()
@@ -71,9 +71,8 @@ fn billing_meter_is_strictly_observational() {
     let without = run(short(7).billing(false).build());
     assert!(without.billing.is_empty());
     assert!(!with.billing.is_empty());
-    let core = |m: &ef_sim::metrics::MetricsStore| {
-        serde_json::to_string(&(&m.pop_epochs, &m.episodes)).unwrap()
-    };
+    let core =
+        |m: &ef_sim::MetricsStore| serde_json::to_string(&(&m.pop_epochs, &m.episodes)).unwrap();
     assert_eq!(core(&with), core(&without), "the meter leaked into results");
 }
 
@@ -83,9 +82,8 @@ fn cost_aware_arm_never_drops_more_than_cost_blind() {
     // it may save money but must not cost packets.
     let blind = run(short(7).build());
     let aware = run(short(7).cost_aware(true).build());
-    let dropped = |m: &ef_sim::metrics::MetricsStore| -> f64 {
-        m.pop_epochs.iter().map(|r| r.dropped_mbps).sum()
-    };
+    let dropped =
+        |m: &ef_sim::MetricsStore| -> f64 { m.pop_epochs.iter().map(|r| r.dropped_mbps).sum() };
     assert!(
         dropped(&aware) <= dropped(&blind) + 1e-6,
         "cost-aware steering dropped more traffic: {} vs {}",

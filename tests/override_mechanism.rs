@@ -5,13 +5,12 @@
 
 use std::collections::HashMap;
 
-use edge_fabric::state::InterfaceInfo;
-use edge_fabric::{ControllerConfig, EpochError, EpochInputs, PopController};
-use ef_bgp::egress::EgressSpec;
+use edge_fabric::{ControllerConfig, EpochError, EpochInputs, InterfaceInfo, PopController};
 use ef_bgp::peer::PeerId;
 use ef_bgp::policy::Policy;
 use ef_bgp::route::EgressId;
 use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
+use ef_bgp::EgressSpec;
 use ef_net_types::{Asn, Prefix};
 
 /// One router with a 100 Mbps private peer and a transit, both announcing
