@@ -1,236 +1,12 @@
-use crate::Prefix;
-
-/// A binary radix trie keyed by [`Prefix`], supporting exact and
-/// longest-prefix-match lookups.
-///
-/// The simulated routers use this as their FIB (a packet's egress is the
-/// longest matching prefix's route), and the traffic collector uses it to
-/// attribute sampled flows to announced prefixes.
-///
-/// IPv4 and IPv6 occupy disjoint subtrees (keyed off a family branch at the
-/// root) so a single trie can hold both families safely.
-#[derive(Debug, Clone)]
-pub struct PrefixTrie<T> {
-    v4: Node<T>,
-    v6: Node<T>,
-    len: usize,
-}
-
-#[derive(Debug, Clone)]
-struct Node<T> {
-    value: Option<T>,
-    children: [Option<Box<Node<T>>>; 2],
-}
-
-impl<T> Default for Node<T> {
-    fn default() -> Self {
-        Node {
-            value: None,
-            children: [None, None],
-        }
-    }
-}
-
-impl<T> Default for PrefixTrie<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> PrefixTrie<T> {
-    /// Creates an empty trie.
-    pub fn new() -> Self {
-        PrefixTrie {
-            v4: Node::default(),
-            v6: Node::default(),
-            len: 0,
-        }
-    }
-
-    /// Number of prefixes stored.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True if no prefixes are stored.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn root(&self, p: &Prefix) -> &Node<T> {
-        if p.is_v4() {
-            &self.v4
-        } else {
-            &self.v6
-        }
-    }
-
-    fn root_mut(&mut self, p: &Prefix) -> &mut Node<T> {
-        if p.is_v4() {
-            &mut self.v4
-        } else {
-            &mut self.v6
-        }
-    }
-
-    /// Inserts `value` at `prefix`, returning the previous value if any.
-    pub fn insert(&mut self, prefix: Prefix, value: T) -> Option<T> {
-        let len = prefix.len();
-        let mut node = self.root_mut(&prefix);
-        for i in 0..len {
-            let b = prefix.bit(i) as usize;
-            node = node.children[b].get_or_insert_with(Box::default);
-        }
-        let old = node.value.replace(value);
-        if old.is_none() {
-            self.len += 1;
-        }
-        old
-    }
-
-    /// Removes and returns the value stored exactly at `prefix`.
-    ///
-    /// Interior nodes left empty are *not* pruned; this trades a little
-    /// memory for simpler, obviously-correct code (per the smoltcp ethos).
-    pub fn remove(&mut self, prefix: &Prefix) -> Option<T> {
-        let len = prefix.len();
-        let mut node = self.root_mut(prefix);
-        for i in 0..len {
-            let b = prefix.bit(i) as usize;
-            node = node.children[b].as_deref_mut()?;
-        }
-        let old = node.value.take();
-        if old.is_some() {
-            self.len -= 1;
-        }
-        old
-    }
-
-    /// Returns the value stored exactly at `prefix`, if any.
-    pub fn get(&self, prefix: &Prefix) -> Option<&T> {
-        let len = prefix.len();
-        let mut node = self.root(prefix);
-        for i in 0..len {
-            let b = prefix.bit(i) as usize;
-            node = node.children[b].as_deref()?;
-        }
-        node.value.as_ref()
-    }
-
-    /// Mutable variant of [`get`](Self::get).
-    pub fn get_mut(&mut self, prefix: &Prefix) -> Option<&mut T> {
-        let len = prefix.len();
-        let mut node = self.root_mut(prefix);
-        for i in 0..len {
-            let b = prefix.bit(i) as usize;
-            node = node.children[b].as_deref_mut()?;
-        }
-        node.value.as_mut()
-    }
-
-    /// Longest-prefix match: the most specific stored prefix that contains
-    /// `key`, together with its value.
-    pub fn longest_match(&self, key: Prefix) -> Option<(Prefix, &T)> {
-        let mut best: Option<(u8, &T)> = None;
-        let mut node = self.root(&key);
-        if let Some(v) = node.value.as_ref() {
-            best = Some((0, v));
-        }
-        for i in 0..key.len() {
-            let b = key.bit(i) as usize;
-            match node.children[b].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        best = Some((i + 1, v));
-                    }
-                }
-                None => break,
-            }
-        }
-        best.map(|(len, v)| (truncate(key, len), v))
-    }
-
-    /// All stored prefixes that contain `key` (from least to most specific).
-    pub fn matches(&self, key: Prefix) -> Vec<(Prefix, &T)> {
-        let mut out = Vec::new();
-        let mut node = self.root(&key);
-        if let Some(v) = node.value.as_ref() {
-            out.push((truncate(key, 0), v));
-        }
-        for i in 0..key.len() {
-            let b = key.bit(i) as usize;
-            match node.children[b].as_deref() {
-                Some(child) => {
-                    node = child;
-                    if let Some(v) = node.value.as_ref() {
-                        out.push((truncate(key, i + 1), v));
-                    }
-                }
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// Iterates over every `(prefix, value)` pair in deterministic
-    /// (bitwise, v4-then-v6) order.
-    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &T)> {
-        let mut out = Vec::with_capacity(self.len);
-        collect(&self.v4, Prefix::V4 { addr: 0, len: 0 }, &mut out);
-        collect(&self.v6, Prefix::V6 { addr: 0, len: 0 }, &mut out);
-        out.into_iter()
-    }
-}
-
-/// Returns `key` truncated to `len` bits (host bits zeroed).
-fn truncate(key: Prefix, len: u8) -> Prefix {
-    match key {
-        Prefix::V4 { addr, .. } => {
-            let mask = if len == 0 {
-                0
-            } else {
-                u32::MAX << (32 - len as u32)
-            };
-            Prefix::V4 {
-                addr: addr & mask,
-                len,
-            }
-        }
-        Prefix::V6 { addr, .. } => {
-            let mask = if len == 0 {
-                0
-            } else {
-                u128::MAX << (128 - len as u32)
-            };
-            Prefix::V6 {
-                addr: addr & mask,
-                len,
-            }
-        }
-    }
-}
-
-fn collect<'a, T>(node: &'a Node<T>, at: Prefix, out: &mut Vec<(Prefix, &'a T)>) {
-    if let Some(v) = node.value.as_ref() {
-        out.push((at, v));
-    }
-    if let Some((lo, hi)) = at.halves() {
-        if let Some(c) = node.children[0].as_deref() {
-            collect(c, lo, out);
-        }
-        if let Some(c) = node.children[1].as_deref() {
-            collect(c, hi, out);
-        }
-    }
-}
+//! The longest-prefix-match contract, stated as unit tests on
+//! [`CompressedTrie`]: exact insert / get / remove, most-specific match,
+//! the full match chain, family separation and ordered iteration. The
+//! binary reference trie these cases were first written for lives in
+//! `tests/trie_equivalence.rs`, which checks the two agree on random tables.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use proptest::prelude::*;
-    use std::collections::HashMap;
-    use std::net::Ipv4Addr;
+    use crate::{CompressedTrie, Prefix};
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -238,7 +14,7 @@ mod tests {
 
     #[test]
     fn insert_get_remove() {
-        let mut t = PrefixTrie::new();
+        let mut t = CompressedTrie::new();
         assert!(t.is_empty());
         assert_eq!(t.insert(p("10.0.0.0/8"), 1), None);
         assert_eq!(t.insert(p("10.0.0.0/8"), 2), Some(1));
@@ -251,16 +27,8 @@ mod tests {
     }
 
     #[test]
-    fn get_mut_updates_in_place() {
-        let mut t = PrefixTrie::new();
-        t.insert(p("10.0.0.0/8"), 10);
-        *t.get_mut(&p("10.0.0.0/8")).unwrap() += 5;
-        assert_eq!(t.get(&p("10.0.0.0/8")), Some(&15));
-    }
-
-    #[test]
     fn longest_match_prefers_most_specific() {
-        let mut t = PrefixTrie::new();
+        let mut t = CompressedTrie::new();
         t.insert(p("0.0.0.0/0"), "default");
         t.insert(p("10.0.0.0/8"), "eight");
         t.insert(p("10.1.0.0/16"), "sixteen");
@@ -273,25 +41,8 @@ mod tests {
     }
 
     #[test]
-    fn longest_match_exact_hit() {
-        let mut t = PrefixTrie::new();
-        t.insert(p("10.1.0.0/16"), 7);
-        let (pre, v) = t.longest_match(p("10.1.0.0/16")).unwrap();
-        assert_eq!((pre, *v), (p("10.1.0.0/16"), 7));
-    }
-
-    #[test]
-    fn longest_match_misses_when_nothing_contains() {
-        let mut t = PrefixTrie::new();
-        t.insert(p("10.0.0.0/8"), 1);
-        assert!(t.longest_match(p("11.0.0.0/8")).is_none());
-        // a more-specific entry does not match a less-specific key
-        assert!(t.longest_match(p("10.0.0.0/4")).is_none());
-    }
-
-    #[test]
     fn families_do_not_collide() {
-        let mut t = PrefixTrie::new();
+        let mut t = CompressedTrie::new();
         t.insert(p("0.0.0.0/0"), "v4");
         t.insert(p("::/0"), "v6");
         assert_eq!(t.len(), 2);
@@ -301,7 +52,7 @@ mod tests {
 
     #[test]
     fn matches_returns_chain() {
-        let mut t = PrefixTrie::new();
+        let mut t = CompressedTrie::new();
         t.insert(p("0.0.0.0/0"), 0);
         t.insert(p("10.0.0.0/8"), 8);
         t.insert(p("10.1.0.0/16"), 16);
@@ -315,7 +66,7 @@ mod tests {
 
     #[test]
     fn iter_is_sorted_and_complete() {
-        let mut t = PrefixTrie::new();
+        let mut t = CompressedTrie::new();
         let input = ["10.0.0.0/8", "9.0.0.0/8", "10.1.0.0/16", "2001:db8::/32"];
         for (i, s) in input.iter().enumerate() {
             t.insert(p(s), i);
@@ -330,51 +81,5 @@ mod tests {
                 p("2001:db8::/32")
             ]
         );
-    }
-
-    proptest! {
-        /// The trie must agree with a naive scan over a HashMap model.
-        #[test]
-        fn prop_matches_model(
-            entries in proptest::collection::hash_map(0u32..1u32<<16, any::<u32>(), 0..50),
-            key: u32,
-        ) {
-            // Map 16-bit numbers to /16 prefixes and a /24 key, so overlaps happen.
-            let mut trie = PrefixTrie::new();
-            let mut model: HashMap<Prefix, u32> = HashMap::new();
-            for (k, v) in &entries {
-                let pfx = Prefix::v4(Ipv4Addr::from(k << 16), 16);
-                trie.insert(pfx, *v);
-                model.insert(pfx, *v);
-            }
-            let keypfx = Prefix::v4(Ipv4Addr::from(key), 24);
-            let expected = model
-                .iter()
-                .filter(|(pfx, _)| pfx.contains(&keypfx))
-                .max_by_key(|(pfx, _)| pfx.len())
-                .map(|(pfx, v)| (*pfx, *v));
-            let got = trie.longest_match(keypfx).map(|(pfx, v)| (pfx, *v));
-            prop_assert_eq!(got, expected);
-        }
-
-        /// Insert-then-remove returns the trie to exact-match emptiness.
-        #[test]
-        fn prop_insert_remove_inverse(addrs in proptest::collection::vec(any::<u32>(), 1..40)) {
-            let mut trie = PrefixTrie::new();
-            let prefixes: Vec<Prefix> = addrs
-                .iter()
-                .map(|a| Prefix::v4(Ipv4Addr::from(*a), 24))
-                .collect();
-            for (i, pfx) in prefixes.iter().enumerate() {
-                trie.insert(*pfx, i);
-            }
-            for pfx in &prefixes {
-                trie.remove(pfx);
-            }
-            prop_assert!(trie.is_empty());
-            for pfx in &prefixes {
-                prop_assert!(trie.get(pfx).is_none());
-            }
-        }
     }
 }
