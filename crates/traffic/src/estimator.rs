@@ -50,18 +50,6 @@ impl RateEstimator {
         }
     }
 
-    /// Estimated rate (Mbps) for one prefix at time `now_secs`, over the
-    /// trailing window.
-    pub fn rate_mbps(&self, now_secs: u64, prefix_idx: u32) -> f64 {
-        let mut bytes = 0u64;
-        for (stamp, map) in &self.buckets {
-            if self.in_window(now_secs, *stamp) {
-                bytes += map.get(&prefix_idx).copied().unwrap_or(0);
-            }
-        }
-        bytes as f64 * 8.0 / 1e6 / self.window_secs as f64
-    }
-
     /// All per-prefix estimates at `now_secs`, Mbps. Prefixes with no
     /// samples in the window are absent (the controller treats them as
     /// negligible, exactly as production does).
@@ -97,12 +85,21 @@ mod tests {
         }
     }
 
+    /// One prefix's estimate at `now_secs`; 0 when it has no samples in
+    /// the window.
+    fn rate(est: &RateEstimator, now_secs: u64, prefix_idx: u32) -> f64 {
+        est.all_rates_mbps(now_secs)
+            .get(&prefix_idx)
+            .copied()
+            .unwrap_or(0.0)
+    }
+
     #[test]
     fn single_second_estimate() {
         let mut est = RateEstimator::new(10);
         // 12.5 MB in one second of a 10 s window = 10 Mbps average.
         est.ingest(0, &[sample(1, 12_500_000)]);
-        assert!((est.rate_mbps(0, 1) - 10.0).abs() < 1e-9);
+        assert!((rate(&est, 0, 1) - 10.0).abs() < 1e-9);
     }
 
     #[test]
@@ -112,22 +109,22 @@ mod tests {
         for t in 0..20 {
             est.ingest(t, &[sample(1, 1_250_000)]);
         }
-        assert!((est.rate_mbps(19, 1) - 10.0).abs() < 1e-9);
+        assert!((rate(&est, 19, 1) - 10.0).abs() < 1e-9);
     }
 
     #[test]
     fn old_samples_age_out() {
         let mut est = RateEstimator::new(5);
         est.ingest(0, &[sample(1, 1_000_000)]);
-        assert!(est.rate_mbps(0, 1) > 0.0);
-        assert_eq!(est.rate_mbps(5, 1), 0.0, "outside the window");
+        assert!(rate(&est, 0, 1) > 0.0);
+        assert_eq!(rate(&est, 5, 1), 0.0, "outside the window");
     }
 
     #[test]
     fn future_buckets_do_not_leak_backwards() {
         let mut est = RateEstimator::new(5);
         est.ingest(10, &[sample(1, 1_000_000)]);
-        assert_eq!(est.rate_mbps(8, 1), 0.0);
+        assert_eq!(rate(&est, 8, 1), 0.0);
     }
 
     #[test]
@@ -144,10 +141,10 @@ mod tests {
         let mut est = RateEstimator::new(4);
         est.ingest(0, &[sample(1, 1_000_000)]);
         est.ingest(0, &[sample(1, 1_000_000)]);
-        let one = est.rate_mbps(0, 1);
+        let one = rate(&est, 0, 1);
         let mut est2 = RateEstimator::new(4);
         est2.ingest(0, &[sample(1, 2_000_000)]);
-        assert!((one - est2.rate_mbps(0, 1)).abs() < 1e-12);
+        assert!((one - rate(&est2, 0, 1)).abs() < 1e-12);
     }
 
     #[test]
@@ -156,8 +153,8 @@ mod tests {
         est.ingest(0, &[sample(1, 3_000_000)]);
         // Second 3 maps onto the same ring slot as second 0.
         est.ingest(3, &[sample(2, 3_000_000)]);
-        assert_eq!(est.rate_mbps(3, 1), 0.0, "old bucket contents cleared");
-        assert!(est.rate_mbps(3, 2) > 0.0);
+        assert_eq!(rate(&est, 3, 1), 0.0, "old bucket contents cleared");
+        assert!(rate(&est, 3, 2) > 0.0);
     }
 
     #[test]
@@ -179,7 +176,7 @@ mod tests {
             let samples = sampler.sample_all([(7u32, true_mbps)], 1.0);
             est.ingest(t, &samples);
         }
-        let got = est.rate_mbps(29, 7);
+        let got = rate(&est, 29, 7);
         let rel = (got - true_mbps).abs() / true_mbps;
         assert!(rel < 0.05, "estimate {got} off by {:.1}%", rel * 100.0);
     }
@@ -195,7 +192,7 @@ mod tests {
         }
         // 10 kbps is far below the sampling floor; the estimate is either
         // zero or wildly quantized — the controller treats it as noise.
-        let got = est.rate_mbps(29, 9);
+        let got = rate(&est, 29, 9);
         assert!(got < 2.0, "tiny prefix estimate {got} stays negligible");
     }
 }
