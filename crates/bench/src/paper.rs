@@ -81,6 +81,7 @@ impl Campaign {
     pub fn run(cfg: SimConfig) -> Campaign {
         let deployment = generate(&cfg.gen);
         eprintln!("[campaign] probing for the busiest interfaces (coarse baseline run)...");
+        let start = std::time::Instant::now();
         let mut probe = ScenarioBuilder::from_config(cfg.clone())
             .baseline()
             .epoch_secs(300) // coarse: 288 epochs over the day
@@ -94,6 +95,7 @@ impl Campaign {
             .take(10)
             .map(|s| EgressId(s.egress))
             .collect();
+        eprintln!("[campaign] probe finished in {:?}", start.elapsed());
 
         let arm = |label: &str, cfg: SimConfig| {
             eprintln!(
@@ -205,11 +207,13 @@ pub fn evaluate(campaign: &Campaign) -> (Vec<Verdict>, Series) {
         .iter()
         .map(|item| {
             eprintln!("[{}] {}...", item.id, item.paper_item);
+            let start = std::time::Instant::now();
             let result = (item.eval)(campaign).unwrap_or_else(|| ItemResult {
                 measured: "no samples".to_string(),
                 bounds: vec![("a non-empty sample", false)],
                 series: Value::Null,
             });
+            eprintln!("[{}] finished in {:?}", item.id, start.elapsed());
             for (text, _) in result.bounds.iter().filter(|(_, held)| !held) {
                 eprintln!("[{}] bound violated: {text}", item.id);
             }

@@ -13,8 +13,6 @@
 //! large enough to matter, far above measurement noise), and only onto
 //! alternates that actually exist in the current route table.
 
-use std::collections::HashMap;
-
 use ef_bgp::route::EgressId;
 use ef_net_types::Prefix;
 
@@ -73,15 +71,16 @@ pub fn build_perf_overrides(
 }
 
 /// Convenience: adapts `ef-perf` [`PathComparison`](ef_perf::compare::PathComparison)s (keyed by prefix
-/// index) into [`MeasuredComparison`]s using an index→prefix mapping.
+/// index) into [`MeasuredComparison`]s, reading each index's prefix from
+/// `prefix_of` (the universe, indexed by prefix index).
 pub fn adapt_comparisons<'a>(
     comparisons: &'a [ef_perf::compare::PathComparison],
-    index_to_prefix: &'a HashMap<u32, Prefix>,
+    prefix_of: &'a [Prefix],
     samples: usize,
 ) -> impl Iterator<Item = MeasuredComparison> + 'a {
     comparisons.iter().filter_map(move |c| {
-        index_to_prefix
-            .get(&c.prefix_idx)
+        prefix_of
+            .get(c.prefix_idx as usize)
             .map(|prefix| MeasuredComparison {
                 prefix: *prefix,
                 best_alt: EgressId(c.best_alt_egress),
@@ -93,6 +92,8 @@ pub fn adapt_comparisons<'a>(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
     use ef_bgp::attrs::{AsPath, PathAttributes};
     use ef_bgp::message::UpdateMessage;
@@ -189,14 +190,16 @@ mod tests {
             improvement_ms: 30.0,
             alternates: 1,
         }];
-        let map = HashMap::from([(7u32, p("9.9.9.0/24"))]);
-        let adapted: Vec<MeasuredComparison> = adapt_comparisons(&comparisons, &map, 64).collect();
+        let mut prefix_of = vec![p("1.1.1.0/24"); 8];
+        prefix_of[7] = p("9.9.9.0/24");
+        let adapted: Vec<MeasuredComparison> =
+            adapt_comparisons(&comparisons, &prefix_of, 64).collect();
         assert_eq!(adapted.len(), 1);
         assert_eq!(adapted[0].prefix, p("9.9.9.0/24"));
         assert_eq!(adapted[0].improvement_ms, 30.0);
-        // Unmapped indices vanish.
+        // Indices past the universe vanish.
         let empty: Vec<MeasuredComparison> =
-            adapt_comparisons(&comparisons, &HashMap::new(), 64).collect();
+            adapt_comparisons(&comparisons, &prefix_of[..7], 64).collect();
         assert!(empty.is_empty());
     }
 }

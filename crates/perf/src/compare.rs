@@ -15,7 +15,7 @@ use ef_bgp::route::EgressId;
 use crate::measurement::AltPathMeasurer;
 
 /// Comparison result for one prefix at one PoP.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PathComparison {
     /// Destination prefix index.
     pub prefix_idx: u32,
@@ -36,50 +36,52 @@ pub struct PathComparison {
 /// Compares every measured prefix against its preferred path.
 ///
 /// `preferred` maps prefix index → the egress BGP chose. Prefixes with no
-/// measured alternate (single-path) are skipped.
+/// measured alternate (single-path) are skipped, as are prefixes whose
+/// preferred path has no median. The best alternate is the lowest median,
+/// the lowest egress among equal medians. Output is in prefix order.
 pub fn compare_paths(
     measurer: &AltPathMeasurer,
     preferred: &HashMap<u32, EgressId>,
 ) -> Vec<PathComparison> {
-    let mut by_prefix: HashMap<u32, Vec<(&crate::measurement::PathDigest, f64)>> = HashMap::new();
-    for d in measurer.report() {
-        if let Some(m) = d.median_rtt_ms() {
-            by_prefix.entry(d.key.prefix_idx).or_default().push((d, m));
-        }
-    }
-
+    // The digests are in (prefix, egress) order: each prefix's paths are
+    // one run, walked once.
+    let mut medians = measurer
+        .digests
+        .iter()
+        .filter_map(|(key, d)| d.median_rtt_ms().map(|m| (*key, m)))
+        .peekable();
     let mut out = Vec::new();
-    for (prefix_idx, digests) in by_prefix {
-        let Some(&pref_egress) = preferred.get(&prefix_idx) else {
-            continue;
-        };
-        let Some(&(_, pref_median)) = digests.iter().find(|(d, _)| d.key.egress == pref_egress)
+    while let Some(&(first, _)) = medians.peek() {
+        let prefix_idx = first.prefix_idx;
+        let pref_egress = preferred.get(&prefix_idx).copied();
+        let mut pref_median = None;
+        let mut best: Option<(EgressId, f64)> = None;
+        let mut alternates = 0;
+        while let Some((key, m)) = medians.next_if(|(key, _)| key.prefix_idx == prefix_idx) {
+            if Some(key.egress) == pref_egress {
+                pref_median = Some(m);
+                continue;
+            }
+            alternates += 1;
+            if best.is_none_or(|(_, best_m)| m.total_cmp(&best_m).is_lt()) {
+                best = Some((key.egress, m));
+            }
+        }
+        let (Some(pref_egress), Some(pref_median), Some((best_egress, best_median))) =
+            (pref_egress, pref_median, best)
         else {
             continue;
         };
-        let alts: Vec<&(&crate::measurement::PathDigest, f64)> = digests
-            .iter()
-            .filter(|(d, _)| d.key.egress != pref_egress)
-            .collect();
-        if alts.is_empty() {
-            continue;
-        }
-        let (best, best_median) = alts
-            .iter()
-            .map(|(d, m)| (*d, *m))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .unwrap();
         out.push(PathComparison {
             prefix_idx,
             preferred_egress: pref_egress.0,
             preferred_median_ms: pref_median,
-            best_alt_egress: best.key.egress.0,
+            best_alt_egress: best_egress.0,
             best_alt_median_ms: best_median,
             improvement_ms: pref_median - best_median,
-            alternates: alts.len(),
+            alternates,
         });
     }
-    out.sort_by_key(|c| c.prefix_idx);
     out
 }
 
@@ -138,9 +140,10 @@ pub fn summarize(comparisons: &[PathComparison]) -> ComparisonSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::measurement::{AltPathMeasurer, CandidatePath};
+    use crate::measurement::{AltPathMeasurer, CandidatePath, PathDigest, PathKey};
     use crate::rtt::{PathPerfModel, PerfConfig};
     use ef_bgp::peer::PeerKind;
+    use proptest::prelude::*;
 
     fn run_measurement(prefixes: u32) -> (AltPathMeasurer, HashMap<u32, EgressId>) {
         let model = PathPerfModel::new(PerfConfig::default());
@@ -206,6 +209,81 @@ mod tests {
         // Claim a preferred egress that was never measured.
         let preferred: HashMap<u32, EgressId> = (0..5).map(|p| (p, EgressId(99))).collect();
         assert!(compare_paths(&m, &preferred).is_empty());
+    }
+
+    /// The map-and-sort implementation the walk replaced, kept as its
+    /// oracle: group the digests with a median by prefix, pick each
+    /// group's fastest alternate with `min_by` (first wins among equal
+    /// medians, in egress order), then sort by prefix.
+    fn reference(
+        measurer: &AltPathMeasurer,
+        preferred: &HashMap<u32, EgressId>,
+    ) -> Vec<PathComparison> {
+        let mut report = measurer.report();
+        report.sort_by_key(|d| (d.key.prefix_idx, d.key.egress));
+        let mut by_prefix: HashMap<u32, Vec<(&PathDigest, f64)>> = HashMap::new();
+        for d in report {
+            if let Some(m) = d.median_rtt_ms() {
+                by_prefix.entry(d.key.prefix_idx).or_default().push((d, m));
+            }
+        }
+        let mut out = Vec::new();
+        for (prefix_idx, digests) in by_prefix {
+            let Some(&pref_egress) = preferred.get(&prefix_idx) else {
+                continue;
+            };
+            let Some(&(_, pref_median)) = digests.iter().find(|(d, _)| d.key.egress == pref_egress)
+            else {
+                continue;
+            };
+            let alts: Vec<&(&PathDigest, f64)> = digests
+                .iter()
+                .filter(|(d, _)| d.key.egress != pref_egress)
+                .collect();
+            let Some((best, best_median)) = alts
+                .iter()
+                .map(|(d, m)| (*d, *m))
+                .min_by(|a, b| a.1.total_cmp(&b.1))
+            else {
+                continue;
+            };
+            out.push(PathComparison {
+                prefix_idx,
+                preferred_egress: pref_egress.0,
+                preferred_median_ms: pref_median,
+                best_alt_egress: best.key.egress.0,
+                best_alt_median_ms: best_median,
+                improvement_ms: pref_median - best_median,
+                alternates: alts.len(),
+            });
+        }
+        out.sort_by_key(|c| c.prefix_idx);
+        out
+    }
+
+    proptest! {
+        /// Random measurers: medians from four values (so alternates tie),
+        /// digests with no median, single-path prefixes, and preferred
+        /// egresses that are unmeasured or absent.
+        #[test]
+        fn prop_walk_equals_map_and_sort(
+            paths in proptest::collection::vec(
+                (0u32..12, 0u32..5, proptest::option::of(1u8..5)),
+                0..48,
+            ),
+            preferred in proptest::collection::hash_map(0u32..14, 0u32..6, 0..14),
+        ) {
+            let mut m = AltPathMeasurer::new(0);
+            for (prefix_idx, egress, median) in paths {
+                let rtts: Vec<f64> = median.map(|k| vec![10.0 * f64::from(k)]).unwrap_or_default();
+                m.set_digest(PathKey { prefix_idx, egress: EgressId(egress) }, &rtts);
+            }
+            let preferred: HashMap<u32, EgressId> =
+                preferred.into_iter().map(|(p, e)| (p, EgressId(e))).collect();
+            let report = m.report();
+            prop_assert!(report.windows(2).all(|w| w[0].key < w[1].key));
+            prop_assert_eq!(compare_paths(&m, &preferred), reference(&m, &preferred));
+        }
     }
 
     #[test]

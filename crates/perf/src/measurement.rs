@@ -9,7 +9,7 @@
 //! [`rtt::PathPerfModel`](crate::rtt::PathPerfModel) — sampled at the *alternate path's*
 //! current utilization, digested by a P² median estimator.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,8 +20,9 @@ use ef_bgp::route::EgressId;
 use crate::quantile::P2Quantile;
 use crate::rtt::PathPerfModel;
 
-/// Identifies one measured path: a prefix via an egress interface.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Identifies one measured path: a prefix via an egress interface. Keys
+/// order by prefix, then egress.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct PathKey {
     /// Destination prefix index.
     pub prefix_idx: u32,
@@ -80,10 +81,9 @@ pub struct CandidatePath {
 #[derive(Debug)]
 pub struct AltPathMeasurer {
     pop: u16,
-    digests: HashMap<PathKey, PathDigest>,
-    /// Prefixes with at least one digest, so "was this prefix ever
-    /// measured" is one probe instead of a scan over path keys.
-    measured: HashSet<u32>,
+    /// In key order, so one prefix's paths are adjacent and in egress
+    /// order.
+    pub(crate) digests: BTreeMap<PathKey, PathDigest>,
     rng: StdRng,
 }
 
@@ -93,8 +93,7 @@ impl AltPathMeasurer {
         AltPathMeasurer {
             rng: StdRng::seed_from_u64(SEED ^ ((pop as u64) << 32)),
             pop,
-            digests: HashMap::new(),
-            measured: HashSet::new(),
+            digests: BTreeMap::new(),
         }
     }
 
@@ -118,9 +117,6 @@ impl AltPathMeasurer {
         for (prefix_idx, demand_mbps, paths) in entries {
             let sliced = demand_mbps * SLICE_FRACTION;
             let n = ((sliced * SAMPLES_PER_MBPS).ceil() as usize).clamp(1, MAX_SAMPLES_PER_PATH);
-            if !paths.is_empty() {
-                self.measured.insert(*prefix_idx);
-            }
             for path in paths {
                 let key = PathKey {
                     prefix_idx: *prefix_idx,
@@ -146,22 +142,44 @@ impl AltPathMeasurer {
         self.digests.get(key)
     }
 
-    /// True if any path of this prefix has a digest.
-    pub fn is_measured(&self, prefix_idx: u32) -> bool {
-        self.measured.contains(&prefix_idx)
+    /// Every prefix with at least one digest, ascending.
+    pub fn measured_prefixes(&self) -> impl Iterator<Item = u32> + '_ {
+        let mut last = None;
+        self.digests.keys().filter_map(move |key| {
+            let fresh = last != Some(key.prefix_idx);
+            last = Some(key.prefix_idx);
+            fresh.then_some(key.prefix_idx)
+        })
     }
 
     /// Every digest, sorted by `(prefix, egress)` for deterministic output.
     pub fn report(&self) -> Vec<&PathDigest> {
-        let mut v: Vec<&PathDigest> = self.digests.values().collect();
-        v.sort_by_key(|d| (d.key.prefix_idx, d.key.egress));
-        v
+        self.digests.values().collect()
     }
 
     /// Drops all state (e.g. at a day boundary).
     pub fn reset(&mut self) {
         self.digests.clear();
-        self.measured.clear();
+    }
+}
+
+#[cfg(test)]
+impl AltPathMeasurer {
+    /// Makes `key`'s digest one that has seen exactly `rtts`, for tests
+    /// that need medians no model draws: ties, and digests with none.
+    pub(crate) fn set_digest(&mut self, key: PathKey, rtts: &[f64]) {
+        let mut median = P2Quantile::median();
+        for &rtt in rtts {
+            median.observe(rtt);
+        }
+        self.digests.insert(
+            key,
+            PathDigest {
+                key,
+                kind: PeerKind::Transit,
+                median,
+            },
+        );
     }
 }
 
@@ -199,10 +217,10 @@ mod tests {
                 egress: EgressId(1)
             })
             .is_some());
-        assert!(m.is_measured(7));
+        assert_eq!(m.measured_prefixes().collect::<Vec<_>>(), vec![7]);
         // A prefix offered with no candidate path leaves no digest.
         m.collect_epoch(&model(), &[(8u32, 1000.0, Vec::new())], &HashMap::new());
-        assert!(!m.is_measured(8));
+        assert_eq!(m.measured_prefixes().collect::<Vec<_>>(), vec![7]);
     }
 
     #[test]
@@ -281,8 +299,9 @@ mod tests {
             .map(|d| (d.key.prefix_idx, d.key.egress.0))
             .collect();
         assert_eq!(keys, vec![(3, 1), (3, 2), (9, 1), (9, 2)]);
+        assert_eq!(m.measured_prefixes().collect::<Vec<_>>(), vec![3, 9]);
         m.reset();
         assert!(m.report().is_empty());
-        assert!(!m.is_measured(9));
+        assert_eq!(m.measured_prefixes().count(), 0);
     }
 }

@@ -38,7 +38,6 @@ use ef_perf::rtt::PathPerfModel;
 use ef_perf::{AltPathMeasurer, CandidatePath};
 use ef_topology::{BillingMeter, Deployment, Pop, PopId};
 use ef_traffic::demand::DemandPoint;
-use ef_traffic::estimator::RateEstimator;
 use ef_traffic::sampler::{SamplerConfig, SflowSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -112,7 +111,6 @@ pub struct PopRuntime {
     /// The Edge Fabric controller, when the scenario enables it.
     pub controller: Option<PopController>,
     sampler: Option<SflowSampler>,
-    estimator: Option<RateEstimator>,
     /// Alternate-path measurement, when the scenario enables it.
     pub measurer: Option<AltPathMeasurer>,
     /// Metrics collected at this PoP.
@@ -319,18 +317,13 @@ impl PopRuntime {
         // the Loc-RIB with locality.
         router.compact_rib();
 
-        let (sampler, estimator) = if cfg.sampled_rates {
-            (
-                Some(SflowSampler::new(SamplerConfig {
-                    sample_rate: cfg.sample_rate,
-                    packet_bytes: 1200,
-                    seed: cfg.demand_seed ^ (pop_id.0 as u64) << 17,
-                })),
-                Some(RateEstimator::new(cfg.epoch_secs.max(1))),
-            )
-        } else {
-            (None, None)
-        };
+        let sampler = cfg.sampled_rates.then(|| {
+            SflowSampler::new(SamplerConfig {
+                sample_rate: cfg.sample_rate,
+                packet_bytes: 1200,
+                seed: cfg.demand_seed ^ (pop_id.0 as u64) << 17,
+            })
+        });
 
         let measurer = cfg.perf.map(|_| AltPathMeasurer::new(pop_id.0));
 
@@ -378,7 +371,6 @@ impl PopRuntime {
             stubs,
             controller,
             sampler,
-            estimator,
             measurer,
             metrics,
             prefix_of,
@@ -1038,24 +1030,20 @@ impl PopRuntime {
                     // (ignoring our own overrides), otherwise a steered
                     // prefix would look "already optimal" and flap out of
                     // the override set every other epoch. `compare_paths`
-                    // reads `preferred` only for prefixes with a digest.
-                    let preferred: HashMap<u32, EgressId> = demand
-                        .iter()
-                        .filter(|point| measurer.is_measured(point.prefix_idx))
-                        .filter_map(|point| {
-                            let prefix = self.prefix_of[point.prefix_idx as usize];
+                    // reads `preferred` only for prefixes with a digest, and
+                    // every digest is of a prefix this PoP's demand offered.
+                    let preferred: HashMap<u32, EgressId> = measurer
+                        .measured_prefixes()
+                        .filter_map(|idx| {
+                            let prefix = self.prefix_of[idx as usize];
                             ef_bgp::best_rec_where(self.router.candidates(&prefix), |r| {
                                 !r.is_override()
                             })
-                            .map(|r| (point.prefix_idx, r.egress))
+                            .map(|r| (idx, r.egress))
                         })
                         .collect();
                     let comparisons = ef_perf::compare::compare_paths(measurer, &preferred);
-                    let index_to_prefix: HashMap<u32, Prefix> = comparisons
-                        .iter()
-                        .map(|c| (c.prefix_idx, self.prefix_of[c.prefix_idx as usize]))
-                        .collect();
-                    let adapted = adapt_comparisons(&comparisons, &index_to_prefix, MIN_SAMPLES);
+                    let adapted = adapt_comparisons(&comparisons, &self.prefix_of, MIN_SAMPLES);
                     let set = build_perf_overrides(controller.collector(), adapted);
                     controller.set_perf_overrides(set);
                 }
@@ -1078,21 +1066,17 @@ impl PopRuntime {
             let (traffic_t_secs, traffic) = &mut self.last_traffic;
             if sflow_drop < SEVERE_SFLOW_DROP {
                 let keep = 1.0 - sflow_drop;
-                match (&mut self.sampler, &mut self.estimator) {
-                    (Some(sampler), Some(estimator)) => {
-                        let samples = sampler.sample_all(
-                            demand.iter().map(|d| (d.prefix_idx, d.mbps)),
-                            self.epoch_secs as f64,
-                        );
-                        estimator.ingest(t_secs, &samples);
-                        self.traffic_order.fill_sampled(
-                            &self.prefix_of,
-                            estimator.all_rates_mbps(t_secs),
-                            keep,
-                            traffic,
-                        );
-                    }
-                    _ => self
+                match &mut self.sampler {
+                    Some(sampler) => self.traffic_order.fill_sampled(
+                        &self.prefix_of,
+                        demand,
+                        sampler,
+                        t_secs,
+                        self.epoch_secs,
+                        keep,
+                        traffic,
+                    ),
+                    None => self
                         .traffic_order
                         .fill_exact(&self.prefix_of, demand, keep, traffic),
                 }

@@ -203,7 +203,12 @@ impl ScenarioBuilder {
     }
 
     /// Feeds the controller production-like 1-in-N sampled rate estimates.
+    /// Panics on `rate` 0, which would blind the collector (see
+    /// `SflowSampler::new`).
     pub fn sample_rate(mut self, rate: u32) -> Self {
+        if rate == 0 {
+            panic!("invalid sample_rate 0: sampling is 1-in-N, N ≥ 1");
+        }
         self.cfg.sampled_rates = true;
         self.cfg.sample_rate = rate;
         self
@@ -363,6 +368,12 @@ mod tests {
             pni_port_usd_per_month: f64::NAN,
             ..Default::default()
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid sample_rate")]
+    fn zero_sample_rate_is_rejected() {
+        let _ = scenario().sample_rate(0);
     }
 
     #[test]

@@ -6,10 +6,16 @@
 //! noisy instantaneous one. [`RateEstimator`] reproduces that: scaled
 //! sample bytes land in per-second buckets; the estimate for a prefix is
 //! the windowed byte count divided by the window length.
+//!
+//! The simulator does not use it: its window is one epoch, so
+//! `PopRuntime` turns each epoch's samples into rates directly with
+//! [`FlowSample::mbps_over`], the same expression. Only the benchmark's
+//! traced replay still imports this type, and it goes when that replay
+//! does.
 
 use std::collections::HashMap;
 
-use crate::sampler::FlowSample;
+use crate::sampler::{bytes_to_mbps, FlowSample};
 
 /// Sliding-window rate estimator keyed by prefix index.
 #[derive(Debug, Clone)]
@@ -64,7 +70,7 @@ impl RateEstimator {
         }
         bytes
             .into_iter()
-            .map(|(p, b)| (p, b as f64 * 8.0 / 1e6 / self.window_secs as f64))
+            .map(|(p, b)| (p, bytes_to_mbps(b, self.window_secs)))
             .collect()
     }
 

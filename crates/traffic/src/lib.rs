@@ -7,9 +7,10 @@
 //!    deployment's Zipf per-prefix averages with region-phased
 //!    [`DiurnalCurve`]s and slow multiplicative noise; and
 //! 2. the controller's *estimate* of that demand, built from sampled flow
-//!    records — here an sFlow-style [`sampler`] feeding a windowed
-//!    [`RateEstimator`], so the controller sees realistic sampling error
-//!    rather than ground truth.
+//!    records — here an sFlow-style [`sampler`] whose per-epoch samples
+//!    become per-prefix rates ([`FlowSample::mbps_over`]), so the
+//!    controller sees realistic sampling error rather than ground truth.
+//!    The windowed [`RateEstimator`] is kept only for the benchmark.
 
 pub mod demand;
 mod diurnal;

@@ -48,6 +48,19 @@ pub struct FlowSample {
     pub scaled_bytes: u64,
 }
 
+impl FlowSample {
+    /// The rate these samples stand for when spread over `window_secs`,
+    /// Mbps. Every sampled rate the controller reads is this expression.
+    pub fn mbps_over(&self, window_secs: u64) -> f64 {
+        bytes_to_mbps(self.scaled_bytes, window_secs)
+    }
+}
+
+/// `bytes` spread over `window_secs`, Mbps.
+pub(crate) fn bytes_to_mbps(bytes: u64, window_secs: u64) -> f64 {
+    bytes as f64 * 8.0 / 1e6 / window_secs as f64
+}
+
 /// The sampling process for one collector.
 #[derive(Debug)]
 pub struct SflowSampler {
@@ -56,8 +69,14 @@ pub struct SflowSampler {
 }
 
 impl SflowSampler {
-    /// Creates a sampler.
+    /// Creates a sampler. Panics on a zero `sample_rate` or
+    /// `packet_bytes`: either makes the Poisson mean infinite and every
+    /// sample zero bytes, so the collector would read all-zero rates.
     pub fn new(cfg: SamplerConfig) -> Self {
+        assert!(
+            cfg.sample_rate >= 1 && cfg.packet_bytes >= 1,
+            "sample_rate and packet_bytes must be at least 1"
+        );
         SflowSampler {
             rng: StdRng::seed_from_u64(cfg.seed),
             cfg,
@@ -196,6 +215,24 @@ mod tests {
         let one = samples.iter().find(|f| f.prefix_idx == 1).unwrap();
         let two = samples.iter().find(|f| f.prefix_idx == 2).unwrap();
         assert!(one.count > two.count, "heavier prefix samples more packets");
+    }
+
+    #[test]
+    #[should_panic(expected = "must be at least 1")]
+    fn zero_sample_rate_rejected() {
+        SflowSampler::new(SamplerConfig {
+            sample_rate: 0,
+            ..SamplerConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "must be at least 1")]
+    fn zero_packet_bytes_rejected() {
+        SflowSampler::new(SamplerConfig {
+            packet_bytes: 0,
+            ..SamplerConfig::default()
+        });
     }
 
     #[test]
