@@ -5,35 +5,25 @@
 
 use std::io::Write as _;
 
-use ef_cli::{execute, parse_args, watch_follow, Command, USAGE};
+use ef_cli::{execute, parse_args, USAGE};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match parse_args(&args) {
-        // `watch` without --once tails the file until killed; it never
-        // produces a finished Output, so it bypasses execute().
-        Ok(Command::Watch(w)) if !w.once => {
-            if let Err(e) = watch_follow(&w.file, 500) {
-                eprintln!("efctl: {e}");
-                std::process::exit(1);
-            }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let args = parse_args(&argv).unwrap_or_else(|e| {
+        eprintln!("efctl: {e}\n\n{USAGE}");
+        std::process::exit(2)
+    });
+    match execute(args) {
+        Ok(out) => {
+            // stderr first so progress/tables appear before the JSON when
+            // both streams share a terminal.
+            eprint!("{}", out.stderr);
+            print!("{}", out.stdout);
+            let _ = std::io::stdout().flush();
         }
-        Ok(cmd) => match execute(cmd) {
-            Ok(out) => {
-                // stderr first so progress/tables appear before the JSON
-                // when both streams share a terminal.
-                eprint!("{}", out.stderr);
-                print!("{}", out.stdout);
-                let _ = std::io::stdout().flush();
-            }
-            Err(e) => {
-                eprintln!("efctl: {e}");
-                std::process::exit(1);
-            }
-        },
         Err(e) => {
-            eprintln!("efctl: {e}\n\n{USAGE}");
-            std::process::exit(2);
+            eprintln!("efctl: {e}");
+            std::process::exit(1);
         }
     }
 }

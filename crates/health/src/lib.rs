@@ -23,8 +23,8 @@
 //!   and rules, and emits `health.sample` / `alert.fire` / `alert.clear`
 //!   events into the telemetry stream;
 //! * `report` — offline judgment ([`analyze`]) of a recorded telemetry
-//!   stream for `efctl report` / `efctl watch`, no simulation crates
-//!   required.
+//!   stream for `efctl report` (and its `--follow` tail), no simulation
+//!   crates required.
 //!
 //! **Determinism contract**: the health tier is read-only with respect to
 //! the simulation. It consumes deterministic end-of-epoch state, writes

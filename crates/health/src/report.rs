@@ -364,8 +364,8 @@ pub fn render_report(report: &HealthReport) -> String {
     out
 }
 
-/// One-line live rendering of a record for `efctl watch`; None for
-/// records the watch view does not show.
+/// One-line live rendering of a record for `efctl report --follow`; None
+/// for records the live view does not show.
 pub fn render_watch_line(record: &TelemetryRecord) -> Option<String> {
     let event = record.as_event()?;
     match event.name.as_str() {

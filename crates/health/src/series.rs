@@ -1,9 +1,9 @@
 //! Ring-buffer time series over health metrics.
 //!
 //! A [`RingSeries`] keeps the last `capacity` samples of one metric (for
-//! `efctl watch`-style recent views) plus a [`QuantileDigest`] over the
-//! *whole* run (for percentile summaries) — the ring forgets, the digest
-//! does not. A [`SeriesStore`] is a sorted map of named series, one store
+//! `efctl report --follow`-style recent views) plus a [`QuantileDigest`]
+//! over the *whole* run (for percentile summaries) — the ring forgets, the
+//! digest does not. A [`SeriesStore`] is a sorted map of named series, one store
 //! per PoP inside the monitor.
 
 use std::collections::{BTreeMap, VecDeque};

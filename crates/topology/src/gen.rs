@@ -615,15 +615,85 @@ mod tests {
         generate(&GenConfig::small(3))
     }
 
+    /// Checks the structural invariants every consumer relies on; returns
+    /// the list of violations (empty = valid).
+    fn validate(dep: &Deployment) -> Vec<String> {
+        let mut errors = Vec::new();
+        let mut peer_ids = HashSet::new();
+        let mut iface_ids = HashSet::new();
+        for (i, pop) in dep.pops.iter().enumerate() {
+            if pop.id.0 as usize != i {
+                errors.push(format!("{}: id {} out of order", pop.name, pop.id));
+            }
+            let local_ifaces: HashSet<_> = pop.interfaces.iter().map(|f| f.id).collect();
+            for iface in &pop.interfaces {
+                if !iface_ids.insert(iface.id) {
+                    errors.push(format!("{}: duplicate interface {}", pop.name, iface.id));
+                }
+                if iface.capacity_mbps <= 0.0 {
+                    errors.push(format!(
+                        "{}: {} has nonpositive capacity",
+                        pop.name, iface.id
+                    ));
+                }
+                if !pop.routers.contains(&iface.router) {
+                    errors.push(format!("{}: {} on foreign router", pop.name, iface.id));
+                }
+            }
+            for peer in &pop.peers {
+                if !peer_ids.insert(peer.peer) {
+                    errors.push(format!("{}: duplicate peer {}", pop.name, peer.peer));
+                }
+                if !local_ifaces.contains(&peer.egress) {
+                    errors.push(format!("{}: {} egress missing", pop.name, peer.peer));
+                }
+            }
+            for s in &pop.served {
+                if s.prefix_idx as usize >= dep.universe.prefixes.len() {
+                    errors.push(format!(
+                        "{}: served prefix {} out of range",
+                        pop.name, s.prefix_idx
+                    ));
+                }
+                if s.avg_mbps < 0.0 {
+                    errors.push(format!("{}: negative demand", pop.name));
+                }
+            }
+        }
+        if dep.routes.len() != dep.pops.len() {
+            errors.push("routes not parallel to pops".into());
+        }
+        for (i, specs) in dep.routes.iter().enumerate() {
+            let pop_peers: HashSet<_> = dep.pops[i].peers.iter().map(|p| p.peer).collect();
+            for spec in specs {
+                if spec.prefix_idx as usize >= dep.universe.prefixes.len() {
+                    errors.push(format!("pop{i}: route prefix out of range"));
+                }
+                if !pop_peers.contains(&spec.via) {
+                    errors.push(format!("pop{i}: route via unknown peer {}", spec.via));
+                }
+                if spec.as_path.is_empty() {
+                    errors.push(format!("pop{i}: empty AS path"));
+                }
+            }
+        }
+        for info in &dep.universe.prefixes {
+            if info.origin_idx as usize >= dep.universe.ases.len() {
+                errors.push(format!("{}: origin out of range", info.prefix));
+            }
+        }
+        errors
+    }
+
     #[test]
     fn generated_deployments_validate_across_seeds() {
         for seed in 0..6 {
             let dep = generate(&GenConfig::small(seed));
-            let errors = dep.validate();
+            let errors = validate(&dep);
             assert!(errors.is_empty(), "seed {seed}: {errors:?}");
         }
         let dep = generate(&GenConfig::default());
-        assert!(dep.validate().is_empty());
+        assert!(validate(&dep).is_empty());
     }
 
     #[test]
@@ -631,7 +701,7 @@ mod tests {
         let mut dep = generate(&GenConfig::small(3));
         dep.pops[0].interfaces[0].capacity_mbps = -1.0;
         dep.routes[1][0].as_path.clear();
-        let errors = dep.validate();
+        let errors = validate(&dep);
         assert!(errors.iter().any(|e| e.contains("nonpositive capacity")));
         assert!(errors.iter().any(|e| e.contains("empty AS path")));
     }

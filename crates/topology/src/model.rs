@@ -229,8 +229,8 @@ impl Deployment {
     }
 
     /// Scales every egress interface capacity at `pop` by `factor`.
-    /// Nonpositive factors are ignored (capacities must stay positive for
-    /// [`Self::validate`]); returns the factor actually applied.
+    /// Nonpositive factors are ignored (every consumer relies on positive
+    /// capacities); returns the factor actually applied.
     pub fn scale_pop_capacity(&mut self, pop: PopId, factor: f64) -> f64 {
         if factor <= 0.0 || !factor.is_finite() {
             return 1.0;
@@ -264,79 +264,6 @@ impl Deployment {
             return 1.0;
         }
         self.scale_pop_capacity(pop, factor)
-    }
-
-    /// Checks the structural invariants every consumer relies on; returns
-    /// the list of violations (empty = valid). `efctl gen` validates before
-    /// writing, and generator tests validate every seed they touch.
-    pub fn validate(&self) -> Vec<String> {
-        let mut errors = Vec::new();
-        let mut peer_ids = std::collections::HashSet::new();
-        let mut iface_ids = std::collections::HashSet::new();
-        for (i, pop) in self.pops.iter().enumerate() {
-            if pop.id.0 as usize != i {
-                errors.push(format!("{}: id {} out of order", pop.name, pop.id));
-            }
-            let local_ifaces: std::collections::HashSet<_> =
-                pop.interfaces.iter().map(|f| f.id).collect();
-            for iface in &pop.interfaces {
-                if !iface_ids.insert(iface.id) {
-                    errors.push(format!("{}: duplicate interface {}", pop.name, iface.id));
-                }
-                if iface.capacity_mbps <= 0.0 {
-                    errors.push(format!(
-                        "{}: {} has nonpositive capacity",
-                        pop.name, iface.id
-                    ));
-                }
-                if !pop.routers.contains(&iface.router) {
-                    errors.push(format!("{}: {} on foreign router", pop.name, iface.id));
-                }
-            }
-            for peer in &pop.peers {
-                if !peer_ids.insert(peer.peer) {
-                    errors.push(format!("{}: duplicate peer {}", pop.name, peer.peer));
-                }
-                if !local_ifaces.contains(&peer.egress) {
-                    errors.push(format!("{}: {} egress missing", pop.name, peer.peer));
-                }
-            }
-            for s in &pop.served {
-                if s.prefix_idx as usize >= self.universe.prefixes.len() {
-                    errors.push(format!(
-                        "{}: served prefix {} out of range",
-                        pop.name, s.prefix_idx
-                    ));
-                }
-                if s.avg_mbps < 0.0 {
-                    errors.push(format!("{}: negative demand", pop.name));
-                }
-            }
-        }
-        if self.routes.len() != self.pops.len() {
-            errors.push("routes not parallel to pops".into());
-        }
-        for (i, specs) in self.routes.iter().enumerate() {
-            let pop_peers: std::collections::HashSet<_> =
-                self.pops[i].peers.iter().map(|p| p.peer).collect();
-            for spec in specs {
-                if spec.prefix_idx as usize >= self.universe.prefixes.len() {
-                    errors.push(format!("pop{i}: route prefix out of range"));
-                }
-                if !pop_peers.contains(&spec.via) {
-                    errors.push(format!("pop{i}: route via unknown peer {}", spec.via));
-                }
-                if spec.as_path.is_empty() {
-                    errors.push(format!("pop{i}: empty AS path"));
-                }
-            }
-        }
-        for info in &self.universe.prefixes {
-            if info.origin_idx as usize >= self.universe.ases.len() {
-                errors.push(format!("{}: origin out of range", info.prefix));
-            }
-        }
-        errors
     }
 }
 
@@ -489,8 +416,7 @@ mod tests {
 
     #[test]
     fn generated_deployment_serde_round_trip() {
-        // A whole generated deployment must survive JSON — this is what
-        // `efctl gen --out` writes and downstream tools read back.
+        // A whole generated deployment must survive JSON.
         // serde_json float parsing is not bit-exact for every shortest
         // f64 rendering, so assert the representation converges after one
         // round trip (structure and everything non-float must be intact).
