@@ -264,7 +264,8 @@ fn audit_world() -> (BgpRouter, Vec<(Prefix, EgressId)>) {
         }
         router.drain_bmp();
     }
-    let mut injector = Injector::attach(&mut router, PeerId(1000), 0);
+    let mut injector =
+        Injector::try_attach(&mut router, PeerId(1000), 0).expect("controller session up");
     let mut overrides = OverrideSet::new();
     for i in (0..TABLE_N).step_by((TABLE_N / AUDIT_OVERRIDES) as usize) {
         overrides.insert(Override {
@@ -277,12 +278,7 @@ fn audit_world() -> (BgpRouter, Vec<(Prefix, EgressId)>) {
     }
     injector.apply(&mut router, &overrides, 0);
     router.drain_bmp();
-    let claims = injector
-        .announced()
-        .iter_sorted()
-        .into_iter()
-        .map(|o| (o.prefix, o.target))
-        .collect();
+    let claims = injector.announced().claims();
     (router, claims)
 }
 

@@ -1056,7 +1056,7 @@ mod tests {
                 .expect("scenario produces at least one steering decision"),
         )
         .unwrap();
-        let steered = first.as_explain().unwrap().2.prefix.clone();
+        let steered = first.as_explain().unwrap().2.prefix.to_string();
 
         let out = exec(&format!("explain {steered} {world}"));
         let rows = serde_json::parse_value(&out.stdout).unwrap();

@@ -4,7 +4,6 @@
 
 use std::fmt::Write as _;
 
-use ef_net_types::Prefix;
 use ef_telemetry::{ExplainRecord, PlacementRecord, TelemetryHandle, TelemetryRecord};
 
 use crate::{json, Args, Output};
@@ -121,11 +120,7 @@ pub(crate) fn explain(args: &Args) -> Result<Output, String> {
     let rows: Vec<Row> = records
         .iter()
         .filter_map(|r| r.as_explain())
-        .filter(|(_, _, rec)| {
-            rec.prefix
-                .parse::<Prefix>()
-                .is_ok_and(|p| query.contains(&p) || p.contains(&query))
-        })
+        .filter(|(_, _, rec)| query.contains(&rec.prefix) || rec.prefix.contains(&query))
         .map(|(pop, now_ms, explain)| Row {
             pop,
             now_ms,

@@ -29,7 +29,7 @@ use crate::collector::RouteCollector;
 use crate::config::ControllerConfig;
 use crate::overrides::{Override, OverrideReason, OverrideSet};
 use crate::projection::Projection;
-use crate::state::{InterfaceMap, TrafficView};
+use crate::state::{limit_mbps, InterfaceMap, TrafficView};
 
 /// Prefix-selection order when shedding load from a hot interface.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -89,12 +89,7 @@ pub fn allocate<T: TrafficView + ?Sized>(
     let mut overrides = OverrideSet::new();
     let mut explains: Vec<ExplainRecord> = Vec::new();
 
-    let limit_of = |egress: EgressId| -> f64 {
-        interfaces
-            .get(&egress)
-            .map(|i| i.capacity_mbps * cfg.util_limit)
-            .unwrap_or(f64::INFINITY)
-    };
+    let limit_of = |egress: EgressId| limit_mbps(interfaces, egress, cfg.util_limit);
     let util_of = |egress: EgressId, load: &HashMap<EgressId, f64>| -> f64 {
         let cap = interfaces
             .get(&egress)
@@ -120,12 +115,12 @@ pub fn allocate<T: TrafficView + ?Sized>(
             }
         }
         explains.push(ExplainRecord {
-            prefix: o.prefix.to_string(),
+            prefix: o.prefix,
             trigger: "performance".into(),
-            hot_egress: src.map(|e| e.0),
+            hot_egress: src,
             hot_util: src.map(|e| util_of(e, &load)).unwrap_or(0.0),
             demand_mbps: demand,
-            chosen_egress: Some(o.target.0),
+            chosen_egress: Some(o.target),
             chosen_kind: Some(o.target_kind.label().to_string()),
             chosen_usd_per_mbps: Some(cost_of(o.target)),
             rejected: Vec::new(),
@@ -169,12 +164,12 @@ pub fn allocate<T: TrafficView + ?Sized>(
                 *load.entry(src).or_default() -= demand;
                 *load.entry(o.target).or_default() += demand;
                 explains.push(ExplainRecord {
-                    prefix: o.prefix.to_string(),
+                    prefix: o.prefix,
                     trigger: "hysteresis".into(),
-                    hot_egress: Some(src.0),
+                    hot_egress: Some(src),
                     hot_util: src_util,
                     demand_mbps: demand,
-                    chosen_egress: Some(o.target.0),
+                    chosen_egress: Some(o.target),
                     chosen_kind: Some(route.source.kind.label().to_string()),
                     chosen_usd_per_mbps: Some(cost_of(o.target)),
                     rejected: Vec::new(),
@@ -295,12 +290,12 @@ pub fn allocate<T: TrafficView + ?Sized>(
             }
             let hot_util = util_of(*hot, &load);
             let explain = |rejected, chosen: Option<&RouteRec>, verdict| ExplainRecord {
-                prefix: unit.to_string(),
+                prefix: unit,
                 trigger: "capacity".into(),
-                hot_egress: Some(hot.0),
+                hot_egress: Some(*hot),
                 hot_util,
                 demand_mbps: mbps,
-                chosen_egress: chosen.map(|r| r.egress.0),
+                chosen_egress: chosen.map(|r| r.egress),
                 chosen_kind: chosen.map(|r| r.source.kind.label().to_string()),
                 chosen_usd_per_mbps: chosen.map(|r| cost_of(r.egress)),
                 rejected,
@@ -331,7 +326,7 @@ pub fn allocate<T: TrafficView + ?Sized>(
                     let (rc, tc) = (cost_of(r.egress), cost_of(t.egress));
                     if rc < tc {
                         rejected.push(RejectedAlternative {
-                            egress: Some(t.egress.0),
+                            egress: Some(t.egress),
                             kind: Some(t.source.kind.label().to_string()),
                             reason: RejectReason::CostlierAlternate {
                                 usd_per_mbps: tc,
@@ -341,7 +336,7 @@ pub fn allocate<T: TrafficView + ?Sized>(
                         target = Some(*r);
                     } else if rc > tc {
                         rejected.push(RejectedAlternative {
-                            egress: Some(r.egress.0),
+                            egress: Some(r.egress),
                             kind: Some(r.source.kind.label().to_string()),
                             reason: RejectReason::CostlierAlternate {
                                 usd_per_mbps: rc,
@@ -363,7 +358,7 @@ pub fn allocate<T: TrafficView + ?Sized>(
                     continue;
                 }
                 rejected.push(RejectedAlternative {
-                    egress: Some(r.egress.0),
+                    egress: Some(r.egress),
                     kind: Some(r.source.kind.label().to_string()),
                     reason: RejectReason::NoSpareCapacity {
                         projected_mbps: projected,
@@ -435,7 +430,7 @@ fn ranked_gap(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::projection::project;
     use crate::state::InterfaceInfo;
@@ -444,13 +439,13 @@ mod tests {
     use ef_bgp::peer::{PeerId, PeerKind};
     use ef_bgp::{BmpMessage, BmpPeerHeader, EgressSpec};
 
-    fn p(s: &str) -> Prefix {
+    pub(crate) fn p(s: &str) -> Prefix {
         s.parse().unwrap()
     }
 
     /// Builds a collector over typed egress specs (peer id = egress id, the
     /// tuple sites' old convention).
-    fn collector(specs: &[EgressSpec]) -> RouteCollector {
+    pub(crate) fn collector(specs: &[EgressSpec]) -> RouteCollector {
         RouteCollector::new(
             specs
                 .iter()
@@ -462,7 +457,7 @@ mod tests {
     /// Announces `prefix` from the spec's peer with the derived kind's
     /// LOCAL_PREF band and tag community — the typed replacement for the
     /// old `(peer, asn, kind)` tuple announce helper.
-    fn announce(c: &mut RouteCollector, spec: EgressSpec, prefix: &str) {
+    pub(crate) fn announce(c: &mut RouteCollector, spec: EgressSpec, prefix: &str) {
         let kind = spec.kind();
         let mut attrs = PathAttributes {
             local_pref: Some(kind.default_local_pref()),
@@ -481,7 +476,7 @@ mod tests {
         }]);
     }
 
-    fn interface_map(entries: &[(EgressSpec, f64)]) -> InterfaceMap {
+    pub(crate) fn interface_map(entries: &[(EgressSpec, f64)]) -> InterfaceMap {
         entries
             .iter()
             .map(|(spec, cap)| {
@@ -849,14 +844,14 @@ mod tests {
             let rec = out
                 .explains
                 .iter()
-                .find(|e| e.prefix == o.prefix.to_string() && e.emitted())
+                .find(|e| e.prefix == o.prefix && e.emitted())
                 .expect("every override has an emitted explain");
-            assert_eq!(rec.chosen_egress, Some(o.target.0));
+            assert_eq!(rec.chosen_egress, Some(o.target));
             assert_eq!(rec.trigger, "capacity");
-            assert_eq!(rec.hot_egress, Some(1));
+            assert_eq!(rec.hot_egress, Some(EgressId(1)));
             assert!(rec.hot_util > 0.95, "decision made while hot");
             assert!(
-                rec.rejected.iter().any(|r| r.egress == Some(2)
+                rec.rejected.iter().any(|r| r.egress == Some(EgressId(2))
                     && matches!(r.reason, RejectReason::NoSpareCapacity { .. })),
                 "the full public peer shows up in the rejection trail: {rec:?}"
             );
@@ -908,7 +903,7 @@ mod tests {
         );
         let rec = &out.explains[0];
         assert_eq!(rec.trigger, "performance");
-        assert_eq!(rec.chosen_egress, Some(3));
+        assert_eq!(rec.chosen_egress, Some(EgressId(3)));
         assert!(rec.emitted());
     }
 
@@ -974,10 +969,10 @@ mod tests {
             .iter()
             .find(|e| e.emitted() && e.trigger == "capacity")
             .unwrap();
-        assert_eq!(rec.chosen_egress, Some(4));
+        assert_eq!(rec.chosen_egress, Some(EgressId(4)));
         assert_eq!(rec.chosen_usd_per_mbps, Some(0.5));
         assert!(
-            rec.rejected.iter().any(|r| r.egress == Some(3)
+            rec.rejected.iter().any(|r| r.egress == Some(EgressId(3))
                 && matches!(
                     r.reason,
                     RejectReason::CostlierAlternate {
@@ -1045,11 +1040,10 @@ mod tests {
         let rec = out
             .explains
             .iter()
-            .find(|e| e.prefix == "1.0.0.0/24" && e.emitted())
+            .find(|e| e.prefix == p("1.0.0.0/24") && e.emitted())
             .unwrap();
-        assert!(rec.rejected.iter().any(
-            |r| r.egress == Some(3) && matches!(r.reason, RejectReason::NoSpareCapacity { .. })
-        ));
+        assert!(rec.rejected.iter().any(|r| r.egress == Some(EgressId(3))
+            && matches!(r.reason, RejectReason::NoSpareCapacity { .. })));
     }
 
     /// With uniform prices (the default cost model), cost-aware and

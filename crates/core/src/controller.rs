@@ -1,21 +1,24 @@
 //! The per-PoP control loop (paper §4).
 //!
 //! [`PopController`] owns the collector, the injector, and the epoch cycle.
-//! It holds no cross-epoch decision state: each call to
-//! [`run_epoch`](PopController::run_epoch) recomputes the full desired
-//! override set from fresh routes and traffic and lets the injector apply
-//! the diff. The paper argues this stateless design keeps the controller
-//! simple and self-correcting — an operator can restart it at any time and
-//! the next epoch converges to the same answer.
+//! Each [`run_epoch`](PopController::run_epoch) is `decide` then `apply`:
 //!
-//! [`run_epoch_guarded`](PopController::run_epoch_guarded) adds the
-//! graceful-degradation guards around that loop. The paper's safety story
-//! (§4.4) is *fail static*: a wedged controller stops changing routing, and
-//! dropped override announcements revert to plain BGP. The guards extend
-//! this to *degraded but alive* inputs: when the BMP feed or the traffic
-//! estimates are stale, the controller refuses to grow its override
-//! footprint (it may only hold or shrink it, re-validating every kept
-//! detour target), and past a fail-open horizon it withdraws everything.
+//! - **decide** (`decide.rs`) is a function of the epoch's inputs — config,
+//!   interface facts, collected routes, traffic, input ages, this epoch's
+//!   performance intents and the announced set — with the projection memo
+//!   as its one piece of mutable state. It recomputes the full desired
+//!   override set from scratch, including the stale-input and fail-open
+//!   guards. The paper argues this stateless design keeps the controller
+//!   simple and self-correcting — an operator can restart it at any time
+//!   and the next epoch converges to the same answer.
+//! - **apply** puts the decision into effect against the router: the
+//!   injector sends the diff, the router's BMP echoes are ingested, the
+//!   override audit runs and reconciliation repairs what it finds, and
+//!   telemetry records the epoch.
+//!
+//! Across epochs the controller keeps only the memo and what its effects
+//! need: the injector (session, announced set), the reattach governor and
+//! the last degraded / fail-open mode (for transition events).
 
 use std::collections::HashMap;
 
@@ -25,14 +28,14 @@ use ef_bgp::peer::PeerId;
 use ef_bgp::route::EgressId;
 use ef_bgp::router::BgpRouter;
 use ef_bgp::{BmpMessage, Millis, ReconnectGovernor};
-use ef_telemetry::{audit_overrides, ExplainRecord, ExplainVerdict, TelemetryHandle};
+use ef_telemetry::{audit_overrides, ExplainRecord, PhaseTimer, TelemetryHandle};
 
-use crate::allocator::allocate;
 use crate::collector::RouteCollector;
 use crate::config::ControllerConfig;
+use crate::decide::{decide, Decision, EpochInputs, EpochView};
 use crate::injector::{InjectionLedger, Injector};
 use crate::overrides::OverrideSet;
-use crate::projection::{project_cached, Projection, ProjectionCache};
+use crate::projection::ProjectionCache;
 use crate::state::{InterfaceMap, TrafficView};
 
 /// What one controller epoch observed and did, for telemetry and the
@@ -43,18 +46,12 @@ pub struct EpochReport {
     pub now_ms: u64,
     /// PoP this controller serves.
     pub pop: u16,
-    /// Prefixes with at least one route in the collector.
-    pub prefixes_known: usize,
-    /// Total demand presented, Mbps.
-    pub total_demand_mbps: f64,
-    /// Demand with no route at all, Mbps.
-    pub unrouted_mbps: f64,
     /// Interfaces projected over the limit before mitigation
     /// `(egress, projected utilization)`, worst first (ties by egress).
-    pub overloaded_before: Vec<(u32, f64)>,
+    pub overloaded_before: Vec<(EgressId, f64)>,
     /// Interfaces still over the limit after mitigation
     /// `(egress, residual utilization)`, worst first (ties by egress).
-    pub residual_overloaded: Vec<(u32, f64)>,
+    pub residual_overloaded: Vec<(EgressId, f64)>,
     /// Overrides active after this epoch.
     pub overrides_active: usize,
     /// Demand detoured by active overrides, Mbps.
@@ -65,10 +62,6 @@ pub struct EpochReport {
     pub churn_announced: usize,
     /// BGP withdrawals sent this epoch.
     pub churn_withdrawn: usize,
-    /// Projected (unmitigated) load per interface, Mbps.
-    pub projected_load: HashMap<u32, f64>,
-    /// Predicted post-mitigation load per interface, Mbps.
-    pub post_load: HashMap<u32, f64>,
     /// Worst input age this epoch ran with, ms.
     pub input_age_ms: u64,
     /// The epoch ran in degraded mode (stale inputs: override set frozen
@@ -85,37 +78,13 @@ pub struct EpochReport {
     pub audit_leaked: usize,
     /// Decision provenance: one record per steering decision the allocator
     /// considered, with verdicts amended by the guards (hold-or-shrink,
-    /// fail-open). Always populated — it is derived purely from simulation
-    /// state, so reports stay byte-identical whether or not a telemetry
-    /// sink is attached.
+    /// fail-open). Always populated — `decide` derives it from the epoch's
+    /// inputs alone, so reports stay byte-identical whether or not a
+    /// telemetry sink is attached.
     pub explains: Vec<ExplainRecord>,
 }
 
-/// Input freshness for one guarded epoch. Ages are "now minus the time the
-/// input was last refreshed"; [`EpochInputs::default`] means both inputs
-/// are fresh (the plain [`run_epoch`](PopController::run_epoch) path).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EpochInputs {
-    /// Age of the newest BMP route state, ms.
-    pub bmp_age_ms: u64,
-    /// Age of the newest traffic estimate, ms.
-    pub traffic_age_ms: u64,
-}
-
-impl EpochInputs {
-    /// Both inputs refreshed this instant.
-    pub fn fresh() -> Self {
-        Self::default()
-    }
-
-    /// The age that drives degradation decisions: the staler input bounds
-    /// how much the combined view can be trusted.
-    pub fn age_ms(&self) -> u64 {
-        self.bmp_age_ms.max(self.traffic_age_ms)
-    }
-}
-
-/// Why a guarded epoch was skipped instead of run. These are operational
+/// Why an epoch was skipped instead of run. These are operational
 /// conditions, not bugs: the controller's reaction is to do nothing this
 /// cycle (fail static) and let the embedding decide whether to reattach or
 /// restart.
@@ -123,7 +92,7 @@ impl EpochInputs {
 pub enum EpochError {
     /// The injector's BGP session to the peering router is down. Every
     /// override is already implicitly withdrawn by BGP; nothing can be
-    /// steered until [`PopController::reattach_injector`] succeeds.
+    /// steered until [`PopController::try_reattach_injector`] succeeds.
     InjectorDown,
 }
 
@@ -153,7 +122,6 @@ pub struct PopController {
     /// backoff with decorrelated jitter, plus flap damping that suppresses
     /// a storming session until it cools.
     injector_governor: ReconnectGovernor,
-    perf_overrides: OverrideSet,
     telemetry: TelemetryHandle,
     last_degraded: bool,
     last_fail_open: bool,
@@ -162,22 +130,9 @@ pub struct PopController {
 impl PopController {
     /// Creates a controller and attaches its BGP session to the PoP's
     /// router. The collector's peer→egress map is read from the router's
-    /// current attachments.
+    /// current attachments. Fails on an invalid config or when the
+    /// injector session does not establish.
     pub fn new(
-        pop: u16,
-        cfg: ControllerConfig,
-        interfaces: InterfaceMap,
-        router: &mut BgpRouter,
-    ) -> Self {
-        match Self::try_new(pop, cfg, interfaces, router) {
-            Ok(ctl) => ctl,
-            Err(e) => panic!("controller config invalid: {e}"),
-        }
-    }
-
-    /// Fallible construction: rejects an invalid config instead of
-    /// panicking (for embeddings that take config from outside).
-    pub fn try_new(
         pop: u16,
         cfg: ControllerConfig,
         interfaces: InterfaceMap,
@@ -200,7 +155,6 @@ impl PopController {
             projection_cache: ProjectionCache::new(),
             injector,
             injector_governor: ReconnectGovernor::with_seed(0xEF1A_7C00 ^ pop as u64),
-            perf_overrides: OverrideSet::new(),
             telemetry: TelemetryHandle::disabled(),
             last_degraded: false,
             last_fail_open: false,
@@ -216,19 +170,9 @@ impl PopController {
         self.telemetry = telemetry;
     }
 
-    /// The attached telemetry handle (disabled by default).
-    pub fn telemetry(&self) -> &TelemetryHandle {
-        &self.telemetry
-    }
-
     /// The stable peer id of this controller's injector session.
     pub fn injector_peer_id(&self) -> PeerId {
         PeerId(1_000_000 + self.pop as u64)
-    }
-
-    /// The PoP this controller serves.
-    pub fn pop(&self) -> u16 {
-        self.pop
     }
 
     /// The controller's configuration.
@@ -258,47 +202,21 @@ impl PopController {
         self.collector.ingest(messages);
     }
 
-    /// Installs the §6 performance-override intents the capacity pass must
-    /// honor from now on (empty set disables the extension).
-    pub fn set_perf_overrides(&mut self, set: OverrideSet) {
-        self.perf_overrides = set;
-    }
-
-    /// Runs one controller cycle against `traffic` (per-prefix Mbps),
-    /// assuming both inputs are fresh. If the injector session is down the
-    /// epoch is skipped (a no-op report, never a panic) — use
-    /// [`run_epoch_guarded`](Self::run_epoch_guarded) to observe that
-    /// condition as a typed error.
+    /// Runs one controller cycle against `traffic` (per-prefix Mbps):
+    /// decides the desired override set from this epoch's inputs — input
+    /// ages `inputs`, the §6 performance intents `perf` (empty without
+    /// perf steering) — then applies it to `router`. See `decide` for the
+    /// stale-input and fail-open guards.
+    ///
+    /// Returns [`EpochError::InjectorDown`] (epoch skipped, nothing
+    /// decided) when the injector session is down.
     pub fn run_epoch<T: TrafficView + ?Sized>(
         &mut self,
         traffic: &T,
         router: &mut BgpRouter,
         now: Millis,
-    ) -> EpochReport {
-        match self.run_epoch_guarded(traffic, router, now, EpochInputs::fresh()) {
-            Ok(report) => report,
-            Err(EpochError::InjectorDown) => self.skipped_report(traffic, now),
-        }
-    }
-
-    /// Runs one controller cycle with explicit input freshness, applying
-    /// the graceful-degradation guards:
-    ///
-    /// - inputs older than `stale_input_secs`: **degraded mode** — the
-    ///   override set may hold or shrink but never grow, and every kept
-    ///   override's detour target is re-validated (route still present,
-    ///   projected target load still under the limit);
-    /// - inputs older than `fail_open_secs`: **fail open** — every
-    ///   override is withdrawn and the PoP runs plain BGP.
-    ///
-    /// Returns [`EpochError::InjectorDown`] (epoch skipped) when the
-    /// injector session is down.
-    pub fn run_epoch_guarded<T: TrafficView + ?Sized>(
-        &mut self,
-        traffic: &T,
-        router: &mut BgpRouter,
-        now: Millis,
         inputs: EpochInputs,
+        perf: &OverrideSet,
     ) -> Result<EpochReport, EpochError> {
         let epoch_timer = self.telemetry.timer();
         if !self.injector.session_up() {
@@ -311,56 +229,37 @@ impl PopController {
             );
             return Err(EpochError::InjectorDown);
         }
-        let age_ms = inputs.age_ms();
-        let fail_open = age_ms >= self.cfg.fail_open_secs.saturating_mul(1000);
-        let degraded = !fail_open && age_ms >= self.cfg.stale_input_secs.saturating_mul(1000);
-
-        let projection_timer = self.telemetry.timer();
-        let projection = project_cached(&mut self.projection_cache, &self.collector, traffic);
-        let projection_us = projection_timer.elapsed_us();
-
-        let allocation_timer = self.telemetry.timer();
-        let mut outcome = allocate(
-            &self.cfg,
-            &self.interfaces,
-            &self.collector,
+        let view = EpochView {
+            cfg: &self.cfg,
+            interfaces: &self.interfaces,
+            collector: &self.collector,
             traffic,
-            &projection,
-            &self.perf_overrides,
-            self.injector.announced(),
-        );
-        let allocation_us = allocation_timer.elapsed_us();
-
-        let guard_timer = self.telemetry.timer();
-        let mut explains = std::mem::take(&mut outcome.explains);
-        let desired = if fail_open {
-            // Nothing the allocator computed is trustworthy at this age.
-            for rec in explains.iter_mut().filter(|r| r.emitted()) {
-                rec.verdict = ExplainVerdict::DroppedFailOpen;
-            }
-            OverrideSet::new()
-        } else if degraded {
-            let kept = self.hold_or_shrink(&outcome.overrides, &projection);
-            for rec in explains.iter_mut().filter(|r| r.emitted()) {
-                let retained = rec
-                    .prefix
-                    .parse::<ef_net_types::Prefix>()
-                    .map(|p| kept.contains(&p))
-                    .unwrap_or(false);
-                if !retained {
-                    rec.verdict = ExplainVerdict::DroppedStaleInput;
-                }
-            }
-            kept
-        } else {
-            std::mem::take(&mut outcome.overrides)
+            inputs,
+            perf,
+            announced: self.injector.announced(),
         };
-        let guards_us = guard_timer.elapsed_us();
+        let decision = decide(&view, &mut self.projection_cache, &self.telemetry);
+        Ok(self.apply(decision, router, now, inputs.age_ms(), epoch_timer))
+    }
 
+    /// Puts `decision` into effect: mode-transition events, injection of
+    /// the diff, the router's BMP echoes, the override audit and its
+    /// reconciliation, then the epoch's telemetry.
+    fn apply(
+        &mut self,
+        decision: Decision,
+        router: &mut BgpRouter,
+        now: Millis,
+        age_ms: u64,
+        epoch_timer: PhaseTimer,
+    ) -> EpochReport {
+        let (degraded, fail_open) = (decision.degraded, decision.fail_open);
+        // Before injection, so the events carry the footprint at the moment
+        // of crossing.
         self.note_mode_transitions(degraded, fail_open, age_ms, now);
 
         let injection_timer = self.telemetry.timer();
-        let report = self.injector.apply(router, &desired, now);
+        let report = self.injector.apply(router, &decision.desired, now);
         let injection_us = injection_timer.elapsed_us();
 
         // Pull the router's BMP echoes of our own changes immediately so
@@ -375,30 +274,18 @@ impl PopController {
         // without a sink, and divergence is *repaired*, not just reported:
         // believed-announced-but-missing overrides are re-announced, leaked
         // override routes are force-withdrawn.
-        let expected: Vec<_> = self
-            .injector
-            .announced()
-            .iter_sorted()
-            .into_iter()
-            .map(|o| (o.prefix, o.target))
-            .collect();
+        let expected = self.injector.announced().claims();
         let audit = audit_overrides(router, &expected, &report.sent.withdraw);
-        let audit_not_installed = audit.not_installed.len();
-        let audit_leaked = audit.leaked.len();
         if !audit.clean() {
-            let not_installed: Vec<ef_net_types::Prefix> = audit
-                .not_installed
-                .iter()
-                .filter_map(|f| f.prefix.parse().ok())
-                .collect();
-            let leaked: Vec<ef_net_types::Prefix> = audit
-                .leaked
-                .iter()
-                .filter_map(|f| f.prefix.parse().ok())
-                .collect();
-            let (reannounced, force_withdrawn) =
-                self.injector
-                    .reconcile(router, &not_installed, &leaked, now);
+            let prefixes = |findings: &[ef_telemetry::AuditFinding]| -> Vec<_> {
+                findings.iter().map(|f| f.prefix).collect()
+            };
+            let (reannounced, force_withdrawn) = self.injector.reconcile(
+                router,
+                &prefixes(&audit.not_installed),
+                &prefixes(&audit.leaked),
+                now,
+            );
             // Keep the collector's view current after the repair.
             self.collector.ingest(router.drain_bmp());
             self.telemetry.counter("reconcile.reannounced", reannounced);
@@ -419,7 +306,7 @@ impl PopController {
 
         let active = self.injector.announced();
         if self.telemetry.enabled() {
-            for rec in &explains {
+            for rec in &decision.explains {
                 self.telemetry.explain(self.pop, now, rec);
             }
             for o in &report.sent.announce {
@@ -479,31 +366,20 @@ impl PopController {
                     ("overrides_active", active.len().into()),
                     ("announced", report.sent.announce.len().into()),
                     ("withdrawn", report.sent.withdraw.len().into()),
-                    ("projection_us", projection_us.into()),
-                    ("allocation_us", allocation_us.into()),
-                    ("guards_us", guards_us.into()),
+                    ("projection_us", decision.projection_us.into()),
+                    ("allocation_us", decision.allocation_us.into()),
+                    ("guards_us", decision.guards_us.into()),
                     ("injection_us", injection_us.into()),
                     ("bmp_ingest_us", bmp_ingest_us.into()),
                     ("total_us", total_us.into()),
                 ],
             );
         }
-        Ok(EpochReport {
+        EpochReport {
             now_ms: now,
             pop: self.pop,
-            prefixes_known: self.collector.prefix_count(),
-            total_demand_mbps: projection.demand_total_mbps(),
-            unrouted_mbps: projection.unrouted_mbps,
-            overloaded_before: outcome
-                .overloaded_before
-                .iter()
-                .map(|(e, u)| (e.0, *u))
-                .collect(),
-            residual_overloaded: outcome
-                .residual_overloaded
-                .iter()
-                .map(|(e, u)| (e.0, *u))
-                .collect(),
+            overloaded_before: decision.overloaded_before,
+            residual_overloaded: decision.residual_overloaded,
             overrides_active: active.len(),
             detoured_mbps: active.total_moved_mbps(),
             detoured_by_kind: active
@@ -513,19 +389,13 @@ impl PopController {
                 .collect(),
             churn_announced: report.sent.announce.len(),
             churn_withdrawn: report.sent.withdraw.len(),
-            projected_load: projection
-                .load_mbps
-                .iter()
-                .map(|(e, v)| (e.0, *v))
-                .collect(),
-            post_load: outcome.post_load.iter().map(|(e, v)| (e.0, *v)).collect(),
             input_age_ms: age_ms,
             degraded,
             fail_open,
-            audit_not_installed,
-            audit_leaked,
-            explains,
-        })
+            audit_not_installed: audit.not_installed.len(),
+            audit_leaked: audit.leaked.len(),
+            explains: decision.explains,
+        }
     }
 
     /// Emits enter/exit events (and bumps transition counters) when the
@@ -562,67 +432,6 @@ impl PopController {
         self.last_fail_open = fail_open;
     }
 
-    /// Degraded-mode desired set: the intersection of what the allocator
-    /// wants and what is already announced (never enlarge on stale inputs),
-    /// with each survivor's detour target re-validated against the current
-    /// (stale) route view and interface limits.
-    fn hold_or_shrink(&self, desired: &OverrideSet, projection: &Projection) -> OverrideSet {
-        let announced = self.injector.announced();
-        let mut kept = OverrideSet::new();
-        // Load already attracted to each target by overrides kept so far,
-        // on top of the organic projection.
-        let mut extra: HashMap<EgressId, f64> = HashMap::new();
-        for o in desired.iter_sorted() {
-            if !announced.contains(&o.prefix) {
-                continue; // would enlarge the set
-            }
-            let target_has_route = self
-                .collector
-                .candidates(&o.prefix)
-                .iter()
-                .any(|r| r.egress == o.target && !r.is_override());
-            if !target_has_route {
-                continue; // detour target vanished from the (stale) view
-            }
-            let base = projection.load_mbps.get(&o.target).copied().unwrap_or(0.0);
-            let added = extra.get(&o.target).copied().unwrap_or(0.0);
-            if base + added + o.moved_mbps > self.limit_mbps(o.target) {
-                continue; // target can no longer absorb this detour
-            }
-            *extra.entry(o.target).or_default() += o.moved_mbps;
-            kept.insert(*o);
-        }
-        kept
-    }
-
-    /// The report for an epoch that could not run (injector down): nothing
-    /// was observed or changed; BGP semantics already withdrew every
-    /// override.
-    fn skipped_report<T: TrafficView + ?Sized>(&self, traffic: &T, now: Millis) -> EpochReport {
-        EpochReport {
-            now_ms: now,
-            pop: self.pop,
-            prefixes_known: self.collector.prefix_count(),
-            total_demand_mbps: crate::state::total_traffic_mbps(traffic),
-            unrouted_mbps: 0.0,
-            overloaded_before: Vec::new(),
-            residual_overloaded: Vec::new(),
-            overrides_active: 0,
-            detoured_mbps: 0.0,
-            detoured_by_kind: HashMap::new(),
-            churn_announced: 0,
-            churn_withdrawn: 0,
-            projected_load: HashMap::new(),
-            post_load: HashMap::new(),
-            input_age_ms: 0,
-            degraded: false,
-            fail_open: true,
-            audit_not_installed: 0,
-            audit_leaked: 0,
-            explains: Vec::new(),
-        }
-    }
-
     /// True while the injector's BGP session to the router is up.
     pub fn injector_up(&self) -> bool {
         self.injector.session_up()
@@ -630,8 +439,8 @@ impl PopController {
 
     /// Records a router-side loss of the injector session (the fault model
     /// or a real transport removed the controller pseudo-peer). All
-    /// overrides are implicitly withdrawn by BGP; subsequent guarded
-    /// epochs return [`EpochError::InjectorDown`] until a reattach
+    /// overrides are implicitly withdrawn by BGP; subsequent epochs
+    /// return [`EpochError::InjectorDown`] until a reattach
     /// succeeds. The loss is charged to the backoff governor, so a
     /// flapping session earns growing reconnect delays and, past the
     /// damping threshold, outright suppression until it cools.
@@ -664,15 +473,6 @@ impl PopController {
                 false
             }
         }
-    }
-
-    /// Re-establishes the injector session after a loss, immediately and
-    /// unconditionally (operator-initiated restart: bypasses the backoff
-    /// governor). The announced set starts empty (stateless restart); the
-    /// next epoch recomputes and re-announces whatever the inputs justify.
-    pub fn reattach_injector(&mut self, router: &mut BgpRouter, now: Millis) {
-        self.injector = Injector::attach(router, self.injector_peer_id(), now);
-        self.injector_governor.record_up(now);
     }
 
     /// Resynchronises the router with the injector's announced set via
@@ -713,25 +513,18 @@ impl PopController {
     pub fn drain(&mut self, router: &mut BgpRouter, now: Millis) {
         self.injector.drain(router, now);
     }
-
-    /// Utilization limit in Mbps for an interface, as the allocator sees it.
-    pub fn limit_mbps(&self, egress: EgressId) -> f64 {
-        self.interfaces
-            .get(&egress)
-            .map(|i| i.capacity_mbps * self.cfg.util_limit)
-            .unwrap_or(f64::INFINITY)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::InterfaceInfo;
+    use crate::state::{limit_mbps, InterfaceInfo};
     use ef_bgp::attrs::{AsPath, PathAttributes};
     use ef_bgp::peer::PeerKind;
     use ef_bgp::policy::Policy;
     use ef_bgp::router::{PeerAttachment, PeerStub, RouterConfig};
     use ef_net_types::{Asn, Prefix};
+    use ef_telemetry::ExplainVerdict;
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -741,9 +534,36 @@ mod tests {
         router: BgpRouter,
         #[allow(dead_code)]
         peer: PeerStub,
-        #[allow(dead_code)]
         transit: PeerStub,
         controller: PopController,
+    }
+
+    impl World {
+        /// One epoch at `now` with the given input ages and no
+        /// performance intents.
+        fn run(
+            &mut self,
+            traffic: &HashMap<Prefix, f64>,
+            now: Millis,
+            inputs: EpochInputs,
+        ) -> Result<EpochReport, EpochError> {
+            self.controller
+                .run_epoch(traffic, &mut self.router, now, inputs, &OverrideSet::new())
+        }
+
+        /// One epoch with fresh inputs.
+        fn epoch(&mut self, traffic: &HashMap<Prefix, f64>, now: Millis) -> EpochReport {
+            self.run(traffic, now, EpochInputs::fresh())
+                .expect("injector session up")
+        }
+    }
+
+    /// Inputs last refreshed `bmp_age_ms` / `traffic_age_ms` ago.
+    fn aged(bmp_age_ms: u64, traffic_age_ms: u64) -> EpochInputs {
+        EpochInputs {
+            bmp_age_ms,
+            traffic_age_ms,
+        }
     }
 
     /// One private peer (egress 1, 100 Mbps) + one transit (egress 2, big),
@@ -754,9 +574,10 @@ mod tests {
             asn: Asn::LOCAL,
             router_id: "10.0.0.1".parse().unwrap(),
         });
-        for (id, asn, kind, egress) in [
-            (1u64, 65001u32, PeerKind::PrivatePeer, 1u32),
-            (2, 65010, PeerKind::Transit, 2),
+        let mut interfaces = InterfaceMap::new();
+        for (id, asn, kind, egress, capacity_mbps) in [
+            (1u64, 65001u32, PeerKind::PrivatePeer, 1u32, 100.0),
+            (2, 65010, PeerKind::Transit, 2, 100_000.0),
         ] {
             router.add_peer(PeerAttachment {
                 peer: PeerId(id),
@@ -766,43 +587,23 @@ mod tests {
                 policy: Policy::default_import(Asn::LOCAL, kind),
                 max_prefixes: 0,
             });
+            interfaces.insert(EgressId(egress), InterfaceInfo::new(capacity_mbps, kind));
         }
         let mut peer = PeerStub::new(PeerId(1), Asn(65001), "10.9.0.1".parse().unwrap());
         let mut transit = PeerStub::new(PeerId(2), Asn(65010), "10.9.0.2".parse().unwrap());
         peer.pump(&mut router, 0);
         transit.pump(&mut router, 0);
         for prefix in prefixes {
-            peer.announce(
-                &mut router,
-                p(prefix),
-                PathAttributes {
-                    as_path: AsPath::sequence([Asn(65001)]),
+            for (stub, asn) in [(&mut peer, 65001), (&mut transit, 65010)] {
+                let attrs = PathAttributes {
+                    as_path: AsPath::sequence([Asn(asn)]),
                     ..Default::default()
-                },
-                0,
-            );
-            transit.announce(
-                &mut router,
-                p(prefix),
-                PathAttributes {
-                    as_path: AsPath::sequence([Asn(65010)]),
-                    ..Default::default()
-                },
-                0,
-            );
+                };
+                stub.announce(&mut router, p(prefix), attrs, 0);
+            }
         }
-        let interfaces = HashMap::from([
-            (
-                EgressId(1),
-                InterfaceInfo::new(100.0, PeerKind::PrivatePeer),
-            ),
-            (
-                EgressId(2),
-                InterfaceInfo::new(100_000.0, PeerKind::Transit),
-            ),
-        ]);
         let mut controller =
-            PopController::new(0, ControllerConfig::default(), interfaces, &mut router);
+            PopController::new(0, ControllerConfig::default(), interfaces, &mut router).unwrap();
         controller.ingest_bmp(router.drain_bmp());
         World {
             router,
@@ -816,11 +617,10 @@ mod tests {
     fn quiet_epoch_changes_nothing() {
         let mut w = world(&["1.0.0.0/24"]);
         let traffic = HashMap::from([(p("1.0.0.0/24"), 40.0)]);
-        let report = w.controller.run_epoch(&traffic, &mut w.router, 30_000);
+        let report = w.epoch(&traffic, 30_000);
         assert_eq!(report.overrides_active, 0);
         assert_eq!(report.churn_announced + report.churn_withdrawn, 0);
         assert!(report.overloaded_before.is_empty());
-        assert_eq!(report.total_demand_mbps, 40.0);
         assert_eq!(
             w.router.fib_entry(&p("1.0.0.0/24")).unwrap().egress,
             EgressId(1)
@@ -832,7 +632,7 @@ mod tests {
         let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
         // Peak: 150 Mbps on a 100 Mbps PNI.
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
-        let report = w.controller.run_epoch(&peak, &mut w.router, 30_000);
+        let report = w.epoch(&peak, 30_000);
         assert_eq!(report.overloaded_before.len(), 1);
         assert_eq!(report.overrides_active, 1);
         assert!(report.detoured_mbps > 0.0);
@@ -847,7 +647,7 @@ mod tests {
 
         // Off-peak: demand drops; the stateless recompute withdraws.
         let off_peak = HashMap::from([(p("1.0.0.0/24"), 30.0), (p("2.0.0.0/24"), 20.0)]);
-        let report = w.controller.run_epoch(&off_peak, &mut w.router, 60_000);
+        let report = w.epoch(&off_peak, 60_000);
         assert_eq!(report.overrides_active, 0);
         assert_eq!(report.churn_withdrawn, 1);
         assert_eq!(
@@ -864,10 +664,10 @@ mod tests {
     fn steady_overload_causes_no_churn_after_first_epoch() {
         let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
-        let first = w.controller.run_epoch(&peak, &mut w.router, 30_000);
+        let first = w.epoch(&peak, 30_000);
         assert_eq!(first.churn_announced, 1);
         for i in 2..6 {
-            let again = w.controller.run_epoch(&peak, &mut w.router, 30_000 * i);
+            let again = w.epoch(&peak, 30_000 * i);
             assert_eq!(
                 again.churn_announced + again.churn_withdrawn,
                 0,
@@ -879,23 +679,24 @@ mod tests {
 
     #[test]
     fn unrouted_demand_is_surfaced() {
-        let mut w = world(&["1.0.0.0/24"]);
+        let w = world(&["1.0.0.0/24"]);
         let traffic = HashMap::from([(p("1.0.0.0/24"), 10.0), (p("99.0.0.0/24"), 5.0)]);
-        let report = w.controller.run_epoch(&traffic, &mut w.router, 30_000);
-        assert_eq!(report.unrouted_mbps, 5.0);
+        let projection = crate::projection::project(w.controller.collector(), &traffic);
+        assert_eq!(projection.unrouted_mbps, 5.0);
+        assert_eq!(projection.demand_total_mbps(), 15.0);
     }
 
     #[test]
     fn limit_and_kind_helpers() {
         let w = world(&[]);
-        assert!((w.controller.limit_mbps(EgressId(1)) - 95.0).abs() < 1e-9);
-        assert_eq!(w.controller.limit_mbps(EgressId(77)), f64::INFINITY);
-        let kind = |e| {
-            w.controller
-                .interfaces()
-                .get(&EgressId(e))
-                .map(|i| i.kind())
-        };
+        let (interfaces, util_limit) =
+            (w.controller.interfaces(), w.controller.config().util_limit);
+        assert!((limit_mbps(interfaces, EgressId(1), util_limit) - 95.0).abs() < 1e-9);
+        assert_eq!(
+            limit_mbps(interfaces, EgressId(77), util_limit),
+            f64::INFINITY
+        );
+        let kind = |e| interfaces.get(&EgressId(e)).map(|i| i.kind());
         assert_eq!(kind(1), Some(PeerKind::PrivatePeer));
         assert_eq!(kind(77), None);
     }
@@ -904,10 +705,7 @@ mod tests {
     fn fresh_inputs_behave_like_run_epoch() {
         let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
-        let report = w
-            .controller
-            .run_epoch_guarded(&peak, &mut w.router, 30_000, EpochInputs::fresh())
-            .unwrap();
+        let report = w.run(&peak, 30_000, EpochInputs::fresh()).unwrap();
         assert!(!report.degraded);
         assert!(!report.fail_open);
         assert_eq!(report.input_age_ms, 0);
@@ -920,14 +718,8 @@ mod tests {
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
         // Overload appears while inputs are stale: the controller must not
         // create the detour it would otherwise inject.
-        let stale = EpochInputs {
-            bmp_age_ms: w.controller.config().stale_input_secs * 1000,
-            traffic_age_ms: 0,
-        };
-        let report = w
-            .controller
-            .run_epoch_guarded(&peak, &mut w.router, 30_000, stale)
-            .unwrap();
+        let stale = aged(w.controller.config().stale_input_secs * 1000, 0);
+        let report = w.run(&peak, 30_000, stale).unwrap();
         assert!(report.degraded);
         assert!(!report.fail_open);
         assert_eq!(report.overloaded_before.len(), 1, "overload still observed");
@@ -940,18 +732,12 @@ mod tests {
         let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
         // Fresh epoch installs the detour.
-        let first = w.controller.run_epoch(&peak, &mut w.router, 30_000);
+        let first = w.epoch(&peak, 30_000);
         assert_eq!(first.overrides_active, 1);
         // Inputs go stale while the overload persists: the standing
         // override is held (target still routed, still has room).
-        let stale = EpochInputs {
-            bmp_age_ms: 0,
-            traffic_age_ms: w.controller.config().stale_input_secs * 1000 + 1,
-        };
-        let report = w
-            .controller
-            .run_epoch_guarded(&peak, &mut w.router, 60_000, stale)
-            .unwrap();
+        let stale = aged(0, w.controller.config().stale_input_secs * 1000 + 1);
+        let report = w.run(&peak, 60_000, stale).unwrap();
         assert!(report.degraded);
         assert_eq!(report.overrides_active, 1, "standing override held");
         assert_eq!(report.churn_announced + report.churn_withdrawn, 0);
@@ -961,7 +747,7 @@ mod tests {
     fn stale_inputs_drop_overrides_whose_target_vanished() {
         let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
-        w.controller.run_epoch(&peak, &mut w.router, 30_000);
+        w.epoch(&peak, 30_000);
         assert_eq!(w.controller.active_overrides().len(), 1);
         let steered = *w
             .controller
@@ -973,14 +759,8 @@ mod tests {
         // reaches the collector, but the traffic input is stale.
         w.transit.withdraw(&mut w.router, [steered.prefix], 50_000);
         w.controller.ingest_bmp(w.router.drain_bmp());
-        let stale = EpochInputs {
-            bmp_age_ms: 0,
-            traffic_age_ms: w.controller.config().stale_input_secs * 1000,
-        };
-        let report = w
-            .controller
-            .run_epoch_guarded(&peak, &mut w.router, 60_000, stale)
-            .unwrap();
+        let stale = aged(0, w.controller.config().stale_input_secs * 1000);
+        let report = w.run(&peak, 60_000, stale).unwrap();
         assert!(report.degraded);
         assert_eq!(
             report.overrides_active, 0,
@@ -992,16 +772,10 @@ mod tests {
     fn fail_open_horizon_withdraws_everything() {
         let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
-        w.controller.run_epoch(&peak, &mut w.router, 30_000);
+        w.epoch(&peak, 30_000);
         assert_eq!(w.controller.active_overrides().len(), 1);
-        let ancient = EpochInputs {
-            bmp_age_ms: w.controller.config().fail_open_secs * 1000,
-            traffic_age_ms: 0,
-        };
-        let report = w
-            .controller
-            .run_epoch_guarded(&peak, &mut w.router, 700_000, ancient)
-            .unwrap();
+        let ancient = aged(w.controller.config().fail_open_secs * 1000, 0);
+        let report = w.run(&peak, 700_000, ancient).unwrap();
         assert!(report.fail_open);
         assert!(!report.degraded);
         assert_eq!(report.overrides_active, 0);
@@ -1014,7 +788,7 @@ mod tests {
     fn injector_loss_skips_epochs_and_reattach_recovers() {
         let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
-        w.controller.run_epoch(&peak, &mut w.router, 30_000);
+        w.epoch(&peak, 30_000);
         assert_eq!(w.controller.active_overrides().len(), 1);
 
         // The router loses the controller pseudo-peer.
@@ -1024,20 +798,16 @@ mod tests {
         assert!(!w.controller.injector_up());
         assert!(!w.router.fib_entry(&p("1.0.0.0/24")).unwrap().is_override);
 
-        let err = w
-            .controller
-            .run_epoch_guarded(&peak, &mut w.router, 60_000, EpochInputs::fresh())
-            .unwrap_err();
+        let err = w.run(&peak, 60_000, EpochInputs::fresh()).unwrap_err();
         assert_eq!(err, EpochError::InjectorDown);
-        // The infallible wrapper reports a skipped, failed-open epoch.
-        let report = w.controller.run_epoch(&peak, &mut w.router, 90_000);
-        assert!(report.fail_open);
-        assert_eq!(report.overrides_active, 0);
+        // The skipped epoch changed nothing: BGP already withdrew it all.
+        assert!(w.controller.active_overrides().is_empty());
 
-        // Reattach: the next epoch restores the needed detour.
-        w.controller.reattach_injector(&mut w.router, 100_000);
+        // Reattach once the backoff has passed: the next epoch restores
+        // the needed detour.
+        assert!(w.controller.try_reattach_injector(&mut w.router, 100_000));
         assert!(w.controller.injector_up());
-        let report = w.controller.run_epoch(&peak, &mut w.router, 120_000);
+        let report = w.epoch(&peak, 120_000);
         assert_eq!(report.overrides_active, 1);
         assert_eq!(report.churn_announced, 1);
     }
@@ -1046,7 +816,7 @@ mod tests {
     fn governed_reattach_waits_out_the_backoff_then_recovers() {
         let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
-        w.controller.run_epoch(&peak, &mut w.router, 30_000);
+        w.epoch(&peak, 30_000);
         assert_eq!(w.controller.active_overrides().len(), 1);
 
         let injector_peer = w.controller.injector_peer_id();
@@ -1062,7 +832,7 @@ mod tests {
         // next epoch replays the needed override.
         assert!(w.controller.try_reattach_injector(&mut w.router, 70_000));
         assert!(w.controller.injector_up());
-        let report = w.controller.run_epoch(&peak, &mut w.router, 90_000);
+        let report = w.epoch(&peak, 90_000);
         assert_eq!(report.overrides_active, 1);
         assert_eq!(report.churn_announced, 1);
     }
@@ -1077,14 +847,8 @@ mod tests {
 
         let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
-        w.controller.run_epoch(&peak, &mut w.router, 30_000);
-        let overridden: Vec<_> = w
-            .controller
-            .active_overrides()
-            .iter_sorted()
-            .into_iter()
-            .map(|o| (o.prefix, o.target))
-            .collect();
+        w.epoch(&peak, 30_000);
+        let overridden = w.controller.active_overrides().claims();
         assert_eq!(overridden.len(), 1);
         let (prefix, _) = overridden[0];
 
@@ -1115,7 +879,7 @@ mod tests {
 
         // The next epoch's audit finds both divergences and reconciliation
         // repairs them in place.
-        w.controller.run_epoch(&peak, &mut w.router, 60_000);
+        w.epoch(&peak, 60_000);
         assert!(
             w.router.fib_entry(&prefix).unwrap().is_override,
             "missing override re-announced"
@@ -1129,13 +893,7 @@ mod tests {
 
         // Post-repair the audit is clean: findings went to zero within one
         // epoch of the divergence being observable.
-        let expected: Vec<_> = w
-            .controller
-            .active_overrides()
-            .iter_sorted()
-            .into_iter()
-            .map(|o| (o.prefix, o.target))
-            .collect();
+        let expected = w.controller.active_overrides().claims();
         let audit = ef_telemetry::audit_overrides(&w.router, &expected, &[]);
         assert!(audit.clean(), "clean after repair: {audit:?}");
     }
@@ -1144,15 +902,15 @@ mod tests {
     fn capacity_updates_feed_the_next_epoch() {
         let mut w = world(&["1.0.0.0/24"]);
         let traffic = HashMap::from([(p("1.0.0.0/24"), 60.0)]);
-        let quiet = w.controller.run_epoch(&traffic, &mut w.router, 30_000);
+        let quiet = w.epoch(&traffic, 30_000);
         assert_eq!(quiet.overrides_active, 0);
         // The PNI loses half its capacity: 60 Mbps no longer fits 50.
         w.controller.set_interface_capacity(EgressId(1), 50.0);
-        let report = w.controller.run_epoch(&traffic, &mut w.router, 60_000);
+        let report = w.epoch(&traffic, 60_000);
         assert_eq!(report.overrides_active, 1, "detour after capacity loss");
         // Restore: the stateless recompute reverts.
         w.controller.set_interface_capacity(EgressId(1), 100.0);
-        let report = w.controller.run_epoch(&traffic, &mut w.router, 90_000);
+        let report = w.epoch(&traffic, 90_000);
         assert_eq!(report.overrides_active, 0);
     }
 
@@ -1162,7 +920,7 @@ mod tests {
         let (handle, sink) = TelemetryHandle::memory();
         w.controller.set_telemetry(handle.clone());
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
-        let report = w.controller.run_epoch(&peak, &mut w.router, 30_000);
+        let report = w.epoch(&peak, 30_000);
         assert_eq!(report.overrides_active, 1);
 
         // Every announced override has an emitted explain, in the sink and
@@ -1181,7 +939,7 @@ mod tests {
                 report
                     .explains
                     .iter()
-                    .any(|e| e.emitted() && e.prefix == o.prefix.to_string()),
+                    .any(|e| e.emitted() && e.prefix == o.prefix),
                 "override {} lacks provenance",
                 o.prefix
             );
@@ -1230,14 +988,8 @@ mod tests {
 
         // Stale inputs: the detour the allocator wants is dropped and its
         // provenance says so.
-        let stale = EpochInputs {
-            bmp_age_ms: w.controller.config().stale_input_secs * 1000,
-            traffic_age_ms: 0,
-        };
-        let report = w
-            .controller
-            .run_epoch_guarded(&peak, &mut w.router, 30_000, stale)
-            .unwrap();
+        let stale = aged(w.controller.config().stale_input_secs * 1000, 0);
+        let report = w.run(&peak, 30_000, stale).unwrap();
         assert!(report.degraded);
         assert_eq!(sink.events_named("controller.degraded.enter").len(), 1);
         assert!(report
@@ -1247,14 +999,8 @@ mod tests {
 
         // Ancient inputs: fail-open enter (and degraded exit), with the
         // allocator's wish recorded as dropped by fail-open.
-        let ancient = EpochInputs {
-            bmp_age_ms: w.controller.config().fail_open_secs * 1000,
-            traffic_age_ms: 0,
-        };
-        let report = w
-            .controller
-            .run_epoch_guarded(&peak, &mut w.router, 60_000, ancient)
-            .unwrap();
+        let ancient = aged(w.controller.config().fail_open_secs * 1000, 0);
+        let report = w.run(&peak, 60_000, ancient).unwrap();
         assert!(report.fail_open);
         assert_eq!(sink.events_named("controller.fail_open.enter").len(), 1);
         assert_eq!(sink.events_named("controller.degraded.exit").len(), 1);
@@ -1264,7 +1010,7 @@ mod tests {
             .all(|e| e.verdict != ExplainVerdict::Emitted));
 
         // Recovery: both modes exit.
-        let report = w.controller.run_epoch(&peak, &mut w.router, 90_000);
+        let report = w.epoch(&peak, 90_000);
         assert!(!report.fail_open && !report.degraded);
         assert_eq!(sink.events_named("controller.fail_open.exit").len(), 1);
     }
@@ -1280,7 +1026,7 @@ mod tests {
             }
             (1..4)
                 .map(|i| {
-                    let r = w.controller.run_epoch(&peak, &mut w.router, 30_000 * i);
+                    let r = w.epoch(&peak, 30_000 * i);
                     serde_json::to_string(&r).unwrap()
                 })
                 .collect()
@@ -1292,7 +1038,7 @@ mod tests {
     fn drain_withdraws_all() {
         let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
-        w.controller.run_epoch(&peak, &mut w.router, 30_000);
+        w.epoch(&peak, 30_000);
         assert_eq!(w.controller.active_overrides().len(), 1);
         w.controller.drain(&mut w.router, 60_000);
         assert!(w.controller.active_overrides().is_empty());

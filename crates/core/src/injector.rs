@@ -183,20 +183,6 @@ impl Injector {
         })
     }
 
-    /// Infallible attach for embeddings that construct the router and the
-    /// injector together (tests, local worlds).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the session does not establish; production paths use
-    /// [`try_attach`](Self::try_attach).
-    pub fn attach(router: &mut BgpRouter, peer_id: PeerId, now: Millis) -> Self {
-        match Self::try_attach(router, peer_id, now) {
-            Ok(inj) => inj,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// What is currently announced to the router — precisely: what was
     /// actually sent and not withdrawn. Overrides whose announcement was
     /// dropped are absent; withdrawn-but-dropped ones are still present.
@@ -471,7 +457,7 @@ mod tests {
     #[test]
     fn inject_and_withdraw_steers_fib() {
         let (mut router, _peer, _transit) = world();
-        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
         assert!(inj.session_up());
         assert_eq!(
             router.fib_entry(&p("1.0.0.0/24")).unwrap().egress,
@@ -503,7 +489,7 @@ mod tests {
     #[test]
     fn retarget_is_single_announce() {
         let (mut router, _peer, _transit) = world();
-        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
 
         let mut a = OverrideSet::new();
         a.insert(ov("1.0.0.0/24", 2));
@@ -526,7 +512,7 @@ mod tests {
     #[test]
     fn drain_removes_everything() {
         let (mut router, _peer, _transit) = world();
-        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
         let mut desired = OverrideSet::new();
         desired.insert(ov("1.0.0.0/24", 2));
         inj.apply(&mut router, &desired, 10);
@@ -538,7 +524,7 @@ mod tests {
     #[test]
     fn session_loss_clears_announced_state() {
         let (mut router, _peer, _transit) = world();
-        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
         let mut desired = OverrideSet::new();
         desired.insert(ov("1.0.0.0/24", 2));
         inj.apply(&mut router, &desired, 10);
@@ -555,7 +541,7 @@ mod tests {
         assert_eq!(fib.egress, EgressId(1));
 
         // Reattaching restores steering capability from a clean slate.
-        let mut inj = Injector::attach(&mut router, PeerId(1000), 30);
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 30).unwrap();
         assert!(inj.session_up());
         inj.apply(&mut router, &desired, 40);
         assert!(router.fib_entry(&p("1.0.0.0/24")).unwrap().is_override);
@@ -567,7 +553,7 @@ mod tests {
         // same desired set announces each override exactly once (a full
         // replay, not a double-announce and not a stale no-op).
         let (mut router, _peer, _transit) = world();
-        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
         let mut desired = OverrideSet::new();
         desired.insert(ov("1.0.0.0/24", 2));
         inj.apply(&mut router, &desired, 10);
@@ -591,7 +577,7 @@ mod tests {
     #[test]
     fn partial_loss_is_reported_and_retried_by_next_diff() {
         let (mut router, _peer, _transit) = world();
-        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
         inj.set_loss(1.0, 7); // drop everything
 
         let mut desired = OverrideSet::new();
@@ -619,7 +605,7 @@ mod tests {
     #[test]
     fn dropped_withdraw_keeps_override_pending_until_retried() {
         let (mut router, _peer, _transit) = world();
-        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
         let mut desired = OverrideSet::new();
         desired.insert(ov("1.0.0.0/24", 2));
         inj.apply(&mut router, &desired, 10);
@@ -659,7 +645,7 @@ mod tests {
     #[test]
     fn reconcile_reannounces_and_force_withdraws() {
         let (mut router, _peer, _transit) = world();
-        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
         let mut desired = OverrideSet::new();
         desired.insert(ov("1.0.0.0/24", 2));
         inj.apply(&mut router, &desired, 10);
@@ -680,7 +666,7 @@ mod tests {
     fn injected_routes_show_in_bmp_as_controller_kind() {
         let (mut router, _peer, _transit) = world();
         router.drain_bmp();
-        let mut inj = Injector::attach(&mut router, PeerId(1000), 0);
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
         let mut desired = OverrideSet::new();
         desired.insert(ov("1.0.0.0/24", 2));
         inj.apply(&mut router, &desired, 10);

@@ -26,8 +26,9 @@
 //!    announcement reverts the detour.
 //!
 //! The controller is deliberately stateless across cycles (paper §4.4):
-//! every epoch recomputes the full desired override set from fresh inputs,
-//! and the injector diffs it against what is currently announced.
+//! each [`PopController::run_epoch`] first decides the full desired
+//! override set from that epoch's inputs alone, with no router in reach,
+//! then applies it — the injector diffs it against what is announced.
 //!
 //! [`build_perf_overrides`] implements the §6 extension: alternate-path
 //! measurements feed overrides that move the small tail of prefixes whose
@@ -36,7 +37,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use edge_fabric::{ControllerConfig, PopController};
+//! use edge_fabric::{ControllerConfig, EpochInputs, OverrideSet, PopController};
 //! use edge_fabric::InterfaceInfo;
 //! use ef_bgp::peer::{PeerId, PeerKind};
 //! use ef_bgp::policy::Policy;
@@ -78,12 +79,16 @@
 //!     (EgressId(1), InterfaceInfo::new(100.0, PeerKind::PrivatePeer)),
 //!     (EgressId(2), InterfaceInfo::new(10_000.0, PeerKind::Transit)),
 //! ]);
-//! let mut ctl = PopController::new(0, ControllerConfig::default(), interfaces, &mut router);
+//! let mut ctl = PopController::new(0, ControllerConfig::default(), interfaces, &mut router)
+//!     .expect("valid config, session up");
 //! ctl.ingest_bmp(router.drain_bmp());
 //!
-//! // 150 Mbps of demand cannot fit the 100 Mbps preferred peer link.
+//! // 150 Mbps of demand cannot fit the 100 Mbps preferred peer link. Both
+//! // inputs are fresh and no performance intents ride along.
 //! let traffic = HashMap::from([(prefix, 150.0)]);
-//! let report = ctl.run_epoch(&traffic, &mut router, 30_000);
+//! let report = ctl
+//!     .run_epoch(&traffic, &mut router, 30_000, EpochInputs::fresh(), &OverrideSet::new())
+//!     .expect("injector session up");
 //! assert_eq!(report.overrides_active, 1);
 //! assert_eq!(router.fib_entry(&prefix).unwrap().egress, EgressId(2));
 //! ```
@@ -92,6 +97,7 @@ pub mod allocator;
 pub mod collector;
 mod config;
 mod controller;
+mod decide;
 mod injector;
 pub mod overrides;
 mod perf_aware;
@@ -101,9 +107,10 @@ mod state;
 pub use allocator::{AllocationOutcome, DetourStrategy};
 pub use collector::RouteCollector;
 pub use config::ControllerConfig;
-pub use controller::{EpochError, EpochInputs, EpochReport, PopController};
+pub use controller::{EpochError, EpochReport, PopController};
+pub use decide::EpochInputs;
 pub use injector::{InjectionLedger, InjectionReport, Injector, InjectorError};
 pub use overrides::{Override, OverrideReason, OverrideSet};
 pub use perf_aware::{adapt_comparisons, build_perf_overrides, MeasuredComparison, MIN_SAMPLES};
 pub use projection::Projection;
-pub use state::{total_traffic_mbps, InterfaceInfo, InterfaceMap, TrafficTable, TrafficView};
+pub use state::{InterfaceInfo, InterfaceMap, TrafficTable, TrafficView};

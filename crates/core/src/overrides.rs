@@ -126,6 +126,14 @@ impl OverrideSet {
         v
     }
 
+    /// `(prefix, target)` of every override, in prefix order: what the
+    /// override audit checks the router against.
+    pub fn claims(&self) -> Vec<(Prefix, EgressId)> {
+        let mut v: Vec<_> = self.map.values().map(|o| (o.prefix, o.target)).collect();
+        v.sort_unstable_by_key(|&(prefix, _)| prefix);
+        v
+    }
+
     /// Computes the injector work to move from `self` (currently announced)
     /// to `desired`.
     ///

@@ -138,18 +138,17 @@ impl TrafficView for HashMap<Prefix, f64> {
     }
 }
 
-/// Total demand, summed in canonical prefix order (the same sequence, and
-/// so the same bits, as `Projection::demand_total_mbps`).
-pub fn total_traffic_mbps<T: TrafficView + ?Sized>(traffic: &T) -> f64 {
-    traffic
-        .sorted_entries(&mut Vec::new())
-        .iter()
-        .map(|(_, mbps)| *mbps)
-        .sum()
-}
-
 /// Per-interface static info map.
 pub type InterfaceMap = HashMap<EgressId, InterfaceInfo>;
+
+/// The load `egress` may carry before it counts as overloaded:
+/// `capacity × util_limit`, unbounded for an interface the map does not
+/// know.
+pub(crate) fn limit_mbps(interfaces: &InterfaceMap, egress: EgressId, util_limit: f64) -> f64 {
+    interfaces
+        .get(&egress)
+        .map_or(f64::INFINITY, |i| i.capacity_mbps * util_limit)
+}
 
 #[cfg(test)]
 mod tests {
@@ -188,8 +187,6 @@ mod tests {
         for key in [p("10.0.1.0/24"), p("2001:db8::/48"), p("192.0.2.0/24")] {
             assert_eq!(table.demand_of(&key), map.demand_of(&key));
         }
-        assert_eq!(total_traffic_mbps(&table), 4.5);
-        assert_eq!(total_traffic_mbps(&map), 4.5);
         // A refill reuses the buffer and drops the old entries.
         table.refill([(p("10.0.0.0/24"), 1.0)]);
         assert_eq!(table.entries(), [(p("10.0.0.0/24"), 1.0)]);

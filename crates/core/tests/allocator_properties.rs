@@ -262,11 +262,11 @@ proptest! {
         }
         for rec in &out.explains {
             let Some(chosen) = rec.chosen_egress else { continue };
-            let chosen_info = &interfaces[&EgressId(chosen)];
+            let chosen_info = &interfaces[&chosen];
             for alt in &rec.rejected {
                 if let RejectReason::CostlierAlternate { usd_per_mbps, chosen_usd_per_mbps } = alt.reason {
                     prop_assert!(usd_per_mbps > chosen_usd_per_mbps, "cost rejection with no saving");
-                    let rejected_info = &interfaces[&EgressId(alt.egress.unwrap())];
+                    let rejected_info = &interfaces[&alt.egress.unwrap()];
                     prop_assert_eq!(
                         rejected_info.kind().default_local_pref(),
                         chosen_info.kind().default_local_pref(),

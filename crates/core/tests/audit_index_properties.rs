@@ -107,24 +107,15 @@ fn leaks_by_full_walk(router: &BgpRouter, expected: &[(Prefix, EgressId)]) -> Ve
         .filter_map(|(prefix, candidates)| {
             let route = candidates.iter().find(|r| r.is_override())?;
             Some(AuditFinding {
-                prefix: prefix.to_string(),
+                prefix: *prefix,
                 expected_egress: None,
                 found_egress: Some(route.egress.0),
                 detail: "controller route present for unclaimed prefix".to_string(),
             })
         })
         .collect();
-    leaked.sort_by(|a, b| a.prefix.cmp(&b.prefix));
+    leaked.sort_by_cached_key(|f| f.prefix.to_string());
     leaked
-}
-
-fn claims(injector: &Injector) -> Vec<(Prefix, EgressId)> {
-    injector
-        .announced()
-        .iter_sorted()
-        .into_iter()
-        .map(|o| (o.prefix, o.target))
-        .collect()
 }
 
 proptest! {
@@ -141,8 +132,8 @@ proptest! {
         });
         let mut organic: Vec<PeerStub> =
             (0..ORGANIC.len()).map(|i| connect(&mut router, i, 0)).collect();
-        let mut injector = Injector::attach(&mut router, INJECTOR, 0);
-        let mut standby = Injector::attach(&mut router, STANDBY, 0);
+        let mut injector = Injector::try_attach(&mut router, INJECTOR, 0).unwrap();
+        let mut standby = Injector::try_attach(&mut router, STANDBY, 0).unwrap();
 
         for (step, (op, arg, k)) in steps.into_iter().enumerate() {
             let now = 1_000 * (step as u64 + 1);
@@ -186,11 +177,11 @@ proptest! {
                 }
                 // The controller's own repair pass.
                 _ => {
-                    let audit = audit_overrides(&router, &claims(&injector), &[]);
-                    let parse = |findings: &[AuditFinding]| -> Vec<Prefix> {
-                        findings.iter().map(|f| f.prefix.parse().unwrap()).collect()
+                    let audit = audit_overrides(&router, &injector.announced().claims(), &[]);
+                    let prefixes = |findings: &[AuditFinding]| -> Vec<Prefix> {
+                        findings.iter().map(|f| f.prefix).collect()
                     };
-                    injector.reconcile(&mut router, &parse(&audit.not_installed), &parse(&audit.leaked), now);
+                    injector.reconcile(&mut router, &prefixes(&audit.not_installed), &prefixes(&audit.leaked), now);
                 }
             }
             router.drain_bmp();
@@ -201,7 +192,7 @@ proptest! {
         // prefix, each one the injector does not claim is a leak.
         standby.apply(&mut router, &desired(u8::MAX, 0), 1_000_000);
         let leaked = check(&router, &injector, usize::MAX);
-        prop_assert_eq!(leaked, PREFIXES - claims(&injector).len());
+        prop_assert_eq!(leaked, PREFIXES - injector.announced().claims().len());
     }
 }
 
@@ -209,7 +200,7 @@ proptest! {
 /// index equals the set of prefixes holding a controller route; returns the
 /// number of leaks.
 fn check(router: &BgpRouter, injector: &Injector, step: usize) -> usize {
-    let expected = claims(injector);
+    let expected = injector.announced().claims();
     let audit = audit_overrides(router, &expected, &[]);
     let walked = leaks_by_full_walk(router, &expected);
     assert_eq!(

@@ -23,7 +23,8 @@ use std::collections::{BTreeSet, HashMap};
 
 use edge_fabric::{
     adapt_comparisons, build_perf_overrides, ControllerConfig, EpochError, EpochInputs,
-    EpochReport, InterfaceInfo, InterfaceMap, PopController, TrafficTable, MIN_SAMPLES,
+    EpochReport, InterfaceInfo, InterfaceMap, OverrideSet, PopController, TrafficTable,
+    MIN_SAMPLES,
 };
 use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::message::{BgpMessage, UpdateMessage};
@@ -200,6 +201,26 @@ pub struct PopRuntime {
     health_signals: Option<ef_health::EpochSignals>,
 }
 
+/// A controller over `pop`'s interfaces at their current capacity,
+/// attached to `router` and reporting to `telemetry`: built with the
+/// runtime, and again from scratch on every restart after a crash.
+fn new_controller(
+    pop: &Pop,
+    cfg: ControllerConfig,
+    telemetry: &ef_telemetry::TelemetryHandle,
+    router: &mut BgpRouter,
+) -> PopController {
+    let interfaces: InterfaceMap = pop
+        .interfaces
+        .iter()
+        .map(|i| (i.id, InterfaceInfo::with_policy(i.capacity_mbps, i.policy)))
+        .collect();
+    let mut ctl = PopController::new(pop.id.0, cfg, interfaces, router)
+        .unwrap_or_else(|e| panic!("controller config invalid: {e}"));
+    ctl.set_telemetry(telemetry.clone());
+    ctl
+}
+
 impl PopRuntime {
     /// Builds the runtime: router, peers, announcements, controller.
     pub fn build(deployment: &Deployment, pop_id: PopId, cfg: &SimConfig) -> Self {
@@ -239,24 +260,9 @@ impl PopRuntime {
         // Controller, fed by the router's BMP feed. It is attached once the
         // sessions are up (its collector learns each peer's egress from
         // them) and before the table load, so the load below can stream.
-        let mut controller = cfg.controller_enabled.then(|| {
-            let interfaces: InterfaceMap = pop
-                .interfaces
-                .iter()
-                .map(|i| {
-                    (
-                        i.id,
-                        InterfaceInfo {
-                            capacity_mbps: i.capacity_mbps,
-                            policy: i.policy,
-                        },
-                    )
-                })
-                .collect();
-            let mut ctl = PopController::new(pop_id.0, cfg.controller, interfaces, &mut router);
-            ctl.set_telemetry(cfg.telemetry.clone());
-            ctl
-        });
+        let mut controller = cfg
+            .controller_enabled
+            .then(|| new_controller(&pop, cfg.controller, &cfg.telemetry, &mut router));
         // Hands the router's BMP backlog to the controller, in order; the
         // baseline arm drops it (nothing consumes it).
         let mut feed = |router: &mut BgpRouter| {
@@ -582,27 +588,12 @@ impl PopRuntime {
                 // Stateless restart (paper §4.4): a fresh controller
                 // resyncs its collector from the router's BMP snapshot
                 // and recomputes the override set from scratch.
-                let interfaces: InterfaceMap = self
-                    .pop
-                    .interfaces
-                    .iter()
-                    .map(|i| {
-                        (
-                            i.id,
-                            InterfaceInfo {
-                                capacity_mbps: i.capacity_mbps,
-                                policy: i.policy,
-                            },
-                        )
-                    })
-                    .collect();
-                let mut ctl = PopController::new(
-                    self.pop.id.0,
+                let mut ctl = new_controller(
+                    &self.pop,
                     self.controller_cfg,
-                    interfaces,
+                    &self.telemetry,
                     &mut self.router,
                 );
-                ctl.set_telemetry(self.telemetry.clone());
                 // The incremental feed accumulated while dead is
                 // superseded by the snapshot.
                 let _ = self.router.drain_bmp();
@@ -1022,8 +1013,9 @@ impl PopRuntime {
         let mut epoch_skipped = false;
         let mut active: Vec<Prefix> = Vec::new();
         if let Some(controller) = self.controller.as_mut() {
-            // Performance steering (§6.2): refresh perf overrides from the
-            // measurement digests before the capacity pass.
+            // Performance steering (§6.2): this epoch's perf overrides, from
+            // the measurement digests, for the capacity pass to honor.
+            let mut perf = OverrideSet::new();
             if self.perf_steer {
                 if let Some(measurer) = self.measurer.as_ref() {
                     // Compare alternates against the *organic* BGP choice
@@ -1044,8 +1036,7 @@ impl PopRuntime {
                         .collect();
                     let comparisons = ef_perf::compare::compare_paths(measurer, &preferred);
                     let adapted = adapt_comparisons(&comparisons, &self.prefix_of, MIN_SAMPLES);
-                    let set = build_perf_overrides(controller.collector(), adapted);
-                    controller.set_perf_overrides(set);
+                    perf = build_perf_overrides(controller.collector(), adapted);
                 }
             }
 
@@ -1088,7 +1079,7 @@ impl PopRuntime {
                 bmp_age_ms,
                 traffic_age_ms,
             };
-            match controller.run_epoch_guarded(&*traffic, &mut self.router, t_secs * 1000, inputs) {
+            match controller.run_epoch(&*traffic, &mut self.router, t_secs * 1000, inputs, &perf) {
                 Ok(epoch) => {
                     input_age_ms = epoch.input_age_ms;
                     report = Some(epoch);

@@ -36,7 +36,7 @@ use crate::handle::TelemetryHandle;
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditFinding {
     /// The prefix whose override state is wrong.
-    pub prefix: String,
+    pub prefix: Prefix,
     /// The egress the controller intended (None for leak findings).
     pub expected_egress: Option<u32>,
     /// The egress actually observed (None when no route/FIB entry exists).
@@ -80,7 +80,7 @@ impl AuditOutcome {
                 now_ms,
                 "audit.override_not_installed",
                 &[
-                    ("prefix", f.prefix.as_str().into()),
+                    ("prefix", f.prefix.to_string().into()),
                     ("expected_egress", f.expected_egress.unwrap_or(0).into()),
                     (
                         "found_egress",
@@ -96,7 +96,7 @@ impl AuditOutcome {
                 now_ms,
                 "audit.override_leaked",
                 &[
-                    ("prefix", f.prefix.as_str().into()),
+                    ("prefix", f.prefix.to_string().into()),
                     (
                         "found_egress",
                         f.found_egress.map(u64::from).unwrap_or(0).into(),
@@ -155,7 +155,7 @@ pub fn audit_overrides(
         };
         if let Some(detail) = detail {
             outcome.not_installed.push(AuditFinding {
-                prefix: prefix.to_string(),
+                prefix: *prefix,
                 expected_egress: Some(target.0),
                 found_egress: best.map(|b| b.egress.0).or(fib.map(|f| f.egress.0)),
                 detail,
@@ -183,7 +183,7 @@ pub fn audit_overrides(
     );
     for (prefix, egress) in leaks {
         outcome.leaked.push(AuditFinding {
-            prefix: prefix.to_string(),
+            prefix,
             expected_egress: None,
             found_egress: Some(egress.0),
             detail: "controller route present for unclaimed prefix".to_string(),
@@ -194,12 +194,11 @@ pub fn audit_overrides(
         if claimed.contains(prefix) {
             continue;
         }
-        let name = prefix.to_string();
-        let has_rib_leak = outcome.leaked.iter().any(|f| f.prefix == name);
+        let has_rib_leak = outcome.leaked.iter().any(|f| f.prefix == *prefix);
         if let Some(f) = router.fib_entry(prefix) {
             if f.is_override && !has_rib_leak {
                 outcome.leaked.push(AuditFinding {
-                    prefix: name,
+                    prefix: *prefix,
                     expected_egress: None,
                     found_egress: Some(f.egress.0),
                     detail: "withdrawn override still in the FIB".to_string(),
@@ -208,11 +207,13 @@ pub fn audit_overrides(
         }
     }
 
-    // Deterministic report order regardless of RIB iteration order.
+    // Deterministic report order regardless of RIB iteration order. The
+    // order is textual (as the prefixes print), not `Prefix`'s: reconcile
+    // sends in this order, so it reaches the router.
     outcome
         .not_installed
-        .sort_by(|a, b| a.prefix.cmp(&b.prefix));
-    outcome.leaked.sort_by(|a, b| a.prefix.cmp(&b.prefix));
+        .sort_by_cached_key(|f| f.prefix.to_string());
+    outcome.leaked.sort_by_cached_key(|f| f.prefix.to_string());
     outcome
 }
 
@@ -356,7 +357,7 @@ mod tests {
         inject(&mut router, &mut ctl, "2.0.0.0/24");
         let outcome = audit_overrides(&router, &[], &[p("2.0.0.0/24")]);
         assert_eq!(outcome.leaked.len(), 1);
-        assert_eq!(outcome.leaked[0].prefix, "2.0.0.0/24");
+        assert_eq!(outcome.leaked[0].prefix, p("2.0.0.0/24"));
         assert_eq!(outcome.leaked[0].found_egress, Some(2));
     }
 

@@ -7,11 +7,15 @@
 //! amends the verdict when a guard (stale-input hold-or-shrink, fail-open
 //! horizon) drops a decision the allocator made.
 //!
-//! Records use plain serializable types (`String` prefixes, raw egress
-//! ids) so the whole provenance chain survives a JSON round trip and can
-//! be rendered by `efctl explain` without the core crates loaded.
+//! Records carry typed [`Prefix`] and [`EgressId`] values, which serialize
+//! as the prefix text and the bare egress number, so the whole provenance
+//! chain survives a JSON round trip and `efctl explain` filters it by
+//! prefix containment without parsing text back.
 
 use serde::{Deserialize, Serialize};
+
+use ef_bgp::route::EgressId;
+use ef_net_types::Prefix;
 
 /// Why one alternative (or the whole decision) was rejected.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -52,7 +56,7 @@ impl RejectReason {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RejectedAlternative {
     /// The alternate egress interface (absent for [`RejectReason::NoRoute`]).
-    pub egress: Option<u32>,
+    pub egress: Option<EgressId>,
     /// Interconnect kind of the alternate, when known.
     pub kind: Option<String>,
     /// Why it was rejected.
@@ -91,20 +95,20 @@ impl ExplainVerdict {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExplainRecord {
     /// The steered prefix (possibly a split half of a routed parent).
-    pub prefix: String,
+    pub prefix: Prefix,
     /// What triggered the decision: `capacity`, `performance`, or
     /// `hysteresis`.
     pub trigger: String,
     /// The overloaded interface being relieved (absent for performance
     /// overrides, which relieve nothing).
-    pub hot_egress: Option<u32>,
+    pub hot_egress: Option<EgressId>,
     /// Projected utilization of the hot interface when this decision was
     /// attempted (post any detours already made this epoch).
     pub hot_util: f64,
     /// Demand this decision would move, Mbps.
     pub demand_mbps: f64,
     /// The chosen alternate egress, when one was found.
-    pub chosen_egress: Option<u32>,
+    pub chosen_egress: Option<EgressId>,
     /// Interconnect kind of the chosen alternate.
     pub chosen_kind: Option<String>,
     /// Marginal cost of the chosen alternate, USD per billable Mbps·month
@@ -129,7 +133,7 @@ impl ExplainRecord {
         use std::fmt::Write as _;
         let mut out = String::new();
         write!(out, "{} [{}] ", self.prefix, self.trigger).unwrap();
-        if let Some(hot) = self.hot_egress {
+        if let Some(EgressId(hot)) = self.hot_egress {
             write!(
                 out,
                 "hot egress {hot} at {:.1}% util, {:.1} Mbps to move: ",
@@ -141,7 +145,7 @@ impl ExplainRecord {
             write!(out, "{:.1} Mbps: ", self.demand_mbps).unwrap();
         }
         match self.chosen_egress {
-            Some(chosen) => {
+            Some(EgressId(chosen)) => {
                 let kind = self.chosen_kind.as_deref().unwrap_or("?");
                 write!(out, "chose egress {chosen} ({kind})").unwrap();
                 if let Some(cost) = self.chosen_usd_per_mbps {
@@ -156,7 +160,7 @@ impl ExplainRecord {
         }
         write!(out, " — {}", self.verdict.label()).unwrap();
         for alt in &self.rejected {
-            match (alt.egress, &alt.reason) {
+            match (alt.egress.map(|e| e.0), &alt.reason) {
                 (
                     Some(e),
                     RejectReason::NoSpareCapacity {
@@ -202,16 +206,16 @@ mod tests {
 
     fn record() -> ExplainRecord {
         ExplainRecord {
-            prefix: "1.2.3.0/24".into(),
+            prefix: "1.2.3.0/24".parse().unwrap(),
             trigger: "capacity".into(),
-            hot_egress: Some(1),
+            hot_egress: Some(EgressId(1)),
             hot_util: 1.07,
             demand_mbps: 80.0,
-            chosen_egress: Some(3),
+            chosen_egress: Some(EgressId(3)),
             chosen_kind: Some("transit".into()),
             chosen_usd_per_mbps: None,
             rejected: vec![RejectedAlternative {
-                egress: Some(2),
+                egress: Some(EgressId(2)),
                 kind: Some("public".into()),
                 reason: RejectReason::NoSpareCapacity {
                     projected_mbps: 98.2,
@@ -226,6 +230,18 @@ mod tests {
     fn round_trips_through_json() {
         let rec = record();
         let json = serde_json::to_string(&rec).unwrap();
+        // The typed prefix and egress ids serialize as text and bare
+        // numbers: trace bytes do not depend on the field types.
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"prefix":"1.2.3.0/24","trigger":"capacity","hot_egress":1,"hot_util":1.07,"#,
+                r#""demand_mbps":80.0,"chosen_egress":3,"chosen_kind":"transit","#,
+                r#""chosen_usd_per_mbps":null,"rejected":[{"egress":2,"kind":"public","#,
+                r#""reason":{"NoSpareCapacity":{"projected_mbps":98.2,"limit_mbps":95.0}}}],"#,
+                r#""verdict":"Emitted"}"#,
+            )
+        );
         let back: ExplainRecord = serde_json::from_str(&json).unwrap();
         assert_eq!(back, rec);
     }
@@ -263,7 +279,7 @@ mod tests {
         let rec = ExplainRecord {
             chosen_usd_per_mbps: Some(0.5),
             rejected: vec![RejectedAlternative {
-                egress: Some(5),
+                egress: Some(EgressId(5)),
                 kind: Some("transit".into()),
                 reason: RejectReason::CostlierAlternate {
                     usd_per_mbps: 3.0,

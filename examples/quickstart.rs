@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use edge_fabric::{ControllerConfig, InterfaceInfo, PopController};
+use edge_fabric::{ControllerConfig, EpochInputs, InterfaceInfo, OverrideSet, PopController};
 use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::policy::Policy;
@@ -82,8 +82,11 @@ fn main() {
         ),
     ]);
     let mut controller =
-        PopController::new(0, ControllerConfig::default(), interfaces, &mut router);
+        PopController::new(0, ControllerConfig::default(), interfaces, &mut router)
+            .expect("default config is valid and the session establishes");
     controller.ingest_bmp(router.drain_bmp());
+    // Every epoch below runs on fresh inputs, with no performance intents.
+    let (fresh, no_perf) = (EpochInputs::fresh(), OverrideSet::new());
 
     let show_fib = |router: &BgpRouter, label: &str| {
         println!("  FIB ({label}):");
@@ -107,7 +110,9 @@ fn main() {
 
     // --- Off-peak: everything fits ------------------------------------------
     let off_peak = HashMap::from([(prefixes[0], 40.0), (prefixes[1], 30.0)]);
-    let report = controller.run_epoch(&off_peak, &mut router, 30_000);
+    let report = controller
+        .run_epoch(&off_peak, &mut router, 30_000, fresh, &no_perf)
+        .expect("injector session up");
     println!("\nEpoch 1 (off-peak, 70 Mbps offered):");
     println!(
         "  overloaded interfaces: {}, overrides active: {}",
@@ -117,7 +122,9 @@ fn main() {
 
     // --- Peak: 150 Mbps cannot fit the preferred 100 Mbps link ---------------
     let peak = HashMap::from([(prefixes[0], 80.0), (prefixes[1], 70.0)]);
-    let report = controller.run_epoch(&peak, &mut router, 60_000);
+    let report = controller
+        .run_epoch(&peak, &mut router, 60_000, fresh, &no_perf)
+        .expect("injector session up");
     println!("\nEpoch 2 (evening peak, 150 Mbps offered):");
     println!(
         "  projected overload on if1: {:.0}% of capacity",
@@ -134,7 +141,9 @@ fn main() {
     show_fib(&router, "under override");
 
     // --- Peak passes: the stateless recompute withdraws -----------------------
-    let report = controller.run_epoch(&off_peak, &mut router, 90_000);
+    let report = controller
+        .run_epoch(&off_peak, &mut router, 90_000, fresh, &no_perf)
+        .expect("injector session up");
     println!("\nEpoch 3 (demand falls back to 70 Mbps):");
     println!(
         "  withdrawals sent: {}, overrides active: {}",

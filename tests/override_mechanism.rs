@@ -5,7 +5,10 @@
 
 use std::collections::HashMap;
 
-use edge_fabric::{ControllerConfig, EpochError, EpochInputs, InterfaceInfo, PopController};
+use edge_fabric::{
+    ControllerConfig, EpochError, EpochInputs, EpochReport, InterfaceInfo, OverrideSet,
+    PopController,
+};
 use ef_bgp::peer::PeerId;
 use ef_bgp::policy::Policy;
 use ef_bgp::route::EgressId;
@@ -56,21 +59,33 @@ fn rig() -> (BgpRouter, PopController, Prefix) {
         fail_open_secs: 240,
         ..Default::default()
     };
-    let mut ctl = PopController::new(0, cfg, interfaces, &mut router);
+    let mut ctl = PopController::new(0, cfg, interfaces, &mut router).unwrap();
     ctl.ingest_bmp(router.drain_bmp());
     (router, ctl, prefix)
+}
+
+/// One epoch at `now_ms` offering `demand`, with the given input ages and
+/// no performance intents.
+fn epoch(
+    ctl: &mut PopController,
+    router: &mut BgpRouter,
+    demand: &[(Prefix, f64)],
+    now_ms: u64,
+    inputs: EpochInputs,
+) -> Result<EpochReport, EpochError> {
+    let traffic: HashMap<Prefix, f64> = demand.iter().copied().collect();
+    ctl.run_epoch(&traffic, router, now_ms, inputs, &OverrideSet::new())
 }
 
 #[test]
 fn overload_becomes_a_fib_override() {
     let (mut router, mut ctl, prefix) = rig();
-    let traffic = HashMap::from([(prefix, 150.0)]);
-    let report = ctl.run_epoch(&traffic, &mut router, 30_000);
+    let fresh = EpochInputs::fresh();
+    let report = epoch(&mut ctl, &mut router, &[(prefix, 150.0)], 30_000, fresh).unwrap();
     assert_eq!(report.overrides_active, 1);
     assert_eq!(router.fib_entry(&prefix).unwrap().egress, EgressId(2));
     // Dropping the overload reverts the detour (stateless recompute).
-    let calm = HashMap::from([(prefix, 10.0)]);
-    let report = ctl.run_epoch(&calm, &mut router, 60_000);
+    let report = epoch(&mut ctl, &mut router, &[(prefix, 10.0)], 60_000, fresh).unwrap();
     assert_eq!(report.overrides_active, 0);
     assert_eq!(router.fib_entry(&prefix).unwrap().egress, EgressId(1));
 }
@@ -78,8 +93,9 @@ fn overload_becomes_a_fib_override() {
 #[test]
 fn stale_inputs_hold_but_never_enlarge() {
     let (mut router, mut ctl, prefix) = rig();
-    let traffic = HashMap::from([(prefix, 150.0)]);
-    ctl.run_epoch(&traffic, &mut router, 30_000);
+    let traffic = [(prefix, 150.0)];
+    let fresh = EpochInputs::fresh();
+    epoch(&mut ctl, &mut router, &traffic, 30_000, fresh).unwrap();
     assert_eq!(ctl.active_overrides().len(), 1);
 
     // Degraded inputs: the standing override is held...
@@ -87,9 +103,7 @@ fn stale_inputs_hold_but_never_enlarge() {
         bmp_age_ms: 90_000,
         traffic_age_ms: 90_000,
     };
-    let report = ctl
-        .run_epoch_guarded(&traffic, &mut router, 60_000, stale)
-        .unwrap();
+    let report = epoch(&mut ctl, &mut router, &traffic, 60_000, stale).unwrap();
     assert!(report.degraded);
     assert_eq!(report.overrides_active, 1);
 
@@ -97,10 +111,8 @@ fn stale_inputs_hold_but_never_enlarge() {
     let second: Prefix = "203.0.114.0/24".parse().unwrap();
     // (the collector has no routes for it anyway under a stalled feed;
     // use the same prefix universe and just raise demand)
-    let surge = HashMap::from([(prefix, 150.0), (second, 500.0)]);
-    let report = ctl
-        .run_epoch_guarded(&surge, &mut router, 90_000, stale)
-        .unwrap();
+    let surge = [(prefix, 150.0), (second, 500.0)];
+    let report = epoch(&mut ctl, &mut router, &surge, 90_000, stale).unwrap();
     assert!(report.degraded);
     assert!(
         report.overrides_active <= 1,
@@ -111,17 +123,16 @@ fn stale_inputs_hold_but_never_enlarge() {
 #[test]
 fn fail_open_horizon_withdraws_everything() {
     let (mut router, mut ctl, prefix) = rig();
-    let traffic = HashMap::from([(prefix, 150.0)]);
-    ctl.run_epoch(&traffic, &mut router, 30_000);
+    let traffic = [(prefix, 150.0)];
+    let fresh = EpochInputs::fresh();
+    epoch(&mut ctl, &mut router, &traffic, 30_000, fresh).unwrap();
     assert_eq!(router.fib_entry(&prefix).unwrap().egress, EgressId(2));
 
     let ancient = EpochInputs {
         bmp_age_ms: 300_000,
         traffic_age_ms: 300_000,
     };
-    let report = ctl
-        .run_epoch_guarded(&traffic, &mut router, 60_000, ancient)
-        .unwrap();
+    let report = epoch(&mut ctl, &mut router, &traffic, 60_000, ancient).unwrap();
     assert!(report.fail_open);
     assert_eq!(report.overrides_active, 0);
     // Traffic falls back to what BGP alone would do.
@@ -131,27 +142,23 @@ fn fail_open_horizon_withdraws_everything() {
 #[test]
 fn injector_loss_fails_open_until_reattach() {
     let (mut router, mut ctl, prefix) = rig();
-    let traffic = HashMap::from([(prefix, 150.0)]);
-    ctl.run_epoch(&traffic, &mut router, 30_000);
+    let traffic = [(prefix, 150.0)];
+    let fresh = EpochInputs::fresh();
+    epoch(&mut ctl, &mut router, &traffic, 30_000, fresh).unwrap();
     assert_eq!(router.fib_entry(&prefix).unwrap().egress, EgressId(2));
 
     // The router drops the controller's pseudo-session: BGP reverts the
-    // override on its own, and guarded epochs refuse to run.
+    // override on its own, and epochs refuse to run.
     router.remove_peer(ctl.injector_peer_id(), 60_000);
     ctl.injector_session_lost(60_000);
     assert_eq!(router.fib_entry(&prefix).unwrap().egress, EgressId(1));
-    let err = ctl
-        .run_epoch_guarded(&traffic, &mut router, 90_000, EpochInputs::fresh())
-        .unwrap_err();
+    let err = epoch(&mut ctl, &mut router, &traffic, 90_000, fresh).unwrap_err();
     assert_eq!(err, EpochError::InjectorDown);
-    // The unguarded entry point degrades to a skipped epoch, not a panic.
-    let report = ctl.run_epoch(&traffic, &mut router, 120_000);
-    assert_eq!(report.overrides_active, 0);
-    assert!(report.fail_open);
+    assert!(ctl.active_overrides().is_empty());
 
-    // Reattach: the next epoch re-steers.
-    ctl.reattach_injector(&mut router, 150_000);
-    let report = ctl.run_epoch(&traffic, &mut router, 180_000);
+    // Reattach once the backoff has passed: the next epoch re-steers.
+    assert!(ctl.try_reattach_injector(&mut router, 150_000));
+    let report = epoch(&mut ctl, &mut router, &traffic, 180_000, fresh).unwrap();
     assert_eq!(report.overrides_active, 1);
     assert_eq!(router.fib_entry(&prefix).unwrap().egress, EgressId(2));
 }

@@ -37,7 +37,7 @@ fn every_announced_override_has_emitted_provenance() {
         assert!(
             explains.iter().any(|(pop, now_ms, rec)| *pop == a.pop
                 && *now_ms == a.now_ms
-                && rec.prefix == prefix
+                && rec.prefix.to_string() == prefix
                 && rec.verdict == ExplainVerdict::Emitted),
             "announce of {prefix} at pop{} t={}ms lacks an emitted explain",
             a.pop,
