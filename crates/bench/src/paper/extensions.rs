@@ -1440,7 +1440,6 @@ pub(super) fn e21_cost_billing(c: &Campaign) -> Option<ItemResult> {
                 transit_usd_per_mbps: LADDER.to_vec(),
                 ..Default::default()
             })
-            .billing_window(epoch)
             .cost_aware(aware)
     };
     // The generator stamps the ladder's prices onto the interfaces.

@@ -5,9 +5,15 @@
 //!
 //! The codec is strict on encode (it refuses to build malformed or oversize
 //! messages) and defensive on decode (every length is validated before use,
-//! unknown attributes are preserved opaquely). Edge Fabric's override
-//! injector uses this codec so that overrides travel to the routers as real
-//! BGP bytes, and the BMP feed embeds these encodings verbatim.
+//! unknown attributes are preserved opaquely). There is one decoder, with
+//! two views: [`decode_message_graded`] grades each failure per RFC 7606
+//! (session reset, treat-as-withdraw or attribute discard), which is what
+//! a session runs; [`decode_message`] is its strict RFC 4271 view, which
+//! accepts only what the graded decoder accepts whole.
+//!
+//! Edge Fabric's override injector uses this codec so that overrides
+//! travel to the routers as real BGP bytes, and the BMP feed embeds these
+//! encodings verbatim.
 
 use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -387,43 +393,24 @@ fn encode_prefix(out: &mut BytesMut, p: &Prefix) {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// Attempts to decode one message from the front of `buf`.
+/// Attempts to decode one message from the front of `buf`: the strict
+/// view of [`decode_message_graded`].
 ///
 /// On success the message's bytes are consumed. Returns
 /// `Err(WireError::Truncated)` without consuming anything if `buf` holds an
 /// incomplete message — the framing pattern for a byte-stream transport.
+/// Every graded error is returned as its [`WireError`], and a frame the
+/// graded decoder accepts only by discarding a malformed attribute is
+/// refused with [`WireError::BadAttribute`].
 pub fn decode_message(buf: &mut Bytes) -> Result<BgpMessage, WireError> {
-    if buf.len() < HEADER_LEN {
-        return Err(WireError::Truncated);
-    }
-    let header = &buf[..HEADER_LEN];
-    if header[..16].iter().any(|b| *b != 0xFF) {
-        return Err(WireError::BadMarker);
-    }
-    let total = u16::from_be_bytes([header[16], header[17]]) as usize;
-    if !(HEADER_LEN..=MAX_MESSAGE_LEN).contains(&total) {
-        return Err(WireError::BadLength(total as u16));
-    }
-    if buf.len() < total {
-        return Err(WireError::Truncated);
-    }
-    let type_code = header[18];
-    let mut msg = buf.split_to(total);
-    msg.advance(HEADER_LEN);
-    let mut body = msg;
-    match type_code {
-        1 => decode_open(&mut body),
-        2 => decode_update(&mut body),
-        3 => decode_notification(&mut body),
-        4 => {
-            if body.is_empty() {
-                Ok(BgpMessage::Keepalive)
-            } else {
-                Err(WireError::BadLength((HEADER_LEN + body.len()) as u16))
-            }
-        }
-        5 => decode_route_refresh(&mut body),
-        t => Err(WireError::BadType(t)),
+    match decode_message_graded(buf) {
+        Ok(None) => Err(WireError::Truncated),
+        Ok(Some(Decoded {
+            msg,
+            discarded_attrs: 0,
+        })) => Ok(msg),
+        Ok(Some(_)) => Err(WireError::BadAttribute("malformed attribute discarded")),
+        Err(e) => Err(e.error),
     }
 }
 
@@ -678,40 +665,6 @@ fn decode_notification(body: &mut Bytes) -> Result<BgpMessage, WireError> {
         code,
         subcode,
         data: body.split_to(body.len()).to_vec(),
-    }))
-}
-
-fn decode_update(body: &mut Bytes) -> Result<BgpMessage, WireError> {
-    need(body, 2)?;
-    let wd_len = body.get_u16() as usize;
-    need(body, wd_len)?;
-    let mut wd = body.split_to(wd_len);
-    let mut withdrawn = Vec::new();
-    while wd.has_remaining() {
-        withdrawn.push(decode_prefix(&mut wd, false)?);
-    }
-
-    need(body, 2)?;
-    let attrs_len = body.get_u16() as usize;
-    need(body, attrs_len)?;
-    let mut raw_attrs = body.split_to(attrs_len);
-
-    let mut attrs = PathAttributes::default();
-    let mut announced = Vec::new();
-    while raw_attrs.has_remaining() {
-        decode_attribute(&mut raw_attrs, &mut attrs, &mut announced, &mut withdrawn)
-            .map_err(|f| f.error)?;
-    }
-
-    // Remaining bytes are v4 NLRI.
-    while body.has_remaining() {
-        announced.push(decode_prefix(body, false)?);
-    }
-
-    Ok(BgpMessage::Update(UpdateMessage {
-        withdrawn,
-        attrs,
-        announced,
     }))
 }
 
@@ -1124,11 +1077,10 @@ mod tests {
         assert_eq!(got, want, "withdraw covers withdrawn + announced NLRI");
     }
 
-    #[test]
-    fn graded_noncritical_attr_error_is_discarded_route_kept() {
-        // Hand-assembled body: no withdrawals; ORIGIN + empty AS_PATH +
-        // NEXT_HOP valid, then a COMMUNITIES attribute whose length (3) is
-        // not a multiple of 4 — malformed but aligned and non-critical.
+    /// Hand-assembled UPDATE: no withdrawals; ORIGIN + empty AS_PATH +
+    /// NEXT_HOP valid, then a COMMUNITIES attribute whose length (3) is
+    /// not a multiple of 4 — malformed but aligned and non-critical.
+    fn bad_communities_frame() -> Bytes {
         let mut body = vec![0, 0]; // withdrawn len
         let attrs: Vec<u8> = [
             &[0x40, 1, 1, 0][..],            // ORIGIN = IGP
@@ -1140,7 +1092,12 @@ mod tests {
         body.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
         body.extend_from_slice(&attrs);
         body.extend_from_slice(&[24, 203, 0, 113]); // NLRI 203.0.113.0/24
-        let mut buf = frame(2, &body);
+        frame(2, &body)
+    }
+
+    #[test]
+    fn graded_noncritical_attr_error_is_discarded_route_kept() {
+        let mut buf = bad_communities_frame();
         let decoded = decode_message_graded(&mut buf)
             .expect("non-critical error must not fail the message")
             .expect("complete frame");
@@ -1185,6 +1142,12 @@ mod tests {
         assert_eq!(
             err.withdraw,
             vec!["203.0.113.0/24".parse::<Prefix>().unwrap()]
+        );
+        // The strict view refuses the same frame.
+        let mut buf = frame(2, &body);
+        assert_eq!(
+            decode_message(&mut buf),
+            Err(WireError::BadAttribute("v4 NLRI without NEXT_HOP"))
         );
     }
 
@@ -1345,6 +1308,18 @@ mod tests {
             decode_message(&mut buf),
             Err(WireError::BadAttribute("ORIGIN length"))
         );
+
+        // A malformed non-critical attribute: the graded view keeps the
+        // route without it, the strict view refuses the frame.
+        let mut buf = bad_communities_frame();
+        let kept = decode_message_graded(&mut buf).expect("graded keeps the route");
+        assert_eq!(kept.map(|d| d.discarded_attrs), Some(1));
+        let mut buf = bad_communities_frame();
+        assert!(matches!(
+            decode_message(&mut buf),
+            Err(WireError::BadAttribute(_))
+        ));
+        assert!(buf.is_empty(), "the refused frame is consumed");
     }
 
     proptest! {

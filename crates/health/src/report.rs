@@ -1,14 +1,13 @@
-//! Offline run reports: replaying a telemetry stream through the health
-//! tier after the fact.
+//! Offline run reports: judging a recorded telemetry stream after the
+//! fact.
 //!
 //! `efctl report` reads a JSON-lines telemetry file and needs to judge
 //! the run without the simulation crates loaded, so everything here works
 //! from [`TelemetryRecord`]s alone. The monitor writes one
-//! `health.sample` event per PoP per epoch carrying the full metric map;
-//! [`analyze`] rebuilds digests from those samples, takes the alert
-//! timeline from recorded `alert.*` events when present, and otherwise
-//! recomputes it by replaying the rule engine over the samples — so
-//! reports also work on streams captured before alerting was enabled.
+//! `health.sample` event per PoP per epoch carrying the full metric map,
+//! and one `alert.fire` / `alert.clear` event per alert edge; [`analyze`]
+//! rebuilds digests from the samples and takes the alert timeline from
+//! the recorded `alert.*` events, the live monitor's own verdicts.
 
 use std::collections::BTreeMap;
 
@@ -16,8 +15,8 @@ use ef_telemetry::{Event, FieldValue, TelemetryRecord};
 use serde::{Deserialize, Serialize};
 
 use crate::digest::QuantileDigest;
-use crate::monitor::{HealthConfig, DIGEST_BINS, WARMUP_EPOCHS};
-use crate::rules::{Alert, AlertEdge, RuleEngine, Severity};
+use crate::monitor::{HealthConfig, DIGEST_BINS};
+use crate::rules::{Alert, Severity};
 
 /// Per-epoch phase-timing fields copied out of `epoch` events into
 /// percentile rows (wall-clock, human-only).
@@ -87,9 +86,6 @@ pub struct HealthReport {
     pub pops: Vec<u16>,
     /// `health.sample` events consumed.
     pub samples: u64,
-    /// Whether the alert timeline came from recorded `alert.*` events
-    /// (true) or was recomputed from samples (false).
-    pub alerts_recorded: bool,
     /// Per-rule SLO verdicts, rule declaration order.
     pub slo: Vec<SloRow>,
     /// Percentile summaries, (pop, metric) order.
@@ -166,41 +162,10 @@ fn alerts_from_events(records: &[TelemetryRecord]) -> Vec<Alert> {
     alerts
 }
 
-/// Recomputes the alert timeline by replaying the rule engine over the
-/// samples, sorted by (time, pop). Mirrors the live monitor, including
-/// its per-PoP cold-start warmup suppression.
-fn alerts_from_samples(samples: &[(u64, u16, BTreeMap<String, f64>)]) -> Vec<Alert> {
-    let mut engine = RuleEngine::new(HealthConfig::default().rules());
-    let mut alerts = Vec::new();
-    let mut seen: BTreeMap<u16, u64> = BTreeMap::new();
-    for (now_ms, pop, metrics) in samples {
-        let n = seen.entry(*pop).or_insert(0);
-        *n += 1;
-        if *n <= WARMUP_EPOCHS {
-            continue;
-        }
-        for edge in engine.observe(*pop, now_ms / 1000, metrics) {
-            match edge {
-                AlertEdge::Fired(a) => alerts.push(a),
-                AlertEdge::Cleared(c) => {
-                    if let Some(alert) = alerts
-                        .iter_mut()
-                        .rev()
-                        .find(|a| a.firing() && a.rule == c.rule && a.pop == c.pop)
-                    {
-                        *alert = c;
-                    }
-                }
-            }
-        }
-    }
-    alerts
-}
-
 /// Judges a telemetry stream: SLO table, percentile summary, and alert
 /// timeline under the built-in rule set.
 pub fn analyze(records: &[TelemetryRecord]) -> HealthReport {
-    // Samples, sorted by (time, pop) so replay matches the live monitor.
+    // Samples, sorted by (time, pop), the order the live monitor saw them.
     let mut samples: Vec<(u64, u16, BTreeMap<String, f64>)> = records
         .iter()
         .filter_map(|r| r.as_event())
@@ -240,19 +205,7 @@ pub fn analyze(records: &[TelemetryRecord]) -> HealthReport {
         }
     }
 
-    let recorded = alerts_from_events(records);
-    let alerts_recorded = !recorded.is_empty()
-        || records.iter().filter_map(|r| r.as_event()).any(|e| {
-            // A stream with samples but zero alert events is a clean run
-            // with alerting on; only recompute when sampling itself is
-            // the monitor's (absent) job.
-            e.name == "health.sample"
-        });
-    let alerts = if alerts_recorded {
-        recorded
-    } else {
-        alerts_from_samples(&samples)
-    };
+    let alerts = alerts_from_events(records);
 
     let mut pops: Vec<u16> = samples.iter().map(|(_, p, _)| *p).collect();
     pops.sort_unstable();
@@ -311,7 +264,6 @@ pub fn analyze(records: &[TelemetryRecord]) -> HealthReport {
         epochs: epoch_times.len() as u64,
         pops,
         samples: samples.len() as u64,
-        alerts_recorded,
         slo,
         percentiles,
         alerts,
@@ -449,7 +401,6 @@ mod tests {
         assert_eq!(report.pops, vec![0, 1]);
         assert_eq!(report.epochs, 10);
         assert_eq!(report.samples, 20);
-        assert!(report.alerts_recorded);
         assert_eq!(report.alerts.len(), 1);
         assert_eq!(report.alerts[0].rule, "drop_rate_ceiling");
         assert_eq!(report.alerts[0].fired_t_secs, 120);
@@ -478,37 +429,20 @@ mod tests {
 
     #[test]
     fn recomputed_timeline_matches_recorded() {
-        let records = stream_with_incident();
-        let recorded = analyze(&records);
-        // Strip alert events; the analyzer must replay to the same result.
-        let stripped: Vec<TelemetryRecord> = records
-            .iter()
-            .filter(|r| {
-                r.as_event()
-                    .map(|e| !e.name.starts_with("alert."))
-                    .unwrap_or(true)
-            })
-            .cloned()
-            .collect();
-        // Mark the stream as sample-free of alerts by removing them; the
-        // analyzer treats sample-bearing streams as recorded, so compare
-        // against the direct replay helper instead.
-        let mut samples: Vec<(u64, u16, BTreeMap<String, f64>)> = stripped
-            .iter()
-            .filter_map(|r| r.as_event())
-            .filter(|e| e.name == "health.sample")
-            .map(|e| {
-                let m = e
-                    .fields
-                    .keys()
-                    .filter_map(|k| num_field(e, k).map(|v| (k.clone(), v)))
-                    .collect();
-                (e.now_ms, e.pop, m)
-            })
-            .collect();
-        samples.sort_by_key(|(t, p, _)| (*t, *p));
-        let replayed = alerts_from_samples(&samples);
-        assert_eq!(replayed, recorded.alerts);
+        // The timeline `analyze` rebuilds from the stream is the live
+        // monitor's own, alert for alert.
+        let (handle, sink) = TelemetryHandle::memory();
+        let mut mon = HealthMonitor::new(HealthConfig::default(), handle);
+        for t in 1..=12u64 {
+            let dropped = if (4..=5).contains(&t) { 50.0 } else { 0.0 };
+            let stuck = if t >= 9 { 40.0 } else { 0.0 };
+            mon.observe_epoch(&signals(0, t * 30, dropped), None);
+            mon.observe_epoch(&signals(1, t * 30, stuck), None);
+        }
+        let report = analyze(&sink.records());
+        assert_eq!(report.alerts, mon.all_alerts());
+        assert_eq!(report.alerts.len(), 2);
+        assert_eq!(report.firing(), 1);
     }
 
     #[test]
@@ -543,6 +477,5 @@ mod tests {
         assert_eq!(report.samples, 0);
         assert_eq!(report.epochs, 0);
         assert!(report.clean());
-        assert!(!report.alerts_recorded);
     }
 }

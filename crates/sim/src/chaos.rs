@@ -1,6 +1,8 @@
-//! Bridges the topology into the fault model.
+//! Bridges the topology into the fault model, and the fault model into
+//! the telemetry stream.
 
-use ef_chaos::{PopSurface, SimSurface};
+use ef_chaos::{FaultEvent, PopSurface, SimSurface};
+use ef_telemetry::TelemetryHandle;
 use ef_topology::Deployment;
 
 /// Builds the breakable surface of a deployment: every PoP with its peer
@@ -18,6 +20,31 @@ pub fn surface(deployment: &Deployment) -> SimSurface {
                 egresses: pop.interfaces.iter().map(|i| i.id.0).collect(),
             })
             .collect(),
+    }
+}
+
+/// Emits `event`'s `fault.start` edge (`start`) or `fault.end` edge at
+/// `pop`, naming its kind and target; only start edges count into
+/// `faults.started`.
+pub(crate) fn emit_fault_edge(
+    telemetry: &TelemetryHandle,
+    pop: u16,
+    now_ms: u64,
+    event: &FaultEvent,
+    start: bool,
+) {
+    let name = if start { "fault.start" } else { "fault.end" };
+    telemetry.emit(
+        pop,
+        now_ms,
+        name,
+        &[
+            ("kind", event.kind.label().into()),
+            ("target", format!("{:?}", event.target).into()),
+        ],
+    );
+    if start {
+        telemetry.counter("faults.started", 1);
     }
 }
 

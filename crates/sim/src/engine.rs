@@ -12,6 +12,7 @@ use ef_traffic::demand::DemandModel;
 
 use ef_global::{GlobalController, PopReport};
 
+use crate::chaos::emit_fault_edge;
 use crate::metrics::MetricsStore;
 use crate::runtime::PopRuntime;
 use crate::scenario::SimConfig;
@@ -261,31 +262,15 @@ impl SimEngine {
                 .filter(|(_, e)| e.active_at(t))
                 .map(|(i, _)| i)
                 .collect();
+            let telemetry = &self.cfg.telemetry;
             for &i in now_active.difference(&self.active_global_faults) {
                 if let Some(e) = self.global_events.get(i) {
-                    self.cfg.telemetry.emit(
-                        ef_health::GLOBAL_POP,
-                        t * 1000,
-                        "fault.start",
-                        &[
-                            ("kind", e.kind.label().into()),
-                            ("target", format!("{:?}", e.target).into()),
-                        ],
-                    );
-                    self.cfg.telemetry.counter("faults.started", 1);
+                    emit_fault_edge(telemetry, ef_health::GLOBAL_POP, t * 1000, e, true);
                 }
             }
             for &i in self.active_global_faults.difference(&now_active) {
                 if let Some(e) = self.global_events.get(i) {
-                    self.cfg.telemetry.emit(
-                        ef_health::GLOBAL_POP,
-                        t * 1000,
-                        "fault.end",
-                        &[
-                            ("kind", e.kind.label().into()),
-                            ("target", format!("{:?}", e.target).into()),
-                        ],
-                    );
+                    emit_fault_edge(telemetry, ef_health::GLOBAL_POP, t * 1000, e, false);
                 }
             }
             self.active_global_faults = now_active;

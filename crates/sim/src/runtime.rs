@@ -37,12 +37,13 @@ use ef_chaos::{FaultEvent, FaultKind, FaultTarget};
 use ef_net_types::{Asn, Prefix};
 use ef_perf::rtt::PathPerfModel;
 use ef_perf::{AltPathMeasurer, CandidatePath};
-use ef_topology::{BillingMeter, Deployment, Pop, PopId};
+use ef_topology::{BillingMeter, Deployment, PeerConn, Pop, PopId, BILLING_PERCENTILE};
 use ef_traffic::demand::DemandPoint;
 use ef_traffic::sampler::{SamplerConfig, SflowSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::chaos::emit_fault_edge;
 use crate::fibcache::FibCache;
 use crate::metrics::{MetricsStore, PopEpochRecord};
 use crate::scenario::SimConfig;
@@ -132,8 +133,6 @@ pub struct PopRuntime {
     /// observational: fed carried (post-drop) load each tick, read only at
     /// [`finish`](Self::finish).
     billing: Option<BillingMeter>,
-    /// Billing percentile from the scenario's cost model (the "95").
-    billing_percentile: f64,
 
     // --- Fault-injection state ---------------------------------------
     /// This PoP's slice of the scenario fault schedule.
@@ -221,6 +220,27 @@ fn new_controller(
     ctl
 }
 
+/// Attaches `conn`'s session to `router` under the default import policy
+/// and brings it up from a fresh stub: at build, and again on every
+/// revival of a failed, flapped or corruption-bounced peer.
+fn attach_peer(router: &mut BgpRouter, local_asn: Asn, conn: &PeerConn, now_ms: u64) -> PeerStub {
+    router.add_peer(PeerAttachment {
+        peer: conn.peer,
+        peer_asn: conn.asn,
+        kind: conn.kind(),
+        egress: conn.egress,
+        policy: ef_bgp::policy::Policy::default_import(local_asn, conn.kind()),
+        max_prefixes: 0,
+    });
+    let mut stub = PeerStub::new(
+        conn.peer,
+        conn.asn,
+        std::net::Ipv4Addr::new(10, 210, (conn.peer.0 >> 8) as u8, conn.peer.0 as u8),
+    );
+    stub.pump(router, now_ms);
+    stub
+}
+
 impl PopRuntime {
     /// Builds the runtime: router, peers, announcements, controller.
     pub fn build(deployment: &Deployment, pop_id: PopId, cfg: &SimConfig) -> Self {
@@ -234,20 +254,7 @@ impl PopRuntime {
         // Attach every peer and bring its session up.
         let mut stubs = HashMap::new();
         for conn in &pop.peers {
-            router.add_peer(PeerAttachment {
-                peer: conn.peer,
-                peer_asn: conn.asn,
-                kind: conn.kind(),
-                egress: conn.egress,
-                policy: ef_bgp::policy::Policy::default_import(deployment.local_asn, conn.kind()),
-                max_prefixes: 0,
-            });
-            let mut stub = PeerStub::new(
-                conn.peer,
-                conn.asn,
-                std::net::Ipv4Addr::new(10, 210, (conn.peer.0 >> 8) as u8, conn.peer.0 as u8),
-            );
-            stub.pump(&mut router, 0);
+            let stub = attach_peer(&mut router, deployment.local_asn, conn, 0);
             debug_assert!(stub.is_established());
             stubs.insert(conn.peer, stub);
         }
@@ -386,7 +393,6 @@ impl PopRuntime {
             load_scratch,
             perf_steer: cfg.perf.map(|p| p.steer).unwrap_or(false),
             billing: cfg.billing.then(|| cfg.gen.cost.meter()),
-            billing_percentile: cfg.gen.cost.billing_percentile,
             chaos_events,
             active_faults: BTreeSet::new(),
             base_capacity,
@@ -484,16 +490,7 @@ impl PopRuntime {
     }
 
     fn start_fault(&mut self, event: &FaultEvent, now_ms: u64) {
-        self.telemetry.emit(
-            self.pop.id.0,
-            now_ms,
-            "fault.start",
-            &[
-                ("kind", event.kind.label().into()),
-                ("target", format!("{:?}", event.target).into()),
-            ],
-        );
-        self.telemetry.counter("faults.started", 1);
+        emit_fault_edge(&self.telemetry, self.pop.id.0, now_ms, event, true);
         match (&event.kind, &event.target) {
             (FaultKind::PeerFailure, FaultTarget::Peer { peer, .. }) => {
                 let peer = PeerId(*peer);
@@ -544,15 +541,7 @@ impl PopRuntime {
     }
 
     fn end_fault(&mut self, event: &FaultEvent, now_ms: u64, t_secs: u64) {
-        self.telemetry.emit(
-            self.pop.id.0,
-            now_ms,
-            "fault.end",
-            &[
-                ("kind", event.kind.label().into()),
-                ("target", format!("{:?}", event.target).into()),
-            ],
-        );
+        emit_fault_edge(&self.telemetry, self.pop.id.0, now_ms, event, false);
         match (&event.kind, &event.target) {
             // A failed peer is NOT revived here: the session stays down
             // until its reconnect governor clears the backoff/damping gate
@@ -655,20 +644,7 @@ impl PopRuntime {
         // refresh for this peer.
         self.peers_wanting_refresh.remove(&peer);
         self.router.remove_peer(conn.peer, now_ms);
-        self.router.add_peer(PeerAttachment {
-            peer: conn.peer,
-            peer_asn: conn.asn,
-            kind: conn.kind(),
-            egress: conn.egress,
-            policy: ef_bgp::policy::Policy::default_import(self.local_asn, conn.kind()),
-            max_prefixes: 0,
-        });
-        let mut stub = PeerStub::new(
-            conn.peer,
-            conn.asn,
-            std::net::Ipv4Addr::new(10, 210, (conn.peer.0 >> 8) as u8, conn.peer.0 as u8),
-        );
-        stub.pump(&mut self.router, now_ms);
+        let mut stub = attach_peer(&mut self.router, self.local_asn, &conn, now_ms);
         // The fresh session's full feed: one batch, as at build.
         if let Some(list) = self.announcements.get(&conn.peer) {
             stub.announce_table(
@@ -1252,7 +1228,7 @@ impl PopRuntime {
         if let Some(mut meter) = self.billing.take() {
             meter.finish();
             for iface in &self.pop.interfaces {
-                let billable = meter.billable_mbps(iface.id, self.billing_percentile);
+                let billable = meter.billable_mbps(iface.id, BILLING_PERCENTILE);
                 let class = iface.policy.class;
                 self.metrics.billing.push(crate::metrics::InterfaceBill {
                     pop: self.pop.id.0,

@@ -245,29 +245,17 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Installs the deployment's cost model: the transit price ladder,
-    /// PNI port cost, and billing parameters the topology generator
-    /// stamps onto interfaces and the billing meter consumes.
+    /// Installs the deployment's cost model: the transit price ladder and
+    /// PNI port cost the topology generator stamps onto interfaces.
     ///
-    /// Rejects malformed models (NaN or negative prices, empty ladder,
-    /// out-of-range percentile) eagerly with the typed
-    /// [`ef_topology::CostConfigError`], the same contract as
-    /// `GlobalConfig::validate`.
+    /// Rejects malformed models (NaN or negative prices, empty ladder)
+    /// eagerly with the typed [`ef_topology::CostConfigError`], the same
+    /// contract as `GlobalConfig::validate`.
     pub fn cost_model(mut self, cost: ef_topology::CostModel) -> Self {
         if let Err(e) = cost.validate() {
             panic!("invalid cost model: {e}");
         }
         self.cfg.gen.cost = cost;
-        self
-    }
-
-    /// Billing window length, seconds (the "5" in 95/5 billing; default
-    /// 300). Validated through the cost model's typed error.
-    pub fn billing_window(mut self, secs: u64) -> Self {
-        self.cfg.gen.cost.billing_window_secs = secs;
-        if let Err(e) = self.cfg.gen.cost.validate() {
-            panic!("invalid cost model: {e}");
-        }
         self
     }
 
@@ -342,11 +330,9 @@ mod tests {
                 transit_usd_per_mbps: vec![0.5, 1.5],
                 ..Default::default()
             })
-            .billing_window(600)
             .cost_aware(true)
             .build();
         assert_eq!(cfg.gen.cost.transit_usd_per_mbps, vec![0.5, 1.5]);
-        assert_eq!(cfg.gen.cost.billing_window_secs, 600);
         assert!(cfg.controller.cost_aware);
         assert!(cfg.billing, "meter on by default");
         assert!(!scenario().billing(false).build().billing);

@@ -1,6 +1,8 @@
-//! The option census cannot drift: every leaf key a scenario serializes
-//! has a row in DESIGN.md's census block, and every config key the block
-//! names still exists. A new knob fails here until it has a row.
+//! The option census cannot drift: every leaf key a scenario serializes,
+//! plus every `gen.*` leaf of the world generator's config (which the
+//! scenario does not serialize), has a row in DESIGN.md's census block, and
+//! every config key the block names still exists. A new knob fails here
+//! until it has a row.
 
 use std::collections::BTreeSet;
 
@@ -63,6 +65,7 @@ fn every_config_key_has_a_census_row_and_every_row_a_key() {
     };
     let mut serialized = BTreeSet::new();
     leaf_keys("", &cfg.to_value(), &mut serialized);
+    leaf_keys("gen", &cfg.gen.to_value(), &mut serialized);
     let census = census_keys(include_str!("../../../DESIGN.md"));
     let missing: Vec<_> = serialized.difference(&census).collect();
     let stale: Vec<_> = census.difference(&serialized).collect();

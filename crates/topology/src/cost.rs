@@ -9,11 +9,12 @@
 //!
 //! [`CostModel`] is the scenario-level knob set: a transit price ladder
 //! (providers are not priced equally — that asymmetry is exactly what a
-//! cost-aware allocator exploits), the PNI port amortization, and the
-//! billing percentile/window. [`BillingMeter`] streams per-interface load
-//! samples and computes the billable rate deterministically: samples close
-//! in simulated-time order, percentile selection is nearest-rank over a
-//! `total_cmp` sort, and iteration is over a `BTreeMap` — byte-identical
+//! cost-aware allocator exploits) and the PNI port amortization. The
+//! billing rule itself is fixed: [`BILLING_PERCENTILE`] of
+//! `BILLING_WINDOW_SECS` samples. [`BillingMeter`] streams per-interface
+//! load samples and computes the billable rate deterministically: samples
+//! close in simulated-time order, percentile selection is nearest-rank over
+//! a `total_cmp` sort, and iteration is over a `BTreeMap` — byte-identical
 //! output at any thread count.
 
 use std::collections::BTreeMap;
@@ -33,10 +34,6 @@ pub enum CostConfigError {
     TransitPrice(f64),
     /// The PNI port cost is NaN, infinite, or negative.
     PniPortCost(f64),
-    /// The billing percentile is outside (0, 100].
-    Percentile(f64),
-    /// The billing window is zero.
-    Window,
 }
 
 impl fmt::Display for CostConfigError {
@@ -54,18 +51,13 @@ impl fmt::Display for CostConfigError {
                     "pni_port_usd_per_month {v} must be finite and non-negative"
                 )
             }
-            CostConfigError::Percentile(v) => {
-                write!(f, "billing_percentile {v} outside (0, 100]")
-            }
-            CostConfigError::Window => write!(f, "billing_window_secs must be positive"),
         }
     }
 }
 
 impl std::error::Error for CostConfigError {}
 
-/// Scenario-level egress economics: what each interconnect class costs and
-/// how metered traffic is billed.
+/// Scenario-level egress economics: what each interconnect class costs.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
     /// Transit price ladder, USD per Mbps of billable rate per month. The
@@ -76,10 +68,6 @@ pub struct CostModel {
     pub transit_usd_per_mbps: Vec<f64>,
     /// Amortized PNI port + cross-connect cost, USD/month per PNI.
     pub pni_port_usd_per_month: f64,
-    /// Billing percentile (95.0 = the industry's 95/5 scheme).
-    pub billing_percentile: f64,
-    /// Billing sample window, seconds (300 = the canonical 5 minutes).
-    pub billing_window_secs: u64,
 }
 
 impl Default for CostModel {
@@ -87,8 +75,6 @@ impl Default for CostModel {
         CostModel {
             transit_usd_per_mbps: vec![ef_bgp::DEFAULT_TRANSIT_USD_PER_MBPS],
             pni_port_usd_per_month: ef_bgp::DEFAULT_PNI_PORT_USD,
-            billing_percentile: 95.0,
-            billing_window_secs: 300,
         }
     }
 }
@@ -108,12 +94,6 @@ impl CostModel {
         }
         if !self.pni_port_usd_per_month.is_finite() || self.pni_port_usd_per_month < 0.0 {
             return Err(CostConfigError::PniPortCost(self.pni_port_usd_per_month));
-        }
-        if !(self.billing_percentile > 0.0 && self.billing_percentile <= 100.0) {
-            return Err(CostConfigError::Percentile(self.billing_percentile));
-        }
-        if self.billing_window_secs == 0 {
-            return Err(CostConfigError::Window);
         }
         Ok(())
     }
@@ -138,11 +118,17 @@ impl CostModel {
         }
     }
 
-    /// A fresh billing meter over this model's window.
+    /// A fresh billing meter over the 95/5 scheme's window.
     pub fn meter(&self) -> BillingMeter {
-        BillingMeter::new(self.billing_window_secs)
+        BillingMeter::new(BILLING_WINDOW_SECS)
     }
 }
+
+/// The billed percentile of window samples: the industry's 95/5 scheme,
+/// where the top 5 % of samples are free.
+pub const BILLING_PERCENTILE: f64 = 95.0;
+/// The billing sample window, seconds: the canonical 5 minutes.
+const BILLING_WINDOW_SECS: u64 = 300;
 
 /// One interface's accumulation state inside the meter.
 #[derive(Debug, Clone, Default)]
@@ -196,11 +182,6 @@ impl BillingMeter {
             slots: BTreeMap::new(),
             finished: false,
         }
-    }
-
-    /// The sample window, seconds.
-    pub fn window_secs(&self) -> u64 {
-        self.window_secs
     }
 
     /// Records `mbps` carried on `egress` over `[t_secs, t_secs +
@@ -285,8 +266,11 @@ mod tests {
         // A single-entry ladder prices every provider identically, keeping
         // the cost tiebreak a no-op by default.
         assert_eq!(cm.transit_price(0), cm.transit_price(5));
-        assert_eq!(cm.billing_window_secs, 300);
-        assert!((cm.billing_percentile - 95.0).abs() < 1e-12);
+        // Its meter closes a sample every 5 minutes.
+        let mut m = cm.meter();
+        m.record(EgressId(1), 0, 600, 10.0);
+        m.finish();
+        assert_eq!(m.samples(EgressId(1)), &[10.0, 10.0]);
     }
 
     #[test]
@@ -302,10 +286,6 @@ mod tests {
         assert!(bad(|c| c.transit_usd_per_mbps = vec![f64::INFINITY]));
         assert!(bad(|c| c.pni_port_usd_per_month = -1.0));
         assert!(bad(|c| c.pni_port_usd_per_month = f64::NAN));
-        assert!(bad(|c| c.billing_percentile = 0.0));
-        assert!(bad(|c| c.billing_percentile = 101.0));
-        assert!(bad(|c| c.billing_percentile = f64::NAN));
-        assert!(bad(|c| c.billing_window_secs = 0));
         // Errors carry the offending value.
         let cm = CostModel {
             transit_usd_per_mbps: vec![-2.0],
@@ -485,8 +465,6 @@ mod tests {
         let cm = CostModel {
             transit_usd_per_mbps: vec![0.5, 2.0],
             pni_port_usd_per_month: 1800.0,
-            billing_percentile: 90.0,
-            billing_window_secs: 600,
         };
         let json = serde_json::to_string(&cm).unwrap();
         let back: CostModel = serde_json::from_str(&json).unwrap();

@@ -11,6 +11,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use serde::Serialize;
 
 use ef_bgp::peer::PeerId;
 use ef_bgp::route::EgressId;
@@ -67,7 +68,7 @@ impl PopSizeClass {
 /// Generator parameters. `Default` produces the paper-scale-but-laptop-sized
 /// deployment the experiments use; [`GenConfig::small`] is a fast variant
 /// for unit tests.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct GenConfig {
     /// RNG seed; the whole deployment is a pure function of the config.
     pub seed: u64,
@@ -79,23 +80,14 @@ pub struct GenConfig {
     pub n_prefixes: usize,
     /// Global average egress demand, Gbps.
     pub total_avg_gbps: f64,
-    /// Zipf exponent for per-AS demand.
-    pub zipf_exponent: f64,
-    /// Fraction of demand a prefix spills to PoPs outside its home region.
-    pub spill_fraction: f64,
-    /// Fraction of peering interfaces provisioned *below* peak demand —
-    /// the interfaces Edge Fabric must protect.
-    pub tight_fraction: f64,
-    /// Transit capacity per PoP as a multiple of the PoP's average demand.
-    pub transit_headroom: f64,
     /// Fraction of prefixes announced as IPv6 /48s instead of IPv4 /24s.
     /// Exercises the MP-BGP paths end to end (route announcements, BMP,
     /// controller overrides) with dual-stack route tables.
     pub v6_fraction: f64,
     /// Interconnect economics: transit price ladder (cycled across a PoP's
-    /// transit providers in order), PNI port amortization, and billing
-    /// parameters. The default's uniform ladder makes cost-aware steering
-    /// a no-op, so legacy experiments are untouched.
+    /// transit providers in order) and PNI port amortization. The
+    /// default's uniform ladder makes cost-aware steering a no-op, so
+    /// legacy experiments are untouched.
     pub cost: CostModel,
 }
 
@@ -107,10 +99,6 @@ impl Default for GenConfig {
             n_ases: 400,
             n_prefixes: 3000,
             total_avg_gbps: 8000.0,
-            zipf_exponent: 1.05,
-            spill_fraction: 0.06,
-            tight_fraction: 0.12,
-            transit_headroom: 2.5,
             v6_fraction: 0.15,
             cost: CostModel::default(),
         }
@@ -130,6 +118,16 @@ impl GenConfig {
         }
     }
 }
+
+/// Zipf exponent for per-AS demand.
+const ZIPF_EXPONENT: f64 = 1.05;
+/// Fraction of demand a prefix spills to PoPs outside its home region.
+const SPILL_FRACTION: f64 = 0.06;
+/// Fraction of peering interfaces provisioned *below* peak demand — the
+/// interfaces Edge Fabric must protect.
+const TIGHT_FRACTION: f64 = 0.12;
+/// Transit capacity per PoP as a multiple of the PoP's average demand.
+const TRANSIT_HEADROOM: f64 = 2.5;
 
 /// Well-known transit provider ASNs used for flavor.
 const TRANSIT_ASNS: [u32; 6] = [3356, 1299, 174, 2914, 6762, 6939];
@@ -192,7 +190,7 @@ pub fn generate(cfg: &GenConfig) -> Deployment {
 fn gen_universe(cfg: &GenConfig, rng: &mut StdRng) -> Universe {
     // Per-AS Zipf weights.
     let mut weights: Vec<f64> = (0..cfg.n_ases)
-        .map(|i| 1.0 / ((i + 1) as f64).powf(cfg.zipf_exponent))
+        .map(|i| 1.0 / ((i + 1) as f64).powf(ZIPF_EXPONENT))
         .collect();
     let total: f64 = weights.iter().sum();
     for w in &mut weights {
@@ -349,7 +347,7 @@ fn assign_serving(cfg: &GenConfig, universe: &Universe, pops: &mut [Pop]) {
                 if pop.region == home {
                     *w
                 } else {
-                    *w * cfg.spill_fraction
+                    *w * SPILL_FRACTION
                 }
             })
             .collect();
@@ -437,7 +435,7 @@ fn populate_pop(
                 id: egress,
                 router,
                 policy: EgressPolicy::new(class),
-                capacity_mbps: (pop_demand * cfg.transit_headroom
+                capacity_mbps: (pop_demand * TRANSIT_HEADROOM
                     / (n_transit * TRANSIT_SESSIONS) as f64)
                     .max(1000.0),
                 name: format!("{}:transit:AS{}:{}", pop.name, asn.0, session),
@@ -524,7 +522,7 @@ fn populate_pop(
             // Capacity: most PNIs have ample headroom over *average*
             // demand; a tight tail is provisioned below the ~1.8× daily
             // peak, which is what makes the paper's problem real.
-            let headroom = if rng.gen_bool(cfg.tight_fraction) {
+            let headroom = if rng.gen_bool(TIGHT_FRACTION) {
                 rng.gen_range(0.9..1.4)
             } else {
                 rng.gen_range(1.9..3.2)
@@ -581,7 +579,7 @@ fn populate_pop(
     }
 
     // Size the IXP port now that its peer set is known.
-    let ixp_headroom = if rng.gen_bool(cfg.tight_fraction * 0.8) {
+    let ixp_headroom = if rng.gen_bool(TIGHT_FRACTION * 0.8) {
         rng.gen_range(1.0..1.5)
     } else {
         rng.gen_range(1.9..2.8)

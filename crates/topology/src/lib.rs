@@ -22,7 +22,7 @@ mod model;
 mod region;
 mod stats;
 
-pub use cost::{BillingMeter, CostConfigError, CostModel};
+pub use cost::{BillingMeter, CostConfigError, CostModel, BILLING_PERCENTILE};
 pub use ef_bgp::{EgressPolicy, EgressSpec, PeeringClass};
 pub use gen::{generate, GenConfig, PopSizeClass};
 pub use model::{
