@@ -15,44 +15,27 @@ use rand::{Rng, SeedableRng};
 
 use crate::session::Millis;
 
-/// Tunables for one [`ReconnectGovernor`].
-#[derive(Debug, Clone, Copy)]
-pub struct BackoffPolicy {
-    /// First retry delay, milliseconds.
-    pub base_ms: u64,
-    /// Ceiling on any single retry delay, milliseconds.
-    pub max_ms: u64,
-    /// Flap-damping penalty added per down event.
-    pub penalty_per_flap: f64,
-    /// Penalty ceiling (RFC 2439's max-penalty): bounds how long a peer can
-    /// be suppressed after the storm ends.
-    pub penalty_cap: f64,
-    /// Suppress reconnects while the decayed penalty exceeds this.
-    pub suppress_threshold: f64,
-    /// Re-allow reconnects once the decayed penalty falls below this.
-    pub reuse_threshold: f64,
-    /// Penalty half-life, milliseconds.
-    pub half_life_ms: u64,
-}
+// The one policy, sized for the simulation's 30 s epochs: a single
+// failure retries within ~1-3 s; a storm (>= 3 flaps inside one half-life)
+// suppresses, and the worst-case cool-down from the cap is
+// HALF_LIFE_MS * log2(PENALTY_CAP / REUSE_THRESHOLD) = 15 s * 3 = 45 s —
+// inside the bounded-recovery budget of three epochs.
 
-impl Default for BackoffPolicy {
-    fn default() -> Self {
-        // Defaults sized for the simulation's 30 s epochs: a single failure
-        // retries within ~1-3 s; a storm (>= 3 flaps inside one half-life)
-        // suppresses, and the worst-case cool-down from the cap is
-        // half_life * log2(cap / reuse) = 15 s * 3 = 45 s — inside the
-        // bounded-recovery budget of three epochs.
-        BackoffPolicy {
-            base_ms: 1_000,
-            max_ms: 30_000,
-            penalty_per_flap: 1_000.0,
-            penalty_cap: 6_000.0,
-            suppress_threshold: 2_500.0,
-            reuse_threshold: 750.0,
-            half_life_ms: 15_000,
-        }
-    }
-}
+/// First retry delay, milliseconds.
+const BASE_MS: u64 = 1_000;
+/// Ceiling on any single retry delay, milliseconds.
+const MAX_MS: u64 = 30_000;
+/// Flap-damping penalty added per down event.
+const PENALTY_PER_FLAP: f64 = 1_000.0;
+/// Penalty ceiling (RFC 2439's max-penalty): bounds how long a peer can be
+/// suppressed after the storm ends.
+const PENALTY_CAP: f64 = 6_000.0;
+/// Suppress reconnects while the decayed penalty is at least this.
+const SUPPRESS_THRESHOLD: f64 = 2_500.0;
+/// Re-allow reconnects once the decayed penalty falls to this.
+const REUSE_THRESHOLD: f64 = 750.0;
+/// Penalty half-life, milliseconds.
+const HALF_LIFE_MS: u64 = 15_000;
 
 /// Deterministic per-peer reconnect governor.
 ///
@@ -61,7 +44,6 @@ impl Default for BackoffPolicy {
 /// [`can_reconnect`](Self::can_reconnect) before every connection attempt.
 #[derive(Debug)]
 pub struct ReconnectGovernor {
-    policy: BackoffPolicy,
     rng: StdRng,
     /// Delay handed out for the most recent down event (decorrelated-jitter
     /// state).
@@ -71,16 +53,15 @@ pub struct ReconnectGovernor {
     /// Flap-damping penalty as of `penalty_at`.
     penalty: f64,
     penalty_at: Millis,
-    /// Latched once the penalty crosses `suppress_threshold`; released when
-    /// it decays below `reuse_threshold` (damping hysteresis).
+    /// Latched once the penalty crosses `SUPPRESS_THRESHOLD`; released when
+    /// it decays to `REUSE_THRESHOLD` (damping hysteresis).
     was_suppressed: bool,
 }
 
 impl ReconnectGovernor {
-    /// A governor with the given policy; `seed` fixes the jitter stream.
-    pub fn new(seed: u64, policy: BackoffPolicy) -> Self {
+    /// A governor whose jitter stream `seed` fixes.
+    pub fn with_seed(seed: u64) -> Self {
         ReconnectGovernor {
-            policy,
             rng: StdRng::seed_from_u64(seed ^ 0xBAC0_FF60_7E44_0001),
             last_delay_ms: 0,
             next_allowed: 0,
@@ -90,27 +71,23 @@ impl ReconnectGovernor {
         }
     }
 
-    /// A governor with the default policy.
-    pub fn with_seed(seed: u64) -> Self {
-        Self::new(seed, BackoffPolicy::default())
-    }
-
     /// Records a session-down event at `now`; returns the backoff delay
     /// (ms) before the next reconnect attempt is allowed.
     ///
     /// The delay follows the decorrelated-jitter scheme: uniform in
-    /// `[base, max(base, 3 * previous_delay))`, capped at `max_ms`. The
+    /// `[base, max(base, 3 * previous_delay))`, capped at `MAX_MS`. The
     /// flap-damping penalty is bumped and decayed as of `now`.
     pub fn record_down(&mut self, now: Millis) -> u64 {
         self.decay_to(now);
-        self.penalty = (self.penalty + self.policy.penalty_per_flap).min(self.policy.penalty_cap);
-        if self.penalty >= self.policy.suppress_threshold {
+        self.penalty = (self.penalty + PENALTY_PER_FLAP).min(PENALTY_CAP);
+        if self.penalty >= SUPPRESS_THRESHOLD {
             self.was_suppressed = true;
         }
-        let base = self.policy.base_ms;
-        let hi = (self.last_delay_ms.saturating_mul(3))
-            .clamp(base + 1, self.policy.max_ms.max(base + 1));
-        let delay = self.rng.gen_range(base..hi).min(self.policy.max_ms);
+        let hi = self
+            .last_delay_ms
+            .saturating_mul(3)
+            .clamp(BASE_MS + 1, MAX_MS);
+        let delay = self.rng.gen_range(BASE_MS..hi);
         self.last_delay_ms = delay;
         self.next_allowed = now + delay;
         delay
@@ -132,29 +109,17 @@ impl ReconnectGovernor {
         now >= self.next_allowed && !self.suppressed_inner()
     }
 
-    /// True while flap damping suppresses this peer at `now`.
-    pub fn is_suppressed(&mut self, now: Millis) -> bool {
-        self.decay_to(now);
-        self.suppressed_inner()
-    }
-
-    /// The decayed penalty at `now` (for telemetry and tests).
-    pub fn penalty(&mut self, now: Millis) -> f64 {
-        self.decay_to(now);
-        self.penalty
-    }
-
     fn suppressed_inner(&self) -> bool {
-        // Hysteresis: once past suppress_threshold the peer stays
-        // suppressed until the penalty decays below reuse_threshold.
-        if self.penalty >= self.policy.suppress_threshold {
+        // Hysteresis: once past SUPPRESS_THRESHOLD the peer stays
+        // suppressed until the penalty decays to REUSE_THRESHOLD.
+        if self.penalty >= SUPPRESS_THRESHOLD {
             true
         } else {
             // Between reuse and suppress: suppressed only if we were
             // already above suppress before (tracked implicitly — the
             // penalty can only be in this band on the way down, so use
-            // reuse_threshold as the release point).
-            self.penalty > self.policy.reuse_threshold && self.was_suppressed
+            // REUSE_THRESHOLD as the release point).
+            self.penalty > REUSE_THRESHOLD && self.was_suppressed
         }
     }
 
@@ -163,15 +128,15 @@ impl ReconnectGovernor {
             return;
         }
         let dt = (now - self.penalty_at) as f64;
-        let hl = self.policy.half_life_ms as f64;
+        let hl = HALF_LIFE_MS as f64;
         self.penalty *= 0.5_f64.powf(dt / hl);
         if self.penalty < 1e-6 {
             self.penalty = 0.0;
         }
         self.penalty_at = now;
-        if self.penalty >= self.policy.suppress_threshold {
+        if self.penalty >= SUPPRESS_THRESHOLD {
             self.was_suppressed = true;
-        } else if self.penalty <= self.policy.reuse_threshold {
+        } else if self.penalty <= REUSE_THRESHOLD {
             self.was_suppressed = false;
         }
     }
@@ -206,23 +171,29 @@ mod tests {
         assert_ne!(seq_a, seq_b);
     }
 
+    /// Whether flap damping suppresses `g` at `now`.
+    fn suppressed_at(g: &mut ReconnectGovernor, now: Millis) -> bool {
+        g.decay_to(now);
+        g.suppressed_inner()
+    }
+
+    /// `g`'s decayed penalty at `now`.
+    fn penalty_at(g: &mut ReconnectGovernor, now: Millis) -> f64 {
+        g.decay_to(now);
+        g.penalty
+    }
+
     #[test]
     fn backoff_grows_and_is_capped() {
-        let mut g = ReconnectGovernor::new(
-            7,
-            BackoffPolicy {
-                // Disable damping so only the delay schedule is observed.
-                suppress_threshold: f64::INFINITY,
-                ..BackoffPolicy::default()
-            },
-        );
+        // Damping is on, but `record_down`'s delay never reads the penalty.
+        let mut g = ReconnectGovernor::with_seed(7);
         let mut now = 0;
         let mut prev = 0;
         let mut grew = false;
         for _ in 0..12 {
             let d = g.record_down(now);
-            assert!(d >= g.policy.base_ms);
-            assert!(d <= g.policy.max_ms);
+            assert!(d >= BASE_MS);
+            assert!(d <= MAX_MS);
             if d > prev {
                 grew = true;
             }
@@ -238,7 +209,7 @@ mod tests {
         let d = g.record_down(0);
         assert!(!g.can_reconnect(d - 1));
         assert!(g.can_reconnect(d));
-        assert!(!g.is_suppressed(d), "one flap never suppresses");
+        assert!(!suppressed_at(&mut g, d), "one flap never suppresses");
     }
 
     #[test]
@@ -248,11 +219,11 @@ mod tests {
         for i in 0..5u64 {
             g.record_down(i * 1_000);
         }
-        assert!(g.is_suppressed(5_000));
+        assert!(suppressed_at(&mut g, 5_000));
         assert!(!g.can_reconnect(5_000));
         // The penalty cap bounds the cool-down: within 60 s the governor
         // must release (cap 6000 → reuse 750 is three half-lives = 45 s).
-        assert!(!g.is_suppressed(65_000));
+        assert!(!suppressed_at(&mut g, 65_000));
         assert!(g.can_reconnect(65_000));
     }
 
@@ -262,31 +233,31 @@ mod tests {
         for i in 0..4u64 {
             g.record_down(i * 500);
         }
-        let p_before = g.penalty(2_000);
+        let p_before = penalty_at(&mut g, 2_000);
         g.record_up(2_000);
-        assert!(g.penalty(2_000) > 0.0, "penalty survives a success");
-        assert!((g.penalty(2_000) - p_before).abs() < 1e-9);
+        assert!(g.penalty > 0.0, "penalty survives a success");
+        assert!((g.penalty - p_before).abs() < 1e-9);
+        assert_eq!(g.last_delay_ms, 0, "backoff resets");
     }
 
     #[test]
     fn hysteresis_releases_only_below_reuse() {
-        let policy = BackoffPolicy::default();
-        let mut g = ReconnectGovernor::new(11, policy);
+        let mut g = ReconnectGovernor::with_seed(11);
         for i in 0..6u64 {
             g.record_down(i * 1_000);
         }
         // Decay until the penalty sits between reuse and suppress: still
-        // suppressed (release requires crossing reuse_threshold).
+        // suppressed (release requires crossing REUSE_THRESHOLD).
         let mut t = 6_000;
-        while g.penalty(t) >= policy.suppress_threshold {
+        while penalty_at(&mut g, t) >= SUPPRESS_THRESHOLD {
             t += 1_000;
         }
-        if g.penalty(t) > policy.reuse_threshold {
-            assert!(g.is_suppressed(t), "held until reuse threshold");
+        if g.penalty > REUSE_THRESHOLD {
+            assert!(suppressed_at(&mut g, t), "held until reuse threshold");
         }
-        while g.penalty(t) > policy.reuse_threshold {
+        while penalty_at(&mut g, t) > REUSE_THRESHOLD {
             t += 1_000;
         }
-        assert!(!g.is_suppressed(t));
+        assert!(!suppressed_at(&mut g, t));
     }
 }

@@ -1,10 +1,11 @@
 //! The simulation engine: builds every PoP runtime from a scenario and
 //! steps them through controller epochs, in parallel across PoPs.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use ef_bgp::route::EgressId;
+use ef_chaos::FaultKind;
 use ef_net_types::Prefix;
 use ef_perf::rtt::{PathPerfModel, PerfConfig};
 use ef_topology::{generate, Deployment, PopId};
@@ -12,7 +13,7 @@ use ef_traffic::demand::DemandModel;
 
 use ef_global::{GlobalController, PopReport};
 
-use crate::chaos::emit_fault_edge;
+use crate::chaos::{emit_fault_edge, FaultWindows};
 use crate::metrics::MetricsStore;
 use crate::runtime::PopRuntime;
 use crate::scenario::SimConfig;
@@ -34,13 +35,11 @@ pub struct SimEngine {
     /// read-only: it samples end-of-epoch signals after the PoPs step and
     /// never feeds back into control decisions.
     health: Option<ef_health::HealthMonitor>,
-    /// Chaos events targeting the global tier (the per-PoP events live in
-    /// each PoP's runtime). Interpreted here because only the engine sees
-    /// the report path between the PoPs and the tier.
-    global_events: Vec<ef_chaos::FaultEvent>,
-    /// Indices into `global_events` active last epoch, for start/end
-    /// telemetry edges.
-    active_global_faults: BTreeSet<usize>,
+    /// Chaos events targeting the global tier, and which were active last
+    /// epoch (the per-PoP events live in each PoP's runtime). Interpreted
+    /// here because only the engine sees the report path between the PoPs
+    /// and the tier.
+    global_faults: FaultWindows,
     /// Recent true reports per PoP (newest at the back, capped), the
     /// replay source for report-staleness faults.
     report_history: Vec<VecDeque<PopReport>>,
@@ -134,17 +133,7 @@ impl SimEngine {
                 Err(e) => panic!("invalid global config: {e}"),
             }
         });
-        let global_events: Vec<ef_chaos::FaultEvent> = cfg
-            .chaos
-            .as_ref()
-            .map(|s| {
-                s.events
-                    .iter()
-                    .filter(|e| e.target.pop().is_none())
-                    .copied()
-                    .collect()
-            })
-            .unwrap_or_default();
+        let global_faults = FaultWindows::new(cfg.chaos.as_ref(), None);
         let report_history = vec![VecDeque::new(); deployment.pops.len()];
         let health = cfg
             .health
@@ -164,8 +153,7 @@ impl SimEngine {
             perf_model,
             global,
             health,
-            global_events,
-            active_global_faults: BTreeSet::new(),
+            global_faults,
             report_history,
             demand_table: Vec::new(),
             workers,
@@ -225,66 +213,42 @@ impl SimEngine {
             global.shape_demand(t, &mut demands);
             global.place(t, &mut demands);
             let jobs: Vec<_> = self.pops.iter_mut().zip(&demands).zip(store_opts).collect();
-            let outcomes = fan_out(self.workers, jobs, |((pop, (pop_id, demand)), store)| {
-                let outcome = pop.step(t, demand, perf_model);
+            // True end-of-epoch reports, stamped with the epoch they
+            // describe, in PoP-id order (a PoP's id is its index). Faults
+            // below corrupt the *delivery*, never these.
+            let reports = fan_out(self.workers, jobs, |((pop, (_, demand)), store)| {
+                let report = pop.step(t, demand, perf_model);
                 if let (Some(store), Some(signals)) = (store, pop.health_signals()) {
                     ef_health::sample_iface_util(store, signals);
                 }
-                (*pop_id, outcome)
+                report
             });
-            // True end-of-epoch reports, stamped with the epoch they
-            // describe. Faults below corrupt the *delivery*, never these.
-            let stamp = t / self.cfg.epoch_secs;
-            let mut reports = vec![PopReport::default(); self.deployment.pops.len()];
-            for (pop_id, outcome) in outcomes {
-                if let Some(report) = reports.get_mut(pop_id.0 as usize) {
-                    *report = PopReport {
-                        residual_overloaded: outcome.residual_overloaded,
-                        dropped_mbps: outcome.dropped_mbps,
-                        offered_mbps: outcome.offered_mbps,
-                        headroom_mbps: outcome.headroom_mbps,
-                        epoch: stamp,
-                    };
-                }
-            }
             for (history, report) in self.report_history.iter_mut().zip(&reports) {
                 if history.len() >= REPORT_HISTORY_CAP {
                     history.pop_front();
                 }
                 history.push_back(*report);
             }
-            // Fault edges at the sentinel PoP: diff the active set against
-            // last epoch's, in event-index order for determinism.
-            let now_active: BTreeSet<usize> = self
-                .global_events
-                .iter()
-                .enumerate()
-                .filter(|(_, e)| e.active_at(t))
-                .map(|(i, _)| i)
-                .collect();
+            // Fault edges at the sentinel PoP, ends before starts as at a
+            // PoP, each in event order for determinism.
+            let (closed, opened) = self.global_faults.advance(t);
             let telemetry = &self.cfg.telemetry;
-            for &i in now_active.difference(&self.active_global_faults) {
-                if let Some(e) = self.global_events.get(i) {
-                    emit_fault_edge(telemetry, ef_health::GLOBAL_POP, t * 1000, e, true);
+            for (events, start) in [(closed, false), (opened, true)] {
+                for e in &events {
+                    emit_fault_edge(telemetry, ef_health::GLOBAL_POP, t * 1000, e, start);
                 }
             }
-            for &i in self.active_global_faults.difference(&now_active) {
-                if let Some(e) = self.global_events.get(i) {
-                    emit_fault_edge(telemetry, ef_health::GLOBAL_POP, t * 1000, e, false);
-                }
-            }
-            self.active_global_faults = now_active;
             // What the tier actually receives this epoch. Passes are
             // kind-ordered (staleness replay, then lie, then partition) so
             // overlapping faults on one PoP compose deterministically —
             // and partition always wins.
             let mut delivered: Vec<Option<PopReport>> = reports.iter().map(|r| Some(*r)).collect();
-            let mut crashed = false;
-            for e in self.global_events.iter().filter(|e| e.active_at(t)) {
-                if let ef_chaos::FaultKind::ReportStaleness { epochs } = e.kind {
-                    let Some(j) = e.target.global_pop() else {
-                        continue;
-                    };
+            let active = || {
+                let faults = self.global_faults.active();
+                faults.map(|e| (e.kind, e.target.global_pop()))
+            };
+            for (kind, pop) in active() {
+                if let (FaultKind::ReportStaleness { epochs }, Some(j)) = (kind, pop) {
                     let Some(history) = self.report_history.get(j) else {
                         continue;
                     };
@@ -297,27 +261,22 @@ impl SimEngine {
                     }
                 }
             }
-            for e in self.global_events.iter().filter(|e| e.active_at(t)) {
-                if let ef_chaos::FaultKind::HeadroomLie { factor } = e.kind {
-                    let Some(j) = e.target.global_pop() else {
-                        continue;
-                    };
+            for (kind, pop) in active() {
+                if let (FaultKind::HeadroomLie { factor }, Some(j)) = (kind, pop) {
                     if let Some(Some(report)) = delivered.get_mut(j) {
                         report.headroom_mbps *= factor;
                     }
                 }
             }
-            for e in self.global_events.iter().filter(|e| e.active_at(t)) {
-                match e.kind {
-                    ef_chaos::FaultKind::ReportPartition => {
-                        let Some(j) = e.target.global_pop() else {
-                            continue;
-                        };
+            let mut crashed = false;
+            for (kind, pop) in active() {
+                match (kind, pop) {
+                    (FaultKind::ReportPartition, Some(j)) => {
                         if let Some(slot) = delivered.get_mut(j) {
                             *slot = None;
                         }
                     }
-                    ef_chaos::FaultKind::GlobalControllerCrash => crashed = true,
+                    (FaultKind::GlobalControllerCrash, _) => crashed = true,
                     _ => {}
                 }
             }

@@ -1,10 +1,11 @@
 //! Per-PoP runtime: the live substrate for one point of presence.
 //!
 //! Besides the sunny-day loop (forward demand, measure, run a controller
-//! epoch), the runtime interprets the scenario's
-//! [`FaultSchedule`](ef_chaos::FaultSchedule): each tick it diffs the set
-//! of active fault windows and applies start/end transitions to the live
-//! substrate — tearing BGP sessions, degrading
+//! epoch), the runtime interprets its PoP's slice of the scenario's
+//! [`FaultSchedule`](ef_chaos::FaultSchedule): each tick its fault-window
+//! tracker reports which windows closed and which opened, and the runtime
+//! applies those end/start transitions to the live substrate (ends
+//! first) — tearing BGP sessions, degrading
 //! interface capacity, stalling the BMP feed, starving the sampler,
 //! crashing the controller, dropping the injector session, corrupting
 //! UPDATE frames on the wire, storming sessions with flaps, dropping a
@@ -17,9 +18,13 @@
 //! Recovery is *governed*, not instant: every session re-establishment
 //! (peer or injector) waits out a seeded exponential-backoff +
 //! flap-damping gate ([`ReconnectGovernor`]), so a storm that ends still
-//! pays a cool-down before the session returns.
+//! pays a cool-down before the session returns. Everything the runtime
+//! knows about one peer session — its stub, the table it replays, its two
+//! governors and what it is waiting for — lives in one `PeerRecord`.
+//! Nested same-PoP crash or partial-loss windows end early (DESIGN.md §3,
+//! "Known limitation").
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use edge_fabric::{
     adapt_comparisons, build_perf_overrides, ControllerConfig, EpochError, EpochInputs,
@@ -27,6 +32,7 @@ use edge_fabric::{
     MIN_SAMPLES,
 };
 use ef_bgp::attrs::{AsPath, PathAttributes};
+use ef_bgp::attrstore::{AttrId, AttrStore};
 use ef_bgp::message::{BgpMessage, UpdateMessage};
 use ef_bgp::peer::PeerId;
 use ef_bgp::route::EgressId;
@@ -34,7 +40,7 @@ use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
 use ef_bgp::wire::encode_message;
 use ef_bgp::{BmpMessage, ReconnectGovernor, SessionStats};
 use ef_chaos::{FaultEvent, FaultKind, FaultTarget};
-use ef_net_types::{Asn, Prefix};
+use ef_net_types::Prefix;
 use ef_perf::rtt::PathPerfModel;
 use ef_perf::{AltPathMeasurer, CandidatePath};
 use ef_topology::{BillingMeter, Deployment, PeerConn, Pop, PopId, BILLING_PERCENTILE};
@@ -43,7 +49,7 @@ use ef_traffic::sampler::{SamplerConfig, SflowSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::chaos::emit_fault_edge;
+use crate::chaos::{emit_fault_edge, FaultWindows};
 use crate::fibcache::FibCache;
 use crate::metrics::{MetricsStore, PopEpochRecord};
 use crate::scenario::SimConfig;
@@ -67,39 +73,45 @@ const SEVERE_SFLOW_DROP: f64 = 0.9;
 /// Per-tick signals derived from the active fault windows.
 #[derive(Debug, Default)]
 struct TickFaults {
-    /// Labels of currently active faults (for the epoch record).
-    labels: Vec<String>,
     /// Flash-crowd demand inflation (multiplicative across windows).
     demand_multiplier: f64,
     /// Worst active sFlow drop fraction.
     sflow_drop: f64,
     /// BMP feed stalled this tick.
     bmp_stalled: bool,
-    /// Peers with an active `UpdateCorruption` window, with the rate.
-    corrupt: Vec<(PeerId, f64)>,
-    /// Peers with an active `SessionFlapStorm` window, with the period.
-    flap: Vec<(PeerId, u64)>,
-    /// Peers whose session fault is still active — held down, the
+    /// Peer slots (indices into the runtime's peer records) with an active
+    /// `UpdateCorruption` window, with the rate.
+    corrupt: Vec<(usize, f64)>,
+    /// Peer slots with an active `SessionFlapStorm` window, with the period.
+    flap: Vec<(usize, u64)>,
+    /// Peer slots whose session fault is still active — held down, the
     /// governed reconnect pass must not revive them mid-window.
-    held_down: BTreeSet<PeerId>,
+    held_down: Vec<usize>,
     /// An `InjectorLoss` window is active: the governed injector
     /// reattach pass must wait the window out.
     injector_fault_active: bool,
 }
 
-/// Signals one epoch hands to the global (cross-PoP) layer.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StepOutcome {
-    /// The controller reported overload it could not relieve (or, in the
-    /// baseline arm, traffic was dropped).
-    pub residual_overloaded: bool,
-    /// Traffic dropped at this PoP this epoch, Mbps.
-    pub dropped_mbps: f64,
-    /// Total demand offered to this PoP this epoch, Mbps.
-    pub offered_mbps: f64,
-    /// Spare egress capacity under the utilization limit, summed across
-    /// interfaces, Mbps. The global tier budgets detours against this.
-    pub headroom_mbps: f64,
+/// One peer session's runtime state.
+struct PeerRecord {
+    /// The adjacency as the topology describes it.
+    conn: PeerConn,
+    stub: PeerStub,
+    /// The peer's original announcements (attributes interned in the
+    /// runtime's `ann_store`), replayed when its session is re-established.
+    announcements: Vec<(Prefix, AttrId)>,
+    /// Exponential backoff + flap damping gating every re-establishment
+    /// (no instant reconnects), seeded in `(demand_seed, pop, peer)`.
+    reconnect: ReconnectGovernor,
+    /// The same policy applied to ROUTE-REFRESH requests, so a corruption
+    /// storm cannot become a refresh storm. A separate RNG stream:
+    /// rate-limiting refreshes must not perturb reconnect backoff draws.
+    refresh: ReconnectGovernor,
+    /// The session is down and awaits a governed reconnect.
+    wants_up: bool,
+    /// The Adj-RIB-In took treat-as-withdraw damage and awaits a governed
+    /// ROUTE-REFRESH (the RFC 7606 recovery, no session bounce).
+    wants_refresh: bool,
 }
 
 /// One PoP's live state: router, peer sessions, optional controller,
@@ -109,7 +121,9 @@ pub struct PopRuntime {
     pub pop: Pop,
     /// The consolidated routing view (see DESIGN.md on PR consolidation).
     pub router: BgpRouter,
-    stubs: HashMap<PeerId, PeerStub>,
+    /// One record per peer session, in ascending `PeerId` order (the
+    /// order the governed reconnect and refresh passes walk them in).
+    peers: Vec<PeerRecord>,
     /// The Edge Fabric controller, when the scenario enables it.
     pub controller: Option<PopController>,
     sampler: Option<SflowSampler>,
@@ -135,37 +149,20 @@ pub struct PopRuntime {
     billing: Option<BillingMeter>,
 
     // --- Fault-injection state ---------------------------------------
-    /// This PoP's slice of the scenario fault schedule.
-    chaos_events: Vec<FaultEvent>,
-    /// Indices into `chaos_events` whose windows were active last tick.
-    active_faults: BTreeSet<usize>,
-    /// Nominal interface capacities, for restoring after capacity faults.
-    base_capacity: HashMap<EgressId, f64>,
-    /// Each peer's original announcements (attributes interned in
-    /// [`ann_store`](Self::ann_store)), replayed when a failed peer's
-    /// session is re-established.
-    announcements: HashMap<PeerId, Vec<(Prefix, ef_bgp::attrstore::AttrId)>>,
+    /// This PoP's slice of the scenario fault schedule, and which of its
+    /// windows were active at the last tick.
+    faults: FaultWindows,
+    /// Nominal capacity per interface slot, for restoring after capacity
+    /// faults.
+    nominal_capacity: Vec<f64>,
     /// Interned attribute pool for the replay table, one copy per distinct
     /// pre-policy set (about one per three routes in the generated worlds:
     /// 114 978 sets for 381 342 routes on the `fulltable` benchmark), so
     /// the replay state per route is a prefix and a handle.
-    ann_store: ef_bgp::attrstore::AttrStore,
+    ann_store: AttrStore,
     /// Controller construction facts, for rebuilding after a crash.
     controller_enabled: bool,
     controller_cfg: ControllerConfig,
-    local_asn: Asn,
-    /// Per-peer reconnect governors: exponential backoff + flap damping
-    /// gate every session re-establishment (no instant reconnects).
-    peer_governors: HashMap<PeerId, ReconnectGovernor>,
-    /// Peers whose session is down and awaiting a governed reconnect.
-    peers_wanting_up: BTreeSet<PeerId>,
-    /// Per-peer refresh governors: the same backoff/damping policy applied
-    /// to ROUTE-REFRESH requests, so a corruption storm cannot become a
-    /// refresh storm.
-    refresh_governors: HashMap<PeerId, ReconnectGovernor>,
-    /// Peers whose Adj-RIB-In took treat-as-withdraw damage and await a
-    /// governed ROUTE-REFRESH (the RFC 7606 recovery, no session bounce).
-    peers_wanting_refresh: BTreeSet<PeerId>,
     /// Peer sessions torn down (fault shutdowns and bounces) over the run.
     /// The refresh recovery path must keep this at zero for pure
     /// update-corruption faults.
@@ -189,8 +186,10 @@ pub struct PopRuntime {
     traffic_order: TrafficOrder,
     /// Telemetry pipeline shared with the controller (disabled by default).
     telemetry: ef_telemetry::TelemetryHandle,
-    /// Each peer's session stats as last written to the `session.peer.N.*`
-    /// gauges (empty while telemetry is off).
+    /// Each router session's stats as last written to the
+    /// `session.peer.N.*` gauges (empty while telemetry is off). Keyed by
+    /// router peer rather than record: the injector's pseudo-session has
+    /// stats too.
     published_sessions: HashMap<PeerId, SessionStats>,
     /// Collect end-of-epoch health signals (`SimConfig::health`). The
     /// signals are pure reads of state this step already computed; when
@@ -220,16 +219,21 @@ fn new_controller(
     ctl
 }
 
+/// The slot of `peer`'s record in `peers` (sorted by `PeerId`).
+fn peer_slot(peers: &[PeerRecord], peer: PeerId) -> Option<usize> {
+    peers.binary_search_by_key(&peer, |r| r.conn.peer).ok()
+}
+
 /// Attaches `conn`'s session to `router` under the default import policy
 /// and brings it up from a fresh stub: at build, and again on every
 /// revival of a failed, flapped or corruption-bounced peer.
-fn attach_peer(router: &mut BgpRouter, local_asn: Asn, conn: &PeerConn, now_ms: u64) -> PeerStub {
+fn attach_peer(router: &mut BgpRouter, conn: &PeerConn, now_ms: u64) -> PeerStub {
     router.add_peer(PeerAttachment {
         peer: conn.peer,
         peer_asn: conn.asn,
         kind: conn.kind(),
         egress: conn.egress,
-        policy: ef_bgp::policy::Policy::default_import(local_asn, conn.kind()),
+        policy: ef_bgp::policy::Policy::default_import(router.asn(), conn.kind()),
         max_prefixes: 0,
     });
     let mut stub = PeerStub::new(
@@ -251,13 +255,28 @@ impl PopRuntime {
             router_id: std::net::Ipv4Addr::new(10, 100, (pop_id.0 >> 8) as u8, pop_id.0 as u8),
         });
 
-        // Attach every peer and bring its session up.
-        let mut stubs = HashMap::new();
-        for conn in &pop.peers {
-            let stub = attach_peer(&mut router, deployment.local_asn, conn, 0);
-            debug_assert!(stub.is_established());
-            stubs.insert(conn.peer, stub);
-        }
+        // Attach every peer and bring its session up. Governors are built
+        // here rather than on first use: seeding one draws nothing.
+        let chaos_seed = cfg.demand_seed ^ ((pop_id.0 as u64) << 23) ^ 0x0000_BADF_A017;
+        let mut peers: Vec<PeerRecord> = pop
+            .peers
+            .iter()
+            .map(|conn| {
+                let stub = attach_peer(&mut router, conn, 0);
+                debug_assert!(stub.is_established());
+                let seed = chaos_seed ^ conn.peer.0;
+                PeerRecord {
+                    conn: conn.clone(),
+                    stub,
+                    announcements: Vec::new(),
+                    reconnect: ReconnectGovernor::with_seed(seed),
+                    refresh: ReconnectGovernor::with_seed(seed ^ 0xEF2E_511D),
+                    wants_up: false,
+                    wants_refresh: false,
+                }
+            })
+            .collect();
+        peers.sort_by_key(|r| r.conn.peer);
 
         // Originate the provider's own prefixes toward every peer.
         for prefix in &deployment.local_prefixes {
@@ -291,9 +310,7 @@ impl PopRuntime {
         // messages; a batch never spans a multiple of `BMP_BATCH` routes,
         // and handing the queue to the collector at each one keeps it
         // bounded instead of a second copy of the whole table.
-        let mut announcements: HashMap<PeerId, Vec<(Prefix, ef_bgp::attrstore::AttrId)>> =
-            HashMap::new();
-        let mut ann_store = ef_bgp::attrstore::AttrStore::new();
+        let mut ann_store = AttrStore::new();
         let mut routes = deployment.routes_at(pop_id);
         let mut loaded = 0;
         while let Some(first) = routes.first() {
@@ -306,8 +323,8 @@ impl PopRuntime {
             let (run, rest) = routes.split_at(run_len);
             routes = rest;
             loaded += run.len();
-            if let Some(stub) = stubs.get_mut(&via) {
-                let list = announcements.entry(via).or_default();
+            if let Some(rec) = peer_slot(&peers, via).map(|slot| &mut peers[slot]) {
+                let list = &mut rec.announcements;
                 let start = list.len();
                 for spec in run {
                     let id = ann_store.intern(&PathAttributes {
@@ -318,7 +335,8 @@ impl PopRuntime {
                     let prefix = deployment.universe.prefixes[spec.prefix_idx as usize].prefix;
                     list.push((prefix, id));
                 }
-                stub.announce_table(&mut router, &ann_store, list[start..].iter().copied(), 0);
+                let run = list[start..].iter().copied();
+                rec.stub.announce_table(&mut router, &ann_store, run, 0);
             }
             if loaded % BMP_BATCH == 0 {
                 feed(&mut router);
@@ -345,24 +363,7 @@ impl PopRuntime {
             metrics.register_interface(pop.id, iface.id, iface.capacity_mbps, iface.kind().label());
         }
 
-        // This PoP's slice of the fault schedule.
-        let chaos_events: Vec<FaultEvent> = cfg
-            .chaos
-            .as_ref()
-            .map(|schedule| {
-                schedule
-                    .events
-                    .iter()
-                    .filter(|e| e.target.pop() == Some(pop_id.0 as usize))
-                    .cloned()
-                    .collect()
-            })
-            .unwrap_or_default();
-        let base_capacity = pop
-            .interfaces
-            .iter()
-            .map(|i| (i.id, i.capacity_mbps))
-            .collect();
+        let nominal_capacity = pop.interfaces.iter().map(|i| i.capacity_mbps).collect();
 
         let prefix_of: Vec<Prefix> = deployment
             .universe
@@ -381,7 +382,7 @@ impl PopRuntime {
         PopRuntime {
             pop,
             router,
-            stubs,
+            peers,
             controller,
             sampler,
             measurer,
@@ -393,20 +394,13 @@ impl PopRuntime {
             load_scratch,
             perf_steer: cfg.perf.map(|p| p.steer).unwrap_or(false),
             billing: cfg.billing.then(|| cfg.gen.cost.meter()),
-            chaos_events,
-            active_faults: BTreeSet::new(),
-            base_capacity,
-            announcements,
+            faults: FaultWindows::new(cfg.chaos.as_ref(), Some(pop_id.0 as usize)),
+            nominal_capacity,
             ann_store,
             controller_enabled: cfg.controller_enabled,
             controller_cfg: cfg.controller,
-            local_asn: deployment.local_asn,
-            peer_governors: HashMap::new(),
-            peers_wanting_up: BTreeSet::new(),
-            refresh_governors: HashMap::new(),
-            peers_wanting_refresh: BTreeSet::new(),
             session_resets: 0,
-            chaos_seed: cfg.demand_seed ^ ((pop_id.0 as u64) << 23) ^ 0x0000_BADF_A017,
+            chaos_seed,
             corruption_rng: StdRng::seed_from_u64(
                 cfg.demand_seed ^ ((pop_id.0 as u64) << 23) ^ 0xC099_B17E,
             ),
@@ -428,61 +422,45 @@ impl PopRuntime {
 
     // --- Fault transitions -------------------------------------------
 
-    /// Diffs the schedule's active windows against last tick's and applies
-    /// start/end transitions. Returns the labels of currently active
-    /// faults plus the per-tick signal levels (demand multiplier, sFlow
-    /// drop fraction, BMP stall flag, corruption/flap targets).
+    /// Moves the fault-window tracker to `t_secs`, applies the end
+    /// transitions of the windows that closed and then the start
+    /// transitions of those that opened. Returns the per-tick signal levels
+    /// of the active faults (demand multiplier, sFlow drop fraction, BMP
+    /// stall flag, corruption/flap targets).
     fn apply_fault_transitions(&mut self, t_secs: u64) -> TickFaults {
         let now_ms = t_secs * 1000;
-        let desired: BTreeSet<usize> = self
-            .chaos_events
-            .iter()
-            .enumerate()
-            .filter(|(_, e)| e.active_at(t_secs))
-            .map(|(i, _)| i)
-            .collect();
-        let ending: Vec<usize> = self.active_faults.difference(&desired).copied().collect();
-        let starting: Vec<usize> = desired.difference(&self.active_faults).copied().collect();
-        for idx in ending {
-            let event = self.chaos_events[idx];
-            self.end_fault(&event, now_ms, t_secs);
+        let (closed, opened) = self.faults.advance(t_secs);
+        for event in &closed {
+            self.end_fault(event, now_ms, t_secs);
         }
-        for idx in starting {
-            let event = self.chaos_events[idx];
-            self.start_fault(&event, now_ms);
+        for event in &opened {
+            self.start_fault(event, now_ms);
         }
-        self.active_faults = desired;
 
         let mut tick = TickFaults {
             demand_multiplier: 1.0,
             ..Default::default()
         };
-        for idx in &self.active_faults {
-            let event = &self.chaos_events[*idx];
-            tick.labels.push(event.kind.label().to_string());
-            match event.kind {
-                FaultKind::FlashCrowd { multiplier } => tick.demand_multiplier *= multiplier,
-                FaultKind::SflowLoss { drop_fraction } => {
+        for event in self.faults.active() {
+            let slot = match event.target {
+                FaultTarget::Peer { peer, .. } => peer_slot(&self.peers, PeerId(peer)),
+                _ => None,
+            };
+            match (event.kind, slot) {
+                (FaultKind::FlashCrowd { multiplier }, _) => tick.demand_multiplier *= multiplier,
+                (FaultKind::SflowLoss { drop_fraction }, _) => {
                     tick.sflow_drop = tick.sflow_drop.max(drop_fraction)
                 }
-                FaultKind::BmpStall => tick.bmp_stalled = true,
-                FaultKind::UpdateCorruption { rate } => {
-                    if let FaultTarget::Peer { peer, .. } = event.target {
-                        tick.corrupt.push((PeerId(peer), rate));
-                    }
+                (FaultKind::BmpStall, _) => tick.bmp_stalled = true,
+                (FaultKind::UpdateCorruption { rate }, Some(slot)) => {
+                    tick.corrupt.push((slot, rate))
                 }
-                FaultKind::SessionFlapStorm { period_s } => {
-                    if let FaultTarget::Peer { peer, .. } = event.target {
-                        tick.flap.push((PeerId(peer), period_s));
-                        tick.held_down.insert(PeerId(peer));
-                    }
+                (FaultKind::SessionFlapStorm { period_s }, Some(slot)) => {
+                    tick.flap.push((slot, period_s));
+                    tick.held_down.push(slot);
                 }
-                FaultKind::PeerFailure => {
-                    if let FaultTarget::Peer { peer, .. } = event.target {
-                        tick.held_down.insert(PeerId(peer));
-                    }
-                }
-                FaultKind::InjectorLoss => tick.injector_fault_active = true,
+                (FaultKind::PeerFailure, Some(slot)) => tick.held_down.push(slot),
+                (FaultKind::InjectorLoss, _) => tick.injector_fault_active = true,
                 _ => {}
             }
         }
@@ -493,28 +471,20 @@ impl PopRuntime {
         emit_fault_edge(&self.telemetry, self.pop.id.0, now_ms, event, true);
         match (&event.kind, &event.target) {
             (FaultKind::PeerFailure, FaultTarget::Peer { peer, .. }) => {
-                let peer = PeerId(*peer);
-                if let Some(stub) = self.stubs.get_mut(&peer) {
-                    if stub.is_established() {
-                        self.session_resets += 1;
-                        self.telemetry.counter("session.resets", 1);
-                    }
-                    stub.shutdown(&mut self.router, now_ms);
+                let Some(slot) = peer_slot(&self.peers, PeerId(*peer)) else {
+                    return;
+                };
+                let rec = &mut self.peers[slot];
+                if rec.stub.is_established() {
+                    self.session_resets += 1;
+                    self.telemetry.counter("session.resets", 1);
                 }
-                self.governor(peer).record_down(now_ms);
-                self.peers_wanting_up.insert(peer);
+                rec.stub.shutdown(&mut self.router, now_ms);
+                rec.reconnect.record_down(now_ms);
+                rec.wants_up = true;
             }
             (FaultKind::LinkCapacityLoss { fraction }, FaultTarget::Interface { egress, .. }) => {
-                let id = EgressId(*egress);
-                let base = self.base_capacity.get(&id).copied();
-                if let (Some(base), Some(iface)) =
-                    (base, self.pop.interfaces.iter_mut().find(|i| i.id == id))
-                {
-                    iface.capacity_mbps = base * (1.0 - fraction);
-                    if let Some(ctl) = self.controller.as_mut() {
-                        ctl.set_interface_capacity(id, iface.capacity_mbps);
-                    }
-                }
+                self.scale_capacity(EgressId(*egress), 1.0 - fraction);
             }
             (FaultKind::ControllerCrash, _) => {
                 // The crashed controller's pseudo-session drops with it, so
@@ -554,23 +524,18 @@ impl PopRuntime {
             // The injector's view may also have diverged while the inputs
             // were damaged; it resyncs via refresh as well.
             (FaultKind::UpdateCorruption { .. }, FaultTarget::Peer { peer, .. }) => {
-                self.peers_wanting_refresh.insert(PeerId(*peer));
+                if let Some(slot) = peer_slot(&self.peers, PeerId(*peer)) {
+                    self.peers[slot].wants_refresh = true;
+                }
                 if let Some(ctl) = self.controller.as_mut() {
                     ctl.resync_injector(&mut self.router, now_ms);
                 }
             }
             (FaultKind::LinkCapacityLoss { .. }, FaultTarget::Interface { egress, .. }) => {
-                let id = EgressId(*egress);
-                if let (Some(base), Some(iface)) = (
-                    self.base_capacity.get(&id).copied(),
-                    self.pop.interfaces.iter_mut().find(|i| i.id == id),
-                ) {
-                    iface.capacity_mbps = base;
-                    if let Some(ctl) = self.controller.as_mut() {
-                        ctl.set_interface_capacity(id, base);
-                    }
-                }
+                self.scale_capacity(EgressId(*egress), 1.0);
             }
+            // Known limitation: fires even while a second crash window on
+            // this PoP is open (DESIGN.md §3).
             (FaultKind::ControllerCrash, _)
                 if self.controller_enabled && self.controller.is_none() =>
             {
@@ -595,6 +560,8 @@ impl PopRuntime {
             // reconnect governor decides when (the per-tick pass in `step`
             // §0 calls `try_reattach_injector` once the window clears).
             (FaultKind::InjectorLoss, _) => {}
+            // Known limitation: zeroes the loss even while a second
+            // partial-loss window on this PoP is open (DESIGN.md §3).
             (FaultKind::InjectorPartialLoss { .. }, _) => {
                 if let Some(ctl) = self.controller.as_mut() {
                     ctl.set_injection_loss(0.0, 0);
@@ -608,53 +575,41 @@ impl PopRuntime {
         }
     }
 
-    /// Lazily created per-peer reconnect governor, seeded deterministically
-    /// in `(demand_seed, pop, peer)`.
-    fn governor(&mut self, peer: PeerId) -> &mut ReconnectGovernor {
-        let seed = self.chaos_seed ^ peer.0;
-        self.peer_governors
-            .entry(peer)
-            .or_insert_with(|| ReconnectGovernor::with_seed(seed))
-    }
-
-    /// Lazily created per-peer refresh governor. Deliberately a separate
-    /// instance (and RNG stream) from the reconnect governor: rate-limiting
-    /// ROUTE-REFRESH requests must not perturb reconnect backoff draws.
-    fn refresh_governor(&mut self, peer: PeerId) -> &mut ReconnectGovernor {
-        let seed = self.chaos_seed ^ peer.0 ^ 0xEF2E_511D;
-        self.refresh_governors
-            .entry(peer)
-            .or_insert_with(|| ReconnectGovernor::with_seed(seed))
-    }
-
-    /// Tears down and re-establishes one peer session, replaying its
-    /// original announcements — the recovery path for failed, flapped, and
-    /// corruption-bounced peers.
-    fn revive_peer(&mut self, peer: PeerId, now_ms: u64) {
-        let Some(conn) = self.pop.peers.iter().find(|c| c.peer == peer).cloned() else {
+    /// Sets interface `egress`'s live capacity to `keep` times its nominal
+    /// capacity, for the forwarding loop and the controller alike.
+    fn scale_capacity(&mut self, egress: EgressId, keep: f64) {
+        let Some(slot) = self.pop.interfaces.iter().position(|i| i.id == egress) else {
             return;
         };
+        let mbps = self.nominal_capacity[slot] * keep;
+        self.pop.interfaces[slot].capacity_mbps = mbps;
+        if let Some(ctl) = self.controller.as_mut() {
+            ctl.set_interface_capacity(egress, mbps);
+        }
+    }
+
+    /// Tears down and re-establishes the session in `slot`, replaying its
+    /// original announcements, and tells its governor the session is back —
+    /// the recovery path for failed, flapped, and corruption-bounced peers.
+    fn revive_peer(&mut self, slot: usize, now_ms: u64) {
+        let rec = &mut self.peers[slot];
         // Bouncing a live session is a reset; reviving an already-down
         // peer is not (its teardown was counted when it went down).
-        if self.stubs.get(&peer).is_some_and(|s| s.is_established()) {
+        if rec.stub.is_established() {
             self.session_resets += 1;
             self.telemetry.counter("session.resets", 1);
         }
         // A fresh session replays the full table, superseding any pending
         // refresh for this peer.
-        self.peers_wanting_refresh.remove(&peer);
-        self.router.remove_peer(conn.peer, now_ms);
-        let mut stub = attach_peer(&mut self.router, self.local_asn, &conn, now_ms);
+        rec.wants_refresh = false;
+        self.router.remove_peer(rec.conn.peer, now_ms);
+        rec.stub = attach_peer(&mut self.router, &rec.conn, now_ms);
         // The fresh session's full feed: one batch, as at build.
-        if let Some(list) = self.announcements.get(&conn.peer) {
-            stub.announce_table(
-                &mut self.router,
-                &self.ann_store,
-                list.iter().copied(),
-                now_ms,
-            );
-        }
-        self.stubs.insert(conn.peer, stub);
+        let table = rec.announcements.iter().copied();
+        rec.stub
+            .announce_table(&mut self.router, &self.ann_store, table, now_ms);
+        rec.reconnect.record_up(now_ms);
+        rec.wants_up = false;
     }
 
     /// Per-tick fault mechanics that are not edge-triggered: flap-storm
@@ -666,36 +621,28 @@ impl PopRuntime {
         // once per flap the storm would have caused this tick — the
         // damping penalty accumulates at the storm's rate even though the
         // simulation only observes epoch boundaries.
-        for (peer, period_s) in &tick.flap {
-            let peer = *peer;
-            if let Some(stub) = self.stubs.get_mut(&peer) {
-                if stub.is_established() {
-                    self.session_resets += 1;
-                    self.telemetry.counter("session.resets", 1);
-                    stub.shutdown(&mut self.router, now_ms);
-                }
+        for &(slot, period_s) in &tick.flap {
+            let rec = &mut self.peers[slot];
+            if rec.stub.is_established() {
+                self.session_resets += 1;
+                self.telemetry.counter("session.resets", 1);
+                rec.stub.shutdown(&mut self.router, now_ms);
             }
-            let flaps = (self.epoch_secs / (*period_s).max(1)).max(1);
+            let flaps = (self.epoch_secs / period_s.max(1)).max(1);
             for _ in 0..flaps {
-                self.governor(peer).record_down(now_ms);
+                rec.reconnect.record_down(now_ms);
             }
-            self.peers_wanting_up.insert(peer);
+            rec.wants_up = true;
         }
 
         // Governed session recovery: a down peer re-establishes only when
         // its fault window has ended AND its governor clears the
         // backoff + flap-damping gate.
-        let candidates: Vec<PeerId> = self
-            .peers_wanting_up
-            .iter()
-            .filter(|p| !tick.held_down.contains(p))
-            .copied()
-            .collect();
-        for peer in candidates {
-            if self.governor(peer).can_reconnect(now_ms) {
-                self.revive_peer(peer, now_ms);
-                self.governor(peer).record_up(now_ms);
-                self.peers_wanting_up.remove(&peer);
+        for slot in 0..self.peers.len() {
+            let rec = &mut self.peers[slot];
+            let due = rec.wants_up && !tick.held_down.contains(&slot);
+            if due && rec.reconnect.can_reconnect(now_ms) {
+                self.revive_peer(slot, now_ms);
             }
         }
 
@@ -703,13 +650,11 @@ impl PopRuntime {
         // section of a re-encoded announcement and deliver the frame on
         // the live session. The graded decoder downgrades these to
         // treat-as-withdraw or attribute-discard — never a session reset.
-        for (peer, rate) in &tick.corrupt {
-            let Some(list) = self.announcements.get(peer) else {
-                continue;
-            };
+        for &(slot, rate) in &tick.corrupt {
+            let rec = &mut self.peers[slot];
             let mut frames: Vec<Vec<u8>> = Vec::new();
-            for (prefix, id) in list {
-                if self.corruption_rng.gen::<f64>() >= *rate {
+            for (prefix, id) in &rec.announcements {
+                if self.corruption_rng.gen::<f64>() >= rate {
                     continue;
                 }
                 let mut attrs = self.ann_store.attrs(*id).clone();
@@ -734,15 +679,14 @@ impl PopRuntime {
                 raw[at] ^= self.corruption_rng.gen_range(1u8..=0xFF);
                 frames.push(raw);
             }
-            let damaged = !frames.is_empty();
-            for raw in frames {
-                self.router.deliver(*peer, &raw, now_ms);
-                self.telemetry.counter("chaos.corrupt_frames", 1);
-            }
-            if damaged {
+            if !frames.is_empty() {
                 // The router detected treat-as-withdraw downgrades on this
                 // session; queue a governed ROUTE-REFRESH instead of a bounce.
-                self.peers_wanting_refresh.insert(*peer);
+                rec.wants_refresh = true;
+            }
+            for raw in frames {
+                self.router.deliver(rec.conn.peer, &raw, now_ms);
+                self.telemetry.counter("chaos.corrupt_frames", 1);
             }
         }
 
@@ -751,50 +695,44 @@ impl PopRuntime {
         // replay on the *live* session instead of resetting it. The refresh
         // governor applies the same backoff/damping policy as reconnects, so
         // a corruption storm cannot become a refresh storm.
-        let pending: Vec<PeerId> = self
-            .peers_wanting_refresh
-            .iter()
-            .filter(|p| !tick.held_down.contains(p))
-            .copied()
-            .collect();
-        for peer in pending {
-            if !self.stubs.get(&peer).is_some_and(|s| s.is_established()) {
+        for (slot, rec) in self.peers.iter_mut().enumerate() {
+            if !rec.wants_refresh || tick.held_down.contains(&slot) {
+                continue;
+            }
+            if !rec.stub.is_established() {
                 // A down session replays the full table on reconnect;
                 // nothing left to refresh.
-                self.peers_wanting_refresh.remove(&peer);
+                rec.wants_refresh = false;
                 continue;
             }
-            if !self.refresh_governor(peer).can_reconnect(now_ms) {
+            if !rec.refresh.can_reconnect(now_ms) {
                 continue;
             }
-            self.refresh_governor(peer).record_down(now_ms);
+            rec.refresh.record_down(now_ms);
             // While a corruption window is still open, the refresh reply
             // itself crosses the damaged channel and may be lost.
             let lost = tick
                 .corrupt
                 .iter()
-                .find(|(p, _)| *p == peer)
+                .find(|(s, _)| *s == slot)
                 .map(|(_, rate)| self.corruption_rng.gen::<f64>() < *rate)
                 .unwrap_or(false);
             if lost {
                 self.telemetry.counter("chaos.refresh_lost", 1);
                 continue; // stays pending; the governor paces the retry
             }
-            match self.router.request_refresh(peer) {
+            rec.wants_refresh = false;
+            match self.router.request_refresh(rec.conn.peer) {
                 Ok(()) => {
-                    if let Some(stub) = self.stubs.get_mut(&peer) {
-                        stub.pump(&mut self.router, now_ms);
-                    }
-                    self.refresh_governor(peer).record_up(now_ms);
-                    self.peers_wanting_refresh.remove(&peer);
+                    rec.stub.pump(&mut self.router, now_ms);
+                    rec.refresh.record_up(now_ms);
                     self.telemetry.counter("session.refreshes", 1);
                 }
                 Err(_) => {
                     // The peer never negotiated the capability (or is
                     // gone): fall back to the governed bounce path.
-                    self.peers_wanting_refresh.remove(&peer);
-                    self.governor(peer).record_down(now_ms);
-                    self.peers_wanting_up.insert(peer);
+                    rec.reconnect.record_down(now_ms);
+                    rec.wants_up = true;
                 }
             }
         }
@@ -837,13 +775,14 @@ impl PopRuntime {
     }
 
     /// Runs one epoch at simulated time `t_secs` with the given offered
-    /// demand. Returns the outcome signals the global layer consumes.
+    /// demand. Returns the end-of-epoch report the global tier consumes,
+    /// stamped with the epoch it describes.
     pub fn step(
         &mut self,
         t_secs: u64,
         demand: &[DemandPoint],
         perf_model: &PathPerfModel,
-    ) -> StepOutcome {
+    ) -> ef_global::PopReport {
         // --- 0. Fault windows ----------------------------------------------
         let tick = self.apply_fault_transitions(t_secs);
         self.run_fault_mechanics(&tick, t_secs * 1000);
@@ -851,7 +790,6 @@ impl PopRuntime {
             self.publish_session_stats();
         }
         let TickFaults {
-            labels: fault_labels,
             demand_multiplier,
             sflow_drop,
             bmp_stalled,
@@ -1098,7 +1036,11 @@ impl PopRuntime {
             overloaded_before: report.map_or(0, |r| r.overloaded_before.len()),
             residual_overloaded: report.map_or(0, |r| r.residual_overloaded.len()),
             dropped_mbps: dropped,
-            active_faults: fault_labels,
+            active_faults: self
+                .faults
+                .active()
+                .map(|e| e.kind.label().into())
+                .collect(),
             degraded: report.is_some_and(|r| r.degraded),
             fail_open: report.map_or(self.controller_enabled, |r| r.fail_open),
         };
@@ -1116,11 +1058,12 @@ impl PopRuntime {
             report.map_or(dropped > 0.0, |r| !r.residual_overloaded.is_empty());
         self.metrics.record_pop_epoch(record);
         self.metrics.update_episodes(self.pop.id, t_secs, active);
-        StepOutcome {
+        ef_global::PopReport {
             residual_overloaded,
             dropped_mbps: dropped,
             offered_mbps: offered,
             headroom_mbps: headroom,
+            epoch: t_secs / self.epoch_secs,
         }
     }
 
@@ -1135,7 +1078,11 @@ impl PopRuntime {
         audit_failures: u64,
         epoch_skipped: bool,
     ) -> ef_health::EpochSignals {
-        let sessions_down = self.stubs.values().filter(|s| !s.is_established()).count() as u64;
+        let sessions_down = self
+            .peers
+            .iter()
+            .filter(|r| !r.stub.is_established())
+            .count() as u64;
         let updates_downgraded_total = self.router.updates_downgraded_total();
         let injection_dropped_total = self
             .controller
@@ -1211,7 +1158,7 @@ impl PopRuntime {
 
     /// Whether any stub session dropped (sanity check for long runs).
     pub fn all_sessions_up(&self) -> bool {
-        self.stubs.values().all(|s| s.is_established())
+        self.peers.iter().all(|r| r.stub.is_established())
     }
 
     /// Established peer sessions torn down over the run (fault shutdowns
