@@ -7,28 +7,28 @@
 //! utilization, and detour churn. `ef-telemetry` records everything;
 //! this crate is the layer that says "this run is unhealthy".
 //!
-//! Four pieces, one per module:
+//! Five modules:
 //!
 //! * `digest` — a hand-rolled streaming quantile digest
 //!   ([`QuantileDigest`]): bounded-memory percentiles over unbounded
-//!   value ranges, deterministic for identical input streams;
-//! * `series` — ring-buffer time series ([`RingSeries`], one
-//!   [`SeriesStore`] per PoP): recent samples for live views plus a
-//!   whole-run digest per metric;
+//!   value ranges, deterministic for identical input streams; `report`
+//!   is its one user;
+//! * `series` — the monitor's one record per PoP ([`PopRecord`]): the
+//!   previous cumulative totals and the epochs seen;
 //! * `rules` — the declarative SLO/alert engine: [`SloRule`]s with
 //!   sustain/clear hysteresis, typed [`Alert`]s with firing/cleared
 //!   edges, strict-inequality thresholds so boundary values never flap;
 //! * `monitor` — the live tier ([`HealthMonitor`]): consumes one
-//!   [`EpochSignals`] per PoP per epoch from the simulator, feeds series
-//!   and rules, and emits `health.sample` / `alert.fire` / `alert.clear`
-//!   events into the telemetry stream;
+//!   [`EpochSignals`] per PoP per epoch from the simulator, judges the
+//!   derived sample, and emits `health.sample` / `alert.fire` /
+//!   `alert.clear` events into the telemetry stream;
 //! * `report` — offline judgment ([`analyze`]) of a recorded telemetry
 //!   stream for `efctl report` (and its `--follow` tail), no simulation
 //!   crates required.
 //!
 //! **Determinism contract**: the health tier is read-only with respect to
 //! the simulation. It consumes deterministic end-of-epoch state, writes
-//! only to its own buffers and the telemetry sink, and nothing it
+//! only to its own per-PoP records and the telemetry sink, and nothing it
 //! produces feeds back into control decisions — `tests/health.rs` proves
 //! a run's `results/` output is byte-identical with health on or off,
 //! including under chaos schedules.
@@ -46,5 +46,5 @@ pub use monitor::{
 pub use report::{
     analyze, num_field, render_report, render_watch_line, HealthReport, PercentileRow, SloRow,
 };
-pub use rules::{Alert, AlertEdge, Comparison, MetricView, RuleEngine, Severity, SloRule};
-pub use series::{RingSeries, SeriesStore};
+pub use rules::{Alert, AlertEdge, RuleEngine, Severity, SloRule};
+pub use series::PopRecord;

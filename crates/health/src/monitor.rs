@@ -3,16 +3,18 @@
 //!
 //! The simulation engine hands the monitor one [`EpochSignals`] per PoP
 //! per epoch — a pure read of state the engine already computed. The
-//! monitor derives a flat metric map, feeds its ring-buffer series and
-//! quantile digests, runs the [`RuleEngine`], and emits `health.sample` /
-//! `alert.fire` / `alert.clear` events into the telemetry stream.
+//! monitor derives a flat metric sample, runs the [`RuleEngine`] over it,
+//! and emits `health.sample` / `alert.fire` / `alert.clear` events into
+//! the telemetry stream. Across epochs it keeps one [`PopRecord`] per PoP
+//! (previous totals and an epoch count) and the rule engine's hysteresis
+//! state; samples themselves live only in the stream.
 //!
 //! **Determinism contract**: the monitor only ever *reads* simulation
 //! state and only ever *writes* to its own state and the telemetry sink.
 //! Alerts never feed back into control decisions, so a run's `results/`
 //! output is byte-identical with health on or off. The one wall-clock
 //! input — the engine-measured epoch wall time, sampled as the
-//! `epoch_wall_us` series — exists only when health is on and flows only
+//! `epoch_wall_us` metric — exists only when health is on and flows only
 //! into the sink, same as telemetry phase timers.
 
 use std::collections::BTreeMap;
@@ -20,8 +22,8 @@ use std::collections::BTreeMap;
 use ef_telemetry::TelemetryHandle;
 use serde::{Deserialize, Serialize};
 
-use crate::rules::{Alert, AlertEdge, Comparison, RuleEngine, Severity, SloRule};
-use crate::series::SeriesStore;
+use crate::rules::{Alert, AlertEdge, RuleEngine, Severity, SloRule};
+use crate::series::{PopRecord, Totals};
 
 /// Everything the monitor reads from one PoP after one epoch. All fields
 /// are deterministic simulation state; none involve the wall clock.
@@ -100,12 +102,6 @@ pub struct GlobalSignals {
     pub moved_mbps: f64,
 }
 
-/// Samples kept per ring series.
-const RING_CAPACITY: usize = 512;
-/// Centroids per quantile digest.
-pub(crate) const DIGEST_BINS: usize = 64;
-/// Recovered epochs required before any alert clears.
-const CLEAR_EPOCHS: u32 = 2;
 /// Per-PoP epochs to sample but not judge at the start of a run. A
 /// cold-started controller has not placed its first overrides yet, so the
 /// first epoch legitimately shows drops/overload; paging on the
@@ -126,9 +122,7 @@ impl HealthConfig {
                 name: name.to_string(),
                 metric: metric.to_string(),
                 threshold,
-                cmp: Comparison::Above,
                 sustain_epochs: sustain,
-                clear_epochs: CLEAR_EPOCHS,
                 severity: sev,
             };
         vec![
@@ -237,40 +231,87 @@ impl HealthConfig {
     }
 }
 
-/// Samples one PoP's per-interface utilization series — the monitor's
-/// only O(interfaces) work — into that PoP's store. Slot-addressed: the
-/// interface list is fixed by the topology, so after the first epoch
-/// each sample is a direct index, no string formatting or lookups. The
-/// engine calls this from the parallel job that steps the PoP (the
-/// stores are per-PoP, so the mutations are disjoint); the serial
-/// [`HealthMonitor::observe_epoch_presampled`] pass then covers named
-/// metrics and rules without re-walking the interface list.
-pub fn sample_iface_util(store: &mut SeriesStore, signals: &EpochSignals) {
-    for (slot, (egress, util)) in signals.iface_util.iter().enumerate() {
-        store.record_slot(
-            slot,
-            || format!("iface{egress}.util"),
-            signals.t_secs,
-            *util,
-        );
+/// Does nothing: [`HealthMonitor::observe_epoch`] derives the whole sample.
+/// Kept, with [`HealthMonitor::pop_stores`] and
+/// [`HealthMonitor::observe_epoch_presampled`], for callers written against
+/// the old split of sampling and judging.
+pub fn sample_iface_util(_record: &mut PopRecord, _signals: &EpochSignals) {}
+
+/// The flat metric sample the rules consume and the stream carries, in
+/// alphabetical key order (the order a `BTreeMap` would iterate, so
+/// telemetry field order is stable). Static keys and one Vec: this runs
+/// per PoP per epoch and must not churn allocations. Counters arrive as
+/// run totals; `prev` turns them into per-epoch deltas.
+fn metric_map(signals: &EpochSignals, prev: Totals) -> Vec<(&'static str, f64)> {
+    let drop_rate = if signals.offered_mbps > 0.0 {
+        signals.dropped_mbps / signals.offered_mbps
+    } else {
+        0.0
+    };
+    let util_max = signals
+        .iface_util
+        .iter()
+        .map(|(_, u)| *u)
+        .fold(0.0_f64, f64::max);
+    let delta = |total: u64, base: u64| total.saturating_sub(base) as f64;
+    // One spare slot for `epoch_wall_us`, added by the rule pass.
+    let mut m: Vec<(&'static str, f64)> = Vec::with_capacity(17);
+    m.push(("audit_failures", signals.audit_failures as f64));
+    m.push(("billing_burn_usd", signals.billing_burn_usd));
+    m.push(("controller_down", bool_metric(signals.controller_missing)));
+    m.push(("detoured_mbps", signals.detoured_mbps));
+    m.push(("drop_rate", drop_rate));
+    m.push(("epoch_skipped", bool_metric(signals.epoch_skipped)));
+    m.push(("iface_util_max", util_max));
+    m.push((
+        "injection_drops",
+        delta(signals.injection_dropped_total, prev.injection_dropped),
+    ));
+    m.push(("input_age_ms", signals.input_age_ms as f64));
+    m.push(("override_churn", signals.churn as f64));
+    m.push(("overrides_active", signals.overrides_active as f64));
+    m.push(("residual_overloaded", signals.residual_overloaded as f64));
+    m.push((
+        "session_resets",
+        delta(signals.session_resets_total, prev.session_resets),
+    ));
+    m.push(("sessions_down", signals.sessions_down as f64));
+    m.push((
+        "updates_downgraded",
+        delta(signals.updates_downgraded_total, prev.updates_downgraded),
+    ));
+    m
+}
+
+/// The global tier's flat metric sample, alphabetical key order like
+/// [`metric_map`].
+fn global_metric_map(signals: &GlobalSignals) -> Vec<(&'static str, f64)> {
+    vec![
+        ("global_delivered_reports", signals.delivered_reports as f64),
+        ("global_fail_static", bool_metric(signals.fail_static)),
+        ("global_moved_mbps", signals.moved_mbps),
+        ("global_report_age", signals.max_report_age as f64),
+        ("global_stale_pops", signals.stale_pops as f64),
+        ("placement_flips", signals.flips as f64),
+        ("placement_suppressed", signals.suppressed_restores as f64),
+    ]
+}
+
+fn bool_metric(b: bool) -> f64 {
+    if b {
+        1.0
+    } else {
+        0.0
     }
 }
 
-/// Cumulative totals remembered per PoP so per-epoch deltas can be formed.
-#[derive(Debug, Clone, Copy, Default)]
-struct PrevTotals {
-    session_resets: u64,
-    updates_downgraded: u64,
-    injection_dropped: u64,
-}
-
-/// The live health tier: series store + rule engine + alert emission.
+/// The live health tier: one record per PoP, the rule engine, and alert
+/// emission.
 #[derive(Debug)]
 pub struct HealthMonitor {
     engine: RuleEngine,
-    series: BTreeMap<u16, SeriesStore>,
-    prev: BTreeMap<u16, PrevTotals>,
-    epochs_seen: BTreeMap<u16, u64>,
+    /// Keyed by PoP id, the global tier under [`GLOBAL_POP`].
+    records: BTreeMap<u16, PopRecord>,
     telemetry: TelemetryHandle,
 }
 
@@ -278,191 +319,79 @@ impl HealthMonitor {
     /// A monitor over the config's built-in rules, emitting into
     /// `telemetry` (which may be disabled — the monitor still evaluates).
     pub fn new(cfg: HealthConfig, telemetry: TelemetryHandle) -> Self {
-        let engine = RuleEngine::new(cfg.rules());
         HealthMonitor {
-            engine,
-            series: BTreeMap::new(),
-            prev: BTreeMap::new(),
-            epochs_seen: BTreeMap::new(),
+            engine: RuleEngine::new(cfg.rules()),
+            records: BTreeMap::new(),
             telemetry,
         }
     }
 
-    /// Derives the flat metric vector the rules and series consume, in
-    /// alphabetical key order (the order a `BTreeMap` would iterate, so
-    /// telemetry field order is stable). Static keys and one Vec: this
-    /// runs per PoP per epoch and must not churn allocations.
-    /// `epoch_wall_us` (engine-measured wall time) is included only when
-    /// measured, so its series never records a zero for a missing reading.
-    pub fn metric_map(
-        &self,
-        signals: &EpochSignals,
-        epoch_wall_us: Option<u64>,
-    ) -> Vec<(&'static str, f64)> {
-        let prev = self.prev.get(&signals.pop).copied().unwrap_or_default();
-        let drop_rate = if signals.offered_mbps > 0.0 {
-            signals.dropped_mbps / signals.offered_mbps
-        } else {
-            0.0
-        };
-        let util_max = signals
-            .iface_util
-            .iter()
-            .map(|(_, u)| *u)
-            .fold(0.0_f64, f64::max);
-        let bool_metric = |b: bool| if b { 1.0 } else { 0.0 };
-        let mut m: Vec<(&'static str, f64)> = Vec::with_capacity(17);
-        m.push(("audit_failures", signals.audit_failures as f64));
-        m.push(("billing_burn_usd", signals.billing_burn_usd));
-        m.push(("controller_down", bool_metric(signals.controller_missing)));
-        m.push(("detoured_mbps", signals.detoured_mbps));
-        m.push(("drop_rate", drop_rate));
-        m.push(("epoch_skipped", bool_metric(signals.epoch_skipped)));
-        if let Some(us) = epoch_wall_us {
-            m.push(("epoch_wall_us", us as f64));
-        }
-        m.push(("iface_util_max", util_max));
-        m.push((
-            "injection_drops",
-            signals
-                .injection_dropped_total
-                .saturating_sub(prev.injection_dropped) as f64,
-        ));
-        m.push(("input_age_ms", signals.input_age_ms as f64));
-        m.push(("override_churn", signals.churn as f64));
-        m.push(("overrides_active", signals.overrides_active as f64));
-        m.push(("residual_overloaded", signals.residual_overloaded as f64));
-        m.push((
-            "session_resets",
-            signals
-                .session_resets_total
-                .saturating_sub(prev.session_resets) as f64,
-        ));
-        m.push(("sessions_down", signals.sessions_down as f64));
-        m.push((
-            "updates_downgraded",
-            signals
-                .updates_downgraded_total
-                .saturating_sub(prev.updates_downgraded) as f64,
-        ));
-        m
-    }
-
-    /// Feeds one PoP's end-of-epoch signals. Updates series and digests,
-    /// evaluates every rule, emits `health.sample` + `alert.*` telemetry,
-    /// and returns the alert edges this epoch produced.
+    /// Feeds one PoP's end-of-epoch signals: derives the sample, evaluates
+    /// every rule, emits `health.sample` + `alert.*` telemetry, and returns
+    /// the alert edges this epoch produced. `epoch_wall_us` (engine-measured
+    /// wall time) joins the sample only when measured, so the stream never
+    /// carries a zero for a missing reading.
     pub fn observe_epoch(
         &mut self,
         signals: &EpochSignals,
         epoch_wall_us: Option<u64>,
     ) -> Vec<AlertEdge> {
-        self.observe_epoch_inner(signals, epoch_wall_us, true)
+        let record = self.records.entry(signals.pop).or_default();
+        let mut metrics = metric_map(signals, record.prev);
+        if let Some(us) = epoch_wall_us {
+            let at = metrics.partition_point(|(k, _)| *k < "epoch_wall_us");
+            metrics.insert(at, ("epoch_wall_us", us as f64));
+        }
+        let seen = record.close_epoch(Totals::of(signals));
+        self.judge(signals.pop, signals.t_secs, seen, &metrics)
     }
 
-    /// [`observe_epoch`](Self::observe_epoch) for a caller that already
-    /// ran [`sample_iface_util`] on this PoP's store — the engine samples
-    /// interface series inside the parallel job that steps each PoP, leaving
-    /// only the named metrics and rule pass for this serial call.
+    /// The same as [`observe_epoch`](Self::observe_epoch); see
+    /// [`sample_iface_util`].
     pub fn observe_epoch_presampled(
         &mut self,
         signals: &EpochSignals,
         epoch_wall_us: Option<u64>,
     ) -> Vec<AlertEdge> {
-        self.observe_epoch_inner(signals, epoch_wall_us, false)
-    }
-
-    fn observe_epoch_inner(
-        &mut self,
-        signals: &EpochSignals,
-        epoch_wall_us: Option<u64>,
-        sample_ifaces: bool,
-    ) -> Vec<AlertEdge> {
-        let metrics = self.metric_map(signals, epoch_wall_us);
-        let store = self
-            .series
-            .entry(signals.pop)
-            .or_insert_with(|| SeriesStore::new(RING_CAPACITY, DIGEST_BINS));
-        for (name, value) in &metrics {
-            store.record(name, signals.t_secs, *value);
-        }
-        if sample_ifaces {
-            sample_iface_util(store, signals);
-        }
-        self.prev.insert(
-            signals.pop,
-            PrevTotals {
-                session_resets: signals.session_resets_total,
-                updates_downgraded: signals.updates_downgraded_total,
-                injection_dropped: signals.injection_dropped_total,
-            },
-        );
-        let seen = self.epochs_seen.entry(signals.pop).or_insert(0);
-        *seen += 1;
-        // Cold-start warmup: sample and emit, but don't judge yet.
-        let edges = if *seen <= WARMUP_EPOCHS {
-            Vec::new()
-        } else {
-            self.engine.observe(signals.pop, signals.t_secs, &metrics)
-        };
-        self.emit(signals, &metrics, &edges);
-        edges
-    }
-
-    /// Derives the global tier's flat metric vector, alphabetical key
-    /// order like [`metric_map`](Self::metric_map).
-    pub fn global_metric_map(&self, signals: &GlobalSignals) -> Vec<(&'static str, f64)> {
-        let bool_metric = |b: bool| if b { 1.0 } else { 0.0 };
-        vec![
-            ("global_delivered_reports", signals.delivered_reports as f64),
-            ("global_fail_static", bool_metric(signals.fail_static)),
-            ("global_moved_mbps", signals.moved_mbps),
-            ("global_report_age", signals.max_report_age as f64),
-            ("global_stale_pops", signals.stale_pops as f64),
-            ("placement_flips", signals.flips as f64),
-            ("placement_suppressed", signals.suppressed_restores as f64),
-        ]
+        self.observe_epoch(signals, epoch_wall_us)
     }
 
     /// Feeds the global steering tier's end-of-epoch guard verdicts,
     /// keyed under [`GLOBAL_POP`]. Same contract as
-    /// [`observe_epoch`](Self::observe_epoch): series + rules + telemetry,
-    /// nothing fed back. Global metrics exist only at this key, so the
-    /// per-PoP rules never judge the global sample (their metrics are
-    /// absent) and the global rules never judge a real PoP.
+    /// [`observe_epoch`](Self::observe_epoch): rules + telemetry, nothing
+    /// fed back. Global metrics exist only at this key, so the per-PoP
+    /// rules never judge the global sample (their metrics are absent) and
+    /// the global rules never judge a real PoP.
     pub fn observe_global(&mut self, signals: &GlobalSignals) -> Vec<AlertEdge> {
-        let metrics = self.global_metric_map(signals);
-        let store = self
-            .series
-            .entry(GLOBAL_POP)
-            .or_insert_with(|| SeriesStore::new(RING_CAPACITY, DIGEST_BINS));
-        for (name, value) in &metrics {
-            store.record(name, signals.t_secs, *value);
-        }
-        let seen = self.epochs_seen.entry(GLOBAL_POP).or_insert(0);
-        *seen += 1;
-        let edges = if *seen <= WARMUP_EPOCHS {
+        let metrics = global_metric_map(signals);
+        let record = self.records.entry(GLOBAL_POP).or_default();
+        let seen = record.close_epoch(Totals::default());
+        self.judge(GLOBAL_POP, signals.t_secs, seen, &metrics)
+    }
+
+    /// Runs the rules over the `seen`-th sample at `pop` (none during the
+    /// cold-start warm-up) and writes the sample and any alert edges to
+    /// the sink.
+    fn judge(
+        &mut self,
+        pop: u16,
+        t_secs: u64,
+        seen: u64,
+        metrics: &[(&'static str, f64)],
+    ) -> Vec<AlertEdge> {
+        let edges = if seen <= WARMUP_EPOCHS {
             Vec::new()
         } else {
-            self.engine.observe(GLOBAL_POP, signals.t_secs, &metrics)
+            self.engine.observe(pop, t_secs, metrics)
         };
-        self.emit_at(GLOBAL_POP, signals.t_secs, &metrics, &edges);
-        edges
-    }
-
-    /// Writes the epoch's sample and any alert edges to the sink.
-    fn emit(&self, signals: &EpochSignals, metrics: &[(&'static str, f64)], edges: &[AlertEdge]) {
-        self.emit_at(signals.pop, signals.t_secs, metrics, edges);
-    }
-
-    fn emit_at(&self, pop: u16, t_secs: u64, metrics: &[(&'static str, f64)], edges: &[AlertEdge]) {
         if !self.telemetry.enabled() {
-            return;
+            return edges;
         }
         let now_ms = t_secs * 1000;
         let fields: Vec<(&str, ef_telemetry::FieldValue)> =
             metrics.iter().map(|(k, v)| (*k, (*v).into())).collect();
         self.telemetry.emit(pop, now_ms, "health.sample", &fields);
-        for edge in edges {
+        for edge in &edges {
             let alert = edge.alert();
             let name = if edge.is_fired() {
                 "alert.fire"
@@ -492,11 +421,7 @@ impl HealthMonitor {
             &key,
             self.engine.firing().iter().filter(|a| a.pop == pop).count() as f64,
         );
-    }
-
-    /// Alerts currently firing.
-    pub fn firing(&self) -> Vec<&Alert> {
-        self.engine.firing()
+        edges
     }
 
     /// Every alert raised so far (cleared then firing).
@@ -504,50 +429,29 @@ impl HealthMonitor {
         self.engine.all_alerts()
     }
 
-    /// The series store for one PoP, if it has been sampled.
-    pub fn series(&self, pop: u16) -> Option<&SeriesStore> {
-        self.series.get(&pop)
-    }
-
-    /// Mutable per-PoP stores in the caller's PoP order (which must be
-    /// ascending), creating any that do not exist yet. The stores are
-    /// disjoint, so the engine can hand one to each PoP's parallel step
-    /// worker for [`sample_iface_util`].
-    pub fn pop_stores(&mut self, pops: &[u16]) -> Vec<&mut SeriesStore> {
+    /// Mutable per-PoP records in the caller's PoP order (which must be
+    /// ascending), creating any that do not exist yet.
+    pub fn pop_stores(&mut self, pops: &[u16]) -> Vec<&mut PopRecord> {
         debug_assert!(
             pops.windows(2).all(|w| w[0] < w[1]),
             "pop ids must be ascending"
         );
         for &pop in pops {
-            self.series
-                .entry(pop)
-                .or_insert_with(|| SeriesStore::new(RING_CAPACITY, DIGEST_BINS));
+            self.records.entry(pop).or_default();
         }
-        let mut out = Vec::with_capacity(pops.len());
-        let mut want = pops.iter();
-        let mut next = want.next();
-        for (k, v) in self.series.iter_mut() {
-            if let Some(&p) = next {
-                if *k == p {
-                    out.push(v);
-                    next = want.next();
-                }
-            }
-        }
-        debug_assert_eq!(out.len(), pops.len());
-        out
-    }
-
-    /// PoPs that have been sampled, ascending.
-    pub fn pops(&self) -> Vec<u16> {
-        self.series.keys().copied().collect()
+        let mut want = pops.iter().peekable();
+        self.records
+            .iter_mut()
+            .filter_map(|(k, v)| want.next_if_eq(&k).map(|_| v))
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
-    use crate::rules::MetricView;
 
     fn calm(pop: u16, t_secs: u64) -> EpochSignals {
         EpochSignals {
@@ -569,11 +473,13 @@ mod tests {
                 assert!(mon.observe_epoch(&calm(pop, t * 30), None).is_empty());
             }
         }
-        assert!(mon.firing().is_empty());
-        assert_eq!(mon.pops(), vec![0, 1]);
-        let s = mon.series(0).unwrap();
-        assert_eq!(s.get("drop_rate").unwrap().digest().count(), 20);
-        assert!(s.get("iface0.util").is_some());
+        assert!(mon.all_alerts().is_empty());
+        let seen: Vec<(u16, u64)> = mon
+            .records
+            .iter()
+            .map(|(p, r)| (*p, r.epochs_seen))
+            .collect();
+        assert_eq!(seen, vec![(0, 20), (1, 20)]);
     }
 
     /// A monitor past its cold-start warmup at PoP 0 and at the global
@@ -598,7 +504,8 @@ mod tests {
 
     #[test]
     fn warmup_suppresses_cold_start_alerts() {
-        let mut mon = HealthMonitor::new(HealthConfig::default(), TelemetryHandle::disabled());
+        let (handle, sink) = TelemetryHandle::memory();
+        let mut mon = HealthMonitor::new(HealthConfig::default(), handle);
         // A cold start: the first two epochs show convergence drops.
         let mut s = calm(0, 30);
         s.dropped_mbps = 100.0;
@@ -606,8 +513,17 @@ mod tests {
         let mut s = calm(0, 60);
         s.dropped_mbps = 100.0;
         assert!(mon.observe_epoch(&s, None).is_empty());
-        // Series still sampled during warmup.
-        assert_eq!(mon.series(0).unwrap().get("drop_rate").unwrap().len(), 2);
+        // Still sampled and emitted during warmup.
+        let samples = sink.events();
+        let drops: Vec<_> = samples
+            .iter()
+            .filter(|e| e.name == "health.sample")
+            .map(|e| e.field("drop_rate"))
+            .collect();
+        assert_eq!(drops.len(), 2);
+        assert!(drops
+            .iter()
+            .all(|v| matches!(v, Some(ef_telemetry::FieldValue::F64(r)) if *r == 0.1)));
         // Past warmup, a breach fires normally.
         let mut s = calm(0, 90);
         s.dropped_mbps = 100.0;
@@ -626,7 +542,7 @@ mod tests {
         assert_eq!(edges.len(), 1);
         assert_eq!(edges[0].alert().rule, "drop_rate_ceiling");
         assert!(edges[0].is_fired());
-        // Default clear_epochs = 2.
+        // CLEAR_EPOCHS = 2.
         assert!(mon.observe_epoch(&calm(0, 90), None).is_empty());
         let edges = mon.observe_epoch(&calm(0, 120), None);
         assert_eq!(edges.len(), 1);
@@ -654,8 +570,8 @@ mod tests {
         // Same total next epoch: delta 0, no flap even though total > storm.
         let mut s2 = calm(0, 60);
         s2.session_resets_total = 2;
-        let m = mon.metric_map(&s2, None);
-        assert_eq!(m.metric("session_resets"), Some(0.0));
+        let m = metric_map(&s2, mon.records[&0].prev);
+        assert!(m.contains(&("session_resets", 0.0)));
         // A burst of 6 resets within one epoch breaches the storm rule.
         let mut s3 = calm(0, 90);
         s3.session_resets_total = 8;
@@ -740,6 +656,37 @@ mod tests {
             sample.field("global_moved_mbps"),
             Some(ef_telemetry::FieldValue::F64(v)) if *v == 123.0
         ));
+    }
+
+    #[test]
+    fn design_rule_table_matches_the_built_in_rules() {
+        let doc = include_str!("../../../DESIGN.md");
+        let section = &doc[doc.find("## 7. Health").expect("DESIGN.md has §7")..];
+        // (rule, sustain, severity) from each row of §7's rule table.
+        let rows: BTreeSet<(String, u32, String)> = section
+            .lines()
+            .skip_while(|l| !l.starts_with("| rule |"))
+            .skip(2)
+            .take_while(|l| l.starts_with('|'))
+            .map(|l| {
+                let cells: Vec<&str> = l.split('|').map(str::trim).collect();
+                let sustain = cells[4].parse().expect("sustain is a number");
+                (
+                    cells[1].trim_matches('`').to_string(),
+                    sustain,
+                    cells[5].to_string(),
+                )
+            })
+            .collect();
+        let live: BTreeSet<(String, u32, String)> = HealthConfig::default()
+            .rules()
+            .into_iter()
+            .map(|r| (r.name, r.sustain_epochs, r.severity.label().to_string()))
+            .collect();
+        assert_eq!(
+            rows, live,
+            "DESIGN.md §7's rule table must list every built-in rule, and only those"
+        );
     }
 
     #[test]

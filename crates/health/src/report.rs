@@ -15,8 +15,11 @@ use ef_telemetry::{Event, FieldValue, TelemetryRecord};
 use serde::{Deserialize, Serialize};
 
 use crate::digest::QuantileDigest;
-use crate::monitor::{HealthConfig, DIGEST_BINS};
+use crate::monitor::HealthConfig;
 use crate::rules::{Alert, Severity};
+
+/// Centroids per quantile digest.
+const DIGEST_BINS: usize = 64;
 
 /// Per-epoch phase-timing fields copied out of `epoch` events into
 /// percentile rows (wall-clock, human-only).

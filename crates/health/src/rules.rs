@@ -1,13 +1,13 @@
 //! Declarative SLO rules and the alerting engine.
 //!
-//! A [`SloRule`] names a metric, a threshold, a comparison direction, and
-//! hysteresis: the metric must breach for `sustain_epochs` consecutive
-//! epochs before the rule fires, and recover for `clear_epochs`
+//! A [`SloRule`] names a metric, a ceiling, and hysteresis: the metric
+//! must sit above the ceiling for `sustain_epochs` consecutive epochs
+//! before the rule fires, and at or below it for [`CLEAR_EPOCHS`]
 //! consecutive epochs before it clears. Breach is a *strict* inequality —
 //! a value sitting exactly on the threshold never fires and never flaps.
 //!
-//! The [`RuleEngine`] evaluates every rule against every PoP's metric map
-//! each epoch and returns the *edges* ([`AlertEdge`]): a typed
+//! The [`RuleEngine`] evaluates every rule against every PoP's metric
+//! sample each epoch and returns the *edges* ([`AlertEdge`]): a typed
 //! [`Alert`] when a rule transitions to firing, and the same alert with
 //! its `cleared_t_secs` filled in when it recovers. Evaluation order is
 //! rule-declaration order then PoP order, so edge sequences are
@@ -39,30 +39,20 @@ impl Severity {
     }
 }
 
-/// Which side of the threshold counts as a breach.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Comparison {
-    /// Breach when `value > threshold`.
-    Above,
-    /// Breach when `value < threshold`.
-    Below,
-}
+/// Recovered epochs required before any alert clears.
+pub(crate) const CLEAR_EPOCHS: u32 = 2;
 
 /// One declarative SLO / alert rule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SloRule {
     /// Stable rule name (`drop_rate_ceiling`, `controller_down`, …).
     pub name: String,
-    /// Metric key in the per-epoch metric map this rule watches.
+    /// Metric key in the per-epoch sample this rule watches.
     pub metric: String,
-    /// Threshold the metric is compared against.
+    /// Ceiling the metric must stay at or below.
     pub threshold: f64,
-    /// Breach direction.
-    pub cmp: Comparison,
     /// Consecutive breaching epochs required before firing (min 1).
     pub sustain_epochs: u32,
-    /// Consecutive recovered epochs required before clearing (min 1).
-    pub clear_epochs: u32,
     /// Severity attached to alerts from this rule.
     pub severity: Severity,
 }
@@ -71,10 +61,7 @@ impl SloRule {
     /// True when `value` breaches this rule's threshold. Strict
     /// inequality: a value exactly on the threshold is compliant.
     pub fn breaches(&self, value: f64) -> bool {
-        match self.cmp {
-            Comparison::Above => value > self.threshold,
-            Comparison::Below => value < self.threshold,
-        }
+        value > self.threshold
     }
 }
 
@@ -157,35 +144,7 @@ struct RuleState {
     firing: Option<Alert>,
 }
 
-/// Read-only metric lookup by name, so the engine accepts both the live
-/// monitor's allocation-free static vector and the offline replay's map
-/// parsed from telemetry JSON.
-pub trait MetricView {
-    /// The metric's value this epoch, or None when it was not sampled.
-    fn metric(&self, name: &str) -> Option<f64>;
-}
-
-impl MetricView for BTreeMap<String, f64> {
-    fn metric(&self, name: &str) -> Option<f64> {
-        self.get(name).copied()
-    }
-}
-
-/// Linear scan — the live vector holds ~15 entries, cheaper than any
-/// tree for a dozen rule lookups.
-impl MetricView for [(&'static str, f64)] {
-    fn metric(&self, name: &str) -> Option<f64> {
-        self.iter().find(|(k, _)| *k == name).map(|(_, v)| *v)
-    }
-}
-
-impl MetricView for Vec<(&'static str, f64)> {
-    fn metric(&self, name: &str) -> Option<f64> {
-        self.as_slice().metric(name)
-    }
-}
-
-/// Evaluates a fixed rule set against per-epoch metric maps.
+/// Evaluates a fixed rule set against per-epoch metric samples.
 #[derive(Debug, Clone, Default)]
 pub struct RuleEngine {
     rules: Vec<SloRule>,
@@ -205,25 +164,16 @@ impl RuleEngine {
         }
     }
 
-    /// The rule set.
-    pub fn rules(&self) -> &[SloRule] {
-        &self.rules
-    }
-
-    /// Feeds one PoP's metric map for epoch time `t_secs` and returns the
-    /// edges (fired / cleared alerts) this observation produced. A rule
-    /// whose metric is absent from the map is skipped entirely: its runs
-    /// neither grow nor reset, so optional metrics (e.g. wall-clock epoch
-    /// timings) cannot clear an alert by going missing.
-    pub fn observe<M: MetricView + ?Sized>(
-        &mut self,
-        pop: u16,
-        t_secs: u64,
-        metrics: &M,
-    ) -> Vec<AlertEdge> {
+    /// Feeds one PoP's metric sample for epoch time `t_secs` and returns
+    /// the edges (fired / cleared alerts) this observation produced. A
+    /// rule whose metric is absent from the sample is skipped entirely:
+    /// its runs neither grow nor reset, so a metric one key lacks (the
+    /// global tier's at a real PoP) cannot clear an alert by going missing.
+    /// A linear scan finds each metric: a sample holds ~16 entries.
+    pub fn observe(&mut self, pop: u16, t_secs: u64, metrics: &[(&str, f64)]) -> Vec<AlertEdge> {
         let mut edges = Vec::new();
         for (idx, rule) in self.rules.iter().enumerate() {
-            let Some(value) = metrics.metric(&rule.metric) else {
+            let Some(&(_, value)) = metrics.iter().find(|(k, _)| *k == rule.metric) else {
                 continue;
             };
             let state = self.states.entry((idx, pop)).or_default();
@@ -231,7 +181,7 @@ impl RuleEngine {
                 state.breach_run += 1;
                 state.ok_run = 0;
                 match &mut state.firing {
-                    Some(alert) if value_worse(rule.cmp, value, alert.peak_value) => {
+                    Some(alert) if value > alert.peak_value => {
                         alert.peak_value = value;
                     }
                     None if state.breach_run >= rule.sustain_epochs.max(1) => {
@@ -253,8 +203,10 @@ impl RuleEngine {
             } else {
                 state.ok_run += 1;
                 state.breach_run = 0;
-                if state.firing.is_some() && state.ok_run >= rule.clear_epochs.max(1) {
-                    let mut alert = state.firing.take().unwrap();
+                if state.ok_run < CLEAR_EPOCHS {
+                    continue;
+                }
+                if let Some(mut alert) = state.firing.take() {
                     alert.cleared_t_secs = Some(t_secs);
                     self.history.push(alert.clone());
                     edges.push(AlertEdge::Cleared(alert));
@@ -281,39 +233,27 @@ impl RuleEngine {
     }
 }
 
-/// True when `value` is a worse breach than `worst_so_far`.
-fn value_worse(cmp: Comparison, value: f64, worst_so_far: f64) -> bool {
-    match cmp {
-        Comparison::Above => value > worst_so_far,
-        Comparison::Below => value < worst_so_far,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rule(sustain: u32, clear: u32) -> SloRule {
+    fn rule(sustain: u32) -> SloRule {
         SloRule {
             name: "drop_rate_ceiling".into(),
             metric: "drop_rate".into(),
             threshold: 0.005,
-            cmp: Comparison::Above,
             sustain_epochs: sustain,
-            clear_epochs: clear,
             severity: Severity::Critical,
         }
     }
 
-    fn metrics(v: f64) -> BTreeMap<String, f64> {
-        let mut m = BTreeMap::new();
-        m.insert("drop_rate".to_string(), v);
-        m
+    fn metrics(v: f64) -> [(&'static str, f64); 1] {
+        [("drop_rate", v)]
     }
 
     #[test]
     fn fire_sustain_clear_hysteresis() {
-        let mut eng = RuleEngine::new(vec![rule(2, 2)]);
+        let mut eng = RuleEngine::new(vec![rule(2)]);
         // First breach: not sustained yet, no edge.
         assert!(eng.observe(0, 30, &metrics(0.02)).is_empty());
         // Second consecutive breach: fires.
@@ -339,7 +279,7 @@ mod tests {
 
     #[test]
     fn boundary_value_never_fires() {
-        let mut eng = RuleEngine::new(vec![rule(1, 1)]);
+        let mut eng = RuleEngine::new(vec![rule(1)]);
         // Exactly on the threshold, repeatedly: strict inequality, so the
         // rule neither fires nor accumulates a breach run.
         for t in 0..20u64 {
@@ -350,11 +290,12 @@ mod tests {
 
     #[test]
     fn no_flapping_on_alternating_recovery() {
-        let mut eng = RuleEngine::new(vec![rule(1, 2)]);
+        let mut eng = RuleEngine::new(vec![rule(1)]);
         let edges = eng.observe(0, 30, &metrics(0.02));
         assert!(edges[0].is_fired());
-        // Alternate recovered / breaching: ok_run never reaches 2, so the
-        // single alert stays up instead of flapping fire/clear pairs.
+        // Alternate recovered / breaching: ok_run never reaches
+        // CLEAR_EPOCHS, so the single alert stays up instead of flapping
+        // fire/clear pairs.
         for t in 2..10u64 {
             let v = if t % 2 == 0 { 0.001 } else { 0.02 };
             assert!(eng.observe(0, t * 30, &metrics(v)).is_empty());
@@ -365,7 +306,7 @@ mod tests {
 
     #[test]
     fn interrupted_breach_resets_sustain() {
-        let mut eng = RuleEngine::new(vec![rule(3, 1)]);
+        let mut eng = RuleEngine::new(vec![rule(3)]);
         assert!(eng.observe(0, 30, &metrics(0.02)).is_empty());
         assert!(eng.observe(0, 60, &metrics(0.02)).is_empty());
         // Recovery resets the streak before the third breach.
@@ -379,18 +320,18 @@ mod tests {
 
     #[test]
     fn missing_metric_neither_breaches_nor_clears() {
-        let mut eng = RuleEngine::new(vec![rule(1, 1)]);
+        let mut eng = RuleEngine::new(vec![rule(1)]);
         assert!(eng.observe(0, 30, &metrics(0.02))[0].is_fired());
         // Epochs where the metric is absent leave the alert untouched.
         for t in 2..5u64 {
-            assert!(eng.observe(0, t * 30, &BTreeMap::new()).is_empty());
+            assert!(eng.observe(0, t * 30, &[]).is_empty());
         }
         assert_eq!(eng.firing().len(), 1);
     }
 
     #[test]
     fn pops_are_tracked_independently() {
-        let mut eng = RuleEngine::new(vec![rule(1, 1)]);
+        let mut eng = RuleEngine::new(vec![rule(1)]);
         assert!(eng.observe(0, 30, &metrics(0.02))[0].is_fired());
         assert!(eng.observe(1, 30, &metrics(0.001)).is_empty());
         let firing = eng.firing();
@@ -400,18 +341,11 @@ mod tests {
 
     #[test]
     fn below_rules_and_renders() {
-        let below = SloRule {
-            name: "headroom_floor".into(),
-            metric: "headroom".into(),
-            threshold: 10.0,
-            cmp: Comparison::Below,
-            sustain_epochs: 1,
-            clear_epochs: 1,
-            severity: Severity::Warning,
-        };
-        assert!(below.breaches(9.9));
-        assert!(!below.breaches(10.0));
-        assert!(!below.breaches(10.1));
+        // Values at or below the ceiling are compliant; only above breaches.
+        let ceiling = rule(1);
+        assert!(!ceiling.breaches(0.004));
+        assert!(!ceiling.breaches(0.005));
+        assert!(ceiling.breaches(0.0051));
         let alert = Alert {
             rule: "headroom_floor".into(),
             pop: 2,

@@ -188,15 +188,6 @@ impl SimEngine {
         // Wall-clock only exists when health is on, and only ever flows
         // into the monitor's telemetry — never into control decisions.
         let epoch_start = self.health.as_ref().map(|_| std::time::Instant::now());
-        // Per-interface series sampling is the monitor's only
-        // O(interfaces) work; hand each PoP's worker its own (disjoint)
-        // store so that cost rides inside the parallel step, leaving only
-        // the cheap named-metric + rule pass for the serial loop below.
-        let pop_ids: Vec<u16> = self.pops.iter().map(|p| p.pop.id.0).collect();
-        let store_opts: Vec<Option<&mut ef_health::SeriesStore>> = match self.health.as_mut() {
-            Some(monitor) => monitor.pop_stores(&pop_ids).into_iter().map(Some).collect(),
-            None => pop_ids.iter().map(|_| None).collect(),
-        };
 
         if let Some(global) = self.global.as_mut() {
             // Global arm: compute every PoP's demand first, let the tier
@@ -212,16 +203,12 @@ impl SimEngine {
                 .collect();
             global.shape_demand(t, &mut demands);
             global.place(t, &mut demands);
-            let jobs: Vec<_> = self.pops.iter_mut().zip(&demands).zip(store_opts).collect();
+            let jobs: Vec<_> = self.pops.iter_mut().zip(&demands).collect();
             // True end-of-epoch reports, stamped with the epoch they
             // describe, in PoP-id order (a PoP's id is its index). Faults
             // below corrupt the *delivery*, never these.
-            let reports = fan_out(self.workers, jobs, |((pop, (_, demand)), store)| {
-                let report = pop.step(t, demand, perf_model);
-                if let (Some(store), Some(signals)) = (store, pop.health_signals()) {
-                    ef_health::sample_iface_util(store, signals);
-                }
-                report
+            let reports = fan_out(self.workers, jobs, |(pop, (_, demand))| {
+                pop.step(t, demand, perf_model)
             });
             for (history, report) in self.report_history.iter_mut().zip(&reports) {
                 if history.len() >= REPORT_HISTORY_CAP {
@@ -286,23 +273,19 @@ impl SimEngine {
                 global.observe(&delivered);
             }
         } else {
-            let jobs: Vec<_> = self.pops.iter_mut().zip(store_opts).collect();
-            fan_out(self.workers, jobs, |(pop, store)| {
+            let jobs: Vec<_> = self.pops.iter_mut().collect();
+            fan_out(self.workers, jobs, |pop| {
                 let demand = demand_model.offered_from(deployment, pop.pop.id, table);
                 pop.step(t, &demand, perf_model);
-                if let (Some(store), Some(signals)) = (store, pop.health_signals()) {
-                    ef_health::sample_iface_util(store, signals);
-                }
             });
         }
         if let Some(monitor) = self.health.as_mut() {
             let wall_us = epoch_start.map(|s| s.elapsed().as_micros() as u64);
-            // Rule evaluation and telemetry emission stay serial in
-            // canonical PoP order for determinism; the interface series
-            // were already sampled inside each PoP's parallel worker.
+            // Sampling, rule evaluation and telemetry emission stay serial
+            // in canonical PoP order for determinism.
             for pop in &self.pops {
                 if let Some(signals) = pop.health_signals() {
-                    monitor.observe_epoch_presampled(signals, wall_us);
+                    monitor.observe_epoch(signals, wall_us);
                 }
             }
             // The global tier reports under its sentinel PoP, after the

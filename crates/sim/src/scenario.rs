@@ -47,9 +47,10 @@ pub struct SimConfig {
     /// Fault schedule the run interprets (`None` = sunny-day run).
     #[serde(default)]
     pub chaos: Option<FaultSchedule>,
-    /// Health & SLO tier: per-epoch sampling into ring-buffer series and
-    /// the alert-rule engine (`None` = no sampling). Strictly read-only —
-    /// results are byte-identical with health on or off.
+    /// Health & SLO tier: a per-epoch metric sample per PoP, judged by the
+    /// alert-rule engine and emitted to telemetry (`None` = no sampling).
+    /// Strictly read-only — results are byte-identical with health on or
+    /// off.
     #[serde(default)]
     pub health: Option<ef_health::HealthConfig>,
     /// Run the 95/5 billing meter: every interface's per-epoch carried

@@ -109,9 +109,6 @@ pub struct PlacementTarget {
 pub enum PlacementVerdict {
     /// Demand moved to at least one target PoP.
     Applied,
-    /// The backend holds an active shift but nothing moved this epoch
-    /// (e.g. an anycast cutover still waiting out BGP convergence).
-    Pending,
     /// Every candidate was rejected; the demand stayed at the source.
     NoFeasibleTarget,
 }
@@ -121,7 +118,6 @@ impl PlacementVerdict {
     pub fn label(&self) -> &'static str {
         match self {
             PlacementVerdict::Applied => "applied",
-            PlacementVerdict::Pending => "pending",
             PlacementVerdict::NoFeasibleTarget => "no feasible target",
         }
     }
@@ -332,7 +328,6 @@ mod tests {
     fn verdict_and_reason_labels_are_distinct() {
         let verdicts = [
             PlacementVerdict::Applied,
-            PlacementVerdict::Pending,
             PlacementVerdict::NoFeasibleTarget,
         ];
         let labels: std::collections::HashSet<&str> = verdicts.iter().map(|v| v.label()).collect();
@@ -349,10 +344,10 @@ mod tests {
     #[test]
     fn applied_tracks_verdict() {
         assert!(record().applied());
-        let pending = PlacementRecord {
-            verdict: PlacementVerdict::Pending,
+        let rejected = PlacementRecord {
+            verdict: PlacementVerdict::NoFeasibleTarget,
             ..record()
         };
-        assert!(!pending.applied());
+        assert!(!rejected.applied());
     }
 }
