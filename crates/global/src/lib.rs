@@ -9,14 +9,17 @@
 //!
 //! * `population` — named user populations (one per region) with
 //!   per-PoP demand baselines derived from the serving footprint;
-//! * `config` — [`GlobalConfig`]: steering backend, shift
-//!   tunables, scheduled flash crowds;
-//! * `backend` — the [`SteeringBackend`] trait and its two
-//!   implementations: [`DnsBackend`] (fractional, TTL-delayed) and
-//!   [`AnycastBackend`] (all-or-nothing, convergence-delayed);
+//! * `config` — [`GlobalConfig`]: steering mechanism ([`BackendKind`]),
+//!   shift tunables, scheduled flash crowds;
+//! * `backend` — the per-cell steering mechanism, a closed enum of two:
+//!   DNS (fractional, TTL-delayed) and anycast (all-or-nothing,
+//!   convergence-delayed);
 //! * `controller` — [`GlobalController`], which shapes demand (flash
 //!   crowds), places steered-away demand under per-PoP headroom budgets,
-//!   and feeds per-PoP [`PopReport`]s to the backend each epoch. The
+//!   and steps every (population, PoP) cell on the per-PoP
+//!   [`PopReport`]s each epoch. Each cell carries all the tier remembers
+//!   about its pair across epochs — away-fraction, hold-down, last
+//!   direction and its mechanism's in-flight state — in one flat grid. The
 //!   controller degrades like the paper's §5 fail-safes: stale reports
 //!   decay budgets toward zero, losing report quorum freezes placements
 //!   (*fail-static*), per-epoch movement is blast-radius capped, and
@@ -36,10 +39,8 @@ mod config;
 mod controller;
 mod population;
 
-pub use backend::{AnycastBackend, CellObservation, DnsBackend, ShiftTuning, SteeringBackend};
 pub use config::{BackendKind, ConfigError, FlashCrowdSpec, GlobalConfig};
 pub use controller::{
     GlobalController, GuardSnapshot, PlacementSummary, PopReport, BUDGET_PLAUSIBILITY,
     HOLD_DOWN_EPOCHS,
 };
-pub use population::{Population, PopulationMap};

@@ -18,7 +18,7 @@ use ef_topology::{Deployment, Region};
 
 /// A named group of users steered as a unit.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Population {
+pub(crate) struct Population {
     /// Display name: the region label (`"NA"`, `"EU"`, …).
     pub name: String,
     /// Average demand this population places on each PoP (Mbps), indexed
@@ -29,7 +29,7 @@ pub struct Population {
 
 /// The partition of the prefix universe into populations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PopulationMap {
+pub(crate) struct PopulationMap {
     /// All populations, in [`Region::ALL`] order.
     pub populations: Vec<Population>,
     /// Population index of each prefix (indexed by `prefix_idx`).
@@ -39,7 +39,7 @@ pub struct PopulationMap {
 impl PopulationMap {
     /// Partitions `deployment`'s prefix universe by region and computes
     /// baselines from the serving footprint.
-    pub fn build(deployment: &Deployment) -> Self {
+    pub(crate) fn build(deployment: &Deployment) -> Self {
         let n_pops = deployment.pops.len();
         let universe = &deployment.universe;
         let mut populations: Vec<Population> = Region::ALL
@@ -77,18 +77,13 @@ impl PopulationMap {
     }
 
     /// Index of the population with the given name, if any.
-    pub fn population_named(&self, name: &str) -> Option<usize> {
+    pub(crate) fn population_named(&self, name: &str) -> Option<usize> {
         self.populations.iter().position(|p| p.name == name)
     }
 
     /// Number of populations.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.populations.len()
-    }
-
-    /// True when there are no populations.
-    pub fn is_empty(&self) -> bool {
-        self.populations.is_empty()
     }
 }
 
