@@ -667,6 +667,79 @@ mod tests {
     }
 
     #[test]
+    fn nested_same_kind_windows_hold_until_the_last_one_closes() {
+        use ef_chaos::{FaultEvent, FaultKind, FaultSchedule, FaultTarget};
+        let base = scenario()
+            .small_topology(5)
+            .duration_secs(60 * 60)
+            .epoch_secs(60);
+        let dep = generate(&base.clone().build().gen);
+        let (egress, nominal) = {
+            let iface = &dep.pops[0].interfaces[0];
+            (iface.id, iface.capacity_mbps)
+        };
+        let window = |start: u64, end: u64, kind, target| FaultEvent {
+            t_start_secs: start,
+            duration_secs: end - start,
+            target,
+            kind,
+        };
+        let pop = FaultTarget::Pop { pop: 0 };
+        let iface = FaultTarget::Interface {
+            pop: 0,
+            egress: egress.0,
+        };
+        let loss = FaultKind::InjectorPartialLoss { fraction: 1.0 };
+        let cut = |fraction| FaultKind::LinkCapacityLoss { fraction };
+        // Each pair nests: the inner window closes first, the outer one
+        // last. A flash crowd keeps overrides wanted while every
+        // injection send is lost, and for a while after.
+        let schedule = FaultSchedule::new(vec![
+            window(0, 1380, FaultKind::FlashCrowd { multiplier: 3.0 }, pop),
+            window(60, 1260, loss, pop),
+            window(120, 600, loss, pop),
+            window(1500, 2100, FaultKind::ControllerCrash, pop),
+            window(1560, 1800, FaultKind::ControllerCrash, pop),
+            window(2400, 3000, cut(0.5), iface),
+            window(2460, 2700, cut(0.8), iface),
+        ])
+        .expect("valid schedule");
+        let mut engine = base.chaos(schedule).engine_with(dep);
+        let ledger = |engine: &SimEngine| {
+            let ctl = engine.pops[0].controller.as_ref();
+            ctl.map(|c| c.injection_ledger().clone())
+                .unwrap_or_default()
+        };
+        let mut sent_at_loss = None;
+        while engine.now_secs() < 3300 {
+            let t = engine.now_secs();
+            engine.step();
+            let sent = ledger(&engine).announces_sent;
+            if (60..1260).contains(&t) {
+                let first = *sent_at_loss.get_or_insert(sent);
+                assert_eq!(sent, first, "t={t}: an injection got through the loss");
+            }
+            if t == 1320 {
+                let ledger = ledger(&engine);
+                assert!(ledger.announces_dropped > 0, "the loss gate fired");
+                assert!(sent > sent_at_loss.unwrap_or(0), "retries land after it");
+            }
+            let down = engine.pops[0].controller.is_none();
+            assert_eq!(down, (1500..2100).contains(&t), "t={t}: controller down");
+            let keep = match t {
+                2460..2700 => 1.0 - 0.8,
+                2400..3000 => 1.0 - 0.5,
+                _ => 1.0,
+            };
+            let capacity = engine.pops[0].pop.interfaces[0].capacity_mbps;
+            assert!(
+                (capacity - nominal * keep).abs() < 1e-9,
+                "t={t}: {capacity}"
+            );
+        }
+    }
+
+    #[test]
     fn fan_out_returns_results_in_job_order() {
         use std::sync::Barrier;
         for workers in [1, 2, 7] {

@@ -21,8 +21,8 @@
 //! pays a cool-down before the session returns. Everything the runtime
 //! knows about one peer session — its stub, the table it replays, its two
 //! governors and what it is waiting for — lives in one `PeerRecord`.
-//! Nested same-PoP crash or partial-loss windows end early (DESIGN.md §3,
-//! "Known limitation").
+//! Windows of one kind may nest: an end transition that would undo a
+//! fault waits while another window of its kind is still open.
 
 use std::collections::HashMap;
 
@@ -483,8 +483,8 @@ impl PopRuntime {
                 rec.reconnect.record_down(now_ms);
                 rec.wants_up = true;
             }
-            (FaultKind::LinkCapacityLoss { fraction }, FaultTarget::Interface { egress, .. }) => {
-                self.scale_capacity(EgressId(*egress), 1.0 - fraction);
+            (FaultKind::LinkCapacityLoss { .. }, FaultTarget::Interface { egress, .. }) => {
+                self.apply_capacity_windows(EgressId(*egress));
             }
             (FaultKind::ControllerCrash, _) => {
                 // The crashed controller's pseudo-session drops with it, so
@@ -532,12 +532,12 @@ impl PopRuntime {
                 }
             }
             (FaultKind::LinkCapacityLoss { .. }, FaultTarget::Interface { egress, .. }) => {
-                self.scale_capacity(EgressId(*egress), 1.0);
+                self.apply_capacity_windows(EgressId(*egress));
             }
-            // Known limitation: fires even while a second crash window on
-            // this PoP is open (DESIGN.md §3).
             (FaultKind::ControllerCrash, _)
-                if self.controller_enabled && self.controller.is_none() =>
+                if self.controller_enabled
+                    && self.controller.is_none()
+                    && !self.kind_still_open(&event.kind) =>
             {
                 // Stateless restart (paper §4.4): a fresh controller
                 // resyncs its collector from the router's BMP snapshot
@@ -560,9 +560,7 @@ impl PopRuntime {
             // reconnect governor decides when (the per-tick pass in `step`
             // §0 calls `try_reattach_injector` once the window clears).
             (FaultKind::InjectorLoss, _) => {}
-            // Known limitation: zeroes the loss even while a second
-            // partial-loss window on this PoP is open (DESIGN.md §3).
-            (FaultKind::InjectorPartialLoss { .. }, _) => {
+            (FaultKind::InjectorPartialLoss { .. }, _) if !self.kind_still_open(&event.kind) => {
                 if let Some(ctl) = self.controller.as_mut() {
                     ctl.set_injection_loss(0.0, 0);
                     // Refresh-based resync: the router re-learns exactly
@@ -575,13 +573,34 @@ impl PopRuntime {
         }
     }
 
-    /// Sets interface `egress`'s live capacity to `keep` times its nominal
-    /// capacity, for the forwarding loop and the controller alike.
-    fn scale_capacity(&mut self, egress: EgressId, keep: f64) {
+    /// True while a window of `kind`'s kind is still open at this PoP
+    /// (the tracker has already moved to this tick).
+    fn kind_still_open(&self, kind: &FaultKind) -> bool {
+        let kind = std::mem::discriminant(kind);
+        self.faults
+            .active()
+            .any(|e| std::mem::discriminant(&e.kind) == kind)
+    }
+
+    /// Sets interface `egress`'s live capacity, for the forwarding loop and
+    /// the controller alike, to its nominal capacity less the worst loss
+    /// among the capacity windows open on it (all of it when none is).
+    fn apply_capacity_windows(&mut self, egress: EgressId) {
+        let worst = self
+            .faults
+            .active()
+            .filter_map(|e| match (e.kind, e.target) {
+                (
+                    FaultKind::LinkCapacityLoss { fraction },
+                    FaultTarget::Interface { egress: x, .. },
+                ) if x == egress.0 => Some(fraction),
+                _ => None,
+            })
+            .fold(0.0, f64::max);
         let Some(slot) = self.pop.interfaces.iter().position(|i| i.id == egress) else {
             return;
         };
-        let mbps = self.nominal_capacity[slot] * keep;
+        let mbps = self.nominal_capacity[slot] * (1.0 - worst);
         self.pop.interfaces[slot].capacity_mbps = mbps;
         if let Some(ctl) = self.controller.as_mut() {
             ctl.set_interface_capacity(egress, mbps);
