@@ -725,6 +725,66 @@ mod tests {
         assert!(execute(parse("report /nonexistent/run.jsonl")).is_err());
     }
 
+    /// Every percentile row `efctl report` prints equals a brute-force
+    /// type-7 quantile (linear between the order statistics around rank
+    /// `q·(n−1)`) over the values of its series in the traced stream.
+    #[test]
+    fn report_percentiles_are_exact_type7_quantiles() {
+        let traced = exec(&format!("trace {SMALL} --hours 0.25"));
+        let dir = std::env::temp_dir().join("efctl-report-oracle-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("run.jsonl");
+        std::fs::write(&path, &traced.stdout).unwrap();
+        let report: ef_health::HealthReport =
+            serde_json::from_str(&exec(&format!("report {}", path.display())).stdout).unwrap();
+
+        let records: Vec<TelemetryRecord> = traced
+            .stdout
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        let values_of = |pop: u16, metric: &str| -> Vec<f64> {
+            let (event_name, field) = match metric.strip_prefix("epoch.") {
+                Some(phase) => ("epoch", phase),
+                None => ("health.sample", metric),
+            };
+            let mut values: Vec<f64> = records
+                .iter()
+                .filter_map(|r| r.as_event())
+                .filter(|e| e.name == event_name && e.pop == pop)
+                .filter_map(|e| ef_health::num_field(e, field))
+                .collect();
+            values.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            values
+        };
+        let type7 = |x: &[f64], q: f64| {
+            let h = (x.len() - 1) as f64 * q;
+            let (j, g) = (h.floor() as usize, h - h.floor());
+            if g == 0.0 {
+                x[j]
+            } else {
+                (1.0 - g) * x[j] + g * x[j + 1]
+            }
+        };
+
+        // 4 PoPs x (5 summary metrics + 5 epoch phases).
+        assert_eq!(report.percentiles.len(), 40);
+        for row in &report.percentiles {
+            let x = values_of(row.pop, &row.metric);
+            assert_eq!(row.count, x.len() as u64, "{row:?}");
+            assert_eq!(row.max, x[x.len() - 1], "{row:?}");
+            for (got, q) in [(row.p50, 0.5), (row.p90, 0.9), (row.p99, 0.99)] {
+                let want = type7(&x, q);
+                assert!(
+                    (got - want).abs() <= 1e-9 * want.abs().max(1.0),
+                    "{} at pop {} q={q}: {got} vs {want}",
+                    row.metric,
+                    row.pop
+                );
+            }
+        }
+    }
+
     #[test]
     fn report_fail_on_alerts_gates_a_dirty_stream() {
         // Hand-build a stream with a firing alert via the health monitor.

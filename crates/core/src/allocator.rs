@@ -438,6 +438,7 @@ pub(crate) mod tests {
     use ef_bgp::message::UpdateMessage;
     use ef_bgp::peer::{PeerId, PeerKind};
     use ef_bgp::{BmpMessage, BmpPeerHeader, EgressSpec};
+    use ef_net_types::Asn;
 
     pub(crate) fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -458,17 +459,38 @@ pub(crate) mod tests {
     /// LOCAL_PREF band and tag community — the typed replacement for the
     /// old `(peer, asn, kind)` tuple announce helper.
     pub(crate) fn announce(c: &mut RouteCollector, spec: EgressSpec, prefix: &str) {
-        let kind = spec.kind();
+        announce_with_pref(c, spec, prefix, spec.kind().default_local_pref());
+    }
+
+    /// [`announce`] with an explicit LOCAL_PREF in place of the kind's band.
+    fn announce_with_pref(c: &mut RouteCollector, spec: EgressSpec, prefix: &str, pref: u32) {
         let mut attrs = PathAttributes {
-            local_pref: Some(kind.default_local_pref()),
+            local_pref: Some(pref),
             as_path: AsPath::sequence([spec.asn]),
             ..Default::default()
         };
+        attrs.add_community(spec.kind().tag_community());
+        ingest(c, PeerId(spec.egress.0 as u64), spec.asn, attrs, prefix);
+    }
+
+    /// Ingests the controller's own echo of an override onto `target`, as
+    /// the router's BMP feed reports an injected route.
+    pub(crate) fn announce_override(c: &mut RouteCollector, target: EgressId, prefix: &str) {
+        let kind = PeerKind::Controller;
+        let mut attrs = PathAttributes {
+            local_pref: Some(kind.default_local_pref()),
+            next_hop: Some(target.to_next_hop().unwrap()),
+            ..Default::default()
+        };
         attrs.add_community(kind.tag_community());
+        ingest(c, PeerId(100), Asn::LOCAL, attrs, prefix);
+    }
+
+    fn ingest(c: &mut RouteCollector, peer: PeerId, asn: Asn, attrs: PathAttributes, prefix: &str) {
         c.ingest([BmpMessage::RouteMonitoring {
             peer: BmpPeerHeader {
-                peer: PeerId(spec.egress.0 as u64),
-                peer_asn: spec.asn,
+                peer,
+                peer_asn: asn,
                 peer_bgp_id: "10.0.0.1".parse().unwrap(),
                 timestamp_ms: 0,
             },
@@ -827,6 +849,76 @@ pub(crate) mod tests {
         );
     }
 
+    /// A standing capacity override onto `target` for 1.0.0.0/24, whose
+    /// source (the PNI, egress 1) projects 90 of its 100 Mbps: inside the
+    /// 10 % hysteresis band, so only the target's checks can drop it.
+    fn hysteresis_in_band(
+        c: &RouteCollector,
+        ifaces: &InterfaceMap,
+        target: EgressId,
+    ) -> AllocationOutcome {
+        let cfg = ControllerConfig {
+            withdraw_hysteresis: 0.10,
+            ..Default::default()
+        };
+        let mut previous = OverrideSet::new();
+        previous.insert(Override {
+            prefix: p("1.0.0.0/24"),
+            target,
+            target_kind: PeerKind::Transit,
+            reason: OverrideReason::Capacity,
+            moved_mbps: 50.0,
+        });
+        let traffic = HashMap::from([(p("1.0.0.0/24"), 50.0), (p("2.0.0.0/24"), 40.0)]);
+        let proj = project(c, &traffic);
+        allocate(
+            &cfg,
+            ifaces,
+            c,
+            &traffic,
+            &proj,
+            &OverrideSet::new(),
+            &previous,
+        )
+    }
+
+    #[test]
+    fn hysteresis_keeps_overrides_only_onto_organic_routes() {
+        // The transit's organic route for 1.0.0.0/24 is gone; only the
+        // controller's own echo of the standing override remains there.
+        let specs = [EgressSpec::pni(1, 65001), EgressSpec::transit(3, 65010)];
+        let mut c = collector(&specs);
+        for prefix in ["1.0.0.0/24", "2.0.0.0/24"] {
+            announce(&mut c, specs[0], prefix);
+        }
+        announce(&mut c, specs[1], "2.0.0.0/24");
+        announce_override(&mut c, EgressId(3), "1.0.0.0/24");
+        let ifaces = interface_map(&[(specs[0], 100.0), (specs[1], 100_000.0)]);
+        let out = hysteresis_in_band(&c, &ifaces, EgressId(3));
+        assert!(out.overrides.is_empty(), "{:?}", out.overrides);
+
+        // With the organic route back, the same override is kept.
+        announce(&mut c, specs[1], "1.0.0.0/24");
+        let out = hysteresis_in_band(&c, &ifaces, EgressId(3));
+        let kept = out.overrides.get(&p("1.0.0.0/24")).unwrap();
+        assert_eq!(kept.target_kind, PeerKind::Transit);
+    }
+
+    #[test]
+    fn hysteresis_drops_an_override_whose_target_has_no_room() {
+        let (c, mut ifaces) = standard_world(&["1.0.0.0/24", "2.0.0.0/24"]);
+        // The public peer's limit (38 Mbps) cannot take the 50 Mbps prefix.
+        ifaces.get_mut(&EgressId(2)).unwrap().capacity_mbps = 40.0;
+        let out = hysteresis_in_band(&c, &ifaces, EgressId(2));
+        assert!(out.overrides.is_empty(), "{:?}", out.overrides);
+        assert!(out.post_load.get(&EgressId(2)).copied().unwrap_or(0.0) <= 38.0);
+
+        // With room on the target, the same override is kept.
+        ifaces.get_mut(&EgressId(2)).unwrap().capacity_mbps = 100.0;
+        let out = hysteresis_in_band(&c, &ifaces, EgressId(2));
+        assert!(out.overrides.contains(&p("1.0.0.0/24")));
+    }
+
     #[test]
     fn explains_cover_every_override_and_record_rejections() {
         let (c, mut ifaces) = standard_world(&["1.0.0.0/24", "2.0.0.0/24", "3.0.0.0/24"]);
@@ -1044,6 +1136,32 @@ pub(crate) mod tests {
             .unwrap();
         assert!(rec.rejected.iter().any(|r| r.egress == Some(EgressId(3))
             && matches!(r.reason, RejectReason::NoSpareCapacity { .. })));
+    }
+
+    /// The cost tiebreak stays inside the first feasible LOCAL_PREF band
+    /// even between two transits: a cheaper transit one band lower never
+    /// displaces the costlier one above it.
+    #[test]
+    fn cost_tiebreak_stays_in_the_first_feasible_band() {
+        let pni = EgressSpec::pni(1, 65001);
+        let preferred = EgressSpec::transit(3, 65010).usd_per_mbps(3.0);
+        let cheap = EgressSpec::transit(4, 65011).usd_per_mbps(0.5);
+        let mut c = collector(&[pni, preferred, cheap]);
+        announce(&mut c, pni, "1.0.0.0/24");
+        let transit_pref = PeerKind::Transit.default_local_pref();
+        announce_with_pref(&mut c, preferred, "1.0.0.0/24", transit_pref + 10);
+        announce(&mut c, cheap, "1.0.0.0/24");
+        let interfaces = interface_map(&[(pni, 50.0), (preferred, 100_000.0), (cheap, 100_000.0)]);
+        let traffic = HashMap::from([(p("1.0.0.0/24"), 80.0)]);
+        let cfg = ControllerConfig {
+            cost_aware: true,
+            ..Default::default()
+        };
+        let out = run(&cfg, &c, &interfaces, &traffic);
+        let o = out.overrides.get(&p("1.0.0.0/24")).unwrap();
+        assert_eq!(o.target, EgressId(3), "band beats price between transits");
+        let rec = out.explains.iter().find(|e| e.emitted()).unwrap();
+        assert!(rec.rejected.is_empty(), "{rec:?}");
     }
 
     /// With uniform prices (the default cost model), cost-aware and

@@ -193,10 +193,64 @@ fn hold_or_shrink<T: ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocator::tests::{announce, collector, interface_map, p};
+    use crate::allocator::tests::{announce, announce_override, collector, interface_map, p};
     use crate::overrides::{Override, OverrideReason};
     use ef_bgp::peer::PeerKind;
     use ef_bgp::EgressSpec;
+
+    /// Standing overrides onto `target`, `mbps` each: performance intents
+    /// the allocator charges to their target unchecked.
+    fn standing(target: EgressSpec, prefixes: &[&str], mbps: f64) -> OverrideSet {
+        let mut set = OverrideSet::new();
+        for prefix in prefixes {
+            set.insert(Override {
+                prefix: p(prefix),
+                target: target.egress,
+                target_kind: PeerKind::Transit,
+                reason: OverrideReason::Performance,
+                moved_mbps: mbps,
+            });
+        }
+        set
+    }
+
+    /// Decides one epoch on traffic exactly `stale_input_secs` old, with
+    /// `standing` both this epoch's intents and what is announced.
+    fn decide_stale(
+        routes: &RouteCollector,
+        interfaces: &InterfaceMap,
+        traffic: &HashMap<ef_net_types::Prefix, f64>,
+        standing: &OverrideSet,
+    ) -> Decision {
+        let cfg = ControllerConfig::default();
+        let view = EpochView {
+            cfg: &cfg,
+            interfaces,
+            collector: routes,
+            traffic,
+            inputs: EpochInputs {
+                bmp_age_ms: 0,
+                traffic_age_ms: cfg.stale_input_secs * 1000,
+            },
+            perf: standing,
+            announced: standing,
+        };
+        let decision = decide(
+            &view,
+            &mut ProjectionCache::new(),
+            &TelemetryHandle::disabled(),
+        );
+        assert!(decision.degraded && !decision.fail_open);
+        decision
+    }
+
+    fn verdict(decision: &Decision, prefix: &str) -> Option<ExplainVerdict> {
+        decision
+            .explains
+            .iter()
+            .find(|r| r.prefix == p(prefix))
+            .map(|r| r.verdict)
+    }
 
     /// Degraded mode re-validates each kept detour against the target's
     /// limit, counting the overrides kept before it: of two standing
@@ -213,38 +267,9 @@ mod tests {
         // The transit's limit (95 Mbps) fits one 50 Mbps detour, not two.
         let interfaces = interface_map(&[(pni, 1_000.0), (transit, 100.0)]);
         let traffic = HashMap::from([(p("1.0.0.0/24"), 50.0), (p("2.0.0.0/24"), 50.0)]);
-        // Both stand on the transit (announced), as performance intents
-        // the allocator charges to their target unchecked.
-        let mut standing = OverrideSet::new();
-        for prefix in ["1.0.0.0/24", "2.0.0.0/24"] {
-            standing.insert(Override {
-                prefix: p(prefix),
-                target: transit.egress,
-                target_kind: PeerKind::Transit,
-                reason: OverrideReason::Performance,
-                moved_mbps: 50.0,
-            });
-        }
-        let cfg = ControllerConfig::default();
-        let view = EpochView {
-            cfg: &cfg,
-            interfaces: &interfaces,
-            collector: &routes,
-            traffic: &traffic,
-            inputs: EpochInputs {
-                bmp_age_ms: 0,
-                traffic_age_ms: cfg.stale_input_secs * 1000,
-            },
-            perf: &standing,
-            announced: &standing,
-        };
-        let decision = decide(
-            &view,
-            &mut ProjectionCache::new(),
-            &TelemetryHandle::disabled(),
-        );
+        let standing = standing(transit, &["1.0.0.0/24", "2.0.0.0/24"], 50.0);
+        let decision = decide_stale(&routes, &interfaces, &traffic, &standing);
 
-        assert!(decision.degraded && !decision.fail_open);
         let kept: Vec<_> = decision
             .desired
             .iter_sorted()
@@ -252,16 +277,55 @@ mod tests {
             .map(|o| o.prefix)
             .collect();
         assert_eq!(kept, [p("1.0.0.0/24")]);
-        let verdict = |prefix| {
-            decision
-                .explains
-                .iter()
-                .find(|r| r.prefix == p(prefix))
-                .map(|r| r.verdict)
-        };
-        assert_eq!(verdict("1.0.0.0/24"), Some(ExplainVerdict::Emitted));
         assert_eq!(
-            verdict("2.0.0.0/24"),
+            verdict(&decision, "1.0.0.0/24"),
+            Some(ExplainVerdict::Emitted)
+        );
+        assert_eq!(
+            verdict(&decision, "2.0.0.0/24"),
+            Some(ExplainVerdict::DroppedStaleInput)
+        );
+    }
+
+    /// The guard's limit is inclusive, as the allocator's is: a detour
+    /// that fills its target exactly to the limit still re-validates.
+    #[test]
+    fn stale_inputs_keep_a_detour_that_fills_its_target_exactly() {
+        let (pni, transit) = (EgressSpec::pni(1, 65001), EgressSpec::transit(3, 65010));
+        let mut routes = collector(&[pni, transit]);
+        announce(&mut routes, pni, "1.0.0.0/24");
+        announce(&mut routes, transit, "1.0.0.0/24");
+        let interfaces = interface_map(&[(pni, 1_000.0), (transit, 100.0)]);
+        let limit = limit_mbps(
+            &interfaces,
+            transit.egress,
+            ControllerConfig::default().util_limit,
+        );
+        let traffic = HashMap::from([(p("1.0.0.0/24"), limit)]);
+        let standing = standing(transit, &["1.0.0.0/24"], limit);
+        let decision = decide_stale(&routes, &interfaces, &traffic, &standing);
+        assert!(decision.desired.contains(&p("1.0.0.0/24")));
+        assert_eq!(
+            verdict(&decision, "1.0.0.0/24"),
+            Some(ExplainVerdict::Emitted)
+        );
+    }
+
+    /// Re-validation asks for an organic route to the target: the
+    /// controller's own echo of the detour does not count as one.
+    #[test]
+    fn stale_inputs_drop_a_detour_whose_target_kept_only_its_echo() {
+        let (pni, transit) = (EgressSpec::pni(1, 65001), EgressSpec::transit(3, 65010));
+        let mut routes = collector(&[pni, transit]);
+        announce(&mut routes, pni, "1.0.0.0/24");
+        announce_override(&mut routes, transit.egress, "1.0.0.0/24");
+        let interfaces = interface_map(&[(pni, 1_000.0), (transit, 1_000.0)]);
+        let traffic = HashMap::from([(p("1.0.0.0/24"), 50.0)]);
+        let standing = standing(transit, &["1.0.0.0/24"], 50.0);
+        let decision = decide_stale(&routes, &interfaces, &traffic, &standing);
+        assert!(decision.desired.is_empty());
+        assert_eq!(
+            verdict(&decision, "1.0.0.0/24"),
             Some(ExplainVerdict::DroppedStaleInput)
         );
     }

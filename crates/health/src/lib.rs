@@ -7,12 +7,8 @@
 //! utilization, and detour churn. `ef-telemetry` records everything;
 //! this crate is the layer that says "this run is unhealthy".
 //!
-//! Five modules:
+//! Four modules:
 //!
-//! * `digest` — a hand-rolled streaming quantile digest
-//!   ([`QuantileDigest`]): bounded-memory percentiles over unbounded
-//!   value ranges, deterministic for identical input streams; `report`
-//!   is its one user;
 //! * `series` — the monitor's one record per PoP ([`PopRecord`]): the
 //!   previous cumulative totals and the epochs seen;
 //! * `rules` — the declarative SLO/alert engine: [`SloRule`]s with
@@ -23,8 +19,8 @@
 //!   derived sample, and emits `health.sample` / `alert.fire` /
 //!   `alert.clear` events into the telemetry stream;
 //! * `report` — offline judgment ([`analyze`]) of a recorded telemetry
-//!   stream for `efctl report` (and its `--follow` tail), no simulation
-//!   crates required.
+//!   stream for `efctl report` (and its `--follow` tail), with exact
+//!   percentiles over each recorded series; no simulation crates required.
 //!
 //! **Determinism contract**: the health tier is read-only with respect to
 //! the simulation. It consumes deterministic end-of-epoch state, writes
@@ -33,13 +29,11 @@
 //! a run's `results/` output is byte-identical with health on or off,
 //! including under chaos schedules.
 
-mod digest;
 mod monitor;
 mod report;
 mod rules;
 mod series;
 
-pub use digest::QuantileDigest;
 pub use monitor::{
     sample_iface_util, EpochSignals, GlobalSignals, HealthConfig, HealthMonitor, GLOBAL_POP,
 };

@@ -6,20 +6,17 @@
 //! from [`TelemetryRecord`]s alone. The monitor writes one
 //! `health.sample` event per PoP per epoch carrying the full metric map,
 //! and one `alert.fire` / `alert.clear` event per alert edge; [`analyze`]
-//! rebuilds digests from the samples and takes the alert timeline from
-//! the recorded `alert.*` events, the live monitor's own verdicts.
+//! reads exact percentiles off each (PoP, metric) series of the samples
+//! and takes the alert timeline from the recorded `alert.*` events, the
+//! live monitor's own verdicts.
 
 use std::collections::BTreeMap;
 
 use ef_telemetry::{Event, FieldValue, TelemetryRecord};
 use serde::{Deserialize, Serialize};
 
-use crate::digest::QuantileDigest;
 use crate::monitor::HealthConfig;
 use crate::rules::{Alert, Severity};
-
-/// Centroids per quantile digest.
-const DIGEST_BINS: usize = 64;
 
 /// Per-epoch phase-timing fields copied out of `epoch` events into
 /// percentile rows (wall-clock, human-only).
@@ -165,57 +162,68 @@ fn alerts_from_events(records: &[TelemetryRecord]) -> Vec<Alert> {
     alerts
 }
 
+/// Quantile `q` of an ascending slice, Hyndman–Fan type 7: linear
+/// interpolation between the order statistics around rank `q·(n−1)`.
+/// 0 when empty.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+    let lo = rank.floor() as usize;
+    let frac = rank - lo as f64;
+    // An exact rank, the last one included, reads one order statistic.
+    if frac == 0.0 {
+        return sorted[lo];
+    }
+    sorted[lo] + (sorted[lo + 1] - sorted[lo]) * frac
+}
+
 /// Judges a telemetry stream: SLO table, percentile summary, and alert
 /// timeline under the built-in rule set.
 pub fn analyze(records: &[TelemetryRecord]) -> HealthReport {
-    // Samples, sorted by (time, pop), the order the live monitor saw them.
-    let mut samples: Vec<(u64, u16, BTreeMap<String, f64>)> = records
-        .iter()
-        .filter_map(|r| r.as_event())
-        .filter(|e| e.name == "health.sample")
-        .map(|e| {
-            let metrics = e
-                .fields
-                .keys()
-                .filter_map(|k| num_field(e, k).map(|v| (k.clone(), v)))
-                .collect();
-            (e.now_ms, e.pop, metrics)
-        })
-        .collect();
-    samples.sort_by_key(|(now_ms, pop, _)| (*now_ms, *pop));
-
-    // Digests per (pop, metric): the sampled map plus wall-clock phase
-    // timings lifted from epoch events.
-    let mut digests: BTreeMap<(u16, String), QuantileDigest> = BTreeMap::new();
+    // Every (pop, metric) series: the sampled map plus wall-clock phase
+    // timings lifted from epoch events. NaN is skipped.
+    let mut series: BTreeMap<(u16, String), Vec<f64>> = BTreeMap::new();
     let mut observe = |pop: u16, metric: &str, value: f64| {
-        digests
-            .entry((pop, metric.to_string()))
-            .or_insert_with(|| QuantileDigest::new(DIGEST_BINS))
-            .observe(value);
-    };
-    for (_, pop, metrics) in &samples {
-        for (k, v) in metrics {
-            observe(*pop, k, *v);
+        let values = series.entry((pop, metric.to_string())).or_default();
+        if !value.is_nan() {
+            values.push(value);
         }
-    }
+    };
+    let mut pops: Vec<u16> = Vec::new();
+    let mut epoch_times: Vec<u64> = Vec::new();
     for event in records.iter().filter_map(|r| r.as_event()) {
-        if event.name == "epoch" {
-            for phase in PHASE_FIELDS {
-                if let Some(us) = num_field(event, phase) {
-                    observe(event.pop, &format!("epoch.{phase}"), us);
+        match event.name.as_str() {
+            "health.sample" => {
+                pops.push(event.pop);
+                epoch_times.push(event.now_ms);
+                for k in event.fields.keys() {
+                    if let Some(v) = num_field(event, k) {
+                        observe(event.pop, k, v);
+                    }
                 }
             }
+            "epoch" => {
+                for phase in PHASE_FIELDS {
+                    if let Some(us) = num_field(event, phase) {
+                        observe(event.pop, &format!("epoch.{phase}"), us);
+                    }
+                }
+            }
+            _ => {}
         }
     }
-
-    let alerts = alerts_from_events(records);
-
-    let mut pops: Vec<u16> = samples.iter().map(|(_, p, _)| *p).collect();
+    for values in series.values_mut() {
+        values.sort_unstable_by(f64::total_cmp);
+    }
+    let samples = pops.len() as u64;
     pops.sort_unstable();
     pops.dedup();
-    let mut epoch_times: Vec<u64> = samples.iter().map(|(t, _, _)| *t).collect();
     epoch_times.sort_unstable();
     epoch_times.dedup();
+
+    let alerts = alerts_from_events(records);
 
     let slo = HealthConfig::default()
         .rules()
@@ -229,10 +237,10 @@ pub fn analyze(records: &[TelemetryRecord]) -> HealthReport {
             pops_affected.sort_unstable();
             pops_affected.dedup();
             let count = alerts.iter().filter(|a| a.rule == rule.name).count() as u64;
-            let worst_value = digests
+            let worst_value = series
                 .iter()
                 .filter(|((_, m), _)| *m == rule.metric)
-                .filter_map(|(_, d)| d.max())
+                .filter_map(|(_, values)| values.last().copied())
                 .fold(0.0_f64, f64::max);
             SloRow {
                 rule: rule.name.clone(),
@@ -247,26 +255,26 @@ pub fn analyze(records: &[TelemetryRecord]) -> HealthReport {
         })
         .collect();
 
-    let percentiles = digests
+    let percentiles = series
         .iter()
         .filter(|((_, metric), _)| {
             SUMMARY_METRICS.contains(&metric.as_str()) || metric.starts_with("epoch.")
         })
-        .map(|((pop, metric), d)| PercentileRow {
+        .map(|((pop, metric), values)| PercentileRow {
             pop: *pop,
             metric: metric.clone(),
-            count: d.count(),
-            p50: d.quantile(0.5),
-            p90: d.quantile(0.9),
-            p99: d.quantile(0.99),
-            max: d.max().unwrap_or(0.0),
+            count: values.len() as u64,
+            p50: quantile(values, 0.5),
+            p90: quantile(values, 0.9),
+            p99: quantile(values, 0.99),
+            max: values.last().copied().unwrap_or(0.0),
         })
         .collect();
 
     HealthReport {
         epochs: epoch_times.len() as u64,
         pops,
-        samples: samples.len() as u64,
+        samples,
         slo,
         percentiles,
         alerts,
@@ -373,6 +381,120 @@ mod tests {
     use super::*;
     use crate::monitor::{EpochSignals, HealthMonitor};
     use ef_telemetry::TelemetryHandle;
+
+    /// A hand-built `health.sample` carrying one metric.
+    fn sample(pop: u16, now_ms: u64, metric: &str, value: f64) -> TelemetryRecord {
+        TelemetryRecord::Event(Event {
+            name: "health.sample".into(),
+            pop,
+            now_ms,
+            fields: BTreeMap::from([(metric.to_string(), FieldValue::F64(value))]),
+            wall_us: None,
+        })
+    }
+
+    fn row<'a>(report: &'a HealthReport, pop: u16, metric: &str) -> &'a PercentileRow {
+        report
+            .percentiles
+            .iter()
+            .find(|r| r.pop == pop && r.metric == metric)
+            .unwrap_or_else(|| panic!("no {metric} row at pop {pop}"))
+    }
+
+    #[test]
+    fn empty_series_reads_zero() {
+        for q in [0.0, 0.5, 1.0] {
+            assert_eq!(quantile(&[], q), 0.0);
+        }
+    }
+
+    #[test]
+    fn single_value_is_every_quantile() {
+        for q in [0.0, 0.5, 0.99, 1.0] {
+            assert_eq!(quantile(&[7.0], q), 7.0);
+        }
+    }
+
+    #[test]
+    fn quantiles_interpolate_between_order_statistics() {
+        let values: Vec<f64> = (1..=100).map(f64::from).collect();
+        assert_eq!(quantile(&values, 0.0), 1.0);
+        assert_eq!(quantile(&values, 1.0), 100.0);
+        assert_eq!(quantile(&values, 0.5), 50.5);
+        let p90 = quantile(&values, 0.9);
+        assert!((p90 - 90.1).abs() < 1e-9, "p90={p90}");
+    }
+
+    #[test]
+    fn large_series_quantiles_are_exact() {
+        // A permutation of 0.0, 0.1, …, 999.9, sorted.
+        let mut values: Vec<f64> = (0..10_000)
+            .map(|i| (i * 7919 % 10_000) as f64 / 10.0)
+            .collect();
+        values.sort_unstable_by(f64::total_cmp);
+        let p50 = quantile(&values, 0.5);
+        assert!((p50 - 499.95).abs() < 1e-9, "p50={p50}");
+        let p99 = quantile(&values, 0.99);
+        assert!((p99 - 989.901).abs() < 1e-9, "p99={p99}");
+    }
+
+    #[test]
+    fn shuffled_input_gives_the_same_quantiles() {
+        // Percentiles do not depend on the order records arrive in.
+        let records = stream_with_incident();
+        let mut reversed = records.clone();
+        reversed.reverse();
+        let (forward, backward) = (analyze(&records), analyze(&reversed));
+        assert!(!forward.percentiles.is_empty());
+        assert_eq!(forward.percentiles, backward.percentiles);
+        assert_eq!(forward.slo, backward.slo);
+    }
+
+    #[test]
+    fn nan_samples_are_skipped() {
+        let records = [
+            sample(0, 30_000, "drop_rate", 1.0),
+            sample(0, 60_000, "drop_rate", f64::NAN),
+            sample(0, 90_000, "drop_rate", 3.0),
+        ];
+        let report = analyze(&records);
+        let row = row(&report, 0, "drop_rate");
+        assert_eq!(row.count, 2);
+        assert_eq!((row.p50, row.max), (2.0, 3.0));
+    }
+
+    #[test]
+    fn report_round_trips_through_json() {
+        let report = analyze(&stream_with_incident());
+        assert!(!report.percentiles.is_empty());
+        let json = serde_json::to_string(&report).unwrap();
+        let back: HealthReport = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, report);
+    }
+
+    /// 27 calm epochs and 3 incident epochs at one PoP: the median is the
+    /// calm value, and the tails interpolate between the order statistics.
+    #[test]
+    fn mostly_zero_series_reads_zero_median_and_exact_tails() {
+        let (handle, sink) = TelemetryHandle::memory();
+        let mut mon = HealthMonitor::new(HealthConfig::default(), handle);
+        for t in 1..=30u64 {
+            let dropped = match t {
+                8 | 19 => 50.0,
+                25 => 200.0,
+                _ => 0.0,
+            };
+            mon.observe_epoch(&signals(0, t * 30, dropped), None);
+        }
+        let report = analyze(&sink.records());
+        let row = row(&report, 0, "drop_rate");
+        assert_eq!(row.count, 30);
+        assert_eq!(row.p50, 0.0);
+        // Ranks 26.1 and 28.71 of 27 zeros, 0.05, 0.05, 0.2.
+        assert!((row.p90 - 0.005).abs() < 1e-12, "p90={}", row.p90);
+        assert!((row.p99 - 0.1565).abs() < 1e-12, "p99={}", row.p99);
+        assert_eq!(row.max, 0.2);
+    }
 
     fn signals(pop: u16, t: u64, dropped: f64) -> EpochSignals {
         EpochSignals {

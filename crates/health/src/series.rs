@@ -55,7 +55,7 @@ mod tests {
     use crate::monitor::{HealthConfig, HealthMonitor};
 
     #[test]
-    fn ring_evicts_but_digest_remembers() {
+    fn record_keeps_latest_totals_and_counts_every_epoch() {
         // The record keeps only the latest totals, but counts every epoch.
         let mut mon = HealthMonitor::new(HealthConfig::default(), TelemetryHandle::disabled());
         for t in 1..=10u64 {
@@ -83,7 +83,7 @@ mod tests {
     }
 
     #[test]
-    fn store_creates_series_lazily_and_sorts() {
+    fn pop_stores_hands_out_records_in_pop_order() {
         let mut mon = HealthMonitor::new(HealthConfig::default(), TelemetryHandle::disabled());
         let mut records = mon.pop_stores(&[1, 4]);
         assert_eq!(records.len(), 2);
