@@ -136,7 +136,7 @@ pub enum DownReason {
 }
 
 /// Snapshot of a session's RFC 7606 grading and ROUTE-REFRESH counters,
-/// surfaced per peer through the telemetry registry.
+/// surfaced per peer in the simulator's `session.stats` telemetry events.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Malformed UPDATEs downgraded to withdrawals (treat-as-withdraw).

@@ -131,7 +131,7 @@ pub struct Args {
     /// `trace` filters: a cap on the records printed (0 = everything),
     /// one PoP, one epoch index (`t_secs / epoch_secs`), and an event name
     /// (`epoch`, `health.sample`, ...) or record category (`event`,
-    /// `metrics`, `explain`, `placement`).
+    /// `explain`, `placement`).
     limit: usize,
     pop: Option<u16>,
     at_epoch: Option<u64>,
@@ -405,8 +405,8 @@ report_staleness, global_controller_crash, headroom_lie.
 
 `trace` runs with the health tier attached, so the stream includes
 health.sample and alert.* events. --pop / --at-epoch / --kind narrow
-the dump (--kind takes an event name like epoch or health.sample, or a
-record category: event, metrics, explain, placement).
+the dump (--kind takes an event name like epoch, health.sample or
+session.stats, or a record category: event, explain, placement).
 
 `report` replays a captured JSON-lines telemetry file through the
 health tier: SLO pass/fail table, per-PoP percentiles, and the alert
@@ -695,7 +695,6 @@ mod tests {
             let now_ms = match &rec {
                 TelemetryRecord::Event(e) => e.now_ms,
                 TelemetryRecord::Explain { now_ms, .. }
-                | TelemetryRecord::Metrics { now_ms, .. }
                 | TelemetryRecord::Placement { now_ms, .. } => *now_ms,
             };
             assert_eq!((now_ms / 1000) / 60, 3);
@@ -723,6 +722,34 @@ mod tests {
 
         // A missing file errors cleanly.
         assert!(execute(parse("report /nonexistent/run.jsonl")).is_err());
+    }
+
+    /// A capture with a record kind this build no longer knows (the
+    /// retired per-epoch `Metrics` snapshot) and a torn final line is
+    /// judged exactly like the clean capture, bar the skip note.
+    #[test]
+    fn report_skips_retired_records_and_a_torn_line() {
+        let traced = exec(&format!("trace {SMALL} --hours 0.25"));
+        let dir = std::env::temp_dir().join("efctl-report-skip-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let clean = dir.join("clean.jsonl");
+        std::fs::write(&clean, &traced.stdout).unwrap();
+
+        let retired = r#"{"Metrics":{"pop":65535,"now_ms":0,"snapshot":{"counters":{"overrides.announced":23},"gauges":{"pop0.detoured_mbps":11559.36},"histograms":{"epoch_duration_us":{"bounds":[10.0,100.0],"counts":[0,3,1],"sum":412.0,"count":4}}}}}"#;
+        let mut lines: Vec<&str> = traced.stdout.lines().collect();
+        let last = lines.pop().unwrap();
+        let torn = &last[..last.len() / 2];
+        let dirty_text = format!("{retired}\n{}\n{}\n{torn}", lines.join("\n"), last);
+        let dirty = dir.join("dirty.jsonl");
+        std::fs::write(&dirty, dirty_text).unwrap();
+
+        let want = exec(&format!("report {}", clean.display()));
+        let got = exec(&format!("report {}", dirty.display()));
+        assert_eq!(got.stdout, want.stdout);
+        assert_eq!(
+            got.stderr,
+            format!("[skipped 2 unparseable line(s)]\n{}", want.stderr)
+        );
     }
 
     /// Every percentile row `efctl report` prints equals a brute-force
@@ -1075,27 +1102,20 @@ mod tests {
         let out = exec(&line);
         assert!(!out.stdout.is_empty());
         let mut saw_epoch = false;
-        let mut saw_peer_session_gauge = false;
         for line in out.stdout.lines() {
             let rec: TelemetryRecord = serde_json::from_str(line).unwrap();
-            if rec.as_event().is_some_and(|e| e.name == "epoch") {
+            let Some(e) = rec.as_event() else {
+                continue;
+            };
+            if e.name == "epoch" {
                 saw_epoch = true;
+                assert!(e.field("detoured_mbps").is_some(), "{line}");
             }
-            if let TelemetryRecord::Metrics { snapshot, .. } = &rec {
-                if snapshot
-                    .gauges
-                    .keys()
-                    .any(|k| k.starts_with("session.peer.") && k.ends_with(".refreshes_sent"))
-                {
-                    saw_peer_session_gauge = true;
-                }
-            }
+            // Session stats are emitted on change; a fault-free run's
+            // never change.
+            assert_ne!(e.name, "session.stats", "{line}");
         }
         assert!(saw_epoch, "trace must contain per-epoch events");
-        assert!(
-            saw_peer_session_gauge,
-            "trace must surface per-peer session counters"
-        );
         assert!(out.stderr.contains("telemetry records"));
 
         // --limit caps the stream.

@@ -15,7 +15,6 @@ fn record_key(r: &TelemetryRecord) -> (u64, u16) {
     match r {
         TelemetryRecord::Event(e) => (e.now_ms, e.pop),
         TelemetryRecord::Explain { pop, now_ms, .. } => (*now_ms, *pop),
-        TelemetryRecord::Metrics { pop, now_ms, .. } => (*now_ms, *pop),
         TelemetryRecord::Placement { pop, now_ms, .. } => (*now_ms, *pop),
     }
 }
@@ -45,7 +44,6 @@ fn record_matches_kind(r: &TelemetryRecord, kind: &str) -> bool {
     match r {
         TelemetryRecord::Event(e) => kind == "event" || e.name == kind,
         TelemetryRecord::Explain { .. } => kind == "explain",
-        TelemetryRecord::Metrics { .. } => kind == "metrics",
         TelemetryRecord::Placement { .. } => kind == "placement",
     }
 }
@@ -83,11 +81,7 @@ pub(crate) fn trace(args: &Args) -> Result<Output, String> {
     }
     let events = records.iter().filter(|r| r.as_event().is_some()).count();
     let explains = records.iter().filter(|r| r.as_explain().is_some()).count();
-    let placements = records
-        .iter()
-        .filter(|r| r.as_placement().is_some())
-        .count();
-    let snapshots = matched - events - explains - placements;
+    let placements = matched - events - explains;
     if let Some(path) = &args.out {
         std::fs::write(path, &lines).map_err(|e| e.to_string())?;
         writeln!(out.stderr, "[wrote {shown} records to {path}]").unwrap();
@@ -97,7 +91,7 @@ pub(crate) fn trace(args: &Args) -> Result<Output, String> {
     writeln!(
         out.stderr,
         "{matched} of {total} telemetry records ({events} events, {explains} explains, \
-         {placements} placements, {snapshots} metric snapshots); showing {shown}"
+         {placements} placements); showing {shown}"
     )
     .unwrap();
     Ok(out)

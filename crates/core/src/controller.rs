@@ -220,7 +220,6 @@ impl PopController {
     ) -> Result<EpochReport, EpochError> {
         let epoch_timer = self.telemetry.timer();
         if !self.injector.session_up() {
-            self.telemetry.counter("epoch.skipped", 1);
             self.telemetry.emit(
                 self.pop,
                 now,
@@ -288,9 +287,6 @@ impl PopController {
             );
             // Keep the collector's view current after the repair.
             self.collector.ingest(router.drain_bmp());
-            self.telemetry.counter("reconcile.reannounced", reannounced);
-            self.telemetry
-                .counter("reconcile.force_withdrawn", force_withdrawn);
             self.telemetry.emit(
                 self.pop,
                 now,
@@ -331,30 +327,7 @@ impl PopController {
                     &[("prefix", prefix.to_string().into())],
                 );
             }
-            self.telemetry
-                .counter("overrides.announced", report.sent.announce.len() as u64);
-            self.telemetry
-                .counter("overrides.withdrawn", report.sent.withdraw.len() as u64);
-            if !report.is_clean() {
-                self.telemetry.counter(
-                    "inject.dropped_announce",
-                    report.dropped_announce.len() as u64,
-                );
-                self.telemetry.counter(
-                    "inject.dropped_withdraw",
-                    report.dropped_withdraw.len() as u64,
-                );
-            }
-            self.telemetry.gauge(
-                &format!("pop{}.overrides_active", self.pop),
-                active.len() as f64,
-            );
-            self.telemetry.gauge(
-                &format!("pop{}.detoured_mbps", self.pop),
-                active.total_moved_mbps(),
-            );
             let total_us = epoch_timer.elapsed_us();
-            self.telemetry.observe("epoch_duration_us", total_us as f64);
             self.telemetry.emit(
                 self.pop,
                 now,
@@ -364,8 +337,11 @@ impl PopController {
                     ("degraded", degraded.into()),
                     ("fail_open", fail_open.into()),
                     ("overrides_active", active.len().into()),
+                    ("detoured_mbps", active.total_moved_mbps().into()),
                     ("announced", report.sent.announce.len().into()),
                     ("withdrawn", report.sent.withdraw.len().into()),
+                    ("dropped_announce", report.dropped_announce.len().into()),
+                    ("dropped_withdraw", report.dropped_withdraw.len().into()),
                     ("projection_us", decision.projection_us.into()),
                     ("allocation_us", decision.allocation_us.into()),
                     ("guards_us", decision.guards_us.into()),
@@ -398,11 +374,11 @@ impl PopController {
         }
     }
 
-    /// Emits enter/exit events (and bumps transition counters) when the
-    /// controller crosses into or out of degraded / fail-open mode. These
-    /// replace the ad-hoc debug prints an operator would otherwise add: the
-    /// transition, its trigger (input age), and the override footprint at
-    /// the moment of crossing are all structured fields.
+    /// Emits enter/exit events when the controller crosses into or out of
+    /// degraded / fail-open mode. These replace the ad-hoc debug prints an
+    /// operator would otherwise add: the transition, its trigger (input
+    /// age), and the override footprint at the moment of crossing are all
+    /// structured fields.
     fn note_mode_transitions(&mut self, degraded: bool, fail_open: bool, age_ms: u64, now: Millis) {
         let overrides_active = self.injector.announced().len();
         let fields = [
@@ -411,7 +387,6 @@ impl PopController {
         ];
         if degraded != self.last_degraded {
             let name = if degraded {
-                self.telemetry.counter("controller.degraded_transitions", 1);
                 "controller.degraded.enter"
             } else {
                 "controller.degraded.exit"
@@ -420,8 +395,6 @@ impl PopController {
         }
         if fail_open != self.last_fail_open {
             let name = if fail_open {
-                self.telemetry
-                    .counter("controller.fail_open_transitions", 1);
                 "controller.fail_open.enter"
             } else {
                 "controller.fail_open.exit"
@@ -484,7 +457,7 @@ impl PopController {
     pub fn resync_injector(&mut self, router: &mut BgpRouter, now: Millis) -> bool {
         let ok = self.injector.resync_via_refresh(router, now);
         if ok {
-            self.telemetry.counter("injector.refresh_resyncs", 1);
+            self.telemetry.emit(self.pop, now, "injector.resync", &[]);
         }
         ok
     }
@@ -918,7 +891,7 @@ mod tests {
     fn telemetry_captures_epoch_events_explains_and_clean_audit() {
         let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
         let (handle, sink) = TelemetryHandle::memory();
-        w.controller.set_telemetry(handle.clone());
+        w.controller.set_telemetry(handle);
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
         let report = w.epoch(&peak, 30_000);
         assert_eq!(report.overrides_active, 1);
@@ -950,9 +923,18 @@ mod tests {
         assert_eq!(announces.len(), 1);
         assert_eq!(announces[0].str_field("kind"), Some("transit"));
 
-        // The epoch event has the per-phase wall-clock timings.
+        // The epoch event carries the override footprint and churn...
         let epochs = sink.events_named("epoch");
         assert_eq!(epochs.len(), 1);
+        let field = |key| epochs[0].field(key).cloned();
+        assert_eq!(field("overrides_active"), Some(1usize.into()));
+        assert_eq!(field("announced"), Some(1usize.into()));
+        assert_eq!(field("withdrawn"), Some(0usize.into()));
+        assert_eq!(field("detoured_mbps"), Some(report.detoured_mbps.into()));
+        assert!(report.detoured_mbps > 0.0);
+        assert_eq!(field("dropped_announce"), Some(0usize.into()));
+        assert_eq!(field("dropped_withdraw"), Some(0usize.into()));
+        // ...and the per-phase wall-clock timings.
         for key in [
             "projection_us",
             "allocation_us",
@@ -967,16 +949,7 @@ mod tests {
         // The audit ran and found the router state consistent.
         assert!(sink.events_named("audit.override_leaked").is_empty());
         assert!(sink.events_named("audit.override_not_installed").is_empty());
-        // The controller writes the registry; snapshotting it into the
-        // stream is the engine's job, once per epoch.
-        assert!(sink.snapshots().is_empty());
-        let metrics = handle.metrics().expect("telemetry enabled");
-        assert_eq!(metrics.counters["audit.checked"], 1);
-        assert_eq!(metrics.counters.get("audit.failures"), Some(&0));
-        assert_eq!(metrics.counters["overrides.announced"], 1);
-        assert_eq!(metrics.gauges["pop0.overrides_active"], 1.0);
-        assert_eq!(metrics.gauges["pop0.audit_failures_last_epoch"], 0.0);
-        assert_eq!(metrics.histograms["epoch_duration_us"].count, 1);
+        assert!(sink.events_named("reconcile").is_empty());
     }
 
     #[test]
@@ -1013,6 +986,24 @@ mod tests {
         let report = w.epoch(&peak, 90_000);
         assert!(!report.fail_open && !report.degraded);
         assert_eq!(sink.events_named("controller.fail_open.exit").len(), 1);
+    }
+
+    #[test]
+    fn epoch_event_counts_injection_drops() {
+        let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
+        let (handle, sink) = TelemetryHandle::memory();
+        w.controller.set_telemetry(handle);
+        w.controller.set_injection_loss(1.0, 7);
+        let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
+        w.epoch(&peak, 30_000);
+
+        let dropped = w.controller.injection_ledger().announces_dropped;
+        assert!(dropped > 0, "the loss gate dropped the detour");
+        let epochs = sink.events_named("epoch");
+        assert_eq!(epochs.len(), 1);
+        assert_eq!(epochs[0].field("dropped_announce"), Some(&dropped.into()));
+        assert_eq!(epochs[0].field("announced"), Some(&0usize.into()));
+        assert_eq!(epochs[0].field("dropped_withdraw"), Some(&0usize.into()));
     }
 
     #[test]

@@ -510,15 +510,6 @@ impl GlobalController {
             if let Some(m) = self.moved_last.get_mut(pi) {
                 *m = population_moved;
             }
-            if self.telemetry.enabled() && population_moved > EPS {
-                if let Some(p) = self.map.populations.get(pi) {
-                    self.telemetry
-                        .gauge(&format!("global.{}.moved_mbps", p.name), population_moved);
-                    let away_max = self.row(pi).iter().fold(0.0f64, |a, c| a.max(c.away));
-                    self.telemetry
-                        .gauge(&format!("global.{}.away_max", p.name), away_max);
-                }
-            }
         }
     }
 

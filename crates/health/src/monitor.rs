@@ -412,15 +412,6 @@ impl HealthMonitor {
                 ],
             );
         }
-        let key = if pop == GLOBAL_POP {
-            "global.alerts_firing".to_string()
-        } else {
-            format!("pop{pop}.alerts_firing")
-        };
-        self.telemetry.gauge(
-            &key,
-            self.engine.firing().iter().filter(|a| a.pop == pop).count() as f64,
-        );
         edges
     }
 

@@ -24,8 +24,7 @@ pub fn surface(deployment: &Deployment) -> SimSurface {
 }
 
 /// Emits `event`'s `fault.start` edge (`start`) or `fault.end` edge at
-/// `pop`, naming its kind and target; only start edges count into
-/// `faults.started`.
+/// `pop`, naming its kind and target.
 pub(crate) fn emit_fault_edge(
     telemetry: &TelemetryHandle,
     pop: u16,
@@ -43,9 +42,6 @@ pub(crate) fn emit_fault_edge(
             ("target", format!("{:?}", event.target).into()),
         ],
     );
-    if start {
-        telemetry.counter("faults.started", 1);
-    }
 }
 
 /// One tier's fault windows and the set that was active at its last tick:

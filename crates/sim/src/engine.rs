@@ -305,13 +305,6 @@ impl SimEngine {
                 });
             }
         }
-        // One registry snapshot per epoch, taken once the PoPs, the global
-        // tier and the health tier have all written theirs: unlike a
-        // snapshot from inside a PoP's worker, it does not depend on how far
-        // the other workers had got.
-        self.cfg
-            .telemetry
-            .snapshot_metrics(ef_health::GLOBAL_POP, t * 1000);
         self.t_secs += self.cfg.epoch_secs;
     }
 

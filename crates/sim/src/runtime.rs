@@ -186,10 +186,9 @@ pub struct PopRuntime {
     traffic_order: TrafficOrder,
     /// Telemetry pipeline shared with the controller (disabled by default).
     telemetry: ef_telemetry::TelemetryHandle,
-    /// Each router session's stats as last written to the
-    /// `session.peer.N.*` gauges (empty while telemetry is off). Keyed by
-    /// router peer rather than record: the injector's pseudo-session has
-    /// stats too.
+    /// Each router session's stats as last emitted in a `session.stats`
+    /// event (empty while telemetry is off). Keyed by router peer rather
+    /// than record: the injector's pseudo-session has stats too.
     published_sessions: HashMap<PeerId, SessionStats>,
     /// Collect end-of-epoch health signals (`SimConfig::health`). The
     /// signals are pure reads of state this step already computed; when
@@ -222,6 +221,12 @@ fn new_controller(
 /// The slot of `peer`'s record in `peers` (sorted by `PeerId`).
 fn peer_slot(peers: &[PeerRecord], peer: PeerId) -> Option<usize> {
     peers.binary_search_by_key(&peer, |r| r.conn.peer).ok()
+}
+
+/// Emits the `session.reset` event for an established session to `peer`
+/// that a fault or a recovery bounce tore down.
+fn emit_reset(telemetry: &ef_telemetry::TelemetryHandle, pop: u16, now_ms: u64, peer: PeerId) {
+    telemetry.emit(pop, now_ms, "session.reset", &[("peer", peer.0.into())]);
 }
 
 /// Attaches `conn`'s session to `router` under the default import policy
@@ -477,7 +482,7 @@ impl PopRuntime {
                 let rec = &mut self.peers[slot];
                 if rec.stub.is_established() {
                     self.session_resets += 1;
-                    self.telemetry.counter("session.resets", 1);
+                    emit_reset(&self.telemetry, self.pop.id.0, now_ms, rec.conn.peer);
                 }
                 rec.stub.shutdown(&mut self.router, now_ms);
                 rec.reconnect.record_down(now_ms);
@@ -616,7 +621,7 @@ impl PopRuntime {
         // peer is not (its teardown was counted when it went down).
         if rec.stub.is_established() {
             self.session_resets += 1;
-            self.telemetry.counter("session.resets", 1);
+            emit_reset(&self.telemetry, self.pop.id.0, now_ms, rec.conn.peer);
         }
         // A fresh session replays the full table, superseding any pending
         // refresh for this peer.
@@ -644,7 +649,7 @@ impl PopRuntime {
             let rec = &mut self.peers[slot];
             if rec.stub.is_established() {
                 self.session_resets += 1;
-                self.telemetry.counter("session.resets", 1);
+                emit_reset(&self.telemetry, self.pop.id.0, now_ms, rec.conn.peer);
                 rec.stub.shutdown(&mut self.router, now_ms);
             }
             let flaps = (self.epoch_secs / period_s.max(1)).max(1);
@@ -702,10 +707,18 @@ impl PopRuntime {
                 // The router detected treat-as-withdraw downgrades on this
                 // session; queue a governed ROUTE-REFRESH instead of a bounce.
                 rec.wants_refresh = true;
+                self.telemetry.emit(
+                    self.pop.id.0,
+                    now_ms,
+                    "chaos.corrupt_frames",
+                    &[
+                        ("peer", rec.conn.peer.0.into()),
+                        ("frames", frames.len().into()),
+                    ],
+                );
             }
             for raw in frames {
                 self.router.deliver(rec.conn.peer, &raw, now_ms);
-                self.telemetry.counter("chaos.corrupt_frames", 1);
             }
         }
 
@@ -736,8 +749,16 @@ impl PopRuntime {
                 .find(|(s, _)| *s == slot)
                 .map(|(_, rate)| self.corruption_rng.gen::<f64>() < *rate)
                 .unwrap_or(false);
+            let emit_refresh = |lost: bool| {
+                self.telemetry.emit(
+                    self.pop.id.0,
+                    now_ms,
+                    "session.refresh",
+                    &[("peer", rec.conn.peer.0.into()), ("lost", lost.into())],
+                )
+            };
             if lost {
-                self.telemetry.counter("chaos.refresh_lost", 1);
+                emit_refresh(true);
                 continue; // stays pending; the governor paces the retry
             }
             rec.wants_refresh = false;
@@ -745,7 +766,7 @@ impl PopRuntime {
                 Ok(()) => {
                     rec.stub.pump(&mut self.router, now_ms);
                     rec.refresh.record_up(now_ms);
-                    self.telemetry.counter("session.refreshes", 1);
+                    emit_refresh(false);
                 }
                 Err(_) => {
                     // The peer never negotiated the capability (or is
@@ -767,29 +788,33 @@ impl PopRuntime {
         }
     }
 
-    /// Surfaces each peer's RFC 7606 / refresh counters as gauges: the
-    /// current session's lifetime totals (they restart with the session).
-    /// A peer's four gauges are written only when its stats differ from the
-    /// ones last written, a restart back to zero included, so the registry
-    /// holds the same values as rewriting them every epoch would.
-    fn publish_session_stats(&mut self) {
+    /// Emits a `session.stats` event with each peer's RFC 7606 / refresh
+    /// counters: the current session's lifetime totals (they restart with
+    /// the session). A peer's event is emitted only when its stats differ
+    /// from the ones last emitted (all zero before the first), a restart
+    /// back to zero included, so a peer's latest event always holds its
+    /// live stats.
+    fn publish_session_stats(&mut self, now_ms: u64) {
         for peer in self.router.peer_ids() {
             let Some(stats) = self.router.session_stats(peer) else {
                 continue;
             };
-            if self.published_sessions.insert(peer, stats) == Some(stats) {
+            let last = self.published_sessions.insert(peer, stats);
+            if last.unwrap_or_default() == stats {
                 continue;
             }
-            let base = format!("session.peer.{}", peer.0);
-            for (field, value) in [
-                ("updates_downgraded", stats.updates_downgraded),
-                ("attrs_discarded", stats.attrs_discarded),
-                ("refreshes_sent", stats.refreshes_sent),
-                ("refreshes_answered", stats.refreshes_answered),
-            ] {
-                self.telemetry
-                    .gauge(&format!("{base}.{field}"), value as f64);
-            }
+            self.telemetry.emit(
+                self.pop.id.0,
+                now_ms,
+                "session.stats",
+                &[
+                    ("peer", peer.0.into()),
+                    ("updates_downgraded", stats.updates_downgraded.into()),
+                    ("attrs_discarded", stats.attrs_discarded.into()),
+                    ("refreshes_sent", stats.refreshes_sent.into()),
+                    ("refreshes_answered", stats.refreshes_answered.into()),
+                ],
+            );
         }
     }
 
@@ -806,7 +831,7 @@ impl PopRuntime {
         let tick = self.apply_fault_transitions(t_secs);
         self.run_fault_mechanics(&tick, t_secs * 1000);
         if self.telemetry.enabled() {
-            self.publish_session_stats();
+            self.publish_session_stats(t_secs * 1000);
         }
         let TickFaults {
             demand_multiplier,

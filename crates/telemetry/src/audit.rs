@@ -13,13 +13,12 @@
 //!   gone).
 //!
 //! Violations become `audit.override_not_installed` /
-//! `audit.override_leaked` events plus `audit.*` counters via
-//! [`AuditOutcome::emit`]. The audit itself is read-only and
-//! deterministic, and the controller runs it after every non-dry-run
-//! epoch regardless of whether telemetry is attached: its findings feed
-//! the post-epoch reconciliation pass (re-announce what is missing,
-//! force-withdraw what leaked), while `emit` is the only part gated on a
-//! telemetry sink.
+//! `audit.override_leaked` events via [`AuditOutcome::emit`]. The audit
+//! itself is read-only and deterministic, and the controller runs it after
+//! every non-dry-run epoch regardless of whether telemetry is attached: its
+//! findings feed the post-epoch reconciliation pass (re-announce what is
+//! missing, force-withdraw what leaked), while `emit` is the only part
+//! gated on a telemetry sink.
 
 use std::collections::HashSet;
 
@@ -69,7 +68,7 @@ impl AuditOutcome {
         self.not_installed.len() + self.leaked.len()
     }
 
-    /// Emits the findings as events and bumps the `audit.*` counters.
+    /// Emits the findings as `audit.override_*` events.
     pub fn emit(&self, telemetry: &TelemetryHandle, pop: u16, now_ms: u64) {
         if !telemetry.enabled() {
             return;
@@ -105,14 +104,6 @@ impl AuditOutcome {
                 ],
             );
         }
-        telemetry.counter("audit.checked", self.checked as u64);
-        telemetry.counter("audit.failures", self.failures() as u64);
-        // Keyed per PoP: PoPs audit in parallel, so a shared gauge would
-        // hold whichever PoP wrote last.
-        telemetry.gauge(
-            &format!("pop{pop}.audit_failures_last_epoch"),
-            self.failures() as f64,
-        );
     }
 }
 

@@ -1,10 +1,9 @@
 //! Structured events and the record envelope sinks receive.
 //!
 //! An [`Event`] is one named occurrence with flat, typed fields — the
-//! JSON-lines analogue of a log line. Events, decision provenance, and
-//! per-epoch metric snapshots all travel to a sink wrapped in a
-//! [`TelemetryRecord`], so a single stream (file or memory) holds the
-//! whole story of a run in arrival order.
+//! JSON-lines analogue of a log line. Events and decision provenance all
+//! travel to a sink wrapped in a [`TelemetryRecord`], so a single stream
+//! (file or memory) holds the whole story of a run in arrival order.
 
 use std::collections::BTreeMap;
 
@@ -12,7 +11,6 @@ use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::explain::ExplainRecord;
 use crate::placement::PlacementRecord;
-use crate::registry::MetricsSnapshot;
 
 /// A scalar field value. Serialized untagged (as the bare JSON scalar), so
 /// event lines read naturally: `{"util": 1.07, "egress": 3}`.
@@ -133,12 +131,6 @@ pub enum TelemetryRecord {
         pop: u16,
         now_ms: u64,
         record: ExplainRecord,
-    },
-    /// A per-epoch snapshot of the metrics registry.
-    Metrics {
-        pop: u16,
-        now_ms: u64,
-        snapshot: MetricsSnapshot,
     },
     /// Placement provenance for one global-tier steering action. `pop` is
     /// the source PoP being drained (the global controller itself is not a

@@ -1,7 +1,7 @@
 //! The cheap, cloneable entry point instrumented code holds.
 //!
 //! A [`TelemetryHandle`] is either disabled (the default — every call is a
-//! no-op and costs a null check) or wraps a shared sink + registry. Clones
+//! no-op and costs a null check) or wraps a shared sink. Clones
 //! share the same sink, so the simulator hands one handle to every PoP
 //! thread. Wall-clock readings ([`TelemetryHandle::timer`]) are only ever
 //! written to the sink; nothing downstream of a timer may influence
@@ -14,12 +14,10 @@ use std::time::Instant;
 use crate::event::{Event, FieldValue, TelemetryRecord};
 use crate::explain::ExplainRecord;
 use crate::placement::PlacementRecord;
-use crate::registry::{MetricsRegistry, MetricsSnapshot};
 use crate::sink::{JsonLinesSink, MemorySink, Sink};
 
 struct Telemetry {
     sink: Box<dyn Sink>,
-    registry: MetricsRegistry,
     origin: Instant,
 }
 
@@ -67,7 +65,6 @@ impl TelemetryHandle {
         TelemetryHandle {
             inner: Some(Arc::new(Telemetry {
                 sink,
-                registry: MetricsRegistry::new(),
                 origin: Instant::now(),
             })),
         }
@@ -76,13 +73,7 @@ impl TelemetryHandle {
     /// An in-memory pipeline; returns the sink for inspection.
     pub fn memory() -> (Self, Arc<MemorySink>) {
         let sink = Arc::new(MemorySink::new());
-        let handle = TelemetryHandle {
-            inner: Some(Arc::new(Telemetry {
-                sink: Box::new(SharedSink(sink.clone())),
-                registry: MetricsRegistry::new(),
-                origin: Instant::now(),
-            })),
-        };
+        let handle = Self::with_sink(Box::new(SharedSink(sink.clone())));
         (handle, sink)
     }
 
@@ -142,50 +133,6 @@ impl TelemetryHandle {
     pub fn timer(&self) -> PhaseTimer {
         PhaseTimer(self.inner.as_ref().map(|_| Instant::now()))
     }
-
-    /// Adds to a counter.
-    pub fn counter(&self, name: &str, by: u64) {
-        if let Some(t) = self.inner.as_deref() {
-            t.registry.inc(name, by);
-        }
-    }
-
-    /// Sets a gauge.
-    pub fn gauge(&self, name: &str, value: f64) {
-        if let Some(t) = self.inner.as_deref() {
-            t.registry.set_gauge(name, value);
-        }
-    }
-
-    /// Records a histogram observation (microsecond-duration bounds).
-    pub fn observe(&self, name: &str, value: f64) {
-        if let Some(t) = self.inner.as_deref() {
-            t.registry.observe(name, value);
-        }
-    }
-
-    /// The shared registry, when enabled.
-    pub fn registry(&self) -> Option<&MetricsRegistry> {
-        self.inner.as_deref().map(|t| &t.registry)
-    }
-
-    /// Snapshots the registry into the event stream (the simulation engine
-    /// calls this once per epoch, after every writer has run).
-    pub fn snapshot_metrics(&self, pop: u16, now_ms: u64) {
-        let Some(t) = self.inner.as_deref() else {
-            return;
-        };
-        t.sink.write(&TelemetryRecord::Metrics {
-            pop,
-            now_ms,
-            snapshot: t.registry.snapshot(),
-        });
-    }
-
-    /// A snapshot of the registry without emitting it (None when disabled).
-    pub fn metrics(&self) -> Option<MetricsSnapshot> {
-        self.inner.as_deref().map(|t| t.registry.snapshot())
-    }
 }
 
 /// Adapter so a shared `Arc<MemorySink>` can serve as the boxed sink while
@@ -207,12 +154,6 @@ mod tests {
         let h = TelemetryHandle::disabled();
         assert!(!h.enabled());
         h.emit(0, 0, "x", &[("a", 1u64.into())]);
-        h.counter("c", 5);
-        h.gauge("g", 1.0);
-        h.observe("h", 2.0);
-        h.snapshot_metrics(0, 0);
-        assert!(h.registry().is_none());
-        assert!(h.metrics().is_none());
         assert_eq!(h.timer().elapsed_us(), 0);
         assert_eq!(format!("{h:?}"), "TelemetryHandle(disabled)");
     }
@@ -222,21 +163,19 @@ mod tests {
         let (h, sink) = TelemetryHandle::memory();
         assert!(h.enabled());
         h.emit(3, 30_000, "fault.start", &[("kind", "bmp_stall".into())]);
-        h.counter("overrides.announced", 2);
-        h.gauge("pop3.detoured_mbps", 42.0);
-        h.snapshot_metrics(3, 30_000);
+        h.emit(3, 30_000, "epoch", &[("detoured_mbps", 42.0.into())]);
 
         let events = sink.events();
-        assert_eq!(events.len(), 1);
+        assert_eq!(events.len(), 2);
         assert_eq!(events[0].name, "fault.start");
         assert_eq!(events[0].pop, 3);
         assert_eq!(events[0].str_field("kind"), Some("bmp_stall"));
         assert!(events[0].wall_us.is_some());
-
-        let snaps = sink.snapshots();
-        assert_eq!(snaps.len(), 1);
-        assert_eq!(snaps[0].2.counters["overrides.announced"], 2);
-        assert_eq!(snaps[0].2.gauges["pop3.detoured_mbps"], 42.0);
+        assert_eq!(
+            events[1].field("detoured_mbps"),
+            Some(&FieldValue::F64(42.0))
+        );
+        assert_eq!(sink.len(), 2, "nothing but the emitted records");
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! Four pieces, one per module:
 //!
 //! * `event` — a structured [`Event`] with flat typed fields, plus the
-//!   [`TelemetryRecord`] envelope a sink receives (events, decision
-//!   provenance, metric snapshots) — JSON-lines on disk, one record per
-//!   line;
+//!   [`TelemetryRecord`] envelope a sink receives (events and decision
+//!   provenance) — JSON-lines on disk, one record per line;
 //! * `explain` — decision provenance: one [`ExplainRecord`] per override
 //!   decision, naming the overloaded interface, the chosen alternate, and
 //!   every rejected alternative with its rejection reason;
@@ -20,8 +19,6 @@
 //!   [`PlacementRecord`] per population-level steering action, naming the
 //!   backend, the drained PoP, each target with its granted volume, and
 //!   every rejected candidate;
-//! * `registry` — counters / gauges / histograms, snapshotted into the
-//!   event stream once per simulation epoch;
 //! * `audit` — the override auditor: re-runs the BGP decision process
 //!   after an epoch and reports overrides that failed to install or leaked
 //!   past their withdrawal.
@@ -38,7 +35,6 @@ mod event;
 mod explain;
 mod handle;
 mod placement;
-mod registry;
 mod sink;
 
 pub use audit::{audit_overrides, AuditFinding, AuditOutcome};
@@ -49,5 +45,4 @@ pub use placement::{
     PlacementGuard, PlacementRecord, PlacementRejectReason, PlacementTarget, PlacementVerdict,
     RejectedTarget,
 };
-pub use registry::{Histogram, MetricsRegistry, MetricsSnapshot};
 pub use sink::{JsonLinesSink, MemorySink, Sink};

@@ -18,7 +18,6 @@ use std::sync::Mutex;
 use crate::event::{Event, TelemetryRecord};
 use crate::explain::ExplainRecord;
 use crate::placement::PlacementRecord;
-use crate::registry::MetricsSnapshot;
 
 /// A destination for telemetry records.
 pub trait Sink: Send + Sync {
@@ -79,23 +78,6 @@ impl MemorySink {
             .unwrap()
             .iter()
             .filter_map(|r| r.as_placement().map(|(p, t, rec)| (p, t, rec.clone())))
-            .collect()
-    }
-
-    /// Just the metric snapshots, as `(pop, now_ms, snapshot)`.
-    pub fn snapshots(&self) -> Vec<(u16, u64, MetricsSnapshot)> {
-        self.records
-            .lock()
-            .unwrap()
-            .iter()
-            .filter_map(|r| match r {
-                TelemetryRecord::Metrics {
-                    pop,
-                    now_ms,
-                    snapshot,
-                } => Some((*pop, *now_ms, snapshot.clone())),
-                _ => None,
-            })
             .collect()
     }
 
@@ -171,18 +153,29 @@ mod tests {
     fn memory_sink_preserves_order_and_filters() {
         let sink = MemorySink::new();
         sink.write(&event("a"));
-        sink.write(&TelemetryRecord::Metrics {
+        sink.write(&TelemetryRecord::Explain {
             pop: 1,
             now_ms: 30_000,
-            snapshot: MetricsSnapshot::default(),
+            record: ExplainRecord {
+                prefix: "1.0.0.0/24".parse().unwrap(),
+                trigger: "capacity".into(),
+                hot_egress: None,
+                hot_util: 1.1,
+                demand_mbps: 10.0,
+                chosen_egress: None,
+                chosen_kind: None,
+                chosen_usd_per_mbps: None,
+                rejected: Vec::new(),
+                verdict: crate::ExplainVerdict::NoFeasibleAlternate,
+            },
         });
         sink.write(&event("b"));
         assert_eq!(sink.len(), 3);
         let names: Vec<String> = sink.events().into_iter().map(|e| e.name).collect();
         assert_eq!(names, vec!["a", "b"]);
         assert_eq!(sink.events_named("a").len(), 1);
-        assert_eq!(sink.snapshots().len(), 1);
-        assert!(sink.explains().is_empty());
+        assert_eq!(sink.explains().len(), 1);
+        assert!(sink.placements().is_empty());
         sink.clear();
         assert!(sink.is_empty());
     }

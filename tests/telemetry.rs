@@ -5,7 +5,7 @@
 
 use ef_chaos::{FaultEvent, FaultKind, FaultSchedule, FaultTarget};
 use ef_sim::{scenario, ScenarioBuilder, SimConfig};
-use ef_telemetry::{ExplainVerdict, MemorySink, TelemetryHandle};
+use ef_telemetry::{Event, ExplainVerdict, FieldValue, MemorySink, TelemetryHandle};
 
 use std::sync::Arc;
 
@@ -16,6 +16,19 @@ fn base_cfg(seed: u64) -> SimConfig {
         .epoch_secs(60)
         .exact_rates()
         .build()
+}
+
+/// An integer field of `event` (panics when absent or not an integer).
+fn count(event: &Event, key: &str) -> u64 {
+    match event.field(key) {
+        Some(FieldValue::U64(n)) => *n,
+        other => panic!("{} lacks integer {key}: {other:?}", event.name),
+    }
+}
+
+/// Sum of an integer field over every event named `name`.
+fn total(sink: &MemorySink, name: &str, key: &str) -> u64 {
+    sink.events_named(name).iter().map(|e| count(e, key)).sum()
 }
 
 fn observed_run(cfg: SimConfig) -> Arc<MemorySink> {
@@ -75,32 +88,30 @@ fn auditor_is_clean_and_epochs_carry_phase_timings() {
         }
     }
 
-    // The engine snapshots the shared registry once per epoch; counters
-    // only grow, so the largest values cover the whole run.
-    let snapshots = sink.snapshots();
-    assert!(!snapshots.is_empty(), "per-epoch snapshots present");
-    let announced_max = snapshots
-        .iter()
-        .filter_map(|(_, _, s)| s.counters.get("overrides.announced").copied())
-        .max()
-        .unwrap_or(0);
+    // The epoch events' churn agrees with the per-override events, and
+    // a clean injection dropped nothing.
     assert_eq!(
-        announced_max as usize,
-        sink.events_named("override.announce").len(),
-        "counter agrees with the announce events"
+        total(&sink, "epoch", "announced") as usize,
+        sink.events_named("override.announce").len()
     );
-    let audits = snapshots
-        .iter()
-        .filter_map(|(_, _, s)| s.counters.get("audit.checked").copied())
-        .max()
-        .unwrap_or(0);
-    assert!(audits > 0, "auditor ran");
+    assert_eq!(
+        total(&sink, "epoch", "withdrawn") as usize,
+        sink.events_named("override.withdraw").len()
+    );
+    assert_eq!(total(&sink, "epoch", "dropped_announce"), 0);
+    assert_eq!(total(&sink, "epoch", "dropped_withdraw"), 0);
+    // The auditor checks the announced set, whose size the epoch reports.
     assert!(
-        snapshots
-            .iter()
-            .any(|(_, _, s)| s.histograms.contains_key("epoch_duration_us")),
-        "epoch duration histogram recorded"
+        total(&sink, "epoch", "overrides_active") > 0,
+        "auditor checked overrides"
     );
+    // An epoch with overrides active detours demand.
+    for e in &epochs {
+        let Some(FieldValue::F64(mbps)) = e.field("detoured_mbps") else {
+            panic!("epoch event lacks detoured_mbps");
+        };
+        assert_eq!(*mbps > 0.0, count(e, "overrides_active") > 0);
+    }
 }
 
 #[test]
@@ -151,15 +162,6 @@ fn faults_and_mode_transitions_are_logged_with_structured_fields() {
             .any(|e| e.pop == 0),
         "recovery logged once the stall ended"
     );
-
-    // Mode transitions also bump the registry counters.
-    let transitions = sink
-        .snapshots()
-        .iter()
-        .filter_map(|(_, _, s)| s.counters.get("controller.fail_open_transitions").copied())
-        .max()
-        .unwrap_or(0);
-    assert!(transitions >= 1);
 }
 
 #[test]
@@ -183,43 +185,46 @@ fn refresh_recovery_surfaces_per_peer_counters() {
         .build();
     let sink = observed_run(cfg);
 
-    let snapshots = sink.snapshots();
-    let max_counter = |name: &str| {
-        snapshots
-            .iter()
-            .filter_map(|(_, _, s)| s.counters.get(name).copied())
-            .max()
-            .unwrap_or(0)
-    };
-    let max_gauge = |name: &str| {
-        snapshots
-            .iter()
-            .filter_map(|(_, _, s)| s.gauges.get(name).copied())
-            .fold(0.0f64, f64::max)
-    };
+    let corrupt = sink.events_named("chaos.corrupt_frames");
+    assert!(!corrupt.is_empty(), "fault actually bit");
+    assert!(corrupt
+        .iter()
+        .all(|e| e.pop == 0 && count(e, "peer") == peer && count(e, "frames") > 0));
+    let refreshes = sink.events_named("session.refresh");
+    assert!(refreshes.iter().all(|e| count(e, "peer") == peer));
+    let lost = |e: &Event| e.field("lost") == Some(&true.into());
     assert!(
-        max_counter("chaos.corrupt_frames") > 0,
-        "fault actually bit"
-    );
-    assert!(
-        max_counter("session.refreshes") > 0,
+        refreshes.iter().any(|e| !lost(e)),
         "recovery went over ROUTE-REFRESH"
     );
-    assert_eq!(
-        max_counter("session.resets"),
-        0,
+    // Inside the window the reply crosses the damaged channel too.
+    assert!(
+        refreshes.iter().any(|e| lost(e) && e.now_ms < 600_000),
+        "a refresh reply was lost to the corruption"
+    );
+    assert!(
+        sink.events_named("session.reset").is_empty(),
         "refresh recovery never reset a session"
     );
-    let downgraded = max_gauge(&format!("session.peer.{peer}.updates_downgraded"));
+    let stats: Vec<Event> = sink
+        .events_named("session.stats")
+        .into_iter()
+        .filter(|e| count(e, "peer") == peer)
+        .collect();
+    let max = |key| stats.iter().map(|e| count(e, key)).max().unwrap_or(0);
     assert!(
-        downgraded > 0.0,
+        max("updates_downgraded") > 0,
         "per-peer downgrade counter surfaced through telemetry"
     );
-    let sent = max_gauge(&format!("session.peer.{peer}.refreshes_sent"));
     assert!(
-        sent > 0.0,
+        max("refreshes_sent") > 0,
         "per-peer refresh counter surfaced through telemetry"
     );
+    // The injector resynced over ROUTE-REFRESH when the corruption ended.
+    assert!(sink
+        .events_named("injector.resync")
+        .iter()
+        .any(|e| e.pop == 0 && e.now_ms == 600_000));
 }
 
 fn fault(
@@ -236,13 +241,13 @@ fn fault(
     }
 }
 
-/// The metrics stream is one engine snapshot per epoch, under the global
-/// sentinel, and everything in it but wall time is a function of the
-/// scenario: two runs of a faulted 4-PoP world with both tiers agree on
-/// every counter, every gauge and every histogram's observation count.
-/// (Histogram sums and bucket counts hold wall-clock durations.)
+/// Everything in the event stream but wall time is a function of the
+/// scenario: two runs of a faulted 4-PoP world with both tiers give the
+/// same records once each is stripped of its wall-clock readings (the
+/// events' `wall_us` and the epoch's `*_us` phase timings) and put in
+/// `(now_ms, pop)` order (PoPs emit from parallel workers).
 #[test]
-fn metrics_stream_is_one_deterministic_snapshot_per_epoch() {
+fn event_stream_is_deterministic_apart_from_wall_time() {
     let base = base_cfg(7);
     let deployment = ef_topology::generate(&base.gen);
     let peer = deployment.pops[0].peers[0].peer.0;
@@ -280,46 +285,63 @@ fn metrics_stream_is_one_deterministic_snapshot_per_epoch() {
         .chaos(schedule)
         .build();
     let epochs = cfg.epochs();
-    let epoch_ms = cfg.epoch_secs * 1000;
 
     let stream = |cfg: SimConfig| {
-        let snapshots = observed_run(cfg).snapshots();
-        assert_eq!(snapshots.len() as u64, epochs, "one snapshot per epoch");
-        for (i, (pop, now_ms, _)) in snapshots.iter().enumerate() {
-            assert_eq!(*pop, ef_health::GLOBAL_POP);
-            assert_eq!(*now_ms, i as u64 * epoch_ms);
-        }
-        snapshots
+        use ef_telemetry::TelemetryRecord::{Event, Explain, Placement};
+        let sink = observed_run(cfg);
+        let mut lines: Vec<((u64, u16), String)> = sink
+            .records()
             .into_iter()
-            .map(|(_, _, s)| {
-                let counts: Vec<(String, u64)> = s
-                    .histograms
-                    .into_iter()
-                    .map(|(k, h)| (k, h.count))
-                    .collect();
-                (s.counters, s.gauges, counts)
+            .map(|mut record| {
+                let key = match &mut record {
+                    Event(e) => {
+                        e.wall_us = None;
+                        e.fields.retain(|k, _| !k.ends_with("_us"));
+                        (e.now_ms, e.pop)
+                    }
+                    Explain { pop, now_ms, .. } | Placement { pop, now_ms, .. } => (*now_ms, *pop),
+                };
+                (key, serde_json::to_string(&record).unwrap())
             })
-            .collect::<Vec<_>>()
+            .collect();
+        lines.sort_by_key(|(key, _)| *key);
+        (sink, lines)
     };
-    let a = stream(cfg.clone());
-    let b = stream(cfg);
-    let last = a.last().expect("snapshots");
-    assert!(last.0["chaos.corrupt_frames"] > 0, "the faults bit");
-    assert!(last.1.keys().any(|k| k.starts_with("global.")));
-    assert!(last.1.contains_key("pop3.alerts_firing"));
-    for (epoch, (x, y)) in a.iter().zip(&b).enumerate() {
-        assert_eq!(x, y, "snapshot of epoch {epoch} differs between runs");
+    let (sink, a) = stream(cfg.clone());
+    let (_, b) = stream(cfg);
+    assert_eq!(a.len(), b.len(), "same number of records");
+    for (x, y) in a.iter().zip(&b) {
+        assert_eq!(x, y, "records differ between runs");
     }
+
+    // The faults bit, and each tier wrote its part.
+    assert!(!sink.events_named("chaos.corrupt_frames").is_empty());
+    assert!(sink
+        .events_named("session.stats")
+        .iter()
+        .any(|e| e.pop == 0));
+    assert!(!sink.placements().is_empty(), "the global tier placed");
+    for pop in 0..4 {
+        let samples = sink.events_named("health.sample");
+        let at_pop = samples.iter().filter(|e| e.pop == pop).count() as u64;
+        assert_eq!(at_pop, epochs, "one health sample per epoch at pop{pop}");
+    }
+    // The injector resynced over ROUTE-REFRESH when the partial injection
+    // loss ended.
+    assert!(sink
+        .events_named("injector.resync")
+        .iter()
+        .any(|e| e.pop == 2 && e.now_ms == 600_000));
 }
 
-/// Session gauges are written only when a peer's stats change, yet mid-run
-/// and after the run every `session.peer.N.*` gauge equals the router's
-/// live stats —
-/// through counters that grew (update corruption) and sessions that
-/// restarted at zero (a flap storm on the corrupted peer after its damage,
-/// and one on a clean peer).
+/// `session.stats` events are emitted only when a peer's stats change,
+/// yet mid-run and after the run each peer's latest event (all zero when
+/// it has none) equals the router's live stats — through counters that
+/// grew (update corruption) and sessions that restarted at zero (a flap
+/// storm on the corrupted peer after its damage, and one on a clean
+/// peer).
 #[test]
-fn session_gauges_match_the_routers_stats_after_growth_and_reset() {
+fn session_stats_events_match_the_routers_stats_after_growth_and_reset() {
     let base = base_cfg(7);
     let deployment = ef_topology::generate(&base.gen);
     let damaged = deployment.pops[0].peers[0].peer.0;
@@ -355,10 +377,10 @@ fn session_gauges_match_the_routers_stats_after_growth_and_reset() {
         ),
     ])
     .expect("valid schedule");
-    let (handle, _sink) = TelemetryHandle::memory();
+    let (handle, sink) = TelemetryHandle::memory();
     let mut engine = ScenarioBuilder::from_config(base)
         .chaos(schedule)
-        .telemetry(handle.clone())
+        .telemetry(handle)
         .engine();
     let damaged_stats = |engine: &ef_sim::SimEngine| {
         engine.pops[0]
@@ -366,26 +388,45 @@ fn session_gauges_match_the_routers_stats_after_growth_and_reset() {
             .session_stats(ef_bgp::peer::PeerId(damaged))
             .expect("peer attached")
     };
-    let gauges_match_routers = |engine: &ef_sim::SimEngine| {
-        let metrics = handle.metrics().expect("telemetry enabled");
+    let stats_of = |e: &Event| {
+        [
+            "updates_downgraded",
+            "attrs_discarded",
+            "refreshes_sent",
+            "refreshes_answered",
+        ]
+        .map(|key| count(e, key))
+    };
+    let events_match_routers = |engine: &ef_sim::SimEngine| {
+        let events = sink.events_named("session.stats");
         for pop in &engine.pops {
             for peer in pop.router.peer_ids() {
                 let stats = pop.router.session_stats(peer).expect("listed peer");
-                for (field, value) in [
-                    ("updates_downgraded", stats.updates_downgraded),
-                    ("attrs_discarded", stats.attrs_discarded),
-                    ("refreshes_sent", stats.refreshes_sent),
-                    ("refreshes_answered", stats.refreshes_answered),
-                ] {
-                    let key = format!("session.peer.{}.{field}", peer.0);
-                    assert_eq!(
-                        metrics.gauges.get(&key).copied(),
-                        Some(value as f64),
-                        "{key} at {} after t={}s",
-                        pop.pop.name,
-                        engine.now_secs()
-                    );
-                }
+                let emitted: Vec<[u64; 4]> = events
+                    .iter()
+                    .filter(|e| e.pop == pop.pop.id.0 && count(e, "peer") == peer.0)
+                    .map(stats_of)
+                    .collect();
+                // Only changes are emitted.
+                assert!(
+                    emitted.windows(2).all(|w| w[0] != w[1]),
+                    "{peer:?} at {}",
+                    pop.pop.name
+                );
+                let latest = emitted.last().copied().unwrap_or_default();
+                let live = [
+                    stats.updates_downgraded,
+                    stats.attrs_discarded,
+                    stats.refreshes_sent,
+                    stats.refreshes_answered,
+                ];
+                assert_eq!(
+                    latest,
+                    live,
+                    "{peer:?} at {} after t={}s",
+                    pop.pop.name,
+                    engine.now_secs()
+                );
             }
         }
     };
@@ -393,7 +434,7 @@ fn session_gauges_match_the_routers_stats_after_growth_and_reset() {
     // Inside the corruption window: the damaged peer's counters grew.
     engine.run_epochs(8);
     assert!(damaged_stats(&engine).updates_downgraded > 0, "fault bit");
-    gauges_match_routers(&engine);
+    events_match_routers(&engine);
 
     // After the storms: the damaged peer's session restarted at zero.
     engine.run();
@@ -403,7 +444,15 @@ fn session_gauges_match_the_routers_stats_after_growth_and_reset() {
         0,
         "the storm restarted the session"
     );
-    gauges_match_routers(&engine);
+    events_match_routers(&engine);
+    // Both storms reset their peer's session.
+    let resets = sink.events_named("session.reset");
+    for (pop, peer) in [(0, damaged), (1, flapped)] {
+        assert!(resets
+            .iter()
+            .any(|e| e.pop == pop && count(e, "peer") == peer));
+    }
+    assert_eq!(resets.len() as u64, engine.session_resets());
 }
 
 #[test]
@@ -419,5 +468,5 @@ fn disabled_handle_emits_nothing() {
     // the contract. Spot-check the handle API used by callers:
     let handle = TelemetryHandle::disabled();
     assert_eq!(handle.timer().elapsed_us(), 0);
-    assert!(handle.metrics().is_none());
+    assert!(!handle.enabled());
 }
