@@ -3,9 +3,9 @@
 //! override audit, the allocator on one hot interface and the batched
 //! full-table load.
 //!
-//! The criterion benches (`benches/lpm.rs`, `benches/decision.rs`) produce
-//! the detailed curves; this binary distills the hot-path numbers into
-//! a committed baseline and a pass/fail gate, the same shape as
+//! This binary is the one gated home of these hot-path numbers (the
+//! benchmark's layer metrics report the same calls ungated): it writes a
+//! committed baseline and checks against it, the same shape as
 //! `exp_perf_scaling --smoke`:
 //!
 //! * default — measure and write `results/BENCH_micro.json`;

@@ -291,6 +291,15 @@ impl Args {
                 return fail("--profile only applies to generated schedules; drop --schedule");
             }
         }
+        if let Some(kind) = self.kind.as_deref().filter(|k| {
+            !trace::RECORD_CATEGORIES.contains(k) && !ef_telemetry::EVENT_NAMES.contains(k)
+        }) {
+            return fail(&format!(
+                "unknown --kind {kind:?}; accepted: a record category ({}) or an event name ({})",
+                trace::RECORD_CATEGORIES.join(", "),
+                ef_telemetry::EVENT_NAMES.join(", ")
+            ));
+        }
         if !self.global && (self.backend.is_some() || self.cripple.is_some()) {
             return fail("--backend and --cripple need --global");
         }
@@ -405,8 +414,9 @@ report_staleness, global_controller_crash, headroom_lie.
 
 `trace` runs with the health tier attached, so the stream includes
 health.sample and alert.* events. --pop / --at-epoch / --kind narrow
-the dump (--kind takes an event name like epoch, health.sample or
-session.stats, or a record category: event, explain, placement).
+the dump (--kind takes a record category: event, explain, placement, or
+an event name the program emits, like epoch, health.sample or
+session.stats; any other name is a usage error that lists them all).
 
 `report` replays a captured JSON-lines telemetry file through the
 health tier: SLO pass/fail table, per-PoP percentiles, and the alert
@@ -671,6 +681,35 @@ mod tests {
         let t = parse("trace");
         assert_eq!((t.pop, t.at_epoch, t.kind), (None, None, None));
         assert!(parse("explain 1.0.0.0/24 --global").global);
+    }
+
+    /// `--kind` must name something a stream can hold: the retired
+    /// `metrics` record or a typo is a usage error naming the accepted
+    /// kinds, while an emitted event the run happens not to produce still
+    /// runs and matches nothing.
+    #[test]
+    fn trace_kind_must_name_a_category_or_an_emitted_event() {
+        for bad in ["metrics", "health.sampel", "Epoch"] {
+            let err = parse_args(&argv(&format!("trace --kind {bad}"))).unwrap_err();
+            assert!(
+                err.contains("--kind") && err.contains("event, explain, placement"),
+                "{bad}: {err}"
+            );
+            assert!(err.contains("session.stats"), "{bad}: {err}");
+        }
+        for good in trace::RECORD_CATEGORIES
+            .into_iter()
+            .chain(ef_telemetry::EVENT_NAMES)
+        {
+            assert_eq!(
+                parse(&format!("trace --kind {good}")).kind.as_deref(),
+                Some(good)
+            );
+        }
+        // Session stats change only under faults, so the calm trace has none.
+        let out = exec(&format!("trace {SMALL} --hours 0.5 --kind session.stats"));
+        assert!(out.stdout.is_empty());
+        assert!(out.stderr.contains("0 of "), "{}", out.stderr);
     }
 
     #[test]

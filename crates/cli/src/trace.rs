@@ -38,6 +38,10 @@ fn traced_run(args: &Args) -> Vec<TelemetryRecord> {
     records
 }
 
+/// The record categories `--kind` accepts besides an event name from
+/// [`ef_telemetry::EVENT_NAMES`].
+pub(crate) const RECORD_CATEGORIES: [&str; 3] = ["event", "explain", "placement"];
+
 /// True when a record matches a `--kind` filter: an event's name, or a
 /// record-category label.
 fn record_matches_kind(r: &TelemetryRecord, kind: &str) -> bool {

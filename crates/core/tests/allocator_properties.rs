@@ -168,12 +168,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// Core safety invariant: no detour target ends above the limit, and
-    /// every interface that was fine stays fine.
+    /// every interface that was fine stays fine — under both detour
+    /// strategies and at utilization limits on either side of the default.
     #[test]
-    fn allocator_never_overloads_a_target(world in world_strategy(), largest: bool) {
+    fn allocator_never_overloads_a_target(
+        world in world_strategy(),
+        largest: bool,
+        util_limit in prop_oneof![Just(0.90), Just(0.95), Just(0.99)],
+    ) {
         let (collector, interfaces, traffic) = materialize(&world);
         let cfg = ControllerConfig {
             strategy: if largest { DetourStrategy::LargestFirst } else { DetourStrategy::BestAlternativeFirst },
+            util_limit,
             ..Default::default()
         };
         let projection = project(&collector, &traffic);
@@ -184,6 +190,9 @@ proptest! {
             .iter()
             .map(|(e, _)| e.0)
             .collect();
+        for (egress, util) in &out.overloaded_before {
+            prop_assert!(*util > cfg.util_limit, "{egress:?} listed hot at {util}");
+        }
         for (egress, info) in &interfaces {
             let post = out.post_load.get(egress).copied().unwrap_or(0.0);
             let post_util = post / info.capacity_mbps;
@@ -195,9 +204,13 @@ proptest! {
                 );
             }
         }
-        // Residual overload is only ever reported on originally hot interfaces.
-        for (egress, _) in &out.residual_overloaded {
-            prop_assert!(overloaded_before.contains(&egress.0));
+        // Residual overload is only ever reported on originally hot
+        // interfaces, and only above the limit.
+        for (egress, util) in &out.residual_overloaded {
+            prop_assert!(
+                overloaded_before.contains(&egress.0) && *util > cfg.util_limit,
+                "{egress:?} residual at {util}"
+            );
         }
     }
 

@@ -11,7 +11,8 @@
 //!
 //! * `event` — a structured [`Event`] with flat typed fields, plus the
 //!   [`TelemetryRecord`] envelope a sink receives (events and decision
-//!   provenance) — JSON-lines on disk, one record per line;
+//!   provenance) — JSON-lines on disk, one record per line — and
+//!   [`EVENT_NAMES`], the names the production crates emit;
 //! * `explain` — decision provenance: one [`ExplainRecord`] per override
 //!   decision, naming the overloaded interface, the chosen alternate, and
 //!   every rejected alternative with its rejection reason;
@@ -38,7 +39,7 @@ mod placement;
 mod sink;
 
 pub use audit::{audit_overrides, AuditFinding, AuditOutcome};
-pub use event::{Event, FieldValue, TelemetryRecord};
+pub use event::{Event, FieldValue, TelemetryRecord, EVENT_NAMES};
 pub use explain::{ExplainRecord, ExplainVerdict, RejectReason, RejectedAlternative};
 pub use handle::{PhaseTimer, TelemetryHandle};
 pub use placement::{

@@ -5,7 +5,7 @@
 
 use ef_chaos::{FaultEvent, FaultKind, FaultSchedule, FaultTarget};
 use ef_sim::{scenario, ScenarioBuilder, SimConfig};
-use ef_telemetry::{Event, ExplainVerdict, FieldValue, MemorySink, TelemetryHandle};
+use ef_telemetry::{Event, ExplainVerdict, FieldValue, MemorySink, TelemetryHandle, EVENT_NAMES};
 
 use std::sync::Arc;
 
@@ -31,10 +31,20 @@ fn total(sink: &MemorySink, name: &str, key: &str) -> u64 {
     sink.events_named(name).iter().map(|e| count(e, key)).sum()
 }
 
+/// Runs `cfg` with a memory sink and checks that every event it recorded
+/// carries a name from [`EVENT_NAMES`], so the list `efctl trace --kind`
+/// validates against cannot drift from the code that emits.
 fn observed_run(cfg: SimConfig) -> Arc<MemorySink> {
     let (handle, sink) = TelemetryHandle::memory();
     let mut engine = ScenarioBuilder::from_config(cfg).telemetry(handle).engine();
     engine.run();
+    for e in sink.events() {
+        assert!(
+            EVENT_NAMES.contains(&e.name.as_str()),
+            "unlisted event {:?}",
+            e.name
+        );
+    }
     sink
 }
 
