@@ -28,7 +28,7 @@ pub enum Origin {
 
 impl Origin {
     /// Wire code (RFC 4271).
-    pub fn code(self) -> u8 {
+    pub(crate) fn code(self) -> u8 {
         match self {
             Origin::Igp => 0,
             Origin::Egp => 1,
@@ -37,7 +37,7 @@ impl Origin {
     }
 
     /// Parses a wire code.
-    pub fn from_code(c: u8) -> Option<Self> {
+    pub(crate) fn from_code(c: u8) -> Option<Self> {
         match c {
             0 => Some(Origin::Igp),
             1 => Some(Origin::Egp),
@@ -69,7 +69,7 @@ pub enum AsPathSegment {
 impl AsPathSegment {
     /// Contribution of this segment to path length for the decision process:
     /// a SEQUENCE counts each ASN, a SET counts 1 total (RFC 4271 §9.1.2.2).
-    pub fn decision_len(&self) -> usize {
+    pub(crate) fn decision_len(&self) -> usize {
         match self {
             AsPathSegment::Sequence(v) => v.len(),
             AsPathSegment::Set(v) => usize::from(!v.is_empty()),
@@ -94,7 +94,7 @@ pub struct AsPath {
 
 impl AsPath {
     /// An empty path (a route originated locally).
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         AsPath::default()
     }
 
@@ -126,16 +126,8 @@ impl AsPath {
 
     /// True if `asn` appears anywhere in the path (loop detection,
     /// RFC 4271 §9.1.2).
-    pub fn contains(&self, asn: Asn) -> bool {
+    pub(crate) fn contains(&self, asn: Asn) -> bool {
         self.segments.iter().any(|s| s.asns().contains(&asn))
-    }
-
-    /// Flattened view of every ASN in order (sets flattened in stored order).
-    pub fn flat(&self) -> Vec<Asn> {
-        self.segments
-            .iter()
-            .flat_map(|s| s.asns().iter().copied())
-            .collect()
     }
 }
 

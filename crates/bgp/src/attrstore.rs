@@ -57,7 +57,7 @@ pub struct DecisionKey {
 
 impl DecisionKey {
     /// Derives the key from a full attribute set.
-    pub fn of(attrs: &PathAttributes) -> Self {
+    pub(crate) fn of(attrs: &PathAttributes) -> Self {
         DecisionKey {
             local_pref: attrs.effective_local_pref(),
             path_len: attrs.as_path.decision_len() as u32,
@@ -239,7 +239,7 @@ impl AttrStore {
     }
 
     /// Takes an additional reference on an already-interned id.
-    pub fn retain(&mut self, id: AttrId) {
+    pub(crate) fn retain(&mut self, id: AttrId) {
         if let Some(e) = self.entries[id.0 as usize].as_mut() {
             e.refs += 1;
         }
@@ -270,7 +270,7 @@ impl AttrStore {
     }
 
     /// The precomputed decision key for a handle.
-    pub fn key(&self, id: AttrId) -> DecisionKey {
+    pub(crate) fn key(&self, id: AttrId) -> DecisionKey {
         self.entry(id.0).key
     }
 
@@ -291,7 +291,7 @@ impl AttrStore {
     }
 
     /// Materializes a full [`Route`] from a record plus its prefix.
-    pub fn materialize(&self, prefix: Prefix, rec: &RouteRec) -> Route {
+    pub(crate) fn materialize(&self, prefix: Prefix, rec: &RouteRec) -> Route {
         Route {
             prefix,
             attrs: self.attrs(rec.attr).clone(),
@@ -314,7 +314,7 @@ impl AttrStore {
     /// counting slab slots, deep attribute payloads (AS-path segments,
     /// communities, unknown attribute blobs) and the hash → chain-head
     /// index. Used by the bytes/route accounting gate in CI.
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         let slab = self.entries.capacity() * mem::size_of::<Option<Entry>>();
         let deep: usize = self
             .entries

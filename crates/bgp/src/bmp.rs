@@ -57,16 +57,3 @@ pub enum BmpMessage {
     /// Type 5: monitoring session ends.
     Termination,
 }
-
-impl BmpMessage {
-    /// RFC type code.
-    pub fn type_code(&self) -> u8 {
-        match self {
-            BmpMessage::RouteMonitoring { .. } => 0,
-            BmpMessage::PeerDown { .. } => 2,
-            BmpMessage::PeerUp(_) => 3,
-            BmpMessage::Initiation { .. } => 4,
-            BmpMessage::Termination => 5,
-        }
-    }
-}

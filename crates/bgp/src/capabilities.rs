@@ -25,11 +25,11 @@ use ef_net_types::Asn;
 use crate::message::OpenMessage;
 
 /// Capability code for multiprotocol extensions (RFC 4760).
-pub const CAP_MULTIPROTOCOL: u8 = 1;
+pub(crate) const CAP_MULTIPROTOCOL: u8 = 1;
 /// Capability code for route refresh (RFC 2918).
-pub const CAP_ROUTE_REFRESH: u8 = 2;
+pub(crate) const CAP_ROUTE_REFRESH: u8 = 2;
 /// Capability code for enhanced route refresh (RFC 7313).
-pub const CAP_ENHANCED_REFRESH: u8 = 70;
+pub(crate) const CAP_ENHANCED_REFRESH: u8 = 70;
 
 /// The optional capabilities a session advertises (and, after negotiation,
 /// the set both ends share). The 4-octet-AS capability is not modeled here
@@ -61,7 +61,7 @@ impl Default for Capabilities {
 
 impl Capabilities {
     /// No optional capabilities at all (a minimal RFC 4271 speaker).
-    pub fn none() -> Self {
+    pub(crate) fn none() -> Self {
         Capabilities {
             mp_ipv6: false,
             route_refresh: false,
@@ -72,7 +72,7 @@ impl Capabilities {
     /// Encodes the advertised set as OPEN capability TLVs. The 4-octet-AS
     /// capability (RFC 6793) leads because every OPEN carries it; the rest
     /// follow in code order so encodes are canonical.
-    pub fn to_tlvs(&self, asn: Asn) -> Vec<(u8, Vec<u8>)> {
+    pub(crate) fn to_tlvs(self, asn: Asn) -> Vec<(u8, Vec<u8>)> {
         let mut tlvs = vec![(OpenMessage::CAP_FOUR_OCTET_AS, asn.0.to_be_bytes().to_vec())];
         if self.mp_ipv6 {
             // AFI 2 (IPv6), reserved, SAFI 1 (unicast).
@@ -88,7 +88,7 @@ impl Capabilities {
     }
 
     /// Parses a peer's OPEN capability TLVs into the typed set.
-    pub fn from_tlvs(tlvs: &[(u8, Vec<u8>)]) -> Self {
+    pub(crate) fn from_tlvs(tlvs: &[(u8, Vec<u8>)]) -> Self {
         Capabilities {
             mp_ipv6: tlvs.iter().any(|(code, payload)| {
                 *code == CAP_MULTIPROTOCOL
@@ -106,7 +106,7 @@ impl Capabilities {
     /// session only when both ends hold it; enhanced refresh additionally
     /// implies plain route refresh (RFC 7313 §3 requires a speaker that
     /// sends code 70 to also support refresh).
-    pub fn negotiate(&self, peer_tlvs: &[(u8, Vec<u8>)]) -> Self {
+    pub(crate) fn negotiate(&self, peer_tlvs: &[(u8, Vec<u8>)]) -> Self {
         let peer = Capabilities::from_tlvs(peer_tlvs);
         let enhanced = self.enhanced_refresh && peer.enhanced_refresh;
         Capabilities {

@@ -22,7 +22,7 @@ use crate::attrstore::RouteRec;
 /// Why one route beat another — returned by [`compare_recs`] for
 /// observability and asserted on in tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DecisionStep {
+pub(crate) enum DecisionStep {
     /// Higher LOCAL_PREF wins.
     LocalPref,
     /// Shorter AS path wins.
@@ -44,7 +44,7 @@ pub enum DecisionStep {
 /// preferred over `b`, and `step` names the first ladder rung that decided.
 /// Reads only the precomputed [`DecisionKey`](crate::attrstore::DecisionKey)
 /// and the source — no heap access, no effective-value recomputation.
-pub fn compare_recs(a: &RouteRec, b: &RouteRec) -> (Ordering, DecisionStep) {
+pub(crate) fn compare_recs(a: &RouteRec, b: &RouteRec) -> (Ordering, DecisionStep) {
     // 1. Highest LOCAL_PREF.
     let lp = a.key.local_pref.cmp(&b.key.local_pref);
     if lp != Ordering::Equal {

@@ -26,7 +26,8 @@ use crate::route::EgressId;
 
 /// Default amortized PNI port cost, USD/month — the fixed cost of a 10G
 /// cross-connect plus its port, amortized. Only a default for builders;
-/// real scenarios set their own via [`EgressSpec::port_cost`].
+/// real scenarios set their own through the cost model
+/// (`gen.cost.pni_port_usd_per_month`).
 pub const DEFAULT_PNI_PORT_USD: f64 = 2500.0;
 
 /// Default transit price, USD per Mbps of 95th-percentile billable rate
@@ -183,7 +184,7 @@ pub struct EgressSpec {
 
 impl EgressSpec {
     /// Spec with an explicit class.
-    pub fn new(egress: u32, asn: u32, class: PeeringClass) -> Self {
+    pub(crate) fn new(egress: u32, asn: u32, class: PeeringClass) -> Self {
         EgressSpec {
             egress: EgressId(egress),
             asn: Asn(asn),
@@ -218,25 +219,6 @@ impl EgressSpec {
         )
     }
 
-    /// An IXP route-server egress (fabric capacity sized later).
-    pub fn route_server(egress: u32, asn: u32) -> Self {
-        Self::new(
-            egress,
-            asn,
-            PeeringClass::IxpRouteServer {
-                shared_fabric_mbps: 0.0,
-            },
-        )
-    }
-
-    /// Overrides the PNI port cost (no-op for other classes).
-    pub fn port_cost(mut self, usd_per_month: f64) -> Self {
-        if let PeeringClass::Pni { port_cost } = &mut self.class {
-            *port_cost = usd_per_month;
-        }
-        self
-    }
-
     /// Overrides the transit price (no-op for other classes).
     pub fn usd_per_mbps(mut self, usd: f64) -> Self {
         if let PeeringClass::Transit { usd_per_mbps } = &mut self.class {
@@ -259,6 +241,7 @@ impl EgressSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::peer::tests::REAL_KINDS;
 
     #[test]
     fn class_derives_the_paper_kinds() {
@@ -282,7 +265,7 @@ mod tests {
 
     #[test]
     fn kind_round_trips_through_default_class() {
-        for kind in PeerKind::REAL_KINDS {
+        for kind in REAL_KINDS {
             let class = PeeringClass::from_kind(kind).expect("real kinds have a class");
             assert_eq!(class.kind(), kind);
         }
@@ -294,7 +277,7 @@ mod tests {
         // The cost layer must not perturb the decision ordering: deriving
         // the kind through the class lands in the same LOCAL_PREF band as
         // constructing the kind directly.
-        for kind in PeerKind::REAL_KINDS {
+        for kind in REAL_KINDS {
             let class = PeeringClass::from_kind(kind).unwrap();
             assert_eq!(class.kind().default_local_pref(), kind.default_local_pref());
         }
@@ -341,7 +324,10 @@ mod tests {
         assert_eq!(t.kind(), PeerKind::Transit);
         assert_eq!(t.class.marginal_usd_per_mbps(), 0.75);
 
-        let p = EgressSpec::pni(1, 65001).port_cost(4000.0);
+        let p = EgressSpec {
+            class: PeeringClass::Pni { port_cost: 4000.0 },
+            ..EgressSpec::pni(1, 65001)
+        };
         assert_eq!(p.kind(), PeerKind::PrivatePeer);
         assert_eq!(p.class.fixed_usd_per_month(), 4000.0);
 

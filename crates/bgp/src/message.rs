@@ -10,7 +10,7 @@ use ef_net_types::{Asn, Prefix};
 use crate::attrs::PathAttributes;
 
 /// BGP version this implementation speaks.
-pub const BGP_VERSION: u8 = 4;
+pub(crate) const BGP_VERSION: u8 = 4;
 
 /// A BGP-4 message.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -29,7 +29,7 @@ pub enum BgpMessage {
 
 impl BgpMessage {
     /// Wire type code.
-    pub fn type_code(&self) -> u8 {
+    pub(crate) fn type_code(&self) -> u8 {
         match self {
             BgpMessage::Open(_) => 1,
             BgpMessage::Update(_) => 2,
@@ -57,7 +57,7 @@ pub enum RefreshSubtype {
 
 impl RefreshSubtype {
     /// Wire value of the demarcation octet.
-    pub fn wire_value(self) -> u8 {
+    pub(crate) fn wire_value(self) -> u8 {
         match self {
             RefreshSubtype::Request => 0,
             RefreshSubtype::BoRR => 1,
@@ -67,7 +67,7 @@ impl RefreshSubtype {
 
     /// Parses the demarcation octet; values this implementation does not
     /// emit are rejected so accepted frames re-encode canonically.
-    pub fn from_wire(value: u8) -> Option<Self> {
+    pub(crate) fn from_wire(value: u8) -> Option<Self> {
         match value {
             0 => Some(RefreshSubtype::Request),
             1 => Some(RefreshSubtype::BoRR),
@@ -135,9 +135,9 @@ pub struct OpenMessage {
 
 impl OpenMessage {
     /// AS_TRANS, the 2-byte stand-in for 4-byte ASNs (RFC 6793).
-    pub const AS_TRANS: u16 = 23456;
+    pub(crate) const AS_TRANS: u16 = 23456;
     /// Capability code for 4-octet AS support.
-    pub const CAP_FOUR_OCTET_AS: u8 = 65;
+    pub(crate) const CAP_FOUR_OCTET_AS: u8 = 65;
 
     /// Builds an OPEN advertising the 4-octet-AS capability.
     pub fn new(asn: Asn, hold_time: u16, router_id: Ipv4Addr) -> Self {
@@ -184,11 +184,6 @@ impl UpdateMessage {
             announced: Vec::new(),
         }
     }
-
-    /// True if the message neither announces nor withdraws anything.
-    pub fn is_empty(&self) -> bool {
-        self.withdrawn.is_empty() && self.announced.is_empty()
-    }
 }
 
 /// NOTIFICATION message (RFC 4271 §4.5): an error code and the session ends.
@@ -204,7 +199,7 @@ pub struct NotificationMessage {
 
 impl NotificationMessage {
     /// Error code 4: Hold Timer Expired.
-    pub fn hold_timer_expired() -> Self {
+    pub(crate) fn hold_timer_expired() -> Self {
         NotificationMessage {
             code: 4,
             subcode: 0,
@@ -213,7 +208,7 @@ impl NotificationMessage {
     }
 
     /// Error code 6, subcode 2: Administrative Shutdown (RFC 4486).
-    pub fn admin_shutdown() -> Self {
+    pub(crate) fn admin_shutdown() -> Self {
         NotificationMessage {
             code: 6,
             subcode: 2,
@@ -222,7 +217,7 @@ impl NotificationMessage {
     }
 
     /// Error code 3: UPDATE Message Error.
-    pub fn update_error(subcode: u8) -> Self {
+    pub(crate) fn update_error(subcode: u8) -> Self {
         NotificationMessage {
             code: 3,
             subcode,
@@ -289,11 +284,13 @@ mod tests {
         let p: Prefix = "203.0.113.0/24".parse().unwrap();
         let ann = UpdateMessage::announce(p, PathAttributes::default());
         assert_eq!(ann.announced, vec![p]);
-        assert!(!ann.is_empty());
+        assert!(ann.withdrawn.is_empty());
 
         let w = UpdateMessage::withdraw([p]);
         assert_eq!(w.withdrawn, vec![p]);
-        assert!(UpdateMessage::default().is_empty());
+        assert!(w.announced.is_empty());
+        let empty = UpdateMessage::default();
+        assert!(empty.announced.is_empty() && empty.withdrawn.is_empty());
     }
 
     #[test]

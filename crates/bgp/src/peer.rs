@@ -61,7 +61,7 @@ impl PeerKind {
 
     /// Community value code used to tag routes by peer kind at import, so
     /// the controller can classify routes seen over BMP.
-    pub fn tag_code(self) -> u16 {
+    pub(crate) fn tag_code(self) -> u16 {
         match self {
             PeerKind::Controller => 9,
             PeerKind::PrivatePeer => 1,
@@ -76,7 +76,7 @@ impl PeerKind {
         Community::peer_type_tag(self.tag_code())
     }
 
-    /// Reverse of [`tag_code`](Self::tag_code).
+    /// Reverse of `tag_code`.
     pub fn from_tag_code(code: u16) -> Option<Self> {
         match code {
             9 => Some(PeerKind::Controller),
@@ -86,15 +86,6 @@ impl PeerKind {
             4 => Some(PeerKind::Transit),
             _ => None,
         }
-    }
-
-    /// True for kinds that are settlement-free peers (not transit, not the
-    /// controller).
-    pub fn is_peering(self) -> bool {
-        matches!(
-            self,
-            PeerKind::PrivatePeer | PeerKind::PublicPeer | PeerKind::RouteServer
-        )
     }
 
     /// Short label used in reports and experiment output.
@@ -107,14 +98,6 @@ impl PeerKind {
             PeerKind::Transit => "transit",
         }
     }
-
-    /// All real peer kinds (excludes the controller pseudo-peer).
-    pub const REAL_KINDS: [PeerKind; 4] = [
-        PeerKind::PrivatePeer,
-        PeerKind::PublicPeer,
-        PeerKind::RouteServer,
-        PeerKind::Transit,
-    ];
 }
 
 impl fmt::Display for PeerKind {
@@ -124,8 +107,18 @@ impl fmt::Display for PeerKind {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::egress::PeeringClass;
+
+    /// The kinds of real interconnects (everything but the controller's
+    /// pseudo-peer), shared by the crate's tests.
+    pub(crate) const REAL_KINDS: [PeerKind; 4] = [
+        PeerKind::PrivatePeer,
+        PeerKind::PublicPeer,
+        PeerKind::RouteServer,
+        PeerKind::Transit,
+    ];
 
     #[test]
     fn preference_tiers_match_paper_policy() {
@@ -160,15 +153,25 @@ mod tests {
 
     #[test]
     fn peering_classification() {
-        assert!(PeerKind::PrivatePeer.is_peering());
-        assert!(PeerKind::RouteServer.is_peering());
-        assert!(!PeerKind::Transit.is_peering());
-        assert!(!PeerKind::Controller.is_peering());
+        // Peering kinds carry no per-Mbps price by default; transit does.
+        for (kind, peering) in [
+            (PeerKind::PrivatePeer, true),
+            (PeerKind::PublicPeer, true),
+            (PeerKind::RouteServer, true),
+            (PeerKind::Transit, false),
+        ] {
+            let class = PeeringClass::from_kind(kind).unwrap();
+            assert_eq!(class.marginal_usd_per_mbps() == 0.0, peering, "{kind}");
+        }
     }
 
     #[test]
     fn real_kinds_excludes_controller() {
-        assert!(!PeerKind::REAL_KINDS.contains(&PeerKind::Controller));
-        assert_eq!(PeerKind::REAL_KINDS.len(), 4);
+        // Every kind but the controller pseudo-peer is a real interconnect
+        // with a peering class.
+        for kind in [PeerKind::Controller].into_iter().chain(REAL_KINDS) {
+            let real = PeeringClass::from_kind(kind).is_some();
+            assert_eq!(real, kind != PeerKind::Controller, "{kind}");
+        }
     }
 }

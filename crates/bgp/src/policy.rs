@@ -103,6 +103,7 @@ impl Policy {
 mod tests {
     use super::*;
     use crate::attrs::AsPath;
+    use crate::peer::tests::REAL_KINDS;
 
     const LOCAL: Asn = Asn(32934);
 
@@ -119,7 +120,7 @@ mod tests {
 
     #[test]
     fn default_import_tiers_local_pref() {
-        for kind in PeerKind::REAL_KINDS {
+        for kind in REAL_KINDS {
             let policy = Policy::default_import(LOCAL, kind);
             let mut a = attrs(&[65001]);
             let v = policy.apply(&p("203.0.113.0/24"), &mut a);
@@ -152,10 +153,7 @@ mod tests {
     #[test]
     fn default_route_only_from_transit() {
         for default in [Prefix::DEFAULT_V4, p("::/0")] {
-            for kind in PeerKind::REAL_KINDS
-                .into_iter()
-                .chain([PeerKind::Controller])
-            {
+            for kind in REAL_KINDS.into_iter().chain([PeerKind::Controller]) {
                 let policy = Policy::default_import(LOCAL, kind);
                 let want = if kind == PeerKind::Transit {
                     PolicyVerdict::Accept

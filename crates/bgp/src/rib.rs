@@ -144,13 +144,8 @@ impl LocRib {
         s.class = new_class;
     }
 
-    /// Installs or replaces `route` (keyed by its source peer), returning
-    /// how the best route changed.
-    pub fn install(&mut self, route: Route) -> BestChange {
-        self.install_ref(route.prefix, &route.attrs, route.source, route.egress)
-    }
-
-    /// Like [`install`](Self::install) without requiring an owned [`Route`]:
+    /// Installs or replaces a route (keyed by its source peer), returning
+    /// how the best route changed. Takes no owned [`Route`]:
     /// the attributes are interned (or their refcount bumped) directly from
     /// the borrowed set, so multi-prefix UPDATEs pay one deep clone total.
     pub fn install_ref(
@@ -335,14 +330,6 @@ impl LocRib {
         rank_recs_into(self.candidates(prefix), out);
     }
 
-    /// Candidates ranked best-first (allocating convenience for cold paths
-    /// and tests; hot paths use [`ranked_into`](Self::ranked_into)).
-    pub fn ranked(&self, prefix: &Prefix) -> Vec<RouteRec> {
-        let mut out = Vec::new();
-        self.ranked_into(prefix, &mut out);
-        out
-    }
-
     /// The decision-process winner for a prefix.
     pub fn best(&self, prefix: &Prefix) -> Option<&RouteRec> {
         best_rec(self.candidates(prefix))
@@ -396,15 +383,6 @@ impl LocRib {
             .iter()
             .filter(|s| s.class != FREE_SLOT)
             .map(|s| (&s.prefix, self.slot_recs(s)))
-    }
-
-    /// Iterates `(prefix, best record)` in slot (arrival) order, selecting
-    /// per slot without sorting or allocating.
-    pub fn iter_best(&self) -> impl Iterator<Item = (&Prefix, &RouteRec)> {
-        self.slots
-            .iter()
-            .filter(|s| s.class != FREE_SLOT)
-            .filter_map(|s| best_rec(self.slot_recs(s)).map(|b| (&s.prefix, b)))
     }
 
     /// Re-lays the pool out prefix-sorted with no free chunks or slack — the
@@ -478,11 +456,16 @@ mod tests {
         }
     }
 
+    /// Installs or replaces `route` (keyed by its source peer).
+    fn install(rib: &mut LocRib, route: Route) -> BestChange {
+        rib.install_ref(route.prefix, &route.attrs, route.source, route.egress)
+    }
+
     #[test]
     fn loc_rib_first_route_is_new_best() {
         let mut rib = LocRib::new();
         let r = route("1.0.0.0/8", 1, 100);
-        match rib.install(r.clone()) {
+        match install(&mut rib, r.clone()) {
             BestChange::NewBest(rec) => {
                 assert_eq!(rec.source.peer, PeerId(1));
                 assert_eq!(rib.route(p("1.0.0.0/8"), &rec), r);
@@ -496,14 +479,14 @@ mod tests {
     #[test]
     fn loc_rib_better_route_takes_over() {
         let mut rib = LocRib::new();
-        rib.install(route("1.0.0.0/8", 1, 100));
-        match rib.install(route("1.0.0.0/8", 2, 900)) {
+        install(&mut rib, route("1.0.0.0/8", 1, 100));
+        match install(&mut rib, route("1.0.0.0/8", 2, 900)) {
             BestChange::NewBest(rec) => assert_eq!(rec.source.peer, PeerId(2)),
             other => panic!("expected NewBest, got {other:?}"),
         }
         // A worse newcomer does not change best.
         assert_eq!(
-            rib.install(route("1.0.0.0/8", 3, 50)),
+            install(&mut rib, route("1.0.0.0/8", 3, 50)),
             BestChange::Unchanged
         );
         assert_eq!(rib.candidates(&p("1.0.0.0/8")).len(), 3);
@@ -512,8 +495,8 @@ mod tests {
     #[test]
     fn loc_rib_replacement_from_same_peer_does_not_duplicate() {
         let mut rib = LocRib::new();
-        rib.install(route("1.0.0.0/8", 1, 100));
-        rib.install(route("1.0.0.0/8", 1, 150));
+        install(&mut rib, route("1.0.0.0/8", 1, 100));
+        install(&mut rib, route("1.0.0.0/8", 1, 150));
         assert_eq!(rib.candidates(&p("1.0.0.0/8")).len(), 1);
         assert_eq!(rib.best(&p("1.0.0.0/8")).unwrap().key.local_pref, 150);
         assert_eq!(rib.distinct_attrs(), 1, "replaced attrs released");
@@ -522,8 +505,8 @@ mod tests {
     #[test]
     fn loc_rib_withdraw_best_promotes_runner_up() {
         let mut rib = LocRib::new();
-        rib.install(route("1.0.0.0/8", 1, 900));
-        rib.install(route("1.0.0.0/8", 2, 100));
+        install(&mut rib, route("1.0.0.0/8", 1, 900));
+        install(&mut rib, route("1.0.0.0/8", 2, 100));
         match rib.withdraw(&p("1.0.0.0/8"), PeerId(1)) {
             BestChange::NewBest(r) => assert_eq!(r.source.peer, PeerId(2)),
             other => panic!("expected NewBest, got {other:?}"),
@@ -533,8 +516,8 @@ mod tests {
     #[test]
     fn loc_rib_withdraw_non_best_is_unchanged() {
         let mut rib = LocRib::new();
-        rib.install(route("1.0.0.0/8", 1, 900));
-        rib.install(route("1.0.0.0/8", 2, 100));
+        install(&mut rib, route("1.0.0.0/8", 1, 900));
+        install(&mut rib, route("1.0.0.0/8", 2, 100));
         assert_eq!(
             rib.withdraw(&p("1.0.0.0/8"), PeerId(2)),
             BestChange::Unchanged
@@ -544,7 +527,7 @@ mod tests {
     #[test]
     fn loc_rib_last_withdraw_is_unreachable() {
         let mut rib = LocRib::new();
-        rib.install(route("1.0.0.0/8", 1, 100));
+        install(&mut rib, route("1.0.0.0/8", 1, 100));
         assert_eq!(
             rib.withdraw(&p("1.0.0.0/8"), PeerId(1)),
             BestChange::Unreachable
@@ -562,9 +545,9 @@ mod tests {
     #[test]
     fn loc_rib_withdraw_peer_sweeps_all_prefixes() {
         let mut rib = LocRib::new();
-        rib.install(route("1.0.0.0/8", 1, 900));
-        rib.install(route("2.0.0.0/8", 1, 900));
-        rib.install(route("2.0.0.0/8", 2, 100));
+        install(&mut rib, route("1.0.0.0/8", 1, 900));
+        install(&mut rib, route("2.0.0.0/8", 1, 900));
+        install(&mut rib, route("2.0.0.0/8", 2, 100));
         let changes = rib.withdraw_peer(PeerId(1));
         assert_eq!(changes.len(), 2);
         assert!(changes
@@ -578,10 +561,11 @@ mod tests {
     #[test]
     fn ranked_returns_decision_order() {
         let mut rib = LocRib::new();
-        rib.install(route("1.0.0.0/8", 1, 100));
-        rib.install(route("1.0.0.0/8", 2, 900));
-        rib.install(route("1.0.0.0/8", 3, 500));
-        let ranked = rib.ranked(&p("1.0.0.0/8"));
+        install(&mut rib, route("1.0.0.0/8", 1, 100));
+        install(&mut rib, route("1.0.0.0/8", 2, 900));
+        install(&mut rib, route("1.0.0.0/8", 3, 500));
+        let mut ranked = Vec::new();
+        rib.ranked_into(&p("1.0.0.0/8"), &mut ranked);
         let peers: Vec<u64> = ranked.iter().map(|r| r.source.peer.0).collect();
         assert_eq!(peers, vec![2, 3, 1]);
     }
@@ -589,8 +573,8 @@ mod tests {
     #[test]
     fn ranked_into_reuses_scratch() {
         let mut rib = LocRib::new();
-        rib.install(route("1.0.0.0/8", 1, 100));
-        rib.install(route("1.0.0.0/8", 2, 900));
+        install(&mut rib, route("1.0.0.0/8", 1, 100));
+        install(&mut rib, route("1.0.0.0/8", 2, 900));
         let mut scratch = Vec::with_capacity(8);
         rib.ranked_into(&p("1.0.0.0/8"), &mut scratch);
         assert_eq!(scratch.len(), 2);
@@ -602,9 +586,10 @@ mod tests {
     #[test]
     fn iter_best_covers_all_prefixes() {
         let mut rib = LocRib::new();
-        rib.install(route("1.0.0.0/8", 1, 100));
-        rib.install(route("2.0.0.0/8", 2, 100));
-        let mut prefixes: Vec<Prefix> = rib.iter_best().map(|(p, _)| *p).collect();
+        install(&mut rib, route("1.0.0.0/8", 1, 100));
+        install(&mut rib, route("2.0.0.0/8", 2, 100));
+        let mut prefixes: Vec<Prefix> = rib.iter().map(|(p, _)| *p).collect();
+        assert!(prefixes.iter().all(|p| rib.best(p).is_some()));
         prefixes.sort();
         assert_eq!(prefixes, vec![p("1.0.0.0/8"), p("2.0.0.0/8")]);
     }
@@ -614,7 +599,7 @@ mod tests {
         let mut rib = LocRib::new();
         // 5 peers forces class 0 -> 1 -> 2 growth with chunk recycling.
         for peer in 1..=5 {
-            rib.install(route("1.0.0.0/8", peer, 100 + peer as u32));
+            install(&mut rib, route("1.0.0.0/8", peer, 100 + peer as u32));
         }
         assert_eq!(rib.candidates(&p("1.0.0.0/8")).len(), 5);
         let arrival: Vec<u64> = rib
@@ -629,7 +614,7 @@ mod tests {
         assert!(rib.is_empty());
         // A new prefix reuses recycled storage rather than growing the pool.
         let before = rib.pool.len();
-        rib.install(route("3.0.0.0/8", 1, 100));
+        install(&mut rib, route("3.0.0.0/8", 1, 100));
         assert_eq!(rib.pool.len(), before);
     }
 
@@ -637,7 +622,7 @@ mod tests {
     fn attrs_are_shared_across_prefixes() {
         let mut rib = LocRib::new();
         for i in 0..100u32 {
-            rib.install(route(&format!("{}.0.0.0/8", i + 1), 1, 300));
+            install(&mut rib, route(&format!("{}.0.0.0/8", i + 1), 1, 300));
         }
         assert_eq!(rib.route_count(), 100);
         assert_eq!(rib.distinct_attrs(), 1, "one shared attribute set");
@@ -646,10 +631,10 @@ mod tests {
     #[test]
     fn compact_preserves_contents_and_order() {
         let mut rib = LocRib::new();
-        rib.install(route("2.0.0.0/8", 2, 100));
-        rib.install(route("1.0.0.0/8", 1, 900));
-        rib.install(route("1.0.0.0/8", 3, 500));
-        rib.install(route("3.0.0.0/8", 1, 100));
+        install(&mut rib, route("2.0.0.0/8", 2, 100));
+        install(&mut rib, route("1.0.0.0/8", 1, 900));
+        install(&mut rib, route("1.0.0.0/8", 3, 500));
+        install(&mut rib, route("3.0.0.0/8", 1, 100));
         rib.withdraw(&p("3.0.0.0/8"), PeerId(1));
         let before: Vec<(Prefix, Vec<RouteRec>)> = {
             let mut v: Vec<(Prefix, Vec<RouteRec>)> =
@@ -668,10 +653,10 @@ mod tests {
     #[test]
     fn best_change_equality_detects_idempotent_reinstall() {
         let mut rib = LocRib::new();
-        rib.install(route("1.0.0.0/8", 1, 100));
+        install(&mut rib, route("1.0.0.0/8", 1, 100));
         // Identical re-announcement: same interned id, same rec, unchanged.
         assert_eq!(
-            rib.install(route("1.0.0.0/8", 1, 100)),
+            install(&mut rib, route("1.0.0.0/8", 1, 100)),
             BestChange::Unchanged
         );
     }

@@ -98,11 +98,6 @@ pub struct Route {
 }
 
 impl Route {
-    /// True if this route was injected by the Edge Fabric controller.
-    pub fn is_override(&self) -> bool {
-        self.source.kind == PeerKind::Controller
-    }
-
     /// Compact one-line rendering for logs and reports.
     pub fn summary(&self) -> String {
         format!(
@@ -121,6 +116,7 @@ impl Route {
 mod tests {
     use super::*;
     use crate::attrs::AsPath;
+    use crate::attrstore::AttrStore;
 
     fn sample() -> Route {
         Route {
@@ -141,10 +137,12 @@ mod tests {
 
     #[test]
     fn override_detection() {
+        // Override detection lives on the Loc-RIB record.
+        let mut store = AttrStore::new();
         let mut r = sample();
-        assert!(!r.is_override());
+        assert!(!store.make_rec(&r.attrs, r.source, r.egress).is_override());
         r.source.kind = PeerKind::Controller;
-        assert!(r.is_override());
+        assert!(store.make_rec(&r.attrs, r.source, r.egress).is_override());
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::message::{BgpMessage, RefreshSubtype, RouteRefreshMessage, UpdateMess
 use crate::peer::{PeerId, PeerKind};
 use crate::policy::{Policy, PolicyVerdict};
 use crate::rib::{BestChange, LocRib};
-use crate::route::{EgressId, Route, RouteSource};
+use crate::route::{EgressId, RouteSource};
 use crate::session::{Millis, Session, SessionConfig, SessionEvent, SessionStats};
 
 /// Static identity of a router.
@@ -199,11 +199,6 @@ impl BgpRouter {
         }
     }
 
-    /// Router name.
-    pub fn name(&self) -> &str {
-        &self.cfg.name
-    }
-
     /// Local ASN.
     pub fn asn(&self) -> Asn {
         self.cfg.asn
@@ -211,7 +206,7 @@ impl BgpRouter {
 
     /// Attaches a peer and starts its session (local side). The remote side
     /// must drive the handshake by exchanging bytes via
-    /// [`deliver`](Self::deliver) / [`collect_outbox`](Self::collect_outbox),
+    /// [`deliver`](Self::deliver) / `collect_outbox`,
     /// or use [`PeerStub::pump`].
     pub fn add_peer(&mut self, attach: PeerAttachment) {
         let mut session = Session::new(SessionConfig::new(self.cfg.asn, self.cfg.router_id));
@@ -264,23 +259,11 @@ impl BgpRouter {
     }
 
     /// Drains bytes this router wants to send to `peer`'s remote endpoint.
-    pub fn collect_outbox(&mut self, peer: PeerId) -> Vec<Bytes> {
+    pub(crate) fn collect_outbox(&mut self, peer: PeerId) -> Vec<Bytes> {
         self.peers
             .get_mut(&peer)
             .map(|p| p.session.take_outbox())
             .unwrap_or_default()
-    }
-
-    /// Advances session timers for every peer.
-    pub fn tick(&mut self, now: Millis) {
-        let ids: Vec<PeerId> = self.peers.keys().copied().collect();
-        for peer in ids {
-            let events = match self.peers.get_mut(&peer) {
-                Some(state) => state.session.tick(now),
-                None => continue,
-            };
-            self.process_events(peer, events, now);
-        }
     }
 
     fn process_events(&mut self, peer: PeerId, events: Vec<SessionEvent>, now: Millis) {
@@ -604,20 +587,9 @@ impl BgpRouter {
         self.fib.trie.get(prefix)
     }
 
-    /// Number of prefixes in the FIB.
-    pub fn fib_len(&self) -> usize {
-        self.fib.trie.len()
-    }
-
     /// The router's full view of candidates for a prefix (all peers).
     pub fn candidates(&self, prefix: &Prefix) -> &[RouteRec] {
         self.loc_rib.candidates(prefix)
-    }
-
-    /// Candidates ranked best-first (allocating; hot paths use
-    /// [`ranked_into`](Self::ranked_into)).
-    pub fn ranked(&self, prefix: &Prefix) -> Vec<RouteRec> {
-        self.loc_rib.ranked(prefix)
     }
 
     /// Candidates ranked best-first into a reused scratch buffer.
@@ -630,20 +602,9 @@ impl BgpRouter {
         self.loc_rib.best(prefix)
     }
 
-    /// Materializes the full route for a Loc-RIB record (cold paths:
-    /// reports, audits).
-    pub fn rib_route(&self, prefix: Prefix, rec: &RouteRec) -> Route {
-        self.loc_rib.route(prefix, rec)
-    }
-
     /// The attribute store backing the Loc-RIB.
     pub fn rib_store(&self) -> &AttrStore {
         self.loc_rib.store()
-    }
-
-    /// Iterates `(prefix, best)` over the whole Loc-RIB.
-    pub fn iter_best(&self) -> impl Iterator<Item = (&Prefix, &RouteRec)> {
-        self.loc_rib.iter_best()
     }
 
     /// Iterates `(prefix, all candidates)`.
@@ -860,11 +821,6 @@ impl PeerStub {
                 break;
             }
         }
-    }
-
-    /// Snapshot of this stub's session counters.
-    pub fn session_stats(&self) -> SessionStats {
-        self.session.stats()
     }
 
     /// Announces a prefix with the given attributes and pumps.
@@ -1093,6 +1049,11 @@ mod tests {
         wire_peer_exports(r, peer, asn, kind, egress).0
     }
 
+    /// Number of prefixes in the FIB.
+    fn fib_size(r: &BgpRouter) -> usize {
+        r.fib.trie.len()
+    }
+
     /// [`wire_peer`], also returning the UPDATEs the router exported to
     /// the new peer at session-up.
     fn wire_peer_exports(
@@ -1130,9 +1091,8 @@ mod tests {
             PeerKind::PrivatePeer.default_local_pref(),
             "import policy applied"
         );
-        let materialized = r.rib_route(p("203.0.113.0/24"), &best);
         assert_eq!(
-            materialized.attrs.local_pref,
+            r.rib_store().attrs(best.attr).local_pref,
             Some(PeerKind::PrivatePeer.default_local_pref()),
         );
         let fib = r.fib_entry(&p("203.0.113.0/24")).unwrap();
@@ -1178,10 +1138,10 @@ mod tests {
         let mut r = router();
         let mut peer = wire_peer(&mut r, 2, 65001, PeerKind::PrivatePeer, 20);
         peer.announce(&mut r, p("203.0.113.0/24"), attrs(&[65001]), 1);
-        assert_eq!(r.fib_len(), 1);
+        assert_eq!(fib_size(&r), 1);
         peer.shutdown(&mut r, 2);
         assert!(!r.peer_up(PeerId(2)));
-        assert_eq!(r.fib_len(), 0);
+        assert_eq!(fib_size(&r), 0);
         assert!(r.best(&p("203.0.113.0/24")).is_none());
     }
 
@@ -1192,7 +1152,7 @@ mod tests {
         // /25 is over-specific under the default policy.
         peer.announce(&mut r, p("203.0.113.0/25"), attrs(&[65001]), 1);
         assert!(r.best(&p("203.0.113.0/25")).is_none());
-        assert_eq!(r.fib_len(), 0);
+        assert_eq!(fib_size(&r), 0);
     }
 
     #[test]
@@ -1281,10 +1241,18 @@ mod tests {
         peer.shutdown(&mut r, 7);
 
         let feed = r.drain_bmp();
-        let kinds: Vec<u8> = feed.iter().map(|m| m.type_code()).collect();
-        // Initiation(4), PeerUp(3), RouteMonitoring announce(0),
-        // RouteMonitoring withdraw(0), PeerDown(2).
-        assert_eq!(kinds, vec![4, 3, 0, 0, 2]);
+        // Initiation, PeerUp, RouteMonitoring announce, RouteMonitoring
+        // withdraw, PeerDown.
+        assert!(matches!(
+            feed[..],
+            [
+                BmpMessage::Initiation { .. },
+                BmpMessage::PeerUp(_),
+                BmpMessage::RouteMonitoring { .. },
+                BmpMessage::RouteMonitoring { .. },
+                BmpMessage::PeerDown { .. },
+            ]
+        ));
 
         // The announce message carries post-policy attributes.
         match &feed[2] {
@@ -1371,11 +1339,11 @@ mod tests {
             s.announce(&mut r, p(&format!("50.0.{i}.0/24")), attrs(&[65001]), 1);
         }
         assert!(r.peer_up(PeerId(1)));
-        assert_eq!(r.fib_len(), 3);
+        assert_eq!(fib_size(&r), 3);
         // The fourth prefix breaches the limit: session reset, routes flushed.
         s.announce(&mut r, p("50.0.3.0/24"), attrs(&[65001]), 2);
         assert!(!r.peer_up(PeerId(1)), "session torn down");
-        assert_eq!(r.fib_len(), 0, "all routes flushed");
+        assert_eq!(fib_size(&r), 0, "all routes flushed");
         // BMP reports the PeerDown with the max-prefix reason code.
         let feed = r.drain_bmp();
         assert!(feed
@@ -1390,7 +1358,7 @@ mod tests {
         s.announce(&mut r, p("203.0.113.0/24"), attrs(&[65001]), 1);
         s.shutdown(&mut r, 2);
         assert!(!r.peer_up(PeerId(1)));
-        assert_eq!(r.fib_len(), 0);
+        assert_eq!(fib_size(&r), 0);
 
         // Operational recovery: re-provision the peer (fresh sessions both
         // sides) and re-announce.
@@ -1498,7 +1466,7 @@ mod tests {
         let mut s = wire_peer(&mut r, 1, 65001, PeerKind::PrivatePeer, 11);
         s.announce(&mut r, p("203.0.113.0/24"), attrs(&[65001]), 1);
         s.announce(&mut r, p("198.51.100.0/24"), attrs(&[65001]), 1);
-        assert_eq!(r.fib_len(), 2);
+        assert_eq!(fib_size(&r), 2);
 
         // A corrupted re-announcement of the first prefix: RFC 7606
         // downgrades it to a withdrawal instead of resetting the session.
@@ -1534,7 +1502,7 @@ mod tests {
         assert!(r.fib_entry(&p("198.51.100.0/24")).is_some(), "kept");
         assert!(r.fib_entry(&p("192.0.2.0/24")).is_none(), "ghost swept");
         assert_eq!(r.session_stats(PeerId(1)).unwrap().refreshes_sent, 1);
-        assert_eq!(s.session_stats().refreshes_answered, 1);
+        assert_eq!(s.session.stats().refreshes_answered, 1);
         // No PeerDown appeared on the BMP feed at any point.
         assert!(r
             .drain_bmp()
@@ -1619,7 +1587,7 @@ mod tests {
         let mut peer = wire_peer(&mut r, 1, 65001, PeerKind::Transit, 11);
         peer.announce(&mut r, p("10.0.0.0/8"), attrs(&[65001]), 1);
         r.remove_peer(PeerId(1), 2);
-        assert_eq!(r.fib_len(), 0);
+        assert_eq!(fib_size(&r), 0);
         assert!(r.attachment(PeerId(1)).is_none());
     }
 }

@@ -10,6 +10,13 @@
 //! including every Edge Fabric override injection. (A simulated peer's
 //! initial full feed is the one exception: `PeerStub::announce_table`
 //! hands the router its packed UPDATEs decoded.)
+//!
+//! The hold and keepalive timers run only when the embedding calls
+//! [`Session::tick`]. No simulation run does: `BgpRouter` has no timer
+//! entry point, so inside a run a session ends only by an injected fault
+//! (a flap, a bounce, a lost injector) or by a NOTIFICATION (for example a
+//! max-prefix breach or an unrecoverable decode error). The timers are
+//! exercised by this module's tests and `tests/session_properties.rs`.
 
 use std::collections::VecDeque;
 
@@ -53,12 +60,6 @@ impl SessionConfig {
             hold_time_secs: 90,
             caps: Capabilities::default(),
         }
-    }
-
-    /// Replaces the advertised capability set.
-    pub fn with_capabilities(mut self, caps: Capabilities) -> Self {
-        self.caps = caps;
-        self
     }
 }
 
@@ -203,30 +204,8 @@ impl Session {
         }
     }
 
-    /// Malformed UPDATEs this session downgraded to withdrawals instead of
-    /// resetting (RFC 7606 treat-as-withdraw).
-    pub fn updates_downgraded(&self) -> u64 {
-        self.updates_downgraded
-    }
-
-    /// Malformed non-critical attributes this session dropped while keeping
-    /// the routes (RFC 7606 attribute-discard).
-    pub fn attrs_discarded(&self) -> u64 {
-        self.attrs_discarded
-    }
-
-    /// ROUTE-REFRESH requests this endpoint sent over its lifetime.
-    pub fn refreshes_sent(&self) -> u64 {
-        self.refreshes_sent
-    }
-
-    /// ROUTE-REFRESH requests received from the peer over its lifetime.
-    pub fn refreshes_answered(&self) -> u64 {
-        self.refreshes_answered
-    }
-
     /// Snapshot of all four lifetime counters at once.
-    pub fn stats(&self) -> SessionStats {
+    pub(crate) fn stats(&self) -> SessionStats {
         SessionStats {
             updates_downgraded: self.updates_downgraded,
             attrs_discarded: self.attrs_discarded,
@@ -237,18 +216,13 @@ impl Session {
 
     /// The capabilities both ends share, fixed when the peer's OPEN
     /// arrived. [`Capabilities::none`] before negotiation.
-    pub fn negotiated(&self) -> Capabilities {
+    pub(crate) fn negotiated(&self) -> Capabilities {
         self.negotiated.unwrap_or_else(Capabilities::none)
     }
 
     /// Current FSM state.
     pub fn state(&self) -> SessionState {
         self.state
-    }
-
-    /// The peer's OPEN message, available once past `OpenSent`.
-    pub fn peer_open(&self) -> Option<&OpenMessage> {
-        self.peer_open.as_ref()
     }
 
     /// True if UPDATEs may be sent.
@@ -288,7 +262,7 @@ impl Session {
     }
 
     /// Administrative stop: emit NOTIFICATION (Cease) and go `Idle`.
-    pub fn stop(&mut self) -> Option<SessionEvent> {
+    pub(crate) fn stop(&mut self) -> Option<SessionEvent> {
         if self.state == SessionState::Idle {
             return None;
         }
@@ -310,7 +284,7 @@ impl Session {
     /// Adj-RIB-Out — the RFC 7606 §2 remedy for treat-as-withdraw damage
     /// that a session bounce would otherwise amplify. Errors unless the
     /// session is established and negotiated the capability.
-    pub fn request_refresh(&mut self) -> Result<(), SessionError> {
+    pub(crate) fn request_refresh(&mut self) -> Result<(), SessionError> {
         if !self.is_established() {
             return Err(SessionError::NotEstablished);
         }
@@ -326,7 +300,10 @@ impl Session {
     /// replay (the answering side of a refresh). Markers are only sent
     /// when the session negotiated enhanced refresh (RFC 7313); without it
     /// the replay goes unbracketed, exactly as RFC 2918 specifies.
-    pub fn send_refresh_marker(&mut self, subtype: RefreshSubtype) -> Result<(), SessionError> {
+    pub(crate) fn send_refresh_marker(
+        &mut self,
+        subtype: RefreshSubtype,
+    ) -> Result<(), SessionError> {
         if !self.is_established() {
             return Err(SessionError::NotEstablished);
         }
@@ -578,13 +555,15 @@ mod tests {
         assert!(a.is_established());
         assert!(b.is_established());
         // Each side saw exactly one Up event carrying the other's ASN.
-        let ups: Vec<&SessionEvent> = events
+        let mut ups: Vec<Asn> = events
             .iter()
-            .filter(|e| matches!(e, SessionEvent::Up(_)))
+            .filter_map(|e| match e {
+                SessionEvent::Up(open) => Some(open.asn),
+                _ => None,
+            })
             .collect();
-        assert_eq!(ups.len(), 2);
-        assert_eq!(a.peer_open().unwrap().asn, Asn(65001));
-        assert_eq!(b.peer_open().unwrap().asn, Asn(32934));
+        ups.sort();
+        assert_eq!(ups, vec![Asn(32934), Asn(65001)]);
     }
 
     #[test]
@@ -719,10 +698,10 @@ mod tests {
             enhanced_refresh: false,
             ..Default::default()
         };
-        let mut c = Session::new(
-            SessionConfig::new(Asn(32934), Ipv4Addr::new(10, 0, 0, 3))
-                .with_capabilities(plain_refresh),
-        );
+        let mut c = Session::new(SessionConfig {
+            caps: plain_refresh,
+            ..SessionConfig::new(Asn(32934), Ipv4Addr::new(10, 0, 0, 3))
+        });
         let mut d = Session::new(SessionConfig::new(Asn(65001), Ipv4Addr::new(10, 0, 0, 4)));
         establish_pair(&mut c, &mut d, 0);
         assert!(!c.negotiated().enhanced_refresh, "c did not offer it");
@@ -737,7 +716,7 @@ mod tests {
         assert!(a.negotiated().route_refresh && a.negotiated().enhanced_refresh);
 
         a.request_refresh().unwrap();
-        assert_eq!(a.refreshes_sent(), 1);
+        assert_eq!(a.stats().refreshes_sent, 1);
         let mut got = Vec::new();
         for bytes in a.take_outbox() {
             got.extend(b.receive_bytes(&bytes, 1));
@@ -746,7 +725,7 @@ mod tests {
             got,
             vec![SessionEvent::Refresh(RouteRefreshMessage::request())]
         );
-        assert_eq!(b.refreshes_answered(), 1);
+        assert_eq!(b.stats().refreshes_answered, 1);
 
         // The responder brackets its replay with BoRR/EoRR.
         b.send_refresh_marker(RefreshSubtype::BoRR).unwrap();
@@ -763,17 +742,17 @@ mod tests {
             ]
         );
         // Markers are not counted as requests needing an answer.
-        assert_eq!(a.refreshes_answered(), 0);
+        assert_eq!(a.stats().refreshes_answered, 0);
         assert!(a.is_established() && b.is_established());
     }
 
     #[test]
     fn refresh_without_capability_is_a_typed_error() {
         let mut a = Session::new(SessionConfig::new(Asn(32934), Ipv4Addr::new(10, 0, 0, 1)));
-        let mut b = Session::new(
-            SessionConfig::new(Asn(65001), Ipv4Addr::new(10, 0, 0, 2))
-                .with_capabilities(Capabilities::none()),
-        );
+        let mut b = Session::new(SessionConfig {
+            caps: Capabilities::none(),
+            ..SessionConfig::new(Asn(65001), Ipv4Addr::new(10, 0, 0, 2))
+        });
         establish_pair(&mut a, &mut b, 0);
         assert!(a.is_established());
         assert!(!a.negotiated().route_refresh);
@@ -782,7 +761,7 @@ mod tests {
             a.send_refresh_marker(RefreshSubtype::BoRR),
             Err(SessionError::RefreshUnsupported)
         );
-        assert_eq!(a.refreshes_sent(), 0);
+        assert_eq!(a.stats().refreshes_sent, 0);
     }
 
     #[test]
@@ -853,7 +832,7 @@ mod tests {
         raw[19 + 2 + wd_len + 2 + 2] = 0xEE; // ORIGIN length byte → 238
         let evs = b.receive_bytes(&raw, 1);
         assert!(b.is_established(), "session survives the malformed UPDATE");
-        assert_eq!(b.updates_downgraded(), 1);
+        assert_eq!(b.stats().updates_downgraded, 1);
         assert_eq!(
             evs,
             vec![SessionEvent::Update(UpdateMessage::withdraw([prefix]))],
@@ -885,8 +864,8 @@ mod tests {
         raw.extend_from_slice(&nlri);
         let evs = b.receive_bytes(&raw, 1);
         assert!(b.is_established());
-        assert_eq!(b.attrs_discarded(), 1, "bad COMMUNITIES dropped");
-        assert_eq!(b.updates_downgraded(), 0);
+        assert_eq!(b.stats().attrs_discarded, 1, "bad COMMUNITIES dropped");
+        assert_eq!(b.stats().updates_downgraded, 0);
         match evs.as_slice() {
             [SessionEvent::Update(u)] => {
                 assert_eq!(u.announced, vec!["203.0.113.0/24".parse().unwrap()]);

@@ -28,9 +28,9 @@ use crate::message::{
 };
 
 /// Fixed header length (marker + length + type).
-pub const HEADER_LEN: usize = 19;
+pub(crate) const HEADER_LEN: usize = 19;
 /// Maximum BGP message size (RFC 4271 §4).
-pub const MAX_MESSAGE_LEN: usize = 4096;
+pub(crate) const MAX_MESSAGE_LEN: usize = 4096;
 
 /// Attribute flag: optional.
 const FLAG_OPTIONAL: u8 = 0x80;
@@ -41,14 +41,14 @@ const FLAG_EXT_LEN: u8 = 0x10;
 
 /// Path attribute type codes used by the codec.
 mod attr_type {
-    pub const ORIGIN: u8 = 1;
-    pub const AS_PATH: u8 = 2;
-    pub const NEXT_HOP: u8 = 3;
-    pub const MED: u8 = 4;
-    pub const LOCAL_PREF: u8 = 5;
-    pub const COMMUNITIES: u8 = 8;
-    pub const MP_REACH_NLRI: u8 = 14;
-    pub const MP_UNREACH_NLRI: u8 = 15;
+    pub(crate) const ORIGIN: u8 = 1;
+    pub(crate) const AS_PATH: u8 = 2;
+    pub(crate) const NEXT_HOP: u8 = 3;
+    pub(crate) const MED: u8 = 4;
+    pub(crate) const LOCAL_PREF: u8 = 5;
+    pub(crate) const COMMUNITIES: u8 = 8;
+    pub(crate) const MP_REACH_NLRI: u8 = 14;
+    pub(crate) const MP_UNREACH_NLRI: u8 = 15;
 }
 
 /// Errors surfaced by the decoder (and by over-size encodes).
@@ -68,7 +68,7 @@ pub enum WireError {
     BadAttribute(&'static str),
     /// Malformed NLRI prefix encoding.
     BadPrefix(&'static str),
-    /// Message would exceed [`MAX_MESSAGE_LEN`] when encoded.
+    /// Message would exceed `MAX_MESSAGE_LEN` when encoded.
     TooLong(usize),
 }
 

@@ -30,7 +30,7 @@ pub struct SimSurface {
 }
 
 impl SimSurface {
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.pops.is_empty()
     }
 }
@@ -48,7 +48,7 @@ pub struct ChaosProfile {
     pub min_fault_secs: u64,
     pub max_fault_secs: u64,
     /// Kinds eligible for sampling, by [`FaultKind::label`] name. Empty
-    /// means every per-PoP kind in [`FaultKind::ALL_LABELS`]; the
+    /// means every per-PoP kind in `FaultKind::ALL_LABELS`; the
     /// global-tier kinds ([`FaultKind::GLOBAL_LABELS`]) must be named
     /// explicitly — they are no-ops in scenarios without the tier.
     #[serde(default)]
@@ -69,7 +69,7 @@ impl Default for ChaosProfile {
 }
 
 impl ChaosProfile {
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.warmup_secs >= self.duration_secs {
             return Err(format!(
                 "warmup {}s must be shorter than duration {}s",

@@ -159,7 +159,7 @@ impl FaultKind {
     /// reports). Default generation samples from this set; the global-tier
     /// kinds in [`GLOBAL_LABELS`](Self::GLOBAL_LABELS) are opt-in because
     /// they are no-ops in scenarios without the tier.
-    pub const ALL_LABELS: [&'static str; 10] = [
+    pub(crate) const ALL_LABELS: [&'static str; 10] = [
         "peer_failure",
         "link_capacity_loss",
         "bmp_stall",
@@ -192,7 +192,7 @@ pub struct FaultEvent {
 
 impl FaultEvent {
     /// Exclusive end of the fault window.
-    pub fn t_end_secs(&self) -> u64 {
+    pub(crate) fn t_end_secs(&self) -> u64 {
         self.t_start_secs.saturating_add(self.duration_secs)
     }
 
@@ -202,7 +202,7 @@ impl FaultEvent {
     }
 
     /// Validates the event's parameters.
-    pub fn validate(&self) -> Result<(), String> {
+    pub(crate) fn validate(&self) -> Result<(), String> {
         if self.duration_secs == 0 {
             return Err(format!(
                 "fault at t={} has zero duration",
@@ -323,11 +323,6 @@ impl FaultSchedule {
         }
         events.sort_by_key(|e| (e.t_start_secs, e.duration_secs, kind_rank(&e.kind)));
         Ok(FaultSchedule { events })
-    }
-
-    /// An empty schedule (no faults — sunny-day run).
-    pub fn empty() -> Self {
-        FaultSchedule::default()
     }
 
     pub fn is_empty(&self) -> bool {

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use ef_bgp::attrstore::{AttrStore, RouteRec};
+use ef_bgp::attrstore::RouteRec;
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::route::{EgressId, Route, RouteSource};
 use ef_bgp::{BmpMessage, LocRib};
@@ -58,7 +58,7 @@ impl RouteCollector {
     /// projection ignores overrides, so its memoized per-prefix decision
     /// stays valid exactly as long as this stamp does. Prefixes never seen
     /// report 0.
-    pub fn generation_of(&self, prefix: &Prefix) -> u64 {
+    pub(crate) fn generation_of(&self, prefix: &Prefix) -> u64 {
         self.generations.get(prefix).copied().unwrap_or(0)
     }
 
@@ -170,21 +170,9 @@ impl RouteCollector {
         self.rib.candidates(prefix)
     }
 
-    /// Candidates ranked best-first by the BGP decision process.
-    pub fn ranked(&self, prefix: &Prefix) -> Vec<RouteRec> {
-        self.rib.ranked(prefix)
-    }
-
-    /// Zero-alloc variant of [`ranked`](Self::ranked): ranks into a
-    /// caller-owned scratch vector.
-    pub fn ranked_into(&self, prefix: &Prefix, out: &mut Vec<RouteRec>) {
+    /// Candidates ranked best-first into a caller-owned scratch vector.
+    pub(crate) fn ranked_into(&self, prefix: &Prefix, out: &mut Vec<RouteRec>) {
         self.rib.ranked_into(prefix, out)
-    }
-
-    /// The interned attribute store backing the records, for the cold paths
-    /// that need full [`Route`]s.
-    pub fn store(&self) -> &AttrStore {
-        self.rib.store()
     }
 
     /// Materializes a full [`Route`] from a pooled record.
@@ -195,21 +183,6 @@ impl RouteCollector {
     /// Number of prefixes with at least one route.
     pub fn prefix_count(&self) -> usize {
         self.rib.len()
-    }
-
-    /// Approximate resident bytes of the merged route view.
-    pub fn approx_bytes(&self) -> usize {
-        self.rib.approx_bytes()
-    }
-
-    /// Re-lays the route pool out prefix-sorted (after bulk load).
-    pub fn compact(&mut self) {
-        self.rib.compact()
-    }
-
-    /// Iterates `(prefix, candidates)`.
-    pub fn iter(&self) -> impl Iterator<Item = (&Prefix, &[RouteRec])> {
-        self.rib.iter()
     }
 }
 
@@ -293,7 +266,8 @@ mod tests {
                 ),
             },
         ]);
-        let ranked = c.ranked(&p("203.0.113.0/24"));
+        let mut ranked = Vec::new();
+        c.ranked_into(&p("203.0.113.0/24"), &mut ranked);
         assert_eq!(ranked.len(), 2);
         assert_eq!(
             ranked[0].source.kind,

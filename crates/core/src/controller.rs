@@ -481,11 +481,6 @@ impl PopController {
             info.capacity_mbps = capacity_mbps;
         }
     }
-
-    /// Withdraws every override (drain before maintenance).
-    pub fn drain(&mut self, router: &mut BgpRouter, now: Millis) {
-        self.injector.drain(router, now);
-    }
 }
 
 #[cfg(test)]
@@ -1031,7 +1026,9 @@ mod tests {
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
         w.epoch(&peak, 30_000);
         assert_eq!(w.controller.active_overrides().len(), 1);
-        w.controller.drain(&mut w.router, 60_000);
+        w.controller
+            .injector
+            .apply(&mut w.router, &OverrideSet::new(), 60_000);
         assert!(w.controller.active_overrides().is_empty());
         assert!(!w.router.fib_entry(&p("1.0.0.0/24")).unwrap().is_override);
         assert!(!w.router.fib_entry(&p("2.0.0.0/24")).unwrap().is_override);

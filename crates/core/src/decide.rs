@@ -39,7 +39,7 @@ impl EpochInputs {
 
     /// The age that drives degradation decisions: the staler input bounds
     /// how much the combined view can be trusted.
-    pub fn age_ms(&self) -> u64 {
+    pub(crate) fn age_ms(&self) -> u64 {
         self.bmp_age_ms.max(self.traffic_age_ms)
     }
 }

@@ -123,18 +123,6 @@ pub struct InjectionReport {
     pub dropped_withdraw: Vec<Prefix>,
 }
 
-impl InjectionReport {
-    /// True when nothing was attempted and nothing was dropped.
-    pub fn is_empty(&self) -> bool {
-        self.sent.is_empty() && self.dropped_announce.is_empty() && self.dropped_withdraw.is_empty()
-    }
-
-    /// True when every attempted send reached the wire.
-    pub fn is_clean(&self) -> bool {
-        self.dropped_announce.is_empty() && self.dropped_withdraw.is_empty()
-    }
-}
-
 /// The controller's BGP mouthpiece toward one router.
 pub struct Injector {
     stub: PeerStub,
@@ -191,7 +179,7 @@ impl Injector {
     }
 
     /// Cumulative injection accounting.
-    pub fn ledger(&self) -> &InjectionLedger {
+    pub(crate) fn ledger(&self) -> &InjectionLedger {
         &self.ledger
     }
 
@@ -372,12 +360,6 @@ impl Injector {
         (reannounced, force_withdrawn)
     }
 
-    /// Withdraws everything (controlled shutdown / failover drain).
-    pub fn drain(&mut self, router: &mut BgpRouter, now: Millis) {
-        let empty = OverrideSet::new();
-        self.apply(router, &empty, now);
-    }
-
     /// Resynchronises the router with the injector's view via a
     /// ROUTE-REFRESH request on the live session (RFC 2918): the stub
     /// replays exactly what it actually sent (loss-gate drops never made it
@@ -410,6 +392,16 @@ mod tests {
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
+    }
+
+    /// Every attempted send reached the wire.
+    fn lossless(report: &InjectionReport) -> bool {
+        report.dropped_announce.is_empty() && report.dropped_withdraw.is_empty()
+    }
+
+    /// Nothing was attempted and nothing was dropped.
+    fn quiet(report: &InjectionReport) -> bool {
+        report.sent.announce.is_empty() && report.sent.withdraw.is_empty() && lossless(report)
     }
 
     fn world() -> (BgpRouter, PeerStub, PeerStub) {
@@ -469,14 +461,14 @@ mod tests {
         let report = inj.apply(&mut router, &desired, 10);
         assert_eq!(report.sent.announce.len(), 1);
         assert!(report.sent.withdraw.is_empty());
-        assert!(report.is_clean());
+        assert!(lossless(&report));
         let fib = router.fib_entry(&p("1.0.0.0/24")).unwrap();
         assert_eq!(fib.egress, EgressId(2));
         assert!(fib.is_override);
 
         // Re-applying the same desired state is churn-free.
         let report = inj.apply(&mut router, &desired, 20);
-        assert!(report.is_empty());
+        assert!(quiet(&report));
 
         // Withdrawal reverts.
         let report = inj.apply(&mut router, &OverrideSet::new(), 30);
@@ -516,7 +508,7 @@ mod tests {
         let mut desired = OverrideSet::new();
         desired.insert(ov("1.0.0.0/24", 2));
         inj.apply(&mut router, &desired, 10);
-        inj.drain(&mut router, 20);
+        inj.apply(&mut router, &OverrideSet::new(), 20);
         assert!(inj.announced().is_empty());
         assert!(!router.fib_entry(&p("1.0.0.0/24")).unwrap().is_override);
     }
@@ -570,7 +562,7 @@ mod tests {
         let report = inj.apply(&mut router, &desired, 40);
         assert_eq!(report.sent.announce.len(), 1, "full replay, exactly once");
         let report = inj.apply(&mut router, &desired, 50);
-        assert!(report.is_empty(), "no double-announce after the replay");
+        assert!(quiet(&report), "no double-announce after the replay");
         assert_eq!(inj.ledger().announces_sent, 1);
     }
 
@@ -585,7 +577,7 @@ mod tests {
         let report = inj.apply(&mut router, &desired, 10);
         assert!(report.sent.announce.is_empty());
         assert_eq!(report.dropped_announce, vec![p("1.0.0.0/24")]);
-        assert!(!report.is_clean());
+        assert!(!lossless(&report));
         assert!(
             inj.announced().is_empty(),
             "dropped announce is not acknowledged"

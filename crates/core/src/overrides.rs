@@ -25,7 +25,7 @@ pub enum OverrideReason {
 
 impl OverrideReason {
     /// Short label for telemetry fields and reports.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             OverrideReason::Capacity => "capacity",
             OverrideReason::Performance => "performance",
@@ -65,18 +65,6 @@ pub struct OverrideDiff {
     pub withdraw: Vec<Prefix>,
 }
 
-impl OverrideDiff {
-    /// True if nothing changed.
-    pub fn is_empty(&self) -> bool {
-        self.announce.is_empty() && self.withdraw.is_empty()
-    }
-
-    /// Total number of BGP operations this diff implies.
-    pub fn churn(&self) -> usize {
-        self.announce.len() + self.withdraw.len()
-    }
-}
-
 impl OverrideSet {
     /// An empty set.
     pub fn new() -> Self {
@@ -89,17 +77,17 @@ impl OverrideSet {
     }
 
     /// The override for a prefix, if any.
-    pub fn get(&self, prefix: &Prefix) -> Option<&Override> {
+    pub(crate) fn get(&self, prefix: &Prefix) -> Option<&Override> {
         self.map.get(prefix)
     }
 
     /// True if the prefix is overridden.
-    pub fn contains(&self, prefix: &Prefix) -> bool {
+    pub(crate) fn contains(&self, prefix: &Prefix) -> bool {
         self.map.contains_key(prefix)
     }
 
     /// Removes a prefix's override.
-    pub fn remove(&mut self, prefix: &Prefix) -> Option<Override> {
+    pub(crate) fn remove(&mut self, prefix: &Prefix) -> Option<Override> {
         self.map.remove(prefix)
     }
 
@@ -115,7 +103,7 @@ impl OverrideSet {
 
     /// Total demand moved, Mbps (summed in prefix order for run-to-run
     /// reproducibility).
-    pub fn total_moved_mbps(&self) -> f64 {
+    pub(crate) fn total_moved_mbps(&self) -> f64 {
         self.iter_sorted().iter().map(|o| o.moved_mbps).sum()
     }
 
@@ -140,7 +128,7 @@ impl OverrideSet {
     /// A prefix overridden in both but with a different target appears in
     /// `announce` only: BGP re-announcement replaces the previous route
     /// implicitly. Identical overrides generate nothing.
-    pub fn diff_to(&self, desired: &OverrideSet) -> OverrideDiff {
+    pub(crate) fn diff_to(&self, desired: &OverrideSet) -> OverrideDiff {
         let mut diff = OverrideDiff::default();
         for o in desired.iter_sorted() {
             match self.map.get(&o.prefix) {
@@ -158,7 +146,7 @@ impl OverrideSet {
 
     /// Demand moved per target interconnect kind, Mbps (accumulated in
     /// prefix order for run-to-run reproducibility).
-    pub fn moved_by_target_kind(&self) -> HashMap<PeerKind, f64> {
+    pub(crate) fn moved_by_target_kind(&self) -> HashMap<PeerKind, f64> {
         let mut m = HashMap::new();
         for o in self.iter_sorted() {
             *m.entry(o.target_kind).or_default() += o.moved_mbps;
@@ -214,7 +202,7 @@ mod tests {
         assert_eq!(announced, vec!["2.0.0.0/24", "4.0.0.0/24"]);
         let withdrawn: Vec<String> = diff.withdraw.iter().map(|p| p.to_string()).collect();
         assert_eq!(withdrawn, vec!["3.0.0.0/24"]);
-        assert_eq!(diff.churn(), 3);
+        assert_eq!(diff.announce.len() + diff.withdraw.len(), 3);
     }
 
     #[test]
@@ -222,8 +210,7 @@ mod tests {
         let mut a = OverrideSet::new();
         a.insert(ov("1.0.0.0/24", 5, 10.0));
         let diff = a.diff_to(&a.clone());
-        assert!(diff.is_empty());
-        assert_eq!(diff.churn(), 0);
+        assert!(diff.announce.is_empty() && diff.withdraw.is_empty());
     }
 
     #[test]

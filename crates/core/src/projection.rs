@@ -43,7 +43,7 @@ pub struct Projection {
 
 impl Projection {
     /// Load on one interface, Mbps (0 if untouched).
-    pub fn load(&self, egress: EgressId) -> f64 {
+    pub(crate) fn load(&self, egress: EgressId) -> f64 {
         self.load_mbps.get(&egress).copied().unwrap_or(0.0)
     }
 
@@ -181,16 +181,6 @@ impl ProjectionCache {
         self.touched.clear();
         self.synced = 0;
         self.valid = false;
-    }
-
-    /// Number of memoized prefixes (diagnostics only).
-    pub fn len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// True when nothing is memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.memo.is_empty()
     }
 }
 
@@ -447,9 +437,9 @@ mod tests {
 
         // Override churn hits the memoized answers without invalidating.
         announce(&mut c, 100, 32934, PeerKind::Controller, "2.0.0.0/24");
-        let before = cache.len();
+        let before = cache.memo.len();
         assert_projections_match(&c, &mut cache, &traffic);
-        assert_eq!(cache.len(), before, "override did not grow the memo");
+        assert_eq!(cache.memo.len(), before, "override did not grow the memo");
     }
 
     #[test]

@@ -49,7 +49,7 @@ impl InterfaceInfo {
 
     /// Marginal cost of billing one more Mbps on this interface, $/Mbps
     /// per month (zero for anything but transit).
-    pub fn marginal_usd_per_mbps(&self) -> f64 {
+    pub(crate) fn marginal_usd_per_mbps(&self) -> f64 {
         self.policy.marginal_usd_per_mbps()
     }
 }

@@ -155,14 +155,6 @@ impl GlobalConfig {
         }
     }
 
-    /// Demand shaping only — flash crowds apply, steering never does.
-    pub fn shape_only() -> Self {
-        GlobalConfig {
-            backend: None,
-            ..GlobalConfig::default()
-        }
-    }
-
     /// Adds a scheduled flash crowd (builder-style).
     pub fn with_flash_crowd(mut self, spec: FlashCrowdSpec) -> Self {
         self.flash_crowds.push(spec);
@@ -172,7 +164,7 @@ impl GlobalConfig {
     /// Rejects out-of-range knobs. Called by `GlobalController::new`, so a
     /// config that deserialized fine (serde checks shape, not ranges) still
     /// cannot reach the control loop with a NaN step or a zero-epoch TTL.
-    pub fn validate(&self) -> Result<(), ConfigError> {
+    pub(crate) fn validate(&self) -> Result<(), ConfigError> {
         if !self.step.is_finite() || self.step <= 0.0 || self.step > 1.0 {
             return Err(ConfigError::Step(self.step));
         }
@@ -217,7 +209,6 @@ mod tests {
                 convergence_epochs: 3
             })
         );
-        assert_eq!(GlobalConfig::shape_only().backend, None);
         // Degenerate horizons are clamped to 1.
         assert_eq!(
             GlobalConfig::dns(0).backend,
@@ -248,7 +239,11 @@ mod tests {
         assert_eq!(GlobalConfig::default().validate(), Ok(()));
         assert_eq!(GlobalConfig::dns(4).validate(), Ok(()));
         assert_eq!(GlobalConfig::anycast(3).validate(), Ok(()));
-        assert_eq!(GlobalConfig::shape_only().validate(), Ok(()));
+        let shape_only = GlobalConfig {
+            backend: None,
+            ..GlobalConfig::default()
+        };
+        assert_eq!(shape_only.validate(), Ok(()));
     }
 
     #[test]

@@ -953,7 +953,11 @@ mod tests {
     #[test]
     fn shape_only_never_steers_but_shapes_crowds() {
         let dep = deployment(3);
-        let cfg = GlobalConfig::shape_only().with_flash_crowd(crate::config::FlashCrowdSpec {
+        let shape_only = GlobalConfig {
+            backend: None,
+            ..GlobalConfig::default()
+        };
+        let cfg = shape_only.with_flash_crowd(crate::config::FlashCrowdSpec {
             population: "NA".into(),
             t_start_secs: 100,
             duration_secs: 100,

@@ -11,7 +11,7 @@
 //!
 //! * `series` — the monitor's one record per PoP ([`PopRecord`]): the
 //!   previous cumulative totals and the epochs seen;
-//! * `rules` — the declarative SLO/alert engine: [`SloRule`]s with
+//! * `rules` — the declarative SLO/alert engine: `SloRule`s with
 //!   sustain/clear hysteresis, typed [`Alert`]s with firing/cleared
 //!   edges, strict-inequality thresholds so boundary values never flap;
 //! * `monitor` — the live tier ([`HealthMonitor`]): consumes one
@@ -40,5 +40,5 @@ pub use monitor::{
 pub use report::{
     analyze, num_field, render_report, render_watch_line, HealthReport, PercentileRow, SloRow,
 };
-pub use rules::{Alert, AlertEdge, RuleEngine, Severity, SloRule};
+pub use rules::{Alert, AlertEdge, Severity};
 pub use series::PopRecord;

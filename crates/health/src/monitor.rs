@@ -109,14 +109,14 @@ pub struct GlobalSignals {
 pub(crate) const WARMUP_EPOCHS: u64 = 2;
 
 /// Selects the health tier for a scenario. The built-in rule set's
-/// thresholds are fixed (see [`HealthConfig::rules`]); a config written
+/// thresholds are fixed (see `HealthConfig::rules`); a config written
 /// when they were settable still loads, its threshold keys ignored.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct HealthConfig {}
 
 impl HealthConfig {
     /// The built-in rule set, in a stable declaration order.
-    pub fn rules(&self) -> Vec<SloRule> {
+    pub(crate) fn rules(&self) -> Vec<SloRule> {
         let rule =
             |name: &str, metric: &str, threshold: f64, sustain: u32, sev: Severity| SloRule {
                 name: name.to_string(),

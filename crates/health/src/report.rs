@@ -96,7 +96,7 @@ pub struct HealthReport {
 
 impl HealthReport {
     /// Alerts still firing at end of stream.
-    pub fn firing(&self) -> usize {
+    pub(crate) fn firing(&self) -> usize {
         self.alerts.iter().filter(|a| a.firing()).count()
     }
 

@@ -30,7 +30,7 @@ pub enum Severity {
 
 impl Severity {
     /// Short lowercase label for rendering.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Severity::Info => "info",
             Severity::Warning => "warning",
@@ -44,7 +44,7 @@ pub(crate) const CLEAR_EPOCHS: u32 = 2;
 
 /// One declarative SLO / alert rule.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SloRule {
+pub(crate) struct SloRule {
     /// Stable rule name (`drop_rate_ceiling`, `controller_down`, …).
     pub name: String,
     /// Metric key in the per-epoch sample this rule watches.
@@ -60,7 +60,7 @@ pub struct SloRule {
 impl SloRule {
     /// True when `value` breaches this rule's threshold. Strict
     /// inequality: a value exactly on the threshold is compliant.
-    pub fn breaches(&self, value: f64) -> bool {
+    pub(crate) fn breaches(&self, value: f64) -> bool {
         value > self.threshold
     }
 }
@@ -88,12 +88,12 @@ pub struct Alert {
 
 impl Alert {
     /// True while the alert has not cleared.
-    pub fn firing(&self) -> bool {
+    pub(crate) fn firing(&self) -> bool {
         self.cleared_t_secs.is_none()
     }
 
     /// One-line human rendering.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let state = match self.cleared_t_secs {
             Some(t) => format!("cleared t={t}s"),
             None => "firing".to_string(),
@@ -124,7 +124,7 @@ pub enum AlertEdge {
 
 impl AlertEdge {
     /// The alert inside, either way.
-    pub fn alert(&self) -> &Alert {
+    pub(crate) fn alert(&self) -> &Alert {
         match self {
             AlertEdge::Fired(a) | AlertEdge::Cleared(a) => a,
         }
@@ -146,7 +146,7 @@ struct RuleState {
 
 /// Evaluates a fixed rule set against per-epoch metric samples.
 #[derive(Debug, Clone, Default)]
-pub struct RuleEngine {
+pub(crate) struct RuleEngine {
     rules: Vec<SloRule>,
     /// Keyed by (rule index, pop) — BTreeMap for deterministic iteration.
     states: BTreeMap<(usize, u16), RuleState>,
@@ -156,7 +156,7 @@ pub struct RuleEngine {
 
 impl RuleEngine {
     /// An engine over the given rules.
-    pub fn new(rules: Vec<SloRule>) -> Self {
+    pub(crate) fn new(rules: Vec<SloRule>) -> Self {
         RuleEngine {
             rules,
             states: BTreeMap::new(),
@@ -170,7 +170,12 @@ impl RuleEngine {
     /// its runs neither grow nor reset, so a metric one key lacks (the
     /// global tier's at a real PoP) cannot clear an alert by going missing.
     /// A linear scan finds each metric: a sample holds ~16 entries.
-    pub fn observe(&mut self, pop: u16, t_secs: u64, metrics: &[(&str, f64)]) -> Vec<AlertEdge> {
+    pub(crate) fn observe(
+        &mut self,
+        pop: u16,
+        t_secs: u64,
+        metrics: &[(&str, f64)],
+    ) -> Vec<AlertEdge> {
         let mut edges = Vec::new();
         for (idx, rule) in self.rules.iter().enumerate() {
             let Some(&(_, value)) = metrics.iter().find(|(k, _)| *k == rule.metric) else {
@@ -217,7 +222,7 @@ impl RuleEngine {
     }
 
     /// Alerts currently firing, sorted by (rule order, pop).
-    pub fn firing(&self) -> Vec<&Alert> {
+    pub(crate) fn firing(&self) -> Vec<&Alert> {
         self.states
             .values()
             .filter_map(|s| s.firing.as_ref())
@@ -226,7 +231,7 @@ impl RuleEngine {
 
     /// Every alert ever raised: cleared ones in clear order, then the
     /// still-firing set.
-    pub fn all_alerts(&self) -> Vec<Alert> {
+    pub(crate) fn all_alerts(&self) -> Vec<Alert> {
         let mut out = self.history.clone();
         out.extend(self.firing().into_iter().cloned());
         out

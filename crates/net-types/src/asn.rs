@@ -19,12 +19,6 @@ impl Asn {
     /// deployments (Facebook's real ASN, used here as a recognizable default).
     pub const LOCAL: Asn = Asn(32934);
 
-    /// Returns true if this ASN falls in a private-use range
-    /// (64512–65534 or 4200000000–4294967294, RFC 6996).
-    pub fn is_private(self) -> bool {
-        matches!(self.0, 64512..=65534 | 4_200_000_000..=4_294_967_294)
-    }
-
     /// Returns true if the ASN fits in two bytes (pre-RFC 6793 space).
     pub fn is_16bit(self) -> bool {
         self.0 <= u16::MAX as u32
@@ -56,16 +50,6 @@ mod tests {
     #[test]
     fn display_uses_as_prefix() {
         assert_eq!(Asn(64512).to_string(), "AS64512");
-    }
-
-    #[test]
-    fn private_ranges() {
-        assert!(Asn(64512).is_private());
-        assert!(Asn(65534).is_private());
-        assert!(!Asn(65535).is_private());
-        assert!(!Asn(3356).is_private());
-        assert!(Asn(4_200_000_000).is_private());
-        assert!(!Asn(4_294_967_295).is_private());
     }
 
     #[test]

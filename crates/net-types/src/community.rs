@@ -37,16 +37,6 @@ impl Community {
         (self.0 & 0xFFFF) as u16
     }
 
-    /// RFC 1997 well-known community `NO_EXPORT`.
-    pub const NO_EXPORT: Community = Community(0xFFFF_FF01);
-    /// RFC 1997 well-known community `NO_ADVERTISE`.
-    pub const NO_ADVERTISE: Community = Community(0xFFFF_FF02);
-
-    /// True if the community is in the well-known reserved range.
-    pub fn is_well_known(self) -> bool {
-        (self.0 >> 16) == 0xFFFF
-    }
-
     /// Communities the reproduction uses to tag routes at import by peer
     /// type, mirroring the paper's route classification. The ASN part is the
     /// low 16 bits of the local AS.
@@ -113,12 +103,5 @@ mod tests {
         assert!("65000".parse::<Community>().is_err());
         assert!("a:b".parse::<Community>().is_err());
         assert!("70000:1".parse::<Community>().is_err());
-    }
-
-    #[test]
-    fn well_known_detection() {
-        assert!(Community::NO_EXPORT.is_well_known());
-        assert!(Community::NO_ADVERTISE.is_well_known());
-        assert!(!Community::new(32934, 1).is_well_known());
     }
 }

@@ -302,12 +302,6 @@ impl<T> CompressedTrie<T> {
             .and_then(|idx| self.nodes[idx as usize].value.as_ref())
     }
 
-    /// Mutable variant of [`get`](Self::get).
-    pub fn get_mut(&mut self, prefix: &Prefix) -> Option<&mut T> {
-        self.find(prefix)
-            .and_then(|idx| self.nodes[idx as usize].value.as_mut())
-    }
-
     /// Removes and returns the value stored exactly at `prefix`, merging
     /// pass-through nodes so the arena stays canonical under churn.
     pub fn remove(&mut self, prefix: &Prefix) -> Option<T> {
@@ -615,9 +609,11 @@ mod tests {
     fn get_mut_updates_in_place() {
         let mut t = CompressedTrie::new();
         t.insert(p("10.0.0.0/8"), 10);
-        *t.get_mut(&p("10.0.0.0/8")).unwrap() += 5;
+        let old = t.insert(p("10.0.0.0/8"), 15);
+        assert_eq!(old, Some(10));
         assert_eq!(t.get(&p("10.0.0.0/8")), Some(&15));
-        assert!(t.get_mut(&p("10.0.0.0/9")).is_none());
+        assert_eq!(t.len(), 1);
+        assert!(t.get(&p("10.0.0.0/9")).is_none());
     }
 
     #[test]

@@ -63,16 +63,9 @@ impl Prefix {
         matches!(self, Prefix::V4 { .. })
     }
 
-    /// Number of address bits in this family (32 or 128).
-    pub fn family_bits(&self) -> u8 {
-        match self {
-            Prefix::V4 { .. } => 32,
-            Prefix::V6 { .. } => 128,
-        }
-    }
-
     /// The network address bits, left-aligned into a `u128` regardless of
-    /// family. Bit `family_bits-1` of the family word becomes bit 127. This
+    /// family: the family word's top bit (31 for IPv4, 127 for IPv6) becomes
+    /// bit 127. This
     /// is the canonical key for the radix trie.
     pub fn bits_left_aligned(&self) -> u128 {
         match *self {
@@ -125,27 +118,6 @@ impl Prefix {
                         len: len + 1,
                     },
                 ))
-            }
-            _ => None,
-        }
-    }
-
-    /// The enclosing prefix one bit shorter, or `None` for /0.
-    pub fn parent(&self) -> Option<Prefix> {
-        match *self {
-            Prefix::V4 { addr, len } if len > 0 => {
-                let len = len - 1;
-                Some(Prefix::V4 {
-                    addr: addr & mask_v4(len),
-                    len,
-                })
-            }
-            Prefix::V6 { addr, len } if len > 0 => {
-                let len = len - 1;
-                Some(Prefix::V6 {
-                    addr: addr & mask_v6(len),
-                    len,
-                })
             }
             _ => None,
         }
@@ -302,10 +274,14 @@ mod tests {
         let (lo, hi) = p("10.0.0.0/8").halves().unwrap();
         assert_eq!(lo, p("10.0.0.0/9"));
         assert_eq!(hi, p("10.128.0.0/9"));
-        assert_eq!(lo.parent().unwrap(), p("10.0.0.0/8"));
-        assert_eq!(hi.parent().unwrap(), p("10.0.0.0/8"));
+        // Rebuilt one bit shorter, either half masks back to the /8.
+        assert_eq!(Prefix::v4(Ipv4Addr::new(10, 0, 0, 0), 8), p("10.0.0.0/8"));
+        assert_eq!(Prefix::v4(Ipv4Addr::new(10, 128, 0, 0), 8), p("10.0.0.0/8"));
         assert!(p("1.2.3.4/32").halves().is_none());
-        assert!(Prefix::DEFAULT_V4.parent().is_none());
+        assert_eq!(
+            Prefix::v4(Ipv4Addr::new(10, 0, 0, 0), 0),
+            Prefix::DEFAULT_V4
+        );
     }
 
     #[test]
@@ -350,7 +326,7 @@ mod tests {
         #[test]
         fn prop_parent_contains_child(addr: u32, len in 1u8..=32) {
             let child = Prefix::v4(Ipv4Addr::from(addr), len);
-            let parent = child.parent().unwrap();
+            let parent = Prefix::v4(Ipv4Addr::from(addr), len - 1);
             prop_assert!(parent.contains(&child));
         }
 
@@ -367,8 +343,8 @@ mod tests {
         #[test]
         fn prop_containment_is_transitive(addr: u32, a in 0u8..=30) {
             let c = Prefix::v4(Ipv4Addr::from(addr), a + 2);
-            let b = c.parent().unwrap();
-            let top = b.parent().unwrap();
+            let b = Prefix::v4(Ipv4Addr::from(addr), a + 1);
+            let top = Prefix::v4(Ipv4Addr::from(addr), a);
             prop_assert!(top.contains(&b) && b.contains(&c));
             prop_assert!(top.contains(&c));
         }

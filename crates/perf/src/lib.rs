@@ -22,5 +22,4 @@ pub mod rtt;
 
 pub use compare::{compare_paths, PathComparison};
 pub use measurement::{AltPathMeasurer, CandidatePath, PathDigest, PathKey};
-pub use quantile::P2Quantile;
 pub use rtt::{PathPerfModel, PerfConfig};

@@ -58,7 +58,7 @@ pub struct PathDigest {
 
 impl PathDigest {
     /// Median RTT estimate (ms), if any samples arrived.
-    pub fn median_rtt_ms(&self) -> Option<f64> {
+    pub(crate) fn median_rtt_ms(&self) -> Option<f64> {
         self.median.estimate()
     }
 
@@ -97,11 +97,6 @@ impl AltPathMeasurer {
         }
     }
 
-    /// The PoP this measurer serves.
-    pub fn pop(&self) -> u16 {
-        self.pop
-    }
-
     /// Runs one epoch of measurement.
     ///
     /// `entries` lists, per prefix: its current demand and every candidate
@@ -135,11 +130,6 @@ impl AltPathMeasurer {
                 }
             }
         }
-    }
-
-    /// The digest for one path.
-    pub fn digest(&self, key: &PathKey) -> Option<&PathDigest> {
-        self.digests.get(key)
     }
 
     /// Every prefix with at least one digest, ascending.
@@ -192,6 +182,12 @@ mod tests {
         PathPerfModel::new(PerfConfig::default())
     }
 
+    /// The digest of one measured path, looked up in the report.
+    fn digest(m: &AltPathMeasurer, prefix_idx: u32, egress: EgressId) -> Option<&PathDigest> {
+        let key = PathKey { prefix_idx, egress };
+        m.report().into_iter().find(|d| d.key == key)
+    }
+
     fn paths() -> Vec<CandidatePath> {
         vec![
             CandidatePath {
@@ -211,12 +207,7 @@ mod tests {
         let entries = vec![(7u32, 1000.0, paths())];
         m.collect_epoch(&model(), &entries, &HashMap::new());
         assert_eq!(m.report().len(), 2, "both paths of the one prefix");
-        assert!(m
-            .digest(&PathKey {
-                prefix_idx: 7,
-                egress: EgressId(1)
-            })
-            .is_some());
+        assert!(digest(&m, 7, EgressId(1)).is_some());
         assert_eq!(m.measured_prefixes().collect::<Vec<_>>(), vec![7]);
         // A prefix offered with no candidate path leaves no digest.
         m.collect_epoch(&model(), &[(8u32, 1000.0, Vec::new())], &HashMap::new());
@@ -231,12 +222,7 @@ mod tests {
         for _ in 0..50 {
             m.collect_epoch(&mdl, &entries, &HashMap::new());
         }
-        let d = m
-            .digest(&PathKey {
-                prefix_idx: 7,
-                egress: EgressId(1),
-            })
-            .unwrap();
+        let d = digest(&m, 7, EgressId(1)).unwrap();
         let base = mdl.base_rtt_ms(0, 7, EgressId(1), PeerKind::PrivatePeer);
         let med = d.median_rtt_ms().unwrap();
         assert!(
@@ -256,14 +242,7 @@ mod tests {
         for _ in 0..30 {
             m.collect_epoch(&mdl, &entries, &util);
         }
-        let hot = m
-            .digest(&PathKey {
-                prefix_idx: 7,
-                egress: EgressId(1),
-            })
-            .unwrap()
-            .median_rtt_ms()
-            .unwrap();
+        let hot = digest(&m, 7, EgressId(1)).unwrap().median_rtt_ms().unwrap();
         let base = mdl.base_rtt_ms(0, 7, EgressId(1), PeerKind::PrivatePeer);
         assert!(
             hot > base + 40.0,

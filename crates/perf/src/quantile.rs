@@ -8,7 +8,7 @@
 
 /// Streaming estimator for one quantile `p` (e.g. 0.5 for the median).
 #[derive(Debug, Clone)]
-pub struct P2Quantile {
+pub(crate) struct P2Quantile {
     p: f64,
     /// Marker heights (estimates at the marker positions).
     q: [f64; 5],
@@ -25,7 +25,7 @@ pub struct P2Quantile {
 
 impl P2Quantile {
     /// Creates an estimator for quantile `p ∈ (0, 1)`.
-    pub fn new(p: f64) -> Self {
+    pub(crate) fn new(p: f64) -> Self {
         assert!(p > 0.0 && p < 1.0, "quantile {p} out of (0,1)");
         P2Quantile {
             p,
@@ -39,17 +39,17 @@ impl P2Quantile {
     }
 
     /// Convenience: a median estimator.
-    pub fn median() -> Self {
+    pub(crate) fn median() -> Self {
         Self::new(0.5)
     }
 
     /// Number of samples observed.
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.count
     }
 
     /// Feeds one sample.
-    pub fn observe(&mut self, x: f64) {
+    pub(crate) fn observe(&mut self, x: f64) {
         if self.count < 5 {
             self.boot[self.count] = x;
             self.count += 1;
@@ -119,7 +119,7 @@ impl P2Quantile {
     /// Current estimate of the quantile. For fewer than five samples,
     /// returns the exact empirical quantile of what has been seen (or
     /// `None` for zero samples).
-    pub fn estimate(&self) -> Option<f64> {
+    pub(crate) fn estimate(&self) -> Option<f64> {
         match self.count {
             0 => None,
             c if c < 5 => {

@@ -57,18 +57,19 @@ impl PathPerfModel {
         PathPerfModel { cfg }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> PerfConfig {
-        self.cfg
-    }
-
     /// Latent base RTT (ms) for a path, deterministic in
     /// `(seed, pop, prefix, egress)`.
     ///
     /// `kind` shifts the distribution: private/public peer paths center
     /// near 25–32 ms, transit near 42 ms — except for the engineered
     /// fast-transit tail where a transit path undercuts peers by 20 ms+.
-    pub fn base_rtt_ms(&self, pop: u16, prefix_idx: u32, egress: EgressId, kind: PeerKind) -> f64 {
+    pub(crate) fn base_rtt_ms(
+        &self,
+        pop: u16,
+        prefix_idx: u32,
+        egress: EgressId,
+        kind: PeerKind,
+    ) -> f64 {
         let mut rng = StdRng::seed_from_u64(
             self.cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
                 ^ ((pop as u64) << 48)
@@ -130,7 +131,7 @@ impl PathPerfModel {
     }
 
     /// One experienced RTT sample: base + congestion + jitter.
-    pub fn sample_rtt_ms(&self, base_ms: f64, utilization: f64, rng: &mut StdRng) -> f64 {
+    pub(crate) fn sample_rtt_ms(&self, base_ms: f64, utilization: f64, rng: &mut StdRng) -> f64 {
         let jitter = rng.gen_range(-1.0..1.0) * self.cfg.jitter_ms * 1.7;
         (base_ms + self.congestion_delay_ms(utilization) + jitter).max(1.0)
     }

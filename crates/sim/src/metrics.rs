@@ -17,7 +17,7 @@ use ef_topology::PopId;
 
 /// Number of utilization histogram buckets: bucket `i` covers
 /// `[i/50, (i+1)/50)`, so the range reaches 2× capacity with 2 % grain.
-pub const UTIL_BUCKETS: usize = 100;
+pub(crate) const UTIL_BUCKETS: usize = 100;
 
 /// Running aggregates for one interface.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -191,7 +191,7 @@ impl MetricsStore {
     }
 
     /// Registers an interface so loads can be recorded against it.
-    pub fn register_interface(
+    pub(crate) fn register_interface(
         &mut self,
         pop: PopId,
         egress: EgressId,
@@ -204,14 +204,20 @@ impl MetricsStore {
     }
 
     /// Requests full time-series recording for an interface.
-    pub fn flag_interface(&mut self, egress: EgressId) {
+    pub(crate) fn flag_interface(&mut self, egress: EgressId) {
         if !self.flagged.contains(&egress) {
             self.flagged.push(egress);
         }
     }
 
     /// Records one epoch's load on an interface.
-    pub fn record_interface(&mut self, t_secs: u64, egress: EgressId, load_mbps: f64, limit: f64) {
+    pub(crate) fn record_interface(
+        &mut self,
+        t_secs: u64,
+        egress: EgressId,
+        load_mbps: f64,
+        limit: f64,
+    ) {
         if let Some(stats) = self.interfaces.get_mut(&egress) {
             stats.record(load_mbps, limit);
         }
@@ -230,7 +236,7 @@ impl MetricsStore {
 
     /// Updates episode tracking with the set of prefixes currently
     /// overridden at a PoP.
-    pub fn update_episodes(
+    pub(crate) fn update_episodes(
         &mut self,
         pop: PopId,
         t_secs: u64,
@@ -261,7 +267,7 @@ impl MetricsStore {
     }
 
     /// Closes every open episode at simulation end.
-    pub fn finish(&mut self, t_secs: u64) {
+    pub(crate) fn finish(&mut self, t_secs: u64) {
         let open: Vec<((PopId, Prefix), u64)> = self.open_episodes.drain().collect();
         for ((pop, prefix), start) in open {
             self.episodes.push(DetourEpisode {
@@ -276,7 +282,7 @@ impl MetricsStore {
     }
 
     /// Merges another store (used to combine per-PoP parallel runs).
-    pub fn merge(&mut self, other: MetricsStore) {
+    pub(crate) fn merge(&mut self, other: MetricsStore) {
         for (e, stats) in other.interfaces {
             self.interfaces.entry(e).or_insert(stats);
         }

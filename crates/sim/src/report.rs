@@ -108,12 +108,12 @@ impl RunReport {
     }
 
     /// Drop fraction across the whole run.
-    pub fn drop_fraction(&self) -> f64 {
+    pub(crate) fn drop_fraction(&self) -> f64 {
         self.dropped_mbps_epochs / self.offered_mbps_epochs.max(1e-9)
     }
 
     /// Detour fraction across the whole run.
-    pub fn detour_fraction(&self) -> f64 {
+    pub(crate) fn detour_fraction(&self) -> f64 {
         self.detoured_mbps_epochs / self.offered_mbps_epochs.max(1e-9)
     }
 

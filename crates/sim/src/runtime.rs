@@ -1201,14 +1201,14 @@ impl PopRuntime {
     }
 
     /// Whether any stub session dropped (sanity check for long runs).
-    pub fn all_sessions_up(&self) -> bool {
+    pub(crate) fn all_sessions_up(&self) -> bool {
         self.peers.iter().all(|r| r.stub.is_established())
     }
 
     /// Established peer sessions torn down over the run (fault shutdowns
     /// and bounces). The ROUTE-REFRESH recovery path keeps this at zero
     /// for pure update-corruption faults.
-    pub fn session_resets(&self) -> u64 {
+    pub(crate) fn session_resets(&self) -> u64 {
         self.session_resets
     }
 
@@ -1257,7 +1257,12 @@ mod tests {
             let want: Vec<Route> = recs
                 .iter()
                 .filter(|r| !r.is_override())
-                .map(|r| pop.router.rib_route(*prefix, r))
+                .map(|r| Route {
+                    prefix: *prefix,
+                    attrs: pop.router.rib_store().attrs(r.attr).clone(),
+                    source: r.source,
+                    egress: r.egress,
+                })
                 .collect();
             let got: Vec<Route> = collector
                 .candidates(prefix)

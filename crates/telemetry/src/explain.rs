@@ -43,7 +43,7 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// Short label for rendering.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             RejectReason::NoRoute => "no route",
             RejectReason::NoSpareCapacity { .. } => "no spare capacity",
@@ -81,7 +81,7 @@ pub enum ExplainVerdict {
 
 impl ExplainVerdict {
     /// Short label for rendering.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             ExplainVerdict::Emitted => "emitted",
             ExplainVerdict::NoFeasibleAlternate => "no feasible alternate",

@@ -46,4 +46,4 @@ pub use placement::{
     PlacementGuard, PlacementRecord, PlacementRejectReason, PlacementTarget, PlacementVerdict,
     RejectedTarget,
 };
-pub use sink::{JsonLinesSink, MemorySink, Sink};
+pub use sink::{MemorySink, Sink};

@@ -41,7 +41,7 @@ pub enum PlacementRejectReason {
 
 impl PlacementRejectReason {
     /// Short label for rendering.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             PlacementRejectReason::NoFootprint => "no footprint",
             PlacementRejectReason::NoHeadroom { .. } => "no headroom",
@@ -74,18 +74,6 @@ pub enum PlacementGuard {
     },
 }
 
-impl PlacementGuard {
-    /// Short label for rendering and metrics tagging.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PlacementGuard::FailStatic => "fail_static",
-            PlacementGuard::ControllerFrozen => "controller_frozen",
-            PlacementGuard::BlastRadiusCapped { .. } => "blast_radius_capped",
-            PlacementGuard::HoldDown { .. } => "hold_down",
-        }
-    }
-}
-
 /// One candidate PoP the placement pass rejected.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RejectedTarget {
@@ -115,7 +103,7 @@ pub enum PlacementVerdict {
 
 impl PlacementVerdict {
     /// Short label for rendering.
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             PlacementVerdict::Applied => "applied",
             PlacementVerdict::NoFeasibleTarget => "no feasible target",
@@ -308,9 +296,6 @@ mod tests {
         assert!(text.contains("blast-radius cap bound (512.5 Mbps/epoch)"));
         assert!(text.contains("restore held down (3 epoch(s) left)"));
         assert!(text.contains("rejected pop5: stale report (4 epoch(s) old)"));
-        let labels: std::collections::HashSet<&str> =
-            guarded.guards.iter().map(|g| g.label()).collect();
-        assert_eq!(labels.len(), guarded.guards.len());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct MemorySink {
 
 impl MemorySink {
     /// An empty sink.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -82,18 +82,13 @@ impl MemorySink {
     }
 
     /// Number of records received.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.records.lock().unwrap().len()
     }
 
     /// True when nothing was received.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drops everything received so far.
-    pub fn clear(&self) {
-        self.records.lock().unwrap().clear();
     }
 }
 
@@ -104,20 +99,20 @@ impl Sink for MemorySink {
 }
 
 /// Writes one JSON record per line to any writer.
-pub struct JsonLinesSink {
+pub(crate) struct JsonLinesSink {
     out: Mutex<Box<dyn Write + Send>>,
 }
 
 impl JsonLinesSink {
     /// Wraps a writer.
-    pub fn new(out: Box<dyn Write + Send>) -> Self {
+    pub(crate) fn new(out: Box<dyn Write + Send>) -> Self {
         JsonLinesSink {
             out: Mutex::new(out),
         }
     }
 
     /// Creates (truncating) a file sink.
-    pub fn create(path: &str) -> std::io::Result<Self> {
+    pub(crate) fn create(path: &str) -> std::io::Result<Self> {
         let file = std::fs::File::create(path)?;
         Ok(Self::new(Box::new(std::io::BufWriter::new(file))))
     }
@@ -176,8 +171,6 @@ mod tests {
         assert_eq!(sink.events_named("a").len(), 1);
         assert_eq!(sink.explains().len(), 1);
         assert!(sink.placements().is_empty());
-        sink.clear();
-        assert!(sink.is_empty());
     }
 
     #[test]

@@ -100,19 +100,19 @@ impl CostModel {
 
     /// The transit price for the `i`-th transit provider at a PoP (the
     /// ladder cycles, so every provider index maps to a price).
-    pub fn transit_price(&self, provider_index: usize) -> f64 {
+    pub(crate) fn transit_price(&self, provider_index: usize) -> f64 {
         self.transit_usd_per_mbps[provider_index % self.transit_usd_per_mbps.len()]
     }
 
     /// The transit class for the `i`-th provider.
-    pub fn transit_class(&self, provider_index: usize) -> PeeringClass {
+    pub(crate) fn transit_class(&self, provider_index: usize) -> PeeringClass {
         PeeringClass::Transit {
             usd_per_mbps: self.transit_price(provider_index),
         }
     }
 
     /// The PNI class under this model.
-    pub fn pni_class(&self) -> PeeringClass {
+    pub(crate) fn pni_class(&self) -> PeeringClass {
         PeeringClass::Pni {
             port_cost: self.pni_port_usd_per_month,
         }
@@ -175,7 +175,7 @@ pub struct BillingMeter {
 
 impl BillingMeter {
     /// A meter with the given sample window (seconds, must be positive).
-    pub fn new(window_secs: u64) -> Self {
+    pub(crate) fn new(window_secs: u64) -> Self {
         assert!(window_secs > 0, "billing window must be positive");
         BillingMeter {
             window_secs,
@@ -220,16 +220,11 @@ impl BillingMeter {
     }
 
     /// The closed samples for one interface, in time order.
-    pub fn samples(&self, egress: EgressId) -> &[f64] {
+    pub(crate) fn samples(&self, egress: EgressId) -> &[f64] {
         self.slots
             .get(&egress)
             .map(|s| s.samples.as_slice())
             .unwrap_or(&[])
-    }
-
-    /// Interfaces with any recorded samples, in id order.
-    pub fn interfaces(&self) -> impl Iterator<Item = EgressId> + '_ {
-        self.slots.keys().copied()
     }
 
     /// The billable rate for one interface: the nearest-rank `percentile`
@@ -244,7 +239,7 @@ impl BillingMeter {
 /// at least `p%` of samples are ≤ it. This is the billing industry's
 /// definition (no interpolation): with 100 samples, p95 is the 95th
 /// largest-sorted sample, so the top 5 are free.
-pub fn percentile_nearest_rank(samples: &[f64], percentile: f64) -> f64 {
+fn percentile_nearest_rank(samples: &[f64], percentile: f64) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
@@ -383,7 +378,7 @@ mod tests {
         m.finish();
         assert_eq!(m.samples(EgressId(1)).len(), 1);
         assert_eq!(m.billable_mbps(EgressId(9), 95.0), 0.0);
-        assert_eq!(m.interfaces().collect::<Vec<_>>(), vec![EgressId(1)]);
+        assert!(m.samples(EgressId(9)).is_empty());
     }
 
     #[test]

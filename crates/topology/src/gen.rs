@@ -28,7 +28,7 @@ use crate::region::Region;
 /// PoP size classes, which set router counts, peer propensity, and the PoP's
 /// share of its region's demand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PopSizeClass {
+pub(crate) enum PopSizeClass {
     /// Flagship metro PoP: 4 PRs, 3 transits, peers widely.
     Large,
     /// Regional PoP: 3 PRs, 2 transits.
@@ -39,7 +39,7 @@ pub enum PopSizeClass {
 
 impl PopSizeClass {
     /// Number of peering routers.
-    pub fn router_count(self) -> usize {
+    pub(crate) fn router_count(self) -> usize {
         match self {
             PopSizeClass::Large => 4,
             PopSizeClass::Medium => 3,
@@ -48,7 +48,7 @@ impl PopSizeClass {
     }
 
     /// Number of transit providers.
-    pub fn transit_count(self) -> usize {
+    pub(crate) fn transit_count(self) -> usize {
         match self {
             PopSizeClass::Large => 3,
             _ => 2,
@@ -56,7 +56,7 @@ impl PopSizeClass {
     }
 
     /// Relative share of regional demand attracted by a PoP of this class.
-    pub fn size_weight(self) -> f64 {
+    pub(crate) fn size_weight(self) -> f64 {
         match self {
             PopSizeClass::Large => 1.0,
             PopSizeClass::Medium => 0.55,

@@ -24,7 +24,7 @@ mod stats;
 
 pub use cost::{BillingMeter, CostConfigError, CostModel, BILLING_PERCENTILE};
 pub use ef_bgp::{EgressPolicy, EgressSpec, PeeringClass};
-pub use gen::{generate, GenConfig, PopSizeClass};
+pub use gen::{generate, GenConfig};
 pub use model::{
     Deployment, EyeballAs, Interface, PeerConn, Pop, PopId, PrefixInfo, RouteSpec, RouterId,
     ServedPrefix, Universe,

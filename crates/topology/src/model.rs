@@ -117,13 +117,8 @@ pub struct ServedPrefix {
 }
 
 impl Pop {
-    /// Looks up an interface by id.
-    pub fn interface(&self, id: EgressId) -> Option<&Interface> {
-        self.interfaces.iter().find(|i| i.id == id)
-    }
-
     /// The peers of a given kind.
-    pub fn peers_of_kind(&self, kind: PeerKind) -> impl Iterator<Item = &PeerConn> {
+    pub(crate) fn peers_of_kind(&self, kind: PeerKind) -> impl Iterator<Item = &PeerConn> {
         self.peers.iter().filter(move |p| p.kind() == kind)
     }
 
@@ -231,7 +226,7 @@ impl Deployment {
     /// Scales every egress interface capacity at `pop` by `factor`.
     /// Nonpositive factors are ignored (every consumer relies on positive
     /// capacities); returns the factor actually applied.
-    pub fn scale_pop_capacity(&mut self, pop: PopId, factor: f64) -> f64 {
+    pub(crate) fn scale_pop_capacity(&mut self, pop: PopId, factor: f64) -> f64 {
         if factor <= 0.0 || !factor.is_finite() {
             return 1.0;
         }
@@ -325,11 +320,12 @@ mod tests {
     #[test]
     fn pop_accessors() {
         let pop = tiny_pop();
+        let interface = |id| pop.interfaces.iter().find(|i| i.id == id);
         assert_eq!(
-            pop.interface(EgressId(1)).unwrap().kind(),
+            interface(EgressId(1)).unwrap().kind(),
             PeerKind::PrivatePeer
         );
-        assert!(pop.interface(EgressId(9)).is_none());
+        assert!(interface(EgressId(9)).is_none());
         assert_eq!(pop.peers_of_kind(PeerKind::Transit).count(), 1);
         assert_eq!(pop.peers[0].kind(), PeerKind::Transit);
         assert_eq!(pop.total_avg_demand_mbps(), 2000.0);

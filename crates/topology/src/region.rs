@@ -56,7 +56,7 @@ impl Region {
 
     /// Rough share of global demand originating in this region, loosely
     /// following public traffic-distribution reports. Sums to 1.
-    pub fn demand_share(self) -> f64 {
+    pub(crate) fn demand_share(self) -> f64 {
         match self {
             Region::NorthAmerica => 0.26,
             Region::SouthAmerica => 0.10,

@@ -43,7 +43,7 @@ impl DemandModel {
     }
 
     /// Builds a model with explicit curve and noise amplitude.
-    pub fn with_curve(
+    pub(crate) fn with_curve(
         deployment: &Deployment,
         seed: u64,
         curve: DiurnalCurve,

@@ -12,7 +12,7 @@ use ef_topology::Region;
 
 /// A raised-cosine diurnal multiplier with configurable peak.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DiurnalCurve {
+pub(crate) struct DiurnalCurve {
     /// Multiplier at the daily peak (mean is 1.0). Typical: 1.8.
     pub peak_factor: f64,
     /// Local hour of the peak. Typical: 20.0 (8 pm).
@@ -29,22 +29,9 @@ impl Default for DiurnalCurve {
 }
 
 impl DiurnalCurve {
-    /// Creates a curve with the given peak-to-mean factor (must be in
-    /// `[1, 2)` so the trough stays positive).
-    pub fn with_peak(peak_factor: f64) -> Self {
-        assert!(
-            (1.0..2.0).contains(&peak_factor),
-            "peak factor {peak_factor} outside [1, 2)"
-        );
-        DiurnalCurve {
-            peak_factor,
-            ..Default::default()
-        }
-    }
-
     /// The demand multiplier at `utc_hours` (hours since simulated
     /// midnight UTC, may exceed 24) for a consumer in `region`.
-    pub fn multiplier(&self, utc_hours: f64, region: Region) -> f64 {
+    pub(crate) fn multiplier(&self, utc_hours: f64, region: Region) -> f64 {
         let local = utc_hours + region.utc_offset_hours();
         let amplitude = self.peak_factor - 1.0;
         let phase = (local - self.peak_hour) / 24.0 * std::f64::consts::TAU;
@@ -52,7 +39,7 @@ impl DiurnalCurve {
     }
 
     /// Multiplier as a function of seconds since midnight UTC.
-    pub fn multiplier_at_secs(&self, utc_secs: u64, region: Region) -> f64 {
+    pub(crate) fn multiplier_at_secs(&self, utc_secs: u64, region: Region) -> f64 {
         self.multiplier(utc_secs as f64 / 3600.0, region)
     }
 }
@@ -105,19 +92,16 @@ mod tests {
         assert!((a - b).abs() < 1e-12);
     }
 
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn silly_peak_factor_rejected() {
-        DiurnalCurve::with_peak(2.5);
-    }
-
     proptest! {
         #[test]
         fn prop_multiplier_positive_and_bounded(
             h in 0.0f64..48.0,
             peak in 1.0f64..1.99,
         ) {
-            let curve = DiurnalCurve::with_peak(peak);
+            let curve = DiurnalCurve {
+                peak_factor: peak,
+                ..Default::default()
+            };
             for region in Region::ALL {
                 let m = curve.multiplier(h, region);
                 prop_assert!(m > 0.0);

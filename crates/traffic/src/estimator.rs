@@ -38,11 +38,6 @@ impl RateEstimator {
         }
     }
 
-    /// The window length in seconds.
-    pub fn window_secs(&self) -> u64 {
-        self.window_secs
-    }
-
     /// Ingests samples observed during second `now_secs`.
     pub fn ingest(&mut self, now_secs: u64, samples: &[FlowSample]) {
         let idx = (now_secs % self.window_secs) as usize;

@@ -5,7 +5,7 @@
 //! 1. the *actual* egress demand placed on each PoP, which in production is
 //!    oceans of user traffic — here a [`DemandModel`] combining the
 //!    deployment's Zipf per-prefix averages with region-phased
-//!    [`DiurnalCurve`]s and slow multiplicative noise; and
+//!    diurnal curves and slow multiplicative noise; and
 //! 2. the controller's *estimate* of that demand, built from sampled flow
 //!    records — here an sFlow-style [`sampler`] whose per-epoch samples
 //!    become per-prefix rates ([`FlowSample::mbps_over`]), so the
@@ -18,6 +18,5 @@ pub mod estimator;
 pub mod sampler;
 
 pub use demand::{DemandModel, DemandPoint};
-pub use diurnal::DiurnalCurve;
 pub use estimator::RateEstimator;
 pub use sampler::{FlowSample, SamplerConfig, SflowSampler};

@@ -83,11 +83,6 @@ impl SflowSampler {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> SamplerConfig {
-        self.cfg
-    }
-
     /// Samples one prefix's traffic over `dt_secs` at true rate `mbps`.
     /// Returns the aggregated sample record, or `None` when no packet was
     /// sampled (common for small prefixes — they are invisible to the
