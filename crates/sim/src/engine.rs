@@ -1,5 +1,10 @@
 //! The simulation engine: builds every PoP runtime from a scenario and
 //! steps them through controller epochs, in parallel across PoPs.
+//!
+//! Every epoch is one fan-out over a shared job queue: one job per PoP,
+//! plus one that fills the next epoch's demand multiplier table, so the
+//! table for the current clock is always ready before a step starts and
+//! the fill runs beside the PoPs rather than ahead of them.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -9,7 +14,7 @@ use ef_chaos::FaultKind;
 use ef_net_types::Prefix;
 use ef_perf::rtt::{PathPerfModel, PerfConfig};
 use ef_topology::{generate, Deployment, PopId};
-use ef_traffic::demand::DemandModel;
+use ef_traffic::demand::{DemandModel, DemandPoint};
 
 use ef_global::{GlobalController, PopReport};
 
@@ -43,9 +48,15 @@ pub struct SimEngine {
     /// Recent true reports per PoP (newest at the back, capped), the
     /// replay source for report-staleness faults.
     report_history: Vec<VecDeque<PopReport>>,
-    /// This epoch's per-prefix demand multipliers, shared by every PoP
-    /// (the buffer is reused across epochs).
+    /// The per-prefix demand multipliers at `t_secs`, shared by every PoP.
+    /// Always current: construction fills it for t = 0, and each step
+    /// fills `next_table` for the next epoch, then swaps the two.
     demand_table: Vec<f64>,
+    /// Where a step fills the next epoch's multipliers.
+    next_table: Vec<f64>,
+    /// One offered-demand buffer per PoP, in PoP order, refilled each
+    /// epoch.
+    demands: Vec<(PopId, Vec<DemandPoint>)>,
     /// Most threads an epoch's fan-out runs on: the cores available at
     /// construction.
     workers: usize,
@@ -55,11 +66,12 @@ pub struct SimEngine {
 /// Report-staleness replay depth kept per PoP.
 const REPORT_HISTORY_CAP: usize = 64;
 
-/// Runs `f` over every job on at most `workers` scoped threads, each
-/// pulling the next job from one shared queue, and returns the results in
-/// job order whichever thread ran which job. With one job or one worker
-/// the jobs run inline on the caller. A panicking job panics the caller
-/// (with its own payload) once the other workers have drained the queue.
+/// Runs `f` over every job on at most `workers` threads, the caller and
+/// `workers - 1` scoped threads, each pulling the next job from one shared
+/// queue, and returns the results in job order whichever thread ran which
+/// job. With one job or one worker the caller runs every job itself. A
+/// panicking job panics the caller (with its own payload) once the other
+/// workers have drained the queue.
 fn fan_out<J, R, F>(workers: usize, jobs: Vec<J>, f: F) -> Vec<R>
 where
     J: Send,
@@ -67,42 +79,74 @@ where
     F: Fn(J) -> R + Sync,
 {
     let workers = workers.min(jobs.len());
-    if workers <= 1 {
-        return jobs.into_iter().map(f).collect();
-    }
     let mut slots: Vec<Option<R>> = jobs.iter().map(|_| None).collect();
     let queue = Mutex::new(jobs.into_iter().enumerate());
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            // The guard drops at the `;`: no job runs under it.
+            let next = queue.lock().expect("job queue poisoned").next();
+            let Some((i, job)) = next else {
+                return done;
+            };
+            done.push((i, f(job)));
+        }
+    };
     std::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut done = Vec::new();
-                    loop {
-                        // The guard drops at the `;`: no job runs under it.
-                        let next = queue.lock().expect("job queue poisoned").next();
-                        let Some((i, job)) = next else {
-                            return done;
-                        };
-                        done.push((i, f(job)));
-                    }
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (1..workers).map(|_| s.spawn(work)).collect();
+        // A panic here unwinds out of the scope, which joins the spawned
+        // workers (they drain the queue) before passing the payload on.
+        let mut done = work();
         for handle in handles {
             match handle.join() {
-                Ok(done) => {
-                    for (i, r) in done {
-                        slots[i] = Some(r);
-                    }
-                }
+                Ok(theirs) => done.extend(theirs),
                 Err(payload) => std::panic::resume_unwind(payload),
             }
+        }
+        for (i, r) in done {
+            slots[i] = Some(r);
         }
     });
     slots
         .into_iter()
         .map(|r| r.expect("every job ran once"))
         .collect()
+}
+
+/// One job of an epoch's fan-out: step a PoP, or fill the next epoch's
+/// demand multiplier table.
+enum EpochJob<'a, P> {
+    Pop(P),
+    Fill(&'a mut Vec<f64>),
+}
+
+/// Runs `step` over every PoP job and, as one more job on the same queue,
+/// fills `next_table` with the multipliers at `t_next`. Returns the PoP
+/// results in job order.
+fn step_and_fill<P, R>(
+    workers: usize,
+    pops: impl Iterator<Item = P>,
+    demand: &DemandModel,
+    next_table: &mut Vec<f64>,
+    t_next: u64,
+    step: impl Fn(P) -> R + Sync,
+) -> Vec<R>
+where
+    P: Send,
+    R: Send,
+{
+    let jobs: Vec<_> = pops
+        .map(EpochJob::Pop)
+        .chain(std::iter::once(EpochJob::Fill(next_table)))
+        .collect();
+    let results = fan_out(workers, jobs, |job| match job {
+        EpochJob::Pop(pop) => Some(step(pop)),
+        EpochJob::Fill(table) => {
+            demand.multipliers_into(t_next, table);
+            None
+        }
+    });
+    results.into_iter().flatten().collect()
 }
 
 impl SimEngine {
@@ -135,6 +179,9 @@ impl SimEngine {
         });
         let global_faults = FaultWindows::new(cfg.chaos.as_ref(), None);
         let report_history = vec![VecDeque::new(); deployment.pops.len()];
+        let demands = pops.iter().map(|pop| (pop.pop.id, Vec::new())).collect();
+        let mut demand_table = Vec::new();
+        demand.multipliers_into(0, &mut demand_table);
         let health = cfg
             .health
             .clone()
@@ -155,7 +202,9 @@ impl SimEngine {
             health,
             global_faults,
             report_history,
-            demand_table: Vec::new(),
+            demand_table,
+            next_table: Vec::new(),
+            demands,
             workers,
             t_secs: 0,
         }
@@ -178,10 +227,12 @@ impl SimEngine {
     /// Advances one epoch across every PoP (parallel).
     pub fn step(&mut self) {
         let t = self.t_secs;
-        // Demand multipliers do not depend on the PoP: fill them once, and
-        // leave each PoP one multiply per served prefix.
-        self.demand.multipliers_into(t, &mut self.demand_table);
+        let t_next = t + self.cfg.epoch_secs;
+        // Demand multipliers do not depend on the PoP: one table serves
+        // every PoP, one multiply per served prefix. The next epoch's table
+        // fills as one more fan-out job while the PoPs step.
         let table = &self.demand_table;
+        let next_table = &mut self.next_table;
         let demand_model = &self.demand;
         let deployment = &self.deployment;
         let perf_model = &self.perf_model;
@@ -193,23 +244,23 @@ impl SimEngine {
             // Global arm: compute every PoP's demand first, let the tier
             // shape (flash crowds) and place (steering) it, then step the
             // PoPs (parallel) and report back up.
-            let mut demands: Vec<(PopId, Vec<ef_traffic::demand::DemandPoint>)> = self
-                .pops
-                .iter()
-                .map(|pop| {
-                    let demand = demand_model.offered_from(deployment, pop.pop.id, table);
-                    (pop.pop.id, demand)
-                })
-                .collect();
-            global.shape_demand(t, &mut demands);
-            global.place(t, &mut demands);
-            let jobs: Vec<_> = self.pops.iter_mut().zip(&demands).collect();
+            for (pop, demand) in self.demands.iter_mut() {
+                demand_model.offered_into(deployment, *pop, table, demand);
+            }
+            global.shape_demand(t, &mut self.demands);
+            global.place(t, &mut self.demands);
+            let jobs = self.pops.iter_mut().zip(&self.demands);
             // True end-of-epoch reports, stamped with the epoch they
             // describe, in PoP-id order (a PoP's id is its index). Faults
             // below corrupt the *delivery*, never these.
-            let reports = fan_out(self.workers, jobs, |(pop, (_, demand))| {
-                pop.step(t, demand, perf_model)
-            });
+            let reports = step_and_fill(
+                self.workers,
+                jobs,
+                demand_model,
+                next_table,
+                t_next,
+                |(pop, (_, demand))| pop.step(t, demand, perf_model),
+            );
             for (history, report) in self.report_history.iter_mut().zip(&reports) {
                 if history.len() >= REPORT_HISTORY_CAP {
                     history.pop_front();
@@ -273,12 +324,20 @@ impl SimEngine {
                 global.observe(&delivered);
             }
         } else {
-            let jobs: Vec<_> = self.pops.iter_mut().collect();
-            fan_out(self.workers, jobs, |pop| {
-                let demand = demand_model.offered_from(deployment, pop.pop.id, table);
-                pop.step(t, &demand, perf_model);
-            });
+            let jobs = self.pops.iter_mut().zip(self.demands.iter_mut());
+            step_and_fill(
+                self.workers,
+                jobs,
+                demand_model,
+                next_table,
+                t_next,
+                |(pop, (_, demand))| {
+                    demand_model.offered_into(deployment, pop.pop.id, table, demand);
+                    pop.step(t, demand, perf_model);
+                },
+            );
         }
+        std::mem::swap(&mut self.demand_table, &mut self.next_table);
         if let Some(monitor) = self.health.as_mut() {
             let wall_us = epoch_start.map(|s| s.elapsed().as_micros() as u64);
             // Sampling, rule evaluation and telemetry emission stay serial
@@ -305,7 +364,7 @@ impl SimEngine {
                 });
             }
         }
-        self.t_secs += self.cfg.epoch_secs;
+        self.t_secs = t_next;
     }
 
     /// Runs `n` epochs.
@@ -796,6 +855,43 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_panic_in_the_callers_own_job_panics_the_caller() {
+        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+        for workers in [2, 7] {
+            let caller = std::thread::current().id();
+            let caller_failed = AtomicBool::new(false);
+            let ran = AtomicUsize::new(0);
+            // Bounds the wait below, so a fan-out that never runs a job on
+            // the caller fails this test instead of hanging it.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            let caught = std::panic::catch_unwind(|| {
+                fan_out(workers, (0..20).collect(), |j: usize| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                    if std::thread::current().id() == caller {
+                        caller_failed.store(true, Ordering::SeqCst);
+                        panic!("caller's job failed");
+                    }
+                    // Spawned workers hold their first job until the
+                    // caller has failed, so the caller always runs one.
+                    while !caller_failed.load(Ordering::SeqCst)
+                        && std::time::Instant::now() < deadline
+                    {
+                        std::thread::yield_now();
+                    }
+                    j
+                })
+            });
+            let payload = caught.expect_err("the caller panics, no result comes back");
+            assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller's job failed"));
+            assert_eq!(
+                ran.load(Ordering::SeqCst),
+                20,
+                "{workers} workers: the spawned workers drained the queue"
+            );
+        }
+    }
+
+    #[test]
     fn worker_count_never_changes_a_run() {
         // Seven PoPs, both tiers, billing, and faults at PoPs and at the
         // global tier: every piece of state the fan-out hands a worker.
@@ -856,34 +952,105 @@ mod tests {
             .health(ef_health::HealthConfig::default())
             .chaos(schedule)
             .build();
-        let dep = generate(&cfg.gen);
-        let run = |workers: usize| {
-            let mut engine =
-                crate::scenario::ScenarioBuilder::from_config(cfg.clone()).engine_with(dep.clone());
-            engine.workers = workers;
-            let mut guards = Vec::new();
-            while engine.now_secs() < 15 * 60 {
-                engine.step();
-                guards.push(guard_snapshot(&engine));
-            }
-            let alerts = engine.health_monitor().expect("health on").all_alerts();
-            let metrics = engine.take_metrics();
-            let recorded =
-                serde_json::to_string(&(&metrics.pop_epochs, &metrics.episodes, &metrics.billing))
-                    .expect("metrics serialize");
-            (recorded, guards, alerts, metrics.pop_epochs.len())
-        };
-        let one = run(1);
+        let one = run_at(&cfg, 1);
         assert_eq!(one.3, 7 * 15, "every PoP stepped every epoch");
         assert!(
-            one.1.iter().any(|g| g.fail_static),
+            one.1.iter().flatten().any(|g| g.fail_static),
             "the tier crash engaged"
         );
         for workers in [2, 7] {
-            let other = run(workers);
+            let other = run_at(&cfg, workers);
             assert!(one.0 == other.0, "{workers} workers changed the records");
             assert_eq!(one.1, other.1, "{workers} workers changed the guards");
             assert_eq!(one.2, other.2, "{workers} workers changed the alerts");
+        }
+
+        // One PoP with a flash crowd and health: the next epoch's demand
+        // fill is the only other job, so at 2 workers it runs beside the
+        // PoP's step.
+        let cfg = scenario()
+            .topology(ef_topology::GenConfig {
+                seed: 5,
+                n_pops: 1,
+                n_ases: 40,
+                n_prefixes: 300,
+                total_avg_gbps: 100.0,
+                ..ef_topology::GenConfig::default()
+            })
+            .duration_secs(15 * 60)
+            .epoch_secs(60)
+            .health(ef_health::HealthConfig::default())
+            .chaos(
+                ef_chaos::FaultSchedule::new(vec![pop_fault(
+                    0,
+                    ef_chaos::FaultKind::FlashCrowd { multiplier: 3.0 },
+                )])
+                .expect("valid schedule"),
+            )
+            .build();
+        let one = run_at(&cfg, 1);
+        assert_eq!(one.3, 15, "the PoP stepped every epoch");
+        let two = run_at(&cfg, 2);
+        assert!(one.0 == two.0, "2 workers changed the 1-PoP records");
+        assert_eq!(one.2, two.2, "2 workers changed the 1-PoP alerts");
+    }
+
+    /// Runs `cfg` to its end on `workers` workers. Returns the recorded
+    /// PoP epochs, episodes and billing as JSON, the global tier's guard
+    /// snapshot after every epoch (when the tier is on), the alerts, and
+    /// the number of PoP-epoch records.
+    fn run_at(
+        cfg: &SimConfig,
+        workers: usize,
+    ) -> (
+        String,
+        Vec<Option<ef_global::GuardSnapshot>>,
+        Vec<ef_health::Alert>,
+        usize,
+    ) {
+        let mut engine = crate::scenario::ScenarioBuilder::from_config(cfg.clone()).engine();
+        engine.workers = workers;
+        let mut guards = Vec::new();
+        while engine.now_secs() < cfg.duration_secs {
+            engine.step();
+            guards.push(engine.global.as_ref().map(|g| g.guard_snapshot()));
+        }
+        let alerts = engine.health_monitor().expect("health on").all_alerts();
+        let metrics = engine.take_metrics();
+        let recorded =
+            serde_json::to_string(&(&metrics.pop_epochs, &metrics.episodes, &metrics.billing))
+                .expect("metrics serialize");
+        (recorded, guards, alerts, metrics.pop_epochs.len())
+    }
+
+    #[test]
+    fn demand_table_tracks_the_clock() {
+        // Both arms, and steps past the scenario's end: the table always
+        // holds the multipliers for the engine's clock.
+        for global in [false, true] {
+            let mut builder = scenario()
+                .small_topology(5)
+                .duration_secs(3 * 60)
+                .epoch_secs(60);
+            if global {
+                builder = builder.global(ef_global::GlobalConfig::default());
+            }
+            let mut engine = builder.engine();
+            let mut fresh = Vec::new();
+            for _ in 0..6 {
+                engine
+                    .demand
+                    .multipliers_into(engine.now_secs(), &mut fresh);
+                let bits = |table: &[f64]| table.iter().map(|m| m.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&engine.demand_table),
+                    bits(&fresh),
+                    "global {global}, t = {}",
+                    engine.now_secs()
+                );
+                engine.run_epochs(1);
+            }
+            assert!(engine.now_secs() > engine.cfg.duration_secs);
         }
     }
 }

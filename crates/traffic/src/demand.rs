@@ -75,7 +75,9 @@ impl DemandModel {
     /// Fills `table` with every universe prefix's rate multiplier at
     /// `utc_secs`, indexed by prefix index (the buffer is cleared first, so
     /// one can be reused across epochs). A multiplier does not depend on
-    /// the PoP, so one table serves every PoP's [`Self::offered_from`].
+    /// the PoP, so one table serves every PoP's [`Self::offered_into`]. It
+    /// is a pure function of the model and `utc_secs`, so the engine fills
+    /// the next epoch's table on a worker while the PoPs step this one.
     pub fn multipliers_into(&self, utc_secs: u64, table: &mut Vec<f64>) {
         // The time angles and the diurnal factor do not depend on the
         // prefix (the latter only on its region): compute them once.
@@ -93,30 +95,31 @@ impl DemandModel {
         );
     }
 
-    /// Offered demand for every prefix served by `pop`, from a multiplier
-    /// table [`Self::multipliers_into`] filled: one multiply per prefix.
-    pub fn offered_from(
+    /// Fills `out` with the offered demand for every prefix served by
+    /// `pop`, from a multiplier table [`Self::multipliers_into`] filled:
+    /// one multiply per prefix. The buffer is cleared first, so one can be
+    /// reused across epochs.
+    pub fn offered_into(
         &self,
         deployment: &Deployment,
         pop: PopId,
         table: &[f64],
-    ) -> Vec<DemandPoint> {
-        deployment
-            .pop(pop)
-            .served
-            .iter()
-            .map(|s| DemandPoint {
-                prefix_idx: s.prefix_idx,
-                mbps: s.avg_mbps * table[s.prefix_idx as usize],
-            })
-            .collect()
+        out: &mut Vec<DemandPoint>,
+    ) {
+        out.clear();
+        out.extend(deployment.pop(pop).served.iter().map(|s| DemandPoint {
+            prefix_idx: s.prefix_idx,
+            mbps: s.avg_mbps * table[s.prefix_idx as usize],
+        }));
     }
 
     /// Offered demand for every prefix served by `pop` at `utc_secs`.
     pub fn offered(&self, deployment: &Deployment, pop: PopId, utc_secs: u64) -> Vec<DemandPoint> {
         let mut table = Vec::new();
         self.multipliers_into(utc_secs, &mut table);
-        self.offered_from(deployment, pop, &table)
+        let mut out = Vec::new();
+        self.offered_into(deployment, pop, &table, &mut out);
+        out
     }
 
     /// Smooth multiplicative noise in `[1-a, 1+a]`, deterministic in
@@ -208,13 +211,21 @@ mod tests {
         let curve = DiurnalCurve::default();
         for amplitude in [0.10, 0.0] {
             let m = DemandModel::with_curve(&d, 42, curve, amplitude);
-            // One buffer refilled at every `t`, as the engine reuses it.
+            // One table and one demand buffer refilled at every `t`, as
+            // the engine reuses them.
             let mut table = vec![f64::NAN; 3];
+            let mut from_table = vec![
+                DemandPoint {
+                    prefix_idx: u32::MAX,
+                    mbps: f64::NAN,
+                };
+                3
+            ];
             for t in [0u64, 30, 3_600, 47_910, 86_370, 200_000] {
                 m.multipliers_into(t, &mut table);
                 assert_eq!(table.len(), d.universe.prefixes.len());
                 for pop in &d.pops {
-                    let from_table = m.offered_from(&d, pop.id, &table);
+                    m.offered_into(&d, pop.id, &table, &mut from_table);
                     let offered = m.offered(&d, pop.id, t);
                     assert_eq!(from_table.len(), pop.served.len());
                     assert_eq!(offered.len(), pop.served.len());
