@@ -343,6 +343,22 @@ impl FaultSchedule {
             .filter(move |(_, e)| e.active_at(t_secs))
     }
 
+    /// Fails on the first window shorter than `epoch_secs`, naming it. A
+    /// simulation ticks at multiples of its epoch from t = 0, so a window
+    /// of at least one epoch always covers a tick; a shorter one could
+    /// fall between two and never act.
+    pub fn check_epoch(&self, epoch_secs: u64) -> Result<(), String> {
+        match self.events.iter().find(|e| e.duration_secs < epoch_secs) {
+            Some(e) => Err(format!(
+                "{} at t={}s lasts {}s, shorter than the {epoch_secs}s epoch",
+                e.kind.label(),
+                e.t_start_secs,
+                e.duration_secs
+            )),
+            None => Ok(()),
+        }
+    }
+
     /// The last instant at which any fault is still active, or 0.
     pub fn horizon_secs(&self) -> u64 {
         self.events

@@ -1136,6 +1136,29 @@ mod tests {
     }
 
     #[test]
+    fn chaos_schedule_with_a_window_shorter_than_the_epoch_errors() {
+        use ef_chaos::{FaultEvent, FaultKind, FaultSchedule, FaultTarget};
+        // 40 s between the ticks at 600 and 660: no tick would see it.
+        let schedule = FaultSchedule::new(vec![FaultEvent {
+            t_start_secs: 610,
+            duration_secs: 40,
+            target: FaultTarget::Pop { pop: 0 },
+            kind: FaultKind::ControllerCrash,
+        }])
+        .unwrap();
+        let dir = std::env::temp_dir().join("efctl-sub-epoch-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("faults.json");
+        std::fs::write(&path, serde_json::to_string_pretty(&schedule).unwrap()).unwrap();
+        let line = format!("chaos {SMALL} --hours 0.5 --schedule {}", path.display());
+        let err = execute(parse(&line)).unwrap_err();
+        assert!(
+            err.contains("controller_crash at t=610s lasts 40s, shorter than the 60s epoch"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn trace_emits_parseable_json_lines() {
         let line = format!("trace {SMALL} --hours 0.25");
         let out = exec(&line);

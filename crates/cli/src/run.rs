@@ -167,6 +167,7 @@ pub(crate) fn chaos(args: &Args) -> Result<Output, String> {
             cfg.duration_secs
         ));
     }
+    schedule.check_epoch(cfg.epoch_secs)?;
 
     let arm = arm(args);
     writeln!(out.stderr, "arm: {arm} under {} fault(s)", schedule.len()).unwrap();

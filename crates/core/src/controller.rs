@@ -17,8 +17,9 @@
 //!   telemetry records the epoch.
 //!
 //! Across epochs the controller keeps only the memo and what its effects
-//! need: the injector (session, announced set), the reattach governor and
-//! the last degraded / fail-open mode (for transition events).
+//! need: the injector (session, announced set, loss gate), the reattach
+//! governor, the last degraded / fail-open mode (for transition events)
+//! and the collector's drop count as last reported.
 
 use std::collections::HashMap;
 
@@ -125,6 +126,9 @@ pub struct PopController {
     telemetry: TelemetryHandle,
     last_degraded: bool,
     last_fail_open: bool,
+    /// The collector's unattributed-message count as last emitted in a
+    /// `collector.dropped` event.
+    reported_dropped: usize,
 }
 
 impl PopController {
@@ -158,6 +162,7 @@ impl PopController {
             telemetry: TelemetryHandle::disabled(),
             last_degraded: false,
             last_fail_open: false,
+            reported_dropped: 0,
         })
     }
 
@@ -195,11 +200,20 @@ impl PopController {
         &self.interfaces
     }
 
-    /// Feeds BMP messages from the router into the route collector. Call
-    /// whenever the feed has data; at minimum once per epoch before
-    /// [`run_epoch`](Self::run_epoch).
-    pub fn ingest_bmp(&mut self, messages: impl IntoIterator<Item = BmpMessage>) {
+    /// Feeds BMP messages from the router into the route collector, at
+    /// `now`. Call whenever the feed has data; at minimum once per epoch
+    /// before [`run_epoch`](Self::run_epoch). When the collector could not
+    /// attribute some route messages (no kind tag, or a peer with no egress
+    /// mapping), a `collector.dropped` event carries its new drop total.
+    pub fn ingest_bmp(&mut self, messages: impl IntoIterator<Item = BmpMessage>, now: Millis) {
         self.collector.ingest(messages);
+        let dropped = self.collector.dropped();
+        if dropped > self.reported_dropped {
+            self.reported_dropped = dropped;
+            let fields = [("dropped", dropped.into())];
+            self.telemetry
+                .emit(self.pop, now, "collector.dropped", &fields);
+        }
     }
 
     /// Runs one controller cycle against `traffic` (per-prefix Mbps):
@@ -424,7 +438,8 @@ impl PopController {
 
     /// Attempts a governed reattach of the injector session: a no-op
     /// (returning `false`) while the backoff governor still holds the
-    /// session down. On a successful attach the governor is credited; on a
+    /// session down. On a successful attach the governor is credited and
+    /// the fresh session keeps the loss gate's fraction and seed; on a
     /// failed attach it is charged another failure. Call once per
     /// simulation step (or epoch) while [`injector_up`](Self::injector_up)
     /// is false.
@@ -436,7 +451,9 @@ impl PopController {
             return false;
         }
         match Injector::try_attach(router, self.injector_peer_id(), now) {
-            Ok(inj) => {
+            Ok(mut inj) => {
+                let (fraction, seed) = self.injector.loss();
+                inj.set_loss(fraction, seed);
                 self.injector = inj;
                 self.injector_governor.record_up(now);
                 true
@@ -472,6 +489,11 @@ impl PopController {
     /// `InjectorPartialLoss` fault). `fraction == 0` disables it.
     pub fn set_injection_loss(&mut self, fraction: f64, seed: u64) {
         self.injector.set_loss(fraction, seed);
+    }
+
+    /// The partial-loss gate's drop fraction (0 when disabled).
+    pub fn injection_loss(&self) -> f64 {
+        self.injector.loss().0
     }
 
     /// Updates an interface's usable capacity (provisioning change or
@@ -572,7 +594,7 @@ mod tests {
         }
         let mut controller =
             PopController::new(0, ControllerConfig::default(), interfaces, &mut router).unwrap();
-        controller.ingest_bmp(router.drain_bmp());
+        controller.ingest_bmp(router.drain_bmp(), 0);
         World {
             router,
             peer,
@@ -726,7 +748,7 @@ mod tests {
         // The transit route under the detour disappears; the BMP withdraw
         // reaches the collector, but the traffic input is stale.
         w.transit.withdraw(&mut w.router, [steered.prefix], 50_000);
-        w.controller.ingest_bmp(w.router.drain_bmp());
+        w.controller.ingest_bmp(w.router.drain_bmp(), 50_000);
         let stale = aged(0, w.controller.config().stale_input_secs * 1000);
         let report = w.run(&peak, 60_000, stale).unwrap();
         assert!(report.degraded);
@@ -864,6 +886,40 @@ mod tests {
         let expected = w.controller.active_overrides().claims();
         let audit = ef_telemetry::audit_overrides(&w.router, &expected, &[]);
         assert!(audit.clean(), "clean after repair: {audit:?}");
+    }
+
+    #[test]
+    fn unattributed_bmp_routes_are_reported_as_collector_drops() {
+        let mut w = world(&["1.0.0.0/24"]);
+        let (handle, sink) = TelemetryHandle::memory();
+        w.controller.set_telemetry(handle);
+        // A peer attached after the controller: the collector has no
+        // egress mapping for it, so its routes cannot be attributed.
+        let kind = PeerKind::PublicPeer;
+        w.router.add_peer(PeerAttachment {
+            peer: PeerId(3),
+            peer_asn: Asn(65020),
+            kind,
+            egress: EgressId(3),
+            policy: Policy::default_import(Asn::LOCAL, kind),
+            max_prefixes: 0,
+        });
+        let mut late = PeerStub::new(PeerId(3), Asn(65020), "10.9.0.3".parse().unwrap());
+        late.pump(&mut w.router, 10_000);
+        let attrs = PathAttributes {
+            as_path: AsPath::sequence([Asn(65020)]),
+            ..Default::default()
+        };
+        late.announce(&mut w.router, p("3.0.0.0/24"), attrs, 10_000);
+        w.controller.ingest_bmp(w.router.drain_bmp(), 10_000);
+        assert_eq!(w.controller.collector().dropped(), 1);
+        let drops = sink.events_named("collector.dropped");
+        assert_eq!(drops.len(), 1);
+        assert_eq!(drops[0].now_ms, 10_000);
+        assert_eq!(drops[0].field("dropped"), Some(&1usize.into()));
+        // A batch that drops nothing new emits nothing.
+        w.controller.ingest_bmp(w.router.drain_bmp(), 20_000);
+        assert_eq!(sink.events_named("collector.dropped").len(), 1);
     }
 
     #[test]

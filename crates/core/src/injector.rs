@@ -197,6 +197,13 @@ impl Injector {
         };
     }
 
+    /// The loss gate's `(fraction, seed)`; `(0.0, 0)` when disabled.
+    pub(crate) fn loss(&self) -> (f64, u64) {
+        self.loss
+            .as_ref()
+            .map_or((0.0, 0), |g| (g.fraction, g.seed))
+    }
+
     /// True while the BGP session is up.
     pub fn session_up(&self) -> bool {
         self.up && self.stub.is_established()

@@ -81,7 +81,7 @@
 //! ]);
 //! let mut ctl = PopController::new(0, ControllerConfig::default(), interfaces, &mut router)
 //!     .expect("valid config, session up");
-//! ctl.ingest_bmp(router.drain_bmp());
+//! ctl.ingest_bmp(router.drain_bmp(), 0);
 //!
 //! // 150 Mbps of demand cannot fit the 100 Mbps preferred peer link. Both
 //! // inputs are fresh and no performance intents ride along.

@@ -1,5 +1,5 @@
-//! Bridges the topology into the fault model, the fault model into the
-//! telemetry stream, and a fault schedule into per-tick window edges.
+//! Bridges the topology into the fault model, and a fault schedule into
+//! per-tick window edges and their telemetry events.
 
 use ef_chaos::{FaultEvent, FaultSchedule, PopSurface, SimSurface};
 use ef_telemetry::TelemetryHandle;
@@ -21,27 +21,6 @@ pub fn surface(deployment: &Deployment) -> SimSurface {
             })
             .collect(),
     }
-}
-
-/// Emits `event`'s `fault.start` edge (`start`) or `fault.end` edge at
-/// `pop`, naming its kind and target.
-pub(crate) fn emit_fault_edge(
-    telemetry: &TelemetryHandle,
-    pop: u16,
-    now_ms: u64,
-    event: &FaultEvent,
-    start: bool,
-) {
-    let name = if start { "fault.start" } else { "fault.end" };
-    telemetry.emit(
-        pop,
-        now_ms,
-        name,
-        &[
-            ("kind", event.kind.label().into()),
-            ("target", format!("{:?}", event.target).into()),
-        ],
-    );
 }
 
 /// One tier's fault windows and the set that was active at its last tick:
@@ -67,10 +46,18 @@ impl FaultWindows {
         }
     }
 
-    /// Moves the tracker to `t_secs` and returns the windows that closed
-    /// and those that opened since the last tick, each in event order.
-    /// A window that opens and closes between two ticks is never seen.
-    pub(crate) fn advance(&mut self, t_secs: u64) -> (Vec<FaultEvent>, Vec<FaultEvent>) {
+    /// Moves the tracker to `t_secs`, emits at `pop` a `fault.end` event
+    /// for each window that closed since the last tick and then a
+    /// `fault.start` for each that opened (each in event order, naming its
+    /// kind and target), and returns the closed ones. Windows are sampled
+    /// at ticks only; the engine rejects any window shorter than its epoch,
+    /// so every window it runs is open at one tick at least.
+    pub(crate) fn advance(
+        &mut self,
+        t_secs: u64,
+        telemetry: &TelemetryHandle,
+        pop: u16,
+    ) -> Vec<FaultEvent> {
         let now: Vec<usize> = (0..self.events.len())
             .filter(|&i| self.events[i].active_at(t_secs))
             .collect();
@@ -81,9 +68,18 @@ impl FaultWindows {
                 .collect()
         };
         let closed = edges(&self.active, &now);
-        let opened = edges(&now, &self.active);
+        for (events, name) in [
+            (&closed, "fault.end"),
+            (&edges(&now, &self.active), "fault.start"),
+        ] {
+            for e in events {
+                let target = format!("{:?}", e.target);
+                let fields = [("kind", e.kind.label().into()), ("target", target.into())];
+                telemetry.emit(pop, t_secs * 1000, name, &fields);
+            }
+        }
         self.active = now;
-        (closed, opened)
+        closed
     }
 
     /// The windows active at the last tick, in event order.
@@ -131,7 +127,9 @@ mod tests {
             // Opens exactly on a tick (half-open start) and ends one
             // second past a tick.
             window(1200, 1441, FaultKind::SflowLoss { drop_fraction: 0.5 }),
-            // Opens and closes between two ticks: never active at one.
+            // Opens and closes between two ticks: never active at one. The
+            // engine rejects such a window (shorter than its 120 s epoch);
+            // the tracker alone just never sees it.
             window(1500, 1530, FaultKind::FlashCrowd { multiplier: 2.0 }),
             // World 7's nested same-PoP crash pair under 120 s epochs: both
             // open at 24 480, the inner one closes a tick before the outer.
@@ -140,14 +138,31 @@ mod tests {
         ])
         .expect("valid schedule");
         let mut tracker = FaultWindows::new(Some(&schedule), Some(0));
+        let (telemetry, sink) = TelemetryHandle::memory();
         let (mut closes, mut opens, mut prev, mut calm) = (Vec::new(), Vec::new(), Vec::new(), 0);
         for t in (0..=25_320).step_by(120) {
-            let (closed, opened) = tracker.advance(t);
+            let closed = tracker.advance(t, &telemetry, 0);
             let now: Vec<FaultEvent> = schedule.active_at(t).map(|(_, e)| *e).collect();
             assert!(tracker.active().eq(&now), "active set at t={t}");
-            // Each reported edge is a real change of the active set.
+            // Each closed window was active at the last tick and is not now.
             assert!(closed.iter().all(|e| prev.contains(e) && !now.contains(e)));
-            assert!(opened.iter().all(|e| now.contains(e) && !prev.contains(e)));
+            assert_eq!(
+                closed.len(),
+                prev.iter().filter(|e| !now.contains(e)).count()
+            );
+            let opened: Vec<FaultEvent> =
+                now.iter().filter(|e| !prev.contains(e)).copied().collect();
+            // The tick's events: every end, then every start, in event order.
+            let edge = |name: &str, e: &FaultEvent| format!("{name} {}", e.kind.label());
+            let ends = closed.iter().map(|e| edge("fault.end", e));
+            let want: Vec<String> = ends
+                .chain(opened.iter().map(|e| edge("fault.start", e)))
+                .collect();
+            let got: Vec<String> = (sink.events().iter())
+                .filter(|e| e.now_ms == t * 1000)
+                .map(|e| format!("{} {}", e.name, e.str_field("kind").unwrap_or_default()))
+                .collect();
+            assert_eq!(got, want, "t={t}");
             let starts = |es: &[FaultEvent]| es.iter().map(|e| e.t_start_secs).collect::<Vec<_>>();
             match t {
                 480 => assert_eq!((starts(&closed), starts(&opened)), (vec![240], vec![480])),

@@ -18,7 +18,7 @@ use ef_traffic::demand::{DemandModel, DemandPoint};
 
 use ef_global::{GlobalController, PopReport};
 
-use crate::chaos::{emit_fault_edge, FaultWindows};
+use crate::chaos::FaultWindows;
 use crate::metrics::MetricsStore;
 use crate::runtime::PopRuntime;
 use crate::scenario::SimConfig;
@@ -160,6 +160,9 @@ impl SimEngine {
     /// Builds the engine over an existing deployment (lets the two arms of
     /// a with/without comparison share the exact same world).
     pub(crate) fn with_deployment(cfg: SimConfig, deployment: Deployment) -> Self {
+        if let Some(Err(e)) = cfg.chaos.as_ref().map(|s| s.check_epoch(cfg.epoch_secs)) {
+            panic!("invalid chaos schedule: {e}");
+        }
         let demand = DemandModel::new(&deployment, cfg.demand_seed);
         let pop_ids: Vec<PopId> = deployment.pops.iter().map(|p| p.id).collect();
         let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -267,15 +270,11 @@ impl SimEngine {
                 }
                 history.push_back(*report);
             }
-            // Fault edges at the sentinel PoP, ends before starts as at a
-            // PoP, each in event order for determinism.
-            let (closed, opened) = self.global_faults.advance(t);
+            // The tier's windows move to `t`; their edges are emitted at
+            // the sentinel PoP.
             let telemetry = &self.cfg.telemetry;
-            for (events, start) in [(closed, false), (opened, true)] {
-                for e in &events {
-                    emit_fault_edge(telemetry, ef_health::GLOBAL_POP, t * 1000, e, start);
-                }
-            }
+            self.global_faults
+                .advance(t, telemetry, ef_health::GLOBAL_POP);
             // What the tier actually receives this epoch. Passes are
             // kind-ordered (staleness replay, then lie, then partition) so
             // overlapping faults on one PoP compose deterministically —
@@ -730,10 +729,12 @@ mod tests {
     #[test]
     fn nested_same_kind_windows_hold_until_the_last_one_closes() {
         use ef_chaos::{FaultEvent, FaultKind, FaultSchedule, FaultTarget};
+        // 10 s epochs: three governor charges at one tick suppress a
+        // session for ~30 s, which outlasts a 20 s window only then.
         let base = scenario()
             .small_topology(5)
             .duration_secs(60 * 60)
-            .epoch_secs(60);
+            .epoch_secs(10);
         let dep = generate(&base.clone().build().gen);
         let (egress, nominal) = {
             let iface = &dep.pops[0].interfaces[0];
@@ -750,26 +751,48 @@ mod tests {
             pop: 0,
             egress: egress.0,
         };
+        let peer = FaultTarget::Peer {
+            pop: 0,
+            peer: dep.pops[0].peers[0].peer.0,
+        };
         let loss = FaultKind::InjectorPartialLoss { fraction: 1.0 };
         let cut = |fraction| FaultKind::LinkCapacityLoss { fraction };
         // Each pair nests: the inner window closes first, the outer one
         // last. A flash crowd keeps overrides wanted while every
         // injection send is lost, and for a while after.
-        let schedule = FaultSchedule::new(vec![
+        let outer = vec![
             window(0, 1380, FaultKind::FlashCrowd { multiplier: 3.0 }, pop),
             window(60, 1260, loss, pop),
             window(120, 600, loss, pop),
+            window(1380, 1400, FaultKind::InjectorLoss, pop),
+            window(1420, 1440, FaultKind::PeerFailure, peer),
             window(1500, 2100, FaultKind::ControllerCrash, pop),
             window(1560, 1800, FaultKind::ControllerCrash, pop),
             window(2400, 3000, cut(0.5), iface),
             window(2460, 2700, cut(0.8), iface),
-        ])
-        .expect("valid schedule");
-        let mut engine = base.chaos(schedule).engine_with(dep);
+        ];
+        // Two more injector-loss and peer-failure windows inside the outer
+        // ones: the governors are charged once per teardown, not per
+        // window, so the session returns when the run with the outer
+        // window alone gets it back.
+        let mut nested = outer.clone();
+        for _ in 0..2 {
+            nested.push(window(1380, 1390, FaultKind::InjectorLoss, pop));
+            nested.push(window(1420, 1430, FaultKind::PeerFailure, peer));
+        }
+        let engine_of = |events| {
+            let schedule = FaultSchedule::new(events).expect("valid schedule");
+            base.clone().chaos(schedule).engine_with(dep.clone())
+        };
+        let (mut engine, mut single) = (engine_of(nested), engine_of(outer));
         let ledger = |engine: &SimEngine| {
             let ctl = engine.pops[0].controller.as_ref();
             ctl.map(|c| c.injection_ledger().clone())
                 .unwrap_or_default()
+        };
+        let injector_up = |engine: &SimEngine| {
+            let ctl = engine.pops[0].controller.as_ref();
+            ctl.is_some_and(|c| c.injector_up())
         };
         let mut sent_at_loss = None;
         while engine.now_secs() < 3300 {
@@ -785,6 +808,22 @@ mod tests {
                 assert!(ledger.announces_dropped > 0, "the loss gate fired");
                 assert!(sent > sent_at_loss.unwrap_or(0), "retries land after it");
             }
+            if t < 1460 {
+                single.step();
+                assert_eq!(injector_up(&engine), injector_up(&single), "t={t}");
+                let sessions = (engine.all_sessions_up(), single.all_sessions_up());
+                assert_eq!(sessions.0, sessions.1, "t={t}: peer sessions");
+            }
+            assert_eq!(
+                injector_up(&engine),
+                !(1380..1400).contains(&t) && !(1500..2100).contains(&t),
+                "t={t}: injector"
+            );
+            assert_eq!(
+                engine.all_sessions_up(),
+                !(1420..1440).contains(&t),
+                "t={t}: peer"
+            );
             let down = engine.pops[0].controller.is_none();
             assert_eq!(down, (1500..2100).contains(&t), "t={t}: controller down");
             let keep = match t {
@@ -798,6 +837,62 @@ mod tests {
                 "t={t}: {capacity}"
             );
         }
+    }
+
+    #[test]
+    fn restarts_and_reattaches_take_the_open_fault_levels() {
+        // The three overlaps of the committed schedule, all at PoP 0 (CI
+        // also drives the file through `efctl chaos`).
+        let schedule = ef_chaos::FaultSchedule::from_json(include_str!(
+            "../../../tests/chaos/overlapping_faults.json"
+        ))
+        .expect("valid schedule");
+        let mut engine = scenario()
+            .small_topology(5)
+            .duration_secs(30 * 60)
+            .epoch_secs(60)
+            .chaos(schedule)
+            .engine();
+        while engine.now_secs() < 30 * 60 {
+            let t = engine.now_secs();
+            engine.step();
+            let crashed = (240..480).contains(&t) || (840..1020).contains(&t);
+            let ctl = engine.pops[0].controller.as_ref();
+            assert_eq!(ctl.is_none(), crashed, "t={t}: controller down");
+            let Some(ctl) = ctl else { continue };
+            // Restarted at t=480 and reattached at t=1620 inside open
+            // partial-loss windows: both run at the window's loss.
+            let loss = match t {
+                300..720 => 0.5,
+                1440..1740 => 0.7,
+                _ => 0.0,
+            };
+            assert_eq!(ctl.injection_loss(), loss, "t={t}: injection loss");
+            // Restarted at t=1020 inside an open injector-loss window: its
+            // injector stays down until the window closes, and the
+            // governor lets it back at the next tick.
+            let injector_down = (900..1200).contains(&t) || (1320..1620).contains(&t);
+            assert_eq!(ctl.injector_up(), !injector_down, "t={t}: injector");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "controller_crash at t=610s lasts 40s, shorter than the 60s epoch")]
+    fn a_window_shorter_than_the_epoch_is_rejected() {
+        let schedule = ef_chaos::FaultSchedule::new(vec![ef_chaos::FaultEvent {
+            t_start_secs: 610,
+            duration_secs: 40,
+            target: ef_chaos::FaultTarget::Pop { pop: 0 },
+            kind: FaultKind::ControllerCrash,
+        }])
+        .expect("valid schedule");
+        // Between the ticks at 600 and 660, so no tick would ever see it.
+        scenario()
+            .small_topology(7)
+            .duration_secs(30 * 60)
+            .epoch_secs(60)
+            .chaos(schedule)
+            .engine();
     }
 
     #[test]

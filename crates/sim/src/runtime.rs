@@ -2,27 +2,27 @@
 //!
 //! Besides the sunny-day loop (forward demand, measure, run a controller
 //! epoch), the runtime interprets its PoP's slice of the scenario's
-//! [`FaultSchedule`](ef_chaos::FaultSchedule): each tick its fault-window
-//! tracker reports which windows closed and which opened, and the runtime
-//! applies those end/start transitions to the live substrate (ends
-//! first) — tearing BGP sessions, degrading
-//! interface capacity, stalling the BMP feed, starving the sampler,
-//! crashing the controller, dropping the injector session, corrupting
-//! UPDATE frames on the wire, storming sessions with flaps, dropping a
-//! fraction of injected routes, or inflating demand. The controller
-//! itself is never told a fault is active; it only sees the degraded
-//! inputs (that is the point — the graceful-degradation guards in
+//! [`FaultSchedule`](ef_chaos::FaultSchedule) as a function of the clock:
+//! each tick it derives one `FaultLevels` value from the windows open at
+//! that tick alone and reconciles the PoP to it — controller present,
+//! injector session and loss, interface capacities, held-down peers — so
+//! a controller restarted or an injector reattached inside a window comes
+//! back under that window's level, and nested windows act as their union.
+//! The edge actions follow from level changes: `fault.start` / `fault.end`
+//! events (ends first), session teardowns, and the ROUTE-REFRESH and
+//! injector resyncs once corruption or injection loss clears. The
+//! controller itself is never told a fault is active; it only sees the
+//! degraded inputs (that is the point — the graceful-degradation guards in
 //! `edge-fabric` must react to input staleness, not to an out-of-band
 //! oracle).
 //!
 //! Recovery is *governed*, not instant: every session re-establishment
 //! (peer or injector) waits out a seeded exponential-backoff +
-//! flap-damping gate ([`ReconnectGovernor`]), so a storm that ends still
-//! pays a cool-down before the session returns. Everything the runtime
-//! knows about one peer session — its stub, the table it replays, its two
-//! governors and what it is waiting for — lives in one `PeerRecord`.
-//! Windows of one kind may nest: an end transition that would undo a
-//! fault waits while another window of its kind is still open.
+//! flap-damping gate ([`ReconnectGovernor`]), charged when a fault tears a
+//! live session down, so a storm that ends still pays a cool-down before
+//! the session returns. Everything the runtime knows about one peer
+//! session — its stub, the table it replays, its two governors and what it
+//! is waiting for — lives in one `PeerRecord`.
 
 use std::collections::HashMap;
 
@@ -49,7 +49,7 @@ use ef_traffic::sampler::{SamplerConfig, SflowSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::chaos::{emit_fault_edge, FaultWindows};
+use crate::chaos::FaultWindows;
 use crate::fibcache::FibCache;
 use crate::metrics::{MetricsStore, PopEpochRecord};
 use crate::scenario::SimConfig;
@@ -70,26 +70,38 @@ const BMP_BATCH: usize = if cfg!(test) { 64 } else { 4096 };
 /// (under-counted) fresh estimates.
 const SEVERE_SFLOW_DROP: f64 = 0.9;
 
-/// Per-tick signals derived from the active fault windows.
+/// The PoP's fault state at one tick, derived from the windows open at
+/// that tick alone.
 #[derive(Debug, Default)]
-struct TickFaults {
+struct FaultLevels {
+    /// Any `ControllerCrash` window is open.
+    controller_down: bool,
+    /// Any `InjectorLoss` window is open.
+    injector_down: bool,
+    /// The largest open `InjectorPartialLoss` fraction (0 when none).
+    injection_loss: f64,
+    /// Capacity per interface slot: nominal × (1 − the worst open cut).
+    capacity: Vec<f64>,
+    /// Peer slots (indices into the peer records) failed by a window.
+    failed: Vec<usize>,
+    /// Peer slots in an open `SessionFlapStorm` window, with its period.
+    flap: Vec<(usize, u64)>,
+    /// Peer slots in an open `UpdateCorruption` window, with its rate.
+    corrupt: Vec<(usize, f64)>,
     /// Flash-crowd demand inflation (multiplicative across windows).
     demand_multiplier: f64,
-    /// Worst active sFlow drop fraction.
+    /// Worst open sFlow drop fraction.
     sflow_drop: f64,
-    /// BMP feed stalled this tick.
+    /// Any `BmpStall` window is open.
     bmp_stalled: bool,
-    /// Peer slots (indices into the runtime's peer records) with an active
-    /// `UpdateCorruption` window, with the rate.
-    corrupt: Vec<(usize, f64)>,
-    /// Peer slots with an active `SessionFlapStorm` window, with the period.
-    flap: Vec<(usize, u64)>,
-    /// Peer slots whose session fault is still active — held down, the
-    /// governed reconnect pass must not revive them mid-window.
-    held_down: Vec<usize>,
-    /// An `InjectorLoss` window is active: the governed injector
-    /// reattach pass must wait the window out.
-    injector_fault_active: bool,
+}
+
+impl FaultLevels {
+    /// The peer in `slot` is held down (failed or storming): the governed
+    /// reconnect and refresh passes must not revive it mid-window.
+    fn held_down(&self, slot: usize) -> bool {
+        self.failed.contains(&slot) || self.flap.iter().any(|&(s, _)| s == slot)
+    }
 }
 
 /// One peer session's runtime state.
@@ -152,8 +164,8 @@ pub struct PopRuntime {
     /// This PoP's slice of the scenario fault schedule, and which of its
     /// windows were active at the last tick.
     faults: FaultWindows,
-    /// Nominal capacity per interface slot, for restoring after capacity
-    /// faults.
+    /// Nominal capacity per interface slot, which each tick's capacity
+    /// level scales.
     nominal_capacity: Vec<f64>,
     /// Interned attribute pool for the replay table, one copy per distinct
     /// pre-policy set (about one per three routes in the generated worlds:
@@ -299,7 +311,7 @@ impl PopRuntime {
         let mut feed = |router: &mut BgpRouter| {
             let backlog = router.drain_bmp();
             if let Some(ctl) = controller.as_mut() {
-                ctl.ingest_bmp(backlog);
+                ctl.ingest_bmp(backlog, 0);
             }
         };
 
@@ -425,190 +437,170 @@ impl PopRuntime {
         self.metrics.flag_interface(egress);
     }
 
-    // --- Fault transitions -------------------------------------------
+    // --- Fault levels ------------------------------------------------
 
-    /// Moves the fault-window tracker to `t_secs`, applies the end
-    /// transitions of the windows that closed and then the start
-    /// transitions of those that opened. Returns the per-tick signal levels
-    /// of the active faults (demand multiplier, sFlow drop fraction, BMP
-    /// stall flag, corruption/flap targets).
-    fn apply_fault_transitions(&mut self, t_secs: u64) -> TickFaults {
-        let now_ms = t_secs * 1000;
-        let (closed, opened) = self.faults.advance(t_secs);
-        for event in &closed {
-            self.end_fault(event, now_ms, t_secs);
-        }
-        for event in &opened {
-            self.start_fault(event, now_ms);
-        }
-
-        let mut tick = TickFaults {
+    /// The fault levels of the windows open at the tracker's last tick.
+    fn fault_levels(&self) -> FaultLevels {
+        let mut levels = FaultLevels {
+            // The worst cut per slot until the end, then the capacity.
+            capacity: vec![0.0; self.nominal_capacity.len()],
             demand_multiplier: 1.0,
             ..Default::default()
         };
         for event in self.faults.active() {
+            // The peer's or the interface's slot, as the kind targets one.
             let slot = match event.target {
                 FaultTarget::Peer { peer, .. } => peer_slot(&self.peers, PeerId(peer)),
+                FaultTarget::Interface { egress, .. } => {
+                    self.pop.interfaces.iter().position(|i| i.id.0 == egress)
+                }
                 _ => None,
             };
             match (event.kind, slot) {
-                (FaultKind::FlashCrowd { multiplier }, _) => tick.demand_multiplier *= multiplier,
+                (FaultKind::ControllerCrash, _) => levels.controller_down = true,
+                (FaultKind::InjectorLoss, _) => levels.injector_down = true,
+                (FaultKind::InjectorPartialLoss { fraction }, _) => {
+                    levels.injection_loss = levels.injection_loss.max(fraction)
+                }
+                (FaultKind::LinkCapacityLoss { fraction }, Some(slot)) => {
+                    levels.capacity[slot] = levels.capacity[slot].max(fraction)
+                }
+                (FaultKind::FlashCrowd { multiplier }, _) => levels.demand_multiplier *= multiplier,
                 (FaultKind::SflowLoss { drop_fraction }, _) => {
-                    tick.sflow_drop = tick.sflow_drop.max(drop_fraction)
+                    levels.sflow_drop = levels.sflow_drop.max(drop_fraction)
                 }
-                (FaultKind::BmpStall, _) => tick.bmp_stalled = true,
-                (FaultKind::UpdateCorruption { rate }, Some(slot)) => {
-                    tick.corrupt.push((slot, rate))
-                }
+                (FaultKind::BmpStall, _) => levels.bmp_stalled = true,
+                (FaultKind::PeerFailure, Some(slot)) => levels.failed.push(slot),
                 (FaultKind::SessionFlapStorm { period_s }, Some(slot)) => {
-                    tick.flap.push((slot, period_s));
-                    tick.held_down.push(slot);
+                    levels.flap.push((slot, period_s))
                 }
-                (FaultKind::PeerFailure, Some(slot)) => tick.held_down.push(slot),
-                (FaultKind::InjectorLoss, _) => tick.injector_fault_active = true,
+                (FaultKind::UpdateCorruption { rate }, Some(slot)) => {
+                    levels.corrupt.push((slot, rate))
+                }
                 _ => {}
             }
         }
-        tick
-    }
-
-    fn start_fault(&mut self, event: &FaultEvent, now_ms: u64) {
-        emit_fault_edge(&self.telemetry, self.pop.id.0, now_ms, event, true);
-        match (&event.kind, &event.target) {
-            (FaultKind::PeerFailure, FaultTarget::Peer { peer, .. }) => {
-                let Some(slot) = peer_slot(&self.peers, PeerId(*peer)) else {
-                    return;
-                };
-                let rec = &mut self.peers[slot];
-                if rec.stub.is_established() {
-                    self.session_resets += 1;
-                    emit_reset(&self.telemetry, self.pop.id.0, now_ms, rec.conn.peer);
-                }
-                rec.stub.shutdown(&mut self.router, now_ms);
-                rec.reconnect.record_down(now_ms);
-                rec.wants_up = true;
-            }
-            (FaultKind::LinkCapacityLoss { .. }, FaultTarget::Interface { egress, .. }) => {
-                self.apply_capacity_windows(EgressId(*egress));
-            }
-            (FaultKind::ControllerCrash, _) => {
-                // The crashed controller's pseudo-session drops with it, so
-                // BGP withdraws every override (fail-open, paper §4.4).
-                if let Some(ctl) = self.controller.take() {
-                    self.router.remove_peer(ctl.injector_peer_id(), now_ms);
-                }
-            }
-            (FaultKind::InjectorLoss, _) => {
-                if let Some(ctl) = self.controller.as_mut() {
-                    self.router.remove_peer(ctl.injector_peer_id(), now_ms);
-                    ctl.injector_session_lost(now_ms);
-                }
-            }
-            (FaultKind::InjectorPartialLoss { fraction }, _) => {
-                if let Some(ctl) = self.controller.as_mut() {
-                    ctl.set_injection_loss(*fraction, self.chaos_seed);
-                }
-            }
-            // Per-tick faults (stall, sample loss, flash crowd, update
-            // corruption, flap storms) have no edge-triggered action.
-            _ => {}
+        for (cut, nominal) in levels.capacity.iter_mut().zip(&self.nominal_capacity) {
+            *cut = nominal * (1.0 - *cut);
         }
+        levels
     }
 
-    fn end_fault(&mut self, event: &FaultEvent, now_ms: u64, t_secs: u64) {
-        emit_fault_edge(&self.telemetry, self.pop.id.0, now_ms, event, false);
-        match (&event.kind, &event.target) {
-            // A failed peer is NOT revived here: the session stays down
-            // until its reconnect governor clears the backoff/damping gate
-            // (the per-tick recovery pass in `step` §0).
-            (FaultKind::PeerFailure, FaultTarget::Peer { .. }) => {}
-            // RFC 7606 recovery: treat-as-withdraw removed routes without
-            // dropping the session, so once the corruption clears the peer
-            // is asked for a ROUTE-REFRESH replay (RFC 2918) — no bounce.
-            // The governed refresh pass in `run_fault_mechanics` issues it.
-            // The injector's view may also have diverged while the inputs
-            // were damaged; it resyncs via refresh as well.
-            (FaultKind::UpdateCorruption { .. }, FaultTarget::Peer { peer, .. }) => {
-                if let Some(slot) = peer_slot(&self.peers, PeerId(*peer)) {
-                    self.peers[slot].wants_refresh = true;
-                }
-                if let Some(ctl) = self.controller.as_mut() {
-                    ctl.resync_injector(&mut self.router, now_ms);
-                }
+    /// Moves the fault-window tracker to `t_secs` (which emits the edge
+    /// events) and reconciles the PoP to the tick's fault levels, which it
+    /// returns.
+    fn apply_fault_levels(&mut self, t_secs: u64) -> FaultLevels {
+        let now_ms = t_secs * 1000;
+        let closed = self.faults.advance(t_secs, &self.telemetry, self.pop.id.0);
+        let levels = self.fault_levels();
+
+        // Interfaces: the forwarding loop and the controller alike see the
+        // level's capacity.
+        for (iface, &mbps) in self.pop.interfaces.iter_mut().zip(&levels.capacity) {
+            iface.capacity_mbps = mbps;
+            if let Some(ctl) = self.controller.as_mut() {
+                ctl.set_interface_capacity(iface.id, mbps);
             }
-            (FaultKind::LinkCapacityLoss { .. }, FaultTarget::Interface { egress, .. }) => {
-                self.apply_capacity_windows(EgressId(*egress));
+        }
+
+        if levels.controller_down {
+            // The crashed controller's pseudo-session drops with it, so
+            // BGP withdraws every override (fail-open, paper §4.4).
+            if let Some(ctl) = self.controller.take() {
+                self.router.remove_peer(ctl.injector_peer_id(), now_ms);
             }
-            (FaultKind::ControllerCrash, _)
-                if self.controller_enabled
-                    && self.controller.is_none()
-                    && !self.kind_still_open(&event.kind) =>
-            {
-                // Stateless restart (paper §4.4): a fresh controller
-                // resyncs its collector from the router's BMP snapshot
-                // and recomputes the override set from scratch.
-                let mut ctl = new_controller(
-                    &self.pop,
-                    self.controller_cfg,
-                    &self.telemetry,
-                    &mut self.router,
-                );
-                // The incremental feed accumulated while dead is
-                // superseded by the snapshot.
-                let _ = self.router.drain_bmp();
-                self.stalled_bmp.clear();
-                ctl.ingest_bmp(self.router.bmp_snapshot(now_ms));
-                self.last_bmp_secs = t_secs;
-                self.controller = Some(ctl);
+        } else if self.controller_enabled && self.controller.is_none() {
+            // Stateless restart (paper §4.4): a fresh controller resyncs
+            // its collector from the router's BMP snapshot and recomputes
+            // the override set from scratch; the lines below give it the
+            // open injector levels.
+            let mut ctl = new_controller(
+                &self.pop,
+                self.controller_cfg,
+                &self.telemetry,
+                &mut self.router,
+            );
+            // The incremental feed accumulated while dead is superseded by
+            // the snapshot.
+            let _ = self.router.drain_bmp();
+            self.stalled_bmp.clear();
+            ctl.ingest_bmp(self.router.bmp_snapshot(now_ms), now_ms);
+            self.last_bmp_secs = t_secs;
+            self.controller = Some(ctl);
+        }
+
+        if let Some(ctl) = self.controller.as_mut() {
+            // The injector is NOT reattached here: once the level clears,
+            // the controller's own governor decides when (the per-tick pass
+            // in `run_fault_mechanics`).
+            if levels.injector_down && ctl.injector_up() {
+                self.router.remove_peer(ctl.injector_peer_id(), now_ms);
+                ctl.injector_session_lost(now_ms);
             }
-            // The injector is NOT reattached here: the controller's own
-            // reconnect governor decides when (the per-tick pass in `step`
-            // §0 calls `try_reattach_injector` once the window clears).
-            (FaultKind::InjectorLoss, _) => {}
-            (FaultKind::InjectorPartialLoss { .. }, _) if !self.kind_still_open(&event.kind) => {
-                if let Some(ctl) = self.controller.as_mut() {
-                    ctl.set_injection_loss(0.0, 0);
+            if ctl.injection_loss() != levels.injection_loss {
+                ctl.set_injection_loss(levels.injection_loss, self.chaos_seed);
+                if levels.injection_loss == 0.0 {
                     // Refresh-based resync: the router re-learns exactly
                     // what the injector believes is announced, and the
                     // EoRR sweep clears anything it should not hold.
                     ctl.resync_injector(&mut self.router, now_ms);
                 }
             }
-            _ => {}
         }
+
+        // RFC 7606 recovery: treat-as-withdraw removed routes without
+        // dropping the session, so once a peer's last corruption window
+        // closes it is asked for a ROUTE-REFRESH replay (RFC 2918) — no
+        // bounce; the governed refresh pass in `run_fault_mechanics` issues
+        // it. The injector's view may also have diverged while the inputs
+        // were damaged; it resyncs via refresh as well.
+        let pop = self.pop.id.0 as usize;
+        for (slot, rec) in self.peers.iter_mut().enumerate() {
+            let target = FaultTarget::Peer {
+                pop,
+                peer: rec.conn.peer.0,
+            };
+            let corrupted = |e: &&FaultEvent| matches!(e.kind, FaultKind::UpdateCorruption { .. });
+            let ended = closed.iter().filter(corrupted).any(|e| e.target == target);
+            if ended && levels.corrupt.iter().all(|&(s, _)| s != slot) {
+                rec.wants_refresh = true;
+                if let Some(ctl) = self.controller.as_mut() {
+                    ctl.resync_injector(&mut self.router, now_ms);
+                }
+            }
+        }
+        levels
     }
 
-    /// True while a window of `kind`'s kind is still open at this PoP
-    /// (the tracker has already moved to this tick).
-    fn kind_still_open(&self, kind: &FaultKind) -> bool {
-        let kind = std::mem::discriminant(kind);
-        self.faults
-            .active()
-            .any(|e| std::mem::discriminant(&e.kind) == kind)
-    }
-
-    /// Sets interface `egress`'s live capacity, for the forwarding loop and
-    /// the controller alike, to its nominal capacity less the worst loss
-    /// among the capacity windows open on it (all of it when none is).
-    fn apply_capacity_windows(&mut self, egress: EgressId) {
-        let worst = self
-            .faults
-            .active()
-            .filter_map(|e| match (e.kind, e.target) {
-                (
-                    FaultKind::LinkCapacityLoss { fraction },
-                    FaultTarget::Interface { egress: x, .. },
-                ) if x == egress.0 => Some(fraction),
-                _ => None,
-            })
-            .fold(0.0, f64::max);
-        let Some(slot) = self.pop.interfaces.iter().position(|i| i.id == egress) else {
-            return;
-        };
-        let mbps = self.nominal_capacity[slot] * (1.0 - worst);
-        self.pop.interfaces[slot].capacity_mbps = mbps;
-        if let Some(ctl) = self.controller.as_mut() {
-            ctl.set_interface_capacity(egress, mbps);
+    /// Which part of the PoP's observable fault state differs from
+    /// `levels`, if any: a controller runs exactly when none is down, no
+    /// injector session is up while the injector is down (once the level
+    /// clears, its governor decides when it returns), the injector's loss
+    /// and each interface's capacity (the PoP's and the controller's) are
+    /// at their level, and no held-down peer's session is established.
+    fn fault_state_mismatch(&self, levels: &FaultLevels) -> Option<&'static str> {
+        let ctl = self.controller.as_ref();
+        let ifaces = self.pop.interfaces.iter().zip(&levels.capacity);
+        let capacity_at_level = ifaces.clone().all(|(iface, &mbps)| {
+            let seen = ctl.map_or(mbps, |c| c.interfaces()[&iface.id].capacity_mbps);
+            iface.capacity_mbps == mbps && seen == mbps
+        });
+        let held = |slot: &usize| levels.held_down(*slot);
+        if ctl.is_some() != (self.controller_enabled && !levels.controller_down) {
+            Some("controller presence")
+        } else if levels.injector_down && ctl.is_some_and(|c| c.injector_up()) {
+            Some("injector session")
+        } else if ctl.is_some_and(|c| c.injection_loss() != levels.injection_loss) {
+            Some("injection loss")
+        } else if !capacity_at_level {
+            Some("interface capacity")
+        } else if (0..self.peers.len())
+            .filter(held)
+            .any(|s| self.peers[s].stub.is_established())
+        {
+            Some("held-down peer session")
+        } else {
+            None
         }
     }
 
@@ -636,35 +628,42 @@ impl PopRuntime {
         rec.wants_up = false;
     }
 
-    /// Per-tick fault mechanics that are not edge-triggered: flap-storm
-    /// session drops, governed session/injector recovery, and corrupted
-    /// UPDATE delivery. Runs right after the window transitions, before
+    /// Per-tick fault mechanics: flap-storm session drops, governed
+    /// session/injector recovery, and corrupted UPDATE delivery. Runs right
+    /// after the PoP is reconciled to the tick's fault levels, before
     /// demand is forwarded, so the FIB the tick observes reflects them.
-    fn run_fault_mechanics(&mut self, tick: &TickFaults, now_ms: u64) {
-        // Flap storms: drop the session (again) and charge the governor
-        // once per flap the storm would have caused this tick — the
-        // damping penalty accumulates at the storm's rate even though the
-        // simulation only observes epoch boundaries.
-        for &(slot, period_s) in &tick.flap {
+    fn run_fault_mechanics(&mut self, levels: &FaultLevels, now_ms: u64) {
+        // Held-down peers: a live session is torn down. A failure charges
+        // the governor once per teardown; a storm drops the session (again)
+        // and charges it once per flap the storm would have caused this
+        // tick — the damping penalty accumulates at the storm's rate even
+        // though the simulation only observes epoch boundaries. The session
+        // is NOT revived here: it stays down until the level clears and
+        // the governor clears the backoff/damping gate (below).
+        let epoch_secs = self.epoch_secs;
+        let failed = levels.failed.iter().map(|&slot| (slot, None));
+        let storms =
+            (levels.flap.iter()).map(|&(slot, p)| (slot, Some((epoch_secs / p.max(1)).max(1))));
+        for (slot, flaps) in failed.chain(storms) {
             let rec = &mut self.peers[slot];
-            if rec.stub.is_established() {
+            let up = rec.stub.is_established();
+            if up {
                 self.session_resets += 1;
                 emit_reset(&self.telemetry, self.pop.id.0, now_ms, rec.conn.peer);
                 rec.stub.shutdown(&mut self.router, now_ms);
             }
-            let flaps = (self.epoch_secs / period_s.max(1)).max(1);
-            for _ in 0..flaps {
+            for _ in 0..flaps.unwrap_or(u64::from(up)) {
                 rec.reconnect.record_down(now_ms);
             }
             rec.wants_up = true;
         }
 
         // Governed session recovery: a down peer re-establishes only when
-        // its fault window has ended AND its governor clears the
+        // it is no longer held down AND its governor clears the
         // backoff + flap-damping gate.
         for slot in 0..self.peers.len() {
             let rec = &mut self.peers[slot];
-            let due = rec.wants_up && !tick.held_down.contains(&slot);
+            let due = rec.wants_up && !levels.held_down(slot);
             if due && rec.reconnect.can_reconnect(now_ms) {
                 self.revive_peer(slot, now_ms);
             }
@@ -674,7 +673,7 @@ impl PopRuntime {
         // section of a re-encoded announcement and deliver the frame on
         // the live session. The graded decoder downgrades these to
         // treat-as-withdraw or attribute-discard — never a session reset.
-        for &(slot, rate) in &tick.corrupt {
+        for &(slot, rate) in &levels.corrupt {
             let rec = &mut self.peers[slot];
             let mut frames: Vec<Vec<u8>> = Vec::new();
             for (prefix, id) in &rec.announcements {
@@ -728,7 +727,7 @@ impl PopRuntime {
         // governor applies the same backoff/damping policy as reconnects, so
         // a corruption storm cannot become a refresh storm.
         for (slot, rec) in self.peers.iter_mut().enumerate() {
-            if !rec.wants_refresh || tick.held_down.contains(&slot) {
+            if !rec.wants_refresh || levels.held_down(slot) {
                 continue;
             }
             if !rec.stub.is_established() {
@@ -743,7 +742,7 @@ impl PopRuntime {
             rec.refresh.record_down(now_ms);
             // While a corruption window is still open, the refresh reply
             // itself crosses the damaged channel and may be lost.
-            let lost = tick
+            let lost = levels
                 .corrupt
                 .iter()
                 .find(|(s, _)| *s == slot)
@@ -777,14 +776,11 @@ impl PopRuntime {
             }
         }
 
-        // Governed injector recovery: once no injector fault window is
-        // active, reattach as soon as the controller's governor allows.
-        if !tick.injector_fault_active {
-            if let Some(ctl) = self.controller.as_mut() {
-                if !ctl.injector_up() {
-                    ctl.try_reattach_injector(&mut self.router, now_ms);
-                }
-            }
+        // Governed injector recovery: once the injector level clears,
+        // reattach as soon as the controller's governor allows (the fresh
+        // session keeps the open injection-loss level).
+        if let Some(ctl) = self.controller.as_mut().filter(|_| !levels.injector_down) {
+            ctl.try_reattach_injector(&mut self.router, now_ms);
         }
     }
 
@@ -827,18 +823,23 @@ impl PopRuntime {
         demand: &[DemandPoint],
         perf_model: &PathPerfModel,
     ) -> ef_global::PopReport {
-        // --- 0. Fault windows ----------------------------------------------
-        let tick = self.apply_fault_transitions(t_secs);
-        self.run_fault_mechanics(&tick, t_secs * 1000);
+        // --- 0. Fault levels -----------------------------------------------
+        let levels = self.apply_fault_levels(t_secs);
+        self.run_fault_mechanics(&levels, t_secs * 1000);
+        debug_assert_eq!(
+            self.fault_state_mismatch(&levels),
+            None,
+            "t={t_secs}: fault state diverged from its levels"
+        );
         if self.telemetry.enabled() {
             self.publish_session_stats(t_secs * 1000);
         }
-        let TickFaults {
+        let FaultLevels {
             demand_multiplier,
             sflow_drop,
             bmp_stalled,
             ..
-        } = tick;
+        } = levels;
         let scaled_demand: Vec<DemandPoint>;
         let demand: &[DemandPoint] = if demand_multiplier != 1.0 {
             scaled_demand = demand
@@ -1004,7 +1005,7 @@ impl PopRuntime {
             let bmp_age_ms = if bmp_stalled {
                 t_secs.saturating_sub(self.last_bmp_secs) * 1000
             } else {
-                controller.ingest_bmp(std::mem::take(&mut self.stalled_bmp));
+                controller.ingest_bmp(std::mem::take(&mut self.stalled_bmp), t_secs * 1000);
                 self.last_bmp_secs = t_secs;
                 0
             };
@@ -1237,6 +1238,8 @@ impl PopRuntime {
 mod tests {
     use super::*;
     use ef_bgp::route::Route;
+    use ef_chaos::{FaultEvent, FaultSchedule};
+    use proptest::prelude::*;
 
     fn built(controller_enabled: bool) -> PopRuntime {
         let cfg = crate::scenario()
@@ -1288,5 +1291,142 @@ mod tests {
         assert!(pop.controller.is_none());
         assert!(pop.router.rib_route_count() > 0);
         assert!(pop.router.drain_bmp().is_empty());
+    }
+
+    /// Each clause of the in-situ invariant names its own divergence.
+    #[test]
+    fn fault_state_mismatch_names_each_divergence() {
+        let pop = built(true);
+        let calm = || pop.fault_levels();
+        let diverged = |levels: FaultLevels| pop.fault_state_mismatch(&levels);
+        assert_eq!(diverged(calm()), None);
+        let cases = [
+            (
+                FaultLevels {
+                    controller_down: true,
+                    ..calm()
+                },
+                "controller presence",
+            ),
+            (
+                FaultLevels {
+                    injector_down: true,
+                    ..calm()
+                },
+                "injector session",
+            ),
+            (
+                FaultLevels {
+                    injection_loss: 0.5,
+                    ..calm()
+                },
+                "injection loss",
+            ),
+            (
+                FaultLevels {
+                    capacity: vec![0.0; pop.pop.interfaces.len()],
+                    ..calm()
+                },
+                "interface capacity",
+            ),
+            (
+                FaultLevels {
+                    failed: vec![0],
+                    ..calm()
+                },
+                "held-down peer session",
+            ),
+        ];
+        for (levels, what) in cases {
+            assert_eq!(diverged(levels), Some(what));
+        }
+    }
+
+    /// One of the ten per-PoP kinds, at E16's parameters but for a drawn
+    /// loss fraction, on the PoP's `pick`-th peer or interface.
+    fn pop_fault(dep: &Deployment, kind: usize, pick: usize, fraction: f64) -> FaultEvent {
+        let pop = &dep.pops[0];
+        let peer = FaultTarget::Peer {
+            pop: 0,
+            peer: pop.peers[pick % pop.peers.len()].peer.0,
+        };
+        let iface = FaultTarget::Interface {
+            pop: 0,
+            egress: pop.interfaces[pick % pop.interfaces.len()].id.0,
+        };
+        let at_pop = FaultTarget::Pop { pop: 0 };
+        let (kind, target) = match kind {
+            0 => (FaultKind::PeerFailure, peer),
+            1 => (FaultKind::LinkCapacityLoss { fraction }, iface),
+            2 => (FaultKind::BmpStall, at_pop),
+            3 => (
+                FaultKind::SflowLoss {
+                    drop_fraction: 0.95,
+                },
+                at_pop,
+            ),
+            4 => (FaultKind::ControllerCrash, at_pop),
+            5 => (FaultKind::InjectorLoss, at_pop),
+            6 => (FaultKind::FlashCrowd { multiplier: 2.0 }, at_pop),
+            7 => (FaultKind::UpdateCorruption { rate: 0.5 }, peer),
+            8 => (FaultKind::SessionFlapStorm { period_s: 5 }, peer),
+            _ => (FaultKind::InjectorPartialLoss { fraction }, at_pop),
+        };
+        FaultEvent {
+            t_start_secs: 0,
+            duration_secs: 0,
+            target,
+            kind,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// After every tick, the PoP's observable fault state equals the
+        /// fault levels of the windows open at that tick — controller
+        /// present, injector session and loss, interface capacities,
+        /// held-down peers — for random schedules of the ten per-PoP kinds
+        /// on a 1-PoP world, windows at least one epoch long and
+        /// overlapping freely.
+        #[test]
+        fn fault_state_equals_its_levels_after_every_tick(
+            seed in 0u64..4,
+            windows in proptest::collection::vec(
+                (0usize..10, 0u64..1200, 60u64..600, 0usize..8, prop_oneof![Just(0.5), Just(1.0)]),
+                1..16,
+            ),
+        ) {
+            let gen = ef_topology::GenConfig {
+                n_pops: 1,
+                n_prefixes: 64,
+                ..ef_topology::GenConfig::small(seed)
+            };
+            let builder = crate::scenario().topology(gen).duration_secs(1800).epoch_secs(60);
+            let dep = ef_topology::generate(&builder.clone().build().gen);
+            let events = windows.iter().map(|&(kind, start, secs, pick, fraction)| FaultEvent {
+                t_start_secs: start,
+                duration_secs: secs,
+                ..pop_fault(&dep, kind, pick, fraction)
+            });
+            let schedule = FaultSchedule::new(events.collect()).expect("valid schedule");
+            let mut engine = builder.chaos(schedule.clone()).engine_with(dep);
+            while engine.now_secs() < 1800 {
+                let t = engine.now_secs();
+                engine.step();
+                let pop = &engine.pops[0];
+                let levels = pop.fault_levels();
+                prop_assert_eq!(pop.fault_state_mismatch(&levels), None, "t={}", t);
+                // The levels are the open windows' alone.
+                let open: Vec<FaultKind> = schedule.active_at(t).map(|(_, e)| e.kind).collect();
+                let crashed = open.contains(&FaultKind::ControllerCrash);
+                prop_assert_eq!(levels.controller_down, crashed, "t={}", t);
+                prop_assert_eq!(levels.injector_down, open.contains(&FaultKind::InjectorLoss));
+                let loss = open.iter().map(|k| match k {
+                    FaultKind::InjectorPartialLoss { fraction } => *fraction,
+                    _ => 0.0,
+                });
+                prop_assert_eq!(levels.injection_loss, loss.fold(0.0, f64::max), "t={}", t);
+            }
+        }
     }
 }

@@ -84,7 +84,7 @@ fn main() {
     let mut controller =
         PopController::new(0, ControllerConfig::default(), interfaces, &mut router)
             .expect("default config is valid and the session establishes");
-    controller.ingest_bmp(router.drain_bmp());
+    controller.ingest_bmp(router.drain_bmp(), 0);
     // Every epoch below runs on fresh inputs, with no performance intents.
     let (fresh, no_perf) = (EpochInputs::fresh(), OverrideSet::new());
 

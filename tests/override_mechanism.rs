@@ -60,7 +60,7 @@ fn rig() -> (BgpRouter, PopController, Prefix) {
         ..Default::default()
     };
     let mut ctl = PopController::new(0, cfg, interfaces, &mut router).unwrap();
-    ctl.ingest_bmp(router.drain_bmp());
+    ctl.ingest_bmp(router.drain_bmp(), 0);
     (router, ctl, prefix)
 }
 
