@@ -33,7 +33,7 @@
 //!   points.
 //! * [`LocRib`] — the Loc-RIB, which also holds every peer's Adj-RIB-In
 //!   routes (the router keeps only each peer's prefix set).
-//! * [`Session`] — a simplified BGP FSM driven by simulated time, with
+//! * [`Session`] — a simplified, clock-free BGP FSM, with
 //!   RFC 7606 graded error handling on the receive path.
 //! * [`ReconnectGovernor`] — seeded-deterministic reconnect governance
 //!   (exponential backoff, decorrelated jitter, flap damping).

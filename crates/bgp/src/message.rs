@@ -21,7 +21,8 @@ pub enum BgpMessage {
     Update(UpdateMessage),
     /// Error + session teardown (type 3).
     Notification(NotificationMessage),
-    /// Hold-timer refresh (type 4).
+    /// KEEPALIVE (type 4): confirms an OPEN. Sessions here advertise hold
+    /// time 0, so no periodic keepalives follow.
     Keepalive,
     /// Adj-RIB-Out replay request / demarcation (type 5, RFC 2918 + 7313).
     RouteRefresh(RouteRefreshMessage),
@@ -198,15 +199,6 @@ pub struct NotificationMessage {
 }
 
 impl NotificationMessage {
-    /// Error code 4: Hold Timer Expired.
-    pub(crate) fn hold_timer_expired() -> Self {
-        NotificationMessage {
-            code: 4,
-            subcode: 0,
-            data: Vec::new(),
-        }
-    }
-
     /// Error code 6, subcode 2: Administrative Shutdown (RFC 4486).
     pub(crate) fn admin_shutdown() -> Self {
         NotificationMessage {
@@ -295,7 +287,6 @@ mod tests {
 
     #[test]
     fn notification_constructors() {
-        assert_eq!(NotificationMessage::hold_timer_expired().code, 4);
         let n = NotificationMessage::admin_shutdown();
         assert_eq!((n.code, n.subcode), (6, 2));
         assert_eq!(NotificationMessage::update_error(11).subcode, 11);

@@ -210,8 +210,7 @@ impl BgpRouter {
     /// or use [`PeerStub::pump`].
     pub fn add_peer(&mut self, attach: PeerAttachment) {
         let mut session = Session::new(SessionConfig::new(self.cfg.asn, self.cfg.router_id));
-        session.start();
-        session.transport_connected(0);
+        session.open();
         self.peers.insert(
             attach.peer,
             PeerState {
@@ -254,7 +253,7 @@ impl BgpRouter {
         let Some(state) = self.peers.get_mut(&peer) else {
             return;
         };
-        let events = state.session.receive_bytes(bytes, now);
+        let events = state.session.receive_bytes(bytes);
         self.process_events(peer, events, now);
     }
 
@@ -413,9 +412,8 @@ impl BgpRouter {
         now: Millis,
     ) {
         for update in updates {
-            match self.peers.get_mut(&peer) {
-                Some(state) if state.up => state.session.refresh_hold(now),
-                _ => return,
+            if !self.peer_up(peer) {
+                return;
             }
             self.apply_update(peer, update, now);
         }
@@ -747,8 +745,7 @@ impl PeerStub {
     /// Creates the stub's session (not yet connected).
     pub fn new(peer: PeerId, asn: Asn, router_id: Ipv4Addr) -> Self {
         let mut session = Session::new(SessionConfig::new(asn, router_id));
-        session.start();
-        session.transport_connected(0);
+        session.open();
         PeerStub {
             peer,
             session,
@@ -795,7 +792,7 @@ impl PeerStub {
             let to_stub = router.collect_outbox(self.peer);
             moved |= !to_stub.is_empty();
             for bytes in to_stub {
-                for event in self.session.receive_bytes(&bytes, now) {
+                for event in self.session.receive_bytes(&bytes) {
                     match event {
                         SessionEvent::Update(update) => on_export(update),
                         SessionEvent::Refresh(r) if r.subtype == RefreshSubtype::Request => {

@@ -1,9 +1,10 @@
-//! A BGP session finite-state machine driven by simulated time and an
-//! abstract byte transport.
+//! A clock-free BGP session finite-state machine over an abstract byte
+//! transport.
 //!
 //! The FSM covers the states that matter to the reproduction — `Idle`,
-//! `Connect`, `OpenSent`, `OpenConfirm`, `Established` — with hold and
-//! keepalive timers. Transport is abstract: the embedding (the topology's
+//! `OpenSent`, `OpenConfirm`, `Established`. Transport is abstract and
+//! always connected: [`Session::open`] queues the OPEN and moves straight
+//! from `Idle` to `OpenSent`, and the embedding (the topology's
 //! in-memory links, or a test harness) moves the bytes this FSM queues in
 //! its outbox and feeds received bytes back in. All messages cross the
 //! boundary wire-encoded, so the codec is exercised on every exchange —
@@ -11,12 +12,15 @@
 //! initial full feed is the one exception: `PeerStub::announce_table`
 //! hands the router its packed UPDATEs decoded.)
 //!
-//! The hold and keepalive timers run only when the embedding calls
-//! [`Session::tick`]. No simulation run does: `BgpRouter` has no timer
-//! entry point, so inside a run a session ends only by an injected fault
-//! (a flap, a bounce, a lost injector) or by a NOTIFICATION (for example a
-//! max-prefix breach or an unrecoverable decode error). The timers are
-//! exercised by this module's tests and `tests/session_properties.rs`.
+//! The session keeps no timers. Its OPEN advertises hold time 0, which
+//! RFC 4271 §4.2 defines as no hold timer and no keepalives, so a session
+//! ends only by an administrative stop (an injected fault: a flap, a
+//! bounce, a lost injector, the injector peer's removal) or by a
+//! NOTIFICATION (for example a max-prefix breach or an unrecoverable
+//! decode error). The paper's overrides revert when the controller's
+//! session goes away; the reproduction models that by removing the
+//! injector's peer, not by a hold timer expiring. The decoder still parses
+//! and carries the peer's proposed hold time in its OPEN.
 
 use std::collections::VecDeque;
 
@@ -41,36 +45,29 @@ pub struct SessionConfig {
     pub local_asn: Asn,
     /// Local router ID advertised in OPEN.
     pub local_router_id: std::net::Ipv4Addr,
-    /// Proposed hold time, seconds. Effective hold time is the minimum of
-    /// both sides' proposals (RFC 4271 §4.2); keepalives go out at a third
-    /// of it.
-    pub hold_time_secs: u16,
     /// The optional capabilities advertised in OPEN (what used to be a
     /// scatter of per-feature booleans).
     pub caps: Capabilities,
 }
 
 impl SessionConfig {
-    /// A conventional 90-second-hold configuration advertising the default
-    /// capability set (MP-BGP + route refresh + enhanced refresh).
+    /// A configuration advertising the default capability set (MP-BGP +
+    /// route refresh + enhanced refresh).
     pub fn new(local_asn: Asn, local_router_id: std::net::Ipv4Addr) -> Self {
         SessionConfig {
             local_asn,
             local_router_id,
-            hold_time_secs: 90,
             caps: Capabilities::default(),
         }
     }
 }
 
-/// FSM states (RFC 4271 §8.2.2; `Active` folded into `Connect` because the
-/// abstract transport either connects or does not).
+/// FSM states (RFC 4271 §8.2.2; `Connect` and `Active` are folded away
+/// because the abstract transport is always connected).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionState {
     /// Not started or administratively down.
     Idle,
-    /// Waiting for the transport to come up.
-    Connect,
     /// OPEN sent, waiting for the peer's OPEN.
     OpenSent,
     /// OPENs exchanged, waiting for KEEPALIVE.
@@ -126,10 +123,6 @@ impl std::error::Error for SessionError {}
 pub enum DownReason {
     /// We sent or received a NOTIFICATION.
     Notification(NotificationMessage),
-    /// The hold timer expired.
-    HoldTimerExpired,
-    /// The transport reported loss of connectivity.
-    TransportClosed,
     /// Local administrative stop.
     AdminStop,
     /// A protocol error (decode failure etc.).
@@ -158,12 +151,6 @@ pub struct Session {
     state: SessionState,
     /// Peer's OPEN once received.
     peer_open: Option<OpenMessage>,
-    /// Effective hold time (ms); 0 disables both timers.
-    hold_ms: u64,
-    /// Deadline for the peer's next message.
-    hold_deadline: Option<Millis>,
-    /// When we must emit our next KEEPALIVE.
-    keepalive_deadline: Option<Millis>,
     /// Wire-encoded messages waiting for the transport.
     outbox: VecDeque<Bytes>,
     /// Bytes received but not yet framed into a whole message.
@@ -191,9 +178,6 @@ impl Session {
             cfg,
             state: SessionState::Idle,
             peer_open: None,
-            hold_ms: 0,
-            hold_deadline: None,
-            keepalive_deadline: None,
             outbox: VecDeque::new(),
             inbuf: BytesMut::new(),
             updates_downgraded: 0,
@@ -230,35 +214,20 @@ impl Session {
         self.state == SessionState::Established
     }
 
-    /// Administrative start: `Idle` → `Connect`.
-    pub fn start(&mut self) {
-        if self.state == SessionState::Idle {
-            self.state = SessionState::Connect;
-        }
-    }
-
-    /// The transport connected: send OPEN, `Connect` → `OpenSent`.
-    pub fn transport_connected(&mut self, _now: Millis) {
-        if self.state != SessionState::Connect {
+    /// Administrative start over the (always connected) transport: queue
+    /// an OPEN with hold time 0, `Idle` → `OpenSent`. A no-op unless idle.
+    pub fn open(&mut self) {
+        if self.state != SessionState::Idle {
             return;
         }
         let open = OpenMessage {
             asn: self.cfg.local_asn,
-            hold_time: self.cfg.hold_time_secs,
+            hold_time: 0,
             router_id: self.cfg.local_router_id,
             capabilities: self.cfg.caps.to_tlvs(self.cfg.local_asn),
         };
         self.enqueue(BgpMessage::Open(open));
         self.state = SessionState::OpenSent;
-    }
-
-    /// The transport dropped.
-    pub fn transport_closed(&mut self) -> Option<SessionEvent> {
-        if self.state == SessionState::Idle {
-            return None;
-        }
-        self.reset();
-        Some(SessionEvent::Down(DownReason::TransportClosed))
     }
 
     /// Administrative stop: emit NOTIFICATION (Cease) and go `Idle`.
@@ -330,7 +299,7 @@ impl Session {
     /// established session becomes a withdrawal of its salvaged prefixes
     /// (the session survives); only framing-level damage and malformed
     /// non-UPDATE messages reset the session.
-    pub fn receive_bytes(&mut self, data: &[u8], now: Millis) -> Vec<SessionEvent> {
+    pub fn receive_bytes(&mut self, data: &[u8]) -> Vec<SessionEvent> {
         // Frame out of one frozen window over the unread bytes: each decode
         // consumes its frame from the window's front without copying, and
         // only an incomplete tail goes back into `inbuf` to wait for more.
@@ -342,7 +311,7 @@ impl Session {
                 Ok(None) => break, // incomplete frame; wait for more bytes
                 Ok(Some(decoded)) => {
                     self.attrs_discarded += decoded.discarded_attrs as u64;
-                    if let Some(ev) = self.handle_message(decoded.msg, now) {
+                    if let Some(ev) = self.handle_message(decoded.msg) {
                         events.push(ev);
                         if matches!(events.last(), Some(SessionEvent::Down(_))) {
                             // The reset dropped whatever else was buffered.
@@ -357,7 +326,6 @@ impl Session {
                         // RFC 7606 §2: keep the session, withdraw the
                         // routes the malformed UPDATE touched.
                         self.updates_downgraded += 1;
-                        self.refresh_hold(now);
                         if !e.withdraw.is_empty() {
                             events.push(SessionEvent::Update(UpdateMessage::withdraw(e.withdraw)));
                         }
@@ -375,45 +343,16 @@ impl Session {
         events
     }
 
-    /// Advances timers. Call at least once per simulated second.
-    pub fn tick(&mut self, now: Millis) -> Vec<SessionEvent> {
-        let mut events = Vec::new();
-        if self.hold_ms == 0 {
-            return events;
-        }
-        if let Some(dl) = self.keepalive_deadline {
-            if now >= dl && self.state == SessionState::Established {
-                self.enqueue(BgpMessage::Keepalive);
-                self.keepalive_deadline = Some(now + self.hold_ms / 3);
-            }
-        }
-        if let Some(dl) = self.hold_deadline {
-            if now >= dl
-                && matches!(
-                    self.state,
-                    SessionState::OpenSent | SessionState::OpenConfirm | SessionState::Established
-                )
-            {
-                self.reset_with_notification(NotificationMessage::hold_timer_expired());
-                events.push(SessionEvent::Down(DownReason::HoldTimerExpired));
-            }
-        }
-        events
-    }
-
-    fn handle_message(&mut self, msg: BgpMessage, now: Millis) -> Option<SessionEvent> {
+    fn handle_message(&mut self, msg: BgpMessage) -> Option<SessionEvent> {
         match (self.state, msg) {
             (SessionState::OpenSent, BgpMessage::Open(open)) => {
-                self.hold_ms = 1000 * u64::from(open.hold_time.min(self.cfg.hold_time_secs));
                 self.negotiated = Some(self.cfg.caps.negotiate(&open.capabilities));
                 self.peer_open = Some(open);
                 self.enqueue(BgpMessage::Keepalive);
-                self.arm_timers(now);
                 self.state = SessionState::OpenConfirm;
                 None
             }
             (SessionState::OpenConfirm, BgpMessage::Keepalive) => {
-                self.refresh_hold(now);
                 // INVARIANT: peer_open is set by the OpenSent→OpenConfirm
                 // transition, the only path into OpenConfirm. Guard anyway:
                 // a missing OPEN is an FSM error, not a panic.
@@ -434,16 +373,11 @@ impl Session {
                     }
                 }
             }
-            (SessionState::Established, BgpMessage::Keepalive) => {
-                self.refresh_hold(now);
-                None
-            }
+            (SessionState::Established, BgpMessage::Keepalive) => None,
             (SessionState::Established, BgpMessage::Update(update)) => {
-                self.refresh_hold(now);
                 Some(SessionEvent::Update(update))
             }
             (SessionState::Established, BgpMessage::RouteRefresh(r)) => {
-                self.refresh_hold(now);
                 if r.subtype == RefreshSubtype::Request {
                     self.refreshes_answered += 1;
                 }
@@ -469,20 +403,6 @@ impl Session {
         }
     }
 
-    fn arm_timers(&mut self, now: Millis) {
-        if self.hold_ms > 0 {
-            self.hold_deadline = Some(now + self.hold_ms);
-            self.keepalive_deadline = Some(now + self.hold_ms / 3);
-        }
-    }
-
-    /// Restarts the hold timer, as any message from the peer does.
-    pub(crate) fn refresh_hold(&mut self, now: Millis) {
-        if self.hold_ms > 0 {
-            self.hold_deadline = Some(now + self.hold_ms);
-        }
-    }
-
     fn enqueue(&mut self, msg: BgpMessage) {
         // INVARIANT: only internally-built OPEN / KEEPALIVE / NOTIFICATION
         // messages reach this path; all are tiny and carry no NLRI, so
@@ -496,7 +416,7 @@ impl Session {
     /// Tears the session down and leaves exactly one NOTIFICATION queued.
     ///
     /// The order matters: resetting first flushes any stale queued UPDATEs
-    /// (e.g. a replay in flight when the hold timer fired) so a subsequent
+    /// (e.g. a replay in flight when the session was stopped) so a subsequent
     /// re-establishment cannot deliver them into the fresh session.
     fn reset_with_notification(&mut self, n: NotificationMessage) {
         self.reset();
@@ -507,8 +427,6 @@ impl Session {
         self.state = SessionState::Idle;
         self.peer_open = None;
         self.negotiated = None;
-        self.hold_deadline = None;
-        self.keepalive_deadline = None;
         self.inbuf.clear();
         self.outbox.clear();
     }
@@ -521,19 +439,17 @@ mod tests {
     use std::net::Ipv4Addr;
 
     /// Drives two sessions to `Established` by shuttling their outboxes.
-    fn establish_pair(a: &mut Session, b: &mut Session, now: Millis) -> Vec<SessionEvent> {
-        a.start();
-        b.start();
-        a.transport_connected(now);
-        b.transport_connected(now);
+    fn establish_pair(a: &mut Session, b: &mut Session) -> Vec<SessionEvent> {
+        a.open();
+        b.open();
         let mut events = Vec::new();
         // OPEN + KEEPALIVE exchange settles within a few rounds.
         for _ in 0..4 {
             for bytes in a.take_outbox() {
-                events.extend(b.receive_bytes(&bytes, now));
+                events.extend(b.receive_bytes(&bytes));
             }
             for bytes in b.take_outbox() {
-                events.extend(a.receive_bytes(&bytes, now));
+                events.extend(a.receive_bytes(&bytes));
             }
             if a.is_established() && b.is_established() {
                 break;
@@ -551,14 +467,15 @@ mod tests {
     #[test]
     fn sessions_establish() {
         let (mut a, mut b) = pair();
-        let events = establish_pair(&mut a, &mut b, 0);
+        let events = establish_pair(&mut a, &mut b);
         assert!(a.is_established());
         assert!(b.is_established());
-        // Each side saw exactly one Up event carrying the other's ASN.
+        // Each side saw exactly one Up event carrying the other's ASN and
+        // hold time 0: no hold timer, no keepalives (RFC 4271 §4.2).
         let mut ups: Vec<Asn> = events
             .iter()
             .filter_map(|e| match e {
-                SessionEvent::Up(open) => Some(open.asn),
+                SessionEvent::Up(open) if open.hold_time == 0 => Some(open.asn),
                 _ => None,
             })
             .collect();
@@ -569,7 +486,7 @@ mod tests {
     #[test]
     fn update_flows_when_established() {
         let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
+        establish_pair(&mut a, &mut b);
         let update = UpdateMessage::announce(
             "203.0.113.0/24".parse().unwrap(),
             PathAttributes {
@@ -580,7 +497,7 @@ mod tests {
         a.send_update(update.clone()).unwrap();
         let mut got = Vec::new();
         for bytes in a.take_outbox() {
-            got.extend(b.receive_bytes(&bytes, 1));
+            got.extend(b.receive_bytes(&bytes));
         }
         assert_eq!(got, vec![SessionEvent::Update(update)]);
     }
@@ -595,59 +512,13 @@ mod tests {
     }
 
     #[test]
-    fn hold_timer_expiry_takes_session_down() {
-        let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
-        // Negotiated hold is 90s. Silence until past the deadline.
-        let events = a.tick(90_001);
-        assert_eq!(
-            events,
-            vec![SessionEvent::Down(DownReason::HoldTimerExpired)]
-        );
-        assert_eq!(a.state(), SessionState::Idle);
-        // The NOTIFICATION is queued for the peer (possibly behind a final
-        // keepalive that was armed in the same tick).
-        let out = a.take_outbox();
-        assert!(!out.is_empty());
-        let mut down = Vec::new();
-        for bytes in out {
-            down.extend(b.receive_bytes(&bytes, 90_001));
-        }
-        assert!(matches!(
-            down.as_slice(),
-            [SessionEvent::Down(DownReason::Notification(_))]
-        ));
-    }
-
-    #[test]
-    fn keepalives_refresh_hold() {
-        let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
-        // a emits keepalives every hold/3 = 30s; deliver them to b.
-        let mut t = 0;
-        for _ in 0..5 {
-            t += 30_000;
-            a.tick(t);
-            b.tick(t);
-            for bytes in a.take_outbox() {
-                b.receive_bytes(&bytes, t);
-            }
-            for bytes in b.take_outbox() {
-                a.receive_bytes(&bytes, t);
-            }
-        }
-        assert!(a.is_established());
-        assert!(b.is_established());
-    }
-
-    #[test]
     fn admin_stop_notifies_peer() {
         let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
+        establish_pair(&mut a, &mut b);
         let ev = a.stop().unwrap();
         assert_eq!(ev, SessionEvent::Down(DownReason::AdminStop));
         for bytes in a.take_outbox() {
-            let evs = b.receive_bytes(&bytes, 1);
+            let evs = b.receive_bytes(&bytes);
             assert!(matches!(
                 evs.as_slice(),
                 [SessionEvent::Down(DownReason::Notification(n))] if n.code == 6
@@ -657,19 +528,9 @@ mod tests {
     }
 
     #[test]
-    fn transport_close_resets() {
-        let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
-        let ev = a.transport_closed().unwrap();
-        assert_eq!(ev, SessionEvent::Down(DownReason::TransportClosed));
-        assert_eq!(a.state(), SessionState::Idle);
-        assert!(a.transport_closed().is_none(), "idempotent when idle");
-    }
-
-    #[test]
     fn partial_bytes_are_buffered() {
         let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
+        establish_pair(&mut a, &mut b);
         let update = UpdateMessage::announce(
             "198.51.100.0/24".parse().unwrap(),
             PathAttributes {
@@ -680,15 +541,15 @@ mod tests {
         a.send_update(update.clone()).unwrap();
         let bytes = a.take_outbox().remove(0);
         let (first, second) = bytes.split_at(7);
-        assert!(b.receive_bytes(first, 1).is_empty());
-        let evs = b.receive_bytes(second, 1);
+        assert!(b.receive_bytes(first).is_empty());
+        let evs = b.receive_bytes(second);
         assert_eq!(evs, vec![SessionEvent::Update(update)]);
     }
 
     #[test]
     fn enhanced_refresh_capability_is_negotiated() {
         let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
+        establish_pair(&mut a, &mut b);
         assert!(a.negotiated().enhanced_refresh);
         assert!(b.negotiated().enhanced_refresh);
 
@@ -703,7 +564,7 @@ mod tests {
             ..SessionConfig::new(Asn(32934), Ipv4Addr::new(10, 0, 0, 3))
         });
         let mut d = Session::new(SessionConfig::new(Asn(65001), Ipv4Addr::new(10, 0, 0, 4)));
-        establish_pair(&mut c, &mut d, 0);
+        establish_pair(&mut c, &mut d);
         assert!(!c.negotiated().enhanced_refresh, "c did not offer it");
         assert!(!d.negotiated().enhanced_refresh, "peer c did not offer it");
         assert!(c.negotiated().route_refresh && d.negotiated().route_refresh);
@@ -712,14 +573,14 @@ mod tests {
     #[test]
     fn refresh_request_round_trips_with_demarcation() {
         let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
+        establish_pair(&mut a, &mut b);
         assert!(a.negotiated().route_refresh && a.negotiated().enhanced_refresh);
 
         a.request_refresh().unwrap();
         assert_eq!(a.stats().refreshes_sent, 1);
         let mut got = Vec::new();
         for bytes in a.take_outbox() {
-            got.extend(b.receive_bytes(&bytes, 1));
+            got.extend(b.receive_bytes(&bytes));
         }
         assert_eq!(
             got,
@@ -732,7 +593,7 @@ mod tests {
         b.send_refresh_marker(RefreshSubtype::EoRR).unwrap();
         let mut markers = Vec::new();
         for bytes in b.take_outbox() {
-            markers.extend(a.receive_bytes(&bytes, 1));
+            markers.extend(a.receive_bytes(&bytes));
         }
         assert_eq!(
             markers,
@@ -753,7 +614,7 @@ mod tests {
             caps: Capabilities::none(),
             ..SessionConfig::new(Asn(65001), Ipv4Addr::new(10, 0, 0, 2))
         });
-        establish_pair(&mut a, &mut b, 0);
+        establish_pair(&mut a, &mut b);
         assert!(a.is_established());
         assert!(!a.negotiated().route_refresh);
         assert_eq!(a.request_refresh(), Err(SessionError::RefreshUnsupported));
@@ -773,13 +634,11 @@ mod tests {
     #[test]
     fn refresh_in_open_sent_is_fsm_error() {
         let (mut a, mut b) = pair();
-        a.start();
-        b.start();
-        a.transport_connected(0);
-        b.transport_connected(0);
+        a.open();
+        b.open();
         let refresh =
             encode_message(&BgpMessage::RouteRefresh(RouteRefreshMessage::request())).unwrap();
-        let evs = b.receive_bytes(&refresh, 0);
+        let evs = b.receive_bytes(&refresh);
         assert!(matches!(
             evs.as_slice(),
             [SessionEvent::Down(DownReason::ProtocolError(_))]
@@ -789,22 +648,20 @@ mod tests {
     #[test]
     fn negotiation_clears_on_reset() {
         let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
+        establish_pair(&mut a, &mut b);
         assert!(a.negotiated().route_refresh);
-        a.transport_closed();
+        a.stop();
         assert_eq!(a.negotiated(), Capabilities::none());
     }
 
     #[test]
     fn out_of_order_message_is_fsm_error() {
         let (mut a, mut b) = pair();
-        a.start();
-        b.start();
-        a.transport_connected(0);
-        b.transport_connected(0);
+        a.open();
+        b.open();
         // Deliver a KEEPALIVE to a peer in OpenSent (expects OPEN).
         let keepalive = encode_message(&BgpMessage::Keepalive).unwrap();
-        let evs = b.receive_bytes(&keepalive, 0);
+        let evs = b.receive_bytes(&keepalive);
         assert!(matches!(
             evs.as_slice(),
             [SessionEvent::Down(DownReason::ProtocolError(_))]
@@ -814,7 +671,7 @@ mod tests {
     #[test]
     fn malformed_update_is_treated_as_withdraw_not_reset() {
         let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
+        establish_pair(&mut a, &mut b);
         let prefix: ef_net_types::Prefix = "203.0.113.0/24".parse().unwrap();
         let update = UpdateMessage::announce(
             prefix,
@@ -830,7 +687,7 @@ mod tests {
         let mut raw = bytes.to_vec();
         let wd_len = u16::from_be_bytes([raw[19], raw[20]]) as usize;
         raw[19 + 2 + wd_len + 2 + 2] = 0xEE; // ORIGIN length byte → 238
-        let evs = b.receive_bytes(&raw, 1);
+        let evs = b.receive_bytes(&raw);
         assert!(b.is_established(), "session survives the malformed UPDATE");
         assert_eq!(b.stats().updates_downgraded, 1);
         assert_eq!(
@@ -843,7 +700,7 @@ mod tests {
     #[test]
     fn malformed_optional_attribute_is_discarded_route_kept() {
         let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
+        establish_pair(&mut a, &mut b);
         // Hand-assemble an UPDATE whose COMMUNITIES attribute has a
         // non-multiple-of-4 length: a content error that keeps the stream
         // aligned on a non-critical attribute → attribute-discard.
@@ -862,7 +719,7 @@ mod tests {
         raw.extend_from_slice(&(attrs.len() as u16).to_be_bytes());
         raw.extend_from_slice(&attrs);
         raw.extend_from_slice(&nlri);
-        let evs = b.receive_bytes(&raw, 1);
+        let evs = b.receive_bytes(&raw);
         assert!(b.is_established());
         assert_eq!(b.stats().attrs_discarded, 1, "bad COMMUNITIES dropped");
         assert_eq!(b.stats().updates_downgraded, 0);
@@ -878,7 +735,7 @@ mod tests {
     #[test]
     fn corrupted_origin_value_downgrades_not_resets() {
         let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
+        establish_pair(&mut a, &mut b);
         let prefix: ef_net_types::Prefix = "198.51.100.0/24".parse().unwrap();
         let update = UpdateMessage::announce(
             prefix,
@@ -894,7 +751,7 @@ mod tests {
         let mut raw = bytes.to_vec();
         let wd_len = u16::from_be_bytes([raw[19], raw[20]]) as usize;
         raw[19 + 2 + wd_len + 2 + 3] = 0x77; // ORIGIN value byte
-        let evs = b.receive_bytes(&raw, 1);
+        let evs = b.receive_bytes(&raw);
         assert!(b.is_established());
         assert_eq!(
             evs,
@@ -905,7 +762,7 @@ mod tests {
     #[test]
     fn framing_damage_still_resets_session() {
         let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
+        establish_pair(&mut a, &mut b);
         let update = UpdateMessage::announce(
             "203.0.113.0/24".parse().unwrap(),
             PathAttributes {
@@ -917,7 +774,7 @@ mod tests {
         let bytes = a.take_outbox().remove(0);
         let mut raw = bytes.to_vec();
         raw[0] = 0x00; // break the marker: framing-level damage
-        let evs = b.receive_bytes(&raw, 1);
+        let evs = b.receive_bytes(&raw);
         assert!(matches!(
             evs.as_slice(),
             [SessionEvent::Down(DownReason::ProtocolError(_))]
@@ -928,7 +785,7 @@ mod tests {
     #[test]
     fn hold_expiry_mid_replay_flushes_queued_updates() {
         let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
+        establish_pair(&mut a, &mut b);
         // Queue a replay burst without draining the outbox.
         for i in 0..5u32 {
             a.send_update(UpdateMessage::announce(
@@ -940,19 +797,15 @@ mod tests {
             ))
             .unwrap();
         }
-        // Hold timer fires mid-replay: the stale queue must not leak into
+        // The session stops mid-replay: the stale queue must not leak into
         // the wire after the reset.
-        let events = a.tick(90_001);
-        assert_eq!(
-            events,
-            vec![SessionEvent::Down(DownReason::HoldTimerExpired)]
-        );
+        assert_eq!(a.stop(), Some(SessionEvent::Down(DownReason::AdminStop)));
         let out = a.take_outbox();
         assert_eq!(out.len(), 1, "only the NOTIFICATION survives the reset");
-        let evs = b.receive_bytes(&out[0], 90_001);
+        let evs = b.receive_bytes(&out[0]);
         assert!(matches!(
             evs.as_slice(),
-            [SessionEvent::Down(DownReason::Notification(n))] if n.code == 4
+            [SessionEvent::Down(DownReason::Notification(n))] if n.code == 6
         ));
     }
 
@@ -961,26 +814,24 @@ mod tests {
         // Both sides open simultaneously (connect collision): the OPENs
         // cross on the wire. Each side must still establish exactly once.
         let (mut a, mut b) = pair();
-        a.start();
-        b.start();
-        a.transport_connected(0);
-        b.transport_connected(0);
+        a.open();
+        b.open();
         // Collect both OPENs before delivering either, so they truly cross.
         let from_a = a.take_outbox();
         let from_b = b.take_outbox();
         let mut events = Vec::new();
         for bytes in from_a {
-            events.extend(b.receive_bytes(&bytes, 0));
+            events.extend(b.receive_bytes(&bytes));
         }
         for bytes in from_b {
-            events.extend(a.receive_bytes(&bytes, 0));
+            events.extend(a.receive_bytes(&bytes));
         }
         // Keepalives confirm.
         for bytes in a.take_outbox() {
-            events.extend(b.receive_bytes(&bytes, 0));
+            events.extend(b.receive_bytes(&bytes));
         }
         for bytes in b.take_outbox() {
-            events.extend(a.receive_bytes(&bytes, 0));
+            events.extend(a.receive_bytes(&bytes));
         }
         assert!(a.is_established());
         assert!(b.is_established());
@@ -994,18 +845,25 @@ mod tests {
     #[test]
     fn reestablish_after_down_with_queued_withdrawals_is_clean() {
         let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b, 0);
-        // Withdrawals sit queued when the transport drops.
+        establish_pair(&mut a, &mut b);
+        // Withdrawals sit queued when A stops.
         a.send_update(UpdateMessage::withdraw(["10.0.0.0/8"
             .parse::<ef_net_types::Prefix>()
             .unwrap()]))
             .unwrap();
-        assert!(a.transport_closed().is_some());
-        assert!(b.transport_closed().is_some(), "both ends see the drop");
-        assert!(a.take_outbox().is_empty(), "queued withdrawal flushed");
+        assert!(a.stop().is_some());
+        let out = a.take_outbox();
+        assert_eq!(out.len(), 1, "queued withdrawal flushed");
+        assert!(
+            matches!(
+                b.receive_bytes(&out[0]).as_slice(),
+                [SessionEvent::Down(DownReason::Notification(_))]
+            ),
+            "B sees the NOTIFICATION as Down"
+        );
         // Re-establishment starts from a clean slate: no stale UPDATE can
         // hit the peer's fresh OpenSent state and kill the new session.
-        let events = establish_pair(&mut a, &mut b, 1_000);
+        let events = establish_pair(&mut a, &mut b);
         assert!(a.is_established());
         assert!(b.is_established());
         assert!(

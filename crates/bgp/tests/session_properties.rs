@@ -6,23 +6,21 @@
 use proptest::prelude::*;
 
 use ef_bgp::message::UpdateMessage;
-use ef_bgp::{Millis, Session, SessionConfig, SessionEvent, SessionState};
+use ef_bgp::{Session, SessionConfig, SessionEvent, SessionState};
 use ef_net_types::Asn;
 
 /// Drives two sessions to `Established` by shuttling their outboxes.
-fn establish_pair(a: &mut Session, b: &mut Session, now: Millis) -> Vec<SessionEvent> {
-    a.start();
-    b.start();
-    a.transport_connected(now);
-    b.transport_connected(now);
+fn establish_pair(a: &mut Session, b: &mut Session) -> Vec<SessionEvent> {
+    a.open();
+    b.open();
     let mut events = Vec::new();
     // OPEN + KEEPALIVE exchange settles within a few rounds.
     for _ in 0..4 {
         for bytes in a.take_outbox() {
-            events.extend(b.receive_bytes(&bytes, now));
+            events.extend(b.receive_bytes(&bytes));
         }
         for bytes in b.take_outbox() {
-            events.extend(a.receive_bytes(&bytes, now));
+            events.extend(a.receive_bytes(&bytes));
         }
         if a.is_established() && b.is_established() {
             break;
@@ -38,13 +36,9 @@ enum Op {
     DeliverAB,
     /// Shuttle pending bytes B→A.
     DeliverBA,
-    /// Advance both clocks by this many seconds and tick.
-    Tick(u16),
     /// A sends an (empty but valid) UPDATE if established.
     SendUpdate,
-    /// A's transport drops.
-    CloseA,
-    /// Restart A (start + transport up) if idle.
+    /// Restart A (send a fresh OPEN) if idle.
     RestartA,
     /// Corrupt the next byte chunk A receives (protocol error path).
     CorruptBA,
@@ -54,9 +48,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         Just(Op::DeliverAB),
         Just(Op::DeliverBA),
-        (1u16..200).prop_map(Op::Tick),
         Just(Op::SendUpdate),
-        Just(Op::CloseA),
         Just(Op::RestartA),
         Just(Op::CorruptBA),
     ]
@@ -69,23 +61,20 @@ proptest! {
     fn fsm_survives_arbitrary_interleavings(ops in proptest::collection::vec(op_strategy(), 1..80)) {
         let mut a = Session::new(SessionConfig::new(Asn(32934), "10.0.0.1".parse().unwrap()));
         let mut b = Session::new(SessionConfig::new(Asn(65001), "10.0.0.2".parse().unwrap()));
-        a.start();
-        b.start();
-        a.transport_connected(0);
-        b.transport_connected(0);
+        a.open();
+        b.open();
 
-        let mut now: u64 = 0;
         let mut a_up = false; // our model of whether A is up
         for op in ops {
             match op {
                 Op::DeliverAB => {
                     for bytes in a.take_outbox() {
-                        let _ = b.receive_bytes(&bytes, now);
+                        let _ = b.receive_bytes(&bytes);
                     }
                 }
                 Op::DeliverBA => {
                     for bytes in b.take_outbox() {
-                        for ev in a.receive_bytes(&bytes, now) {
+                        for ev in a.receive_bytes(&bytes) {
                             match ev {
                                 SessionEvent::Up(_) => {
                                     prop_assert!(!a_up, "double Up without Down");
@@ -104,15 +93,6 @@ proptest! {
                         }
                     }
                 }
-                Op::Tick(secs) => {
-                    now += u64::from(secs) * 1000;
-                    for ev in a.tick(now) {
-                        if matches!(ev, SessionEvent::Down(_)) {
-                            a_up = false;
-                        }
-                    }
-                    let _ = b.tick(now);
-                }
                 Op::SendUpdate => {
                     if a.is_established() {
                         let _ = a.send_update(UpdateMessage::withdraw([
@@ -120,15 +100,9 @@ proptest! {
                         ]));
                     }
                 }
-                Op::CloseA => {
-                    if a.transport_closed().is_some() {
-                        a_up = false;
-                    }
-                }
                 Op::RestartA => {
                     if a.state() == SessionState::Idle {
-                        a.start();
-                        a.transport_connected(now);
+                        a.open();
                     }
                 }
                 Op::CorruptBA => {
@@ -138,7 +112,7 @@ proptest! {
                             let idx = v.len() / 2;
                             v[idx] ^= 0xFF;
                         }
-                        for ev in a.receive_bytes(&v, now) {
+                        for ev in a.receive_bytes(&v) {
                             match ev {
                                 SessionEvent::Up(_) => {
                                     prop_assert!(!a_up);
@@ -163,7 +137,7 @@ proptest! {
         let _ = seed;
         let mut a = Session::new(SessionConfig::new(Asn(32934), "10.0.0.1".parse().unwrap()));
         let mut b = Session::new(SessionConfig::new(Asn(65001), "10.0.0.2".parse().unwrap()));
-        let events = establish_pair(&mut a, &mut b, 0);
+        let events = establish_pair(&mut a, &mut b);
         prop_assert!(a.is_established() && b.is_established());
         prop_assert_eq!(
             events.iter().filter(|e| matches!(e, SessionEvent::Up(_))).count(),

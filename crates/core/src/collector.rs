@@ -77,7 +77,7 @@ impl RouteCollector {
     }
 
     /// Number of messages dropped for lack of attribution.
-    pub fn dropped(&self) -> usize {
+    pub(crate) fn dropped(&self) -> usize {
         self.dropped
     }
 

@@ -4,6 +4,8 @@
 //! differences to the controller, which only holds if nothing else in the
 //! run is nondeterministic).
 
+mod common;
+
 use ef_sim::{scenario, ScenarioBuilder, SimConfig};
 
 fn run(cfg: SimConfig) -> ef_sim::MetricsStore {
@@ -12,14 +14,9 @@ fn run(cfg: SimConfig) -> ef_sim::MetricsStore {
     engine.take_metrics()
 }
 
-fn serialize(metrics: &ef_sim::MetricsStore) -> String {
-    serde_json::to_string(&(&metrics.pop_epochs, &metrics.episodes, &metrics.billing))
-        .expect("metrics serialize")
-}
-
 /// Serialized fingerprint of everything a run records.
 fn fingerprint(cfg: SimConfig) -> String {
-    serialize(&run(cfg))
+    common::run_view(&run(cfg))
 }
 
 /// The 15-minute small-world scenario every check here varies.

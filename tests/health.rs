@@ -3,6 +3,8 @@
 //! are derived observations, never inputs. The tier also has to actually
 //! observe: a faulted run must raise alerts, a calm run must stay silent.
 
+mod common;
+
 use ef_health::HealthConfig;
 use ef_sim::{scenario, ScenarioBuilder, SimConfig};
 
@@ -10,8 +12,7 @@ use ef_sim::{scenario, ScenarioBuilder, SimConfig};
 fn fingerprint(cfg: SimConfig) -> String {
     let mut engine = ScenarioBuilder::from_config(cfg).engine();
     engine.run();
-    let metrics = engine.take_metrics();
-    serde_json::to_string(&(&metrics.pop_epochs, &metrics.episodes)).expect("metrics serialize")
+    common::run_view(&engine.take_metrics())
 }
 
 /// The 15-minute small-world scenario every check here varies.

@@ -16,9 +16,16 @@ use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
 use ef_bgp::EgressSpec;
 use ef_net_types::{Asn, Prefix};
 
+/// The v4 prefix [`rig`] announces.
+const V4: &str = "203.0.113.0/24";
+
 /// One router with a 100 Mbps private peer and a transit, both announcing
 /// `prefix`, plus a controller watching both interfaces.
 fn rig() -> (BgpRouter, PopController, Prefix) {
+    rig_for(V4.parse().unwrap())
+}
+
+fn rig_for(prefix: Prefix) -> (BgpRouter, PopController, Prefix) {
     let mut router = BgpRouter::new(RouterConfig {
         name: "pop0-pr0".into(),
         asn: Asn::LOCAL,
@@ -40,7 +47,6 @@ fn rig() -> (BgpRouter, PopController, Prefix) {
     peer.pump(&mut router, 0);
     transit.pump(&mut router, 0);
 
-    let prefix: Prefix = "203.0.113.0/24".parse().unwrap();
     peer.announce(&mut router, prefix, Default::default(), 0);
     transit.announce(&mut router, prefix, Default::default(), 0);
 
@@ -77,17 +83,26 @@ fn epoch(
     ctl.run_epoch(&traffic, router, now_ms, inputs, &OverrideSet::new())
 }
 
+/// Once on a v4 /24 and once on a v6 /48: the overload detours through an
+/// injected override, the FIB installs it, dropping the overload reverts
+/// it, and the post-epoch audit finds nothing missing or leaked.
 #[test]
 fn overload_becomes_a_fib_override() {
-    let (mut router, mut ctl, prefix) = rig();
-    let fresh = EpochInputs::fresh();
-    let report = epoch(&mut ctl, &mut router, &[(prefix, 150.0)], 30_000, fresh).unwrap();
-    assert_eq!(report.overrides_active, 1);
-    assert_eq!(router.fib_entry(&prefix).unwrap().egress, EgressId(2));
-    // Dropping the overload reverts the detour (stateless recompute).
-    let report = epoch(&mut ctl, &mut router, &[(prefix, 10.0)], 60_000, fresh).unwrap();
-    assert_eq!(report.overrides_active, 0);
-    assert_eq!(router.fib_entry(&prefix).unwrap().egress, EgressId(1));
+    for prefix in [V4, "2001:db8:100::/48"] {
+        let (mut router, mut ctl, prefix) = rig_for(prefix.parse().unwrap());
+        let fresh = EpochInputs::fresh();
+        let clean = |r: &EpochReport| r.audit_not_installed == 0 && r.audit_leaked == 0;
+        let report = epoch(&mut ctl, &mut router, &[(prefix, 150.0)], 30_000, fresh).unwrap();
+        assert_eq!(report.overrides_active, 1, "{prefix} detours");
+        assert!(report.detoured_mbps > 0.0, "{prefix} detours");
+        assert!(clean(&report), "{prefix}: {report:?}");
+        assert_eq!(router.fib_entry(&prefix).unwrap().egress, EgressId(2));
+        // Dropping the overload reverts the detour (stateless recompute).
+        let report = epoch(&mut ctl, &mut router, &[(prefix, 10.0)], 60_000, fresh).unwrap();
+        assert_eq!(report.overrides_active, 0, "{prefix} reverts");
+        assert!(clean(&report), "{prefix}: {report:?}");
+        assert_eq!(router.fib_entry(&prefix).unwrap().egress, EgressId(1));
+    }
 }
 
 #[test]

@@ -18,7 +18,7 @@
 //!   perf steering, faults of every per-PoP kind) plus a nested same-kind
 //!   pair, with a telemetry sink attached.
 
-use std::collections::BTreeMap;
+mod common;
 
 use ef_chaos::{ChaosProfile, FaultEvent, FaultKind, FaultSchedule, FaultTarget};
 use ef_global::GlobalConfig;
@@ -125,22 +125,10 @@ fn churn() -> MetricsStore {
     run(builder, Some(deployment))
 }
 
-/// FNV-1a 64 over the store's serialized records: per-PoP epochs, detour
-/// episodes, bills, and the per-interface aggregates and series keyed by
-/// interface (the store keeps those in hash maps).
+/// FNV-1a 64 over the store's [`common::run_view`].
 fn digest(store: &MetricsStore) -> String {
-    let interfaces: BTreeMap<u32, _> = store.interfaces.iter().map(|(e, s)| (e.0, s)).collect();
-    let series: BTreeMap<u32, _> = store.series.iter().map(|(e, s)| (e.0, s)).collect();
-    let text = serde_json::to_string(&(
-        &store.pop_epochs,
-        &store.episodes,
-        &store.billing,
-        &interfaces,
-        &series,
-    ))
-    .expect("metrics serialize");
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.bytes() {
+    for byte in common::run_view(store).bytes() {
         h ^= u64::from(byte);
         h = h.wrapping_mul(0x0100_0000_01b3);
     }
