@@ -6,6 +6,12 @@
 //! whose routes carry a next hop encoding the target egress interface and a
 //! `LOCAL_PREF` high enough to win the decision process — exactly the
 //! injection mechanism of paper §4.3.
+//!
+//! The router models the receive side only. It originates nothing and
+//! keeps no Adj-RIB-Out, because Edge Fabric reads what a router learns
+//! (its BMP feed) and never what it announces to peers. In ROUTE-REFRESH
+//! it is a requester only: it asks a peer to replay its routes and sweeps
+//! what the replay leaves out, and it ignores a Request from a peer.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
@@ -86,9 +92,6 @@ pub struct BgpRouter {
     loc_rib: LocRib,
     fib: Fib,
     bmp_queue: Vec<BmpMessage>,
-    /// Locally originated prefixes (the content provider's own nets),
-    /// exported to every real peer with the local ASN prepended.
-    local_origins: Vec<Prefix>,
 }
 
 /// Most FIB changes the journal retains. A reader that polls once per
@@ -165,37 +168,6 @@ impl BgpRouter {
             loc_rib: LocRib::new(),
             fib: Fib::new(),
             bmp_queue,
-            local_origins: Vec::new(),
-        }
-    }
-
-    /// Attributes this router exports with its own prefixes: origin IGP,
-    /// the local ASN as the path (eBGP prepend), a synthetic next hop.
-    fn export_attrs(&self) -> crate::attrs::PathAttributes {
-        crate::attrs::PathAttributes {
-            origin: crate::attrs::Origin::Igp,
-            as_path: crate::attrs::AsPath::sequence([self.cfg.asn]),
-            next_hop: Some(self.cfg.router_id),
-            ..Default::default()
-        }
-    }
-
-    /// Originates a locally owned prefix: it is announced immediately to
-    /// every established real peer (not the controller pseudo-peer) and to
-    /// every peer that comes up later. This is the provider's own address
-    /// space — what the eyeball networks route *toward*.
-    pub fn originate(&mut self, prefix: Prefix) {
-        if self.local_origins.contains(&prefix) {
-            return;
-        }
-        self.local_origins.push(prefix);
-        let attrs = self.export_attrs();
-        for state in self.peers.values_mut() {
-            if state.up && state.attach.kind != PeerKind::Controller {
-                let _ = state
-                    .session
-                    .send_update(UpdateMessage::announce(prefix, attrs.clone()));
-            }
         }
     }
 
@@ -269,8 +241,6 @@ impl BgpRouter {
         for ev in events {
             match ev {
                 SessionEvent::Up(open) => {
-                    let export = self.export_attrs();
-                    let origins = self.local_origins.clone();
                     if let Some(state) = self.peers.get_mut(&peer) {
                         state.up = true;
                         self.bmp_queue.push(BmpMessage::PeerUp(BmpPeerHeader {
@@ -279,14 +249,6 @@ impl BgpRouter {
                             peer_bgp_id: open.router_id,
                             timestamp_ms: now,
                         }));
-                        // Export the provider's own prefixes to real peers.
-                        if state.attach.kind != PeerKind::Controller {
-                            for prefix in origins {
-                                let _ = state
-                                    .session
-                                    .send_update(UpdateMessage::announce(prefix, export.clone()));
-                            }
-                        }
                     }
                 }
                 SessionEvent::Down(_) => {
@@ -304,33 +266,14 @@ impl BgpRouter {
         }
     }
 
-    /// Handles a ROUTE-REFRESH on `peer`'s session. As responder, a request
-    /// is answered by replaying this router's Adj-RIB-Out toward the peer
-    /// (its locally originated prefixes), bracketed with BoRR/EoRR when the
-    /// session negotiated enhanced refresh. As requester, BoRR snapshots the
-    /// Adj-RIB-In and EoRR sweeps whatever the replay did not re-announce.
+    /// Handles a ROUTE-REFRESH on `peer`'s session. The router is a refresh
+    /// requester only: BoRR snapshots the Adj-RIB-In and EoRR sweeps
+    /// whatever the peer's replay did not re-announce. It has no
+    /// Adj-RIB-Out to replay, so a Request from the peer is ignored (no run
+    /// sends one).
     fn handle_refresh(&mut self, peer: PeerId, refresh: RouteRefreshMessage, now: Millis) {
         match refresh.subtype {
-            RefreshSubtype::Request => {
-                let export = self.export_attrs();
-                let origins = self.local_origins.clone();
-                if let Some(state) = self.peers.get_mut(&peer) {
-                    let enhanced = state.session.negotiated().enhanced_refresh;
-                    if enhanced {
-                        let _ = state.session.send_refresh_marker(RefreshSubtype::BoRR);
-                    }
-                    if state.attach.kind != PeerKind::Controller {
-                        for prefix in origins {
-                            let _ = state
-                                .session
-                                .send_update(UpdateMessage::announce(prefix, export.clone()));
-                        }
-                    }
-                    if enhanced {
-                        let _ = state.session.send_refresh_marker(RefreshSubtype::EoRR);
-                    }
-                }
-            }
+            RefreshSubtype::Request => {}
             RefreshSubtype::BoRR => {
                 if let Some(state) = self.peers.get_mut(&peer) {
                     state.stale_sweep = Some(state.adj_in.clone());
@@ -770,19 +713,8 @@ impl PeerStub {
     /// A ROUTE-REFRESH request from the router is answered in-line by
     /// replaying the advertised map (bracketed with BoRR/EoRR when the
     /// session negotiated enhanced refresh); the replay drains on the next
-    /// shuttle round. UPDATEs the router exports to this peer are dropped.
+    /// round. The router exports nothing, so no UPDATE comes back.
     pub fn pump(&mut self, router: &mut BgpRouter, now: Millis) {
-        self.shuttle(router, now, &mut |_| {});
-    }
-
-    /// [`pump`](Self::pump), handing every UPDATE the router exports to
-    /// this peer to `on_export`.
-    fn shuttle(
-        &mut self,
-        router: &mut BgpRouter,
-        now: Millis,
-        on_export: &mut dyn FnMut(UpdateMessage),
-    ) {
         for _ in 0..8 {
             let to_router = self.session.take_outbox();
             let mut moved = !to_router.is_empty();
@@ -794,7 +726,6 @@ impl PeerStub {
             for bytes in to_stub {
                 for event in self.session.receive_bytes(&bytes) {
                     match event {
-                        SessionEvent::Update(update) => on_export(update),
                         SessionEvent::Refresh(r) if r.subtype == RefreshSubtype::Request => {
                             let enhanced = self.session.negotiated().enhanced_refresh;
                             if enhanced {
@@ -910,7 +841,7 @@ impl PeerStub {
             packed[pack].1.push(prefix);
         }
         self.send_packed(router, &mut packed, now);
-        // Whatever the router queued for us (exports, refresh requests).
+        // Whatever the router queued for us (a refresh request).
         self.pump(router, now);
     }
 
@@ -1043,36 +974,17 @@ mod tests {
     }
 
     fn wire_peer(r: &mut BgpRouter, peer: u64, asn: u32, kind: PeerKind, egress: u32) -> PeerStub {
-        wire_peer_exports(r, peer, asn, kind, egress).0
+        r.add_peer(attach(peer, asn, kind, egress));
+        let mut s = stub(peer, asn);
+        s.pump(r, 0);
+        assert!(s.is_established(), "handshake completed");
+        assert!(r.peer_up(PeerId(peer)));
+        s
     }
 
     /// Number of prefixes in the FIB.
     fn fib_size(r: &BgpRouter) -> usize {
         r.fib.trie.len()
-    }
-
-    /// [`wire_peer`], also returning the UPDATEs the router exported to
-    /// the new peer at session-up.
-    fn wire_peer_exports(
-        r: &mut BgpRouter,
-        peer: u64,
-        asn: u32,
-        kind: PeerKind,
-        egress: u32,
-    ) -> (PeerStub, Vec<UpdateMessage>) {
-        r.add_peer(attach(peer, asn, kind, egress));
-        let mut s = stub(peer, asn);
-        let got = exports(&mut s, r, 0);
-        assert!(s.is_established(), "handshake completed");
-        assert!(r.peer_up(PeerId(peer)));
-        (s, got)
-    }
-
-    /// Pumps `s`, returning the UPDATEs the router exported to it.
-    fn exports(s: &mut PeerStub, r: &mut BgpRouter, now: Millis) -> Vec<UpdateMessage> {
-        let mut got = Vec::new();
-        s.shuttle(r, now, &mut |update| got.push(update));
-        got
     }
 
     #[test]
@@ -1281,45 +1193,6 @@ mod tests {
     }
 
     #[test]
-    fn origination_exports_to_existing_and_future_peers() {
-        let mut r = router();
-        let mut early = wire_peer(&mut r, 1, 65001, PeerKind::PrivatePeer, 11);
-        // Originate after the first peer is up: it gets it immediately.
-        r.originate(p("157.240.0.0/17"));
-        let got = exports(&mut early, &mut r, 1);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].announced, vec![p("157.240.0.0/17")]);
-        assert_eq!(got[0].attrs.as_path.neighbor_as(), Some(LOCAL_AS));
-        assert_eq!(got[0].attrs.origin, crate::attrs::Origin::Igp);
-
-        // A peer that comes up later receives the export at session-up.
-        let (_late, got) = wire_peer_exports(&mut r, 2, 65002, PeerKind::PublicPeer, 12);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].announced, vec![p("157.240.0.0/17")]);
-
-        // Idempotent: re-originating the same prefix sends nothing new.
-        r.originate(p("157.240.0.0/17"));
-        assert!(exports(&mut early, &mut r, 2).is_empty());
-    }
-
-    #[test]
-    fn controller_pseudo_peer_receives_no_exports() {
-        let mut r = router();
-        r.add_peer(PeerAttachment {
-            peer: PeerId(100),
-            peer_asn: LOCAL_AS,
-            kind: PeerKind::Controller,
-            egress: EgressId(0),
-            policy: Policy::controller_import(),
-            max_prefixes: 0,
-        });
-        let mut ctrl = stub(100, LOCAL_AS.0);
-        assert!(exports(&mut ctrl, &mut r, 0).is_empty());
-        r.originate(p("157.240.0.0/17"));
-        assert!(exports(&mut ctrl, &mut r, 1).is_empty());
-    }
-
-    #[test]
     fn max_prefix_limit_tears_session_down() {
         let mut r = router();
         r.add_peer(PeerAttachment {
@@ -1505,19 +1378,6 @@ mod tests {
             .drain_bmp()
             .iter()
             .all(|m| !matches!(m, BmpMessage::PeerDown { .. })));
-    }
-
-    #[test]
-    fn stub_refresh_request_replays_router_exports() {
-        let mut r = router();
-        r.originate(p("157.240.0.0/17"));
-        let (mut s, got) = wire_peer_exports(&mut r, 1, 65001, PeerKind::PrivatePeer, 11);
-        assert_eq!(got.len(), 1, "export at session-up");
-        s.session.request_refresh().unwrap();
-        let got = exports(&mut s, &mut r, 1);
-        assert_eq!(got.len(), 1, "refresh replayed the export");
-        assert_eq!(got[0].announced, vec![p("157.240.0.0/17")]);
-        assert_eq!(r.session_stats(PeerId(1)).unwrap().refreshes_answered, 1);
     }
 
     #[test]

@@ -427,32 +427,6 @@ impl<T> CompressedTrie<T> {
         })
     }
 
-    /// All stored prefixes that contain `key` (least to most specific).
-    pub fn matches(&self, key: Prefix) -> Vec<(Prefix, &T)> {
-        let kbits = key.bits_left_aligned();
-        let klen = key.len();
-        let mut out = Vec::new();
-        let mut cur = self.root_slot(key.is_v4());
-        let mut depth: u8 = 0;
-        while cur != NIL {
-            let node = &self.nodes[cur as usize];
-            if node.label_len > klen - depth
-                || common_len(shl(kbits, depth as u32), node.label, node.label_len) < node.label_len
-            {
-                break;
-            }
-            depth += node.label_len;
-            if let Some(v) = node.value.as_ref() {
-                out.push((truncate(key, depth), v));
-            }
-            if depth == klen {
-                break;
-            }
-            cur = node.child[bit_at(kbits, depth)];
-        }
-        out
-    }
-
     /// Iterates over every `(prefix, value)` pair in deterministic
     /// (bitwise, v4-then-v6) order.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &T)> {
@@ -603,6 +577,8 @@ mod tests {
         assert_eq!(t.remove(&p("10.0.0.0/8")), Some(1));
         assert_eq!(t.remove(&p("10.0.0.0/8")), None);
         assert_eq!(t.len(), 1);
+        assert_eq!(t.remove(&p("10.1.0.0/16")), Some(3));
+        assert!(t.is_empty());
     }
 
     #[test]
@@ -656,20 +632,31 @@ mod tests {
         t.insert(p("10.0.0.0/8"), 8);
         t.insert(p("10.1.0.0/16"), 16);
         t.insert(p("10.1.2.0/24"), 24);
-        let m: Vec<u8> = t
-            .matches(p("10.1.2.3/32"))
+        let key = p("10.1.2.3/32");
+        let chain: Vec<u8> = [8, 16, 24]
             .into_iter()
-            .map(|(pfx, _)| pfx.len())
+            .map(|len| t.longest_match(truncate(key, len)).unwrap().0.len())
             .collect();
-        assert_eq!(m, vec![8, 16, 24]);
+        assert_eq!(chain, vec![8, 16, 24]);
+        // Each truncation sees the chain member at or above its length,
+        // and nothing shorter than the /8 contains the key.
+        t.insert(p("0.0.0.0/0"), 0);
+        for len in 0..=key.len() {
+            let (pfx, v) = t.longest_match(truncate(key, len)).unwrap();
+            let want = len.min(24) / 8 * 8;
+            assert_eq!((pfx.len(), *v), (want, want));
+        }
     }
 
     #[test]
     fn families_do_not_interfere() {
         let mut t = CompressedTrie::new();
         t.insert(p("::/0"), "v6-default");
+        t.insert(p("0.0.0.0/0"), "v4-default");
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.longest_match(p("1.2.3.0/24")).unwrap().1, &"v4-default");
         t.insert(p("10.0.0.0/8"), "v4");
-        assert!(t.longest_match(p("10.1.0.0/16")).is_some());
+        assert_eq!(t.longest_match(p("10.1.0.0/16")).unwrap().1, &"v4");
         assert_eq!(
             t.longest_match(p("2001:db8::/32")).unwrap().1,
             &"v6-default"

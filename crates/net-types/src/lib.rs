@@ -21,8 +21,6 @@ mod asn;
 mod community;
 mod ctrie;
 mod prefix;
-#[cfg(test)]
-mod trie;
 
 pub use asn::Asn;
 pub use community::Community;

@@ -212,8 +212,11 @@ proptest! {
         prop_assert_eq!(simple.len(), compressed.len());
         for key in entries.iter().map(|(p, _)| *p).chain(keys) {
             prop_assert_eq!(simple.get(&key), compressed.get(&key));
-            prop_assert_eq!(simple.longest_match(key), compressed.longest_match(key));
-            prop_assert_eq!(simple.matches(key), compressed.matches(key));
+            // The match chain, one truncation at a time.
+            for len in 0..=key.len() {
+                let cut = truncate(key, len);
+                prop_assert_eq!(simple.longest_match(cut), compressed.longest_match(cut));
+            }
         }
         let a: Vec<(Prefix, u32)> = simple.iter().map(|(p, v)| (p, *v)).collect();
         let b: Vec<(Prefix, u32)> = compressed.iter().map(|(p, v)| (p, *v)).collect();

@@ -277,8 +277,9 @@ impl MetricsStore {
                 end_secs: t_secs,
             });
         }
-        self.episodes
-            .sort_by_key(|e| (e.pop, e.start_secs, e.prefix.clone()));
+        self.episodes.sort_by(|a, b| {
+            (a.pop, a.start_secs, &a.prefix).cmp(&(b.pop, b.start_secs, &b.prefix))
+        });
     }
 
     /// Merges another store (used to combine per-PoP parallel runs).

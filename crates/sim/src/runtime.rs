@@ -295,11 +295,6 @@ impl PopRuntime {
             .collect();
         peers.sort_by_key(|r| r.conn.peer);
 
-        // Originate the provider's own prefixes toward every peer.
-        for prefix in &deployment.local_prefixes {
-            router.originate(*prefix);
-        }
-
         // Controller, fed by the router's BMP feed. It is attached once the
         // sessions are up (its collector learns each peer's egress from
         // them) and before the table load, so the load below can stream.

@@ -167,22 +167,6 @@ pub fn generate(cfg: &GenConfig) -> Deployment {
         pops,
         universe,
         routes,
-        // The provider's own (Facebook-like) address space, anycast from
-        // every PoP.
-        local_prefixes: vec![
-            Prefix::V4 {
-                addr: 0x9DF0_0000,
-                len: 17,
-            }, // 157.240.0.0/17
-            Prefix::V4 {
-                addr: 0x1F0D_1800,
-                len: 21,
-            }, // 31.13.24.0/21
-            Prefix::V6 {
-                addr: 0x2a03_2880_0000_0000_0000_0000_0000_0000,
-                len: 32,
-            },
-        ],
         seed: cfg.seed,
     }
 }

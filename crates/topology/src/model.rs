@@ -194,10 +194,6 @@ pub struct Deployment {
     pub universe: Universe,
     /// Per-PoP route availability, indexed parallel to `pops`.
     pub routes: Vec<Vec<RouteSpec>>,
-    /// The provider's own prefixes, originated by every PoP's routers
-    /// toward its peers (anycast-style).
-    #[serde(default)]
-    pub local_prefixes: Vec<Prefix>,
     /// Seed the deployment was generated from (provenance).
     pub seed: u64,
 }
@@ -344,7 +340,6 @@ mod tests {
                 as_path: vec![Asn(3356), Asn(64500)],
                 med: None,
             }]],
-            local_prefixes: vec!["157.240.0.0/17".parse().unwrap()],
             seed: 7,
         };
         assert_eq!(dep.routes_at(PopId(0)).len(), 1);
@@ -361,7 +356,6 @@ mod tests {
             pops: vec![pop],
             universe: Universe::default(),
             routes: vec![vec![]],
-            local_prefixes: vec![],
             seed: 7,
         };
         // tiny_pop: 110 Gbps capacity over 2 Gbps average demand.
