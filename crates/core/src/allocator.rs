@@ -16,7 +16,8 @@
 //! prefixes whose next-best route is closest in preference, minimizing
 //! performance impact) and *largest-first* (fewest overrides).
 
-use std::collections::HashMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use serde::{Deserialize, Serialize};
 
@@ -28,7 +29,7 @@ use ef_telemetry::{ExplainRecord, ExplainVerdict, RejectReason, RejectedAlternat
 use crate::collector::RouteCollector;
 use crate::config::ControllerConfig;
 use crate::overrides::{Override, OverrideReason, OverrideSet};
-use crate::projection::Projection;
+use crate::projection::{PrefGap, Projection};
 use crate::state::{limit_mbps, InterfaceMap, TrafficView};
 
 /// Prefix-selection order when shedding load from a hot interface.
@@ -202,20 +203,18 @@ pub fn allocate<T: TrafficView + ?Sized>(
 
     let mut capacity_detoured = 0.0f64;
 
-    // Victim candidates of the overloaded interfaces only, slot `i` for
-    // `overloaded[i]`, built in one scan of the assignment: scanning it
-    // again per hot interface is quadratic at scale, and grouping every
-    // routed prefix costs a push per prefix when a few hundred get tried.
-    // The override-ownership filter stays per-interface below (the set
-    // grows as earlier hot interfaces shed). Ordering is irrelevant: every
-    // strategy sort below uses a total key.
-    let mut victims_by_hot: Vec<Vec<(Prefix, f64)>> = vec![Vec::new(); overloaded.len()];
+    // Victims of the overloaded interfaces only, slot `i` for
+    // `overloaded[i]`, found in one scan of the projection's egress column
+    // and keyed by its memoized preference gaps: no RIB read, no map of
+    // every routed prefix. The override-ownership filter runs as each
+    // victim pops: the set grows as earlier hot interfaces shed, and a
+    // pass tries only a few victims before its interface is relieved.
+    let mut victims_by_hot: Vec<Vec<(Prefix, f64, PrefGap)>> = vec![Vec::new(); overloaded.len()];
     if !overloaded.is_empty() {
-        // `routed` already carries each prefix's demand (all positive), so
-        // this is one linear scan with no per-prefix traffic lookups.
-        for &(prefix, demand, egress) in &projection.routed {
-            if let Some(slot) = overloaded.iter().position(|(hot, _)| *hot == egress) {
-                victims_by_hot[slot].push((prefix, demand));
+        for (i, egress) in projection.egress.iter().enumerate() {
+            if let Some(slot) = overloaded.iter().position(|(hot, _)| hot == egress) {
+                let (prefix, demand) = projection.routed[i];
+                victims_by_hot[slot].push((prefix, demand, projection.gap[i]));
             }
         }
     }
@@ -225,68 +224,26 @@ pub fn allocate<T: TrafficView + ?Sized>(
     // a fresh `Vec` per call.
     let mut ranked_scratch: Vec<RouteRec> = Vec::new();
 
-    for ((hot, _), candidates) in overloaded.iter().zip(victims_by_hot) {
-        // Prefixes currently assigned to the hot interface, with demand.
-        let mut victims: Vec<(Prefix, f64)> = candidates
-            .into_iter()
-            .filter(|(prefix, _)| !overrides.contains(prefix)) // perf- or hysteresis-owned
-            .collect();
-
-        // Order by strategy.
-        match cfg.strategy {
-            DetourStrategy::LargestFirst => {
-                victims.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-            }
-            DetourStrategy::BestAlternativeFirst => {
-                // Preference distance: how far (in effective LOCAL_PREF)
-                // the first off-interface alternate sits below the current
-                // best route. Prefixes whose alternate is close in
-                // preference lose the least by being detoured.
-                //
-                // Two scans of the candidates give it without ranking: the
-                // decision ladder's first key is LOCAL_PREF and its later
-                // keys only reorder routes of equal LOCAL_PREF, so the first
-                // organic route in ranked order (on or off the hot
-                // interface) has the highest LOCAL_PREF of its set.
-                let max_lp = |candidates: &[RouteRec], off: Option<EgressId>| {
-                    candidates
-                        .iter()
-                        .filter(|r| !r.is_override() && Some(r.egress) != off)
-                        .map(|r| r.effective_local_pref())
-                        .max()
-                };
-                let mut keyed: Vec<(i64, Prefix, f64)> = victims
-                    .into_iter()
-                    .map(|(prefix, mbps)| {
-                        let candidates = routes.candidates(&prefix);
-                        let gap = match (max_lp(candidates, None), max_lp(candidates, Some(*hot))) {
-                            (Some(best), Some(alt)) => i64::from(best) - i64::from(alt),
-                            _ => i64::MAX,
-                        };
-                        debug_assert_eq!(
-                            gap,
-                            ranked_gap(routes, &prefix, *hot, &mut ranked_scratch),
-                            "scanned preference gap of {prefix} disagrees with the ranked one"
-                        );
-                        (gap, prefix, mbps)
-                    })
-                    .collect();
-                keyed.sort_by(|a, b| a.0.cmp(&b.0).then(b.2.total_cmp(&a.2)).then(a.1.cmp(&b.1)));
-                victims = keyed.into_iter().map(|(_, p, m)| (p, m)).collect();
-            }
+    for ((hot, _), victims) in overloaded.iter().zip(victims_by_hot) {
+        // The projection memo keys victims by the best route's egress,
+        // which is the hot interface here.
+        for (prefix, _, gap) in &victims {
+            debug_assert_eq!(
+                *gap,
+                ranked_gap(routes, prefix, *hot, &mut ranked_scratch),
+                "memoized preference gap of {prefix} disagrees with the ranked one"
+            );
         }
-
-        // Worklist of (steer-unit prefix, demand, route-lookup prefix,
-        // remaining split depth). Splitting (paper §7 future work) pushes
-        // a prefix's two more-specific halves as independent units whose
-        // alternates come from the *parent's* route set.
-        let mut worklist: std::collections::VecDeque<(Prefix, f64, Prefix, u8)> = victims
-            .into_iter()
-            .map(|(prefix, mbps)| (prefix, mbps, prefix, cfg.split_depth))
-            .collect();
-        while let Some((unit, mbps, lookup, depth)) = worklist.pop_front() {
+        let mut worklist = VictimQueue::new(cfg.strategy, victims, cfg.split_depth);
+        while let Some((unit, mbps, lookup, depth)) = worklist.pop() {
             if load.get(hot).copied().unwrap_or(0.0) <= limit_of(*hot) {
                 break; // interface relieved
+            }
+            // A victim already steered by a performance or hysteresis
+            // override, or by an earlier hot interface's split. (Only a
+            // victim is its own lookup prefix; halves are never skipped.)
+            if unit == lookup && overrides.contains(&unit) {
+                continue;
             }
             let hot_util = util_of(*hot, &load);
             let explain = |rejected, chosen: Option<&RouteRec>, verdict| ExplainRecord {
@@ -378,8 +335,8 @@ pub fn allocate<T: TrafficView + ?Sized>(
                 // Nowhere to put the whole unit: try its halves.
                 if depth > 0 {
                     if let Some((lo, hi)) = unit.halves() {
-                        worklist.push_back((lo, mbps / 2.0, lookup, depth - 1));
-                        worklist.push_back((hi, mbps / 2.0, lookup, depth - 1));
+                        worklist.push_half((lo, mbps / 2.0, lookup, depth - 1));
+                        worklist.push_half((hi, mbps / 2.0, lookup, depth - 1));
                     }
                 }
                 continue;
@@ -410,22 +367,114 @@ pub fn allocate<T: TrafficView + ?Sized>(
     }
 }
 
+/// One unit the allocator tries to detour: `(steer-unit prefix, demand
+/// Mbps, route-lookup prefix, remaining split depth)`. A victim is its own
+/// lookup prefix; a split half (paper §7 future work) is a more-specific
+/// unit whose alternates come from the *parent's* route set.
+pub type SteerUnit = (Prefix, f64, Prefix, u8);
+
+/// One victim's place in the strategy order: preference gap ascending,
+/// then demand descending, then prefix ascending. A total order, so the
+/// heap pops exactly what a full sort under this key would list.
+#[derive(Debug)]
+struct VictimKey {
+    gap: PrefGap,
+    mbps: f64,
+    prefix: Prefix,
+}
+
+impl Ord for VictimKey {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.gap
+            .cmp(&other.gap)
+            .then(other.mbps.total_cmp(&self.mbps))
+            .then(self.prefix.cmp(&other.prefix))
+    }
+}
+
+impl PartialOrd for VictimKey {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for VictimKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for VictimKey {}
+
+/// A hot interface's worklist: its victims in strategy order, popped
+/// lazily from a heap (a pass stops once the interface is relieved, after
+/// a few of them), then the split halves in the order they were queued.
+///
+/// Best-alternative-first orders victims by [`PrefGap`] ascending, larger
+/// demand first among equal gaps; largest-first by demand alone. Prefix
+/// order breaks the remaining ties.
+#[derive(Debug)]
+pub struct VictimQueue {
+    victims: BinaryHeap<Reverse<VictimKey>>,
+    /// Split depth every victim starts with.
+    depth: u8,
+    halves: VecDeque<SteerUnit>,
+}
+
+impl VictimQueue {
+    /// Queues `(prefix, demand_mbps, gap)` victims (distinct prefixes) for
+    /// `strategy`, each allowed `split_depth` halvings.
+    pub fn new(
+        strategy: DetourStrategy,
+        victims: Vec<(Prefix, f64, PrefGap)>,
+        split_depth: u8,
+    ) -> Self {
+        let keys = victims.into_iter().map(|(prefix, mbps, gap)| {
+            let gap = match strategy {
+                DetourStrategy::BestAlternativeFirst => gap,
+                DetourStrategy::LargestFirst => PrefGap::NONE,
+            };
+            Reverse(VictimKey { gap, mbps, prefix })
+        });
+        VictimQueue {
+            victims: keys.collect(),
+            depth: split_depth,
+            halves: VecDeque::new(),
+        }
+    }
+
+    /// Queues a split half behind every victim and every earlier half.
+    pub fn push_half(&mut self, half: SteerUnit) {
+        self.halves.push_back(half);
+    }
+
+    /// The next unit to try: the first victim left in strategy order, or
+    /// once none is left, the oldest queued half.
+    pub fn pop(&mut self) -> Option<SteerUnit> {
+        match self.victims.pop() {
+            Some(Reverse(v)) => Some((v.prefix, v.mbps, v.prefix, self.depth)),
+            None => self.halves.pop_front(),
+        }
+    }
+}
+
 /// `prefix`'s preference gap read from the ranked candidates: the debug
-/// build's reference for the two-scan gap in [`allocate`].
+/// build's reference for the memoized gap [`allocate`] keys victims by.
 fn ranked_gap(
     routes: &RouteCollector,
     prefix: &Prefix,
     hot: EgressId,
     scratch: &mut Vec<RouteRec>,
-) -> i64 {
+) -> PrefGap {
     routes.ranked_into(prefix, scratch);
-    let best = scratch.iter().find(|r| !r.is_override());
-    let alt = scratch.iter().find(|r| !r.is_override() && r.egress != hot);
-    match (best, alt) {
-        (Some(best), Some(alt)) => {
-            i64::from(best.effective_local_pref()) - i64::from(alt.effective_local_pref())
-        }
-        _ => i64::MAX,
+    match scratch.iter().find(|r| !r.is_override()) {
+        Some(best) => PrefGap::between(
+            best.effective_local_pref(),
+            (scratch.iter())
+                .find(|r| !r.is_override() && r.egress != hot)
+                .map(|r| r.effective_local_pref()),
+        ),
+        None => PrefGap::NONE,
     }
 }
 
@@ -689,6 +738,49 @@ pub(crate) mod tests {
         assert_eq!(o.reason, OverrideReason::Performance);
         assert_eq!(o.moved_mbps, 50.0, "demand charged to the perf override");
         assert_eq!(out.post_load[&EgressId(3)], 50.0);
+        assert_eq!(out.post_load[&EgressId(1)], 50.0);
+    }
+
+    /// A prefix a performance override already steers stays a victim of
+    /// its projected (hot) interface, and sorts first there, but is never
+    /// re-steered for capacity: the next victim relieves the interface.
+    #[test]
+    fn owned_victims_are_skipped_on_a_hot_interface() {
+        let (c, ifaces) = standard_world(&["1.0.0.0/24", "2.0.0.0/24", "3.0.0.0/24"]);
+        let traffic = HashMap::from([
+            (p("1.0.0.0/24"), 70.0),
+            (p("2.0.0.0/24"), 50.0),
+            (p("3.0.0.0/24"), 50.0),
+        ]);
+        let mut perf = OverrideSet::new();
+        perf.insert(Override {
+            prefix: p("1.0.0.0/24"),
+            target: EgressId(3),
+            target_kind: PeerKind::Transit,
+            reason: OverrideReason::Performance,
+            moved_mbps: 0.0,
+        });
+        let proj = project(&c, &traffic);
+        let out = allocate(
+            &ControllerConfig::default(),
+            &ifaces,
+            &c,
+            &traffic,
+            &proj,
+            &perf,
+            &OverrideSet::new(),
+        );
+        // 100 Mbps stays on the 100 Mbps PNI once the perf override is
+        // charged: hot, with the owned 70 Mbps prefix its largest victim.
+        assert_eq!(out.overloaded_before.len(), 1);
+        let owned = out.overrides.get(&p("1.0.0.0/24")).unwrap();
+        assert_eq!(owned.reason, OverrideReason::Performance);
+        assert_eq!(owned.target, EgressId(3));
+        let capacity: Vec<&Override> = (out.overrides.iter_sorted().into_iter())
+            .filter(|o| o.reason == OverrideReason::Capacity)
+            .collect();
+        assert_eq!(capacity.len(), 1, "{capacity:?}");
+        assert_eq!(capacity[0].prefix, p("2.0.0.0/24"));
         assert_eq!(out.post_load[&EgressId(1)], 50.0);
     }
 

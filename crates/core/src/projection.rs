@@ -9,6 +9,7 @@
 
 use std::collections::HashMap;
 
+use ef_bgp::attrstore::RouteRec;
 use ef_bgp::best_rec_where;
 use ef_bgp::route::EgressId;
 use ef_net_types::Prefix;
@@ -21,13 +22,20 @@ use crate::state::TrafficView;
 pub struct Projection {
     /// Predicted load per interface, Mbps.
     pub load_mbps: HashMap<EgressId, f64>,
-    /// `(prefix, demand_mbps, egress)` for every prefix that carried
-    /// positive demand onto a non-override route, in canonical prefix
-    /// order. This doubles as the assignment table (see
-    /// [`assigned_egress`](Self::assigned_egress)) and as the allocator's
-    /// victim list — a sorted vector is both cheaper to build than a map
-    /// and cheaper to scan.
-    pub routed: Vec<(Prefix, f64, EgressId)>,
+    /// `(prefix, demand_mbps)` for every prefix that carried positive
+    /// demand onto a non-override route, in canonical prefix order. With
+    /// the two columns below (same index, same order) this is the
+    /// assignment table (see [`assigned_egress`](Self::assigned_egress))
+    /// and the allocator's victim list — sorted vectors are both cheaper
+    /// to build than a map and cheaper to scan.
+    pub routed: Vec<(Prefix, f64)>,
+    /// Column of `routed`: the egress each prefix's demand landed on. The
+    /// allocator finds a hot interface's victims by scanning this column
+    /// alone.
+    pub egress: Vec<EgressId>,
+    /// Column of `routed`: each prefix's [`PrefGap`] off its assigned
+    /// egress, the allocator's best-alternative-first key.
+    pub gap: Vec<PrefGap>,
     /// Demand (Mbps) that had no route at all (blackhole risk; reported,
     /// not steered).
     pub unrouted_mbps: f64,
@@ -64,9 +72,9 @@ impl Projection {
     /// positive demand and had a non-override route.
     pub fn assigned_egress(&self, prefix: &Prefix) -> Option<EgressId> {
         self.routed
-            .binary_search_by(|(p, _, _)| p.cmp(prefix))
+            .binary_search_by(|(p, _)| p.cmp(prefix))
             .ok()
-            .map(|i| self.routed[i].2)
+            .map(|i| self.egress[i])
     }
 
     /// Every recorded number equal bit for bit (not merely `==`: a `-0.0`
@@ -77,11 +85,52 @@ impl Projection {
             && self.load_mbps.iter().all(|(egress, load)| {
                 other.load_mbps.get(egress).map(|l| bits(*l)) == Some(bits(*load))
             })
-            && (self.routed.iter().map(|r| (r.0, bits(r.1), r.2)))
-                .eq(other.routed.iter().map(|r| (r.0, bits(r.1), r.2)))
+            && (self.routed.iter().map(|r| (r.0, bits(r.1))))
+                .eq(other.routed.iter().map(|r| (r.0, bits(r.1))))
+            && self.egress == other.egress
+            && self.gap == other.gap
             && bits(self.unrouted_mbps) == bits(other.unrouted_mbps)
             && bits(self.total) == bits(other.total)
             && bits(self.demand) == bits(other.demand)
+    }
+}
+
+/// How far a routed prefix's organic alternates sit below its best route
+/// in BGP preference: the top effective LOCAL_PREF among its organic
+/// (non-override) routes, minus the top among those off the best route's
+/// egress. The allocator detours small gaps first (paper §4.2: prefixes
+/// with good alternatives lose the least by moving).
+///
+/// Ordered ascending, [`NONE`](Self::NONE) — no organic route leaves the
+/// best route's egress — last. Four bytes, so it rides in the projection
+/// memo's row padding; a gap of `u32::MAX` (LOCAL_PREF 2³²−1 over 0)
+/// saturates to one below `NONE` and so still sorts before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PrefGap(u32);
+
+impl PrefGap {
+    /// No organic alternate off the best route's egress.
+    pub const NONE: PrefGap = PrefGap(u32::MAX);
+
+    /// The gap from the best organic route's LOCAL_PREF down to the best
+    /// alternate's (`None`: no alternate).
+    pub fn between(best_pref: u32, alt_pref: Option<u32>) -> PrefGap {
+        match alt_pref {
+            Some(alt) => PrefGap(best_pref.saturating_sub(alt).min(u32::MAX - 1)),
+            None => PrefGap::NONE,
+        }
+    }
+
+    /// `best`'s gap over its own candidate slice. LOCAL_PREF is the
+    /// decision ladder's first key, so `best` carries the top organic
+    /// LOCAL_PREF; one more scan finds the top one off its egress.
+    fn off(candidates: &[RouteRec], best: &RouteRec) -> PrefGap {
+        let alt = candidates
+            .iter()
+            .filter(|r| !r.is_override() && r.egress != best.egress)
+            .map(|r| r.effective_local_pref())
+            .max();
+        PrefGap::between(best.effective_local_pref(), alt)
     }
 }
 
@@ -104,10 +153,13 @@ pub(crate) fn project<T: TrafficView + ?Sized>(routes: &RouteCollector, traffic:
         if *mbps <= 0.0 {
             continue;
         }
-        match best_rec_where(routes.candidates(prefix), |r| !r.is_override()) {
+        let candidates = routes.candidates(prefix);
+        match best_rec_where(candidates, |r| !r.is_override()) {
             Some(best) => {
                 *projection.load_mbps.entry(best.egress).or_default() += mbps;
-                projection.routed.push((*prefix, *mbps, best.egress));
+                projection.routed.push((*prefix, *mbps));
+                projection.egress.push(best.egress);
+                projection.gap.push(PrefGap::off(candidates, best));
                 projection.total += mbps;
             }
             None => projection.unrouted_mbps += mbps,
@@ -136,11 +188,10 @@ pub(crate) fn project<T: TrafficView + ?Sized>(routes: &RouteCollector, traffic:
 /// nothing. Every buffer is kept alive across epochs.
 #[derive(Debug, Default)]
 pub struct ProjectionCache {
-    /// Prefix-sorted memo: `(prefix, generation stamp, slot + 1)`, where
-    /// slot 0 encodes "no non-override route".
-    memo: Vec<(Prefix, u64, u32)>,
+    /// Prefix-sorted memo, one row per prefix that carried demand.
+    memo: Vec<MemoRow>,
     /// Double buffer for the next epoch's memo.
-    memo_next: Vec<(Prefix, u64, u32)>,
+    memo_next: Vec<MemoRow>,
     /// Slot → egress registry (slots are dense, assigned on first sight).
     slot_egress: Vec<EgressId>,
     /// Egress → slot; consulted only on memo misses.
@@ -163,7 +214,56 @@ pub struct ProjectionCache {
     entries: Vec<(Prefix, f64)>,
 }
 
+/// One memoized projection decision. Both answers are functions of the
+/// prefix's organic candidate set alone, which is exactly what the stamp
+/// guards: every organic announce or withdraw of the prefix moves it, and
+/// the gap reads only LOCAL_PREF, the ladder's first key, of organic
+/// routes. The gap fills the row's alignment padding: 48 bytes either way.
+#[derive(Debug, Clone, Copy)]
+struct MemoRow {
+    prefix: Prefix,
+    /// The collector's generation stamp of `prefix` when decided.
+    stamp: u64,
+    /// Slot of the best organic route's egress, plus one; 0 encodes "no
+    /// non-override route".
+    slot1: u32,
+    /// The best organic route's [`PrefGap`] ([`PrefGap::NONE`] when
+    /// `slot1` is 0).
+    gap: PrefGap,
+}
+
 impl ProjectionCache {
+    /// Decides `prefix` afresh on a memo miss: the best organic route's
+    /// egress slot (registered on first sight) and its preference gap, both
+    /// read from one candidate slice, stamped with the prefix's current
+    /// generation.
+    fn decide(&mut self, routes: &RouteCollector, prefix: Prefix) -> MemoRow {
+        let candidates = routes.candidates(&prefix);
+        let (slot1, gap) = match best_rec_where(candidates, |r| !r.is_override()) {
+            None => (0, PrefGap::NONE),
+            Some(best) => {
+                let slot = match self.slot_of.get(&best.egress) {
+                    Some(&slot) => slot,
+                    None => {
+                        let slot = self.slot_egress.len() as u32;
+                        self.slot_egress.push(best.egress);
+                        self.slot_of.insert(best.egress, slot);
+                        self.slot_sum.push(0.0);
+                        self.slot_epoch.push(0);
+                        slot
+                    }
+                };
+                (slot + 1, PrefGap::off(candidates, best))
+            }
+        };
+        MemoRow {
+            prefix,
+            stamp: routes.generation_of(&prefix),
+            slot1,
+            gap,
+        }
+    }
+
     /// An empty cache (first projection recomputes everything).
     pub fn new() -> Self {
         Self::default()
@@ -213,63 +313,58 @@ pub fn project_cached<T: TrafficView + ?Sized>(
     memo_next.clear();
     memo_next.reserve(entries.len());
 
-    let mut projection = Projection {
-        routed: Vec::with_capacity(entries.len()),
-        ..Default::default()
-    };
+    // The output columns and sums are locals until the loop ends, so the
+    // hot loop's pushes keep their lengths in registers.
+    let mut routed = Vec::with_capacity(entries.len());
+    let mut egress = Vec::with_capacity(entries.len());
+    let mut gap = Vec::with_capacity(entries.len());
+    let (mut demand, mut total, mut unrouted_mbps) = (0.0, 0.0, 0.0);
     let mut mi = 0usize;
     for &(prefix, mbps) in entries {
-        projection.demand += mbps;
+        demand += mbps;
         if mbps <= 0.0 {
             continue;
         }
-        while mi < memo.len() && memo[mi].0 < prefix {
+        while mi < memo.len() && memo[mi].prefix < prefix {
             mi += 1;
         }
         let memo_hit = match memo.get(mi) {
-            Some(&(p, stamp, _)) if p == prefix => {
-                all_clean || stamp == routes.generation_of(&prefix)
+            Some(row) if row.prefix == prefix => {
+                all_clean || row.stamp == routes.generation_of(&prefix)
             }
             _ => false,
         };
-        let (stamp, slot1) = if memo_hit {
-            (memo[mi].1, memo[mi].2)
+        let row = if memo_hit {
+            memo[mi]
         } else {
-            let best =
-                best_rec_where(routes.candidates(&prefix), |r| !r.is_override()).map(|r| r.egress);
-            let slot1 = match best {
-                None => 0,
-                Some(egress) => match cache.slot_of.get(&egress) {
-                    Some(&slot) => slot + 1,
-                    None => {
-                        let slot = cache.slot_egress.len() as u32;
-                        cache.slot_egress.push(egress);
-                        cache.slot_of.insert(egress, slot);
-                        cache.slot_sum.push(0.0);
-                        cache.slot_epoch.push(0);
-                        slot + 1
-                    }
-                },
-            };
-            (routes.generation_of(&prefix), slot1)
+            cache.decide(routes, prefix)
         };
-        memo_next.push((prefix, stamp, slot1));
-        if slot1 == 0 {
-            projection.unrouted_mbps += mbps;
+        memo_next.push(row);
+        if row.slot1 == 0 {
+            unrouted_mbps += mbps;
         } else {
-            let slot = (slot1 - 1) as usize;
+            let slot = (row.slot1 - 1) as usize;
             if cache.slot_epoch[slot] != cache.epoch {
                 cache.slot_epoch[slot] = cache.epoch;
                 cache.slot_sum[slot] = 0.0;
                 cache.touched.push(slot as u32);
             }
             cache.slot_sum[slot] += mbps;
-            projection
-                .routed
-                .push((prefix, mbps, cache.slot_egress[slot]));
-            projection.total += mbps;
+            routed.push((prefix, mbps));
+            egress.push(cache.slot_egress[slot]);
+            gap.push(row.gap);
+            total += mbps;
         }
     }
+    let mut projection = Projection {
+        routed,
+        egress,
+        gap,
+        unrouted_mbps,
+        total,
+        demand,
+        ..Default::default()
+    };
 
     // Interfaces enter `load_mbps` in first-touch order — the same order
     // `project`'s `entry(...)` calls create them in.
@@ -407,6 +502,8 @@ mod tests {
         let cached = project_cached(cache, c, traffic);
         assert_eq!(fresh.load_mbps, cached.load_mbps);
         assert_eq!(fresh.routed, cached.routed);
+        assert_eq!(fresh.egress, cached.egress);
+        assert_eq!(fresh.gap, cached.gap);
         assert_eq!(fresh.unrouted_mbps, cached.unrouted_mbps);
         assert_eq!(fresh.total_mbps(), cached.total_mbps());
         assert_eq!(fresh.demand_total_mbps(), cached.demand_total_mbps());
@@ -477,8 +574,50 @@ mod tests {
         let mut cache = ProjectionCache::new();
         project_cached(&mut cache, &c, &traffic);
         // Slot 0 encodes "no non-override route"; the stamp stays valid.
-        cache.memo[0].2 = 0;
+        cache.memo[0].slot1 = 0;
         project_cached(&mut cache, &c, &traffic);
+    }
+
+    /// The same for the gap the allocator keys victims by: a memoized gap
+    /// the stamps cannot see through must stop a debug build too.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "diverged from the stateless recompute")]
+    fn poisoned_memo_gap_trips_the_invariant() {
+        let mut c = collector();
+        announce(&mut c, 1, 65001, PeerKind::PrivatePeer, "1.0.0.0/24");
+        announce(&mut c, 2, 65010, PeerKind::Transit, "1.0.0.0/24");
+        let traffic = HashMap::from([(p("1.0.0.0/24"), 60.0)]);
+        let mut cache = ProjectionCache::new();
+        project_cached(&mut cache, &c, &traffic);
+        cache.memo[0].gap = PrefGap::NONE;
+        project_cached(&mut cache, &c, &traffic);
+    }
+
+    /// The gap rides in the memo row's alignment padding.
+    #[test]
+    fn memo_row_stays_48_bytes() {
+        assert_eq!(std::mem::size_of::<MemoRow>(), 48);
+    }
+
+    #[test]
+    fn gap_reads_the_best_alternate_off_the_best_egress() {
+        let mut c = collector();
+        announce(&mut c, 1, 65001, PeerKind::PrivatePeer, "1.0.0.0/24");
+        announce(&mut c, 2, 65010, PeerKind::Transit, "1.0.0.0/24");
+        announce(&mut c, 1, 65001, PeerKind::PrivatePeer, "2.0.0.0/24");
+        // An override onto another egress is not an organic alternate.
+        announce(&mut c, 100, 32934, PeerKind::Controller, "2.0.0.0/24");
+        let traffic = HashMap::from([(p("1.0.0.0/24"), 60.0), (p("2.0.0.0/24"), 40.0)]);
+        let proj = project(&c, &traffic);
+        let private = PeerKind::PrivatePeer.default_local_pref();
+        let transit = PeerKind::Transit.default_local_pref();
+        assert_eq!(
+            proj.gap,
+            [PrefGap::between(private, Some(transit)), PrefGap::NONE]
+        );
+        assert!(PrefGap::between(private, Some(transit)) < PrefGap::NONE);
+        assert!(PrefGap::between(u32::MAX, Some(0)) < PrefGap::NONE);
     }
 
     #[test]

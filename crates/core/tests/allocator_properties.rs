@@ -7,10 +7,10 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use edge_fabric::allocator::{allocate, DetourStrategy};
+use edge_fabric::allocator::{allocate, DetourStrategy, SteerUnit, VictimQueue};
 use edge_fabric::collector::RouteCollector;
 use edge_fabric::overrides::OverrideSet;
-use edge_fabric::projection::{project_cached, ProjectionCache};
+use edge_fabric::projection::{project_cached, PrefGap, ProjectionCache};
 use edge_fabric::{ControllerConfig, InterfaceInfo, InterfaceMap, Projection, TrafficView};
 use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::message::UpdateMessage;
@@ -164,8 +164,74 @@ fn project<T: TrafficView + ?Sized>(collector: &RouteCollector, traffic: &T) -> 
     project_cached(&mut ProjectionCache::new(), collector, traffic)
 }
 
+/// Victims with distinct prefixes whose gaps and demands come from small
+/// pools, so ties in gap, in demand and in both are common; one draw in
+/// four has no alternate.
+fn victims_strategy() -> impl Strategy<Value = Vec<(Prefix, f64, PrefGap)>> {
+    let gap = (0u32..4).prop_map(|g| match g {
+        3 => PrefGap::NONE,
+        g => PrefGap::between(800, Some(800 - 200 * g)),
+    });
+    let demand = prop_oneof![Just(5.0), Just(12.5), Just(40.0), 1.0f64..80.0];
+    proptest::collection::vec((gap, demand), 0..40).prop_map(|draws| {
+        draws
+            .into_iter()
+            .enumerate()
+            // Descending addresses, so prefix order is not draw order.
+            .map(|(i, (gap, demand))| {
+                let addr = 0x1400_0000 + (1000 - i as u32) * 256;
+                (Prefix::V4 { addr, len: 24 }, demand, gap)
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The lazy victim order is the full sort it replaces: draining the
+    /// queue yields exactly `sort_by` under the strategy's total key, and
+    /// halves pushed mid-drain come out after every victim, first in
+    /// first out.
+    #[test]
+    fn victim_queue_drains_in_sorted_order_then_halves(
+        victims in victims_strategy(),
+        largest: bool,
+        halves_after in proptest::collection::vec(0usize..40, 0..6),
+    ) {
+        let strategy = if largest { DetourStrategy::LargestFirst } else { DetourStrategy::BestAlternativeFirst };
+        let depth = 1;
+        let mut sorted = victims.clone();
+        match strategy {
+            DetourStrategy::LargestFirst => {
+                sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+            }
+            DetourStrategy::BestAlternativeFirst => {
+                sorted.sort_by(|a, b| a.2.cmp(&b.2).then(b.1.total_cmp(&a.1)).then(a.0.cmp(&b.0)));
+            }
+        }
+        let mut expected: Vec<SteerUnit> =
+            sorted.iter().map(|&(p, mbps, _)| (p, mbps, p, depth)).collect();
+
+        let mut queue = VictimQueue::new(strategy, victims, depth);
+        let mut drained: Vec<SteerUnit> = Vec::new();
+        let mut halves: Vec<SteerUnit> = Vec::new();
+        loop {
+            // Queue a half after the `n`th pop, as a split does mid-drain.
+            for (k, _) in halves_after.iter().enumerate().filter(|(_, n)| **n == drained.len()) {
+                let parent = Prefix::V4 { addr: 0x0a00_0000, len: 24 };
+                let (lo, hi) = parent.halves().unwrap();
+                let half = (if k % 2 == 0 { lo } else { hi }, k as f64, parent, 0);
+                queue.push_half(half);
+                halves.push(half);
+            }
+            let Some(unit) = queue.pop() else { break };
+            drained.push(unit);
+        }
+        // Every queued half drains, after the last victim, in push order.
+        expected.extend(halves);
+        prop_assert_eq!(drained, expected);
+    }
 
     /// Core safety invariant: no detour target ends above the limit, and
     /// every interface that was fine stays fine — under both detour

@@ -7,14 +7,16 @@
 //! bit-identical to the stateless recompute, so this pins the warm memo to
 //! it too. The memo is fenced by the collector's per-prefix generation
 //! stamps, so this exercises precisely the dirtying rules those stamps
-//! encode.
+//! encode. The preference-gap column the allocator keys victims by rides
+//! in the same memo rows, so it is checked the same way, and against a
+//! gap read straight off the candidates.
 
 use std::collections::HashMap;
 
 use proptest::prelude::*;
 
 use edge_fabric::collector::RouteCollector;
-use edge_fabric::projection::{project_cached, Projection, ProjectionCache};
+use edge_fabric::projection::{project_cached, PrefGap, Projection, ProjectionCache};
 use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::message::UpdateMessage;
 use ef_bgp::peer::{PeerId, PeerKind};
@@ -59,9 +61,14 @@ fn header(peer: u64, asn: u32) -> BmpPeerHeader {
 /// Attributes are a pure function of (peer, path_len) so a crash-resync
 /// replay reconstructs byte-identical routes.
 fn organic_announce(peer: usize, pfx: usize, path_len: usize) -> BmpMessage {
+    organic_announce_with_pref(peer, pfx, path_len, peer_kind(peer).default_local_pref())
+}
+
+/// [`organic_announce`] with an explicit LOCAL_PREF in place of the kind's.
+fn organic_announce_with_pref(peer: usize, pfx: usize, path_len: usize, pref: u32) -> BmpMessage {
     let kind = peer_kind(peer);
     let mut attrs = PathAttributes {
-        local_pref: Some(kind.default_local_pref()),
+        local_pref: Some(pref),
         as_path: AsPath::sequence((0..path_len).map(|hop| Asn(peer_asn(peer) + hop as u32 * 100))),
         ..Default::default()
     };
@@ -153,6 +160,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// byte-identical output, not approximate equality.
 fn assert_projections_match(cached: &Projection, fresh: &Projection) {
     assert_eq!(cached.routed, fresh.routed, "routed assignment diverged");
+    assert_eq!(cached.egress, fresh.egress, "egress column diverged");
+    assert_eq!(cached.gap, fresh.gap, "gap column diverged");
     assert_eq!(
         cached.load_mbps.len(),
         fresh.load_mbps.len(),
@@ -176,6 +185,88 @@ fn assert_projections_match(cached: &Projection, fresh: &Projection) {
         cached.demand_total_mbps().to_bits(),
         fresh.demand_total_mbps().to_bits(),
         "demand total diverged"
+    );
+}
+
+/// Each routed prefix's gap read straight off its candidates: the top
+/// organic LOCAL_PREF minus the top organic one off the assigned egress.
+fn gaps_from_candidates(collector: &RouteCollector, projection: &Projection) -> Vec<PrefGap> {
+    (projection.routed.iter().zip(&projection.egress))
+        .map(|((prefix, _), egress)| {
+            let organic = || {
+                collector
+                    .candidates(prefix)
+                    .iter()
+                    .filter(|r| !r.is_override())
+            };
+            let best = organic().map(|r| r.effective_local_pref()).max();
+            let alt = organic()
+                .filter(|r| r.egress != *egress)
+                .map(|r| r.effective_local_pref())
+                .max();
+            PrefGap::between(best.expect("a routed prefix has an organic route"), alt)
+        })
+        .collect()
+}
+
+/// Projects one-prefix `traffic` through the warm `cache` and returns its
+/// egress and gap, after checking both against a fresh cache's.
+fn warm_gap(
+    cache: &mut ProjectionCache,
+    collector: &RouteCollector,
+    traffic: &HashMap<Prefix, f64>,
+) -> (EgressId, PrefGap) {
+    let fresh = project_cached(&mut ProjectionCache::new(), collector, traffic);
+    let cached = project_cached(cache, collector, traffic);
+    assert_projections_match(&cached, &fresh);
+    assert_eq!(cached.gap, gaps_from_candidates(collector, &cached));
+    (cached.egress[0], cached.gap[0])
+}
+
+/// A re-announce that lowers only an alternate's LOCAL_PREF keeps the best
+/// egress and moves the gap: the memoized row must not survive it.
+#[test]
+fn lowering_an_alternates_pref_moves_the_gap() {
+    let mut collector = fresh_collector();
+    let mut cache = ProjectionCache::new();
+    let traffic = HashMap::from([(prefix(0), 50.0)]);
+    collector.ingest([organic_announce(0, 0, 1), organic_announce(1, 0, 1)]);
+    let private = peer_kind(0).default_local_pref();
+    let public = peer_kind(1).default_local_pref();
+    assert_eq!(
+        warm_gap(&mut cache, &collector, &traffic),
+        (EgressId(10), PrefGap::between(private, Some(public)))
+    );
+    collector.ingest([organic_announce_with_pref(1, 0, 1, public - 150)]);
+    assert_eq!(
+        warm_gap(&mut cache, &collector, &traffic),
+        (EgressId(10), PrefGap::between(private, Some(public - 150)))
+    );
+}
+
+/// Withdrawing the last organic alternate on another egress leaves the
+/// prefix where it was with no alternate: the gap becomes "none", even
+/// with an override still standing on that egress.
+#[test]
+fn withdrawing_the_last_alternate_makes_the_gap_none() {
+    let mut collector = fresh_collector();
+    let mut cache = ProjectionCache::new();
+    let traffic = HashMap::from([(prefix(0), 50.0)]);
+    collector.ingest([
+        organic_announce(0, 0, 1),
+        organic_announce(2, 0, 1),
+        override_announce(0, 12),
+    ]);
+    let private = peer_kind(0).default_local_pref();
+    let transit = peer_kind(2).default_local_pref();
+    assert_eq!(
+        warm_gap(&mut cache, &collector, &traffic),
+        (EgressId(10), PrefGap::between(private, Some(transit)))
+    );
+    collector.ingest([withdraw_msg(2, peer_asn(2), 0)]);
+    assert_eq!(
+        warm_gap(&mut cache, &collector, &traffic),
+        (EgressId(10), PrefGap::NONE)
     );
 }
 
@@ -239,6 +330,7 @@ proptest! {
             let fresh = project_cached(&mut ProjectionCache::new(), &collector, &traffic);
             let cached = project_cached(&mut cache, &collector, &traffic);
             assert_projections_match(&cached, &fresh);
+            assert_eq!(cached.gap, gaps_from_candidates(&collector, &cached));
         }
     }
 }
