@@ -1,7 +1,6 @@
 //! Microbenchmark regression gates for the perf-smoke CI job: FIB
 //! longest-prefix match, the BGP decision ladder, the warm projection, the
-//! override audit, the allocator on one hot interface and the batched
-//! full-table load.
+//! allocator on one hot interface and the batched full-table load.
 //!
 //! This binary is the one gated home of these hot-path numbers (the
 //! benchmark's layer metrics report the same calls ungated): it writes a
@@ -14,9 +13,9 @@
 //!   machine variance, as in the epoch gate).
 //!
 //! Timings are min-of-reps over fixed iteration counts — the standard
-//! steady-state estimator under one-sided noise — except the projection,
-//! audit and allocation rows, which are the median of single calls (each
-//! one allocates its result, so the typical call is the honest number).
+//! steady-state estimator under one-sided noise — except the projection
+//! and allocation rows, which are the median of single calls (each one
+//! allocates its result, so the typical call is the honest number).
 
 use std::net::Ipv4Addr;
 use std::time::Instant;
@@ -24,10 +23,7 @@ use std::time::Instant;
 use edge_fabric::allocator::allocate;
 use edge_fabric::collector::RouteCollector;
 use edge_fabric::projection::{project_cached, ProjectionCache};
-use edge_fabric::{
-    ControllerConfig, Injector, InterfaceInfo, InterfaceMap, Override, OverrideReason, OverrideSet,
-    TrafficTable,
-};
+use edge_fabric::{ControllerConfig, InterfaceInfo, InterfaceMap, OverrideSet, TrafficTable};
 use ef_bench::{results_dir, write_json};
 use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::attrstore::{AttrId, AttrStore, RouteRec};
@@ -38,20 +34,17 @@ use ef_bgp::route::{EgressId, RouteSource};
 use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
 use ef_bgp::{best_rec, rank_recs_into, BmpMessage, BmpPeerHeader, EgressSpec};
 use ef_net_types::{Asn, CompressedTrie, Prefix};
-use ef_telemetry::audit_overrides;
 use serde::{Deserialize, Serialize};
 
 const TRIE_N: u32 = 100_000;
 const LOOKUP_ITERS: u32 = 200_000;
 const DECISION_ITERS: u32 = 500_000;
 const BUILD_REPS: usize = 5;
-/// Prefixes in the full-table-shaped worlds of the projection, audit and
-/// allocation rows.
+/// Prefixes in the full-table-shaped worlds of the projection, allocation
+/// and table-load rows.
 const TABLE_N: u32 = 60_000;
-/// Organic peers announcing every prefix in the audit row's router.
-const AUDIT_PEERS: u32 = 6;
-/// Overrides the audit row's controller has injected.
-const AUDIT_OVERRIDES: u32 = 300;
+/// Organic peers announcing every prefix in the table-load row.
+const TABLE_PEERS: u32 = 6;
 /// Units the allocation row's hot interface needs detoured.
 const HOT_TRIED: usize = 300;
 const CALLS: usize = 31;
@@ -73,11 +66,6 @@ struct MicroReport {
     /// all-clean memo, ns per prefix. A per-epoch collect, sort or rehash
     /// of the table shows here as roughly 10x.
     project_warm_ns_per_prefix: f64,
-    /// `audit_overrides` on a clean router holding 60 000 prefixes x 6
-    /// organic candidates and 300 overrides, us per call. The leak scan
-    /// reads the controller's Adj-RIB-In; walking the table instead shows
-    /// here as roughly 20x.
-    audit_us: f64,
     /// `allocate` with one hot interface holding 20 000 victims, relieved
     /// after 300 detours, us per call. Victims come from a scan of the
     /// projection's egress column, keyed by its memoized preference gaps
@@ -222,79 +210,6 @@ fn warm_projection_secs() -> f64 {
     })
 }
 
-/// A full-table-shaped peering router: `TABLE_N` prefixes announced by
-/// each of `AUDIT_PEERS` organic peers, and `AUDIT_OVERRIDES` overrides
-/// injected over the controller session. Returns the router and the
-/// injector's claims.
-fn audit_world() -> (BgpRouter, Vec<(Prefix, EgressId)>) {
-    let mut router = BgpRouter::new(RouterConfig {
-        name: "micro-pr".into(),
-        asn: Asn::LOCAL,
-        router_id: Ipv4Addr::new(10, 0, 0, 1),
-    });
-    let prefixes: Vec<Prefix> = (0..TABLE_N).map(table_prefix).collect();
-    for i in 1..=AUDIT_PEERS {
-        let kind = [
-            PeerKind::PrivatePeer,
-            PeerKind::PublicPeer,
-            PeerKind::Transit,
-        ][i as usize % 3];
-        let (peer, asn) = (PeerId(u64::from(i)), Asn(65000 + i));
-        router.add_peer(PeerAttachment {
-            peer,
-            peer_asn: asn,
-            kind,
-            egress: EgressId(i),
-            policy: Policy::default_import(Asn::LOCAL, kind),
-            max_prefixes: 0,
-        });
-        let mut stub = PeerStub::new(peer, asn, Ipv4Addr::new(10, 9, 0, i as u8));
-        stub.pump(&mut router, 0);
-        let attrs = PathAttributes {
-            as_path: AsPath::sequence([asn]),
-            next_hop: Some(Ipv4Addr::new(192, 0, 2, 1)),
-            ..Default::default()
-        };
-        // 500 /24s per UPDATE stays under the 4 096-byte message limit.
-        for chunk in prefixes.chunks(500) {
-            let update = UpdateMessage {
-                withdrawn: Vec::new(),
-                attrs: attrs.clone(),
-                announced: chunk.to_vec(),
-            };
-            stub.send_update(&mut router, update, 0);
-        }
-        router.drain_bmp();
-    }
-    let mut injector =
-        Injector::try_attach(&mut router, PeerId(1000), 0).expect("controller session up");
-    let mut overrides = OverrideSet::new();
-    for i in (0..TABLE_N).step_by((TABLE_N / AUDIT_OVERRIDES) as usize) {
-        overrides.insert(Override {
-            prefix: table_prefix(i),
-            target: EgressId(AUDIT_PEERS),
-            target_kind: PeerKind::Transit,
-            reason: OverrideReason::Capacity,
-            moved_mbps: demand(i),
-        });
-    }
-    injector.apply(&mut router, &overrides, 0);
-    router.drain_bmp();
-    let claims = injector.announced().claims();
-    (router, claims)
-}
-
-/// Median wall time of one clean `audit_overrides` call, seconds.
-fn audit_secs() -> f64 {
-    let (router, claims) = audit_world();
-    let outcome = audit_overrides(&router, &claims, &[]);
-    assert!(
-        outcome.clean() && outcome.checked == AUDIT_OVERRIDES as usize,
-        "the audit row's world must audit clean: {outcome:?}"
-    );
-    median_call_secs(|| audit_overrides(std::hint::black_box(&router), &claims, &[]))
-}
-
 /// One hot interface: `TABLE_N` prefixes, every third one preferred over
 /// a PNI (`TABLE_N / 3` victims), every one also reachable over a
 /// settlement-free peer and a transit. The PNI's limit sits `HOT_TRIED`
@@ -369,7 +284,7 @@ fn table_load_peer(i: u32) -> (PeerId, Asn, PeerKind) {
     (PeerId(u64::from(i)), Asn(65000 + i), kind)
 }
 
-/// A fresh router with the table-load row's `AUDIT_PEERS` sessions up,
+/// A fresh router with the table-load row's `TABLE_PEERS` sessions up,
 /// and their stubs.
 fn table_load_router() -> (BgpRouter, Vec<PeerStub>) {
     let mut router = BgpRouter::new(RouterConfig {
@@ -377,7 +292,7 @@ fn table_load_router() -> (BgpRouter, Vec<PeerStub>) {
         asn: Asn::LOCAL,
         router_id: Ipv4Addr::new(10, 0, 0, 1),
     });
-    let stubs = (1..=AUDIT_PEERS)
+    let stubs = (1..=TABLE_PEERS)
         .map(|i| {
             let (peer, asn, kind) = table_load_peer(i);
             router.add_peer(PeerAttachment {
@@ -402,7 +317,7 @@ fn table_load_router() -> (BgpRouter, Vec<PeerStub>) {
 /// the generated worlds' sharing).
 fn table_load_secs() -> f64 {
     let mut table = AttrStore::new();
-    let feeds: Vec<Vec<(Prefix, AttrId)>> = (1..=AUDIT_PEERS)
+    let feeds: Vec<Vec<(Prefix, AttrId)>> = (1..=TABLE_PEERS)
         .map(|i| {
             let (_, asn, _) = table_load_peer(i);
             (0..TABLE_N)
@@ -427,7 +342,7 @@ fn table_load_secs() -> f64 {
         best = best.min(start.elapsed().as_secs_f64());
         assert_eq!(
             router.rib_route_count(),
-            (TABLE_N * AUDIT_PEERS) as usize,
+            (TABLE_N * TABLE_PEERS) as usize,
             "every route loads"
         );
     }
@@ -481,7 +396,6 @@ fn measure() -> MicroReport {
     });
 
     let project = warm_projection_secs();
-    let audit = audit_secs();
     let allocate_hot = allocate_hot_secs();
     let table_load = table_load_secs();
 
@@ -492,13 +406,12 @@ fn measure() -> MicroReport {
         decision_best_ns: best * 1e9 / f64::from(DECISION_ITERS),
         decision_rank_ns: rank * 1e9 / f64::from(DECISION_ITERS),
         project_warm_ns_per_prefix: project * 1e9 / f64::from(TABLE_N),
-        audit_us: audit * 1e6,
         allocate_hot_us: allocate_hot * 1e6,
-        table_load_ns_per_route: table_load * 1e9 / f64::from(TABLE_N * AUDIT_PEERS),
+        table_load_ns_per_route: table_load * 1e9 / f64::from(TABLE_N * TABLE_PEERS),
     };
     println!(
         "micro: lpm {:.1} ns, build({}) {:.1} ms, best_rec {:.1} ns, rank {:.1} ns, \
-         warm project({}) {:.1} ns/prefix, audit {:.1} us, allocate (one hot) {:.1} us, \
+         warm project({}) {:.1} ns/prefix, allocate (one hot) {:.1} us, \
          table load {:.0} ns/route",
         report.lpm_ns,
         report.trie_n,
@@ -507,7 +420,6 @@ fn measure() -> MicroReport {
         report.decision_rank_ns,
         TABLE_N,
         report.project_warm_ns_per_prefix,
-        report.audit_us,
         report.allocate_hot_us,
         report.table_load_ns_per_route
     );
@@ -551,7 +463,6 @@ fn main() {
             report.project_warm_ns_per_prefix,
             committed.project_warm_ns_per_prefix,
         ),
-        ("audit_us", report.audit_us, committed.audit_us),
         (
             "allocate_hot_us",
             report.allocate_hot_us,

@@ -1067,7 +1067,7 @@ pub(super) fn e19_health_detection(c: &Campaign) -> Option<ItemResult> {
         (
             FaultKind::InjectorPartialLoss { fraction: 0.9 },
             FaultTarget::Pop { pop: churn_pop },
-            vec!["injection_loss", "override_audit"],
+            vec!["injection_loss"],
         ),
     ];
     let mut kinds = Vec::new();

@@ -553,19 +553,6 @@ impl BgpRouter {
         self.loc_rib.iter()
     }
 
-    /// The Adj-RIB-In prefixes of every attached peer of `kind`. A peer's
-    /// Adj-RIB-In is exactly the set of prefixes holding a Loc-RIB
-    /// candidate from it, so for [`PeerKind::Controller`] these are the
-    /// prefixes with a controller route. Each peer's prefixes come in
-    /// prefix order, but peers come in no particular order, and a prefix
-    /// repeats once per peer holding it.
-    pub fn adj_rib_in_of_kind(&self, kind: PeerKind) -> impl Iterator<Item = &Prefix> {
-        self.peers
-            .values()
-            .filter(move |state| state.attach.kind == kind)
-            .flat_map(|state| &state.adj_in)
-    }
-
     /// Total candidate routes across all prefixes.
     pub fn rib_route_count(&self) -> usize {
         self.loc_rib.route_count()

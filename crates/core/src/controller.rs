@@ -12,9 +12,11 @@
 //!   simple and self-correcting — an operator can restart it at any time
 //!   and the next epoch converges to the same answer.
 //! - **apply** puts the decision into effect against the router: the
-//!   injector sends the diff, the router's BMP echoes are ingested, the
-//!   override audit runs and reconciliation repairs what it finds, and
-//!   telemetry records the epoch.
+//!   injector sends the diff, the router's BMP echoes are ingested, and
+//!   telemetry records the epoch. A send the injector lost is missing from
+//!   its announced set, so the next epoch's diff retries it; debug builds
+//!   assert after every epoch that the router's override state matches
+//!   that set ([`override_divergence`]).
 //!
 //! Across epochs the controller keeps only the memo and what its effects
 //! need: the injector (session, announced set, loss gate), the reattach
@@ -29,12 +31,12 @@ use ef_bgp::peer::PeerId;
 use ef_bgp::route::EgressId;
 use ef_bgp::router::BgpRouter;
 use ef_bgp::{BmpMessage, Millis, ReconnectGovernor};
-use ef_telemetry::{audit_overrides, ExplainRecord, PhaseTimer, TelemetryHandle};
+use ef_telemetry::{ExplainRecord, PhaseTimer, TelemetryHandle};
 
 use crate::collector::RouteCollector;
 use crate::config::ControllerConfig;
 use crate::decide::{decide, Decision, EpochInputs, EpochView};
-use crate::injector::{InjectionLedger, Injector};
+use crate::injector::{override_divergence, InjectionLedger, Injector};
 use crate::overrides::OverrideSet;
 use crate::projection::ProjectionCache;
 use crate::state::{InterfaceMap, TrafficView};
@@ -71,12 +73,6 @@ pub struct EpochReport {
     /// The epoch failed open (inputs past the trust horizon: every
     /// override withdrawn).
     pub fail_open: bool,
-    /// Post-epoch audit: overrides believed announced but absent from the
-    /// router's decision (before reconciliation repaired them).
-    pub audit_not_installed: usize,
-    /// Post-epoch audit: withdrawn overrides still winning in the router
-    /// (before reconciliation repaired them).
-    pub audit_leaked: usize,
     /// Decision provenance: one record per steering decision the allocator
     /// considered, with verdicts amended by the guards (hold-or-shrink,
     /// fail-open). Always populated — `decide` derives it from the epoch's
@@ -168,7 +164,7 @@ impl PopController {
 
     /// Attaches (or detaches, with a disabled handle) the telemetry
     /// pipeline. Telemetry observes the epoch cycle — phase timings,
-    /// decision provenance, mode transitions, override audits — but never
+    /// decision provenance, mode transitions — but never
     /// influences it: all control decisions are computed before any
     /// telemetry call, and timers read 0 when disabled.
     pub fn set_telemetry(&mut self, telemetry: TelemetryHandle) {
@@ -256,8 +252,7 @@ impl PopController {
     }
 
     /// Puts `decision` into effect: mode-transition events, injection of
-    /// the diff, the router's BMP echoes, the override audit and its
-    /// reconciliation, then the epoch's telemetry.
+    /// the diff and the router's BMP echoes, then the epoch's telemetry.
     fn apply(
         &mut self,
         decision: Decision,
@@ -281,40 +276,13 @@ impl PopController {
         self.collector.ingest(router.drain_bmp());
         let bmp_ingest_us = bmp_timer.elapsed_us();
 
-        // Post-epoch audit + reconciliation. This runs whether or not
-        // telemetry is attached (the auditor's `emit` is the only
-        // telemetry-gated part), so reports stay byte-identical with and
-        // without a sink, and divergence is *repaired*, not just reported:
-        // believed-announced-but-missing overrides are re-announced, leaked
-        // override routes are force-withdrawn.
-        let expected = self.injector.announced().claims();
-        let audit = audit_overrides(router, &expected, &report.sent.withdraw);
-        if !audit.clean() {
-            let prefixes = |findings: &[ef_telemetry::AuditFinding]| -> Vec<_> {
-                findings.iter().map(|f| f.prefix).collect()
-            };
-            let (reannounced, force_withdrawn) = self.injector.reconcile(
-                router,
-                &prefixes(&audit.not_installed),
-                &prefixes(&audit.leaked),
-                now,
-            );
-            // Keep the collector's view current after the repair.
-            self.collector.ingest(router.drain_bmp());
-            self.telemetry.emit(
-                self.pop,
-                now,
-                "reconcile",
-                &[
-                    ("findings", audit.failures().into()),
-                    ("reannounced", reannounced.into()),
-                    ("force_withdrawn", force_withdrawn.into()),
-                ],
-            );
-        }
-        audit.emit(&self.telemetry, self.pop, now);
-
         let active = self.injector.announced();
+        debug_assert_eq!(
+            override_divergence(router, active, &report.sent.withdraw),
+            Vec::<String>::new(),
+            "pop {} t={now}ms: the router's overrides diverged from the injector's ledger",
+            self.pop
+        );
         if self.telemetry.enabled() {
             for rec in &decision.explains {
                 self.telemetry.explain(self.pop, now, rec);
@@ -382,8 +350,6 @@ impl PopController {
             input_age_ms: age_ms,
             degraded,
             fail_open,
-            audit_not_installed: audit.not_installed.len(),
-            audit_leaked: audit.leaked.len(),
             explains: decision.explains,
         }
     }
@@ -469,8 +435,8 @@ impl PopController {
     /// ROUTE-REFRESH on the live session — the recovery used when the
     /// *content* of the injector feed was damaged (partial loss, update
     /// corruption) but the session itself held. Returns `false` if the
-    /// session is down or refresh was not negotiated; those cases are
-    /// handled by the reattach and audit/reconcile paths instead.
+    /// session is down or refresh was not negotiated; the reattach replay
+    /// and the next epoch's diff cover those.
     pub fn resync_injector(&mut self, router: &mut BgpRouter, now: Millis) -> bool {
         let ok = self.injector.resync_via_refresh(router, now);
         if ok {
@@ -479,8 +445,8 @@ impl PopController {
         ok
     }
 
-    /// Cumulative injection accounting: sends, drops, session refusals,
-    /// and reconciliation repairs.
+    /// Cumulative injection accounting: sends, drops and session
+    /// refusals.
     pub fn injection_ledger(&self) -> &InjectionLedger {
         self.injector.ledger()
     }
@@ -827,65 +793,32 @@ mod tests {
         assert_eq!(report.churn_announced, 1);
     }
 
-    /// The acceptance scenario for reconciliation: divergence injected
-    /// behind the controller's back is detected by the post-epoch audit and
-    /// repaired in the same epoch, so the following audit is clean.
+    /// The ledger invariant is live: a withdraw delivered on the injector
+    /// session without the injector's knowledge leaves an override it
+    /// stands behind missing from the router, and the next epoch's
+    /// debug assertion names it.
+    #[cfg(debug_assertions)]
     #[test]
-    fn reconciliation_repairs_injected_divergence_within_one_epoch() {
+    #[should_panic(expected = "diverged from the injector's ledger")]
+    fn withdraw_behind_the_injectors_back_trips_the_invariant() {
         use ef_bgp::message::{BgpMessage, UpdateMessage};
         use ef_bgp::wire::encode_message;
 
         let mut w = world(&["1.0.0.0/24", "2.0.0.0/24"]);
         let peak = HashMap::from([(p("1.0.0.0/24"), 80.0), (p("2.0.0.0/24"), 70.0)]);
         w.epoch(&peak, 30_000);
-        let overridden = w.controller.active_overrides().claims();
+        let overridden = w.controller.active_overrides().iter_sorted();
         assert_eq!(overridden.len(), 1);
-        let (prefix, _) = overridden[0];
+        let prefix = overridden[0].prefix;
 
-        // Divergence 1 (not-installed): the router loses the override route
-        // while the controller still believes it announced — modeled as a
-        // withdraw arriving on the injector session without the injector's
-        // knowledge.
         let withdraw =
             encode_message(&BgpMessage::Update(UpdateMessage::withdraw([prefix]))).unwrap();
         w.router
             .deliver(w.controller.injector_peer_id(), &withdraw, 40_000);
         assert!(!w.router.fib_entry(&prefix).unwrap().is_override);
 
-        // Divergence 2 (leak): an override route the controller never asked
-        // for shows up on the injector session.
-        let stray = p("2.0.0.0/24");
-        let mut attrs = ef_bgp::attrs::PathAttributes {
-            origin: ef_bgp::attrs::Origin::Igp,
-            next_hop: Some(EgressId(2).to_next_hop().unwrap()),
-            ..Default::default()
-        };
-        attrs.add_community(ef_bgp::policy::OVERRIDE_MARKER);
-        let announce =
-            encode_message(&BgpMessage::Update(UpdateMessage::announce(stray, attrs))).unwrap();
-        w.router
-            .deliver(w.controller.injector_peer_id(), &announce, 41_000);
-        assert!(w.router.fib_entry(&stray).unwrap().is_override);
-
-        // The next epoch's audit finds both divergences and reconciliation
-        // repairs them in place.
+        // Same demand: the diff is empty, nothing re-announces the route.
         w.epoch(&peak, 60_000);
-        assert!(
-            w.router.fib_entry(&prefix).unwrap().is_override,
-            "missing override re-announced"
-        );
-        assert!(
-            !w.router.fib_entry(&stray).unwrap().is_override,
-            "leaked override force-withdrawn"
-        );
-        assert_eq!(w.controller.injection_ledger().reconcile_reannounced, 1);
-        assert_eq!(w.controller.injection_ledger().reconcile_force_withdrawn, 1);
-
-        // Post-repair the audit is clean: findings went to zero within one
-        // epoch of the divergence being observable.
-        let expected = w.controller.active_overrides().claims();
-        let audit = ef_telemetry::audit_overrides(&w.router, &expected, &[]);
-        assert!(audit.clean(), "clean after repair: {audit:?}");
     }
 
     #[test]
@@ -997,10 +930,11 @@ mod tests {
             assert!(epochs[0].field(key).is_some(), "missing {key}");
         }
 
-        // The audit ran and found the router state consistent.
-        assert!(sink.events_named("audit.override_leaked").is_empty());
-        assert!(sink.events_named("audit.override_not_installed").is_empty());
-        assert!(sink.events_named("reconcile").is_empty());
+        // The router's override state matches the injector's ledger.
+        assert_eq!(
+            override_divergence(&w.router, w.controller.active_overrides(), &[]),
+            Vec::<String>::new()
+        );
     }
 
     #[test]

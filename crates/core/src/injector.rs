@@ -15,15 +15,17 @@
 //! Injection is treated as fallible: a send may be lost (the fault model's
 //! partial-loss gate, or a session error surfacing mid-epoch). The
 //! [`announced`](Injector::announced) set tracks only what was **actually
-//! sent**, so the next epoch's diff retries anything dropped, and
-//! [`Injector::reconcile`] repairs divergence the override auditor finds.
+//! sent**, so the next epoch's diff retries anything dropped: the
+//! stateless diff is the one repair path. [`override_divergence`] states
+//! what that buys — the router's override state matches the ledger after
+//! every epoch — and debug builds assert it after each one.
 
 use ef_bgp::attrs::{Origin, PathAttributes};
 use ef_bgp::message::UpdateMessage;
 use ef_bgp::peer::PeerId;
 use ef_bgp::policy::{Policy, OVERRIDE_MARKER};
 use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub};
-use ef_bgp::Millis;
+use ef_bgp::{best_rec, Millis};
 use ef_net_types::Prefix;
 
 use crate::overrides::{OverrideDiff, OverrideSet};
@@ -79,7 +81,7 @@ impl LossGate {
 }
 
 /// Cumulative per-PoP injection accounting: what was attempted, what hit
-/// the wire, what was dropped or repaired. Exposed via
+/// the wire, what was dropped. Exposed via
 /// [`PopController::injection_ledger`](crate::controller::PopController::injection_ledger)
 /// so the harness and operators can see partial failure instead of
 /// inferring it from FIB divergence.
@@ -95,18 +97,86 @@ pub struct InjectionLedger {
     pub withdraws_dropped: u64,
     /// Sends refused by the session layer (session not established).
     pub send_errors: u64,
-    /// Overrides re-announced by reconciliation after an audit finding.
-    pub reconcile_reannounced: u64,
-    /// Overrides force-withdrawn by reconciliation after a leak finding.
-    pub reconcile_force_withdrawn: u64,
 }
 
 impl InjectionLedger {
-    /// Sends currently known to have been lost and not yet repaired this
-    /// epoch (they will be retried by the next diff).
+    /// Sends lost so far; the next diff retries each one still desired.
     pub fn dropped_total(&self) -> u64 {
         self.announces_dropped + self.withdraws_dropped + self.send_errors
     }
+}
+
+/// Checks the router's override state against the injector's ledger:
+/// `announced` is what it stands behind, `withdrawn` what it withdrew this
+/// epoch. Returns one `"prefix: what is wrong"` line per divergence, sorted,
+/// and nothing when these hold:
+///
+/// * every announced override wins the decision process and owns the FIB
+///   entry at its target;
+/// * no controller route exists for a prefix `announced` does not claim;
+/// * no prefix withdrawn this epoch keeps an override FIB entry.
+///
+/// The injector records only what it actually sent, so a lost send leaves
+/// the ledger short and the next epoch's diff retries it; none of this
+/// needs a repair pass. [`PopController`](crate::PopController) asserts it
+/// after every epoch in debug builds. It walks every Loc-RIB candidate
+/// list, so it is a check, not a production path.
+pub fn override_divergence(
+    router: &BgpRouter,
+    announced: &OverrideSet,
+    withdrawn: &[Prefix],
+) -> Vec<String> {
+    let mut found = Vec::new();
+    for o in announced.iter_sorted() {
+        let best = best_rec(router.candidates(&o.prefix));
+        let detail = match (best, router.fib_entry(&o.prefix)) {
+            (None, _) => "no route at all for the announced override".to_string(),
+            (Some(b), _) if !b.is_override() => format!(
+                "organic route via egress {} wins over the override",
+                b.egress.0
+            ),
+            (Some(b), _) if b.egress != o.target => format!(
+                "override installed toward egress {} instead of {}",
+                b.egress.0, o.target.0
+            ),
+            (Some(_), None) => "decision winner missing from the FIB".to_string(),
+            (Some(_), Some(f)) if !f.is_override || f.egress != o.target => format!(
+                "FIB entry disagrees (egress {}, override={})",
+                f.egress.0, f.is_override
+            ),
+            _ => continue,
+        };
+        found.push((o.prefix, detail));
+    }
+    for (prefix, candidates) in router.iter_candidates() {
+        if announced.contains(prefix) {
+            continue;
+        }
+        if let Some(r) = candidates.iter().find(|r| r.is_override()) {
+            let detail = format!(
+                "controller route via egress {} for an unclaimed prefix",
+                r.egress.0
+            );
+            found.push((*prefix, detail));
+        }
+    }
+    for prefix in withdrawn {
+        if announced.contains(prefix) || found.iter().any(|(p, _)| p == prefix) {
+            continue;
+        }
+        if let Some(f) = router.fib_entry(prefix).filter(|f| f.is_override) {
+            let detail = format!(
+                "withdrawn override still in the FIB at egress {}",
+                f.egress.0
+            );
+            found.push((*prefix, detail));
+        }
+    }
+    found.sort_by_key(|(prefix, _)| *prefix);
+    found
+        .into_iter()
+        .map(|(prefix, detail)| format!("{prefix}: {detail}"))
+        .collect()
 }
 
 /// What one [`Injector::apply`] actually did: the diff that hit the wire,
@@ -309,64 +379,6 @@ impl Injector {
         report
     }
 
-    /// Repairs divergence reported by the override auditor, inside the same
-    /// epoch that detected it: overrides we believe announced but the
-    /// router does not steer by (`not_installed`) are re-announced, and
-    /// override routes the router holds that we never asked for (`leaked`)
-    /// are force-withdrawn. Reconciliation sends bypass the loss gate — it
-    /// models a verified repair path, so a clean audit follows within one
-    /// epoch. Returns `(reannounced, force_withdrawn)`.
-    pub fn reconcile(
-        &mut self,
-        router: &mut BgpRouter,
-        not_installed: &[Prefix],
-        leaked: &[Prefix],
-        now: Millis,
-    ) -> (u64, u64) {
-        let mut reannounced = 0u64;
-        for prefix in not_installed {
-            let Some(o) = self.announced.get(prefix).copied() else {
-                continue; // no longer desired; nothing to repair
-            };
-            let Ok(next_hop) = o.target.to_next_hop() else {
-                self.ledger.send_errors += 1;
-                continue;
-            };
-            let mut attrs = PathAttributes {
-                origin: Origin::Igp,
-                next_hop: Some(next_hop),
-                ..Default::default()
-            };
-            attrs.add_community(OVERRIDE_MARKER);
-            if self
-                .stub
-                .try_send_update(router, UpdateMessage::announce(o.prefix, attrs), now)
-                .is_ok()
-            {
-                reannounced += 1;
-            } else {
-                self.ledger.send_errors += 1;
-            }
-        }
-        let mut force_withdrawn = 0u64;
-        let stray: Vec<Prefix> = leaked
-            .iter()
-            .filter(|p| !self.announced.contains(p))
-            .copied()
-            .collect();
-        if !stray.is_empty()
-            && self
-                .stub
-                .try_send_update(router, UpdateMessage::withdraw(stray.iter().copied()), now)
-                .is_ok()
-        {
-            force_withdrawn = stray.len() as u64;
-        }
-        self.ledger.reconcile_reannounced += reannounced;
-        self.ledger.reconcile_force_withdrawn += force_withdrawn;
-        (reannounced, force_withdrawn)
-    }
-
     /// Resynchronises the router with the injector's view via a
     /// ROUTE-REFRESH request on the live session (RFC 2918): the stub
     /// replays exactly what it actually sent (loss-gate drops never made it
@@ -374,7 +386,9 @@ impl Injector {
     /// clears any stale route the router holds that the injector no longer
     /// stands behind. No session bounce, no override withdrawal window.
     /// Returns `false` if the session is down or refresh was not
-    /// negotiated — callers fall back to the reattach/reconcile paths.
+    /// negotiated. Neither needs another path: a reattach replays the
+    /// whole desired set, and the next diff retries every send the ledger
+    /// lacks.
     pub fn resync_via_refresh(&mut self, router: &mut BgpRouter, now: Millis) -> bool {
         if !self.session_up() {
             return false;
@@ -641,24 +655,78 @@ mod tests {
         assert!((16..=48).contains(&drops), "fraction is roughly honored");
     }
 
+    /// `override_divergence` against a ledger claiming 1.0.0.0/24 toward
+    /// `target`, with nothing withdrawn.
+    fn divergence_from(router: &BgpRouter, target: u32) -> Vec<String> {
+        let mut claimed = OverrideSet::new();
+        claimed.insert(ov("1.0.0.0/24", target));
+        override_divergence(router, &claimed, &[])
+    }
+
     #[test]
-    fn reconcile_reannounces_and_force_withdraws() {
+    fn clean_when_state_matches() {
         let (mut router, _peer, _transit) = world();
         let mut inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
         let mut desired = OverrideSet::new();
         desired.insert(ov("1.0.0.0/24", 2));
         inj.apply(&mut router, &desired, 10);
+        assert_eq!(
+            override_divergence(&router, inj.announced(), &[]),
+            Vec::<String>::new()
+        );
+    }
 
-        // Simulate divergence: the router silently lost the override route
-        // (as if a resync dropped it) while we still believe it announced.
-        inj.stub
-            .send_update(&mut router, UpdateMessage::withdraw([p("1.0.0.0/24")]), 20);
-        assert!(!router.fib_entry(&p("1.0.0.0/24")).unwrap().is_override);
+    #[test]
+    fn missing_injection_is_not_installed() {
+        let (mut router, _peer, _transit) = world();
+        let _inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
+        // Claim an override that was never injected.
+        assert_eq!(
+            divergence_from(&router, 2),
+            ["1.0.0.0/24: organic route via egress 1 wins over the override"]
+        );
+    }
 
-        let (reannounced, _) = inj.reconcile(&mut router, &[p("1.0.0.0/24")], &[], 30);
-        assert_eq!(reannounced, 1);
-        assert!(router.fib_entry(&p("1.0.0.0/24")).unwrap().is_override);
-        assert_eq!(inj.ledger().reconcile_reannounced, 1);
+    #[test]
+    fn wrong_target_is_not_installed() {
+        let (mut router, _peer, _transit) = world();
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
+        let mut desired = OverrideSet::new();
+        desired.insert(ov("1.0.0.0/24", 2));
+        inj.apply(&mut router, &desired, 10);
+        assert_eq!(
+            divergence_from(&router, 1),
+            ["1.0.0.0/24: override installed toward egress 2 instead of 1"]
+        );
+    }
+
+    #[test]
+    fn unclaimed_injection_is_a_leak() {
+        let (mut router, _peer, _transit) = world();
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
+        let mut desired = OverrideSet::new();
+        desired.insert(ov("1.0.0.0/24", 2));
+        inj.apply(&mut router, &desired, 10);
+        // Reported once, though it is both unclaimed and withdrawn.
+        assert_eq!(
+            override_divergence(&router, &OverrideSet::new(), &[p("1.0.0.0/24")]),
+            ["1.0.0.0/24: controller route via egress 2 for an unclaimed prefix"]
+        );
+    }
+
+    #[test]
+    fn proper_withdrawal_audits_clean() {
+        let (mut router, _peer, _transit) = world();
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
+        let mut desired = OverrideSet::new();
+        desired.insert(ov("1.0.0.0/24", 2));
+        inj.apply(&mut router, &desired, 10);
+        let report = inj.apply(&mut router, &OverrideSet::new(), 20);
+        assert_eq!(report.sent.withdraw, [p("1.0.0.0/24")]);
+        assert_eq!(
+            override_divergence(&router, inj.announced(), &report.sent.withdraw),
+            Vec::<String>::new()
+        );
     }
 
     #[test]

@@ -109,7 +109,9 @@ pub use collector::RouteCollector;
 pub use config::ControllerConfig;
 pub use controller::{EpochError, EpochReport, PopController};
 pub use decide::EpochInputs;
-pub use injector::{InjectionLedger, InjectionReport, Injector, InjectorError};
+pub use injector::{
+    override_divergence, InjectionLedger, InjectionReport, Injector, InjectorError,
+};
 pub use overrides::{Override, OverrideReason, OverrideSet};
 pub use perf_aware::{adapt_comparisons, build_perf_overrides, MeasuredComparison, MIN_SAMPLES};
 pub use projection::Projection;

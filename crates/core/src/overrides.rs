@@ -76,7 +76,9 @@ impl OverrideSet {
         self.map.insert(o.prefix, o)
     }
 
-    /// The override for a prefix, if any.
+    /// The override for a prefix, if any (the crate's tests read single
+    /// overrides; production code walks the set).
+    #[cfg(test)]
     pub(crate) fn get(&self, prefix: &Prefix) -> Option<&Override> {
         self.map.get(prefix)
     }
@@ -111,14 +113,6 @@ impl OverrideSet {
     pub fn iter_sorted(&self) -> Vec<&Override> {
         let mut v: Vec<&Override> = self.map.values().collect();
         v.sort_by_key(|o| o.prefix);
-        v
-    }
-
-    /// `(prefix, target)` of every override, in prefix order: what the
-    /// override audit checks the router against.
-    pub fn claims(&self) -> Vec<(Prefix, EgressId)> {
-        let mut v: Vec<_> = self.map.values().map(|o| (o.prefix, o.target)).collect();
-        v.sort_unstable_by_key(|&(prefix, _)| prefix);
         v
     }
 

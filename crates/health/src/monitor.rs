@@ -63,8 +63,6 @@ pub struct EpochSignals {
     pub updates_downgraded_total: u64,
     /// Cumulative injector announces/withdraws dropped by fault loss.
     pub injection_dropped_total: u64,
-    /// Post-epoch audit findings this epoch (not-installed + leaked).
-    pub audit_failures: u64,
     /// Per-interface utilization `(egress, load/capacity)`, egress order.
     pub iface_util: Vec<(u32, f64)>,
     /// Projected monthly egress spend at this epoch's carried rates, USD:
@@ -166,14 +164,6 @@ impl HealthConfig {
             ),
             // Watchdog: the BGP injector is unreachable (epochs skipped).
             rule("injector_down", "epoch_skipped", 0.5, 1, Severity::Critical),
-            // Watchdog: overrides the post-epoch auditor cannot justify.
-            rule(
-                "override_audit",
-                "audit_failures",
-                0.5,
-                1,
-                Severity::Critical,
-            ),
             // Peering session health.
             rule(
                 "bgp_session_down",
@@ -255,8 +245,7 @@ fn metric_map(signals: &EpochSignals, prev: Totals) -> Vec<(&'static str, f64)> 
         .fold(0.0_f64, f64::max);
     let delta = |total: u64, base: u64| total.saturating_sub(base) as f64;
     // One spare slot for `epoch_wall_us`, added by the rule pass.
-    let mut m: Vec<(&'static str, f64)> = Vec::with_capacity(17);
-    m.push(("audit_failures", signals.audit_failures as f64));
+    let mut m: Vec<(&'static str, f64)> = Vec::with_capacity(16);
     m.push(("billing_burn_usd", signals.billing_burn_usd));
     m.push(("controller_down", bool_metric(signals.controller_missing)));
     m.push(("detoured_mbps", signals.detoured_mbps));
@@ -576,13 +565,11 @@ mod tests {
         let mut s = calm(0, 30);
         s.controller_missing = true;
         s.epoch_skipped = true;
-        s.audit_failures = 2;
         s.input_age_ms = 60_000;
         let edges = mon.observe_epoch(&s, None);
         let rules: Vec<_> = edges.iter().map(|e| e.alert().rule.as_str()).collect();
         assert!(rules.contains(&"controller_down"));
         assert!(rules.contains(&"injector_down"));
-        assert!(rules.contains(&"override_audit"));
         assert!(rules.contains(&"stale_inputs"));
     }
 

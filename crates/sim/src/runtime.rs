@@ -1085,14 +1085,8 @@ impl PopRuntime {
             fail_open: report.map_or(self.controller_enabled, |r| r.fail_open),
         };
         if self.health_enabled {
-            let audit_failures =
-                report.map_or(0, |r| (r.audit_not_installed + r.audit_leaked) as u64);
-            self.health_signals = Some(self.collect_health_signals(
-                &record,
-                input_age_ms,
-                audit_failures,
-                epoch_skipped,
-            ));
+            self.health_signals =
+                Some(self.collect_health_signals(&record, input_age_ms, epoch_skipped));
         }
         let residual_overloaded =
             report.map_or(dropped > 0.0, |r| !r.residual_overloaded.is_empty());
@@ -1115,7 +1109,6 @@ impl PopRuntime {
         &mut self,
         record: &PopEpochRecord,
         input_age_ms: u64,
-        audit_failures: u64,
         epoch_skipped: bool,
     ) -> ef_health::EpochSignals {
         let sessions_down = self
@@ -1177,7 +1170,6 @@ impl PopRuntime {
             session_resets_total: self.session_resets,
             updates_downgraded_total,
             injection_dropped_total,
-            audit_failures,
             iface_util,
             billing_burn_usd,
         }

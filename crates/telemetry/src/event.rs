@@ -86,19 +86,16 @@ impl From<String> for FieldValue {
 }
 
 /// Every event name the production crates emit: the controller's epoch,
-/// override, reconcile, audit, mode-transition, resync and collector-drop
+/// override, mode-transition, resync and collector-drop
 /// events, the runtime's fault edges and session events, and the health
 /// tier's samples and alert edges. `efctl trace --kind` accepts no other
 /// event name, and the telemetry tests check each recorded stream against
 /// this list, so a new `emit` site adds its name here.
-pub const EVENT_NAMES: [&str; 22] = [
+pub const EVENT_NAMES: [&str; 19] = [
     "epoch",
     "epoch.skipped",
     "override.announce",
     "override.withdraw",
-    "reconcile",
-    "audit.override_not_installed",
-    "audit.override_leaked",
     "controller.degraded.enter",
     "controller.degraded.exit",
     "controller.fail_open.enter",
@@ -117,7 +114,7 @@ pub const EVENT_NAMES: [&str; 22] = [
 ];
 
 /// One structured occurrence: a dotted name (`controller.fail_open.enter`,
-/// `audit.override_leaked`, `fault.start`, …) plus flat typed fields.
+/// `collector.dropped`, `fault.start`, …) plus flat typed fields.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Event {
     /// Dotted event name.

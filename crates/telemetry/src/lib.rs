@@ -1,13 +1,12 @@
 //! Structured telemetry for the Edge Fabric reproduction.
 //!
 //! The paper's controller is operable because every decision it takes is
-//! observable (§4–§5): each projection/allocation cycle is logged, every
-//! detour carries a "why", and injected overrides are continuously audited
-//! against the routers' actual BGP decision. This crate is the hand-rolled
-//! equivalent for the reproduction — the build is offline, so it depends
-//! only on the vendored `serde`/`serde_json` stand-ins, not on `tracing`.
+//! observable (§4–§5): each projection/allocation cycle is logged and every
+//! detour carries a "why". This crate is the hand-rolled equivalent for the
+//! reproduction — the build is offline, so it depends only on the vendored
+//! `serde`/`serde_json` stand-ins, not on `tracing`.
 //!
-//! Four pieces, one per module:
+//! Three pieces, one per module:
 //!
 //! * `event` — a structured [`Event`] with flat typed fields, plus the
 //!   [`TelemetryRecord`] envelope a sink receives (events and decision
@@ -19,10 +18,7 @@
 //! * `placement` — the global steering tier's provenance: one
 //!   [`PlacementRecord`] per population-level steering action, naming the
 //!   backend, the drained PoP, each target with its granted volume, and
-//!   every rejected candidate;
-//! * `audit` — the override auditor: re-runs the BGP decision process
-//!   after an epoch and reports overrides that failed to install or leaked
-//!   past their withdrawal.
+//!   every rejected candidate.
 //!
 //! Everything hangs off a cheap, cloneable [`TelemetryHandle`]: a disabled
 //! handle (the default) makes every call a no-op, so instrumented code
@@ -31,14 +27,12 @@
 //! control decisions or simulation results — `tests/determinism.rs` proves
 //! a run's `results/` output is byte-identical with the sink on or off.
 
-mod audit;
 mod event;
 mod explain;
 mod handle;
 mod placement;
 mod sink;
 
-pub use audit::{audit_overrides, AuditFinding, AuditOutcome};
 pub use event::{Event, FieldValue, TelemetryRecord, EVENT_NAMES};
 pub use explain::{ExplainRecord, ExplainVerdict, RejectReason, RejectedAlternative};
 pub use handle::{PhaseTimer, TelemetryHandle};

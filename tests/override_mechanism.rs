@@ -6,8 +6,8 @@
 use std::collections::HashMap;
 
 use edge_fabric::{
-    ControllerConfig, EpochError, EpochInputs, EpochReport, InterfaceInfo, OverrideSet,
-    PopController,
+    override_divergence, ControllerConfig, EpochError, EpochInputs, EpochReport, InterfaceInfo,
+    OverrideSet, PopController,
 };
 use ef_bgp::peer::PeerId;
 use ef_bgp::policy::Policy;
@@ -85,22 +85,25 @@ fn epoch(
 
 /// Once on a v4 /24 and once on a v6 /48: the overload detours through an
 /// injected override, the FIB installs it, dropping the overload reverts
-/// it, and the post-epoch audit finds nothing missing or leaked.
+/// it, and after each epoch the router's override state matches the
+/// injector's ledger: nothing missing, nothing leaked.
 #[test]
 fn overload_becomes_a_fib_override() {
     for prefix in [V4, "2001:db8:100::/48"] {
         let (mut router, mut ctl, prefix) = rig_for(prefix.parse().unwrap());
         let fresh = EpochInputs::fresh();
-        let clean = |r: &EpochReport| r.audit_not_installed == 0 && r.audit_leaked == 0;
         let report = epoch(&mut ctl, &mut router, &[(prefix, 150.0)], 30_000, fresh).unwrap();
         assert_eq!(report.overrides_active, 1, "{prefix} detours");
         assert!(report.detoured_mbps > 0.0, "{prefix} detours");
-        assert!(clean(&report), "{prefix}: {report:?}");
+        let found = override_divergence(&router, ctl.active_overrides(), &[]);
+        assert!(found.is_empty(), "{prefix}: {found:?}");
         assert_eq!(router.fib_entry(&prefix).unwrap().egress, EgressId(2));
         // Dropping the overload reverts the detour (stateless recompute).
         let report = epoch(&mut ctl, &mut router, &[(prefix, 10.0)], 60_000, fresh).unwrap();
         assert_eq!(report.overrides_active, 0, "{prefix} reverts");
-        assert!(clean(&report), "{prefix}: {report:?}");
+        assert_eq!(report.churn_withdrawn, 1, "{prefix} withdraws");
+        let found = override_divergence(&router, ctl.active_overrides(), &[prefix]);
+        assert!(found.is_empty(), "{prefix}: {found:?}");
         assert_eq!(router.fib_entry(&prefix).unwrap().egress, EgressId(1));
     }
 }
