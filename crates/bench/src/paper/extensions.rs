@@ -812,9 +812,10 @@ pub(super) fn e16_recovery(c: &Campaign) -> Option<ItemResult> {
     })
 }
 
-/// The two refresh-healed arms: update corruption (RFC 7606
-/// treat-as-withdraw, healed by a governed ROUTE-REFRESH on the live
-/// session) and partial injection loss (the injector resyncs its set).
+/// The two arms healed without a session reset: update corruption
+/// (RFC 7606 treat-as-withdraw, healed by a governed ROUTE-REFRESH on the
+/// live session) and partial injection loss (the next epoch's diff
+/// re-sends what the loss dropped).
 pub(super) fn e17_refresh(c: &Campaign) -> Option<ItemResult> {
     let (recovery, reproducible) = recovery(c, true)?;
     let rows = &recovery.rows;

@@ -93,16 +93,11 @@ pub struct AsPath {
 }
 
 impl AsPath {
-    /// An empty path (a route originated locally).
-    pub(crate) fn empty() -> Self {
-        AsPath::default()
-    }
-
     /// Builds a path of a single SEQUENCE segment.
     pub fn sequence(asns: impl IntoIterator<Item = Asn>) -> Self {
         let v: Vec<Asn> = asns.into_iter().collect();
         if v.is_empty() {
-            AsPath::empty()
+            AsPath::default()
         } else {
             AsPath {
                 segments: vec![AsPathSegment::Sequence(v)],
@@ -245,14 +240,14 @@ mod tests {
             ],
         };
         assert_eq!(path.decision_len(), 4);
-        assert_eq!(AsPath::empty().decision_len(), 0);
+        assert_eq!(AsPath::default().decision_len(), 0);
     }
 
     #[test]
     fn neighbor_and_origin_as() {
         let path = AsPath::sequence(asns(&[65001, 65002, 65003]));
         assert_eq!(path.neighbor_as(), Some(Asn(65001)));
-        assert_eq!(AsPath::empty().neighbor_as(), None);
+        assert_eq!(AsPath::default().neighbor_as(), None);
     }
 
     #[test]

@@ -23,8 +23,8 @@ use std::mem;
 
 use crate::attrs::{Origin, PathAttributes};
 use crate::peer::PeerKind;
-use crate::route::{EgressId, Route, RouteSource};
-use ef_net_types::{Asn, Prefix};
+use crate::route::{EgressId, RouteSource};
+use ef_net_types::Asn;
 
 /// Handle to an interned [`PathAttributes`] inside one [`AttrStore`].
 ///
@@ -290,24 +290,9 @@ impl AttrStore {
         }
     }
 
-    /// Materializes a full [`Route`] from a record plus its prefix.
-    pub(crate) fn materialize(&self, prefix: Prefix, rec: &RouteRec) -> Route {
-        Route {
-            prefix,
-            attrs: self.attrs(rec.attr).clone(),
-            source: rec.source,
-            egress: rec.egress,
-        }
-    }
-
     /// Number of live (referenced) distinct attribute sets.
     pub fn distinct(&self) -> usize {
         self.live
-    }
-
-    /// True if no attribute set is live.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
     }
 
     /// Approximate heap footprint of the interned attribute sets in bytes,
@@ -421,11 +406,8 @@ mod tests {
         assert_eq!(rec.key.path_len, 2);
         assert_eq!(rec.key.neighbor_as, Some(Asn(65004)));
         assert!(!rec.is_override());
-        let prefix: Prefix = "203.0.113.0/24".parse().unwrap();
-        let route = store.materialize(prefix, &rec);
-        assert_eq!(route.attrs, a);
-        assert_eq!(route.prefix, prefix);
-        assert_eq!(route.egress, EgressId(7));
+        assert_eq!(store.attrs(rec.attr), &a);
+        assert_eq!(rec.egress, EgressId(7));
     }
 
     #[derive(Debug, Clone, Copy)]

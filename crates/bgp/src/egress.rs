@@ -219,14 +219,6 @@ impl EgressSpec {
         )
     }
 
-    /// Overrides the transit price (no-op for other classes).
-    pub fn usd_per_mbps(mut self, usd: f64) -> Self {
-        if let PeeringClass::Transit { usd_per_mbps } = &mut self.class {
-            *usd_per_mbps = usd;
-        }
-        self
-    }
-
     /// Derived routing kind.
     pub fn kind(&self) -> PeerKind {
         self.class.kind()
@@ -318,7 +310,7 @@ mod tests {
 
     #[test]
     fn spec_builders_set_class_and_defaults() {
-        let t = EgressSpec::transit(3, 65010).usd_per_mbps(0.75);
+        let t = EgressSpec::new(3, 65010, PeeringClass::Transit { usd_per_mbps: 0.75 });
         assert_eq!(t.egress, EgressId(3));
         assert_eq!(t.asn, Asn(65010));
         assert_eq!(t.kind(), PeerKind::Transit);
@@ -331,8 +323,7 @@ mod tests {
         assert_eq!(p.kind(), PeerKind::PrivatePeer);
         assert_eq!(p.class.fixed_usd_per_month(), 4000.0);
 
-        // Price setters are typed no-ops on the wrong class.
-        let s = EgressSpec::settlement_free(2, 65002).usd_per_mbps(9.0);
+        let s = EgressSpec::settlement_free(2, 65002);
         assert_eq!(s.class, PeeringClass::SettlementFree);
         assert_eq!(s.policy().marginal_usd_per_mbps(), 0.0);
     }

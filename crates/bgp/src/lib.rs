@@ -15,8 +15,6 @@
 //!   per-candidate record ([`RouteRec`]) the full-table RIB layout stores.
 //! * [`message`] — the BGP-4 message types, plus ROUTE-REFRESH (RFC 2918
 //!   with RFC 7313 BoRR/EoRR demarcation).
-//! * [`Capabilities`] — typed OPEN-capability negotiation (MP-BGP, route
-//!   refresh, enhanced refresh) behind one entry point.
 //! * [`wire`] — an RFC 4271 binary codec (4-octet ASNs assumed negotiated,
 //!   RFC 6793), plus MP_REACH/MP_UNREACH for IPv6 NLRI.
 //! * [`peer`] — peer identity and the four interconnect kinds the paper
@@ -79,7 +77,6 @@ pub mod attrs;
 pub mod attrstore;
 mod backoff;
 mod bmp;
-mod capabilities;
 mod decision;
 mod egress;
 pub mod message;
@@ -95,7 +92,6 @@ pub use attrs::{AsPath, Origin, PathAttributes};
 pub use attrstore::{AttrId, AttrStore, DecisionKey, RouteRec};
 pub use backoff::ReconnectGovernor;
 pub use bmp::{BmpMessage, BmpPeerHeader};
-pub use capabilities::Capabilities;
 pub use decision::{best_rec, best_rec_where, rank_recs_into};
 pub use egress::{
     EgressPolicy, EgressSpec, PeeringClass, DEFAULT_PNI_PORT_USD, DEFAULT_TRANSIT_USD_PER_MBPS,
@@ -107,6 +103,4 @@ pub use message::{
 pub use peer::{PeerId, PeerKind};
 pub use rib::{BestChange, LocRib};
 pub use route::{EgressId, Route, RouteSource};
-pub use session::{
-    Millis, Session, SessionConfig, SessionError, SessionEvent, SessionState, SessionStats,
-};
+pub use session::{Millis, Session, SessionConfig, SessionError, SessionEvent, SessionStats};

@@ -139,16 +139,6 @@ impl OpenMessage {
     pub(crate) const AS_TRANS: u16 = 23456;
     /// Capability code for 4-octet AS support.
     pub(crate) const CAP_FOUR_OCTET_AS: u8 = 65;
-
-    /// Builds an OPEN advertising the 4-octet-AS capability.
-    pub fn new(asn: Asn, hold_time: u16, router_id: Ipv4Addr) -> Self {
-        OpenMessage {
-            asn,
-            hold_time,
-            router_id,
-            capabilities: vec![(Self::CAP_FOUR_OCTET_AS, asn.0.to_be_bytes().to_vec())],
-        }
-    }
 }
 
 /// UPDATE message (RFC 4271 §4.3).
@@ -222,6 +212,19 @@ impl NotificationMessage {
 mod tests {
     use super::*;
 
+    impl OpenMessage {
+        /// An OPEN advertising only the 4-octet-AS capability, for codec
+        /// tests.
+        pub(crate) fn new(asn: Asn, hold_time: u16, router_id: Ipv4Addr) -> Self {
+            OpenMessage {
+                asn,
+                hold_time,
+                router_id,
+                capabilities: vec![(Self::CAP_FOUR_OCTET_AS, asn.0.to_be_bytes().to_vec())],
+            }
+        }
+    }
+
     #[test]
     fn type_codes_match_rfc() {
         let open = BgpMessage::Open(OpenMessage::new(Asn(1), 90, Ipv4Addr::new(1, 1, 1, 1)));
@@ -262,13 +265,19 @@ mod tests {
 
     #[test]
     fn open_advertises_four_octet_as() {
-        let open = OpenMessage::new(Asn(400_000), 90, Ipv4Addr::new(10, 0, 0, 1));
-        let cap = open
-            .capabilities
-            .iter()
-            .find(|(code, _)| *code == OpenMessage::CAP_FOUR_OCTET_AS)
-            .expect("capability present");
-        assert_eq!(cap.1, 400_000u32.to_be_bytes().to_vec());
+        use crate::session::{Session, SessionConfig};
+        // The 4-octet-AS capability leads every OPEN; the rest is the
+        // session's fixed set.
+        let mut a = Session::new(SessionConfig::new(Asn(32934), Ipv4Addr::new(10, 0, 0, 1)));
+        a.open();
+        let mut frame = a.take_outbox().remove(0);
+        let Ok(BgpMessage::Open(open)) = crate::wire::decode_message(&mut frame) else {
+            panic!("the first message is an OPEN");
+        };
+        let codes: Vec<u8> = open.capabilities.iter().map(|(code, _)| *code).collect();
+        assert_eq!(codes, [OpenMessage::CAP_FOUR_OCTET_AS, 1, 2, 70]);
+        assert_eq!(open.capabilities[0].1, 32934u32.to_be_bytes());
+        assert_eq!(open.capabilities[1].1, [0, 2, 0, 1], "IPv6 unicast");
     }
 
     #[test]

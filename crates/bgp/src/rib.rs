@@ -38,7 +38,7 @@ use crate::attrs::PathAttributes;
 use crate::attrstore::{AttrId, AttrStore, RouteRec};
 use crate::decision::{best_rec, rank_recs_into};
 use crate::peer::PeerId;
-use crate::route::{EgressId, Route, RouteSource};
+use crate::route::{EgressId, RouteSource};
 
 /// How the best route for a prefix changed after a RIB operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,7 +145,7 @@ impl LocRib {
     }
 
     /// Installs or replaces a route (keyed by its source peer), returning
-    /// how the best route changed. Takes no owned [`Route`]:
+    /// how the best route changed. Takes no owned [`Route`](crate::Route):
     /// the attributes are interned (or their refcount bumped) directly from
     /// the borrowed set, so multi-prefix UPDATEs pay one deep clone total.
     pub fn install_ref(
@@ -335,11 +335,6 @@ impl LocRib {
         best_rec(self.candidates(prefix))
     }
 
-    /// Materializes a full [`Route`] for a record of this RIB.
-    pub fn route(&self, prefix: Prefix, rec: &RouteRec) -> Route {
-        self.store.materialize(prefix, rec)
-    }
-
     /// The attribute store backing this RIB.
     pub fn store(&self) -> &AttrStore {
         &self.store
@@ -432,7 +427,7 @@ mod tests {
     use super::*;
     use crate::attrs::{AsPath, PathAttributes};
     use crate::peer::PeerKind;
-    use crate::route::{EgressId, RouteSource};
+    use crate::route::{EgressId, Route, RouteSource};
     use ef_net_types::Asn;
 
     fn p(s: &str) -> Prefix {
@@ -468,7 +463,8 @@ mod tests {
         match install(&mut rib, r.clone()) {
             BestChange::NewBest(rec) => {
                 assert_eq!(rec.source.peer, PeerId(1));
-                assert_eq!(rib.route(p("1.0.0.0/8"), &rec), r);
+                assert_eq!(rib.store().attrs(rec.attr), &r.attrs);
+                assert_eq!((rec.source, rec.egress), (r.source, r.egress));
             }
             other => panic!("expected NewBest, got {other:?}"),
         }

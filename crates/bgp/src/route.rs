@@ -97,21 +97,6 @@ pub struct Route {
     pub egress: EgressId,
 }
 
-impl Route {
-    /// Compact one-line rendering for logs and reports.
-    pub fn summary(&self) -> String {
-        format!(
-            "{} via {} ({}, {}) lp={} path=[{}]",
-            self.prefix,
-            self.egress,
-            self.source.peer,
-            self.source.kind,
-            self.attrs.effective_local_pref(),
-            self.attrs.as_path
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,15 +128,6 @@ mod tests {
         assert!(!store.make_rec(&r.attrs, r.source, r.egress).is_override());
         r.source.kind = PeerKind::Controller;
         assert!(store.make_rec(&r.attrs, r.source, r.egress).is_override());
-    }
-
-    #[test]
-    fn summary_mentions_key_fields() {
-        let s = sample().summary();
-        assert!(s.contains("203.0.113.0/24"));
-        assert!(s.contains("if12"));
-        assert!(s.contains("lp=800"));
-        assert!(s.contains("private"));
     }
 
     #[test]

@@ -658,9 +658,6 @@ pub struct PeerStub {
     /// Identity this stub registers as on the router.
     pub peer: PeerId,
     session: Session,
-    /// Sends refused by the session (not established, or encode failure),
-    /// recorded by the infallible convenience senders instead of panicking.
-    send_errors: u64,
     /// This stub's intended Adj-RIB-Out: every prefix it currently
     /// advertises with the attributes last sent. A ROUTE-REFRESH request
     /// from the router is answered by replaying this map, which is what
@@ -679,16 +676,9 @@ impl PeerStub {
         PeerStub {
             peer,
             session,
-            send_errors: 0,
             advertised: BTreeMap::new(),
             adv_store: AttrStore::new(),
         }
-    }
-
-    /// Sends dropped by the infallible convenience senders because the
-    /// session refused them (not established, or encode failure).
-    pub fn send_errors(&self) -> u64 {
-        self.send_errors
     }
 
     /// True once the session is established.
@@ -698,9 +688,8 @@ impl PeerStub {
 
     /// Runs the handshake / delivers pending data both ways until quiescent.
     /// A ROUTE-REFRESH request from the router is answered in-line by
-    /// replaying the advertised map (bracketed with BoRR/EoRR when the
-    /// session negotiated enhanced refresh); the replay drains on the next
-    /// round. The router exports nothing, so no UPDATE comes back.
+    /// replaying the advertised map, bracketed with BoRR/EoRR (RFC 7313);
+    /// the replay drains on the next round (the router exports nothing).
     pub fn pump(&mut self, router: &mut BgpRouter, now: Millis) {
         for _ in 0..8 {
             let to_router = self.session.take_outbox();
@@ -714,19 +703,14 @@ impl PeerStub {
                 for event in self.session.receive_bytes(&bytes) {
                     match event {
                         SessionEvent::Refresh(r) if r.subtype == RefreshSubtype::Request => {
-                            let enhanced = self.session.negotiated().enhanced_refresh;
-                            if enhanced {
-                                let _ = self.session.send_refresh_marker(RefreshSubtype::BoRR);
-                            }
+                            let _ = self.session.send_refresh_marker(RefreshSubtype::BoRR);
                             for (prefix, id) in &self.advertised {
                                 let attrs = self.adv_store.attrs(*id).clone();
                                 let _ = self
                                     .session
                                     .send_update(UpdateMessage::announce(*prefix, attrs));
                             }
-                            if enhanced {
-                                let _ = self.session.send_refresh_marker(RefreshSubtype::EoRR);
-                            }
+                            let _ = self.session.send_refresh_marker(RefreshSubtype::EoRR);
                         }
                         _ => {}
                     }
@@ -742,7 +726,8 @@ impl PeerStub {
     ///
     /// INVARIANT: a single-prefix announce with a next hop is far below the
     /// wire size ceiling, so on an established session this cannot fail;
-    /// callers pump/establish first. Failures are counted, never panicked.
+    /// callers pump/establish first. A refused send is dropped, never
+    /// panicked.
     pub fn announce(
         &mut self,
         router: &mut BgpRouter,
@@ -754,12 +739,7 @@ impl PeerStub {
         if attrs.next_hop.is_none() && prefix.is_v4() {
             attrs.next_hop = Some(STUB_NEXT_HOP);
         }
-        if self
-            .try_send_update(router, UpdateMessage::announce(prefix, attrs), now)
-            .is_err()
-        {
-            self.send_errors += 1;
-        }
+        let _ = self.try_send_update(router, UpdateMessage::announce(prefix, attrs), now);
     }
 
     /// Announces a full feed, the table a peer sends right after
@@ -787,7 +767,6 @@ impl PeerStub {
         now: Millis,
     ) {
         if !self.session.is_established() {
-            self.send_errors += routes.into_iter().count() as u64;
             return;
         }
         // (Adj-RIB-Out handle, prefixes), in first-announced order, and
@@ -853,28 +832,6 @@ impl PeerStub {
             update
         });
         router.receive_batch(self.peer, updates, now);
-    }
-
-    /// Withdraws prefixes and pumps. Failures are counted, never panicked.
-    pub fn withdraw(
-        &mut self,
-        router: &mut BgpRouter,
-        prefixes: impl IntoIterator<Item = Prefix>,
-        now: Millis,
-    ) {
-        if self
-            .try_send_update(router, UpdateMessage::withdraw(prefixes), now)
-            .is_err()
-        {
-            self.send_errors += 1;
-        }
-    }
-
-    /// Sends a raw UPDATE and pumps. Failures are counted, never panicked.
-    pub fn send_update(&mut self, router: &mut BgpRouter, update: UpdateMessage, now: Millis) {
-        if self.try_send_update(router, update, now).is_err() {
-            self.send_errors += 1;
-        }
     }
 
     /// Sends a raw UPDATE and pumps, surfacing session refusal as a typed
@@ -1022,7 +979,8 @@ mod tests {
             r.fib_entry(&p("203.0.113.0/24")).unwrap().egress,
             EgressId(20)
         );
-        peer.withdraw(&mut r, [p("203.0.113.0/24")], 2);
+        peer.try_send_update(&mut r, UpdateMessage::withdraw([p("203.0.113.0/24")]), 2)
+            .unwrap();
         assert_eq!(
             r.fib_entry(&p("203.0.113.0/24")).unwrap().egress,
             EgressId(10)
@@ -1097,7 +1055,8 @@ mod tests {
         assert!(fib.is_override);
 
         // Withdrawal reverts to the organic best.
-        ctrl.withdraw(&mut r, [p("203.0.113.0/24")], 4);
+        ctrl.try_send_update(&mut r, UpdateMessage::withdraw([p("203.0.113.0/24")]), 4)
+            .unwrap();
         let fib = r.fib_entry(&p("203.0.113.0/24")).unwrap();
         assert_eq!(fib.egress, EgressId(11));
         assert!(!fib.is_override);
@@ -1133,7 +1092,8 @@ mod tests {
         let mut r = router();
         let mut peer = wire_peer(&mut r, 1, 65001, PeerKind::PrivatePeer, 11);
         peer.announce(&mut r, p("203.0.113.0/24"), attrs(&[65001]), 5);
-        peer.withdraw(&mut r, [p("203.0.113.0/24")], 6);
+        peer.try_send_update(&mut r, UpdateMessage::withdraw([p("203.0.113.0/24")]), 6)
+            .unwrap();
         peer.shutdown(&mut r, 7);
 
         let feed = r.drain_bmp();
@@ -1282,8 +1242,11 @@ mod tests {
         peer.announce(&mut r, a, attrs(&[65001]), 2); // replace a
         peer.announce(&mut r, b, attrs(&[65001, 65001]), 2); // replace b
         transit.announce(&mut r, a, attrs(&[65010, 65010]), 3); // loser: no change
-        transit.withdraw(&mut r, [b], 3); // loser withdrawn: no change
-        peer.withdraw(&mut r, [b], 4); // remove b
+        transit
+            .try_send_update(&mut r, UpdateMessage::withdraw([b]), 3)
+            .unwrap(); // loser withdrawn: no change
+        peer.try_send_update(&mut r, UpdateMessage::withdraw([b]), 4)
+            .unwrap(); // remove b
 
         assert_eq!(r.fib_changes_since(v0), Some(&[a, b, a, b, b][..]));
         assert_eq!(r.fib_changes_since(v1), Some(&[a, b, b][..]));
@@ -1305,7 +1268,8 @@ mod tests {
         let flapping = p("203.0.113.0/24");
         for round in 0..FIB_JOURNAL_CAP as u64 {
             peer.announce(&mut r, flapping, attrs(&[65001]), round);
-            peer.withdraw(&mut r, [flapping], round);
+            peer.try_send_update(&mut r, UpdateMessage::withdraw([flapping]), round)
+                .unwrap();
             assert!(r.fib.journal.len() <= FIB_JOURNAL_CAP);
         }
         assert_eq!(r.fib_version(), v0 + 2 * FIB_JOURNAL_CAP as u64);
@@ -1374,7 +1338,8 @@ mod tests {
         s.announce(&mut r, p("203.0.113.0/24"), attrs(&[65001]), 1);
         // The peer withdraws before answering: the replay must not bring
         // the prefix back, and the sweep must not double-withdraw.
-        s.withdraw(&mut r, [p("203.0.113.0/24")], 2);
+        s.try_send_update(&mut r, UpdateMessage::withdraw([p("203.0.113.0/24")]), 2)
+            .unwrap();
         r.request_refresh(PeerId(1)).unwrap();
         s.pump(&mut r, 3);
         assert!(r.fib_entry(&p("203.0.113.0/24")).is_none());
@@ -1408,9 +1373,10 @@ mod tests {
             Some(PeerKind::PrivatePeer.default_local_pref()),
             "post-policy attributes"
         );
-        s.withdraw(&mut r, [p("1.0.0.0/8")], 2);
+        s.try_send_update(&mut r, UpdateMessage::withdraw([p("1.0.0.0/8")]), 2)
+            .unwrap();
         assert!(snapshot_routes(&r).is_empty());
-        assert!(r.rib_store().is_empty(), "all attrs released");
+        assert_eq!(r.rib_store().distinct(), 0, "all attrs released");
     }
 
     #[test]
@@ -1422,7 +1388,7 @@ mod tests {
         assert_eq!(snapshot_routes(&r).len(), 2);
         s.shutdown(&mut r, 2);
         assert!(snapshot_routes(&r).is_empty());
-        assert!(r.rib_store().is_empty());
+        assert_eq!(r.rib_store().distinct(), 0);
     }
 
     #[test]

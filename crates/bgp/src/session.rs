@@ -28,7 +28,6 @@ use bytes::{Bytes, BytesMut};
 
 use ef_net_types::Asn;
 
-use crate::capabilities::Capabilities;
 use crate::message::{
     BgpMessage, NotificationMessage, OpenMessage, RefreshSubtype, RouteRefreshMessage,
     UpdateMessage,
@@ -38,6 +37,14 @@ use crate::wire::{decode_message_graded, encode_message, Disposition, WireError}
 /// Simulated time in milliseconds since scenario start.
 pub type Millis = u64;
 
+/// The optional capabilities every OPEN advertises after the 4-octet-AS
+/// one (RFC 6793), as `(code, payload)` pairs: multiprotocol IPv6 unicast
+/// (RFC 4760; AFI 2, SAFI 1), route refresh (RFC 2918) and enhanced route
+/// refresh (RFC 7313). Every speaker in the reproduction advertises this
+/// one set, so nothing is negotiated: refresh and its BoRR/EoRR markers
+/// are always on.
+const OPEN_CAPABILITIES: [(u8, &[u8]); 3] = [(1, &[0, 2, 0, 1]), (2, &[]), (70, &[])];
+
 /// Static configuration for one session endpoint.
 #[derive(Debug, Clone)]
 pub struct SessionConfig {
@@ -45,19 +52,14 @@ pub struct SessionConfig {
     pub local_asn: Asn,
     /// Local router ID advertised in OPEN.
     pub local_router_id: std::net::Ipv4Addr,
-    /// The optional capabilities advertised in OPEN (what used to be a
-    /// scatter of per-feature booleans).
-    pub caps: Capabilities,
 }
 
 impl SessionConfig {
-    /// A configuration advertising the default capability set (MP-BGP +
-    /// route refresh + enhanced refresh).
+    /// A configuration for one endpoint.
     pub fn new(local_asn: Asn, local_router_id: std::net::Ipv4Addr) -> Self {
         SessionConfig {
             local_asn,
             local_router_id,
-            caps: Capabilities::default(),
         }
     }
 }
@@ -65,7 +67,7 @@ impl SessionConfig {
 /// FSM states (RFC 4271 §8.2.2; `Connect` and `Active` are folded away
 /// because the abstract transport is always connected).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SessionState {
+pub(crate) enum SessionState {
     /// Not started or administratively down.
     Idle,
     /// OPEN sent, waiting for the peer's OPEN.
@@ -99,9 +101,6 @@ pub enum SessionError {
     NotEstablished,
     /// The message failed to wire-encode (oversize or malformed).
     Encode(WireError),
-    /// A refresh was requested but the session did not negotiate the
-    /// route-refresh capability.
-    RefreshUnsupported,
 }
 
 impl std::fmt::Display for SessionError {
@@ -109,9 +108,6 @@ impl std::fmt::Display for SessionError {
         match self {
             SessionError::NotEstablished => write!(f, "session not established"),
             SessionError::Encode(e) => write!(f, "encode failed: {e}"),
-            SessionError::RefreshUnsupported => {
-                write!(f, "route-refresh capability not negotiated")
-            }
         }
     }
 }
@@ -161,9 +157,6 @@ pub struct Session {
     /// Malformed non-critical attributes dropped (RFC 7606
     /// attribute-discard) over the session's lifetime.
     attrs_discarded: u64,
-    /// The capability intersection with the peer, fixed when its OPEN
-    /// arrives; `None` before negotiation.
-    negotiated: Option<Capabilities>,
     /// ROUTE-REFRESH requests this endpoint sent.
     refreshes_sent: u64,
     /// ROUTE-REFRESH requests received from the peer (each one is
@@ -182,7 +175,6 @@ impl Session {
             inbuf: BytesMut::new(),
             updates_downgraded: 0,
             attrs_discarded: 0,
-            negotiated: None,
             refreshes_sent: 0,
             refreshes_answered: 0,
         }
@@ -198,17 +190,6 @@ impl Session {
         }
     }
 
-    /// The capabilities both ends share, fixed when the peer's OPEN
-    /// arrived. [`Capabilities::none`] before negotiation.
-    pub(crate) fn negotiated(&self) -> Capabilities {
-        self.negotiated.unwrap_or_else(Capabilities::none)
-    }
-
-    /// Current FSM state.
-    pub fn state(&self) -> SessionState {
-        self.state
-    }
-
     /// True if UPDATEs may be sent.
     pub fn is_established(&self) -> bool {
         self.state == SessionState::Established
@@ -220,11 +201,17 @@ impl Session {
         if self.state != SessionState::Idle {
             return;
         }
+        let asn = self.cfg.local_asn.0.to_be_bytes().to_vec();
+        let mut capabilities = vec![(OpenMessage::CAP_FOUR_OCTET_AS, asn)];
+        let optional = OPEN_CAPABILITIES
+            .iter()
+            .map(|(code, p)| (*code, p.to_vec()));
+        capabilities.extend(optional);
         let open = OpenMessage {
             asn: self.cfg.local_asn,
             hold_time: 0,
             router_id: self.cfg.local_router_id,
-            capabilities: self.cfg.caps.to_tlvs(self.cfg.local_asn),
+            capabilities,
         };
         self.enqueue(BgpMessage::Open(open));
         self.state = SessionState::OpenSent;
@@ -252,32 +239,24 @@ impl Session {
     /// Queues a ROUTE-REFRESH request asking the peer to replay its
     /// Adj-RIB-Out — the RFC 7606 §2 remedy for treat-as-withdraw damage
     /// that a session bounce would otherwise amplify. Errors unless the
-    /// session is established and negotiated the capability.
+    /// session is established.
     pub(crate) fn request_refresh(&mut self) -> Result<(), SessionError> {
         if !self.is_established() {
             return Err(SessionError::NotEstablished);
-        }
-        if !self.negotiated().route_refresh {
-            return Err(SessionError::RefreshUnsupported);
         }
         self.enqueue(BgpMessage::RouteRefresh(RouteRefreshMessage::request()));
         self.refreshes_sent += 1;
         Ok(())
     }
 
-    /// Queues a BoRR or EoRR demarcation marker around an Adj-RIB-Out
-    /// replay (the answering side of a refresh). Markers are only sent
-    /// when the session negotiated enhanced refresh (RFC 7313); without it
-    /// the replay goes unbracketed, exactly as RFC 2918 specifies.
+    /// Queues a BoRR or EoRR demarcation marker (RFC 7313) around an
+    /// Adj-RIB-Out replay (the answering side of a refresh).
     pub(crate) fn send_refresh_marker(
         &mut self,
         subtype: RefreshSubtype,
     ) -> Result<(), SessionError> {
         if !self.is_established() {
             return Err(SessionError::NotEstablished);
-        }
-        if !self.negotiated().enhanced_refresh {
-            return Err(SessionError::RefreshUnsupported);
         }
         let msg = match subtype {
             RefreshSubtype::BoRR => RouteRefreshMessage::borr(),
@@ -346,7 +325,6 @@ impl Session {
     fn handle_message(&mut self, msg: BgpMessage) -> Option<SessionEvent> {
         match (self.state, msg) {
             (SessionState::OpenSent, BgpMessage::Open(open)) => {
-                self.negotiated = Some(self.cfg.caps.negotiate(&open.capabilities));
                 self.peer_open = Some(open);
                 self.enqueue(BgpMessage::Keepalive);
                 self.state = SessionState::OpenConfirm;
@@ -426,7 +404,6 @@ impl Session {
     fn reset(&mut self) {
         self.state = SessionState::Idle;
         self.peer_open = None;
-        self.negotiated = None;
         self.inbuf.clear();
         self.outbox.clear();
     }
@@ -524,7 +501,7 @@ mod tests {
                 [SessionEvent::Down(DownReason::Notification(n))] if n.code == 6
             ));
         }
-        assert_eq!(b.state(), SessionState::Idle);
+        assert_eq!(b.state, SessionState::Idle);
     }
 
     #[test]
@@ -547,34 +524,9 @@ mod tests {
     }
 
     #[test]
-    fn enhanced_refresh_capability_is_negotiated() {
-        let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b);
-        assert!(a.negotiated().enhanced_refresh);
-        assert!(b.negotiated().enhanced_refresh);
-
-        // One endpoint without it: neither side may use it, but plain
-        // refresh, which both offered, still negotiates.
-        let plain_refresh = Capabilities {
-            enhanced_refresh: false,
-            ..Default::default()
-        };
-        let mut c = Session::new(SessionConfig {
-            caps: plain_refresh,
-            ..SessionConfig::new(Asn(32934), Ipv4Addr::new(10, 0, 0, 3))
-        });
-        let mut d = Session::new(SessionConfig::new(Asn(65001), Ipv4Addr::new(10, 0, 0, 4)));
-        establish_pair(&mut c, &mut d);
-        assert!(!c.negotiated().enhanced_refresh, "c did not offer it");
-        assert!(!d.negotiated().enhanced_refresh, "peer c did not offer it");
-        assert!(c.negotiated().route_refresh && d.negotiated().route_refresh);
-    }
-
-    #[test]
     fn refresh_request_round_trips_with_demarcation() {
         let (mut a, mut b) = pair();
         establish_pair(&mut a, &mut b);
-        assert!(a.negotiated().route_refresh && a.negotiated().enhanced_refresh);
 
         a.request_refresh().unwrap();
         assert_eq!(a.stats().refreshes_sent, 1);
@@ -608,24 +560,6 @@ mod tests {
     }
 
     #[test]
-    fn refresh_without_capability_is_a_typed_error() {
-        let mut a = Session::new(SessionConfig::new(Asn(32934), Ipv4Addr::new(10, 0, 0, 1)));
-        let mut b = Session::new(SessionConfig {
-            caps: Capabilities::none(),
-            ..SessionConfig::new(Asn(65001), Ipv4Addr::new(10, 0, 0, 2))
-        });
-        establish_pair(&mut a, &mut b);
-        assert!(a.is_established());
-        assert!(!a.negotiated().route_refresh);
-        assert_eq!(a.request_refresh(), Err(SessionError::RefreshUnsupported));
-        assert_eq!(
-            a.send_refresh_marker(RefreshSubtype::BoRR),
-            Err(SessionError::RefreshUnsupported)
-        );
-        assert_eq!(a.stats().refreshes_sent, 0);
-    }
-
-    #[test]
     fn refresh_before_established_is_not_established() {
         let (mut a, _) = pair();
         assert_eq!(a.request_refresh(), Err(SessionError::NotEstablished));
@@ -643,15 +577,6 @@ mod tests {
             evs.as_slice(),
             [SessionEvent::Down(DownReason::ProtocolError(_))]
         ));
-    }
-
-    #[test]
-    fn negotiation_clears_on_reset() {
-        let (mut a, mut b) = pair();
-        establish_pair(&mut a, &mut b);
-        assert!(a.negotiated().route_refresh);
-        a.stop();
-        assert_eq!(a.negotiated(), Capabilities::none());
     }
 
     #[test]
@@ -779,7 +704,7 @@ mod tests {
             evs.as_slice(),
             [SessionEvent::Down(DownReason::ProtocolError(_))]
         ));
-        assert_eq!(b.state(), SessionState::Idle);
+        assert_eq!(b.state, SessionState::Idle);
     }
 
     #[test]

@@ -265,7 +265,9 @@ fn apply(router: &mut BgpRouter, peers: &[Peer], sides: &mut [Side], op: Op) {
             let Some(adj) = side.adj_in.as_mut() else {
                 return;
             };
-            side.stub.withdraw(router, [prefix(i)], 1);
+            side.stub
+                .try_send_update(router, UpdateMessage::withdraw([prefix(i)]), 1)
+                .unwrap();
             side.advertised.remove(&prefix(i));
             adj.withdraw(&prefix(i));
         }

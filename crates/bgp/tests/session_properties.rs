@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use ef_bgp::message::UpdateMessage;
-use ef_bgp::{Session, SessionConfig, SessionEvent, SessionState};
+use ef_bgp::{Session, SessionConfig, SessionEvent};
 use ef_net_types::Asn;
 
 /// Drives two sessions to `Established` by shuttling their outboxes.
@@ -100,11 +100,8 @@ proptest! {
                         ]));
                     }
                 }
-                Op::RestartA => {
-                    if a.state() == SessionState::Idle {
-                        a.open();
-                    }
-                }
+                // `open` is a no-op unless A is idle.
+                Op::RestartA => a.open(),
                 Op::CorruptBA => {
                     for bytes in b.take_outbox() {
                         let mut v = bytes.to_vec();

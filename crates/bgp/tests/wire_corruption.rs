@@ -42,11 +42,12 @@ fn seed_messages() -> Vec<BgpMessage> {
     };
     vec![
         BgpMessage::Keepalive,
-        BgpMessage::Open(OpenMessage::new(
-            Asn(400_000),
-            90,
-            std::net::Ipv4Addr::new(10, 0, 0, 1),
-        )),
+        BgpMessage::Open(OpenMessage {
+            asn: Asn(400_000),
+            hold_time: 90,
+            router_id: std::net::Ipv4Addr::new(10, 0, 0, 1),
+            capabilities: vec![(65, 400_000u32.to_be_bytes().to_vec())],
+        }),
         BgpMessage::Notification(NotificationMessage {
             code: 6,
             subcode: 2,

@@ -3,9 +3,9 @@
 //! A schedule is an ordered list of [`FaultEvent`]s. Each event names a
 //! [`FaultTarget`] (a PoP, one of its BGP peers, or one of its egress
 //! interfaces), a [`FaultKind`], and a `[t_start, t_start + duration)`
-//! window in simulated seconds. Events are plain data: the simulator asks
-//! [`FaultSchedule::active_at`] each tick and applies/reverts faults as
-//! windows open and close.
+//! window in simulated seconds. Events are plain data: each tick the
+//! simulator derives its fault state from the windows
+//! [`FaultEvent::active_at`] that tick.
 
 use serde::{Deserialize, Serialize};
 
@@ -333,16 +333,6 @@ impl FaultSchedule {
         self.events.len()
     }
 
-    /// Event indices and events in effect at `t_secs`, in schedule order.
-    /// Indices are stable identities the simulator uses to diff the active
-    /// set between ticks.
-    pub fn active_at(&self, t_secs: u64) -> impl Iterator<Item = (usize, &FaultEvent)> {
-        self.events
-            .iter()
-            .enumerate()
-            .filter(move |(_, e)| e.active_at(t_secs))
-    }
-
     /// Fails on the first window shorter than `epoch_secs`, naming it. A
     /// simulation ticks at multiples of its epoch from t = 0, so a window
     /// of at least one epoch always covers a tick; a shorter one could
@@ -442,14 +432,12 @@ mod tests {
         .unwrap();
         assert_eq!(sched.events[0].t_start_secs, 100);
         assert_eq!(sched.horizon_secs(), 260);
-        let at_pop1: Vec<_> = sched
-            .active_at(110)
-            .filter(|(_, e)| e.target.pop() == Some(1))
-            .collect();
+        let active = |t| sched.events.iter().filter(move |e| e.active_at(t));
+        let at_pop1: Vec<_> = active(110).filter(|e| e.target.pop() == Some(1)).collect();
         assert_eq!(at_pop1.len(), 1);
-        assert!(matches!(at_pop1[0].1.kind, FaultKind::PeerFailure));
-        assert_eq!(sched.active_at(110).count(), 2);
-        assert_eq!(sched.active_at(500).count(), 0);
+        assert!(matches!(at_pop1[0].kind, FaultKind::PeerFailure));
+        assert_eq!(active(110).count(), 2);
+        assert_eq!(active(500).count(), 0);
     }
 
     #[test]
@@ -580,12 +568,9 @@ mod tests {
             ev(100, 60, FaultKind::BmpStall, FaultTarget::Pop { pop: 1 }),
         ])
         .unwrap();
-        let at_pop1 = sched
-            .active_at(110)
-            .filter(|(_, e)| e.target.pop() == Some(1))
-            .count();
-        assert_eq!(at_pop1, 1);
-        assert_eq!(sched.active_at(110).count(), 2);
+        let active = || sched.events.iter().filter(|e| e.active_at(110));
+        assert_eq!(active().filter(|e| e.target.pop() == Some(1)).count(), 1);
+        assert_eq!(active().count(), 2);
     }
 
     #[test]

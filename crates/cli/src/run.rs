@@ -5,7 +5,7 @@
 
 use std::fmt::Write as _;
 
-use ef_global::GlobalConfig;
+use ef_global::{BackendKind, GlobalConfig};
 use ef_sim::{MetricsStore, RunReport, ScenarioBuilder};
 
 use crate::{json, Args, Output};
@@ -54,7 +54,12 @@ pub(crate) fn run(args: &Args) -> Result<Output, String> {
         });
     if args.global {
         builder = builder.global(match args.backend.as_deref() {
-            Some("anycast") => GlobalConfig::anycast(1),
+            Some("anycast") => GlobalConfig {
+                backend: Some(BackendKind::Anycast {
+                    convergence_epochs: 1,
+                }),
+                ..GlobalConfig::default()
+            },
             _ => GlobalConfig::dns(1),
         });
     }

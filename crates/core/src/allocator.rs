@@ -486,7 +486,7 @@ pub(crate) mod tests {
     use ef_bgp::attrs::{AsPath, PathAttributes};
     use ef_bgp::message::UpdateMessage;
     use ef_bgp::peer::{PeerId, PeerKind};
-    use ef_bgp::{BmpMessage, BmpPeerHeader, EgressSpec};
+    use ef_bgp::{BmpMessage, BmpPeerHeader, EgressSpec, PeeringClass};
     use ef_net_types::Asn;
 
     pub(crate) fn p(s: &str) -> Prefix {
@@ -1116,14 +1116,22 @@ pub(crate) mod tests {
         assert_eq!(o.target, EgressId(2));
     }
 
+    /// A transit egress billed at `usd` per Mbps.
+    fn transit_at(egress: u32, asn: u32, usd: f64) -> EgressSpec {
+        EgressSpec {
+            class: PeeringClass::Transit { usd_per_mbps: usd },
+            ..EgressSpec::transit(egress, asn)
+        }
+    }
+
     /// Two transit alternates in the same preference band, priced apart:
     /// cost-aware steering must take the cheap one (with provenance), and
     /// the cost-blind default must keep taking the first in rank order.
     #[test]
     fn cost_tiebreak_picks_cheapest_in_band() {
         let pni = EgressSpec::pni(1, 65001);
-        let expensive = EgressSpec::transit(3, 65010).usd_per_mbps(3.0);
-        let cheap = EgressSpec::transit(4, 65011).usd_per_mbps(0.5);
+        let expensive = transit_at(3, 65010, 3.0);
+        let cheap = transit_at(4, 65011, 0.5);
         let specs = [pni, expensive, cheap];
         let mut c = collector(&specs);
         for spec in specs {
@@ -1178,7 +1186,7 @@ pub(crate) mod tests {
         // even though transit's marginal price is irrelevant — band first.
         let pni = EgressSpec::pni(1, 65001);
         let public = EgressSpec::settlement_free(2, 65002);
-        let cheap_transit = EgressSpec::transit(3, 65010).usd_per_mbps(0.01);
+        let cheap_transit = transit_at(3, 65010, 0.01);
         let specs = [pni, public, cheap_transit];
         let mut c = collector(&specs);
         for spec in specs {
@@ -1201,7 +1209,7 @@ pub(crate) mod tests {
 
         // Now pin the cheap transit at capacity: the tiebreak may not
         // relax the capacity check to reach it.
-        let expensive = EgressSpec::transit(4, 65011).usd_per_mbps(3.0);
+        let expensive = transit_at(4, 65011, 3.0);
         let specs = [pni, cheap_transit, expensive];
         let mut c = collector(&specs);
         for spec in specs {
@@ -1236,8 +1244,8 @@ pub(crate) mod tests {
     #[test]
     fn cost_tiebreak_stays_in_the_first_feasible_band() {
         let pni = EgressSpec::pni(1, 65001);
-        let preferred = EgressSpec::transit(3, 65010).usd_per_mbps(3.0);
-        let cheap = EgressSpec::transit(4, 65011).usd_per_mbps(0.5);
+        let preferred = transit_at(3, 65010, 3.0);
+        let cheap = transit_at(4, 65011, 0.5);
         let mut c = collector(&[pni, preferred, cheap]);
         announce(&mut c, pni, "1.0.0.0/24");
         let transit_pref = PeerKind::Transit.default_local_pref();

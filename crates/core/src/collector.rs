@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use ef_bgp::attrstore::RouteRec;
 use ef_bgp::peer::{PeerId, PeerKind};
-use ef_bgp::route::{EgressId, Route, RouteSource};
+use ef_bgp::route::{EgressId, RouteSource};
 use ef_bgp::{BmpMessage, LocRib};
 use ef_net_types::Prefix;
 
@@ -69,11 +69,6 @@ impl RouteCollector {
     /// cache's steady-state fast path.
     pub fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Registers a (late-provisioned) peer's egress mapping.
-    pub fn add_peer(&mut self, peer: PeerId, egress: EgressId) {
-        self.peer_egress.insert(peer, egress);
     }
 
     /// Number of messages dropped for lack of attribution.
@@ -174,16 +169,6 @@ impl RouteCollector {
     pub(crate) fn ranked_into(&self, prefix: &Prefix, out: &mut Vec<RouteRec>) {
         self.rib.ranked_into(prefix, out)
     }
-
-    /// Materializes a full [`Route`] from a pooled record.
-    pub fn route(&self, prefix: Prefix, rec: &RouteRec) -> Route {
-        self.rib.route(prefix, rec)
-    }
-
-    /// Number of prefixes with at least one route.
-    pub fn prefix_count(&self) -> usize {
-        self.rib.len()
-    }
 }
 
 #[cfg(test)]
@@ -193,6 +178,11 @@ mod tests {
     use ef_bgp::message::UpdateMessage;
     use ef_bgp::BmpPeerHeader;
     use ef_net_types::Asn;
+
+    /// Number of prefixes with at least one route.
+    fn prefix_count(c: &RouteCollector) -> usize {
+        c.rib.len()
+    }
 
     fn header(peer: u64, asn: u32) -> BmpPeerHeader {
         BmpPeerHeader {
@@ -234,7 +224,7 @@ mod tests {
                 tagged_attrs(PeerKind::PrivatePeer, &[65001]),
             ),
         }]);
-        assert_eq!(c.prefix_count(), 1);
+        assert_eq!(prefix_count(&c), 1);
         let routes = c.candidates(&p("203.0.113.0/24"));
         assert_eq!(routes.len(), 1);
         assert_eq!(routes[0].egress, EgressId(11));
@@ -244,7 +234,7 @@ mod tests {
             peer: header(1, 65001),
             update: UpdateMessage::withdraw([p("203.0.113.0/24")]),
         }]);
-        assert_eq!(c.prefix_count(), 0);
+        assert_eq!(prefix_count(&c), 0);
     }
 
     #[test]
@@ -288,12 +278,12 @@ mod tests {
                 ),
             }]);
         }
-        assert_eq!(c.prefix_count(), 2);
+        assert_eq!(prefix_count(&c), 2);
         c.ingest([BmpMessage::PeerDown {
             peer: header(1, 65001),
             reason: 1,
         }]);
-        assert_eq!(c.prefix_count(), 0);
+        assert_eq!(prefix_count(&c), 0);
     }
 
     #[test]
@@ -306,7 +296,7 @@ mod tests {
                 PathAttributes::default(), // no kind tag
             ),
         }]);
-        assert_eq!(c.prefix_count(), 0);
+        assert_eq!(prefix_count(&c), 0);
         assert_eq!(c.dropped(), 1);
     }
 
@@ -320,7 +310,7 @@ mod tests {
                 tagged_attrs(PeerKind::PublicPeer, &[65099]),
             ),
         }]);
-        assert_eq!(c.prefix_count(), 0);
+        assert_eq!(prefix_count(&c), 0);
         assert_eq!(c.dropped(), 1);
     }
 
@@ -415,19 +405,5 @@ mod tests {
             g2,
             "unrelated prefix untouched"
         );
-    }
-
-    #[test]
-    fn late_peer_registration_works() {
-        let mut c = RouteCollector::new(HashMap::new());
-        c.add_peer(PeerId(5), EgressId(50));
-        c.ingest([BmpMessage::RouteMonitoring {
-            peer: header(5, 65005),
-            update: UpdateMessage::announce(
-                p("5.0.0.0/24"),
-                tagged_attrs(PeerKind::PublicPeer, &[65005]),
-            ),
-        }]);
-        assert_eq!(c.prefix_count(), 1);
     }
 }

@@ -431,20 +431,6 @@ impl PopController {
         }
     }
 
-    /// Resynchronises the router with the injector's announced set via
-    /// ROUTE-REFRESH on the live session — the recovery used when the
-    /// *content* of the injector feed was damaged (partial loss, update
-    /// corruption) but the session itself held. Returns `false` if the
-    /// session is down or refresh was not negotiated; the reattach replay
-    /// and the next epoch's diff cover those.
-    pub fn resync_injector(&mut self, router: &mut BgpRouter, now: Millis) -> bool {
-        let ok = self.injector.resync_via_refresh(router, now);
-        if ok {
-            self.telemetry.emit(self.pop, now, "injector.resync", &[]);
-        }
-        ok
-    }
-
     /// Cumulative injection accounting: sends, drops and session
     /// refusals.
     pub fn injection_ledger(&self) -> &InjectionLedger {
@@ -639,7 +625,7 @@ mod tests {
         let traffic = HashMap::from([(p("1.0.0.0/24"), 10.0), (p("99.0.0.0/24"), 5.0)]);
         let projection = crate::projection::project(w.controller.collector(), &traffic);
         assert_eq!(projection.unrouted_mbps, 5.0);
-        assert_eq!(projection.demand_total_mbps(), 15.0);
+        assert_eq!(projection.routed, [(p("1.0.0.0/24"), 10.0)]);
     }
 
     #[test]
@@ -652,7 +638,7 @@ mod tests {
             limit_mbps(interfaces, EgressId(77), util_limit),
             f64::INFINITY
         );
-        let kind = |e| interfaces.get(&EgressId(e)).map(|i| i.kind());
+        let kind = |e| interfaces.get(&EgressId(e)).map(|i| i.policy.kind());
         assert_eq!(kind(1), Some(PeerKind::PrivatePeer));
         assert_eq!(kind(77), None);
     }
@@ -713,7 +699,13 @@ mod tests {
             .unwrap();
         // The transit route under the detour disappears; the BMP withdraw
         // reaches the collector, but the traffic input is stale.
-        w.transit.withdraw(&mut w.router, [steered.prefix], 50_000);
+        w.transit
+            .try_send_update(
+                &mut w.router,
+                ef_bgp::message::UpdateMessage::withdraw([steered.prefix]),
+                50_000,
+            )
+            .unwrap();
         w.controller.ingest_bmp(w.router.drain_bmp(), 50_000);
         let stale = aged(0, w.controller.config().stale_input_secs * 1000);
         let report = w.run(&peak, 60_000, stale).unwrap();

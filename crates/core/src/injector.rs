@@ -302,7 +302,8 @@ impl Injector {
     /// `desired`, sending only the diff. Individual sends may be dropped by
     /// the loss gate or refused by the session layer; those are reported,
     /// left out of the announced bookkeeping, and therefore retried by the
-    /// next epoch's diff.
+    /// next epoch's diff. While the session is lost nothing is sent: every
+    /// diff entry is dropped and counted as a send error.
     pub fn apply(
         &mut self,
         router: &mut BgpRouter,
@@ -311,6 +312,12 @@ impl Injector {
     ) -> InjectionReport {
         let diff = self.announced.diff_to(desired);
         let mut report = InjectionReport::default();
+        if !self.session_up() {
+            self.ledger.send_errors += (diff.withdraw.len() + diff.announce.len()) as u64;
+            report.dropped_withdraw = diff.withdraw;
+            report.dropped_announce = diff.announce.iter().map(|o| o.prefix).collect();
+            return report;
+        }
 
         let mut sendable_withdraw: Vec<Prefix> = Vec::new();
         for p in &diff.withdraw {
@@ -377,27 +384,6 @@ impl Injector {
             }
         }
         report
-    }
-
-    /// Resynchronises the router with the injector's view via a
-    /// ROUTE-REFRESH request on the live session (RFC 2918): the stub
-    /// replays exactly what it actually sent (loss-gate drops never made it
-    /// into that set), and with enhanced refresh (RFC 7313) the EoRR sweep
-    /// clears any stale route the router holds that the injector no longer
-    /// stands behind. No session bounce, no override withdrawal window.
-    /// Returns `false` if the session is down or refresh was not
-    /// negotiated. Neither needs another path: a reattach replays the
-    /// whole desired set, and the next diff retries every send the ledger
-    /// lacks.
-    pub fn resync_via_refresh(&mut self, router: &mut BgpRouter, now: Millis) -> bool {
-        if !self.session_up() {
-            return false;
-        }
-        if router.request_refresh(self.stub.peer).is_err() {
-            return false;
-        }
-        self.stub.pump(router, now);
-        true
     }
 }
 
@@ -558,6 +544,24 @@ mod tests {
         assert!(inj.session_up());
         inj.apply(&mut router, &desired, 40);
         assert!(router.fib_entry(&p("1.0.0.0/24")).unwrap().is_override);
+    }
+
+    #[test]
+    fn apply_after_session_loss_sends_nothing() {
+        let (mut router, _peer, _transit) = world();
+        let mut inj = Injector::try_attach(&mut router, PeerId(1000), 0).unwrap();
+        router.remove_peer(PeerId(1000), 10);
+        inj.session_lost();
+
+        let mut desired = OverrideSet::new();
+        desired.insert(ov("1.0.0.0/24", 2));
+        let report = inj.apply(&mut router, &desired, 20);
+        assert!(report.sent.announce.is_empty());
+        assert_eq!(report.dropped_announce, [p("1.0.0.0/24")]);
+        assert!(inj.announced().is_empty(), "the router holds none of it");
+        assert_eq!(inj.ledger().send_errors, 1);
+        assert_eq!(inj.ledger().announces_sent, 0);
+        assert!(!router.fib_entry(&p("1.0.0.0/24")).unwrap().is_override);
     }
 
     #[test]

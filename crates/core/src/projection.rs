@@ -39,33 +39,12 @@ pub struct Projection {
     /// Demand (Mbps) that had no route at all (blackhole risk; reported,
     /// not steered).
     pub unrouted_mbps: f64,
-    /// Running total of routed demand, accumulated in canonical prefix
-    /// order as the projection is built (so `total_mbps` is O(1) and still
-    /// identical run to run).
-    total: f64,
-    /// Every entry's demand (routed or not), summed in canonical prefix
-    /// order — the same sequence `state::total_traffic_mbps` produces, so
-    /// budget math downstream needs no second pass over the traffic view.
-    demand: f64,
 }
 
 impl Projection {
     /// Load on one interface, Mbps (0 if untouched).
     pub(crate) fn load(&self, egress: EgressId) -> f64 {
         self.load_mbps.get(&egress).copied().unwrap_or(0.0)
-    }
-
-    /// Total projected demand, Mbps (maintained at build time in canonical
-    /// prefix order; identical run to run).
-    pub fn total_mbps(&self) -> f64 {
-        self.total
-    }
-
-    /// Total presented demand, Mbps — routed, unrouted and zero entries
-    /// alike, summed in canonical prefix order. Bit-identical to
-    /// `state::total_traffic_mbps` over the same traffic view.
-    pub fn demand_total_mbps(&self) -> f64 {
-        self.demand
     }
 
     /// The egress the prefix's demand was projected onto, if it carried
@@ -90,8 +69,6 @@ impl Projection {
             && self.egress == other.egress
             && self.gap == other.gap
             && bits(self.unrouted_mbps) == bits(other.unrouted_mbps)
-            && bits(self.total) == bits(other.total)
-            && bits(self.demand) == bits(other.demand)
     }
 }
 
@@ -149,7 +126,6 @@ pub(crate) fn project<T: TrafficView + ?Sized>(routes: &RouteCollector, traffic:
     // Canonical (prefix) order: the per-interface sums below are float
     // accumulations, and storage order must not leak into them.
     for (prefix, mbps) in traffic.sorted_entries(&mut Vec::new()) {
-        projection.demand += *mbps;
         if *mbps <= 0.0 {
             continue;
         }
@@ -160,7 +136,6 @@ pub(crate) fn project<T: TrafficView + ?Sized>(routes: &RouteCollector, traffic:
                 projection.routed.push((*prefix, *mbps));
                 projection.egress.push(best.egress);
                 projection.gap.push(PrefGap::off(candidates, best));
-                projection.total += mbps;
             }
             None => projection.unrouted_mbps += mbps,
         }
@@ -318,10 +293,9 @@ pub fn project_cached<T: TrafficView + ?Sized>(
     let mut routed = Vec::with_capacity(entries.len());
     let mut egress = Vec::with_capacity(entries.len());
     let mut gap = Vec::with_capacity(entries.len());
-    let (mut demand, mut total, mut unrouted_mbps) = (0.0, 0.0, 0.0);
+    let mut unrouted_mbps = 0.0;
     let mut mi = 0usize;
     for &(prefix, mbps) in entries {
-        demand += mbps;
         if mbps <= 0.0 {
             continue;
         }
@@ -353,7 +327,6 @@ pub fn project_cached<T: TrafficView + ?Sized>(
             routed.push((prefix, mbps));
             egress.push(cache.slot_egress[slot]);
             gap.push(row.gap);
-            total += mbps;
         }
     }
     let mut projection = Projection {
@@ -361,8 +334,6 @@ pub fn project_cached<T: TrafficView + ?Sized>(
         egress,
         gap,
         unrouted_mbps,
-        total,
-        demand,
         ..Default::default()
     };
 
@@ -441,8 +412,7 @@ mod tests {
         assert_eq!(proj.load(EgressId(12)), 0.0);
         assert_eq!(proj.assigned_egress(&p("1.0.0.0/24")), Some(EgressId(11)));
         assert_eq!(proj.unrouted_mbps, 0.0);
-        assert_eq!(proj.total_mbps(), 100.0);
-        assert_eq!(proj.demand_total_mbps(), 100.0);
+        assert_eq!(proj.routed, [(p("1.0.0.0/24"), 100.0)]);
     }
 
     #[test]
@@ -478,7 +448,6 @@ mod tests {
         let proj = project(&c, &traffic);
         assert_eq!(proj.unrouted_mbps, 50.0);
         assert!(proj.routed.is_empty());
-        assert_eq!(proj.demand_total_mbps(), 50.0, "unrouted still presented");
     }
 
     fn withdraw(c: &mut RouteCollector, peer: u64, asn: u32, prefix: &str) {
@@ -505,8 +474,6 @@ mod tests {
         assert_eq!(fresh.egress, cached.egress);
         assert_eq!(fresh.gap, cached.gap);
         assert_eq!(fresh.unrouted_mbps, cached.unrouted_mbps);
-        assert_eq!(fresh.total_mbps(), cached.total_mbps());
-        assert_eq!(fresh.demand_total_mbps(), cached.demand_total_mbps());
     }
 
     #[test]
@@ -627,6 +594,6 @@ mod tests {
         let traffic = HashMap::from([(p("1.0.0.0/24"), 0.0)]);
         let proj = project(&c, &traffic);
         assert!(proj.routed.is_empty());
-        assert_eq!(proj.total_mbps(), 0.0);
+        assert_eq!(proj.unrouted_mbps, 0.0);
     }
 }

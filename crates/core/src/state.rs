@@ -42,11 +42,6 @@ impl InterfaceInfo {
         }
     }
 
-    /// The routing-layer interconnect kind, derived from the policy.
-    pub fn kind(&self) -> PeerKind {
-        self.policy.kind()
-    }
-
     /// Marginal cost of billing one more Mbps on this interface, $/Mbps
     /// per month (zero for anything but transit).
     pub(crate) fn marginal_usd_per_mbps(&self) -> f64 {
@@ -98,11 +93,6 @@ impl TrafficTable {
             self.entries.windows(2).all(|w| w[0].0 < w[1].0),
             "traffic table entries must be strictly ascending by prefix"
         );
-    }
-
-    /// The entries, in canonical prefix order.
-    pub fn entries(&self) -> &[(Prefix, f64)] {
-        &self.entries
     }
 }
 
@@ -157,7 +147,7 @@ mod tests {
     #[test]
     fn interface_info_is_plain_data() {
         let info = InterfaceInfo::new(10_000.0, PeerKind::PrivatePeer);
-        assert_eq!(info.kind(), PeerKind::PrivatePeer);
+        assert_eq!(info.policy.kind(), PeerKind::PrivatePeer);
         assert_eq!(info.marginal_usd_per_mbps(), 0.0);
         let json = serde_json::to_string(&info).unwrap();
         let back: InterfaceInfo = serde_json::from_str(&json).unwrap();
@@ -189,7 +179,7 @@ mod tests {
         }
         // A refill reuses the buffer and drops the old entries.
         table.refill([(p("10.0.0.0/24"), 1.0)]);
-        assert_eq!(table.entries(), [(p("10.0.0.0/24"), 1.0)]);
+        assert_eq!(table.entries, [(p("10.0.0.0/24"), 1.0)]);
         assert_eq!(table.demand_of(&p("2001:db8::/48")), None);
     }
 

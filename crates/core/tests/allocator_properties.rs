@@ -347,8 +347,8 @@ proptest! {
                     prop_assert!(usd_per_mbps > chosen_usd_per_mbps, "cost rejection with no saving");
                     let rejected_info = &interfaces[&alt.egress.unwrap()];
                     prop_assert_eq!(
-                        rejected_info.kind().default_local_pref(),
-                        chosen_info.kind().default_local_pref(),
+                        rejected_info.policy.kind().default_local_pref(),
+                        chosen_info.policy.kind().default_local_pref(),
                         "cost rejection crossed a preference band"
                     );
                 }

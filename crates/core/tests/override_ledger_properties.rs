@@ -129,10 +129,12 @@ fn step(
             router.remove_peer(PeerId(ORGANIC[i].0), now);
             organic[i] = connect(router, i, now);
         }
-        // Enhanced refresh: the EoRR sweep drops whatever the injector did
-        // not replay.
+        // An organic peer answers a ROUTE-REFRESH with its full table.
         _ => {
-            injector.resync_via_refresh(router, now);
+            let i = k % ORGANIC.len();
+            if router.request_refresh(PeerId(ORGANIC[i].0)).is_ok() {
+                organic[i].pump(router, now);
+            }
         }
     }
     Vec::new()

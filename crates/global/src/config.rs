@@ -145,16 +145,6 @@ impl GlobalConfig {
         }
     }
 
-    /// Anycast-style steering with the given convergence delay.
-    pub fn anycast(convergence_epochs: u64) -> Self {
-        GlobalConfig {
-            backend: Some(BackendKind::Anycast {
-                convergence_epochs: convergence_epochs.max(1),
-            }),
-            ..GlobalConfig::default()
-        }
-    }
-
     /// Adds a scheduled flash crowd (builder-style).
     pub fn with_flash_crowd(mut self, spec: FlashCrowdSpec) -> Self {
         self.flash_crowds.push(spec);
@@ -196,6 +186,18 @@ impl GlobalConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GlobalConfig {
+        /// Anycast-style steering with the given convergence delay.
+        pub(crate) fn anycast(convergence_epochs: u64) -> Self {
+            GlobalConfig {
+                backend: Some(BackendKind::Anycast {
+                    convergence_epochs: convergence_epochs.max(1),
+                }),
+                ..GlobalConfig::default()
+            }
+        }
+    }
 
     #[test]
     fn constructors_pick_the_right_backend() {

@@ -1005,7 +1005,7 @@ mod tests {
             assert_eq!(*pop, victim.0);
             assert_eq!(*now_ms, 7_200_000);
             assert_eq!(record.backend, "dns");
-            assert!(record.applied());
+            assert_eq!(record.verdict, ef_telemetry::PlacementVerdict::Applied);
             assert!(!record.targets.is_empty());
             assert!(record.moved_mbps > 0.0);
             assert!(record.away_fraction > 0.0);

@@ -130,12 +130,6 @@ impl<T> CompressedTrie<T> {
         self.len == 0
     }
 
-    /// Number of arena nodes currently allocated (live + free). Bounded by
-    /// `2·len - 1` live nodes in canonical form; exposed for accounting.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len() - self.free.len()
-    }
-
     /// Approximate resident bytes of the arena.
     pub fn approx_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<CNode<T>>()
@@ -427,51 +421,6 @@ impl<T> CompressedTrie<T> {
         })
     }
 
-    /// Iterates over every `(prefix, value)` pair in deterministic
-    /// (bitwise, v4-then-v6) order.
-    pub fn iter(&self) -> impl Iterator<Item = (Prefix, &T)> {
-        let mut out = Vec::with_capacity(self.len);
-        self.collect_family(self.v4_root, true, &mut out);
-        self.collect_family(self.v6_root, false, &mut out);
-        out.into_iter()
-    }
-
-    fn collect_family<'a>(&'a self, root: u32, v4: bool, out: &mut Vec<(Prefix, &'a T)>) {
-        if root == NIL {
-            return;
-        }
-        // Pre-order DFS, child 0 before child 1, which is exactly (bits, len)
-        // order: a node's own value sorts before everything in its subtrees,
-        // and subtree 0's bit pattern sorts below subtree 1's.
-        let mut stack: Vec<(u32, u128, u8)> = vec![(root, 0, 0)];
-        while let Some((idx, bits, depth)) = stack.pop() {
-            let node = &self.nodes[idx as usize];
-            let bits = bits | (node.label >> depth as u32);
-            let depth = depth + node.label_len;
-            // Push child 1 first so child 0 pops first.
-            if node.child[1] != NIL {
-                stack.push((node.child[1], bits, depth));
-            }
-            if node.child[0] != NIL {
-                stack.push((node.child[0], bits, depth));
-            }
-            if let Some(v) = node.value.as_ref() {
-                let prefix = if v4 {
-                    Prefix::V4 {
-                        addr: (bits >> 96) as u32,
-                        len: depth,
-                    }
-                } else {
-                    Prefix::V6 {
-                        addr: bits,
-                        len: depth,
-                    }
-                };
-                out.push((prefix, v));
-            }
-        }
-    }
-
     /// Builds the canonical trie for a key set in one pass (the batched
     /// build path): sort by `(bits, len)`, then recursively emit one node
     /// per branch point with an O(1) label computation — no per-key
@@ -558,6 +507,58 @@ mod tests {
     use proptest::prelude::*;
     use std::collections::HashMap;
     use std::net::Ipv4Addr;
+
+    impl<T> CompressedTrie<T> {
+        /// Arena nodes in use; canonical form keeps it below `2·len`.
+        fn node_count(&self) -> usize {
+            self.nodes.len() - self.free.len()
+        }
+
+        /// Iterates over every `(prefix, value)` pair in deterministic
+        /// (bitwise, v4-then-v6) order.
+        fn iter(&self) -> impl Iterator<Item = (Prefix, &T)> {
+            let mut out = Vec::with_capacity(self.len);
+            self.collect_family(self.v4_root, true, &mut out);
+            self.collect_family(self.v6_root, false, &mut out);
+            out.into_iter()
+        }
+
+        fn collect_family<'a>(&'a self, root: u32, v4: bool, out: &mut Vec<(Prefix, &'a T)>) {
+            if root == NIL {
+                return;
+            }
+            // Pre-order DFS, child 0 before child 1, which is exactly (bits, len)
+            // order: a node's own value sorts before everything in its subtrees,
+            // and subtree 0's bit pattern sorts below subtree 1's.
+            let mut stack: Vec<(u32, u128, u8)> = vec![(root, 0, 0)];
+            while let Some((idx, bits, depth)) = stack.pop() {
+                let node = &self.nodes[idx as usize];
+                let bits = bits | (node.label >> depth as u32);
+                let depth = depth + node.label_len;
+                // Push child 1 first so child 0 pops first.
+                if node.child[1] != NIL {
+                    stack.push((node.child[1], bits, depth));
+                }
+                if node.child[0] != NIL {
+                    stack.push((node.child[0], bits, depth));
+                }
+                if let Some(v) = node.value.as_ref() {
+                    let prefix = if v4 {
+                        Prefix::V4 {
+                            addr: (bits >> 96) as u32,
+                            len: depth,
+                        }
+                    } else {
+                        Prefix::V6 {
+                            addr: bits,
+                            len: depth,
+                        }
+                    };
+                    out.push((prefix, v));
+                }
+            }
+        }
+    }
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -792,6 +793,8 @@ mod tests {
             }
             for pfx in &prefixes {
                 trie.remove(pfx);
+                // Merge-on-remove keeps the arena canonical at every step.
+                prop_assert!(trie.is_empty() || trie.node_count() < 2 * trie.len());
             }
             prop_assert!(trie.is_empty());
             prop_assert_eq!(trie.node_count(), 0);

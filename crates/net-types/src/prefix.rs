@@ -74,13 +74,6 @@ impl Prefix {
         }
     }
 
-    /// Returns the `i`-th bit of the network address counting from the most
-    /// significant bit (bit 0 is the top bit). `i` must be `< len`.
-    pub fn bit(&self, i: u8) -> bool {
-        debug_assert!(i < self.len());
-        (self.bits_left_aligned() >> (127 - i)) & 1 == 1
-    }
-
     /// True if `self` contains `other`: same family, `self.len <=
     /// other.len`, and the first `self.len` bits agree. A prefix contains
     /// itself.
@@ -286,11 +279,10 @@ mod tests {
 
     #[test]
     fn bit_indexing() {
-        let pre = p("128.0.0.0/1");
-        assert!(pre.bit(0));
-        let pre = p("64.0.0.0/2");
-        assert!(!pre.bit(0));
-        assert!(pre.bit(1));
+        // Left-aligned, so bit 0 of the address is the top bit of the u128.
+        assert_eq!(p("128.0.0.0/1").bits_left_aligned() >> 127, 1);
+        assert_eq!(p("64.0.0.0/2").bits_left_aligned() >> 126, 0b01);
+        assert_eq!(p("8000::/1").bits_left_aligned() >> 127, 1);
     }
 
     #[test]

@@ -146,11 +146,6 @@ impl AltPathMeasurer {
     pub fn report(&self) -> Vec<&PathDigest> {
         self.digests.values().collect()
     }
-
-    /// Drops all state (e.g. at a day boundary).
-    pub fn reset(&mut self) {
-        self.digests.clear();
-    }
 }
 
 #[cfg(test)]
@@ -267,7 +262,7 @@ mod tests {
     }
 
     #[test]
-    fn report_is_sorted_and_reset_clears() {
+    fn report_is_sorted() {
         let mdl = model();
         let mut m = AltPathMeasurer::new(0);
         let entries = vec![(9u32, 10.0, paths()), (3u32, 10.0, paths())];
@@ -279,8 +274,5 @@ mod tests {
             .collect();
         assert_eq!(keys, vec![(3, 1), (3, 2), (9, 1), (9, 2)]);
         assert_eq!(m.measured_prefixes().collect::<Vec<_>>(), vec![3, 9]);
-        m.reset();
-        assert!(m.report().is_empty());
-        assert_eq!(m.measured_prefixes().count(), 0);
     }
 }

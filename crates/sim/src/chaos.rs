@@ -142,7 +142,12 @@ mod tests {
         let (mut closes, mut opens, mut prev, mut calm) = (Vec::new(), Vec::new(), Vec::new(), 0);
         for t in (0..=25_320).step_by(120) {
             let closed = tracker.advance(t, &telemetry, 0);
-            let now: Vec<FaultEvent> = schedule.active_at(t).map(|(_, e)| *e).collect();
+            let now: Vec<FaultEvent> = schedule
+                .events
+                .iter()
+                .filter(|e| e.active_at(t))
+                .copied()
+                .collect();
             assert!(tracker.active().eq(&now), "active set at t={t}");
             // Each closed window was active at the last tick and is not now.
             assert!(closed.iter().all(|e| prev.contains(e) && !now.contains(e)));

@@ -9,8 +9,8 @@
 //! a controller restarted or an injector reattached inside a window comes
 //! back under that window's level, and nested windows act as their union.
 //! The edge actions follow from level changes: `fault.start` / `fault.end`
-//! events (ends first), session teardowns, and the ROUTE-REFRESH and
-//! injector resyncs once corruption or injection loss clears. The
+//! events (ends first), session teardowns, and a peer's ROUTE-REFRESH
+//! once its corruption clears. The
 //! controller itself is never told a fault is active; it only sees the
 //! degraded inputs (that is the point — the graceful-degradation guards in
 //! `edge-fabric` must react to input staleness, not to an out-of-band
@@ -534,12 +534,6 @@ impl PopRuntime {
             }
             if ctl.injection_loss() != levels.injection_loss {
                 ctl.set_injection_loss(levels.injection_loss, self.chaos_seed);
-                if levels.injection_loss == 0.0 {
-                    // Refresh-based resync: the router re-learns exactly
-                    // what the injector believes is announced, and the
-                    // EoRR sweep clears anything it should not hold.
-                    ctl.resync_injector(&mut self.router, now_ms);
-                }
             }
         }
 
@@ -547,8 +541,7 @@ impl PopRuntime {
         // dropping the session, so once a peer's last corruption window
         // closes it is asked for a ROUTE-REFRESH replay (RFC 2918) — no
         // bounce; the governed refresh pass in `run_fault_mechanics` issues
-        // it. The injector's view may also have diverged while the inputs
-        // were damaged; it resyncs via refresh as well.
+        // it.
         let pop = self.pop.id.0 as usize;
         for (slot, rec) in self.peers.iter_mut().enumerate() {
             let target = FaultTarget::Peer {
@@ -559,9 +552,6 @@ impl PopRuntime {
             let ended = closed.iter().filter(corrupted).any(|e| e.target == target);
             if ended && levels.corrupt.iter().all(|&(s, _)| s != slot) {
                 rec.wants_refresh = true;
-                if let Some(ctl) = self.controller.as_mut() {
-                    ctl.resync_injector(&mut self.router, now_ms);
-                }
             }
         }
         levels
@@ -763,8 +753,8 @@ impl PopRuntime {
                     emit_refresh(false);
                 }
                 Err(_) => {
-                    // The peer never negotiated the capability (or is
-                    // gone): fall back to the governed bounce path.
+                    // The peer's session is down: fall back to the
+                    // governed bounce path.
                     rec.reconnect.record_down(now_ms);
                     rec.wants_up = true;
                 }
@@ -1181,13 +1171,6 @@ impl PopRuntime {
         self.health_signals.as_ref()
     }
 
-    /// The controller's current traffic input and the simulated second it
-    /// was estimated at (older than the last epoch only while a severe
-    /// sFlow loss starves the estimator).
-    pub fn last_traffic(&self) -> (u64, &TrafficTable) {
-        (self.last_traffic.0, &self.last_traffic.1)
-    }
-
     /// Whether any stub session dropped (sanity check for long runs).
     pub(crate) fn all_sessions_up(&self) -> bool {
         self.peers.iter().all(|r| r.stub.is_established())
@@ -1224,7 +1207,7 @@ impl PopRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ef_bgp::route::Route;
+    use ef_bgp::attrstore::RouteRec;
     use ef_chaos::{FaultEvent, FaultSchedule};
     use proptest::prelude::*;
 
@@ -1237,35 +1220,68 @@ mod tests {
         PopRuntime::build(&deployment, deployment.pops[0].id, &cfg)
     }
 
+    /// A severe sFlow loss starves the estimator: the controller's traffic
+    /// input stays the last fresh table, timestamp and all, until the
+    /// window closes; then the same buffer is refilled.
+    #[test]
+    fn severe_sflow_loss_replays_the_pre_fault_table_then_refills_it() {
+        let pop = 0;
+        let cfg = crate::scenario()
+            .small_topology(7)
+            .duration_secs(1500)
+            .epoch_secs(60)
+            .exact_rates()
+            .tune_controller(|c| {
+                c.stale_input_secs = 120;
+                c.fail_open_secs = 360;
+            })
+            .chaos(
+                FaultSchedule::new(vec![FaultEvent {
+                    t_start_secs: 300,
+                    duration_secs: 300,
+                    target: ef_chaos::FaultTarget::Pop { pop },
+                    kind: FaultKind::SflowLoss { drop_fraction: 1.0 },
+                }])
+                .expect("valid schedule"),
+            )
+            .build();
+        let mut engine = crate::ScenarioBuilder::from_config(cfg).engine();
+        while engine.now_secs() < 300 {
+            engine.step();
+        }
+        // The last fresh epoch before the window ran at t = 240.
+        let (t0, pre_fault) = engine.pops[pop].last_traffic.clone();
+        assert_eq!(t0, 240);
+        assert!(pre_fault != TrafficTable::new());
+        while engine.now_secs() < 600 {
+            engine.step();
+            let (t, table) = &engine.pops[pop].last_traffic;
+            assert_eq!(*t, t0, "stale estimate keeps its timestamp");
+            assert_eq!(table, &pre_fault, "stale replay is the pre-fault table");
+        }
+        // First fresh epoch after the window: the same buffer is refilled.
+        engine.step();
+        let (t, table) = &engine.pops[pop].last_traffic;
+        assert_eq!(*t, 600);
+        assert_ne!(table, &pre_fault, "demand moved in six minutes");
+    }
+
     #[test]
     fn streamed_table_load_leaves_collector_equal_to_loc_rib() {
         let mut pop = built(true);
         assert!(pop.router.rib_route_count() > 4 * BMP_BATCH, "many batches");
         let ctl = pop.controller.as_ref().expect("controller enabled");
         let collector = ctl.collector();
+        // What the controller reads of a route: source, egress and key.
+        let read = |recs: &[RouteRec]| -> Vec<_> {
+            recs.iter()
+                .filter(|r| !r.is_override())
+                .map(|r| (r.source, r.egress, r.key))
+                .collect()
+        };
         for (prefix, recs) in pop.router.iter_candidates() {
-            let want: Vec<Route> = recs
-                .iter()
-                .filter(|r| !r.is_override())
-                .map(|r| Route {
-                    prefix: *prefix,
-                    attrs: pop.router.rib_store().attrs(r.attr).clone(),
-                    source: r.source,
-                    egress: r.egress,
-                })
-                .collect();
-            let got: Vec<Route> = collector
-                .candidates(prefix)
-                .iter()
-                .filter(|r| !r.is_override())
-                .map(|r| collector.route(*prefix, r))
-                .collect();
-            assert_eq!(got, want, "{prefix}");
+            assert_eq!(read(collector.candidates(prefix)), read(recs), "{prefix}");
         }
-        assert_eq!(
-            collector.prefix_count(),
-            pop.router.iter_candidates().count()
-        );
         assert!(
             pop.router.drain_bmp().is_empty(),
             "the whole feed was handed over"
@@ -1404,7 +1420,8 @@ mod tests {
                 let levels = pop.fault_levels();
                 prop_assert_eq!(pop.fault_state_mismatch(&levels), None, "t={}", t);
                 // The levels are the open windows' alone.
-                let open: Vec<FaultKind> = schedule.active_at(t).map(|(_, e)| e.kind).collect();
+                let open: Vec<FaultKind> =
+                    schedule.events.iter().filter(|e| e.active_at(t)).map(|e| e.kind).collect();
                 let crashed = open.contains(&FaultKind::ControllerCrash);
                 prop_assert_eq!(levels.controller_down, crashed, "t={}", t);
                 prop_assert_eq!(levels.injector_down, open.contains(&FaultKind::InjectorLoss));

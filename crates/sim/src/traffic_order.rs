@@ -128,6 +128,7 @@ mod tests {
     use ef_traffic::sampler::SamplerConfig;
 
     use super::*;
+    use edge_fabric::TrafficView;
 
     /// A universe of `n` prefixes whose index order is not prefix order:
     /// v6 /48s interleave v4 /24s, and the v4 addresses descend.
@@ -176,7 +177,10 @@ mod tests {
         let mut table = TrafficTable::new();
         order.fill_exact(prefix_of, points, 1.0, &mut table);
         let rates: Vec<(u32, f64)> = points.iter().map(|d| (d.prefix_idx, d.mbps)).collect();
-        assert_eq!(table.entries(), sorted_by_prefix(prefix_of, &rates));
+        assert_eq!(
+            table.sorted_entries(&mut Vec::new()),
+            sorted_by_prefix(prefix_of, &rates)
+        );
         resorted
     }
 
@@ -232,7 +236,10 @@ mod tests {
             .iter()
             .map(|d| (d.prefix_idx, d.mbps * 0.25))
             .collect();
-        assert_eq!(table.entries(), sorted_by_prefix(&prefix_of, &rates));
+        assert_eq!(
+            table.sorted_entries(&mut Vec::new()),
+            sorted_by_prefix(&prefix_of, &rates)
+        );
     }
 
     fn sampler(seed: u64) -> SflowSampler {
@@ -320,7 +327,7 @@ mod tests {
             let expect = oracle.table(&prefix_of, &points, t, 1.0);
             assert_eq!(expect.len(), seen.len());
             order.fill_sampled(&prefix_of, &points, &mut live, t, 60, 1.0, &mut table);
-            assert_eq!(bits(table.entries()), bits(&expect));
+            assert_eq!(bits(table.sorted_entries(&mut Vec::new())), bits(&expect));
         }
     }
 
@@ -374,7 +381,7 @@ mod tests {
                     .collect();
                 let expect = oracle.table(&prefix_of, &points, t, *keep);
                 order.fill_sampled(&prefix_of, &points, &mut live, t, epoch_secs, *keep, &mut table);
-                prop_assert_eq!(bits(table.entries()), bits(&expect));
+                prop_assert_eq!(bits(table.sorted_entries(&mut Vec::new())), bits(&expect));
             }
         }
     }

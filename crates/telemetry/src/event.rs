@@ -86,12 +86,12 @@ impl From<String> for FieldValue {
 }
 
 /// Every event name the production crates emit: the controller's epoch,
-/// override, mode-transition, resync and collector-drop
-/// events, the runtime's fault edges and session events, and the health
-/// tier's samples and alert edges. `efctl trace --kind` accepts no other
+/// override, mode-transition and collector-drop events, the runtime's
+/// fault edges and session events, and the health tier's samples and
+/// alert edges. `efctl trace --kind` accepts no other
 /// event name, and the telemetry tests check each recorded stream against
 /// this list, so a new `emit` site adds its name here.
-pub const EVENT_NAMES: [&str; 19] = [
+pub const EVENT_NAMES: [&str; 18] = [
     "epoch",
     "epoch.skipped",
     "override.announce",
@@ -100,7 +100,6 @@ pub const EVENT_NAMES: [&str; 19] = [
     "controller.degraded.exit",
     "controller.fail_open.enter",
     "controller.fail_open.exit",
-    "injector.resync",
     "collector.dropped",
     "fault.start",
     "fault.end",

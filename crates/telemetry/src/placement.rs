@@ -142,11 +142,6 @@ pub struct PlacementRecord {
 }
 
 impl PlacementRecord {
-    /// True when demand actually moved this epoch.
-    pub fn applied(&self) -> bool {
-        self.verdict == PlacementVerdict::Applied
-    }
-
     /// One-paragraph human rendering of the placement chain.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -328,11 +323,16 @@ mod tests {
 
     #[test]
     fn applied_tracks_verdict() {
-        assert!(record().applied());
+        let first_line = |r: &PlacementRecord| r.render().lines().next().unwrap().to_string();
+        assert!(first_line(&record()).ends_with(PlacementVerdict::Applied.label()));
         let rejected = PlacementRecord {
             verdict: PlacementVerdict::NoFeasibleTarget,
             ..record()
         };
-        assert!(!rejected.applied());
+        assert!(first_line(&rejected).ends_with(PlacementVerdict::NoFeasibleTarget.label()));
+        assert_ne!(
+            PlacementVerdict::Applied.label(),
+            PlacementVerdict::NoFeasibleTarget.label()
+        );
     }
 }

@@ -14,8 +14,10 @@ fn main() {
     let cfg = scenario().hours(3).epoch_secs(30).build();
 
     println!("== Building deployment (seed {}) ==", cfg.gen.seed);
-    let mut engine = ef_sim::ScenarioBuilder::from_config(cfg).engine();
-    let dep = &engine.deployment;
+    // The tables read the generated routes, which the engine takes over
+    // when it is built, so they print first.
+    let deployment = ef_topology::generate(&cfg.gen);
+    let dep = &deployment;
     println!(
         "{} PoPs, {} BGP adjacencies, {} egress interfaces, {} prefixes from {} eyeball ASes\n",
         dep.pops.len(),
@@ -65,6 +67,7 @@ fn main() {
         "\n== Simulating {} epochs of 30 s with Edge Fabric enabled ==",
         3 * 120
     );
+    let mut engine = ef_sim::ScenarioBuilder::from_config(cfg).engine_with(deployment);
     engine.run();
     assert!(
         engine.all_sessions_up(),

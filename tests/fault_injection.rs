@@ -297,42 +297,6 @@ fn severe_sflow_loss_ages_traffic_into_fail_open() {
 }
 
 #[test]
-fn severe_sflow_loss_replays_the_pre_fault_table_then_refills_it() {
-    let reference = run(base_cfg());
-    let pop = steered_pop(&reference, (300, 1200)) as usize;
-    let cfg = with_chaos(
-        base_cfg(),
-        vec![FaultEvent {
-            t_start_secs: 300,
-            duration_secs: 300,
-            target: FaultTarget::Pop { pop },
-            kind: FaultKind::SflowLoss { drop_fraction: 1.0 },
-        }],
-    );
-    let mut engine = ScenarioBuilder::from_config(cfg).engine();
-    while engine.now_secs() < 300 {
-        engine.step();
-    }
-    // The last fresh epoch before the window ran at t = 240.
-    let (t0, table) = engine.pops[pop].last_traffic();
-    assert_eq!(t0, 240);
-    let pre_fault = table.clone();
-    assert!(!pre_fault.entries().is_empty());
-    while engine.now_secs() < 600 {
-        engine.step();
-        let (t, table) = engine.pops[pop].last_traffic();
-        assert_eq!(t, t0, "stale estimate keeps its timestamp");
-        assert_eq!(table, &pre_fault, "stale replay is the pre-fault table");
-    }
-    // First fresh epoch after the window: the same buffer is refilled.
-    engine.step();
-    let (t, table) = engine.pops[pop].last_traffic();
-    assert_eq!(t, 600);
-    assert_eq!(table.entries().len(), pre_fault.entries().len());
-    assert_ne!(table, &pre_fault, "demand moved in six minutes");
-}
-
-#[test]
 fn flash_crowd_scales_offered_demand() {
     let reference = run(base_cfg());
     let pop = steered_pop(&reference, (600, 900));

@@ -35,6 +35,18 @@ fn total(sink: &MemorySink, name: &str, key: &str) -> u64 {
 /// Runs `cfg` with a memory sink and checks that every event it recorded
 /// carries a name from [`EVENT_NAMES`], so the list `efctl trace --kind`
 /// validates against cannot drift from the code that emits.
+/// The override divergence at `pop` right after the tick at `t_secs`: the
+/// router against its injector's ledger.
+fn divergence_after(cfg: SimConfig, pop: usize, t_secs: u64) -> Vec<String> {
+    let mut engine = ScenarioBuilder::from_config(cfg).engine();
+    while engine.now_secs() <= t_secs {
+        engine.step();
+    }
+    let pop = &engine.pops[pop];
+    let ctl = pop.controller.as_ref().expect("controller up");
+    override_divergence(&pop.router, ctl.active_overrides(), &[])
+}
+
 fn observed_run(cfg: SimConfig) -> Arc<MemorySink> {
     let (handle, sink) = TelemetryHandle::memory();
     let mut engine = ScenarioBuilder::from_config(cfg).telemetry(handle).engine();
@@ -205,7 +217,7 @@ fn refresh_recovery_surfaces_per_peer_counters() {
             .expect("valid schedule"),
         )
         .build();
-    let sink = observed_run(cfg);
+    let sink = observed_run(cfg.clone());
 
     let corrupt = sink.events_named("chaos.corrupt_frames");
     assert!(!corrupt.is_empty(), "fault actually bit");
@@ -242,11 +254,9 @@ fn refresh_recovery_surfaces_per_peer_counters() {
         max("refreshes_sent") > 0,
         "per-peer refresh counter surfaced through telemetry"
     );
-    // The injector resynced over ROUTE-REFRESH when the corruption ended.
-    assert!(sink
-        .events_named("injector.resync")
-        .iter()
-        .any(|e| e.pop == 0 && e.now_ms == 600_000));
+    // The router holds exactly the injector's overrides when the
+    // corruption ends: the diff alone kept them in step.
+    assert_eq!(divergence_after(cfg, 0, 600), Vec::<String>::new());
 }
 
 fn fault(
@@ -329,6 +339,7 @@ fn event_stream_is_deterministic_apart_from_wall_time() {
         lines.sort_by_key(|(key, _)| *key);
         (sink, lines)
     };
+    let cfg_again = cfg.clone();
     let (sink, a) = stream(cfg.clone());
     let (_, b) = stream(cfg);
     assert_eq!(a.len(), b.len(), "same number of records");
@@ -348,12 +359,9 @@ fn event_stream_is_deterministic_apart_from_wall_time() {
         let at_pop = samples.iter().filter(|e| e.pop == pop).count() as u64;
         assert_eq!(at_pop, epochs, "one health sample per epoch at pop{pop}");
     }
-    // The injector resynced over ROUTE-REFRESH when the partial injection
-    // loss ended.
-    assert!(sink
-        .events_named("injector.resync")
-        .iter()
-        .any(|e| e.pop == 2 && e.now_ms == 600_000));
+    // The router holds exactly the injector's overrides when the partial
+    // injection loss ends: the diff alone kept them in step.
+    assert_eq!(divergence_after(cfg_again, 2, 600), Vec::<String>::new());
 }
 
 /// `session.stats` events are emitted only when a peer's stats change,
