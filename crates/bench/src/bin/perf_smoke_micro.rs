@@ -131,7 +131,6 @@ fn keyset(n: u32) -> Vec<(Prefix, u32)> {
 }
 
 fn rec_candidates(n: usize) -> Vec<RouteRec> {
-    let mut store = AttrStore::new();
     (0..n)
         .map(|i| {
             let attrs = PathAttributes {
@@ -149,7 +148,7 @@ fn rec_candidates(n: usize) -> Vec<RouteRec> {
                     PeerKind::PrivatePeer
                 },
             };
-            store.make_rec(&attrs, source, EgressId(i as u32))
+            RouteRec::new(&attrs, source, EgressId(i as u32))
         })
         .collect()
 }

@@ -12,7 +12,8 @@
 //! Each row reports:
 //!
 //! * `bytes_per_route` — resident bytes per candidate route in the arena
-//!   layout (pool + slots + index + interned attribute store);
+//!   layout (the Loc-RIB's pool + slots + index, plus the attribute store
+//!   the Adj-RIB-In's handles point into);
 //! * `routes_per_distinct` — how much interning has to share;
 //! * `naive_bytes_per_route` — the same table as the old representation
 //!   (`HashMap<Prefix, Vec<Route>>` with a deep `PathAttributes` clone per
@@ -32,7 +33,7 @@ use ef_bgp::attrs::{AsPath, PathAttributes};
 use ef_bgp::attrstore::{AttrStore, RouteRec};
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::route::{EgressId, Route, RouteSource};
-use ef_bgp::LocRib;
+use ef_bgp::{BmpMessage, LocRib};
 use ef_net_types::{Asn, Prefix};
 use ef_sim::runtime::PopRuntime;
 use ef_topology::GenConfig;
@@ -125,9 +126,14 @@ fn deep_attr_bytes(attrs: &PathAttributes) -> usize {
     path + attrs.communities.capacity() * mem::size_of::<ef_net_types::Community>()
 }
 
-fn synthetic() -> LocRib {
+/// The synthetic table as a router holds it: the Loc-RIB's decision
+/// records, and a store holding one reference per route on its attributes.
+/// Also returns the routes' deep attribute bytes, summed.
+fn synthetic() -> (LocRib, AttrStore, usize) {
     let pool = patterns();
     let mut rib = LocRib::new();
+    let mut store = AttrStore::new();
+    let mut attr_bytes = 0;
     let mut rng = 0xFABu64;
     for i in 0..N_PREFIXES {
         let addr = i.wrapping_mul(2_654_435_761);
@@ -145,38 +151,41 @@ fn synthetic() -> LocRib {
                 peer_asn: Asn(65_000 + p as u32),
                 kind,
             };
-            rib.install_ref(prefix, attrs, source, EgressId(p as u32 + 1));
+            let id = store.intern(attrs);
+            attr_bytes += deep_attr_bytes(store.attrs(id));
+            rib.install(prefix, RouteRec::new(attrs, source, EgressId(p as u32 + 1)));
         }
     }
     rib.compact();
-    rib
+    (rib, store, attr_bytes)
 }
 
 /// Measures one table. The old representation is one `Route` (inline
 /// prefix + attrs + source + egress) plus a deep attribute clone per
-/// candidate, in per-prefix Vecs behind a HashMap.
+/// candidate, in per-prefix Vecs behind a HashMap; `attr_bytes` is the
+/// clones' deep bytes, summed over the table's routes.
 fn row<'a>(
     name: &str,
     table: impl Iterator<Item = (&'a Prefix, &'a [RouteRec])>,
-    store: &AttrStore,
+    distinct_attrs: usize,
+    attr_bytes: usize,
     rib_bytes: usize,
     budget: Option<f64>,
 ) -> Row {
-    let (mut prefixes, mut routes, mut naive_bytes) = (0, 0, 0);
+    let (mut prefixes, mut routes) = (0, 0);
     for (_, recs) in table {
         prefixes += 1;
         routes += recs.len();
-        naive_bytes += mem::size_of::<Prefix>() + mem::size_of::<Vec<Route>>();
-        for rec in recs {
-            naive_bytes += mem::size_of::<Route>() + deep_attr_bytes(store.attrs(rec.attr));
-        }
     }
+    let naive_bytes = prefixes * (mem::size_of::<Prefix>() + mem::size_of::<Vec<Route>>())
+        + routes * mem::size_of::<Route>()
+        + attr_bytes;
     let bytes_per_route = rib_bytes as f64 / routes as f64;
     let row = Row {
         prefixes,
         routes,
-        distinct_attrs: store.distinct(),
-        routes_per_distinct: routes as f64 / store.distinct() as f64,
+        distinct_attrs,
+        routes_per_distinct: routes as f64 / distinct_attrs as f64,
         rib_bytes,
         bytes_per_route,
         naive_bytes,
@@ -201,24 +210,38 @@ fn row<'a>(
 }
 
 fn measure(budgets: Option<(f64, f64)>) -> FootprintReport {
-    let rib = synthetic();
+    let (rib, store, attr_bytes) = synthetic();
     let synthetic = row(
         "synthetic",
         rib.iter(),
-        rib.store(),
-        rib.approx_bytes(),
+        store.distinct(),
+        attr_bytes,
+        rib.approx_bytes() + store.approx_bytes(),
         budgets.map(|b| b.0),
     );
-    drop(rib);
+    drop((rib, store));
 
     let cfg = ef_sim::scenario().topology(generated_world()).build();
     let deployment = ef_topology::generate(&cfg.gen);
     let pop = PopRuntime::build(&deployment, deployment.pops[0].id, &cfg);
     let router = &pop.router;
+    // Every Loc-RIB candidate is one route of an Adj-RIB-In, which the
+    // snapshot reports with its attributes.
+    let attr_bytes = router
+        .bmp_snapshot(0)
+        .iter()
+        .map(|m| match m {
+            BmpMessage::RouteMonitoring { update, .. } => {
+                update.announced.len() * deep_attr_bytes(&update.attrs)
+            }
+            _ => 0,
+        })
+        .sum();
     let generated = row(
         "generated",
         router.iter_candidates(),
-        router.rib_store(),
+        router.rib_distinct_attrs(),
+        attr_bytes,
         router.rib_approx_bytes(),
         budgets.map(|b| b.1),
     );

@@ -4,17 +4,18 @@
 //! attribute sets (AS-path + communities + MED + LOCAL_PREF) is orders of
 //! magnitude smaller: paths are shared by every prefix originated behind the
 //! same AS via the same neighbor. The [`AttrStore`] exploits that sharing by
-//! deduplicating [`PathAttributes`] behind a small integer [`AttrId`], so the
-//! RIB stores a 4-byte handle per route instead of a ~300-byte deep clone,
-//! and the store itself holds exactly one copy of each distinct set (its
-//! dedup index keeps hashes and slot numbers, never a second key).
+//! deduplicating [`PathAttributes`] behind a small integer [`AttrId`], so an
+//! Adj-RIB-In stores a 4-byte handle per route instead of a ~300-byte deep
+//! clone, and the store itself holds exactly one copy of each distinct set
+//! (its dedup index keeps hashes and slot numbers, never a second key).
 //!
-//! At intern time the store also precomputes the [`DecisionKey`] — the exact
-//! fields the best-path ladder consults — so the decision process never has
-//! to chase the handle back to the fat attribute set. A [`RouteRec`] bundles
-//! the handle, the key, and the per-route provenance into one `Copy` value of
-//! ~48 bytes; every hot loop in the reproduction works over `&[RouteRec]`
-//! slices without allocating.
+//! The decision process never reads the fat attribute set: a [`RouteRec`]
+//! carries the [`DecisionKey`] (the exact fields the best-path ladder
+//! consults), the egress and the per-route provenance in one `Copy` value of
+//! ~48 bytes, and holds no handle into any store. Every hot loop in the
+//! reproduction works over `&[RouteRec]` slices without allocating; only a
+//! component that must give the attributes back (the router's Adj-RIB-In, a
+//! stub's Adj-RIB-Out, the runtime's replay table) keeps an [`AttrId`].
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -33,8 +34,8 @@ use ef_net_types::Asn;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AttrId(pub u32);
 
-/// The attribute fields the decision process reads, precomputed at intern
-/// time so comparisons touch no heap data.
+/// The attribute fields the decision process reads, derived once per route
+/// so comparisons touch no heap data.
 ///
 /// `local_pref` and `med` hold the *effective* values (defaults applied), and
 /// `path_len` is the SET-counts-once decision length, so the decision
@@ -57,7 +58,7 @@ pub struct DecisionKey {
 
 impl DecisionKey {
     /// Derives the key from a full attribute set.
-    pub(crate) fn of(attrs: &PathAttributes) -> Self {
+    pub fn of(attrs: &PathAttributes) -> Self {
         DecisionKey {
             local_pref: attrs.effective_local_pref(),
             path_len: attrs.as_path.decision_len() as u32,
@@ -69,16 +70,11 @@ impl DecisionKey {
 }
 
 /// A compact route record: everything the decision process and the Edge
-/// Fabric control loop read per candidate, in one `Copy` value.
-///
-/// The fat attributes live behind `attr` in the owning structure's
-/// [`AttrStore`]; records returned from a RIB are ephemeral views and must
-/// not be held across mutations of that RIB (a mutation may release the
-/// underlying attribute entry).
+/// Fabric control loop read per candidate, in one `Copy` value. It refers
+/// to no attribute store, so it stays valid however the RIB it came from
+/// changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouteRec {
-    /// Handle to the interned attributes in the owning store.
-    pub attr: AttrId,
     /// Egress interface this route forwards onto.
     pub egress: EgressId,
     /// Provenance: session, neighbor ASN, interconnect kind.
@@ -88,6 +84,16 @@ pub struct RouteRec {
 }
 
 impl RouteRec {
+    /// The record of a route with these attributes, from `source`,
+    /// forwarding onto `egress`.
+    pub fn new(attrs: &PathAttributes, source: RouteSource, egress: EgressId) -> Self {
+        RouteRec {
+            egress,
+            source,
+            key: DecisionKey::of(attrs),
+        }
+    }
+
     /// True if this record was injected by the Edge Fabric controller.
     pub fn is_override(&self) -> bool {
         self.source.kind == PeerKind::Controller
@@ -105,7 +111,6 @@ const NIL: u32 = u32::MAX;
 #[derive(Debug, Clone)]
 struct Entry {
     attrs: PathAttributes,
-    key: DecisionKey,
     refs: u32,
     /// Next slot whose attributes share this entry's hash, or [`NIL`].
     next: u32,
@@ -193,7 +198,6 @@ impl AttrStore {
         }
         let entry = Entry {
             attrs: attrs.clone(),
-            key: DecisionKey::of(attrs),
             refs: 1,
             next: head,
         };
@@ -262,32 +266,8 @@ impl AttrStore {
     }
 
     /// The interned attributes for a handle.
-    ///
-    /// Returns a reference to the canonical copy; use
-    /// [`DecisionKey`]s on [`RouteRec`] for hot-path comparisons instead.
     pub fn attrs(&self, id: AttrId) -> &PathAttributes {
         &self.entry(id.0).attrs
-    }
-
-    /// The precomputed decision key for a handle.
-    pub(crate) fn key(&self, id: AttrId) -> DecisionKey {
-        self.entry(id.0).key
-    }
-
-    /// Builds a [`RouteRec`] by interning `attrs` (takes one reference).
-    pub fn make_rec(
-        &mut self,
-        attrs: &PathAttributes,
-        source: RouteSource,
-        egress: EgressId,
-    ) -> RouteRec {
-        let id = self.intern(attrs);
-        RouteRec {
-            attr: id,
-            egress,
-            source,
-            key: self.key(id),
-        }
     }
 
     /// Number of live (referenced) distinct attribute sets.
@@ -299,7 +279,7 @@ impl AttrStore {
     /// counting slab slots, deep attribute payloads (AS-path segments,
     /// communities, unknown attribute blobs) and the hash → chain-head
     /// index. Used by the bytes/route accounting gate in CI.
-    pub(crate) fn approx_bytes(&self) -> usize {
+    pub fn approx_bytes(&self) -> usize {
         let slab = self.entries.capacity() * mem::size_of::<Option<Entry>>();
         let deep: usize = self
             .entries
@@ -333,8 +313,8 @@ fn attrs_heap_bytes(attrs: &PathAttributes) -> usize {
 #[cold]
 #[inline(never)]
 fn unreachable_released(id: AttrId) -> ! {
-    // A dangling AttrId means a RouteRec outlived a RIB mutation — a logic
-    // error in the caller, not recoverable state.
+    // A dangling AttrId means a holder released its reference and kept the
+    // handle — a logic error in the caller, not recoverable state.
     panic!("AttrId {:?} refers to a released attribute entry", id)
 }
 
@@ -393,21 +373,19 @@ mod tests {
     }
 
     #[test]
-    fn make_rec_and_materialize_round_trip() {
-        let mut store = AttrStore::new();
+    fn rec_carries_key_source_and_egress() {
         let source = RouteSource {
             peer: PeerId(4),
             peer_asn: Asn(65004),
             kind: PeerKind::Transit,
         };
         let a = attrs(250, &[65004, 65010]);
-        let rec = store.make_rec(&a, source, EgressId(7));
+        let rec = RouteRec::new(&a, source, EgressId(7));
         assert_eq!(rec.key.local_pref, 250);
         assert_eq!(rec.key.path_len, 2);
         assert_eq!(rec.key.neighbor_as, Some(Asn(65004)));
         assert!(!rec.is_override());
-        assert_eq!(store.attrs(rec.attr), &a);
-        assert_eq!(rec.egress, EgressId(7));
+        assert_eq!((rec.source, rec.egress), (source, EgressId(7)));
     }
 
     #[derive(Debug, Clone, Copy)]
@@ -471,7 +449,6 @@ mod tests {
                 prop_assert_eq!(store.distinct(), model.len());
                 for (a, (id, _)) in &model {
                     prop_assert_eq!(store.attrs(*id), a);
-                    prop_assert_eq!(store.key(*id), DecisionKey::of(a));
                 }
             }
         }

@@ -148,7 +148,6 @@ pub fn rank_recs_into(candidates: &[RouteRec], out: &mut Vec<RouteRec>) {
 mod tests {
     use super::*;
     use crate::attrs::{AsPath, Origin, PathAttributes};
-    use crate::attrstore::{AttrId, DecisionKey};
     use crate::peer::{PeerId, PeerKind};
     use crate::route::{EgressId, RouteSource};
     use ef_net_types::Asn;
@@ -195,15 +194,13 @@ mod tests {
             self.source.kind = kind;
             self
         }
-        /// The record a RIB would hold for this route: the key is derived
-        /// from the attributes exactly as interning derives it.
+        /// The record a RIB would hold for this route.
         fn done(self) -> RouteRec {
-            RouteRec {
-                attr: AttrId(self.source.peer.0 as u32),
-                egress: EgressId(self.source.peer.0 as u32),
-                source: self.source,
-                key: DecisionKey::of(&self.attrs),
-            }
+            RouteRec::new(
+                &self.attrs,
+                self.source,
+                EgressId(self.source.peer.0 as u32),
+            )
         }
     }
 

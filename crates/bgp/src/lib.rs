@@ -12,7 +12,8 @@
 //! * [`attrs`] — path attributes: origin, AS path, MED, local-pref,
 //!   communities.
 //! * [`attrstore`] — interned attribute pool ([`AttrStore`]) and the compact
-//!   per-candidate record ([`RouteRec`]) the full-table RIB layout stores.
+//!   per-candidate decision record ([`RouteRec`]) the full-table RIB layout
+//!   stores.
 //! * [`message`] — the BGP-4 message types, plus ROUTE-REFRESH (RFC 2918
 //!   with RFC 7313 BoRR/EoRR demarcation).
 //! * [`wire`] — an RFC 4271 binary codec (4-octet ASNs assumed negotiated,
@@ -29,8 +30,8 @@
 //! * `decision` — the best-path selection ladder over compact records;
 //!   [`best_rec`], [`best_rec_where`] and [`rank_recs_into`] are its entry
 //!   points.
-//! * [`LocRib`] — the Loc-RIB, which also holds every peer's Adj-RIB-In
-//!   routes (the router keeps only each peer's prefix set).
+//! * [`LocRib`] — the Loc-RIB: every peer's candidate decision record per
+//!   prefix (the router's per-peer Adj-RIB-In holds the attributes).
 //! * [`Session`] — a simplified, clock-free BGP FSM, with
 //!   RFC 7606 graded error handling on the receive path.
 //! * [`ReconnectGovernor`] — seeded-deterministic reconnect governance
@@ -45,7 +46,7 @@
 //!
 //! ```
 //! use ef_bgp::attrs::{AsPath, Origin, PathAttributes};
-//! use ef_bgp::attrstore::AttrStore;
+//! use ef_bgp::attrstore::RouteRec;
 //! use ef_bgp::best_rec;
 //! use ef_bgp::peer::{PeerId, PeerKind};
 //! use ef_bgp::route::{EgressId, RouteSource};
@@ -54,17 +55,16 @@
 //! let peer = RouteSource { peer: PeerId(1), peer_asn: Asn(65001), kind: PeerKind::PrivatePeer };
 //! let transit = RouteSource { peer: PeerId(2), peer_asn: Asn(65010), kind: PeerKind::Transit };
 //!
-//! // Candidates for one prefix, as the RIB stores them: attributes interned
-//! // once, the decision key precomputed.
-//! let mut store = AttrStore::new();
-//! let mut mk = |src: RouteSource, lp: u32, path: &[u32]| {
+//! // Candidates for one prefix, as the RIB stores them: source, egress and
+//! // the decision key, no attributes.
+//! let mk = |src: RouteSource, lp: u32, path: &[u32]| {
 //!     let attrs = PathAttributes {
 //!         local_pref: Some(lp),
 //!         as_path: AsPath::sequence(path.iter().map(|a| Asn(*a))),
 //!         origin: Origin::Igp,
 //!         ..Default::default()
 //!     };
-//!     store.make_rec(&attrs, src, EgressId(src.peer.0 as u32))
+//!     RouteRec::new(&attrs, src, EgressId(src.peer.0 as u32))
 //! };
 //!
 //! // Peer route with higher local-pref wins over shorter transit path.

@@ -6,22 +6,23 @@
 //! [`LocRib`] therefore keeps the full candidate set per prefix and exposes
 //! both the winner and the ranked alternatives.
 //!
-//! It is also every peer's Adj-RIB-In: the post-policy route a peer
-//! announced for a prefix *is* that peer's candidate here (at most one per
-//! peer), so the router keeps only the set of prefixes each peer announced
-//! and reads attributes, source and egress from this table. The same type
-//! is the controller's BMP-fed view in `edge-fabric::collector`.
+//! It holds decision records only, never attributes: a [`RouteRec`] is the
+//! route's source, egress and [`DecisionKey`](crate::DecisionKey), which is
+//! all the decision ladder, the FIB and the controller read. The router's
+//! per-peer Adj-RIB-In holds the attribute handles (its post-policy route
+//! for a prefix is that peer's candidate here, at most one per peer), and
+//! the same type is the controller's BMP-fed view in
+//! `edge-fabric::collector`, which keeps no attributes at all.
 //!
 //! At ~900k prefixes × 2–6 paths the old `HashMap<Prefix, Vec<Route>>` paid
-//! one heap vector plus a deep [`PathAttributes`] clone per route. The
-//! compact layout stores all candidates in one pooled `Vec<RouteRec>` carved
-//! into power-of-two chunks, with attributes interned once per *distinct*
-//! set in an [`AttrStore`]:
+//! one heap vector plus a deep [`PathAttributes`](crate::PathAttributes)
+//! clone per route. The compact layout stores all candidates in one pooled
+//! `Vec<RouteRec>` carved into power-of-two chunks:
 //!
 //! ```text
 //!   index: Prefix ─▶ slot ─▶ { start, len, class }   (one slot per prefix)
 //!   pool:  [ rec rec rec · | rec · · · | rec rec ... ]  chunk = 1<<class recs
-//!   store: AttrId ─▶ { PathAttributes, DecisionKey, refs }
+//!   rec:   { source, egress, key }                     (~48 bytes, Copy)
 //! ```
 //!
 //! Within a chunk, records keep **arrival order** — the decision ladder is
@@ -29,23 +30,28 @@
 //! iteration order and the pool must reproduce the reference `Vec` semantics
 //! (append new peers, replace in place, shift left on withdraw) exactly for
 //! determinism to hold byte-for-byte.
+//!
+//! [`BestChange`] compares records, so it sees `(source, egress, key)`
+//! only: a re-announcement that changes attributes outside the decision key
+//! (a community, say) while staying best reports
+//! [`Unchanged`](BestChange::Unchanged). Nothing downstream misses it — the
+//! FIB entry such a change would write is the one already installed, and
+//! the attributes themselves reach BMP from the Adj-RIB-In.
 
 use std::collections::HashMap;
 
 use ef_net_types::Prefix;
 
-use crate::attrs::PathAttributes;
-use crate::attrstore::{AttrId, AttrStore, RouteRec};
+use crate::attrstore::RouteRec;
 use crate::decision::{best_rec, rank_recs_into};
 use crate::peer::PeerId;
-use crate::route::{EgressId, RouteSource};
 
 /// How the best route for a prefix changed after a RIB operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BestChange {
-    /// The best route is unchanged.
+    /// The best route's record is unchanged.
     Unchanged,
-    /// The prefix gained its first route, or best switched to this route.
+    /// The prefix gained its first route, or best switched to this record.
     NewBest(RouteRec),
     /// The prefix no longer has any route.
     Unreachable,
@@ -69,7 +75,6 @@ const FREE_SLOT: u8 = u8::MAX;
 /// one per peer) and the decision-process winner, in pooled compact storage.
 #[derive(Debug, Clone, Default)]
 pub struct LocRib {
-    store: AttrStore,
     index: HashMap<Prefix, u32>,
     slots: Vec<Slot>,
     free_slots: Vec<u32>,
@@ -85,32 +90,17 @@ impl LocRib {
         Self::default()
     }
 
-    fn alloc_chunk(&mut self, class: u8) -> u32 {
+    /// Takes a free chunk of `1 << class` records, or grows the pool by a
+    /// chunk of copies of `fill` (slack past a slot's `len` is never
+    /// read).
+    fn alloc_chunk(&mut self, class: u8, fill: RouteRec) -> u32 {
         if let Some(free) = self.free_chunks.get_mut(class as usize) {
             if let Some(start) = free.pop() {
                 return start;
             }
         }
         let start = self.pool.len() as u32;
-        self.pool.resize(
-            self.pool.len() + (1usize << class),
-            RouteRec {
-                attr: crate::attrstore::AttrId(0),
-                egress: EgressId(0),
-                source: RouteSource {
-                    peer: PeerId(0),
-                    peer_asn: ef_net_types::Asn(0),
-                    kind: crate::peer::PeerKind::Transit,
-                },
-                key: crate::attrstore::DecisionKey {
-                    local_pref: 0,
-                    path_len: 0,
-                    origin: crate::attrs::Origin::Igp,
-                    med: 0,
-                    neighbor_as: None,
-                },
-            },
-        );
+        self.pool.resize(self.pool.len() + (1usize << class), fill);
         start
     }
 
@@ -133,7 +123,7 @@ impl LocRib {
             (s.start, s.len, s.class)
         };
         let new_class = class + 1;
-        let new_start = self.alloc_chunk(new_class);
+        let new_start = self.alloc_chunk(new_class, self.pool[start as usize]);
         let (src, dst) = (start as usize, new_start as usize);
         for i in 0..len as usize {
             self.pool[dst + i] = self.pool[src + i];
@@ -144,60 +134,14 @@ impl LocRib {
         s.class = new_class;
     }
 
-    /// Installs or replaces a route (keyed by its source peer), returning
-    /// how the best route changed. Takes no owned [`Route`](crate::Route):
-    /// the attributes are interned (or their refcount bumped) directly from
-    /// the borrowed set, so multi-prefix UPDATEs pay one deep clone total.
-    pub fn install_ref(
-        &mut self,
-        prefix: Prefix,
-        attrs: &PathAttributes,
-        source: RouteSource,
-        egress: EgressId,
-    ) -> BestChange {
-        let rec = self.store.make_rec(attrs, source, egress);
-        self.install_rec(prefix, rec)
-    }
-
-    /// Interns `attrs` and holds one reference on the set until
-    /// [`release`](Self::release): an UPDATE announcing it for many
-    /// prefixes interns once, then installs each with
-    /// [`install_held`](Self::install_held).
-    pub fn hold(&mut self, attrs: &PathAttributes) -> AttrId {
-        self.store.intern(attrs)
-    }
-
-    /// Drops the reference [`hold`](Self::hold) took.
-    pub fn release(&mut self, id: AttrId) {
-        self.store.release(id)
-    }
-
-    /// [`install_ref`](Self::install_ref) for a set this RIB already holds
-    /// (`id` from [`hold`](Self::hold)): a refcount bump, no hashing.
-    pub fn install_held(
-        &mut self,
-        prefix: Prefix,
-        id: AttrId,
-        source: RouteSource,
-        egress: EgressId,
-    ) -> BestChange {
-        self.store.retain(id);
-        let rec = RouteRec {
-            attr: id,
-            egress,
-            source,
-            key: self.store.key(id),
-        };
-        self.install_rec(prefix, rec)
-    }
-
-    /// Installs `rec`, which owns one reference on its attribute set.
-    fn install_rec(&mut self, prefix: Prefix, rec: RouteRec) -> BestChange {
+    /// Installs or replaces `rec` (keyed by its source peer), returning how
+    /// the best record changed.
+    pub fn install(&mut self, prefix: Prefix, rec: RouteRec) -> BestChange {
         let source = rec.source;
         let slot_id = match self.index.get(&prefix) {
             Some(&id) => id,
             None => {
-                let start = self.alloc_chunk(0);
+                let start = self.alloc_chunk(0, rec);
                 let slot = Slot {
                     prefix,
                     start,
@@ -228,11 +172,7 @@ impl LocRib {
         let existing =
             (0..slot.len as usize).find(|&i| self.pool[base + i].source.peer == source.peer);
         match existing {
-            Some(i) => {
-                let old = self.pool[base + i];
-                self.pool[base + i] = rec;
-                self.store.release(old.attr);
-            }
+            Some(i) => self.pool[base + i] = rec,
             None => {
                 if usize::from(slot.len) == 1usize << slot.class {
                     self.grow(slot_id);
@@ -267,14 +207,12 @@ impl LocRib {
         };
 
         let old_best = best_rec(self.slot_recs(&slot)).copied();
-        let removed = self.pool[base + hit];
         // Shift left to preserve arrival order (the reference `retain`).
         for i in hit..len - 1 {
             self.pool[base + i] = self.pool[base + i + 1];
         }
         self.slots[slot_id as usize].len -= 1;
         self.routes -= 1;
-        self.store.release(removed.attr);
 
         if self.slots[slot_id as usize].len == 0 {
             self.index.remove(prefix);
@@ -335,11 +273,6 @@ impl LocRib {
         best_rec(self.candidates(prefix))
     }
 
-    /// The attribute store backing this RIB.
-    pub fn store(&self) -> &AttrStore {
-        &self.store
-    }
-
     /// Number of prefixes with at least one route.
     pub fn len(&self) -> usize {
         self.index.len()
@@ -355,21 +288,17 @@ impl LocRib {
         self.routes
     }
 
-    /// Number of distinct attribute sets currently interned.
-    pub fn distinct_attrs(&self) -> usize {
-        self.store.distinct()
-    }
-
     /// Approximate resident bytes of the compact layout: pooled records,
-    /// slot table, prefix index, and the interned attribute store. The CI
-    /// bytes/route gate divides this by [`route_count`](Self::route_count).
+    /// slot table and prefix index. The CI bytes/route gate adds the
+    /// owning router's attribute store and divides by
+    /// [`route_count`](Self::route_count).
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
         let pool = self.pool.capacity() * size_of::<RouteRec>();
         let slots = self.slots.capacity() * size_of::<Slot>();
         // HashMap entry ≈ key + value + control byte overhead (~1.1 factor).
         let index = self.index.capacity() * (size_of::<Prefix>() + size_of::<u32>() + 8);
-        pool + slots + index + self.store.approx_bytes()
+        pool + slots + index
     }
 
     /// Iterates `(prefix, candidates)` in slot (arrival) order.
@@ -451,9 +380,12 @@ mod tests {
         }
     }
 
-    /// Installs or replaces `route` (keyed by its source peer).
+    /// Installs or replaces `route`'s record (keyed by its source peer).
     fn install(rib: &mut LocRib, route: Route) -> BestChange {
-        rib.install_ref(route.prefix, &route.attrs, route.source, route.egress)
+        rib.install(
+            route.prefix,
+            RouteRec::new(&route.attrs, route.source, route.egress),
+        )
     }
 
     #[test]
@@ -462,9 +394,7 @@ mod tests {
         let r = route("1.0.0.0/8", 1, 100);
         match install(&mut rib, r.clone()) {
             BestChange::NewBest(rec) => {
-                assert_eq!(rec.source.peer, PeerId(1));
-                assert_eq!(rib.store().attrs(rec.attr), &r.attrs);
-                assert_eq!((rec.source, rec.egress), (r.source, r.egress));
+                assert_eq!(rec, RouteRec::new(&r.attrs, r.source, r.egress));
             }
             other => panic!("expected NewBest, got {other:?}"),
         }
@@ -495,7 +425,6 @@ mod tests {
         install(&mut rib, route("1.0.0.0/8", 1, 150));
         assert_eq!(rib.candidates(&p("1.0.0.0/8")).len(), 1);
         assert_eq!(rib.best(&p("1.0.0.0/8")).unwrap().key.local_pref, 150);
-        assert_eq!(rib.distinct_attrs(), 1, "replaced attrs released");
     }
 
     #[test]
@@ -530,7 +459,6 @@ mod tests {
         );
         assert!(rib.is_empty());
         assert_eq!(rib.route_count(), 0);
-        assert_eq!(rib.distinct_attrs(), 0);
         // Withdrawing again is a no-op.
         assert_eq!(
             rib.withdraw(&p("1.0.0.0/8"), PeerId(1)),
@@ -615,16 +543,6 @@ mod tests {
     }
 
     #[test]
-    fn attrs_are_shared_across_prefixes() {
-        let mut rib = LocRib::new();
-        for i in 0..100u32 {
-            install(&mut rib, route(&format!("{}.0.0.0/8", i + 1), 1, 300));
-        }
-        assert_eq!(rib.route_count(), 100);
-        assert_eq!(rib.distinct_attrs(), 1, "one shared attribute set");
-    }
-
-    #[test]
     fn compact_preserves_contents_and_order() {
         let mut rib = LocRib::new();
         install(&mut rib, route("2.0.0.0/8", 2, 100));
@@ -650,10 +568,16 @@ mod tests {
     fn best_change_equality_detects_idempotent_reinstall() {
         let mut rib = LocRib::new();
         install(&mut rib, route("1.0.0.0/8", 1, 100));
-        // Identical re-announcement: same interned id, same rec, unchanged.
+        // Identical re-announcement: same rec, unchanged.
         assert_eq!(
             install(&mut rib, route("1.0.0.0/8", 1, 100)),
             BestChange::Unchanged
         );
+        // A new community is outside the decision key: still unchanged.
+        let mut tagged = route("1.0.0.0/8", 1, 100);
+        tagged
+            .attrs
+            .add_community(ef_net_types::Community::new(65001, 7));
+        assert_eq!(install(&mut rib, tagged), BestChange::Unchanged);
     }
 }

@@ -101,7 +101,7 @@ pub struct Route {
 mod tests {
     use super::*;
     use crate::attrs::AsPath;
-    use crate::attrstore::AttrStore;
+    use crate::attrstore::RouteRec;
 
     fn sample() -> Route {
         Route {
@@ -123,11 +123,10 @@ mod tests {
     #[test]
     fn override_detection() {
         // Override detection lives on the Loc-RIB record.
-        let mut store = AttrStore::new();
         let mut r = sample();
-        assert!(!store.make_rec(&r.attrs, r.source, r.egress).is_override());
+        assert!(!RouteRec::new(&r.attrs, r.source, r.egress).is_override());
         r.source.kind = PeerKind::Controller;
-        assert!(store.make_rec(&r.attrs, r.source, r.egress).is_override());
+        assert!(RouteRec::new(&r.attrs, r.source, r.egress).is_override());
     }
 
     #[test]

@@ -20,7 +20,8 @@ use bytes::Bytes;
 
 use ef_net_types::{Asn, CompressedTrie, Prefix};
 
-use crate::attrstore::{AttrId, AttrStore, RouteRec};
+use crate::attrs::PathAttributes;
+use crate::attrstore::{AttrId, AttrStore, DecisionKey, RouteRec};
 use crate::bmp::{BmpMessage, BmpPeerHeader};
 use crate::message::{BgpMessage, RefreshSubtype, RouteRefreshMessage, UpdateMessage};
 use crate::peer::{PeerId, PeerKind};
@@ -74,10 +75,11 @@ pub struct FibEntry {
 struct PeerState {
     attach: PeerAttachment,
     session: Session,
-    /// The peer's Adj-RIB-In: the prefixes it announced that passed import
-    /// policy. Each one's post-policy route is the peer's Loc-RIB candidate
-    /// for that prefix, so the attributes are held once, there.
-    adj_in: BTreeSet<Prefix>,
+    /// The peer's Adj-RIB-In: each prefix it announced that passed import
+    /// policy, with one reference on its post-policy attributes in the
+    /// router's store. The route's decision record is the peer's Loc-RIB
+    /// candidate for that prefix.
+    adj_in: BTreeMap<Prefix, AttrId>,
     up: bool,
     /// Adj-RIB-In prefixes snapshotted when the peer's BoRR arrived; each
     /// re-announcement during the replay removes its prefix, and whatever
@@ -89,6 +91,9 @@ struct PeerState {
 pub struct BgpRouter {
     cfg: RouterConfig,
     peers: HashMap<PeerId, PeerState>,
+    /// The one copy of every post-policy attribute set the Adj-RIBs-In
+    /// hold; the Loc-RIB keeps decision records only.
+    store: AttrStore,
     loc_rib: LocRib,
     fib: Fib,
     bmp_queue: Vec<BmpMessage>,
@@ -165,6 +170,7 @@ impl BgpRouter {
         BgpRouter {
             cfg,
             peers: HashMap::new(),
+            store: AttrStore::new(),
             loc_rib: LocRib::new(),
             fib: Fib::new(),
             bmp_queue,
@@ -188,7 +194,7 @@ impl BgpRouter {
             PeerState {
                 attach,
                 session,
-                adj_in: BTreeSet::new(),
+                adj_in: BTreeMap::new(),
                 up: false,
                 stale_sweep: None,
             },
@@ -198,7 +204,7 @@ impl BgpRouter {
     /// Removes a peer entirely (deprovisioning), flushing its routes.
     pub fn remove_peer(&mut self, peer: PeerId, now: Millis) {
         if let Some(mut state) = self.peers.remove(&peer) {
-            state.adj_in.clear();
+            clear_adj_in(&mut state.adj_in, &mut self.store);
             self.flush_peer_routes(peer, &state.attach, now, 2);
         }
     }
@@ -254,7 +260,7 @@ impl BgpRouter {
                 SessionEvent::Down(_) => {
                     if let Some(state) = self.peers.get_mut(&peer) {
                         state.up = false;
-                        state.adj_in.clear();
+                        clear_adj_in(&mut state.adj_in, &mut self.store);
                         state.stale_sweep = None;
                         let attach = state.attach.clone();
                         self.flush_peer_routes(peer, &attach, now, 1);
@@ -276,7 +282,7 @@ impl BgpRouter {
             RefreshSubtype::Request => {}
             RefreshSubtype::BoRR => {
                 if let Some(state) = self.peers.get_mut(&peer) {
-                    state.stale_sweep = Some(state.adj_in.clone());
+                    state.stale_sweep = Some(state.adj_in.keys().copied().collect());
                 }
             }
             RefreshSubtype::EoRR => {
@@ -367,6 +373,7 @@ impl BgpRouter {
         let BgpRouter {
             cfg,
             peers,
+            store,
             loc_rib,
             fib,
             ..
@@ -395,45 +402,51 @@ impl BgpRouter {
         }
 
         // Accepted announcements grouped by post-policy attribute set (they
-        // may diverge from the shared wire set), for the BMP mirror. Each
-        // group holds one Loc-RIB reference on its set for the whole
-        // UPDATE, so the set is interned once however many prefixes carry it.
-        let mut accepted: Vec<(crate::attrs::PathAttributes, AttrId, Vec<Prefix>)> = Vec::new();
+        // may diverge from the shared wire set), for the BMP mirror. A set
+        // is interned once per UPDATE, for its first prefix; each further
+        // prefix carrying it takes a reference without hashing, and its
+        // decision record is the group's.
+        let mut accepted: Vec<(PathAttributes, AttrId, RouteRec, Vec<Prefix>)> = Vec::new();
         let mut rejected: Vec<Prefix> = Vec::new();
         for prefix in &announced {
             let mut attrs = sent.clone();
             match attach.policy.apply(prefix, &mut attrs) {
                 PolicyVerdict::Accept => {
-                    // Controller routes name their egress via the synthetic
-                    // next hop; organic routes use the attachment's egress.
-                    let egress = if attach.kind == PeerKind::Controller {
-                        attrs
-                            .next_hop
-                            .and_then(EgressId::from_next_hop)
-                            .unwrap_or(attach.egress)
-                    } else {
-                        attach.egress
-                    };
-                    let group = match accepted.iter().position(|(a, _, _)| *a == attrs) {
-                        Some(group) => group,
+                    let (id, rec) = match accepted.iter_mut().find(|(a, ..)| *a == attrs) {
+                        Some((_, id, rec, prefixes)) => {
+                            store.retain(*id);
+                            prefixes.push(*prefix);
+                            (*id, *rec)
+                        }
                         None => {
-                            let id = loc_rib.hold(&attrs);
-                            accepted.push((attrs, id, Vec::new()));
-                            accepted.len() - 1
+                            // Controller routes name their egress via the
+                            // synthetic next hop; organic routes use the
+                            // attachment's egress.
+                            let egress = if attach.kind == PeerKind::Controller {
+                                attrs
+                                    .next_hop
+                                    .and_then(EgressId::from_next_hop)
+                                    .unwrap_or(attach.egress)
+                            } else {
+                                attach.egress
+                            };
+                            let id = store.intern(&attrs);
+                            let rec = RouteRec::new(&attrs, source, egress);
+                            accepted.push((attrs, id, rec, vec![*prefix]));
+                            (id, rec)
                         }
                     };
-                    let (_, id, prefixes) = &mut accepted[group];
-                    // The Adj-RIB-In keeps the prefix and reads the route
-                    // back from the Loc-RIB.
-                    state.adj_in.insert(*prefix);
-                    let change = loc_rib.install_held(*prefix, *id, source, egress);
-                    prefixes.push(*prefix);
+                    if let Some(old) = state.adj_in.insert(*prefix, id) {
+                        store.release(old);
+                    }
+                    let change = loc_rib.install(*prefix, rec);
                     fib.apply_best_change(*prefix, change);
                 }
                 PolicyVerdict::Reject => {
                     // A re-announcement that now fails policy removes any
                     // previously accepted route (treat as withdraw).
-                    if state.adj_in.remove(prefix) {
+                    if let Some(old) = state.adj_in.remove(prefix) {
+                        store.release(old);
                         rejected.push(*prefix);
                         let change = loc_rib.withdraw(prefix, peer);
                         fib.apply_best_change(*prefix, change);
@@ -441,12 +454,11 @@ impl BgpRouter {
                 }
             }
         }
-        for (_, id, _) in &accepted {
-            loc_rib.release(*id);
-        }
 
         for prefix in &withdrawn {
-            state.adj_in.remove(prefix);
+            if let Some(old) = state.adj_in.remove(prefix) {
+                store.release(old);
+            }
             let change = loc_rib.withdraw(prefix, peer);
             fib.apply_best_change(*prefix, change);
         }
@@ -455,7 +467,7 @@ impl BgpRouter {
         if attach.max_prefixes > 0 && state.adj_in.len() > attach.max_prefixes {
             let _ = state.session.stop();
             state.up = false;
-            state.adj_in.clear();
+            clear_adj_in(&mut state.adj_in, store);
             let attach = state.attach.clone();
             self.flush_peer_routes(peer, &attach, now, 3);
             return;
@@ -466,13 +478,13 @@ impl BgpRouter {
             peer_bgp_id: cfg.router_id,
             timestamp_ms: now,
         };
-        // Debug builds check the Adj-RIB-In invariant (inside
-        // `adj_in_route`) on every prefix this UPDATE touched.
+        // Debug builds check the Adj-RIB-In invariant on every prefix this
+        // UPDATE touched.
         if cfg!(debug_assertions) {
             if let Some(state) = self.peers.get(&peer) {
                 for prefix in announced.iter().chain(&withdrawn) {
-                    if state.adj_in.contains(prefix) {
-                        self.adj_in_route(peer, prefix);
+                    if let Some(&id) = state.adj_in.get(prefix) {
+                        self.assert_adj_in_route(peer, prefix, id);
                     }
                 }
             }
@@ -488,7 +500,7 @@ impl BgpRouter {
                 update: UpdateMessage::withdraw(withdrawals),
             });
         }
-        for (attrs, _, announced) in accepted {
+        for (attrs, _, _, announced) in accepted {
             self.bmp_queue.push(BmpMessage::RouteMonitoring {
                 peer: header,
                 update: UpdateMessage {
@@ -543,11 +555,6 @@ impl BgpRouter {
         self.loc_rib.best(prefix)
     }
 
-    /// The attribute store backing the Loc-RIB.
-    pub fn rib_store(&self) -> &AttrStore {
-        self.loc_rib.store()
-    }
-
     /// Iterates `(prefix, all candidates)`.
     pub fn iter_candidates(&self) -> impl Iterator<Item = (&Prefix, &[RouteRec])> {
         self.loc_rib.iter()
@@ -558,14 +565,15 @@ impl BgpRouter {
         self.loc_rib.route_count()
     }
 
-    /// Distinct attribute sets interned in the Loc-RIB.
+    /// Distinct post-policy attribute sets the Adj-RIBs-In hold.
     pub fn rib_distinct_attrs(&self) -> usize {
-        self.loc_rib.distinct_attrs()
+        self.store.distinct()
     }
 
-    /// Approximate resident bytes of the Loc-RIB's compact layout.
+    /// Approximate resident bytes of the Loc-RIB's compact layout plus the
+    /// attribute store.
     pub fn rib_approx_bytes(&self) -> usize {
-        self.loc_rib.approx_bytes()
+        self.loc_rib.approx_bytes() + self.store.approx_bytes()
     }
 
     /// Re-lays the Loc-RIB pool out prefix-sorted with no slack — call once
@@ -579,16 +587,20 @@ impl BgpRouter {
         std::mem::take(&mut self.bmp_queue)
     }
 
-    /// `peer`'s Adj-RIB-In route for `prefix`: its Loc-RIB candidate, of
-    /// which there is exactly one for every prefix in the peer's set.
-    fn adj_in_route(&self, peer: PeerId, prefix: &Prefix) -> Option<&RouteRec> {
-        let candidates = self.loc_rib.candidates(prefix);
-        debug_assert_eq!(
-            candidates.iter().filter(|r| r.source.peer == peer).count(),
-            1,
-            "{prefix} is in {peer:?}'s Adj-RIB-In without exactly one Loc-RIB candidate from it"
+    /// The invariant tying `peer`'s Adj-RIB-In route for `prefix` (held as
+    /// `id`) to the Loc-RIB: exactly one candidate there comes from `peer`,
+    /// and its decision key is the held attributes' key.
+    fn assert_adj_in_route(&self, peer: PeerId, prefix: &Prefix, id: AttrId) {
+        let mut mine = self
+            .loc_rib
+            .candidates(prefix)
+            .iter()
+            .filter(|r| r.source.peer == peer);
+        let (rec, extra) = (mine.next(), mine.next());
+        assert!(
+            extra.is_none() && rec.map(|r| r.key) == Some(DecisionKey::of(self.store.attrs(id))),
+            "{prefix} is in {peer:?}'s Adj-RIB-In without exactly one matching Loc-RIB candidate from it"
         );
-        candidates.iter().find(|r| r.source.peer == peer)
     }
 
     /// Produces the initial-state dump a freshly connected BMP station
@@ -613,21 +625,28 @@ impl BgpRouter {
                 timestamp_ms: now,
             };
             out.push(BmpMessage::PeerUp(header));
-            for prefix in &state.adj_in {
-                let Some(rec) = self.adj_in_route(state.attach.peer, prefix) else {
-                    continue;
-                };
+            for (prefix, &id) in &state.adj_in {
+                if cfg!(debug_assertions) {
+                    self.assert_adj_in_route(state.attach.peer, prefix, id);
+                }
                 out.push(BmpMessage::RouteMonitoring {
                     peer: header,
                     update: UpdateMessage {
                         withdrawn: Vec::new(),
-                        attrs: self.loc_rib.store().attrs(rec.attr).clone(),
+                        attrs: self.store.attrs(id).clone(),
                         announced: vec![*prefix],
                     },
                 });
             }
         }
         out
+    }
+}
+
+/// Empties an Adj-RIB-In, releasing its references.
+fn clear_adj_in(adj_in: &mut BTreeMap<Prefix, AttrId>, store: &mut AttrStore) {
+    for id in std::mem::take(adj_in).into_values() {
+        store.release(id);
     }
 }
 
@@ -732,7 +751,7 @@ impl PeerStub {
         &mut self,
         router: &mut BgpRouter,
         prefix: Prefix,
-        attrs: crate::attrs::PathAttributes,
+        attrs: PathAttributes,
         now: Millis,
     ) {
         let mut attrs = attrs;
@@ -943,10 +962,6 @@ mod tests {
             best.key.local_pref,
             PeerKind::PrivatePeer.default_local_pref(),
             "import policy applied"
-        );
-        assert_eq!(
-            r.rib_store().attrs(best.attr).local_pref,
-            Some(PeerKind::PrivatePeer.default_local_pref()),
         );
         let fib = r.fib_entry(&p("203.0.113.0/24")).unwrap();
         assert_eq!(fib.egress, EgressId(11));
@@ -1220,6 +1235,18 @@ mod tests {
         assert_eq!(r.fib_version(), v2, "a no-op FIB write is not a change");
         assert_eq!(r.fib_changes_since(v2), Some(&[][..]));
 
+        // A new community is outside the decision key: the record stays,
+        // and BMP carries the new set.
+        let best = r.best(&p("203.0.113.0/24")).copied();
+        let mut tagged = attrs(&[65001, 65001]);
+        tagged.add_community(ef_net_types::Community::new(65001, 42));
+        peer.announce(&mut r, p("203.0.113.0/24"), tagged, 2);
+        assert_eq!(r.best(&p("203.0.113.0/24")).copied(), best);
+        assert_eq!(r.fib_version(), v2);
+        assert!(snapshot_routes(&r)
+            .iter()
+            .any(|(_, _, a)| a.has_community(ef_net_types::Community::new(65001, 42))));
+
         peer.shutdown(&mut r, 3);
         assert!(
             r.fib_version() > v2,
@@ -1376,7 +1403,18 @@ mod tests {
         s.try_send_update(&mut r, UpdateMessage::withdraw([p("1.0.0.0/8")]), 2)
             .unwrap();
         assert!(snapshot_routes(&r).is_empty());
-        assert_eq!(r.rib_store().distinct(), 0, "all attrs released");
+        assert_eq!(r.rib_distinct_attrs(), 0, "all attrs released");
+    }
+
+    #[test]
+    fn attrs_are_shared_across_prefixes() {
+        let mut r = router();
+        let mut s = wire_peer(&mut r, 1, 65001, PeerKind::PrivatePeer, 11);
+        for i in 0..100u8 {
+            s.announce(&mut r, p(&format!("{}.0.0.0/8", i + 1)), attrs(&[65001]), 1);
+        }
+        assert_eq!(r.rib_route_count(), 100);
+        assert_eq!(r.rib_distinct_attrs(), 1, "one shared attribute set");
     }
 
     #[test]
@@ -1388,7 +1426,7 @@ mod tests {
         assert_eq!(snapshot_routes(&r).len(), 2);
         s.shutdown(&mut r, 2);
         assert!(snapshot_routes(&r).is_empty());
-        assert_eq!(r.rib_store().distinct(), 0);
+        assert_eq!(r.rib_distinct_attrs(), 0);
     }
 
     #[test]

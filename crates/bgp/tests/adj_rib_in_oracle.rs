@@ -1,11 +1,14 @@
-//! The router's Adj-RIB-In is a per-peer prefix set whose routes live in
-//! the Loc-RIB. This suite keeps the representation it replaced — a
-//! per-peer map of interned post-policy routes, with its own attribute
-//! store — as an oracle, and drives several peers through announce,
-//! withdraw, policy reject, max-prefix cut-off, enhanced-refresh sweep,
-//! session down and re-provisioning. After every step the router's
-//! `bmp_snapshot` must equal the snapshot built from the oracle, message
-//! for message.
+//! The router's Adj-RIB-In is a per-peer map from prefix to a handle on
+//! the post-policy attributes in the router's one store, and each route's
+//! decision record is the peer's Loc-RIB candidate. This suite keeps a
+//! plain model — per-peer `HashMap<Prefix, AttrId>` over its own store,
+//! computed straight from import policy — as an oracle, and drives several
+//! peers through announce, withdraw, policy reject, max-prefix cut-off,
+//! enhanced-refresh sweep, session down and re-provisioning. After every
+//! step the router's `bmp_snapshot` must equal the snapshot built from the
+//! oracle, message for message, and the router's store must hold exactly
+//! the oracle's distinct post-policy sets; once every peer is removed it
+//! must hold none.
 
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
@@ -13,11 +16,11 @@ use std::net::Ipv4Addr;
 use proptest::prelude::*;
 
 use ef_bgp::attrs::{AsPath, PathAttributes};
-use ef_bgp::attrstore::{AttrStore, RouteRec};
+use ef_bgp::attrstore::{AttrId, AttrStore};
 use ef_bgp::message::{BgpMessage, UpdateMessage};
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::policy::{Policy, PolicyVerdict};
-use ef_bgp::route::{EgressId, RouteSource};
+use ef_bgp::route::EgressId;
 use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
 use ef_bgp::{BmpMessage, BmpPeerHeader};
 use ef_net_types::{Asn, Prefix};
@@ -27,30 +30,27 @@ const ROUTER_ID: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 /// Peer 3's max-prefix limit; the prefix pool is larger, so it trips.
 const MAX_PREFIXES: usize = 2;
 
-/// The routes received from one peer, post-import-policy, attribute-interned
-/// — the production `AdjRibIn` this suite's router replaced.
-#[derive(Default)]
-struct AdjRibIn {
-    routes: HashMap<Prefix, RouteRec>,
-    store: AttrStore,
+/// The routes received from one peer, post-import-policy: a handle per
+/// prefix into the oracle's store, which all peers share as the router's
+/// Adj-RIBs-In share its store.
+type AdjRibIn = HashMap<Prefix, AttrId>;
+
+fn install(store: &mut AttrStore, adj: &mut AdjRibIn, prefix: Prefix, attrs: &PathAttributes) {
+    if let Some(prev) = adj.insert(prefix, store.intern(attrs)) {
+        store.release(prev);
+    }
 }
 
-impl AdjRibIn {
-    fn install(&mut self, prefix: Prefix, attrs: &PathAttributes, source: RouteSource) {
-        let rec = self.store.make_rec(attrs, source, EgressId(0));
-        if let Some(prev) = self.routes.insert(prefix, rec) {
-            self.store.release(prev.attr);
-        }
+fn withdraw(store: &mut AttrStore, adj: &mut AdjRibIn, prefix: &Prefix) {
+    if let Some(prev) = adj.remove(prefix) {
+        store.release(prev);
     }
+}
 
-    fn withdraw(&mut self, prefix: &Prefix) {
-        if let Some(prev) = self.routes.remove(prefix) {
-            self.store.release(prev.attr);
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.routes.len()
+/// Drops a whole Adj-RIB-In (session down, cut-off, replaced by a replay).
+fn release(store: &mut AttrStore, adj: Option<AdjRibIn>) {
+    for id in adj.into_iter().flat_map(HashMap::into_values) {
+        store.release(id);
     }
 }
 
@@ -93,14 +93,6 @@ impl Peer {
             egress: EgressId(self.id.0 as u32),
             policy: Policy::default_import(LOCAL_AS, self.kind),
             max_prefixes: self.max_prefixes,
-        }
-    }
-
-    fn source(&self) -> RouteSource {
-        RouteSource {
-            peer: self.id,
-            peer_asn: self.asn,
-            kind: self.kind,
         }
     }
 
@@ -202,20 +194,20 @@ fn connect(router: &mut BgpRouter, peer: &Peer) -> Side {
 /// false when max-prefix cut the session.
 fn oracle_announce(
     peer: &Peer,
+    store: &mut AttrStore,
     adj: &mut AdjRibIn,
     prefix: Prefix,
     attrs: &PathAttributes,
 ) -> bool {
     let mut attrs = attrs.clone();
-    let source = peer.source();
     match peer.attachment().policy.apply(&prefix, &mut attrs) {
-        PolicyVerdict::Accept => adj.install(prefix, &attrs, source),
-        PolicyVerdict::Reject => adj.withdraw(&prefix),
+        PolicyVerdict::Accept => install(store, adj, prefix, &attrs),
+        PolicyVerdict::Reject => withdraw(store, adj, &prefix),
     }
     peer.max_prefixes == 0 || adj.len() <= peer.max_prefixes
 }
 
-fn oracle_snapshot(peers: &[Peer], sides: &[Side]) -> Vec<BmpMessage> {
+fn oracle_snapshot(peers: &[Peer], sides: &[Side], store: &AttrStore) -> Vec<BmpMessage> {
     let mut out = vec![BmpMessage::Initiation {
         sys_name: "pr".into(),
     }];
@@ -230,19 +222,25 @@ fn oracle_snapshot(peers: &[Peer], sides: &[Side]) -> Vec<BmpMessage> {
             timestamp_ms: 0,
         };
         out.push(BmpMessage::PeerUp(header));
-        let mut routes: Vec<(&Prefix, &RouteRec)> = adj.routes.iter().collect();
+        let mut routes: Vec<(&Prefix, &AttrId)> = adj.iter().collect();
         routes.sort_by_key(|(p, _)| **p);
-        for (prefix, rec) in routes {
+        for (prefix, id) in routes {
             out.push(BmpMessage::RouteMonitoring {
                 peer: header,
-                update: UpdateMessage::announce(*prefix, adj.store.attrs(rec.attr).clone()),
+                update: UpdateMessage::announce(*prefix, store.attrs(*id).clone()),
             });
         }
     }
     out
 }
 
-fn apply(router: &mut BgpRouter, peers: &[Peer], sides: &mut [Side], op: Op) {
+fn apply(
+    router: &mut BgpRouter,
+    peers: &[Peer],
+    sides: &mut [Side],
+    store: &mut AttrStore,
+    op: Op,
+) {
     match op {
         Op::Announce {
             peer,
@@ -256,8 +254,8 @@ fn apply(router: &mut BgpRouter, peers: &[Peer], sides: &mut [Side], op: Op) {
             let attrs = p.attrs(variant);
             side.stub.announce(router, prefix(i), attrs.clone(), 1);
             side.advertised.insert(prefix(i), attrs.clone());
-            if !oracle_announce(p, adj, prefix(i), &attrs) {
-                side.adj_in = None;
+            if !oracle_announce(p, store, adj, prefix(i), &attrs) {
+                release(store, side.adj_in.take());
             }
         }
         Op::Withdraw { peer, prefix: i } => {
@@ -269,7 +267,7 @@ fn apply(router: &mut BgpRouter, peers: &[Peer], sides: &mut [Side], op: Op) {
                 .try_send_update(router, UpdateMessage::withdraw([prefix(i)]), 1)
                 .unwrap();
             side.advertised.remove(&prefix(i));
-            adj.withdraw(&prefix(i));
+            withdraw(store, adj, &prefix(i));
         }
         Op::Ghost {
             peer,
@@ -284,8 +282,8 @@ fn apply(router: &mut BgpRouter, peers: &[Peer], sides: &mut [Side], op: Op) {
             let update = UpdateMessage::announce(prefix(i), attrs.clone());
             let raw = ef_bgp::wire::encode_message(&BgpMessage::Update(update)).unwrap();
             router.deliver(p.id, &raw, 1);
-            if !oracle_announce(p, adj, prefix(i), &attrs) {
-                side.adj_in = None;
+            if !oracle_announce(p, store, adj, prefix(i), &attrs) {
+                release(store, side.adj_in.take());
                 // The router's NOTIFICATION reaches the stub.
                 side.stub.pump(router, 1);
             }
@@ -302,17 +300,23 @@ fn apply(router: &mut BgpRouter, peers: &[Peer], sides: &mut [Side], op: Op) {
             let mut fresh = AdjRibIn::default();
             let mut up = true;
             for (prefix, attrs) in &side.advertised {
-                up &= oracle_announce(p, &mut fresh, *prefix, attrs);
+                up &= oracle_announce(p, store, &mut fresh, *prefix, attrs);
             }
-            side.adj_in = up.then_some(fresh);
+            release(store, side.adj_in.take());
+            if up {
+                side.adj_in = Some(fresh);
+            } else {
+                release(store, Some(fresh));
+            }
         }
         Op::Down { peer } => {
             let side = &mut sides[peer];
             side.stub.shutdown(router, 1);
-            side.adj_in = None;
+            release(store, side.adj_in.take());
         }
         Op::Reprovision { peer } => {
             router.remove_peer(peers[peer].id, 1);
+            release(store, sides[peer].adj_in.take());
             sides[peer] = connect(router, &peers[peer]);
         }
     }
@@ -330,14 +334,25 @@ proptest! {
             router_id: ROUTER_ID,
         });
         let mut sides: Vec<Side> = peers.iter().map(|p| connect(&mut router, p)).collect();
+        let mut store = AttrStore::new();
         for op in ops {
-            apply(&mut router, &peers, &mut sides, op);
+            apply(&mut router, &peers, &mut sides, &mut store, op);
             for (p, side) in peers.iter().zip(&sides) {
                 let up = side.adj_in.is_some();
                 prop_assert_eq!(router.peer_up(p.id), up, "{:?} after {:?}", p.id, op);
             }
-            let want = oracle_snapshot(&peers, &sides);
+            let want = oracle_snapshot(&peers, &sides, &store);
             prop_assert_eq!(router.bmp_snapshot(0), want, "after {:?}", op);
+            prop_assert_eq!(
+                router.rib_distinct_attrs(),
+                store.distinct(),
+                "distinct post-policy sets after {:?}",
+                op
+            );
         }
+        for p in &peers {
+            router.remove_peer(p.id, 2);
+        }
+        prop_assert_eq!(router.rib_distinct_attrs(), 0, "attribute references leaked");
     }
 }

@@ -1,4 +1,4 @@
-//! Equivalence of the pooled, attribute-interned [`LocRib`] against the
+//! Equivalence of the pooled [`LocRib`] of decision records against the
 //! reference representation it replaced: `HashMap<Prefix, Vec<Route>>`
 //! with per-route deep attribute clones, ranked by a decision ladder that
 //! reads each fat [`Route`]'s attributes directly ([`compare`],
@@ -6,10 +6,11 @@
 //! nowhere else).
 //!
 //! Under arbitrary churn (install / replace-from-same-peer / withdraw /
-//! session teardown / compaction), the two must agree byte-for-byte on
-//! candidate sets, arrival order, decision ranking, best-route changes,
-//! and route counts. This is the contract that lets every consumer of the
-//! RIB switch to `RouteRec` handles without re-auditing decisions.
+//! session teardown / compaction), the two must agree on candidate sets,
+//! arrival order, decision ranking, best-route changes and route counts,
+//! each route compared as what the RIB keeps of it: `(source, egress,
+//! key)`, the [`RouteRec`]. This is the contract that lets every consumer
+//! of the RIB work on records without re-auditing decisions.
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -85,18 +86,15 @@ struct ModelRib {
     table: HashMap<Prefix, Vec<Route>>,
 }
 
-/// The model's best-change report, as materialized routes.
-#[derive(Debug, PartialEq)]
-enum ModelChange {
-    Unchanged,
-    NewBest(Route),
-    Unreachable,
+/// What the RIB keeps of a route.
+fn rec(route: &Route) -> RouteRec {
+    RouteRec::new(&route.attrs, route.source, route.egress)
 }
 
 impl ModelRib {
-    fn install(&mut self, route: Route) -> ModelChange {
+    fn install(&mut self, route: Route) -> BestChange {
         let routes = self.table.entry(route.prefix).or_default();
-        let old_best = best_route(routes).cloned();
+        let old_best = best_route(routes).map(rec);
         match routes
             .iter_mut()
             .find(|r| r.source.peer == route.source.peer)
@@ -104,37 +102,37 @@ impl ModelRib {
             Some(slot) => *slot = route,
             None => routes.push(route),
         }
-        let new_best = best_route(routes).cloned();
+        let new_best = best_route(routes).map(rec);
         if old_best == new_best {
-            ModelChange::Unchanged
+            BestChange::Unchanged
         } else {
             // Install always leaves at least one route.
-            ModelChange::NewBest(new_best.unwrap())
+            BestChange::NewBest(new_best.unwrap())
         }
     }
 
-    fn withdraw(&mut self, prefix: &Prefix, peer: PeerId) -> ModelChange {
+    fn withdraw(&mut self, prefix: &Prefix, peer: PeerId) -> BestChange {
         let Some(routes) = self.table.get_mut(prefix) else {
-            return ModelChange::Unchanged;
+            return BestChange::Unchanged;
         };
         if !routes.iter().any(|r| r.source.peer == peer) {
-            return ModelChange::Unchanged;
+            return BestChange::Unchanged;
         }
-        let old_best = best_route(routes).cloned();
+        let old_best = best_route(routes).map(rec);
         routes.retain(|r| r.source.peer != peer);
         if routes.is_empty() {
             self.table.remove(prefix);
-            return ModelChange::Unreachable;
+            return BestChange::Unreachable;
         }
-        let new_best = best_route(routes).cloned();
+        let new_best = best_route(routes).map(rec);
         if old_best == new_best {
-            ModelChange::Unchanged
+            BestChange::Unchanged
         } else {
-            ModelChange::NewBest(new_best.unwrap())
+            BestChange::NewBest(new_best.unwrap())
         }
     }
 
-    fn withdraw_peer(&mut self, peer: PeerId) -> Vec<(Prefix, ModelChange)> {
+    fn withdraw_peer(&mut self, peer: PeerId) -> Vec<(Prefix, BestChange)> {
         let mut prefixes: Vec<Prefix> = self
             .table
             .iter()
@@ -148,7 +146,7 @@ impl ModelRib {
                 let change = self.withdraw(&p, peer);
                 (p, change)
             })
-            .filter(|(_, c)| !matches!(c, ModelChange::Unchanged))
+            .filter(|(_, c)| *c != BestChange::Unchanged)
             .collect()
     }
 
@@ -157,51 +155,31 @@ impl ModelRib {
     }
 }
 
-/// Materializes a full [`Route`] from one of the pooled RIB's records.
-fn route(rib: &LocRib, prefix: Prefix, rec: &RouteRec) -> Route {
-    Route {
-        prefix,
-        attrs: rib.store().attrs(rec.attr).clone(),
-        source: rec.source,
-        egress: rec.egress,
-    }
-}
-
-/// Materializes the pooled RIB's change report for comparison.
-fn materialize_change(rib: &LocRib, prefix: Prefix, change: &BestChange) -> ModelChange {
-    match change {
-        BestChange::Unchanged => ModelChange::Unchanged,
-        BestChange::NewBest(rec) => ModelChange::NewBest(route(rib, prefix, rec)),
-        BestChange::Unreachable => ModelChange::Unreachable,
-    }
-}
-
 /// Asserts full observable equivalence between the pooled RIB and the model.
 fn assert_equivalent(rib: &LocRib, model: &ModelRib) {
     assert_eq!(rib.len(), model.table.len(), "prefix count");
     assert_eq!(rib.route_count(), model.route_count(), "route count");
-    let mut ranked_scratch = Vec::new();
+    let mut ranked = Vec::new();
     for (prefix, routes) in &model.table {
-        // Candidate sets in arrival order, byte-identical once materialized.
-        let candidates: Vec<Route> = rib
-            .candidates(prefix)
-            .iter()
-            .map(|rec| route(rib, *prefix, rec))
-            .collect();
-        assert_eq!(&candidates, routes, "candidates for {prefix}");
+        // Candidate sets in arrival order.
+        let candidates: Vec<RouteRec> = routes.iter().map(rec).collect();
+        assert_eq!(
+            rib.candidates(prefix),
+            &candidates[..],
+            "candidates for {prefix}"
+        );
 
         // Decision ranking identical to the reference sort.
-        rib.ranked_into(prefix, &mut ranked_scratch);
-        let ranked: Vec<Route> = ranked_scratch
-            .iter()
-            .map(|rec| route(rib, *prefix, rec))
-            .collect();
-        let model_ranked: Vec<Route> = rank_routes(routes).into_iter().cloned().collect();
+        rib.ranked_into(prefix, &mut ranked);
+        let model_ranked: Vec<RouteRec> = rank_routes(routes).into_iter().map(rec).collect();
         assert_eq!(ranked, model_ranked, "ranking for {prefix}");
 
         // Best route identical.
-        let best = rib.best(prefix).map(|rec| route(rib, *prefix, rec));
-        assert_eq!(best, best_route(routes).cloned(), "best for {prefix}");
+        assert_eq!(
+            rib.best(prefix).copied(),
+            best_route(routes).map(rec),
+            "best for {prefix}"
+        );
     }
 }
 
@@ -332,31 +310,20 @@ proptest! {
                         source: sources[peer_ix],
                         egress: EgressId(egress),
                     };
-                    let change = rib.install_ref(
-                        route.prefix,
-                        &route.attrs,
-                        route.source,
-                        route.egress,
-                    );
-                    let got = materialize_change(&rib, route.prefix, &change);
+                    let got = rib.install(route.prefix, rec(&route));
                     let want = model.install(route);
                     prop_assert_eq!(got, want, "install change report");
                 }
                 Op::Withdraw { prefix_ix, peer_ix } => {
                     let prefix = prefixes[prefix_ix];
                     let peer = sources[peer_ix].peer;
-                    let change = rib.withdraw(&prefix, peer);
-                    let got = materialize_change(&rib, prefix, &change);
+                    let got = rib.withdraw(&prefix, peer);
                     let want = model.withdraw(&prefix, peer);
                     prop_assert_eq!(got, want, "withdraw change report");
                 }
                 Op::WithdrawPeer { peer_ix } => {
                     let peer = sources[peer_ix].peer;
-                    let changes = rib.withdraw_peer(peer);
-                    let got: Vec<(Prefix, ModelChange)> = changes
-                        .iter()
-                        .map(|(p, c)| (*p, materialize_change(&rib, *p, c)))
-                        .collect();
+                    let got = rib.withdraw_peer(peer);
                     let want = model.withdraw_peer(peer);
                     prop_assert_eq!(got, want, "withdraw_peer change reports");
                 }
@@ -364,10 +331,6 @@ proptest! {
             }
             assert_equivalent(&rib, &model);
         }
-
-        // Interning actually shares storage: never more distinct attribute
-        // sets than generator patterns, regardless of route count.
-        prop_assert!(rib.distinct_attrs() <= N_ATTRS);
 
         // Drain everything; the pooled structures must empty out.
         for source in &sources {
@@ -377,6 +340,5 @@ proptest! {
         assert_equivalent(&rib, &model);
         prop_assert_eq!(rib.route_count(), 0);
         prop_assert!(rib.is_empty());
-        prop_assert_eq!(rib.store().distinct(), 0, "attr refcounts leaked");
     }
 }

@@ -3,7 +3,10 @@
 //! The controller never peers with routers to learn routes — it consumes
 //! their BMP feeds, which export every post-policy route (not only the
 //! decision winners). [`RouteCollector`] folds those messages into a
-//! [`LocRib`]-shaped view the projection and allocator operate on.
+//! [`LocRib`] of decision records, the view the projection and allocator
+//! operate on. They read each route's source, egress and decision key and
+//! nothing else, so the collector derives one [`RouteRec`] per message and
+//! keeps no attributes.
 //!
 //! Routes are classified by the interconnect-kind community the routers'
 //! import policy tagged at the edge; the egress interface of a route is the
@@ -122,18 +125,17 @@ impl RouteCollector {
                         peer_asn: peer.peer_asn,
                         kind,
                     };
-                    // One intern per message, however many prefixes it
-                    // announces; each install is a refcount bump.
-                    let id = self.rib.hold(&update.attrs);
+                    // One record per message, however many prefixes it
+                    // announces.
+                    let rec = RouteRec::new(&update.attrs, source, egress);
                     for prefix in &update.announced {
-                        self.rib.install_held(*prefix, id, source, egress);
+                        self.rib.install(*prefix, rec);
                         // Controller self-echoes are overrides: projection
                         // never reads them, so they must not dirty the memo.
                         if kind != PeerKind::Controller {
                             self.touch(*prefix);
                         }
                     }
-                    self.rib.release(id);
                 }
                 BmpMessage::PeerDown { peer, .. } => {
                     // `withdraw_peer` reports overall-best changes, which is

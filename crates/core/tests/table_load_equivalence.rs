@@ -19,10 +19,10 @@ use proptest::prelude::*;
 
 use edge_fabric::collector::RouteCollector;
 use ef_bgp::attrs::{AsPath, PathAttributes};
-use ef_bgp::attrstore::{AttrStore, DecisionKey, RouteRec};
+use ef_bgp::attrstore::{AttrStore, RouteRec};
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::policy::Policy;
-use ef_bgp::route::{EgressId, Route, RouteSource};
+use ef_bgp::route::EgressId;
 use ef_bgp::router::{BgpRouter, FibEntry, PeerAttachment, PeerStub, RouterConfig};
 use ef_net_types::{Asn, Prefix};
 
@@ -102,13 +102,9 @@ fn connect(router: &mut BgpRouter) -> Vec<PeerStub> {
         .collect()
 }
 
-/// What the controller reads of a collected route: its source, egress and
-/// decision key.
-type Collected = (RouteSource, EgressId, DecisionKey);
-
 /// The collector's candidates per pool prefix after ingesting `router`'s
 /// BMP backlog, and its generation counter.
-fn collected(router: &mut BgpRouter) -> (Vec<Vec<Collected>>, u64) {
+fn collected(router: &mut BgpRouter) -> (Vec<Vec<RouteRec>>, u64) {
     let peer_egress: HashMap<PeerId, EgressId> = PEERS
         .iter()
         .map(|&(id, _, _)| (PeerId(id), EgressId(id as u32)))
@@ -116,30 +112,23 @@ fn collected(router: &mut BgpRouter) -> (Vec<Vec<Collected>>, u64) {
     let mut collector = RouteCollector::new(peer_egress);
     collector.ingest(router.drain_bmp());
     let view = (0..POOL)
-        .map(|i| {
-            let p = prefix(i);
-            let recs = collector.candidates(&p);
-            recs.iter().map(|r| (r.source, r.egress, r.key)).collect()
-        })
+        .map(|i| collector.candidates(&prefix(i)).to_vec())
         .collect();
     (view, collector.generation())
 }
 
 /// Per pool prefix: candidates in order, best route and FIB entry (the
-/// FIB holds pool prefixes only, so equal views mean equal FIBs).
-fn routing_view(router: &BgpRouter) -> Vec<(Vec<Route>, Option<Route>, Option<FibEntry>)> {
+/// FIB holds pool prefixes only, so equal views mean equal FIBs). The
+/// attributes are compared through `bmp_snapshot`.
+fn routing_view(router: &BgpRouter) -> Vec<(Vec<RouteRec>, Option<RouteRec>, Option<FibEntry>)> {
     (0..POOL)
         .map(|i| {
             let p = prefix(i);
-            let route = |r: &RouteRec| Route {
-                prefix: p,
-                attrs: router.rib_store().attrs(r.attr).clone(),
-                source: r.source,
-                egress: r.egress,
-            };
-            let candidates = router.candidates(&p).iter().map(route).collect();
-            let best = router.best(&p).map(route);
-            (candidates, best, router.fib_entry(&p).copied())
+            (
+                router.candidates(&p).to_vec(),
+                router.best(&p).copied(),
+                router.fib_entry(&p).copied(),
+            )
         })
         .collect()
 }

@@ -1272,12 +1272,8 @@ mod tests {
         assert!(pop.router.rib_route_count() > 4 * BMP_BATCH, "many batches");
         let ctl = pop.controller.as_ref().expect("controller enabled");
         let collector = ctl.collector();
-        // What the controller reads of a route: source, egress and key.
-        let read = |recs: &[RouteRec]| -> Vec<_> {
-            recs.iter()
-                .filter(|r| !r.is_override())
-                .map(|r| (r.source, r.egress, r.key))
-                .collect()
+        let read = |recs: &[RouteRec]| -> Vec<RouteRec> {
+            recs.iter().filter(|r| !r.is_override()).copied().collect()
         };
         for (prefix, recs) in pop.router.iter_candidates() {
             assert_eq!(read(collector.candidates(prefix)), read(recs), "{prefix}");
