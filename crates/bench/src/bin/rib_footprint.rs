@@ -9,7 +9,7 @@
 //!   prefixes, world 7), loaded by `PopRuntime::build` over real sessions.
 //!   Its attribute sets are barely shared (~3 routes per distinct set).
 //!
-//! Each row reports:
+//! Each of those two rows reports:
 //!
 //! * `bytes_per_route` — resident bytes per candidate route in the arena
 //!   layout (the Loc-RIB's pool + slots + index, plus the attribute store
@@ -19,14 +19,24 @@
 //!   (`HashMap<Prefix, Vec<Route>>` with a deep `PathAttributes` clone per
 //!   route), estimated from the same entries.
 //!
+//! A third row, `pop_build`, counts the whole PoP `PopRuntime::build`
+//! makes of the `generated` world, through this binary's counting global
+//! allocator (std only): bytes live once it returns, the peak of live
+//! bytes during it (both above what was live before it), and allocations
+//! per Loc-RIB route (a reallocation counts as one).
+//!
 //! Output: `results/BENCH_rib_bytes.json`, which also carries each row's
 //! committed `budget_bytes_per_route`. With `--check`, the binary
 //! re-measures and exits nonzero if either row exceeds its committed
-//! budget — the CI memory gate for the full-table layout. Both builds are
-//! deterministic (seeded patterns and worlds, deterministic allocation
-//! growth), so the measurement is machine-independent.
+//! budget, or a `pop_build` count its committed value by more than
+//! [`COUNT_HEADROOM`] — the CI memory gate for the full-table layout.
+//! Every build is deterministic (seeded patterns and worlds, deterministic
+//! allocation growth, one thread), so the measurement is
+//! machine-independent.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::mem;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use ef_bench::{results_dir, write_json};
 use ef_bgp::attrs::{AsPath, PathAttributes};
@@ -58,11 +68,69 @@ fn generated_world() -> GenConfig {
 }
 /// Headroom multiplier when (re)committing a budget.
 const BUDGET_HEADROOM: f64 = 1.25;
+/// How far `--check` lets a `pop_build` count exceed its committed value:
+/// the counts repeat exactly on one world and move < 0.3 % between worlds.
+const COUNT_HEADROOM: f64 = 1.05;
+
+/// The system allocator, counting live bytes, their peak and allocations.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+#[global_allocator]
+static COUNTING: Counting = Counting;
+
+/// Books `ptr`, a new block of `size` bytes replacing one of `freed`.
+fn booked(ptr: *mut u8, freed: usize, size: usize) -> *mut u8 {
+    if !ptr.is_null() {
+        ALLOCS.fetch_add(1, Relaxed);
+        let live = LIVE.fetch_add(size, Relaxed) + size - freed;
+        LIVE.fetch_sub(freed, Relaxed);
+        PEAK.fetch_max(live, Relaxed);
+    }
+    ptr
+}
+
+// SAFETY: each call forwards to `System` unchanged (`alloc_zeroed` keeps
+// the default, which goes through `alloc`).
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        booked(System.alloc(layout), 0, layout.size())
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+        LIVE.fetch_sub(layout.size(), Relaxed);
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        booked(
+            System.realloc(ptr, layout, new_size),
+            layout.size(),
+            new_size,
+        )
+    }
+}
 
 #[derive(Serialize, Deserialize)]
 struct FootprintReport {
     synthetic: Row,
     generated: Row,
+    pop_build: BuildRow,
+}
+
+/// The heap one `PopRuntime::build` of the `generated` world uses.
+#[derive(Serialize, Deserialize)]
+struct BuildRow {
+    routes: usize,
+    /// Bytes live once the build returns: the runtime it built.
+    live_bytes: usize,
+    /// Peak live bytes during the build.
+    peak_bytes: usize,
+    allocations: usize,
+    allocs_per_route: f64,
 }
 
 #[derive(Serialize, Deserialize)]
@@ -223,7 +291,25 @@ fn measure(budgets: Option<(f64, f64)>) -> FootprintReport {
 
     let cfg = ef_sim::scenario().topology(generated_world()).build();
     let deployment = ef_topology::generate(&cfg.gen);
+    let (before, allocs) = (LIVE.load(Relaxed), ALLOCS.load(Relaxed));
+    PEAK.store(before, Relaxed);
     let pop = PopRuntime::build(&deployment, deployment.pops[0].id, &cfg);
+    let (live_bytes, peak_bytes) = (LIVE.load(Relaxed) - before, PEAK.load(Relaxed) - before);
+    let allocations = ALLOCS.load(Relaxed) - allocs;
+    let routes = pop.router.rib_route_count();
+    let pop_build = BuildRow {
+        routes,
+        live_bytes,
+        peak_bytes,
+        allocations,
+        allocs_per_route: allocations as f64 / routes as f64,
+    };
+    println!(
+        "rib-footprint [pop_build]: {:.1} MB live after, {:.1} MB peak during, {:.2} allocations/route over {routes} routes",
+        live_bytes as f64 / 1e6,
+        peak_bytes as f64 / 1e6,
+        pop_build.allocs_per_route,
+    );
     let router = &pop.router;
     // Every Loc-RIB candidate is one route of an Adj-RIB-In, which the
     // snapshot reports with its attributes.
@@ -248,6 +334,7 @@ fn measure(budgets: Option<(f64, f64)>) -> FootprintReport {
     FootprintReport {
         synthetic,
         generated,
+        pop_build,
     }
 }
 
@@ -277,8 +364,22 @@ fn main() {
             );
             over |= row.bytes_per_route > row.budget_bytes_per_route;
         }
+        let (now, was) = (&report.pop_build, &committed.pop_build);
+        for (name, measured, committed) in [
+            ("live bytes", now.live_bytes as f64, was.live_bytes as f64),
+            ("peak bytes", now.peak_bytes as f64, was.peak_bytes as f64),
+            (
+                "allocations/route",
+                now.allocs_per_route,
+                was.allocs_per_route,
+            ),
+        ] {
+            let budget = committed * COUNT_HEADROOM;
+            println!("rib-footprint gate [pop_build]: {name} {measured:.2}, budget {budget:.2}");
+            over |= measured > budget;
+        }
         if over {
-            eprintln!("[rib-footprint] FAIL: bytes/route exceeds the committed budget");
+            eprintln!("[rib-footprint] FAIL: a row exceeds its committed budget");
             std::process::exit(1);
         }
         return;

@@ -14,8 +14,8 @@
 //! consults), the egress and the per-route provenance in one `Copy` value of
 //! ~48 bytes, and holds no handle into any store. Every hot loop in the
 //! reproduction works over `&[RouteRec]` slices without allocating; only a
-//! component that must give the attributes back (the router's Adj-RIB-In, a
-//! stub's Adj-RIB-Out, the runtime's replay table) keeps an [`AttrId`].
+//! component that must give the attributes back (the router's Adj-RIB-In,
+//! the runtime's peer tables) keeps an [`AttrId`].
 
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;

@@ -13,7 +13,7 @@
 //! it is a requester only: it asks a peer to replay its routes and sweeps
 //! what the replay leaves out, and it ignores a Request from a peer.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::net::Ipv4Addr;
 
 use bytes::Bytes;
@@ -650,10 +650,21 @@ fn clear_adj_in(adj_in: &mut BTreeMap<Prefix, AttrId>, store: &mut AttrStore) {
     }
 }
 
-/// The next hop [`PeerStub`] fills into IPv4 announcements that carry
-/// none. Any next hop satisfies the wire requirement; organic peers'
+/// The next hop a [`PeerStub`] frame carries when an IPv4 announcement
+/// has none. Any next hop satisfies the wire requirement; organic peers'
 /// egress is fixed by the attachment anyway.
 const STUB_NEXT_HOP: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
+
+/// `attrs` as a [`PeerStub`] puts them on the wire for `prefix`: an IPv4
+/// announcement without a next hop gets the stub's (192.0.2.1), so the
+/// frame encodes validly. Every frame a simulated peer builds goes through
+/// this one fill.
+pub fn stub_frame_attrs(prefix: &Prefix, mut attrs: PathAttributes) -> PathAttributes {
+    if attrs.next_hop.is_none() && prefix.is_v4() {
+        attrs.next_hop = Some(STUB_NEXT_HOP);
+    }
+    attrs
+}
 
 /// True when the codec carries `update`'s attribute set unchanged: a
 /// one-prefix frame of it encodes, and decodes back equal. This is what
@@ -670,21 +681,20 @@ fn codec_delivers(update: &UpdateMessage) -> bool {
 }
 
 /// A minimal remote BGP speaker: holds one session toward a router and
-/// announces a configured route set. The topology uses one stub per peer
+/// sends what its owner tells it to. The topology uses one stub per peer
 /// interconnect; the Edge Fabric injector uses the same machinery for the
 /// controller pseudo-peer.
+///
+/// The stub keeps no per-route state. Its owner holds the table the peer
+/// announces, as `(prefix, handle)` pairs into an [`AttrStore`], and hands
+/// it in whenever the stub must send it: the full feed at session-up
+/// ([`announce_table`](Self::announce_table)) and the answer to a
+/// ROUTE-REFRESH request, which [`pump`](Self::pump) surfaces and
+/// [`answer_refresh`](Self::answer_refresh) sends.
 pub struct PeerStub {
     /// Identity this stub registers as on the router.
     pub peer: PeerId,
     session: Session,
-    /// This stub's intended Adj-RIB-Out: every prefix it currently
-    /// advertises with the attributes last sent. A ROUTE-REFRESH request
-    /// from the router is answered by replaying this map, which is what
-    /// heals treat-as-withdraw damage without a session bounce. Attribute
-    /// sets are interned in `adv_store`, one copy per distinct set, so a
-    /// full-table replay list costs a handle per prefix.
-    advertised: BTreeMap<Prefix, AttrId>,
-    adv_store: AttrStore,
 }
 
 impl PeerStub {
@@ -692,12 +702,7 @@ impl PeerStub {
     pub fn new(peer: PeerId, asn: Asn, router_id: Ipv4Addr) -> Self {
         let mut session = Session::new(SessionConfig::new(asn, router_id));
         session.open();
-        PeerStub {
-            peer,
-            session,
-            advertised: BTreeMap::new(),
-            adv_store: AttrStore::new(),
-        }
+        PeerStub { peer, session }
     }
 
     /// True once the session is established.
@@ -705,11 +710,12 @@ impl PeerStub {
         self.session.is_established()
     }
 
-    /// Runs the handshake / delivers pending data both ways until quiescent.
-    /// A ROUTE-REFRESH request from the router is answered in-line by
-    /// replaying the advertised map, bracketed with BoRR/EoRR (RFC 7313);
-    /// the replay drains on the next round (the router exports nothing).
-    pub fn pump(&mut self, router: &mut BgpRouter, now: Millis) {
+    /// Runs the handshake / delivers pending data both ways until
+    /// quiescent. Returns whether the router sent a ROUTE-REFRESH request
+    /// meanwhile; the stub does not know its table, so the owner answers
+    /// it with [`answer_refresh`](Self::answer_refresh).
+    pub fn pump(&mut self, router: &mut BgpRouter, now: Millis) -> bool {
+        let mut refresh = false;
         for _ in 0..8 {
             let to_router = self.session.take_outbox();
             let mut moved = !to_router.is_empty();
@@ -720,25 +726,39 @@ impl PeerStub {
             moved |= !to_stub.is_empty();
             for bytes in to_stub {
                 for event in self.session.receive_bytes(&bytes) {
-                    match event {
-                        SessionEvent::Refresh(r) if r.subtype == RefreshSubtype::Request => {
-                            let _ = self.session.send_refresh_marker(RefreshSubtype::BoRR);
-                            for (prefix, id) in &self.advertised {
-                                let attrs = self.adv_store.attrs(*id).clone();
-                                let _ = self
-                                    .session
-                                    .send_update(UpdateMessage::announce(*prefix, attrs));
-                            }
-                            let _ = self.session.send_refresh_marker(RefreshSubtype::EoRR);
-                        }
-                        _ => {}
-                    }
+                    refresh |= matches!(
+                        event,
+                        SessionEvent::Refresh(r) if r.subtype == RefreshSubtype::Request
+                    );
                 }
             }
             if !moved {
                 break;
             }
         }
+        refresh
+    }
+
+    /// Answers a ROUTE-REFRESH request by replaying `routes`, the owner's
+    /// table as handles into `table`: BoRR, one UPDATE per route, EoRR
+    /// (RFC 7313), then pumps, so the router's sweep removes whatever the
+    /// replay left out.
+    pub fn answer_refresh(
+        &mut self,
+        router: &mut BgpRouter,
+        table: &AttrStore,
+        routes: impl IntoIterator<Item = (Prefix, AttrId)>,
+        now: Millis,
+    ) {
+        let _ = self.session.send_refresh_marker(RefreshSubtype::BoRR);
+        for (prefix, id) in routes {
+            let attrs = stub_frame_attrs(&prefix, table.attrs(id).clone());
+            let _ = self
+                .session
+                .send_update(UpdateMessage::announce(prefix, attrs));
+        }
+        let _ = self.session.send_refresh_marker(RefreshSubtype::EoRR);
+        self.pump(router, now);
     }
 
     /// Announces a prefix with the given attributes and pumps.
@@ -754,19 +774,15 @@ impl PeerStub {
         attrs: PathAttributes,
         now: Millis,
     ) {
-        let mut attrs = attrs;
-        if attrs.next_hop.is_none() && prefix.is_v4() {
-            attrs.next_hop = Some(STUB_NEXT_HOP);
-        }
-        let _ = self.try_send_update(router, UpdateMessage::announce(prefix, attrs), now);
+        let update = UpdateMessage::announce(prefix, stub_frame_attrs(&prefix, attrs));
+        let _ = self.try_send_update(router, update, now);
     }
 
     /// Announces a full feed, the table a peer sends right after
     /// session-up, as one batch. The result is what
     /// [`announce`](Self::announce)ing the routes one by one, in order,
-    /// leaves: the same Adj-RIB-Out here (so a ROUTE-REFRESH replays it),
-    /// and per prefix the same candidates, best route, FIB entry and
-    /// `bmp_snapshot` on the router. What differs is the path: the routes
+    /// leaves on the router: per prefix the same candidates, best route,
+    /// FIB entry and `bmp_snapshot`. What differs is the path: the routes
     /// are packed into one UPDATE per (attribute set, address family),
     /// and the router takes them decoded, without the codec round trip or
     /// session pumping (debug builds check that the codec would have
@@ -776,8 +792,8 @@ impl PeerStub {
     /// matter; a prefix announced again first sends what is packed.
     ///
     /// `routes` name their attribute sets by handle into `table`, so the
-    /// stub packs by handle and copies each set into its Adj-RIB-Out once
-    /// per UPDATE rather than once per route.
+    /// stub packs by handle and copies each set once per UPDATE rather
+    /// than once per route.
     pub fn announce_table(
         &mut self,
         router: &mut BgpRouter,
@@ -788,45 +804,25 @@ impl PeerStub {
         if !self.session.is_established() {
             return;
         }
-        // (Adj-RIB-Out handle, prefixes), in first-announced order, and
-        // each pack's position by (`table` handle, is v4).
+        // (`table` handle, prefixes), in first-announced order; each
+        // pack's position by (handle, is v4); the prefixes packed so far.
         let mut packed: Vec<(AttrId, Vec<Prefix>)> = Vec::new();
         let mut pack_of: HashMap<(AttrId, bool), usize> = HashMap::new();
+        let mut pending: HashSet<Prefix> = HashSet::new();
         for (prefix, set) in routes {
-            let key = (set, prefix.is_v4());
-            let mut pack = pack_of.get(&key).copied();
-            let id = match pack {
-                Some(pack) => {
-                    let id = packed[pack].0;
-                    self.adv_store.retain(id);
-                    id
-                }
-                None => {
-                    let attrs = table.attrs(set);
-                    if key.1 && attrs.next_hop.is_none() {
-                        let mut filled = attrs.clone();
-                        filled.next_hop = Some(STUB_NEXT_HOP);
-                        self.adv_store.intern(&filled)
-                    } else {
-                        self.adv_store.intern(attrs)
-                    }
-                }
-            };
-            if let Some(old) = self.advertised.insert(prefix, id) {
-                self.send_packed(router, &mut packed, now);
+            if !pending.insert(prefix) {
+                self.send_packed(router, table, &mut packed, now);
                 pack_of.clear();
-                pack = None;
-                self.adv_store.release(old);
+                pending.clear();
+                pending.insert(prefix);
             }
-            let pack = pack.unwrap_or_else(|| {
-                packed.push((id, Vec::new()));
-                pack_of.insert(key, packed.len() - 1);
+            let pack = *pack_of.entry((set, prefix.is_v4())).or_insert_with(|| {
+                packed.push((set, Vec::new()));
                 packed.len() - 1
             });
             packed[pack].1.push(prefix);
         }
-        self.send_packed(router, &mut packed, now);
-        // Whatever the router queued for us (a refresh request).
+        self.send_packed(router, table, &mut packed, now);
         self.pump(router, now);
     }
 
@@ -834,13 +830,14 @@ impl PeerStub {
     fn send_packed(
         &self,
         router: &mut BgpRouter,
+        table: &AttrStore,
         packed: &mut Vec<(AttrId, Vec<Prefix>)>,
         now: Millis,
     ) {
         let updates = packed.drain(..).map(|(id, announced)| {
             let update = UpdateMessage {
                 withdrawn: Vec::new(),
-                attrs: self.adv_store.attrs(id).clone(),
+                attrs: stub_frame_attrs(&announced[0], table.attrs(id).clone()),
                 announced,
             };
             debug_assert!(
@@ -861,25 +858,7 @@ impl PeerStub {
         update: UpdateMessage,
         now: Millis,
     ) -> Result<(), crate::session::SessionError> {
-        self.session.send_update(update.clone())?;
-        for prefix in &update.withdrawn {
-            if let Some(old) = self.advertised.remove(prefix) {
-                self.adv_store.release(old);
-            }
-        }
-        if !update.announced.is_empty() {
-            // One intern per UPDATE; additional prefixes only bump the
-            // refcount on the shared attribute set.
-            let id = self.adv_store.intern(&update.attrs);
-            for (i, prefix) in update.announced.iter().enumerate() {
-                if i > 0 {
-                    self.adv_store.retain(id);
-                }
-                if let Some(old) = self.advertised.insert(*prefix, id) {
-                    self.adv_store.release(old);
-                }
-            }
-        }
+        self.session.send_update(update)?;
         self.pump(router, now);
         Ok(())
     }
@@ -934,6 +913,17 @@ mod tests {
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
+    }
+
+    /// A peer's table as its owner holds it for a refresh answer: each
+    /// `(prefix, path)` as a handle into one store.
+    fn table(routes: &[(&str, &[u32])]) -> (AttrStore, Vec<(Prefix, AttrId)>) {
+        let mut store = AttrStore::new();
+        let table = routes
+            .iter()
+            .map(|(prefix, path)| (p(prefix), store.intern(&attrs(path))))
+            .collect();
+        (store, table)
     }
 
     fn wire_peer(r: &mut BgpRouter, peer: u64, asn: u32, kind: PeerKind, egress: u32) -> PeerStub {
@@ -1331,7 +1321,7 @@ mod tests {
         assert!(r.fib_entry(&p("203.0.113.0/24")).is_none(), "route lost");
         assert_eq!(r.session_stats(PeerId(1)).unwrap().updates_downgraded, 1);
 
-        // A ghost route the peer never tracked in its Adj-RIB-Out (as if
+        // A ghost route that is not in the peer's table (as if
         // its withdrawal was lost in the same damage window).
         let mut ghost_attrs = attrs(&[65001]);
         ghost_attrs.next_hop = Some(Ipv4Addr::new(192, 0, 2, 1));
@@ -1341,10 +1331,12 @@ mod tests {
         r.deliver(PeerId(1), &ghost_raw, 3);
         assert!(r.fib_entry(&p("192.0.2.0/24")).is_some());
 
-        // ROUTE-REFRESH instead of a bounce: the replay restores the lost
-        // route and the EoRR sweep removes the ghost.
+        // ROUTE-REFRESH instead of a bounce: the replay of the peer's table
+        // restores the lost route and the EoRR sweep removes the ghost.
+        let (store, table) = table(&[("203.0.113.0/24", &[65001]), ("198.51.100.0/24", &[65001])]);
         r.request_refresh(PeerId(1)).unwrap();
-        s.pump(&mut r, 4);
+        assert!(s.pump(&mut r, 4), "the request reached the stub");
+        s.answer_refresh(&mut r, &store, table, 4);
         assert!(r.peer_up(PeerId(1)), "no session flap");
         assert!(r.fib_entry(&p("203.0.113.0/24")).is_some(), "healed");
         assert!(r.fib_entry(&p("198.51.100.0/24")).is_some(), "kept");
@@ -1368,7 +1360,9 @@ mod tests {
         s.try_send_update(&mut r, UpdateMessage::withdraw([p("203.0.113.0/24")]), 2)
             .unwrap();
         r.request_refresh(PeerId(1)).unwrap();
-        s.pump(&mut r, 3);
+        assert!(s.pump(&mut r, 3));
+        let (store, table) = table(&[]);
+        s.answer_refresh(&mut r, &store, table, 3);
         assert!(r.fib_entry(&p("203.0.113.0/24")).is_none());
         assert!(r.peer_up(PeerId(1)));
     }

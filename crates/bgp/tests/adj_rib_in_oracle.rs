@@ -123,7 +123,7 @@ fn prefix(i: u8) -> Prefix {
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
-    /// The stub announces (and records in its Adj-RIB-Out).
+    /// The stub announces (and the side records it in the peer's table).
     Announce {
         peer: usize,
         prefix: u8,
@@ -170,8 +170,9 @@ fn op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// One peer's side of the world: its stub, what the stub advertises, and
-/// the oracle's view of the router's Adj-RIB-In (`None` while down).
+/// One peer's side of the world: its stub, the peer's table (what it
+/// advertises, which a refresh answer replays), and the oracle's view of
+/// the router's Adj-RIB-In (`None` while down).
 struct Side {
     stub: PeerStub,
     advertised: BTreeMap<Prefix, PathAttributes>,
@@ -294,9 +295,14 @@ fn apply(
                 return;
             }
             router.request_refresh(p.id).unwrap();
-            side.stub.pump(router, 1);
-            // The replay re-announces the stub's Adj-RIB-Out; the EoRR sweep
+            assert!(side.stub.pump(router, 1), "the request reached the stub");
+            // The replay re-announces the peer's table; the EoRR sweep
             // withdraws whatever it did not.
+            let mut table = AttrStore::new();
+            let routes: Vec<(Prefix, AttrId)> = (side.advertised.iter())
+                .map(|(prefix, attrs)| (*prefix, table.intern(attrs)))
+                .collect();
+            side.stub.answer_refresh(router, &table, routes, 1);
             let mut fresh = AdjRibIn::default();
             let mut up = true;
             for (prefix, attrs) in &side.advertised {

@@ -23,7 +23,7 @@ use ef_bgp::{BmpMessage, LocRib};
 use ef_net_types::Prefix;
 
 /// Maintains the controller's merged route view from BMP.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct RouteCollector {
     /// Peer → egress interface, from PoP config.
     peer_egress: HashMap<PeerId, EgressId>,
@@ -160,6 +160,19 @@ impl RouteCollector {
                 }
             }
         }
+    }
+
+    /// Re-lays the Loc-RIB out prefix-sorted with no slack (see
+    /// [`LocRib::compact`]), the end of a bulk load. Nothing reads the slot
+    /// order: candidates are looked up by prefix, and a peer-down scan
+    /// only collects the prefixes it dirties, each stamped afresh.
+    pub fn compact(&mut self) {
+        self.rib.compact()
+    }
+
+    /// Bytes the route view holds (see [`LocRib::approx_bytes`]).
+    pub fn approx_bytes(&self) -> usize {
+        self.rib.approx_bytes()
     }
 
     /// Every candidate route for a prefix, as compact pooled records.

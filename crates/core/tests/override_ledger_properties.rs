@@ -12,6 +12,7 @@ use proptest::prelude::*;
 
 use edge_fabric::{override_divergence, Injector, Override, OverrideReason, OverrideSet};
 use ef_bgp::attrs::{AsPath, Origin, PathAttributes};
+use ef_bgp::attrstore::{AttrId, AttrStore};
 use ef_bgp::message::{BgpMessage, UpdateMessage};
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::policy::{Policy, OVERRIDE_MARKER};
@@ -36,6 +37,17 @@ fn prefix(i: usize) -> Prefix {
     }
 }
 
+/// Organic peer `i`'s table: every prefix, over a one-hop path, as
+/// handles into one store.
+fn table(i: usize) -> (AttrStore, Vec<(Prefix, AttrId)>) {
+    let mut store = AttrStore::new();
+    let id = store.intern(&PathAttributes {
+        as_path: AsPath::sequence([Asn(ORGANIC[i].1)]),
+        ..Default::default()
+    });
+    (store, (0..PREFIXES).map(|p| (prefix(p), id)).collect())
+}
+
 /// Attaches organic peer `i`, establishes its session and announces every
 /// prefix from it.
 fn connect(router: &mut BgpRouter, i: usize, now: u64) -> PeerStub {
@@ -50,12 +62,9 @@ fn connect(router: &mut BgpRouter, i: usize, now: u64) -> PeerStub {
     });
     let mut stub = PeerStub::new(PeerId(id), Asn(asn), "10.9.0.1".parse().unwrap());
     stub.pump(router, now);
-    for p in 0..PREFIXES {
-        let attrs = PathAttributes {
-            as_path: AsPath::sequence([Asn(asn)]),
-            ..Default::default()
-        };
-        stub.announce(router, prefix(p), attrs, now);
+    let (store, table) = table(i);
+    for (prefix, id) in table {
+        stub.announce(router, prefix, store.attrs(id).clone(), now);
     }
     stub
 }
@@ -132,8 +141,10 @@ fn step(
         // An organic peer answers a ROUTE-REFRESH with its full table.
         _ => {
             let i = k % ORGANIC.len();
-            if router.request_refresh(PeerId(ORGANIC[i].0)).is_ok() {
-                organic[i].pump(router, now);
+            if router.request_refresh(PeerId(ORGANIC[i].0)).is_ok() && organic[i].pump(router, now)
+            {
+                let (store, table) = table(i);
+                organic[i].answer_refresh(router, &store, table, now);
             }
         }
     }

@@ -10,16 +10,17 @@
 //! agree on the candidates in order, the best route and the FIB entry;
 //! their `bmp_snapshot`s must match message for message; a collector fed
 //! each router's BMP stream must hold the same candidates; and each
-//! stub's ROUTE-REFRESH replay must reach its router identically.
+//! peer's ROUTE-REFRESH answer, its table replayed, must reach its router
+//! identically.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
 use proptest::prelude::*;
 
 use edge_fabric::collector::RouteCollector;
 use ef_bgp::attrs::{AsPath, PathAttributes};
-use ef_bgp::attrstore::{AttrStore, RouteRec};
+use ef_bgp::attrstore::{AttrId, AttrStore, RouteRec};
 use ef_bgp::peer::{PeerId, PeerKind};
 use ef_bgp::policy::Policy;
 use ef_bgp::route::EgressId;
@@ -157,6 +158,8 @@ proptest! {
         let mut batch = router();
         let mut batch_stubs = connect(&mut batch);
         let mut table = AttrStore::new();
+        // Each peer's table: the last route it announced per prefix.
+        let mut tables: Vec<BTreeMap<Prefix, AttrId>> = Vec::new();
         for ((&(_, asn, _), stub), feed) in PEERS.iter().zip(&mut batch_stubs).zip(&feeds) {
             let routes: Vec<_> = feed
                 .iter()
@@ -165,19 +168,23 @@ proptest! {
             for part in routes.chunks(chunk) {
                 stub.announce_table(&mut batch, &table, part.iter().copied(), 1);
             }
+            tables.push(routes.into_iter().collect());
         }
 
         prop_assert_eq!(routing_view(&batch), routing_view(&wire));
         prop_assert_eq!(batch.bmp_snapshot(2), wire.bmp_snapshot(2));
         prop_assert_eq!(collected(&mut batch), collected(&mut wire));
 
-        // Each stub's Adj-RIB-Out, as its ROUTE-REFRESH replay reaches the
-        // router: BoRR, every advertised route, EoRR and the sweep.
+        // Each peer's table, as its ROUTE-REFRESH answer reaches the
+        // router: BoRR, every route of the table, EoRR and the sweep.
         for (i, &(id, _, _)) in PEERS.iter().enumerate() {
+            let replay = tables[i].iter().map(|(p, a)| (*p, *a));
             batch.request_refresh(PeerId(id)).unwrap();
-            batch_stubs[i].pump(&mut batch, 3);
+            prop_assert!(batch_stubs[i].pump(&mut batch, 3));
+            batch_stubs[i].answer_refresh(&mut batch, &table, replay.clone(), 3);
             wire.request_refresh(PeerId(id)).unwrap();
-            wire_stubs[i].pump(&mut wire, 3);
+            prop_assert!(wire_stubs[i].pump(&mut wire, 3));
+            wire_stubs[i].answer_refresh(&mut wire, &table, replay, 3);
             prop_assert_eq!(batch.drain_bmp(), wire.drain_bmp(), "peer {}'s replay", id);
             prop_assert!(batch_stubs[i].is_established() && wire_stubs[i].is_established());
         }

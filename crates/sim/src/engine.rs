@@ -432,6 +432,26 @@ mod tests {
             .count()
     }
 
+    /// Asserts that a faulted arm's router recovered the reference arm's
+    /// routing state: per prefix the same Loc-RIB candidates, as a set (a
+    /// replayed route rejoins its prefix's list at the end), and the same
+    /// `bmp_snapshot`, every Adj-RIB-In route with its attributes.
+    fn assert_same_routing(faulted: &BgpRouter, reference: &BgpRouter) {
+        let candidates = |router: &BgpRouter| {
+            let mut all: Vec<(Prefix, Vec<ef_bgp::RouteRec>)> = (router.iter_candidates())
+                .map(|(prefix, recs)| {
+                    let mut recs = recs.to_vec();
+                    recs.sort_by_key(|r| r.source.peer);
+                    (*prefix, recs)
+                })
+                .collect();
+            all.sort_by_key(|(prefix, _)| *prefix);
+            all
+        };
+        assert_eq!(candidates(faulted), candidates(reference));
+        assert_eq!(faulted.bmp_snapshot(0), reference.bmp_snapshot(0));
+    }
+
     fn small_engine(enabled: bool) -> SimEngine {
         scenario()
             .small_topology(5)
@@ -634,54 +654,56 @@ mod tests {
         (faulted, reference)
     }
 
-    #[test]
-    fn update_corruption_never_resets_the_session_and_recovers() {
-        let peer = {
-            let dep = generate(&scenario().small_topology(5).build().gen);
-            dep.pops[0].peers[0].peer.0
+    /// Runs a fault window on PoP 0's first peer beside the fault-free
+    /// reference arm. Mid-window the peer's session is down exactly when
+    /// `held_down`; by the end every session is back and the faulted arm's
+    /// routing state is the reference arm's. Returns the faulted arm.
+    fn peer_fault_recovers(kind: ef_chaos::FaultKind, held_down: bool) -> SimEngine {
+        let peer = generate(&scenario().small_topology(5).build().gen).pops[0].peers[0].peer;
+        let target = ef_chaos::FaultTarget::Peer {
+            pop: 0,
+            peer: peer.0,
         };
-        let (mut faulted, mut reference) = faulted_pair(
-            ef_chaos::FaultKind::UpdateCorruption { rate: 0.9 },
-            ef_chaos::FaultTarget::Peer { pop: 0, peer },
-        );
+        let (mut faulted, mut reference) = faulted_pair(kind, target);
+        faulted.run_epochs(8); // t=480, mid-window
+        assert_eq!(faulted.all_sessions_up(), !held_down, "mid-window");
         faulted.run();
         reference.run();
-        // RFC 7606: corruption downgrades to treat-as-withdraw, the
-        // session itself never resets, and after the window a governed
-        // ROUTE-REFRESH replay restores the exact routing state.
-        assert!(faulted.all_sessions_up());
+        assert!(faulted.all_sessions_up(), "governed recovery");
+        for (f, r) in faulted.pops.iter().zip(&reference.pops) {
+            assert_eq!(fib_size(&f.router), fib_size(&r.router));
+            assert_same_routing(&f.router, &r.router);
+        }
+        faulted
+    }
+
+    /// RFC 7606: corruption downgrades to treat-as-withdraw, the session
+    /// itself never resets, and after the window a governed ROUTE-REFRESH
+    /// answer, the peer's table replayed, restores the routing state.
+    #[test]
+    fn update_corruption_never_resets_the_session_and_recovers() {
+        let faulted =
+            peer_fault_recovers(ef_chaos::FaultKind::UpdateCorruption { rate: 0.9 }, false);
         assert_eq!(
             faulted.session_resets(),
             0,
             "refresh recovery must not bounce any session"
         );
-        for (f, r) in faulted.pops.iter().zip(&reference.pops) {
-            assert_eq!(fib_size(&f.router), fib_size(&r.router));
-        }
     }
 
+    /// Flap damping holds the storming session down (it does not bounce
+    /// back between ticks); after the window the governor's backoff and
+    /// damping penalty decay and the session returns.
     #[test]
     fn session_flap_storm_holds_the_session_down_then_recovers_governed() {
-        let peer = {
-            let dep = generate(&scenario().small_topology(5).build().gen);
-            dep.pops[0].peers[0].peer.0
-        };
-        let (mut faulted, mut reference) = faulted_pair(
-            ef_chaos::FaultKind::SessionFlapStorm { period_s: 5 },
-            ef_chaos::FaultTarget::Peer { pop: 0, peer },
-        );
-        // Run into the storm: the session must be down (flap damping holds
-        // it down, it does not bounce back between ticks).
-        faulted.run_epochs(8); // t=480, mid-window
-        assert!(!faulted.all_sessions_up(), "storm holds the session down");
-        // Run out the scenario: the governor's backoff and damping penalty
-        // decay after the window ends and the session returns.
-        faulted.run();
-        reference.run();
-        assert!(faulted.all_sessions_up(), "governed reconnect recovered");
-        for (f, r) in faulted.pops.iter().zip(&reference.pops) {
-            assert_eq!(fib_size(&f.router), fib_size(&r.router));
-        }
+        peer_fault_recovers(ef_chaos::FaultKind::SessionFlapStorm { period_s: 5 }, true);
+    }
+
+    /// A failed peer's session stays down through the window, then is
+    /// revived with its table.
+    #[test]
+    fn failed_peer_is_revived_with_its_table() {
+        peer_fault_recovers(ef_chaos::FaultKind::PeerFailure, true);
     }
 
     #[test]

@@ -21,8 +21,15 @@
 //! flap-damping gate ([`ReconnectGovernor`]), charged when a fault tears a
 //! live session down, so a storm that ends still pays a cool-down before
 //! the session returns. Everything the runtime knows about one peer
-//! session — its stub, the table it replays, its two governors and what it
-//! is waiting for — lives in one `PeerRecord`.
+//! session — its stub, its table, its two governors and what it is
+//! waiting for — lives in one `PeerRecord`.
+//!
+//! A simulated peer never changes what it announces after the build, so
+//! its table is held once, in its record, as handles into the runtime's
+//! one attribute store. The stub keeps no Adj-RIB-Out: every send of the
+//! table — the build's feed, a revived session's feed, a ROUTE-REFRESH
+//! answer and the frames update corruption mangles — is built from the
+//! record's table.
 
 use std::collections::HashMap;
 
@@ -36,7 +43,7 @@ use ef_bgp::attrstore::{AttrId, AttrStore};
 use ef_bgp::message::{BgpMessage, UpdateMessage};
 use ef_bgp::peer::PeerId;
 use ef_bgp::route::EgressId;
-use ef_bgp::router::{BgpRouter, PeerAttachment, PeerStub, RouterConfig};
+use ef_bgp::router::{stub_frame_attrs, BgpRouter, PeerAttachment, PeerStub, RouterConfig};
 use ef_bgp::wire::encode_message;
 use ef_bgp::{BmpMessage, ReconnectGovernor, SessionStats};
 use ef_chaos::{FaultEvent, FaultKind, FaultTarget};
@@ -108,10 +115,13 @@ impl FaultLevels {
 struct PeerRecord {
     /// The adjacency as the topology describes it.
     conn: PeerConn,
+    /// The session's speaking end; it holds no routes.
     stub: PeerStub,
-    /// The peer's original announcements (attributes interned in the
-    /// runtime's `ann_store`), replayed when its session is re-established.
-    announcements: Vec<(Prefix, AttrId)>,
+    /// Everything the peer announces, in load order, as handles into the
+    /// runtime's `ann_store`: fixed at the build, and the only peer-side
+    /// copy of the peer's routes. A revived session's feed, a ROUTE-REFRESH
+    /// answer and corrupted frames are all built from it.
+    table: Vec<(Prefix, AttrId)>,
     /// Exponential backoff + flap damping gating every re-establishment
     /// (no instant reconnects), seeded in `(demand_seed, pop, peer)`.
     reconnect: ReconnectGovernor,
@@ -167,10 +177,11 @@ pub struct PopRuntime {
     /// Nominal capacity per interface slot, which each tick's capacity
     /// level scales.
     nominal_capacity: Vec<f64>,
-    /// Interned attribute pool for the replay table, one copy per distinct
-    /// pre-policy set (about one per three routes in the generated worlds:
-    /// 114 978 sets for 381 342 routes on the `fulltable` benchmark), so
-    /// the replay state per route is a prefix and a handle.
+    /// Interned attribute pool for every peer's table, one copy per
+    /// distinct pre-policy set (about one per three routes in the
+    /// generated worlds: 114 978 sets for 381 342 routes on the `fulltable`
+    /// benchmark), so a peer holds a prefix and a handle per route. Frames
+    /// get their next hop filled as they are built, not here.
     ann_store: AttrStore,
     /// Controller construction facts, for rebuilding after a crash.
     controller_enabled: bool,
@@ -285,7 +296,7 @@ impl PopRuntime {
                 PeerRecord {
                     conn: conn.clone(),
                     stub,
-                    announcements: Vec::new(),
+                    table: Vec::new(),
                     reconnect: ReconnectGovernor::with_seed(seed),
                     refresh: ReconnectGovernor::with_seed(seed ^ 0xEF2E_511D),
                     wants_up: false,
@@ -317,8 +328,8 @@ impl PopRuntime {
         // route-set order, so every prefix's candidates arrive in the same
         // peer order as announcing route by route would give, and the
         // decision ladder, which is not a total order, picks the same
-        // winners. Each peer's announcements are remembered so a failed
-        // session can be replayed on recovery. The load queues BMP
+        // winners. Each peer's routes are kept as its table, which every
+        // later send replays. The load queues BMP
         // messages; a batch never spans a multiple of `BMP_BATCH` routes,
         // and handing the queue to the collector at each one keeps it
         // bounded instead of a second copy of the whole table.
@@ -336,7 +347,7 @@ impl PopRuntime {
             routes = rest;
             loaded += run.len();
             if let Some(rec) = peer_slot(&peers, via).map(|slot| &mut peers[slot]) {
-                let list = &mut rec.announcements;
+                let list = &mut rec.table;
                 let start = list.len();
                 for spec in run {
                     let id = ann_store.intern(&PathAttributes {
@@ -356,9 +367,12 @@ impl PopRuntime {
         }
         feed(&mut router);
         // The bulk load above appended route chunks in arrival order;
-        // re-lay the pool out prefix-sorted once so the epoch loop scans
-        // the Loc-RIB with locality.
+        // re-lay the router's and the collector's pools out prefix-sorted
+        // once, so the epoch loop scans them with locality and no slack.
         router.compact_rib();
+        if let Some(ctl) = controller.as_mut() {
+            ctl.compact_collector();
+        }
 
         let sampler = cfg.sampled_rates.then(|| {
             SflowSampler::new(SamplerConfig {
@@ -590,7 +604,7 @@ impl PopRuntime {
     }
 
     /// Tears down and re-establishes the session in `slot`, replaying its
-    /// original announcements, and tells its governor the session is back —
+    /// table, and tells its governor the session is back —
     /// the recovery path for failed, flapped, and corruption-bounced peers.
     fn revive_peer(&mut self, slot: usize, now_ms: u64) {
         let rec = &mut self.peers[slot];
@@ -606,7 +620,7 @@ impl PopRuntime {
         self.router.remove_peer(rec.conn.peer, now_ms);
         rec.stub = attach_peer(&mut self.router, &rec.conn, now_ms);
         // The fresh session's full feed: one batch, as at build.
-        let table = rec.announcements.iter().copied();
+        let table = rec.table.iter().copied();
         rec.stub
             .announce_table(&mut self.router, &self.ann_store, table, now_ms);
         rec.reconnect.record_up(now_ms);
@@ -661,16 +675,13 @@ impl PopRuntime {
         for &(slot, rate) in &levels.corrupt {
             let rec = &mut self.peers[slot];
             let mut frames: Vec<Vec<u8>> = Vec::new();
-            for (prefix, id) in &rec.announcements {
+            for (prefix, id) in &rec.table {
                 if self.corruption_rng.gen::<f64>() >= rate {
                     continue;
                 }
-                let mut attrs = self.ann_store.attrs(*id).clone();
-                if attrs.next_hop.is_none() && prefix.is_v4() {
-                    // Same fill as `PeerStub::announce` so the frame
-                    // encodes validly before mangling.
-                    attrs.next_hop = Some(std::net::Ipv4Addr::new(192, 0, 2, 1));
-                }
+                // The stub's fill, so the frame encodes validly before
+                // mangling.
+                let attrs = stub_frame_attrs(prefix, self.ann_store.attrs(*id).clone());
                 let msg = BgpMessage::Update(UpdateMessage::announce(*prefix, attrs));
                 let Ok(bytes) = encode_message(&msg) else {
                     continue;
@@ -748,7 +759,13 @@ impl PopRuntime {
             rec.wants_refresh = false;
             match self.router.request_refresh(rec.conn.peer) {
                 Ok(()) => {
-                    rec.stub.pump(&mut self.router, now_ms);
+                    // The stub surfaces the request; the answer replays
+                    // the peer's table.
+                    if rec.stub.pump(&mut self.router, now_ms) {
+                        let table = rec.table.iter().copied();
+                        rec.stub
+                            .answer_refresh(&mut self.router, &self.ann_store, table, now_ms);
+                    }
                     rec.refresh.record_up(now_ms);
                     emit_refresh(false);
                 }
@@ -1278,6 +1295,10 @@ mod tests {
         for (prefix, recs) in pop.router.iter_candidates() {
             assert_eq!(read(collector.candidates(prefix)), read(recs), "{prefix}");
         }
+        // The build compacted the collector once the load was in.
+        let mut compacted = collector.clone();
+        compacted.compact();
+        assert_eq!(collector.approx_bytes(), compacted.approx_bytes());
         assert!(
             pop.router.drain_bmp().is_empty(),
             "the whole feed was handed over"
