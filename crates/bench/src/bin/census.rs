@@ -109,7 +109,6 @@ Event::str_field = `efctl report`'s alert path: the calm trace CI replays fires 
 PathDigest::samples = grading steering against the latent RTT gives it a caller
 P2Quantile::count = the observation count `PathDigest::samples` reads
 LocRib::len = the Loc-RIB's prefix count, beside `route_count`
-RouteCollector::approx_bytes = the collector's footprint, which a test holds compacted after the build
 marked_block = EXPERIMENTS.md's verdict block, held to the JSON by `paper_verdicts`
 <HashMap as TrafficView>::demand_of = half of the `TrafficView` contract the benchmark feeds
 RejectReason::label = `efctl explain` renders a no-route rejection, which no CI world makes

@@ -1,5 +1,5 @@
-//! Full-table RIB memory footprint: bytes per route in the pooled,
-//! attribute-interned Loc-RIB, on two tables.
+//! Full-table RIB memory footprint: bytes per route in the Loc-RIB of
+//! decision records plus the interned attribute store, on two tables.
 //!
 //! * `synthetic` — 100k prefixes × 3 peers drawing from 5 000 seeded
 //!   AS-path/MED patterns, the heavy sharing of a real DFZ feed (~65
@@ -11,9 +11,9 @@
 //!
 //! Each of those two rows reports:
 //!
-//! * `bytes_per_route` — resident bytes per candidate route in the arena
-//!   layout (the Loc-RIB's pool + slots + index, plus the attribute store
-//!   the Adj-RIB-In's handles point into);
+//! * `bytes_per_route` — resident bytes per candidate route (the
+//!   Loc-RIB's record vectors and map, plus the attribute store the
+//!   Adj-RIB-In's handles point into);
 //! * `routes_per_distinct` — how much interning has to share;
 //! * `naive_bytes_per_route` — the same table as the old representation
 //!   (`HashMap<Prefix, Vec<Route>>` with a deep `PathAttributes` clone per
@@ -224,7 +224,6 @@ fn synthetic() -> (LocRib, AttrStore, usize) {
             rib.install(prefix, RouteRec::new(attrs, source, EgressId(p as u32 + 1)));
         }
     }
-    rib.compact();
     (rib, store, attr_bytes)
 }
 
@@ -267,7 +266,7 @@ fn row<'a>(
         row.routes, row.prefixes, row.distinct_attrs, row.routes_per_distinct
     );
     println!(
-        "rib-footprint [{name}]: arena {:.1} B/route ({:.1} MiB), naive {:.1} B/route ({:.1} MiB), {:.2}x smaller",
+        "rib-footprint [{name}]: rib {:.1} B/route ({:.1} MiB), naive {:.1} B/route ({:.1} MiB), {:.2}x smaller",
         row.bytes_per_route,
         row.rib_bytes as f64 / (1024.0 * 1024.0),
         row.naive_bytes_per_route,

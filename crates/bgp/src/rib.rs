@@ -1,4 +1,4 @@
-//! The router-wide Loc-RIB, laid out for full-table scale.
+//! The router-wide Loc-RIB: every candidate route per prefix.
 //!
 //! Edge Fabric needs more than a FIB view: the controller must see *every*
 //! route available for a prefix (paper §4.1, "the controller needs to know
@@ -14,22 +14,20 @@
 //! the same type is the controller's BMP-fed view in
 //! `edge-fabric::collector`, which keeps no attributes at all.
 //!
-//! At ~900k prefixes × 2–6 paths the old `HashMap<Prefix, Vec<Route>>` paid
-//! one heap vector plus a deep [`PathAttributes`](crate::PathAttributes)
-//! clone per route. The compact layout stores all candidates in one pooled
-//! `Vec<RouteRec>` carved into power-of-two chunks:
+//! Each prefix owns one `Vec<RouteRec>`. A record is ~48 bytes, `Copy`
+//! and attribute-free, so the vector's header and growth slack are all a
+//! prefix pays for its candidates; there is no deep clone to pool away,
+//! and a prefix's storage goes back to the allocator with its last route.
 //!
-//! ```text
-//!   index: Prefix ─▶ slot ─▶ { start, len, class }   (one slot per prefix)
-//!   pool:  [ rec rec rec · | rec · · · | rec rec ... ]  chunk = 1<<class recs
-//!   rec:   { source, egress, key }                     (~48 bytes, Copy)
-//! ```
-//!
-//! Within a chunk, records keep **arrival order** — the decision ladder is
+//! Within a vector, records keep **arrival order**: the decision ladder is
 //! not a total order (MED comparability), so best/ranked results depend on
-//! iteration order and the pool must reproduce the reference `Vec` semantics
-//! (append new peers, replace in place, shift left on withdraw) exactly for
-//! determinism to hold byte-for-byte.
+//! iteration order. A peer that already has a route is replaced in place,
+//! a new peer is appended, and a withdraw shifts left.
+//!
+//! The map's hasher is fixed, so [`LocRib::iter`] order depends only on
+//! the sequence of operations, and runs stay reproducible. A fixed key
+//! does not resist crafted colliding prefixes; the prefixes here come
+//! from the world generator.
 //!
 //! [`BestChange`] compares records, so it sees `(source, egress, key)`
 //! only: a re-announcement that changes attributes outside the decision key
@@ -38,7 +36,9 @@
 //! FIB entry such a change would write is the one already installed, and
 //! the attributes themselves reach BMP from the Adj-RIB-In.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
 use ef_net_types::Prefix;
 
@@ -57,30 +57,11 @@ pub enum BestChange {
     Unreachable,
 }
 
-/// Per-prefix slot: an index range into the pooled record storage.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    prefix: Prefix,
-    /// First record index in the pool.
-    start: u32,
-    /// Live records (arrival order).
-    len: u16,
-    /// Chunk capacity is `1 << class` records.
-    class: u8,
-}
-
-const FREE_SLOT: u8 = u8::MAX;
-
 /// The router's collected view: every candidate route per prefix (at most
-/// one per peer) and the decision-process winner, in pooled compact storage.
+/// one per peer, in arrival order) and the decision-process winner.
 #[derive(Debug, Clone, Default)]
 pub struct LocRib {
-    index: HashMap<Prefix, u32>,
-    slots: Vec<Slot>,
-    free_slots: Vec<u32>,
-    pool: Vec<RouteRec>,
-    /// Free chunk start indices, per size class.
-    free_chunks: Vec<Vec<u32>>,
+    table: HashMap<Prefix, Vec<RouteRec>, BuildHasherDefault<DefaultHasher>>,
     routes: usize,
 }
 
@@ -90,103 +71,19 @@ impl LocRib {
         Self::default()
     }
 
-    /// Takes a free chunk of `1 << class` records, or grows the pool by a
-    /// chunk of copies of `fill` (slack past a slot's `len` is never
-    /// read).
-    fn alloc_chunk(&mut self, class: u8, fill: RouteRec) -> u32 {
-        if let Some(free) = self.free_chunks.get_mut(class as usize) {
-            if let Some(start) = free.pop() {
-                return start;
-            }
-        }
-        let start = self.pool.len() as u32;
-        self.pool.resize(self.pool.len() + (1usize << class), fill);
-        start
-    }
-
-    fn free_chunk(&mut self, start: u32, class: u8) {
-        let class = class as usize;
-        if self.free_chunks.len() <= class {
-            self.free_chunks.resize_with(class + 1, Vec::new);
-        }
-        self.free_chunks[class].push(start);
-    }
-
-    fn slot_recs(&self, slot: &Slot) -> &[RouteRec] {
-        &self.pool[slot.start as usize..slot.start as usize + slot.len as usize]
-    }
-
-    /// Grows the slot's chunk to the next size class, copying live records.
-    fn grow(&mut self, slot_id: u32) {
-        let (start, len, class) = {
-            let s = &self.slots[slot_id as usize];
-            (s.start, s.len, s.class)
-        };
-        let new_class = class + 1;
-        let new_start = self.alloc_chunk(new_class, self.pool[start as usize]);
-        let (src, dst) = (start as usize, new_start as usize);
-        for i in 0..len as usize {
-            self.pool[dst + i] = self.pool[src + i];
-        }
-        self.free_chunk(start, class);
-        let s = &mut self.slots[slot_id as usize];
-        s.start = new_start;
-        s.class = new_class;
-    }
-
     /// Installs or replaces `rec` (keyed by its source peer), returning how
     /// the best record changed.
     pub fn install(&mut self, prefix: Prefix, rec: RouteRec) -> BestChange {
-        let source = rec.source;
-        let slot_id = match self.index.get(&prefix) {
-            Some(&id) => id,
+        let recs = self.table.entry(prefix).or_default();
+        let old_best = best_rec(recs).copied();
+        match recs.iter_mut().find(|r| r.source.peer == rec.source.peer) {
+            Some(slot) => *slot = rec,
             None => {
-                let start = self.alloc_chunk(0, rec);
-                let slot = Slot {
-                    prefix,
-                    start,
-                    len: 0,
-                    class: 0,
-                };
-                let id = match self.free_slots.pop() {
-                    Some(id) => {
-                        self.slots[id as usize] = slot;
-                        id
-                    }
-                    None => {
-                        self.slots.push(slot);
-                        (self.slots.len() - 1) as u32
-                    }
-                };
-                self.index.insert(prefix, id);
-                id
-            }
-        };
-
-        let old_best = best_rec(self.slot_recs(&self.slots[slot_id as usize])).copied();
-
-        // Replace in place if this peer already has a route; append otherwise
-        // — same ordering semantics as the reference Vec representation.
-        let slot = self.slots[slot_id as usize];
-        let base = slot.start as usize;
-        let existing =
-            (0..slot.len as usize).find(|&i| self.pool[base + i].source.peer == source.peer);
-        match existing {
-            Some(i) => self.pool[base + i] = rec,
-            None => {
-                if usize::from(slot.len) == 1usize << slot.class {
-                    self.grow(slot_id);
-                }
-                let s = self.slots[slot_id as usize];
-                self.pool[s.start as usize + s.len as usize] = rec;
-                self.slots[slot_id as usize].len += 1;
+                recs.push(rec);
                 self.routes += 1;
             }
         }
-
-        let new_best = best_rec(self.slot_recs(&self.slots[slot_id as usize]))
-            .copied()
-            .unwrap_or(rec);
+        let new_best = *best_rec(recs).expect("install leaves a route");
         if old_best == Some(new_best) {
             BestChange::Unchanged
         } else {
@@ -196,39 +93,22 @@ impl LocRib {
 
     /// Removes the route for `prefix` learned from `peer`.
     pub fn withdraw(&mut self, prefix: &Prefix, peer: PeerId) -> BestChange {
-        let Some(&slot_id) = self.index.get(prefix) else {
+        let Some(recs) = self.table.get_mut(prefix) else {
             return BestChange::Unchanged;
         };
-        let slot = self.slots[slot_id as usize];
-        let base = slot.start as usize;
-        let len = slot.len as usize;
-        let Some(hit) = (0..len).find(|&i| self.pool[base + i].source.peer == peer) else {
+        let Some(hit) = recs.iter().position(|r| r.source.peer == peer) else {
             return BestChange::Unchanged;
         };
-
-        let old_best = best_rec(self.slot_recs(&slot)).copied();
-        // Shift left to preserve arrival order (the reference `retain`).
-        for i in hit..len - 1 {
-            self.pool[base + i] = self.pool[base + i + 1];
-        }
-        self.slots[slot_id as usize].len -= 1;
+        let old_best = best_rec(recs).copied();
+        recs.remove(hit);
         self.routes -= 1;
-
-        if self.slots[slot_id as usize].len == 0 {
-            self.index.remove(prefix);
-            self.free_chunk(slot.start, slot.class);
-            self.slots[slot_id as usize].class = FREE_SLOT;
-            self.free_slots.push(slot_id);
-            return BestChange::Unreachable;
-        }
-        let new_best = best_rec(self.slot_recs(&self.slots[slot_id as usize])).copied();
-        if old_best == new_best {
-            BestChange::Unchanged
-        } else {
-            match new_best {
-                Some(b) => BestChange::NewBest(b),
-                None => BestChange::Unreachable,
+        match best_rec(recs).copied() {
+            None => {
+                self.table.remove(prefix);
+                BestChange::Unreachable
             }
+            new_best if new_best == old_best => BestChange::Unchanged,
+            Some(b) => BestChange::NewBest(b),
         }
     }
 
@@ -236,11 +116,9 @@ impl LocRib {
     /// the per-prefix best-route changes that resulted, in prefix order.
     pub fn withdraw_peer(&mut self, peer: PeerId) -> Vec<(Prefix, BestChange)> {
         let mut prefixes: Vec<Prefix> = self
-            .slots
             .iter()
-            .filter(|s| s.class != FREE_SLOT)
-            .filter(|s| self.slot_recs(s).iter().any(|r| r.source.peer == peer))
-            .map(|s| s.prefix)
+            .filter(|(_, recs)| recs.iter().any(|r| r.source.peer == peer))
+            .map(|(prefix, _)| *prefix)
             .collect();
         prefixes.sort_unstable();
         prefixes
@@ -255,10 +133,7 @@ impl LocRib {
 
     /// All candidate records for a prefix, in arrival order.
     pub fn candidates(&self, prefix: &Prefix) -> &[RouteRec] {
-        match self.index.get(prefix) {
-            Some(&id) => self.slot_recs(&self.slots[id as usize]),
-            None => &[],
-        }
+        self.table.get(prefix).map_or(&[], Vec::as_slice)
     }
 
     /// Candidates ranked best-first by the decision process, written into a
@@ -275,12 +150,12 @@ impl LocRib {
 
     /// Number of prefixes with at least one route.
     pub fn len(&self) -> usize {
-        self.index.len()
+        self.table.len()
     }
 
     /// True if no prefix has a route.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.table.is_empty()
     }
 
     /// Total candidate routes across all prefixes.
@@ -288,66 +163,24 @@ impl LocRib {
         self.routes
     }
 
-    /// Approximate resident bytes of the compact layout: pooled records,
-    /// slot table and prefix index. The CI bytes/route gate adds the
-    /// owning router's attribute store and divides by
+    /// Approximate resident bytes: each prefix's record vector at its
+    /// capacity, plus the map's table (an entry and a control byte per
+    /// bucket of capacity). The CI bytes/route gate adds the owning
+    /// router's attribute store and divides by
     /// [`route_count`](Self::route_count).
     pub fn approx_bytes(&self) -> usize {
         use std::mem::size_of;
-        let pool = self.pool.capacity() * size_of::<RouteRec>();
-        let slots = self.slots.capacity() * size_of::<Slot>();
-        // HashMap entry ≈ key + value + control byte overhead (~1.1 factor).
-        let index = self.index.capacity() * (size_of::<Prefix>() + size_of::<u32>() + 8);
-        pool + slots + index
+        let recs: usize = self.table.values().map(Vec::capacity).sum();
+        let table = self.table.capacity() * (size_of::<(Prefix, Vec<RouteRec>)>() + 1);
+        recs * size_of::<RouteRec>() + table
     }
 
-    /// Iterates `(prefix, candidates)` in slot (arrival) order.
+    /// Iterates `(prefix, candidates)`, in an order fixed by the sequence
+    /// of operations that built the RIB.
     pub fn iter(&self) -> impl Iterator<Item = (&Prefix, &[RouteRec])> {
-        self.slots
+        self.table
             .iter()
-            .filter(|s| s.class != FREE_SLOT)
-            .map(|s| (&s.prefix, self.slot_recs(s)))
-    }
-
-    /// Re-lays the pool out prefix-sorted with no free chunks or slack — the
-    /// batched-build companion: after a bulk load (or heavy churn), one pass
-    /// leaves candidates contiguous in prefix order for cache-friendly scans
-    /// and minimal footprint.
-    pub fn compact(&mut self) {
-        let mut live: Vec<Slot> = self
-            .slots
-            .iter()
-            .filter(|s| s.class != FREE_SLOT)
-            .copied()
-            .collect();
-        live.sort_unstable_by_key(|s| s.prefix);
-
-        let mut new_pool: Vec<RouteRec> = Vec::with_capacity(self.routes);
-        let mut new_slots: Vec<Slot> = Vec::with_capacity(live.len());
-        let mut new_index: HashMap<Prefix, u32> = HashMap::with_capacity(live.len());
-        for slot in &live {
-            let start = new_pool.len() as u32;
-            new_pool.extend_from_slice(self.slot_recs(slot));
-            // Exact-fit class: smallest power of two holding `len`.
-            let class = (u16::BITS - slot.len.max(1).leading_zeros() - 1) as u8
-                + u8::from(!slot.len.is_power_of_two());
-            new_pool.resize(
-                start as usize + (1usize << class),
-                *new_pool.last().expect("slot nonempty"),
-            );
-            new_index.insert(slot.prefix, new_slots.len() as u32);
-            new_slots.push(Slot {
-                prefix: slot.prefix,
-                start,
-                len: slot.len,
-                class,
-            });
-        }
-        self.pool = new_pool;
-        self.slots = new_slots;
-        self.index = new_index;
-        self.free_slots.clear();
-        self.free_chunks.clear();
+            .map(|(prefix, recs)| (prefix, recs.as_slice()))
     }
 }
 
@@ -519,13 +352,11 @@ mod tests {
     }
 
     #[test]
-    fn chunks_grow_and_recycle() {
+    fn five_peers_keep_arrival_order() {
         let mut rib = LocRib::new();
-        // 5 peers forces class 0 -> 1 -> 2 growth with chunk recycling.
         for peer in 1..=5 {
             install(&mut rib, route("1.0.0.0/8", peer, 100 + peer as u32));
         }
-        assert_eq!(rib.candidates(&p("1.0.0.0/8")).len(), 5);
         let arrival: Vec<u64> = rib
             .candidates(&p("1.0.0.0/8"))
             .iter()
@@ -536,32 +367,6 @@ mod tests {
             rib.withdraw(&p("1.0.0.0/8"), PeerId(peer));
         }
         assert!(rib.is_empty());
-        // A new prefix reuses recycled storage rather than growing the pool.
-        let before = rib.pool.len();
-        install(&mut rib, route("3.0.0.0/8", 1, 100));
-        assert_eq!(rib.pool.len(), before);
-    }
-
-    #[test]
-    fn compact_preserves_contents_and_order() {
-        let mut rib = LocRib::new();
-        install(&mut rib, route("2.0.0.0/8", 2, 100));
-        install(&mut rib, route("1.0.0.0/8", 1, 900));
-        install(&mut rib, route("1.0.0.0/8", 3, 500));
-        install(&mut rib, route("3.0.0.0/8", 1, 100));
-        rib.withdraw(&p("3.0.0.0/8"), PeerId(1));
-        let before: Vec<(Prefix, Vec<RouteRec>)> = {
-            let mut v: Vec<(Prefix, Vec<RouteRec>)> =
-                rib.iter().map(|(p, r)| (*p, r.to_vec())).collect();
-            v.sort_by_key(|(p, _)| *p);
-            v
-        };
-        rib.compact();
-        let after: Vec<(Prefix, Vec<RouteRec>)> =
-            rib.iter().map(|(p, r)| (*p, r.to_vec())).collect();
-        assert_eq!(before, after, "compact iterates prefix-sorted");
-        assert_eq!(rib.route_count(), 3);
-        assert_eq!(rib.best(&p("1.0.0.0/8")).unwrap().source.peer, PeerId(1));
     }
 
     #[test]

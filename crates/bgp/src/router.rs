@@ -570,17 +570,16 @@ impl BgpRouter {
         self.store.distinct()
     }
 
-    /// Approximate resident bytes of the Loc-RIB's compact layout plus the
-    /// attribute store.
+    /// Approximate resident bytes of the Loc-RIB's record vectors and map
+    /// plus the attribute store.
     pub fn rib_approx_bytes(&self) -> usize {
         self.loc_rib.approx_bytes() + self.store.approx_bytes()
     }
 
-    /// Re-lays the Loc-RIB pool out prefix-sorted with no slack — call once
-    /// after a bulk table load to finish the batched build.
-    pub fn compact_rib(&mut self) {
-        self.loc_rib.compact()
-    }
+    /// Does nothing: the Loc-RIB keeps one vector per prefix and has no
+    /// pool to compact. Kept because the benchmark's traced run still
+    /// times this call after its table load.
+    pub fn compact_rib(&mut self) {}
 
     /// Drains queued BMP messages (the monitoring feed).
     pub fn drain_bmp(&mut self) -> Vec<BmpMessage> {

@@ -1,4 +1,4 @@
-//! Equivalence of the pooled [`LocRib`] of decision records against the
+//! Equivalence of the [`LocRib`] of decision records against the
 //! reference representation it replaced: `HashMap<Prefix, Vec<Route>>`
 //! with per-route deep attribute clones, ranked by a decision ladder that
 //! reads each fat [`Route`]'s attributes directly ([`compare`],
@@ -6,7 +6,7 @@
 //! nowhere else).
 //!
 //! Under arbitrary churn (install / replace-from-same-peer / withdraw /
-//! session teardown / compaction), the two must agree on candidate sets,
+//! session teardown), the two must agree on candidate sets,
 //! arrival order, decision ranking, best-route changes and route counts,
 //! each route compared as what the RIB keeps of it: `(source, egress,
 //! key)`, the [`RouteRec`]. This is the contract that lets every consumer
@@ -80,7 +80,7 @@ fn rank_routes(candidates: &[Route]) -> Vec<&Route> {
     v
 }
 
-/// Reference model: the pre-pooling Loc-RIB representation.
+/// Reference model: the Loc-RIB representation before decision records.
 #[derive(Default)]
 struct ModelRib {
     table: HashMap<Prefix, Vec<Route>>,
@@ -155,7 +155,7 @@ impl ModelRib {
     }
 }
 
-/// Asserts full observable equivalence between the pooled RIB and the model.
+/// Asserts full observable equivalence between the RIB and the model.
 fn assert_equivalent(rib: &LocRib, model: &ModelRib) {
     assert_eq!(rib.len(), model.table.len(), "prefix count");
     assert_eq!(rib.route_count(), model.route_count(), "route count");
@@ -199,7 +199,6 @@ enum Op {
     WithdrawPeer {
         peer_ix: usize,
     },
-    Compact,
 }
 
 const N_PREFIXES: usize = 6;
@@ -207,7 +206,7 @@ const N_PEERS: usize = 4;
 const N_ATTRS: usize = 8;
 
 /// Half IPv4 /24s, half IPv6 /48s under `2001:db8::/32`, so both families
-/// run through the compact RIB and the reference ladder.
+/// run through the RIB and the reference ladder.
 fn prefixes() -> Vec<Prefix> {
     (0..N_PREFIXES as u16)
         .map(|i| {
@@ -266,7 +265,7 @@ fn attr_patterns() -> Vec<PathAttributes> {
 
 fn arb_op() -> impl Strategy<Value = Op> {
     // Installs dominate (two arms) so tables actually fill up between the
-    // withdraw/teardown/compact churn.
+    // withdraw/teardown churn.
     let install = || {
         (0..N_PREFIXES, 0..N_PEERS, 0..N_ATTRS, 1u32..4).prop_map(
             |(prefix_ix, peer_ix, attr_ix, egress)| Op::Install {
@@ -283,18 +282,32 @@ fn arb_op() -> impl Strategy<Value = Op> {
         (0..N_PREFIXES, 0..N_PEERS)
             .prop_map(|(prefix_ix, peer_ix)| Op::Withdraw { prefix_ix, peer_ix }),
         (0..N_PEERS).prop_map(|peer_ix| Op::WithdrawPeer { peer_ix }),
-        Just(Op::Compact),
     ]
+}
+
+/// The bytes of a RIB that held one route at each of `prefixes` at once
+/// and then lost them all: its map alone, with no record storage.
+fn drained_index_bytes(prefixes: &[Prefix]) -> usize {
+    let mut rib = LocRib::new();
+    let source = sources()[0];
+    let attrs = PathAttributes::default();
+    for prefix in prefixes {
+        rib.install(*prefix, RouteRec::new(&attrs, source, EgressId(1)));
+    }
+    for prefix in prefixes {
+        rib.withdraw(prefix, source.peer);
+    }
+    rib.approx_bytes()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Arbitrary churn: the pooled RIB and the reference model agree on
-    /// every change report and on the full observable state after every
-    /// operation.
+    /// Arbitrary churn: the RIB and the reference model agree on every
+    /// change report and on the full observable state after every
+    /// operation, and a drained RIB keeps no record storage.
     #[test]
-    fn pooled_rib_matches_reference_model(ops in proptest::collection::vec(arb_op(), 1..80)) {
+    fn loc_rib_matches_reference_model(ops in proptest::collection::vec(arb_op(), 1..80)) {
         let prefixes = prefixes();
         let sources = sources();
         let patterns = attr_patterns();
@@ -327,12 +340,13 @@ proptest! {
                     let want = model.withdraw_peer(peer);
                     prop_assert_eq!(got, want, "withdraw_peer change reports");
                 }
-                Op::Compact => rib.compact(),
             }
             assert_equivalent(&rib, &model);
         }
 
-        // Drain everything; the pooled structures must empty out.
+        // Drain everything; the RIB must empty out and give every record's
+        // storage back, keeping at most the map of a RIB that held every
+        // prefix at once.
         for source in &sources {
             rib.withdraw_peer(source.peer);
             model.withdraw_peer(source.peer);
@@ -340,5 +354,6 @@ proptest! {
         assert_equivalent(&rib, &model);
         prop_assert_eq!(rib.route_count(), 0);
         prop_assert!(rib.is_empty());
+        prop_assert!(rib.approx_bytes() <= drained_index_bytes(&prefixes));
     }
 }

@@ -220,7 +220,7 @@ pub fn allocate<T: TrafficView + ?Sized>(
     }
 
     // Ranked-candidate scratch reused across every unit the worklist tries:
-    // ranking writes pooled records into this buffer instead of allocating
+    // ranking writes decision records into this buffer instead of allocating
     // a fresh `Vec` per call.
     let mut ranked_scratch: Vec<RouteRec> = Vec::new();
 

@@ -162,20 +162,8 @@ impl RouteCollector {
         }
     }
 
-    /// Re-lays the Loc-RIB out prefix-sorted with no slack (see
-    /// [`LocRib::compact`]), the end of a bulk load. Nothing reads the slot
-    /// order: candidates are looked up by prefix, and a peer-down scan
-    /// only collects the prefixes it dirties, each stamped afresh.
-    pub fn compact(&mut self) {
-        self.rib.compact()
-    }
-
-    /// Bytes the route view holds (see [`LocRib::approx_bytes`]).
-    pub fn approx_bytes(&self) -> usize {
-        self.rib.approx_bytes()
-    }
-
-    /// Every candidate route for a prefix, as compact pooled records.
+    /// Every candidate route for a prefix, as decision records in arrival
+    /// order.
     pub fn candidates(&self, prefix: &Prefix) -> &[RouteRec] {
         self.rib.candidates(prefix)
     }

@@ -196,12 +196,6 @@ impl PopController {
         &self.interfaces
     }
 
-    /// Re-lays the collector's route view out prefix-sorted with no slack:
-    /// call once, after a bulk table load has been ingested.
-    pub fn compact_collector(&mut self) {
-        self.collector.compact()
-    }
-
     /// Feeds BMP messages from the router into the route collector, at
     /// `now`. Call whenever the feed has data; at minimum once per epoch
     /// before [`run_epoch`](Self::run_epoch). When the collector could not

@@ -38,7 +38,7 @@ use edge_fabric::{
     EpochReport, InterfaceInfo, InterfaceMap, OverrideSet, PopController, TrafficTable,
     MIN_SAMPLES,
 };
-use ef_bgp::attrs::{AsPath, PathAttributes};
+use ef_bgp::attrs::{AsPath, AsPathSegment, PathAttributes};
 use ef_bgp::attrstore::{AttrId, AttrStore};
 use ef_bgp::message::{BgpMessage, UpdateMessage};
 use ef_bgp::peer::PeerId;
@@ -47,7 +47,7 @@ use ef_bgp::router::{stub_frame_attrs, BgpRouter, PeerAttachment, PeerStub, Rout
 use ef_bgp::wire::encode_message;
 use ef_bgp::{BmpMessage, ReconnectGovernor, SessionStats};
 use ef_chaos::{FaultEvent, FaultKind, FaultTarget};
-use ef_net_types::Prefix;
+use ef_net_types::{Asn, Prefix};
 use ef_perf::rtt::PathPerfModel;
 use ef_perf::{AltPathMeasurer, CandidatePath};
 use ef_topology::{BillingMeter, Deployment, PeerConn, Pop, PopId, BILLING_PERCENTILE};
@@ -252,6 +252,18 @@ fn emit_reset(telemetry: &ef_telemetry::TelemetryHandle, pop: u16, now_ms: u64, 
     telemetry.emit(pop, now_ms, "session.reset", &[("peer", peer.0.into())]);
 }
 
+/// Makes `path` the one SEQUENCE `asns` (no segment when `asns` is
+/// empty), as [`AsPath::sequence`] builds it, reusing `path`'s vectors.
+fn refill_sequence(path: &mut AsPath, asns: &[Asn]) {
+    match path.segments.as_mut_slice() {
+        [AsPathSegment::Sequence(seq)] if !asns.is_empty() => {
+            seq.clear();
+            seq.extend_from_slice(asns);
+        }
+        _ => *path = AsPath::sequence(asns.iter().copied()),
+    }
+}
+
 /// Attaches `conn`'s session to `router` under the default import policy
 /// and brings it up from a fresh stub: at build, and again on every
 /// revival of a failed, flapped or corruption-bounced peer.
@@ -334,6 +346,9 @@ impl PopRuntime {
         // and handing the queue to the collector at each one keeps it
         // bounded instead of a second copy of the whole table.
         let mut ann_store = AttrStore::new();
+        // One scratch set, refilled per route: interning copies a set only
+        // the first time it sees it.
+        let mut attrs = PathAttributes::default();
         let mut routes = deployment.routes_at(pop_id);
         let mut loaded = 0;
         while let Some(first) = routes.first() {
@@ -350,11 +365,9 @@ impl PopRuntime {
                 let list = &mut rec.table;
                 let start = list.len();
                 for spec in run {
-                    let id = ann_store.intern(&PathAttributes {
-                        as_path: AsPath::sequence(spec.as_path.iter().copied()),
-                        med: spec.med,
-                        ..Default::default()
-                    });
+                    refill_sequence(&mut attrs.as_path, &spec.as_path);
+                    attrs.med = spec.med;
+                    let id = ann_store.intern(&attrs);
                     let prefix = deployment.universe.prefixes[spec.prefix_idx as usize].prefix;
                     list.push((prefix, id));
                 }
@@ -366,13 +379,6 @@ impl PopRuntime {
             }
         }
         feed(&mut router);
-        // The bulk load above appended route chunks in arrival order;
-        // re-lay the router's and the collector's pools out prefix-sorted
-        // once, so the epoch loop scans them with locality and no slack.
-        router.compact_rib();
-        if let Some(ctl) = controller.as_mut() {
-            ctl.compact_collector();
-        }
 
         let sampler = cfg.sampled_rates.then(|| {
             SflowSampler::new(SamplerConfig {
@@ -1295,10 +1301,6 @@ mod tests {
         for (prefix, recs) in pop.router.iter_candidates() {
             assert_eq!(read(collector.candidates(prefix)), read(recs), "{prefix}");
         }
-        // The build compacted the collector once the load was in.
-        let mut compacted = collector.clone();
-        compacted.compact();
-        assert_eq!(collector.approx_bytes(), compacted.approx_bytes());
         assert!(
             pop.router.drain_bmp().is_empty(),
             "the whole feed was handed over"
